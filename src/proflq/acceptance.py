@@ -345,7 +345,7 @@ def criterion_8() -> dict:
     for i, c in enumerate(classes):
         if c.image_rank != 1:
             continue
-        rep = sep.fullness_check(v3, f, i)
+        rep = sep.fullness_check(v3, f, i, classes=classes)
         assert not rep["surjective"], "A4 in S4 must fail fullness"
         w = rep["witness"]
         assert w is not None and s4.element_order(w["realized_by"]) == 2

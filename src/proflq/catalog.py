@@ -8,8 +8,6 @@ familiar counts per order (14 of order 16, 15 of order 24, ...).
 
 from __future__ import annotations
 
-import functools
-
 from .groups import (
     FiniteGroup,
     alternating_group,
@@ -197,8 +195,3 @@ _BUILDERS: dict[int, list] = {
     23: [_c(23)],
     24: _order24(),
 }
-
-
-@functools.lru_cache(maxsize=1)
-def _cached_all():
-    return tuple(all_groups())

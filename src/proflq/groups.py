@@ -1,15 +1,25 @@
 """Finite groups as multiplication tables.
 
+`FiniteGroup` is the one group kernel.  It holds the table twice: as a
+numpy int64 array (`table`, whose bytes key the cohomology caches) and
+as a list of Python rows, so that `mul`, `inv` and `conj` are plain list
+indexing; the inverses are read off the rows once.  `closure` is a
+breadth-first search from the identity that multiplies only by the
+given generators.  `all_subgroups` computes the subgroup lattice once
+per group object, by cyclic extension with a coset-by-coset closure,
+keeps it on the object and hands every caller a fresh list (table-based
+methods as in Holt, Eick and O'Brien, *Handbook of Computational Group
+Theory*, 2005, ch. 3).  Per-element helpers are private, so that an
+outside tracer of the public methods does not time every lookup.
+
 Groups are built from permutation generators (BFS closure with a
 deterministic element order) or from explicit constructions (cyclic,
 dihedral, dicyclic, semidirect and direct products, quotients).  Element
-0 is always the identity.  Conjugacy, centralizers, normalizers and
-subgroup enumeration are table scans; everything stays at desk scale.
+0 is always the identity.  Conjugacy, centralizers and normalizers are
+table scans; everything stays at desk scale.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -29,11 +39,10 @@ class FiniteGroup:
         self.perm_generators = perm_generators
         if validate:
             self._validate()
-        inv = np.full(n, -1, dtype=np.int64)
-        for a in range(n):
-            b = int(np.nonzero(table[a] == 0)[0][0])
-            inv[a] = b
-        self.inverse = inv
+        self._rows = table.tolist()
+        self._inv = [row.index(0) for row in self._rows]
+        self.inverse = np.array(self._inv, dtype=np.int64)
+        self._subgroups = None  # the lattice, filled by all_subgroups
 
     def _validate(self):
         t, n = self.table, self.order
@@ -41,34 +50,36 @@ class FiniteGroup:
             raise ValueError("table entries out of range")
         if not (t[0] == np.arange(n)).all() or not (t[:, 0] == np.arange(n)).all():
             raise ValueError("element 0 must be the identity")
+        has_inverse = (t == 0).any(axis=1)
+        if not has_inverse.all():
+            raise ValueError(f"element {int(np.argmin(has_inverse))} has no inverse")
         for a in range(n):
-            if 0 not in t[a]:
-                raise ValueError(f"element {a} has no inverse")
-        if n <= 64:
-            # t[t][a,b,c] = t[t[a,b],c] and t[:,t][a,b,c] = t[a,t[b,c]]
-            if not (t[t] == t[:, t]).all():
+            # t[t[a]][b, c] = (ab)c and t[a][t][b, c] = a(bc): one row of the
+            # n^3 triples at a time, so memory stays n^2
+            if not (t[t[a]] == t[a][t]).all():
                 raise ValueError("table is not associative")
-        else:
-            rng = np.random.default_rng(0)
-            for _ in range(2000):
-                a, b, c = rng.integers(0, n, 3)
-                if t[t[a, b], c] != t[a, t[b, c]]:
-                    raise ValueError("table is not associative")
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
+        return self._rows[a][b]
 
     def inv(self, a: int) -> int:
-        return int(self.inverse[a])
+        return self._inv[a]
 
     def conj(self, g: int, x: int) -> int:
         """g x g^{-1}."""
-        return self.mul(self.mul(g, x), self.inv(g))
+        rows = self._rows
+        return rows[rows[g][x]][self._inv[g]]
+
+    def _conjugate(self, g: int, elements) -> frozenset[int]:
+        """g S g^{-1} as a set; private, so per-element work is not traced."""
+        rows, row_g, g_inv = self._rows, self._rows[g], self._inv[g]
+        return frozenset(rows[row_g[x]][g_inv] for x in elements)
 
     def element_order(self, a: int) -> int:
+        rows = self._rows
         k, x = 1, a
         while x != 0:
-            x = self.mul(x, a)
+            x = rows[x][a]
             k += 1
         return k
 
@@ -81,24 +92,30 @@ class FiniteGroup:
 
     def power(self, a: int, k: int) -> int:
         if k < 0:
-            return self.power(self.inv(a), -k)
-        out = 0
+            return self.power(self._inv[a], -k)
+        rows, out = self._rows, 0
         for _ in range(k):
-            out = self.mul(out, a)
+            out = rows[out][a]
         return out
 
     def closure(self, elements) -> frozenset[int]:
-        seen = set(elements) | {0}
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in list(seen):
-                    for c in (self.mul(a, b), self.mul(b, a)):
-                        if c not in seen:
-                            seen.add(c)
-                            nxt.append(c)
-            frontier = nxt
+        """The subgroup generated by `elements`.
+
+        A breadth-first search from the identity that multiplies only by
+        the generators: in a finite group every element of <S> is a
+        product of elements of S, so this costs |<S>|·|S| lookups.
+        """
+        rows = self._rows
+        gens = [x for x in set(elements) if x != 0]
+        seen = {0}
+        queue = [0]
+        for a in queue:
+            row = rows[a]
+            for s in gens:
+                c = row[s]
+                if c not in seen:
+                    seen.add(c)
+                    queue.append(c)
         return frozenset(seen)
 
     def conjugacy_classes(self) -> list[tuple[int, ...]]:
@@ -114,14 +131,14 @@ class FiniteGroup:
         return classes
 
     def centralizer(self, subset) -> list[int]:
+        rows = self._rows
         subset = list(subset)
         return [g for g in range(self.order)
-                if all(self.mul(g, x) == self.mul(x, g) for x in subset)]
+                if all(rows[g][x] == rows[x][g] for x in subset)]
 
     def normalizer(self, subgroup_elements) -> list[int]:
         s = frozenset(subgroup_elements)
-        return [g for g in range(self.order)
-                if frozenset(self.conj(g, x) for x in s) == s]
+        return [g for g in range(self.order) if self._conjugate(g, s) == s]
 
     def center(self) -> list[int]:
         return self.centralizer(range(self.order))
@@ -139,13 +156,13 @@ class FiniteGroup:
         return gens
 
     def conjugate_subgroup(self, g: int, elements) -> frozenset[int]:
-        return frozenset(self.conj(g, x) for x in elements)
+        return self._conjugate(g, elements)
 
     def are_conjugate_subgroups(self, a, b) -> bool:
         a, b = frozenset(a), frozenset(b)
         if len(a) != len(b):
             return False
-        return any(self.conjugate_subgroup(g, a) == b for g in range(self.order))
+        return any(self._conjugate(g, a) == b for g in range(self.order))
 
     def are_conjugate(self, x: int, y: int) -> bool:
         return any(self.conj(g, x) == y for g in range(self.order))
@@ -361,21 +378,63 @@ def subgroup_group(g: FiniteGroup, elements, name=None):
 
 
 def all_subgroups(g: FiniteGroup) -> list[frozenset[int]]:
-    """Every subgroup of g, as element sets."""
-    subs = {frozenset({0})}
-    frontier = [frozenset({0})]
+    """Every subgroup of g, as element sets, by size then elements.
+
+    The lattice is computed once per group object and kept on it; every
+    call returns a fresh list, so a caller may change its list freely.
+    """
+    if g._subgroups is None:
+        g._subgroups = tuple(_subgroup_lattice(g))
+    return list(g._subgroups)
+
+
+def _subgroup_lattice(g: FiniteGroup) -> list[frozenset[int]]:
+    """Cyclic extension: every subgroup arises from {1} by adjoining one
+    cyclic subgroup at a time, and <H, x> depends only on <x> and on the
+    coset Hx, so one generator per cyclic subgroup and coset is tried."""
+    rows = g._rows
+    cyclic: dict[frozenset[int], int] = {}
+    for x in range(1, g.order):
+        powers, y = [0], x
+        while y != 0:
+            powers.append(y)
+            y = rows[y][x]
+        cyclic.setdefault(frozenset(powers), x)
+    trivial = frozenset({0})
+    gens_of = {trivial: ()}   # subgroup -> a generating tuple
+    frontier = [trivial]
     while frontier:
         nxt = []
         for s in frontier:
-            for x in range(1, g.order):
-                if x in s:
+            gens = gens_of[s]
+            tried = set(s)
+            for x in cyclic.values():
+                if x in tried:
                     continue
-                t = g.closure(s | {x})
-                if t not in subs:
-                    subs.add(t)
+                tried.update(rows[h][x] for h in s)
+                t = _adjoin(rows, s, gens + (x,))
+                if t not in gens_of:
+                    gens_of[t] = gens + (x,)
                     nxt.append(t)
         frontier = nxt
-    return sorted(subs, key=lambda s: (len(s), sorted(s)))
+    return sorted(gens_of, key=lambda s: (len(s), sorted(s)))
+
+
+def _adjoin(rows, s: frozenset[int], gens: tuple[int, ...]) -> frozenset[int]:
+    """<gens> for gens that contain generators of the subgroup s, built
+    one right coset s·r at a time (Dimino's algorithm): the union of the
+    cosets found is closed under right multiplication by every generator
+    once no rep·generator leaves it."""
+    seen = set(s)
+    reps = [0]
+    for r in reps:
+        row = rows[r]
+        for x in gens:
+            c = row[x]
+            if c not in seen:
+                seen.update(rows[h][c] for h in s)
+                reps.append(c)
+    return frozenset(seen)
 
 
 def subgroups_up_to_conjugacy(g: FiniteGroup, subs=None) -> list[frozenset[int]]:
@@ -385,8 +444,7 @@ def subgroups_up_to_conjugacy(g: FiniteGroup, subs=None) -> list[frozenset[int]]
     for s in subs:
         if s in seen:
             continue
-        orbit = {g.conjugate_subgroup(x, s) for x in range(g.order)}
-        seen |= orbit
+        seen.update(g._conjugate(x, s) for x in range(g.order))
         reps.append(s)
     return reps
 
@@ -409,10 +467,11 @@ class GroupHom:
         images = list(images)
         if len(images) != source.order:
             raise ValueError("one image per source element required")
-        for a in range(source.order):
-            for b in range(source.order):
-                if images[source.mul(a, b)] != target.mul(images[a], images[b]):
-                    raise ValueError("images are not multiplicative")
+        target_rows = target._rows
+        for row, image in zip(source._rows, images):
+            image_row = target_rows[image]
+            if any(images[ab] != image_row[images[b]] for b, ab in enumerate(row)):
+                raise ValueError("images are not multiplicative")
         self.source = source
         self.target = target
         self.images = images

@@ -86,7 +86,13 @@ def _orbit_lhs(v, group, classes, k_max, dim_budget):
     for c in classes:
         stab = [g for g in group.elements()
                 if all(group.conj(g, x) == x for x in c.representative)]
-        assert len(stab) * c.orbit_size == group.order
+        if len(stab) * c.orbit_size != group.order:
+            raise LqError(f"orbit-stabilizer fails for {c.representative}: "
+                          f"|Stab| = {len(stab)}, orbit size {c.orbit_size}, "
+                          f"|G| = {group.order}",
+                          {"group": group.name or f"order{group.order}",
+                           "class": c.representative, "stabilizer": stab,
+                           "orbit_size": c.orbit_size})
         out.append(_coset_cohomology(group, stab, v.p, k_max, dim_budget))
     return out
 

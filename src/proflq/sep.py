@@ -52,14 +52,17 @@ def fv_map(v: ElementaryAbelian, f: GroupHom,
 
 
 def fullness_check(v: ElementaryAbelian, f: GroupHom, class_index: int,
-                   budget: int = repv.DEFAULT_HOM_BUDGET) -> dict:
+                   budget: int = repv.DEFAULT_HOM_BUDGET, *,
+                   classes=None) -> dict:
     """Compare eta(N_G(rho(V))) with mu(N_L(f rho(V))) for one class.
 
     Skips (with a note) classes whose representative is not injective,
     or on which f fails to be injective — the orbit formula behind the
-    comparison needs a free Aut(V)-action.
+    comparison needs a free Aut(V)-action.  `classes` takes Rep(V, G) as
+    `repv.rep_classes(v, f.source)` lists it, when the caller has it.
     """
-    classes, _ = repv.rep_classes(v, f.source, budget)
+    if classes is None:
+        classes, _ = repv.rep_classes(v, f.source, budget)
     c = classes[class_index]
     if c.image_rank != v.r:
         return {"skipped": True,
@@ -74,7 +77,9 @@ def fullness_check(v: ElementaryAbelian, f: GroupHom, class_index: int,
     eta = set(repv.weyl_image(g, c.representative, v.p))
     pushed = _push_hom(f, c.representative)
     mu = set(repv.weyl_image(l, pushed, v.p))
-    assert eta <= mu, "conjugation by f(n) must reproduce eta"
+    if not eta <= mu:
+        raise AssertionError("conjugation by f(n) must reproduce eta: "
+                             f"{sorted(eta - mu)} not in mu")
     witness = None
     if eta != mu:
         missing = sorted(mu - eta)[0]

@@ -1,11 +1,14 @@
 """Exit codes, byte-identical output, and report envelopes of the CLI."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import proflq
 from proflq import cli, lq
 from proflq.groups import all_subgroups, subgroup_group, symmetric_group
 from proflq.groupcoh import cyclic_p_tower
@@ -142,6 +145,51 @@ def test_internal_violation_is_exit_3(inputs, capsys, monkeypatch):
     monkeypatch.setattr(lq, "lq_check", broken)
     code = cli.main(["lq", "--group", inputs["s3"], "--p", "2"])
     assert code == 3
+
+
+def run_optimized(script, argv):
+    """Run `script` with argv under `python -O`, which strips asserts."""
+    env = dict(os.environ, PYTHONPATH=str(Path(proflq.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-O", "-c", script, *argv],
+                          capture_output=True, text=True, env=env)
+
+
+# Each script breaks one input of an invariant check, then runs the CLI.
+WIDEN_SOURCE_WEYL = """
+import sys
+from proflq import cli, repv
+real = repv.weyl_image
+def widened(group, hom, p, *args):
+    mats = real(group, hom, p, *args)
+    return mats + [((0,),)] if group.order == 12 else mats
+repv.weyl_image = widened
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+DOUBLE_ORBITS = """
+import dataclasses, sys
+from proflq import cli, repv
+real = repv.rep_classes
+def doubled(*args, **kwargs):
+    classes, orbit_map = real(*args, **kwargs)
+    return [dataclasses.replace(c, orbit=c.orbit * 2) for c in classes], orbit_map
+repv.rep_classes = doubled
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_fullness_inclusion_is_checked_under_O(inputs):
+    proc = run_optimized(WIDEN_SOURCE_WEYL,
+                         ["sep", "--hom", inputs["a4_in_s4"], "--p", "3"])
+    assert proc.returncode == 3, proc.stderr
+    assert "must reproduce eta" in proc.stderr and proc.stdout == ""
+
+
+def test_orbit_stabilizer_is_checked_under_O(inputs):
+    proc = run_optimized(DOUBLE_ORBITS, ["lq", "--group", inputs["s3"], "--p", "2",
+                                         "--rank", "1", "--dump-orbits"])
+    assert proc.returncode == 3, proc.stderr
+    assert "orbit-stabilizer" in proc.stderr and proc.stdout == ""
 
 
 def test_byte_identical_output(inputs, capsys):

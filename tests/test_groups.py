@@ -77,6 +77,18 @@ class TestTableValidation:
                          [3, 2, 4, 0, 1],
                          [4, 3, 1, 2, 0]])
 
+    def test_non_associative_order_65_rejected(self):
+        # Z/65 with two entries of row 1 swapped: identity 0 and inverses
+        # survive, and about 500 of the 65^3 triples fail associativity,
+        # none of them among 2000 triples drawn at random from seed 0
+        n = 65
+        table = [[(a + b) % n for b in range(n)] for a in range(n)]
+        table[1][26], table[1][27] = table[1][27], table[1][26]
+        assert table[0] == list(range(n)) and [r[0] for r in table] == list(range(n))
+        assert all(0 in row for row in table)
+        with pytest.raises(ValueError, match="associative"):
+            FiniteGroup(table)
+
     def test_valid_c4(self):
         g = FiniteGroup([[(a + b) % 4 for b in range(4)] for a in range(4)])
         assert g.element_order(1) == 4
@@ -298,3 +310,82 @@ class TestRandomized:
         for g in catalog.all_groups(16):
             for s in all_subgroups(g):
                 assert g.order % len(s) == 0
+
+
+def reference_closure(table, elements) -> frozenset:
+    """Multiply all pairs until nothing new appears."""
+    s = set(elements) | {0}
+    while True:
+        new = {table[a][b] for a in s for b in s} - s
+        if not new:
+            return frozenset(s)
+        s |= new
+
+
+def reference_subgroups(g) -> list:
+    """Every subgroup, by adjoining each element to each subgroup found."""
+    table = g.table.tolist()
+    subs = {frozenset({0})}
+    frontier = list(subs)
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for x in range(1, g.order):
+                if x not in s:
+                    t = reference_closure(table, s | {x})
+                    if t not in subs:
+                        subs.add(t)
+                        nxt.append(t)
+        frontier = nxt
+    return sorted(subs, key=lambda s: (len(s), sorted(s)))
+
+
+def relabelled(g, rng):
+    """The same group with element x renamed perm[x], the identity fixed."""
+    perm = [0] + rng.sample(range(1, g.order), g.order - 1)
+    table = [[0] * g.order for _ in range(g.order)]
+    for a, row in enumerate(g.table.tolist()):
+        for b, ab in enumerate(row):
+            table[perm[a]][perm[b]] = perm[ab]
+    return FiniteGroup(table), perm
+
+
+class TestKernelAgainstReference:
+    """The list-backed kernel against the table and slow references."""
+
+    def test_mul_inv_conj_agree_with_table(self):
+        for g in catalog.all_groups():
+            t, inverse = g.table, g.inverse
+            for a in g.elements():
+                assert g.inv(a) == inverse[a] and t[a, inverse[a]] == 0
+                for b in g.elements():
+                    assert g.mul(a, b) == t[a, b]
+                    assert g.conj(a, b) == t[t[a, b], inverse[a]]
+
+    def test_closure_matches_reference(self):
+        rng = random.Random(11)
+        for g in catalog.all_groups():
+            table = g.table.tolist()
+            for _ in range(8):
+                subset = rng.sample(range(g.order), rng.randint(0, min(3, g.order)))
+                assert g.closure(subset) == reference_closure(table, subset)
+
+    def test_all_subgroups_match_reference_under_relabelling(self):
+        rng = random.Random(5)
+        for g in catalog.all_groups():
+            expected = reference_subgroups(g)
+            assert all_subgroups(g) == expected, g.name
+            h, perm = relabelled(g, rng)
+            moved = sorted((frozenset(perm[x] for x in s) for s in expected),
+                           key=lambda s: (len(s), sorted(s)))
+            assert all_subgroups(h) == moved, g.name
+
+    def test_cached_lattice_is_isolated_from_callers(self):
+        g = symmetric_group(4)
+        first = all_subgroups(g)
+        expected = list(first)
+        first.clear()
+        second = all_subgroups(g)
+        assert second == expected and len(second) == 30
+        second.reverse()
+        assert all_subgroups(g) == expected
