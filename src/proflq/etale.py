@@ -295,10 +295,12 @@ def adjunction_check(f: FiniteEtaleSpace, g: FiniteEtaleSpace,
             return tuple(table)
 
         seen = {}
+        tables = set()
         all_images = list(itertools.product(*choices))
         for images in all_images:
             tab = curried(images)
-            if tab in seen:
+            tables.add(tab)  # one hash per table: a collision adds nothing
+            if len(tables) == len(seen):
                 report["ok"] = False
                 report["fibers"][t] = {"verdict": "collision"}
                 break
@@ -314,11 +316,11 @@ def adjunction_check(f: FiniteEtaleSpace, g: FiniteEtaleSpace,
                     for r1, r2 in zip(seen[a], curried(b))
                 )
                 additive = tab_s == tab_ab
-            fiber_ok = len(seen) == lhs_count == rhs_count and additive
+            fiber_ok = len(tables) == lhs_count == rhs_count and additive
             report["fibers"][t] = {
                 "lhs": lhs_count,
                 "rhs": rhs_count,
-                "bijective": len(seen) == rhs_count,
+                "bijective": len(tables) == rhs_count,
                 "additive": additive,
                 "verdict": "iso" if fiber_ok else "mismatch",
             }

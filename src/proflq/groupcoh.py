@@ -7,6 +7,14 @@ modules reuse one resolution.  An inhomogeneous bar-cochain complex is
 kept alongside as an independent oracle and as the carrier for explicit
 inflation maps, which is what the tower reports need.
 
+The resolution picks its generators greedily: a kernel vector becomes a
+generator when it lies outside the span of the translates chosen so far,
+which a `linalg.RowSpace` tracks incrementally.  A coboundary matrix is
+assembled from the nonzero coefficients of the differential only (about
+3 % of them on the LQ sweep), straight into its block layout, in the
+narrowest unsigned dtype that holds a block sum.  Actions and modules
+are validated exactly, on the group's generators against every element.
+
 Conventions: C(X, F_p) and F_p[X] are identified through the
 indicator-function basis, so a permutation module is its own function
 space and no transposes appear downstream.
@@ -14,7 +22,6 @@ space and no transposes appear downstream.
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 import numpy as np
@@ -46,20 +53,16 @@ class GModule:
             self._validate()
 
     def _validate(self):
-        n, d, p = self.group.order, self.dim, self.p
-        if d and not (self.matrices[0] == np.eye(d, dtype=np.int64)).all():
+        mats, d, p = self.matrices, self.dim, self.p
+        if d and not (mats[0] == np.eye(d, dtype=np.int64)).all():
             raise ValueError("identity must act as the identity matrix")
-        pairs = itertools.product(range(n), range(n)) if n <= 12 else \
-            zip(np.random.default_rng(0).integers(0, n, 60),
-                np.random.default_rng(1).integers(0, n, 60))
-        for a, b in pairs:
-            lhs = self.matrices[self.group.mul(a, b)]
-            rhs = self.matrices[a] @ self.matrices[b] % p
-            if not (lhs == rhs).all():
+        # M[sg] = M[s] M[g] for the generators s and every g is exact: the w
+        # with M[wg] = M[w] M[g] for all g include e and are closed under
+        # left multiplication by generators, so they are all of G.  Every
+        # element then acts invertibly, as M[g] M[g^-1] = M[e] = I.
+        for s in self.group.generators_greedy():
+            if not (np.matmul(mats[s], mats) % p == mats[self.group.table[s]]).all():
                 raise ValueError("action is not a homomorphism")
-        for g in range(n):
-            if d and linalg.rank(self.matrices[g], p) != d:
-                raise ValueError(f"element {g} does not act invertibly")
 
     def act(self, g: int, vec):
         return self.matrices[g] @ np.asarray(vec, dtype=np.int64) % self.p
@@ -81,20 +84,20 @@ def permutation_module(group: FiniteGroup, action, p: int) -> GModule:
     if len(action) != n:
         raise ValueError("one permutation per group element required")
     m = len(action[0])
-    for g, row in enumerate(action):
-        if sorted(row) != list(range(m)):
-            raise ValueError(f"action of element {g} is not a permutation of X")
-    if action[0] != list(range(m)):
+    bad = [g for g, row in enumerate(action) if len(row) != m]
+    if not bad:
+        act = np.array(action, dtype=np.int64).reshape(n, m)
+        bad = np.flatnonzero((np.sort(act, axis=1) != np.arange(m)).any(axis=1))
+    if len(bad):
+        raise ValueError(f"action of element {bad[0]} is not a permutation of X")
+    if (act[0] != np.arange(m)).any():
         raise ValueError("identity must act trivially")
-    for a in range(n):
-        for b in range(n):
-            ab = group.mul(a, b)
-            if any(action[a][action[b][x]] != action[ab][x] for x in range(m)):
-                raise ValueError("action is not associative")
+    # exact by the argument in GModule._validate: generators s, every g
+    for s in group.generators_greedy():
+        if (act[s][act] != act[group.table[s]]).any():
+            raise ValueError("action is not associative")
     mats = np.zeros((n, m, m), dtype=np.int64)
-    for g in range(n):
-        for x in range(m):
-            mats[g, action[g][x], x] = 1
+    mats[np.arange(n)[:, None], act, np.arange(m)] = 1
     return GModule(group, p, mats, validate=False)
 
 
@@ -147,18 +150,15 @@ class FreeResolution:
         self.p = p
         self.betti = [1]
         self.differentials: list[np.ndarray] = []
-        n = group.order
-        # cache left-translation permutations: left[g][h] = g h
-        self._left = np.array([[group.mul(g, h) for h in range(n)]
-                               for g in range(n)])
 
-    def _translate(self, g: int, vec, blocks: int):
-        """Act by g on F_p^{blocks * n}, blockwise left translation."""
+    def _translates(self, vec, blocks: int) -> np.ndarray:
+        """Row g is g . vec on F_p^{blocks * n}, blockwise left translation."""
         n = self.group.order
-        out = np.zeros_like(vec)
-        v = vec.reshape(blocks, n)
-        out.reshape(blocks, n)[:, self._left[g]] = v
-        return out
+        out = np.zeros((n, blocks, n), dtype=vec.dtype)
+        # out[g, b, g h] = vec[b, h]; the table row g is h -> g h
+        out[np.arange(n)[:, None, None], np.arange(blocks)[:, None],
+            self.group.table[:, None, :]] = vec.reshape(blocks, n)
+        return out.reshape(n, blocks * n)
 
     def extend_to(self, length: int):
         """Ensure differentials d_1 .. d_length exist."""
@@ -175,26 +175,27 @@ class FreeResolution:
             prev = self.differentials[-1]
         kernel = linalg.nullspace(prev, p).transpose()  # rows span ker d_i
         blocks = self.betti[i]
-        gens = []
-        span = np.zeros((0, blocks * n), dtype=np.int64)
-        pivots: list[int] = []
+        # The kernel basis is the identity on the free columns, each the last
+        # nonzero of its vector, so a kernel vector is fixed by its free
+        # coordinates.  The translates stay in the kernel (a submodule), so
+        # the span is kept in those coordinates only.
+        free = (kernel.shape[1] - 1 - (kernel[:, ::-1] != 0).argmax(axis=1)
+                if kernel.shape[1] else np.zeros(0, dtype=np.int64))
+        # greedy: the first kernel vector outside the span of the translates
+        # of those chosen so far becomes the next generator
+        translates = []
+        span = linalg.RowSpace(p, len(free))
         for v in kernel:
-            if not v.any() or linalg.in_row_space(v, span, pivots, p):
+            if span.contains(v[free]):
                 continue
-            gens.append(v)
-            translates = np.stack([self._translate(g, v, blocks)
-                                   for g in range(n)])
-            span, pivots = linalg.rref(np.vstack([span, translates]), p)
-            span = span[:len(pivots)]
-            if span.shape[0] == kernel.shape[0]:
+            translates.append(self._translates(v, blocks))
+            span.add(translates[-1][:, free])
+            if span.dim == kernel.shape[0]:
                 break
-        b_new = len(gens)
-        d = np.zeros((blocks * n, b_new * n), dtype=np.int64)
-        for j, v in enumerate(gens):
-            for g in range(n):
-                d[:, j * n + g] = self._translate(g, v, blocks)
-        self.betti.append(b_new)
-        self.differentials.append(d)
+        self.betti.append(len(translates))
+        self.differentials.append(
+            np.vstack(translates).transpose() if translates
+            else np.zeros((blocks * n, 0), dtype=np.int64))
 
 
 _RESOLUTIONS: dict[tuple, FreeResolution] = {}
@@ -213,18 +214,26 @@ def _hom_coboundary(res: FreeResolution, module: GModule, i: int) -> np.ndarray:
     """Matrix of Hom_G(F_i, M) -> Hom_G(F_{i+1}, M) on stacked coordinates."""
     n, p, d = res.group.order, res.p, module.dim
     b_src, b_dst = res.betti[i], res.betti[i + 1]
-    diff = res.differentials[i]  # (b_src * n) x (b_dst * n)
-    out = np.zeros((b_dst * d, b_src * d), dtype=np.int64)
-    for k in range(b_dst):
-        col = diff[:, k * n].reshape(b_src, n)  # d_{i+1}(e_k)
-        for j in range(b_src):
-            block = np.zeros((d, d), dtype=np.int64)
-            for g in range(n):
-                c = int(col[j, g])
-                if c:
-                    block += c * module.matrices[g]
-            out[k * d:(k + 1) * d, j * d:(j + 1) * d] = block % p
-    return out
+    # block (k, j) is sum_g c * M_g over the terms c g.e_j of d_{i+1}(e_k);
+    # it has at most n terms, each below (p-1)^2
+    dtype = np.min_scalar_type(n * (p - 1) ** 2)
+    mats = module.matrices.astype(dtype)
+    # coef[k, j, g]: the coefficient of g.e_j in d_{i+1}(e_k), mostly zero
+    coef = res.differentials[i][:, ::n].reshape(b_src, n, b_dst).transpose(2, 0, 1)
+    out = np.zeros((b_dst, d, b_src, d), dtype=dtype)
+    if d <= 16:
+        # small blocks: one scatter-add of every term (np.add.at pays per
+        # element, the loop below per g; on the LQ sweep they cross at d ~ 20)
+        k, j, g = np.nonzero(coef)
+        terms = coef[k, j, g].astype(dtype)[:, None, None] * mats[g]
+        np.add.at(out, (k, slice(None), j, slice(None)), terms)
+    else:
+        # large blocks: per g, one add into the blocks it appears in
+        for g in np.flatnonzero(coef.any(axis=(0, 1))):
+            k, j = np.nonzero(coef[:, :, g])
+            out[k, :, j, :] += coef[k, j, g].astype(dtype)[:, None, None] * mats[g]
+    out -= out // p * p  # floor division by a scalar is faster than %
+    return out.reshape(b_dst * d, b_src * d)
 
 
 def cohomology(group: FiniteGroup, module: GModule, k_max: int,

@@ -50,11 +50,16 @@ def symonds_module(v: ElementaryAbelian, group: FiniteGroup, p: int,
 def _subgroup_key(group: FiniteGroup, elements) -> tuple:
     """Canonical key of a subgroup up to conjugacy (for dimension caches)."""
     s = frozenset(elements)
-    return (group.table.tobytes(),
-            min(tuple(sorted(group.conjugate_subgroup(g, s)))
-                for g in group.elements()))
+    table = group.table.tobytes()
+    key = _SUBGROUP_KEYS.get((table, s))
+    if key is None:
+        key = _SUBGROUP_KEYS[(table, s)] = (
+            table, min(tuple(sorted(group.conjugate_subgroup(g, s)))
+                       for g in group.elements()))
+    return key
 
 
+_SUBGROUP_KEYS: dict[tuple, tuple] = {}
 _COSET_DIMS: dict[tuple, tuple] = {}
 _SUB_DIMS: dict[tuple, tuple] = {}
 

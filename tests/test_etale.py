@@ -307,6 +307,23 @@ class TestAdjunction:
         for t in g.base:
             assert report["fibers"][t]["rhs"] == hom_module(g.fiber(t), l.fiber(t)).order
 
+    def test_repeated_element_is_a_collision(self, monkeypatch):
+        # a hom listed twice curries to the same table: the injectivity
+        # check must report it, not a count mismatch
+        from proflq import etale
+
+        elements = etale._annihilated_elements
+
+        def repeated(module, order):
+            out = list(elements(module, order))
+            return out + out[-1:]
+
+        monkeypatch.setattr(etale, "_annihilated_elements", repeated)
+        c = constant_space(("a",), cyclic(FiniteRing(2), 2))
+        report = adjunction_check(c, c, c)
+        assert not report["ok"]
+        assert report["fibers"]["a"] == {"verdict": "collision"}
+
     @pytest.mark.parametrize("seed", range(20))
     def test_random_instances(self, seed):
         rng = random.Random(seed)

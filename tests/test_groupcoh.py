@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from proflq import catalog, groupcoh as gc
+from proflq import catalog, groupcoh as gc, linalg
 from proflq.groups import (
     GroupHom,
     all_subgroups,
@@ -36,6 +36,20 @@ class TestGModule:
         with pytest.raises(ValueError):
             gc.permutation_module(g, [[1, 0], [0, 1]], 2)
 
+    def test_permutation_module_checks_every_element(self):
+        # only one row off, at an element that is not a generator: the
+        # generator-only check must still see it
+        g = symmetric_group(4)
+        action = [[g.mul(a, x) for x in range(g.order)] for a in range(g.order)]
+        gens = set(g.generators_greedy())
+        bad = next(x for x in range(1, g.order) if x not in gens)
+        action[bad] = action[next(x for x in range(1, g.order) if x != bad)]
+        with pytest.raises(ValueError, match="associative"):
+            gc.permutation_module(g, action, 2)
+        action[bad] = action[bad][1:] + action[bad][:1]
+        with pytest.raises(ValueError, match="associative"):
+            gc.permutation_module(g, action, 2)
+
     def test_homomorphism_validated(self):
         g = cyclic_group(3)
         mats = np.stack([np.eye(2, dtype=np.int64)] * 3)
@@ -43,6 +57,22 @@ class TestGModule:
         mats[2] = [[1, 1], [0, 1]]  # not consistent with g^2
         with pytest.raises(ValueError):
             gc.GModule(g, 2, mats)
+
+    def test_one_wrong_matrix_in_a_large_group(self):
+        # |G| = 100: the wrong matrix sits at an element that none of 60
+        # pairs drawn with seeds 0 and 1 touches, so only an exact check
+        # rejects it; it is invertible, so a rank test passes it
+        g = cyclic_group(100)
+        n = g.order
+        a = np.random.default_rng(0).integers(0, n, 60)
+        b = np.random.default_rng(1).integers(0, n, 60)
+        sampled = set(a) | set(b) | {g.mul(int(x), int(y)) for x, y in zip(a, b)}
+        x = next(e for e in range(1, n) if e not in sampled)
+        mats = np.ones((n, 1, 1), dtype=np.int64)
+        gc.GModule(g, 3, mats)
+        mats[x] = 2
+        with pytest.raises(ValueError, match="homomorphism"):
+            gc.GModule(g, 3, mats)
 
     def test_direct_sum(self):
         g = cyclic_group(2)
@@ -279,3 +309,99 @@ class TestRandomizedConsistency:
                                  for a in range(g.order)])
             inv_dim = m.dim - linalg.rank(stacked, p)
             assert gc.cohomology(g, m, 0) == (inv_dim,)
+
+
+# ---------------------------------------------------------------------------
+# the resolution engine against the plain builders it replaced
+
+
+def _reference_in_row_space(vec, basis_rref, pivots, p):
+    v = np.asarray(vec, dtype=np.int64) % p
+    for i, c in enumerate(pivots):
+        if v[c]:
+            v = (v - v[c] * basis_rref[i]) % p
+    return not v.any()
+
+
+def _reference_resolution(group, p, length):
+    """(betti, differentials): re-echelonize the whole span per generator."""
+    n = group.order
+    left = np.array([[group.mul(g, h) for h in range(n)] for g in range(n)])
+
+    def translate(g, vec, blocks):
+        out = np.zeros_like(vec)
+        out.reshape(blocks, n)[:, left[g]] = vec.reshape(blocks, n)
+        return out
+
+    betti, diffs = [1], []
+    for i in range(length):
+        prev = np.ones((1, n), dtype=np.int64) if i == 0 else diffs[-1]
+        r, pivots = linalg._rref_fp(prev, p)
+        kernel = linalg._kernel(r, pivots, p).transpose()
+        blocks = betti[i]
+        gens = []
+        span = np.zeros((0, blocks * n), dtype=np.int64)
+        span_pivots = []
+        for v in kernel:
+            if not v.any() or _reference_in_row_space(v, span, span_pivots, p):
+                continue
+            gens.append(v)
+            translates = np.stack([translate(g, v, blocks) for g in range(n)])
+            span, span_pivots = linalg._rref_fp(np.vstack([span, translates]), p)
+            span = span[:len(span_pivots)]
+            if span.shape[0] == kernel.shape[0]:
+                break
+        d = np.zeros((blocks * n, len(gens) * n), dtype=np.int64)
+        for j, v in enumerate(gens):
+            for g in range(n):
+                d[:, j * n + g] = translate(g, v, blocks)
+        betti.append(len(gens))
+        diffs.append(d)
+    return betti, diffs
+
+
+def _reference_coboundary(res, module, i):
+    n, p, d = res.group.order, res.p, module.dim
+    b_src, b_dst = res.betti[i], res.betti[i + 1]
+    diff = res.differentials[i]
+    out = np.zeros((b_dst * d, b_src * d), dtype=np.int64)
+    for k in range(b_dst):
+        col = diff[:, k * n].reshape(b_src, n)
+        for j in range(b_src):
+            block = np.zeros((d, d), dtype=np.int64)
+            for g in range(n):
+                c = int(col[j, g])
+                if c:
+                    block += c * module.matrices[g]
+            out[k * d:(k + 1) * d, j * d:(j + 1) * d] = block % p
+    return out
+
+
+class TestAgainstReferenceBuilders:
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_every_catalog_group(self, p):
+        length = 3
+        for g in catalog.all_groups(24):
+            betti, diffs = _reference_resolution(g, p, length)
+            res = gc.FreeResolution(g, p)
+            res.extend_to(length)
+            assert res.betti == betti, g.name
+            for mine, ref in zip(res.differentials, diffs):
+                assert mine.shape == ref.shape and (mine == ref).all(), g.name
+            subs = all_subgroups(g)
+            modules = [gc.trivial_module(g, p), gc.coset_module(g, subs[len(subs) // 2], p)]
+            for m in modules:
+                for i in range(length - 1):
+                    delta = gc._hom_coboundary(res, m, i)
+                    assert np.array_equal(delta, _reference_coboundary(res, m, i)), g.name
+
+    def test_large_coefficient_blocks(self):
+        # modules of dimension above and below the block-size switch
+        g = symmetric_group(4)
+        for p in (2, 3):
+            res = gc.free_resolution(g, p, 3)
+            for m in (gc.regular_module(g, p), gc.coset_module(g, [0], p),
+                      gc.coset_module(g, all_subgroups(g)[3], p)):
+                for i in range(3):
+                    assert np.array_equal(gc._hom_coboundary(res, m, i),
+                                          _reference_coboundary(res, m, i))

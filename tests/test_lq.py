@@ -7,6 +7,7 @@ import pytest
 
 from proflq import catalog, groupcoh as gc, lq, repv
 from proflq.groups import (
+    all_subgroups,
     cyclic_group,
     dihedral_group,
     symmetric_group,
@@ -170,3 +171,17 @@ class TestMechanism:
         blocks = lq._orbit_lhs(V2, g, classes, 2, gc.DEFAULT_DIM_BUDGET)
         fibers, _ = lq.tv_rhs(V2, g, 2)
         assert blocks == fibers
+
+    def test_subgroup_key_is_computed_once(self, monkeypatch):
+        g = symmetric_group(4)
+        monkeypatch.setattr(lq, "_SUBGROUP_KEYS", {})
+        subs = all_subgroups(g)
+        expected = [(g.table.tobytes(),
+                     min(tuple(sorted(g.conjugate_subgroup(x, frozenset(s))))
+                         for x in g.elements())) for s in subs]
+        assert [lq._subgroup_key(g, s) for s in subs] == expected
+        calls = []
+        monkeypatch.setattr(g, "conjugate_subgroup",
+                            lambda *args: calls.append(args))
+        assert [lq._subgroup_key(g, sorted(s)) for s in subs] == expected
+        assert calls == []
