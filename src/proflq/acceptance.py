@@ -14,7 +14,8 @@ import os
 import random
 import time
 
-from . import catalog, etale, finring, groupcoh as gc, lq, repv, sep, tower
+from . import catalog, etale, groupcoh as gc, lq, repv, sep, tower
+from .errors import require
 from .finring import (
     FiniteRing,
     FiniteModule,
@@ -99,22 +100,22 @@ def criterion_1(trials: int = 500) -> dict:
         f = _random_map(rng, a, b)
         # double dual naturality: dualizing twice gives back the matrix
         dd = dual_map(dual_map(f))
-        assert dd.matrix == f.matrix, "double dual is not the identity"
+        require(dd.matrix == f.matrix, "double dual is not the identity")
         # exactness reversal on 0 -> K -> A -> A/K -> 0 with K = ker f
         k, inc = kernel(f)
         q, proj = cokernel(inc)
         inc_d, proj_d = dual_map(inc), dual_map(proj)
-        assert proj_d.is_injective(), "dual of a surjection must inject"
-        assert inc_d.is_surjective(), "dual of an injection must surject"
+        require(proj_d.is_injective(), "dual of a surjection must inject")
+        require(inc_d.is_surjective(), "dual of an injection must surject")
         mid_ker, _ = kernel(inc_d)
         mid_img = image(proj_d)
-        assert mid_ker.order == mid_img.order, "dual sequence inexact"
-        assert image(inc_d.compose(proj_d)).order == 1, "dual comp not zero"
+        require(mid_ker.order == mid_img.order, "dual sequence inexact")
+        require(image(inc_d.compose(proj_d)).order == 1, "dual comp not zero")
         # (A + B)^dual isomorphic to A^dual + B^dual
         total, _, _ = direct_sum([a, b])
         lhs = pontryagin_dual(total)
         rhs, _, _ = direct_sum([pontryagin_dual(a), pontryagin_dual(b)])
-        assert is_isomorphic(lhs, rhs), "duality does not swap sum/product"
+        require(is_isomorphic(lhs, rhs), "duality does not swap sum/product")
         checked += 1
     return {"name": "duality suite", "passed": True,
             "detail": {"instances": checked}}
@@ -135,15 +136,16 @@ def criterion_2() -> dict:
             sec = etale.sections(space, list(range(n)))
             # product over the base = module of global sections
             prod = etale.product_finite(space)
-            assert prod.module.factors == sec.module.factors
+            require(prod.module.factors == sec.module.factors, "product != sections")
             # clopen splitting: sections over a partition multiply up
             s1 = etale.sections(space, list(range(n // 2)))
             s2 = etale.sections(space, list(range(n // 2, n)))
-            assert s1.module.order * s2.module.order == sec.module.order
+            require(s1.module.order * s2.module.order == sec.module.order,
+                    "clopen splitting fails")
             # skyscraper products agree with the plain product
             sky = etale.skyscraper_product(
                 etale.SkyscraperFamily(range(n), range(n), fam, ring=ring))
-            assert sky.order == prod.module.order
+            require(sky.order == prod.module.order, "skyscraper product differs")
             bases += 1
     # truncation-level components and density over small towers
     towers = 0
@@ -155,11 +157,12 @@ def criterion_2() -> dict:
             ind = tower.product_ind(
                 tower.constant_ind_etale(cyclic(ring, 3), t))
             comp = tower.canonical_components(ind, threads)
-            assert all(lv["joint_kernel_trivial"] for lv in comp["levels"])
+            require(all(lv["joint_kernel_trivial"] for lv in comp["levels"]),
+                    "components have a joint kernel", comp)
             pro = tower.coproduct_pro(
                 tower.constant_pro_etale(cyclic(ring, 4), t))
             comp2 = tower.canonical_components(pro, threads)
-            assert comp2["ok"], "density fails at a truncation"
+            require(comp2["ok"], "density fails at a truncation", comp2)
             towers += 1
     return {"name": "product/coproduct suite", "passed": True,
             "detail": {"bases": bases, "towers": towers}}
@@ -230,7 +233,7 @@ def criterion_3(trials: int = 100) -> dict:
         if tm is None:
             continue
         report = tower.decomposition_check(module, tm)
-        assert report["ok"], report
+        require(report["ok"], "decomposition theorem fails", report)
         done += 1
     return {"name": "free sum/product decomposition", "passed": True,
             "detail": {"tower_maps": done}}
@@ -260,7 +263,7 @@ def criterion_4(trials: int = 100) -> dict:
             report = etale.adjunction_check(f, g, l, max_side=4096)
         except ValueError:
             continue
-        assert report["ok"], report
+        require(report["ok"], "tensor-hom adjunction fails", report)
         done += 1
     return {"name": "tensor-hom adjunction", "passed": True,
             "detail": {"instances": done}}
@@ -272,23 +275,26 @@ def criterion_5() -> dict:
     from .groups import cyclic_group, direct_product
     for p in (2, 3, 5):
         g = cyclic_group(p)
-        assert gc.cohomology(g, gc.trivial_module(g, p), 4) == (1,) * 5
+        require(gc.cohomology(g, gc.trivial_module(g, p), 4) == (1,) * 5,
+                f"H^*(C{p}; F_{p}) oracle fails")
     k4 = direct_product(cyclic_group(2), cyclic_group(2))
-    assert gc.cohomology(k4, gc.trivial_module(k4, 2), 4) == (1, 2, 3, 4, 5)
+    require(gc.cohomology(k4, gc.trivial_module(k4, 2), 4) == (1, 2, 3, 4, 5),
+            "H^*(C2 x C2; F_2) oracle fails")
     coprime = 0
     for g in catalog.all_groups():
         for p in (2, 3, 5):
             if g.order % p == 0:
                 continue
             dims = gc.cohomology(g, gc.trivial_module(g, p), 3)
-            assert dims == (1, 0, 0, 0), (g.name, p, dims)
+            require(dims == (1, 0, 0, 0), f"H^*({g.name}; F_{p}) = {dims}")
             coprime += 1
     shapiro_pairs = 0
     for g in catalog.all_groups():
         for s in all_subgroups(g):
             for p in (2, 3):
                 rep = gc.shapiro_check(g, s, p, 3)
-                assert rep["equal"], (g.name, sorted(s), p, rep)
+                require(rep["equal"], f"Shapiro fails in {g.name} at p={p}",
+                        {"subgroup": s, "report": rep})
                 shapiro_pairs += 1
     return {"name": "cohomology oracle", "passed": True,
             "detail": {"coprime_instances": coprime,
@@ -304,12 +310,14 @@ def criterion_6() -> dict:
             for r in (1, 2):
                 v = ElementaryAbelian(p, r)
                 report = lq.lq_check(v, g, 3)
-                assert all(report["verdict"]), report
+                case = f"{g.name}, p={p}, r={r}"
+                require(all(report["verdict"]), f"lq_check fails: {case}", report)
                 classes, _ = repv.rep_classes(v, g)
-                assert lq.degree0(v, g) == len(classes), (g.name, p, r)
+                require(lq.degree0(v, g) == len(classes), f"degree 0: {case}")
                 split = lq.strata_split(v, g, 3)
-                assert split["stratum0_is_group_cohomology"], (g.name, p, r)
-                assert split["totals_match_lhs"], (g.name, p, r)
+                require(split["stratum0_is_group_cohomology"],
+                        f"stratum 0 is not H^*(G): {case}", split)
+                require(split["totals_match_lhs"], f"strata totals: {case}", split)
                 checks += 1
     return {"name": "lannes-quillen conformance", "passed": True,
             "detail": {"instances": checks}}
@@ -321,10 +329,12 @@ def criterion_7() -> dict:
     t = gc.cyclic_p_tower(2, 3)
     report = lq.profinite_lq(ElementaryAbelian(2, 1), t, 3)
     for level in report["levels"]:
-        assert all(level["verdict"])
-        assert len(level["classes"]) == 2
-    assert report["nontrivial_limit_classes"] == []
-    assert report["persistent_threads"] == [(0, 0, 0)]
+        require(all(level["verdict"]), "a level fails lq_check", level)
+        require(len(level["classes"]) == 2, "a level has other than 2 classes", level)
+    require(report["nontrivial_limit_classes"] == [], "a nontrivial limit class",
+            report["nontrivial_limit_classes"])
+    require(report["persistent_threads"] == [(0, 0, 0)], "persistent threads",
+            report["persistent_threads"])
     return {"name": "profinite levelwise run", "passed": True,
             "detail": {"levels": [level["lhs"] for level in report["levels"]],
                        "threads": [t_["classes"]
@@ -346,23 +356,26 @@ def criterion_8() -> dict:
         if c.image_rank != 1:
             continue
         rep = sep.fullness_check(v3, f, i, classes=classes)
-        assert not rep["surjective"], "A4 in S4 must fail fullness"
+        require(not rep["surjective"], "A4 in S4 must fail fullness", rep)
         w = rep["witness"]
-        assert w is not None and s4.element_order(w["realized_by"]) == 2
+        require(w is not None and s4.element_order(w["realized_by"]) == 2,
+                "no involution witnesses fullness", rep)
         witnesses.append(w["realized_by"])
-    assert witnesses
+    require(witnesses, "A4 in S4 has no fullness witness")
 
     s3_elems = next(s for s in all_subgroups(s4) if len(s) == 6)
     s3, emb3 = subgroup_group(s4, s3_elems, name="S3")
     fv = sep.fv_map(ElementaryAbelian(2, 1), GroupHom(s3, s4, emb3))
-    assert fv["injective"], "S3 in S4 must be injective on Rep"
+    require(fv["injective"], "S3 in S4 must be injective on Rep", fv)
 
     identity_checks = 0
     for g in catalog.all_groups():
         for p in (2, 3):
             fid = identity_hom(g)
-            assert sep.fv_map(ElementaryAbelian(p, 1), fid)["injective"]
-            assert sep.sp_functor_check(fid, p)["equivalence"], (g.name, p)
+            require(sep.fv_map(ElementaryAbelian(p, 1), fid)["injective"],
+                    f"identity of {g.name} not injective at p={p}")
+            require(sep.sp_functor_check(fid, p)["equivalence"],
+                    f"identity of {g.name} not an S_p equivalence at p={p}")
             identity_checks += 1
     return {"name": "separability findings", "passed": True,
             "detail": {"a4_witnesses": witnesses,
@@ -372,6 +385,3 @@ def criterion_8() -> dict:
 ALL_CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4,
                 criterion_5, criterion_6, criterion_7, criterion_8]
 
-
-def run_all() -> list[dict]:
-    return [fn() for fn in ALL_CRITERIA]

@@ -8,6 +8,7 @@ familiar counts per order (14 of order 16, 15 of order 24, ...).
 
 from __future__ import annotations
 
+from .errors import require
 from .groups import (
     FiniteGroup,
     alternating_group,
@@ -53,7 +54,7 @@ def sl23() -> FiniteGroup:
 
     gens = [perm([[1, 1], [0, 1]]), perm([[0, 2], [1, 0]])]
     g = group_from_permutations(gens, name="SL(2,3)")
-    assert g.order == 24
+    require(g.order == 24, f"SL(2,3) has order {g.order}, not 24")
     return g
 
 
@@ -63,7 +64,7 @@ def pauli_group() -> FiniteGroup:
     prod = direct_product(d4, cyclic_group(4))
     # identify the central involutions a^2 in D4 (index 2) and c^2 in C4
     g, _ = quotient_group(prod, {0, 2 * 4 + 2}, name="D4oC4")
-    assert g.order == 16
+    require(g.order == 16, f"D4oC4 has order {g.order}, not 16")
     return g
 
 

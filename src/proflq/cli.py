@@ -6,8 +6,11 @@ stderr so identical inputs give byte-identical stdout.  Exit codes:
 
 * 0 — all verdicts positive,
 * 1 — a verified negative mathematical finding (e.g. fullness fails),
-* 2 — usage or budget errors,
-* 3 — internal invariant violation (e.g. an lq_check mismatch).
+* 2 — usage or budget errors (`errors.BudgetError`),
+* 3 — internal invariant violation (`errors.InvariantError`, e.g. an
+  lq_check mismatch; its dump, if any, goes to stderr).  Invariants are
+  checked with `errors.require`, not `assert`, so this holds under
+  `python -O` too.
 """
 
 from __future__ import annotations
@@ -17,9 +20,10 @@ import sys
 import time
 
 from . import acceptance, groupcoh as gc, jsonio, lq, repv, sep, tower
-from .finring import cokernel, dual_map, image, kernel, pontryagin_dual
+from .errors import BudgetError, InvariantError
+from .finring import (cokernel, dual_map, image, is_prime, kernel,
+                      pontryagin_dual)
 from .etale import coproduct_finite, product_finite, sections
-from .groups import identity_hom
 from .repv import ElementaryAbelian
 
 EXIT_OK = 0
@@ -32,13 +36,9 @@ class UsageError(Exception):
     pass
 
 
-def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
-
-
 def _prime(value: str) -> int:
     p = int(value)
-    if not _is_prime(p):
+    if not is_prime(p):
         raise argparse.ArgumentTypeError(f"{p} is not prime")
     return p
 
@@ -135,19 +135,12 @@ def _cmd_tower(args) -> int:
                   args.depth)
     a = jsonio.load_module(jsonio.load_json(args.module))
     inputs = _inputs(args, ("tower", "module"))
-    if args.action == "product":
-        x = tower.free_product(a, t, args.budget_bits)
+    if args.action in ("product", "coproduct"):
+        build = tower.free_product if args.action == "product" else tower.free_sum
+        x = build(a, t, args.budget_bits)
         comp = tower.canonical_components(x, t.threads())
         results = {"level_factors": [m.factors for m in x.levels],
-                   "components": [{k: v for k, v in lv.items()}
-                                  for lv in comp["levels"]]}
-        return _emit("tower", config, inputs, results, {"ok": comp["ok"]})
-    if args.action == "coproduct":
-        x = tower.free_sum(a, t, args.budget_bits)
-        comp = tower.canonical_components(x, t.threads())
-        results = {"level_factors": [m.factors for m in x.levels],
-                   "components": [{k: v for k, v in lv.items()}
-                                  for lv in comp["levels"]]}
+                   "components": comp["levels"]}
         return _emit("tower", config, inputs, results, {"ok": comp["ok"]})
     # dual: (A^T)^dual against A^dual[[T]], levelwise
     x = tower.dual_tower(tower.free_product(a, t, args.budget_bits))
@@ -377,18 +370,16 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (tower.BudgetError, repv.BudgetError, gc.BudgetError) as e:
+    except BudgetError as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (FileNotFoundError, ValueError, KeyError) as e:
         print(f"bad input: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except lq.LqError as e:
+    except InvariantError as e:
         print(f"internal invariant violation: {e}", file=sys.stderr)
-        print(jsonio.dumps(e.dump), file=sys.stderr)
-        return EXIT_INTERNAL
-    except AssertionError as e:
-        print(f"internal invariant violation: {e}", file=sys.stderr)
+        if e.dump is not None:
+            print(jsonio.dumps(e.dump), file=sys.stderr)
         return EXIT_INTERNAL
     print(f"total: {time.monotonic() - t0:.3f}s", file=sys.stderr)
     return code

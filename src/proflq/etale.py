@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from .finring import (
     FiniteModule,
     FiniteRing,
-    ModuleMap,
     direct_sum,
     dual_map,
     hom_module,

@@ -11,9 +11,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 from . import snf
+
+
+def is_prime(n: int) -> bool:
+    """Primality by trial division up to the square root of n."""
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 @dataclass(frozen=True)
@@ -28,10 +33,7 @@ class FiniteRing:
 
     @property
     def is_prime(self) -> bool:
-        m = self.modulus
-        if m < 2:
-            return False
-        return all(m % d for d in range(2, int(m ** 0.5) + 1))
+        return is_prime(self.modulus)
 
 
 @dataclass(frozen=True)
@@ -68,9 +70,6 @@ class FiniteModule:
 
     def add(self, x, y) -> tuple[int, ...]:
         return tuple((a + b) % d for a, b, d in zip(x, y, self.factors))
-
-    def neg(self, x) -> tuple[int, ...]:
-        return tuple((-a) % d for a, d in zip(x, self.factors))
 
     def smul(self, c: int, x) -> tuple[int, ...]:
         return tuple((c * a) % d for a, d in zip(x, self.factors))
@@ -318,19 +317,6 @@ def tensor_module(m: FiniteModule, n: FiniteModule) -> FiniteModule:
         raise ValueError("ring mismatch")
     orders = [gcd(a, b) for a in m.factors for b in n.factors]
     return from_cyclic(m.ring, orders)[0]
-
-
-def tensor_pure(m: FiniteModule, n: FiniteModule, x, y) -> tuple[int, ...]:
-    """Coordinates of x (x) y in the raw presentation of tensor_module.
-
-    The raw presentation is the direct sum of Z/gcd(a_j, b_i) in (j, i)
-    lexicographic order; compose with from_cyclic to land in normal form.
-    """
-    return tuple(
-        (x[j] * y[i]) % gcd(a, b)
-        for j, a in enumerate(m.factors)
-        for i, b in enumerate(n.factors)
-    )
 
 
 def pontryagin_dual(m: FiniteModule) -> FiniteModule:

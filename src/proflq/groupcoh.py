@@ -27,13 +27,10 @@ import itertools
 import numpy as np
 
 from . import linalg
+from .errors import BudgetError
 from .groups import FiniteGroup, GroupHom
 
 DEFAULT_DIM_BUDGET = 5000
-
-
-class BudgetError(Exception):
-    pass
 
 
 class GModule:

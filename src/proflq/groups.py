@@ -494,12 +494,13 @@ class GroupHom:
                         [self.images[x] for x in other.images])
 
 
-def hom_from_generators(source: FiniteGroup, target: FiniteGroup,
-                        gen_images: dict[int, int]) -> GroupHom:
-    """Extend images of generating elements to the whole group by closure."""
-    images = {0: 0}
-    images.update(gen_images)
-    frontier = list(images)
+def _close_partial_map(source: FiniteGroup, target: FiniteGroup,
+                       images: dict[int, int], frontier) -> dict[int, int] | None:
+    """Close a partial map under products with the elements of `frontier`,
+    on both sides; return the closed copy, or None when two products
+    force different images."""
+    images = dict(images)
+    frontier = list(frontier)
     while frontier:
         nxt = []
         for a in frontier:
@@ -508,11 +509,21 @@ def hom_from_generators(source: FiniteGroup, target: FiniteGroup,
                              (source.mul(b, a), target.mul(images[b], images[a]))):
                     if x in images:
                         if images[x] != y:
-                            raise ValueError("generator images are inconsistent")
+                            return None
                     else:
                         images[x] = y
                         nxt.append(x)
         frontier = nxt
+    return images
+
+
+def hom_from_generators(source: FiniteGroup, target: FiniteGroup,
+                        gen_images: dict[int, int]) -> GroupHom:
+    """Extend images of generating elements to the whole group by closure."""
+    start = {0: 0, **gen_images}
+    images = _close_partial_map(source, target, start, start)
+    if images is None:
+        raise ValueError("generator images are inconsistent")
     if len(images) != source.order:
         raise ValueError("generators do not generate the source")
     return GroupHom(source, target, [images[a] for a in range(source.order)])
@@ -551,29 +562,6 @@ def are_isomorphic(g: FiniteGroup, h: FiniteGroup) -> bool:
             for x in cls:
                 store[x] = len(cls)
 
-    def extend(assignment: dict[int, int], frontier):
-        """Close a partial map; return the closed map or None on clash."""
-        assignment = dict(assignment)
-        frontier = list(frontier)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in list(assignment):
-                    for x, y in (
-                        (g.mul(a, b), h.mul(assignment[a], assignment[b])),
-                        (g.mul(b, a), h.mul(assignment[b], assignment[a])),
-                    ):
-                        if x in assignment:
-                            if assignment[x] != y:
-                                return None
-                        else:
-                            assignment[x] = y
-                            nxt.append(x)
-            frontier = nxt
-        if len(set(assignment.values())) != len(assignment):
-            return None
-        return assignment
-
     def search(i, assignment):
         if i == len(gens):
             return len(assignment) == g.order
@@ -581,8 +569,11 @@ def are_isomorphic(g: FiniteGroup, h: FiniteGroup) -> bool:
         for y in range(h.order):
             if _element_invariant(h, y, class_size_h) != target_inv:
                 continue
-            closed = extend({**assignment, gens[i]: y}, [gens[i]])
-            if closed is not None and search(i + 1, closed):
+            closed = _close_partial_map(g, h, {**assignment, gens[i]: y},
+                                        [gens[i]])
+            if closed is None or len(set(closed.values())) != len(closed):
+                continue  # a clash, or the map is not injective
+            if search(i + 1, closed):
                 return True
         return False
 

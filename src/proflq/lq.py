@@ -17,22 +17,16 @@ internal error and raises with a diagnostic dump.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import groupcoh as gc
 from . import repv
+from .errors import InvariantError, require
 from .groups import FiniteGroup, subgroup_group
 from .repv import ElementaryAbelian
 
 DEFAULT_DIRECT_DIM = 160  # largest Symonds module fed to cohomology whole
 
 
-class LqError(AssertionError):
-    """A failed lq_check: an implementation bug by definition."""
-
-    def __init__(self, message, dump):
-        super().__init__(message)
-        self.dump = dump
+LqError = InvariantError  # the older name, kept for callers that catch it
 
 
 def symonds_module(v: ElementaryAbelian, group: FiniteGroup, p: int,
@@ -91,13 +85,13 @@ def _orbit_lhs(v, group, classes, k_max, dim_budget):
     for c in classes:
         stab = [g for g in group.elements()
                 if all(group.conj(g, x) == x for x in c.representative)]
-        if len(stab) * c.orbit_size != group.order:
-            raise LqError(f"orbit-stabilizer fails for {c.representative}: "
-                          f"|Stab| = {len(stab)}, orbit size {c.orbit_size}, "
-                          f"|G| = {group.order}",
-                          {"group": group.name or f"order{group.order}",
-                           "class": c.representative, "stabilizer": stab,
-                           "orbit_size": c.orbit_size})
+        require(len(stab) * c.orbit_size == group.order,
+                f"orbit-stabilizer fails for {c.representative}: "
+                f"|Stab| = {len(stab)}, orbit size {c.orbit_size}, "
+                f"|G| = {group.order}",
+                {"group": group.name or f"order{group.order}",
+                 "class": c.representative, "stabilizer": stab,
+                 "orbit_size": c.orbit_size})
         out.append(_coset_cohomology(group, stab, v.p, k_max, dim_budget))
     return out
 
@@ -128,7 +122,7 @@ def tv_rhs(v: ElementaryAbelian, group: FiniteGroup, k_max: int,
 def lq_check(v: ElementaryAbelian, group: FiniteGroup, k_max: int,
              dim_budget: int = gc.DEFAULT_DIM_BUDGET,
              direct_dim: int = DEFAULT_DIRECT_DIM) -> dict:
-    """Verify tv_lhs == tv_rhs degreewise; raise LqError on mismatch."""
+    """Verify tv_lhs == tv_rhs degreewise; raise InvariantError on mismatch."""
     classes, _ = repv.rep_classes(v, group)
     lhs = tv_lhs(v, group, k_max, dim_budget, direct_dim)
     fibers, total = tv_rhs(v, group, k_max, dim_budget)
@@ -140,14 +134,14 @@ def lq_check(v: ElementaryAbelian, group: FiniteGroup, k_max: int,
         "classes": [c.representative for c in classes],
         "verdict": verdict,
     }
-    if not all(verdict):
+    if not all(verdict):  # not `require`: the dump recomputes the lhs by orbits
         dump = {
             "report": report,
             "orbit_lhs": _orbit_lhs(v, group, classes, k_max, dim_budget),
             "centralizers": [c.centralizer for c in classes],
         }
-        raise LqError(f"lq mismatch for {report['group']}, p={v.p}, "
-                      f"r={v.r}: lhs={lhs}, rhs={total}", dump)
+        raise InvariantError(f"lq mismatch for {report['group']}, p={v.p}, "
+                             f"r={v.r}: lhs={lhs}, rhs={total}", dump)
     return report
 
 

@@ -14,16 +14,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from .errors import BudgetError
+from .finring import is_prime
 from .groups import FiniteGroup
 from .groupcoh import GroupTower
 
 DEFAULT_HOM_BUDGET = 1 << 20
-
-
-class BudgetError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -32,7 +28,7 @@ class ElementaryAbelian:
     r: int
 
     def __post_init__(self):
-        if self.p < 2 or any(self.p % q == 0 for q in range(2, self.p)):
+        if not is_prime(self.p):
             raise ValueError("p must be prime")
         if self.r < 0:
             raise ValueError("rank must be non-negative")
@@ -93,15 +89,12 @@ def _discrete_log_table(group: FiniteGroup, basis: list[int],
     return table
 
 
-def weyl_image(group: FiniteGroup, hom: tuple[int, ...], p: int,
-               normalizer_source: FiniteGroup | None = None,
-               source_map=None) -> list[tuple[tuple[int, ...], ...]]:
+def weyl_image(group: FiniteGroup, hom: tuple[int, ...],
+               p: int) -> list[tuple[tuple[int, ...], ...]]:
     """Image of N_G(rho(V)) -> Aut(rho(V)) as i x i matrices over F_p.
 
     Matrices act on exponent vectors in the echelonized basis; the list
     is sorted and duplicate-free, so it can be compared as a set.
-    Passing `normalizer_source`/`source_map` computes the image of
-    eta: N_H(rho(V) cap ...) for a subgroup H mapping into G instead.
     """
     basis = echelon_basis(group, hom)
     i = len(basis)
@@ -109,15 +102,8 @@ def weyl_image(group: FiniteGroup, hom: tuple[int, ...], p: int,
         return [()]
     subgroup = image_subgroup(group, hom)
     logs = _discrete_log_table(group, basis, p)
-    if normalizer_source is None:
-        candidates = ((group, n) for n in group.normalizer(subgroup))
-    else:
-        candidates = ((group, source_map[n])
-                      for n in normalizer_source.elements()
-                      if frozenset(group.conj(source_map[n], x)
-                                   for x in subgroup) == subgroup)
     mats = set()
-    for _, n in candidates:
+    for n in group.normalizer(subgroup):
         cols = tuple(logs[group.conj(n, b)] for b in basis)
         mats.add(cols)  # column j = image of basis vector j
     return sorted(mats)
@@ -174,15 +160,6 @@ def rank_strata(classes) -> list[list[int]]:
     for i, c in enumerate(classes):
         strata[c.image_rank].append(i)
     return strata
-
-
-def class_of(v: ElementaryAbelian, group: FiniteGroup, hom,
-             classes=None, orbit_map=None, budget=DEFAULT_HOM_BUDGET) -> int:
-    """Index of the class of a given homomorphism tuple."""
-    if classes is None or orbit_map is None:
-        classes, orbit_map = rep_classes(v, group, budget)
-    homs = hom_enumerate(v, group, budget)
-    return orbit_map[homs.index(tuple(hom))]
 
 
 # ---------------------------------------------------------------------------

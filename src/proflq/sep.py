@@ -16,6 +16,7 @@ from __future__ import annotations
 from .groups import FiniteGroup, GroupHom, p_subgroups_up_to_conjugacy
 from .groupcoh import GroupTower
 from . import repv
+from .errors import require
 from .repv import ElementaryAbelian
 
 
@@ -60,6 +61,7 @@ def fullness_check(v: ElementaryAbelian, f: GroupHom, class_index: int,
     or on which f fails to be injective — the orbit formula behind the
     comparison needs a free Aut(V)-action.  `classes` takes Rep(V, G) as
     `repv.rep_classes(v, f.source)` lists it, when the caller has it.
+    Raises InvariantError if eta is not inside mu.
     """
     if classes is None:
         classes, _ = repv.rep_classes(v, f.source, budget)
@@ -77,9 +79,8 @@ def fullness_check(v: ElementaryAbelian, f: GroupHom, class_index: int,
     eta = set(repv.weyl_image(g, c.representative, v.p))
     pushed = _push_hom(f, c.representative)
     mu = set(repv.weyl_image(l, pushed, v.p))
-    if not eta <= mu:
-        raise AssertionError("conjugation by f(n) must reproduce eta: "
-                             f"{sorted(eta - mu)} not in mu")
+    require(eta <= mu, "conjugation by f(n) must reproduce eta",
+            {"not_in_mu": sorted(eta - mu)})
     witness = None
     if eta != mu:
         missing = sorted(mu - eta)[0]
@@ -148,7 +149,6 @@ def sp_functor_check(f: GroupHom, p: int) -> dict:
         # transport: index elements of the image by f of the sorted source
         elems = sorted(s)
         img_order = {f(x): i for i, x in enumerate(elems)}
-        pos = {x: i for i, x in enumerate(elems)}
         mu = set()
         for n in l.normalizer(image):
             mu.add(tuple(img_order[l.conj(n, f(x))] for x in elems))

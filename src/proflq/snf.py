@@ -39,10 +39,6 @@ def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def mat_eq(a: list[list[int]], b: list[list[int]]) -> bool:
-    return a == b
-
-
 def transpose(a: list[list[int]]) -> list[list[int]]:
     if not a:
         return []

@@ -10,14 +10,13 @@ their relative versions along a tower map are computed level by level.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
+from .errors import BudgetError
 from .etale import FiniteEtaleSpace, SectionModule, constant_space, sections
 from .finring import (
     FiniteModule,
     ModuleMap,
-    cokernel,
     direct_sum,
     dual_map,
     kernel,
@@ -26,10 +25,6 @@ from .finring import (
 )
 
 DEFAULT_BIT_BUDGET = 64
-
-
-class BudgetError(Exception):
-    """A tower level would exceed the configured size budget."""
 
 
 class SpaceTower:
@@ -52,10 +47,6 @@ class SpaceTower:
     @property
     def depth(self) -> int:
         return len(self.levels) - 1
-
-    def preimage(self, k: int, point) -> tuple:
-        """Points of level k+1 over `point` of level k."""
-        return tuple(t for t in self.levels[k + 1] if self.transitions[k][t] == point)
 
     def threads(self) -> list[tuple]:
         """All compatible coordinate sequences through every level."""

@@ -10,6 +10,7 @@ import pytest
 
 import proflq
 from proflq import cli, lq
+from proflq.errors import InvariantError
 from proflq.groups import all_subgroups, subgroup_group, symmetric_group
 from proflq.groupcoh import cyclic_p_tower
 
@@ -177,6 +178,16 @@ repv.rep_classes = doubled
 sys.exit(cli.main(sys.argv[1:]))
 """
 
+EMPTY_THREADS = """
+import sys
+from proflq import cli, lq
+real = lq.profinite_lq
+def emptied(*args, **kwargs):
+    return {**real(*args, **kwargs), "persistent_threads": []}
+lq.profinite_lq = emptied
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
 
 def test_fullness_inclusion_is_checked_under_O(inputs):
     proc = run_optimized(WIDEN_SOURCE_WEYL,
@@ -190,6 +201,26 @@ def test_orbit_stabilizer_is_checked_under_O(inputs):
                                          "--rank", "1", "--dump-orbits"])
     assert proc.returncode == 3, proc.stderr
     assert "orbit-stabilizer" in proc.stderr and proc.stdout == ""
+
+
+def test_selftest_criterion_is_checked_under_O():
+    proc = run_optimized(EMPTY_THREADS, ["selftest", "--criterion", "7"])
+    assert proc.returncode == 3, proc.stderr
+    assert "persistent threads" in proc.stderr and proc.stdout == ""
+
+
+@pytest.mark.parametrize("dump, lines", [
+    ({"evidence": [1, 2]}, ["internal invariant violation: forced",
+                            '{"evidence":[1,2]}']),
+    (None, ["internal invariant violation: forced"]),
+])
+def test_invariant_dump_goes_to_stderr(inputs, capsys, monkeypatch, dump, lines):
+    def broken(*args, **kwargs):
+        raise InvariantError("forced", dump)
+    monkeypatch.setattr(lq, "lq_check", broken)
+    assert cli.main(["lq", "--group", inputs["s3"], "--p", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == lines
 
 
 def test_byte_identical_output(inputs, capsys):

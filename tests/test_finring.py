@@ -16,6 +16,7 @@ from proflq.finring import (
     hom_module,
     image,
     is_isomorphic,
+    is_prime,
     kernel,
     pontryagin_dual,
     tensor_module,
@@ -68,6 +69,15 @@ class TestRing:
     def test_prime_flag(self):
         assert FiniteRing(7).is_prime
         assert not Z12.is_prime
+
+    def test_is_prime_matches_a_sieve(self):
+        sieve = [True] * 2000
+        sieve[0] = sieve[1] = False
+        for d in range(2, 45):
+            sieve[d * d::d] = [False] * len(sieve[d * d::d])
+        assert [n for n in range(-3, 2000) if is_prime(n)] == \
+            [n for n in range(2000) if sieve[n]]
+        assert is_prime(10_000_019) and not is_prime(10_000_019 * 7)
 
 
 class TestModule:

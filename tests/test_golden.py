@@ -1,0 +1,81 @@
+"""Golden corpus: the stdout digest and the exit code of fixed CLI runs.
+
+Every run reads its inputs from a fresh directory by relative name, so
+the `inputs.*.path` fields embedded in stdout do not depend on where the
+test runs.  A refactor that changes any byte of a report, or any exit
+code, fails here.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from proflq import cli
+
+S4 = {"perm_generators": [[2, 1, 3, 4], [2, 3, 4, 1]]}
+A4 = {"perm_generators": [[2, 3, 1, 4], [1, 3, 4, 2]]}
+MODULE = {"m": 12, "factors": [2, 6]}
+
+INPUTS = {
+    "s4.json": S4,
+    # A4 -> S4 on the same 1-based permutations, in the BFS element order
+    "a4_in_s4.json": {"source": A4, "target": S4,
+                      "images": [0, 3, 22, 11, 5, 23, 15, 13, 14, 21, 4, 12]},
+    "m.json": MODULE,
+    "map.json": {"source": MODULE, "target": {"m": 12, "factors": [6]},
+                 "matrix": [[0, 1]]},
+    "space.json": {"base": ["a", "b", "c"],
+                   "fibers": {"a": {"m": 12, "factors": [2, 6]},
+                              "b": {"m": 12, "factors": [4]},
+                              "c": {"m": 12, "factors": []}}},
+    "st.json": {"levels": [["a"], ["a0", "a1"], ["a00", "a01", "a10"]],
+                "transitions": [{"a0": "a", "a1": "a"},
+                                {"a00": "a0", "a01": "a0", "a10": "a1"}]},
+}
+
+# (id, argv, exit code, sha256 of stdout)
+CASES = [
+    ("lq-s4-p2-r2", ["lq", "--group", "s4.json", "--p", "2", "--rank", "2",
+                     "--kmax", "4"], 0,
+     "ec5fd2b79368b2e9aa6c0022df66ed3fc2bf2634fb1ec78d97feddfce4715bbc"),
+    ("lq-s4-p3-orbits", ["lq", "--group", "s4.json", "--p", "3",
+                         "--dump-orbits"], 0,
+     "7c9a08e8f5df90c7d45c7e99b433c923c76222b0e7e1ae1fc3e81bb755511b20"),
+    ("cohomology-s4-p2", ["cohomology", "--group", "s4.json", "--p", "2"], 0,
+     "e336522b448979a48ba61555b635e67846b5c9fbbf23d2d4a5bba732cd90a569"),
+    ("rep-s4-p2-r2", ["rep", "--group", "s4.json", "--p", "2",
+                      "--rank", "2"], 0,
+     "be4412ff6c9817e6c74633fc4a434e75ba972b1d52ce70ffd437b11dedf65e63"),
+    ("sep-a4-s4-p3", ["sep", "--hom", "a4_in_s4.json", "--p", "3"], 1,
+     "b80e7790de69545021db1f5a5bed03752dbe62a5bc467121ba73ade0a3718cb7"),
+    ("sep-a4-s4-p2", ["sep", "--hom", "a4_in_s4.json", "--p", "2"], 1,
+     "a03c8143e2f2d0f1bcfcb120327255f241261be0672e2485d4545a166ba7fd6f"),
+    ("module-map", ["module", "--module", "m.json", "--map", "map.json"], 0,
+     "33a641a2a2a0a03da357ea4d3e90b7cf8157c6dd707474ec12381a1e54a128b6"),
+    ("etale", ["etale", "--space", "space.json"], 0,
+     "2ac5783761322e29cb7e95e69c3e080b4d9d938d04e011b2f9e59ed069c2b336"),
+    ("tower-product", ["tower", "product", "--tower", "st.json",
+                       "--module", "m.json"], 0,
+     "686871f5e278510bd2bde7fb30cc1a7994227739e525909ae42a94578ac44bea"),
+    ("tower-coproduct", ["tower", "coproduct", "--tower", "st.json",
+                         "--module", "m.json"], 0,
+     "fc8142f9fe2ed2efa17252819976257e712546ab474ef8f3fe197b20cb2fcd14"),
+    ("tower-dual", ["tower", "dual", "--tower", "st.json",
+                    "--module", "m.json"], 0,
+     "607e2b77cc227afc421b4bd81a8d1e67f7200406a7d74a117c1d56cc2e8994d6"),
+    ("selftest-7", ["selftest", "--criterion", "7"], 0,
+     "8aabf6598bb3fa6423831c3d11248d72132a2fd55ad2f9f16830dd46b43fcfb6"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest",
+                         [case[1:] for case in CASES],
+                         ids=[case[0] for case in CASES])
+def test_golden(argv, code, digest, tmp_path, monkeypatch, capsys):
+    for name, payload in INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    monkeypatch.chdir(tmp_path)
+    exit_code = cli.main(argv)
+    out = capsys.readouterr().out
+    assert (exit_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
