@@ -15,7 +15,7 @@ import random
 import time
 
 from . import catalog, etale, groupcoh as gc, lq, repv, sep, tower
-from .errors import require
+from .errors import BudgetError, require
 from .finring import (
     FiniteRing,
     FiniteModule,
@@ -261,7 +261,7 @@ def criterion_4(trials: int = 100) -> dict:
             continue
         try:
             report = etale.adjunction_check(f, g, l, max_side=4096)
-        except ValueError:
+        except BudgetError:
             continue
         require(report["ok"], "tensor-hom adjunction fails", report)
         done += 1

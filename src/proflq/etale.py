@@ -11,7 +11,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import gcd, prod
 
+import numpy as np
+
+from .errors import BudgetError
 from .finring import (
     FiniteModule,
     FiniteRing,
@@ -233,23 +237,86 @@ def skyscraper_product(k: SkyscraperFamily) -> FiniteModule:
     return direct_sum(mods)[0]
 
 
-def _annihilated_elements(module: FiniteModule, order: int):
-    """Elements z of `module` with order * z = 0."""
-    from math import gcd
+def _annihilated_radices(module: FiniteModule, order: int) -> list[int]:
+    """Orders of the cyclic factors of {z in module : order * z = 0}."""
+    return [gcd(order, b) for b in module.factors]
 
-    ranges = []
-    for b in module.factors:
-        g = gcd(order, b)
-        step = b // g
-        ranges.append([t * step for t in range(g)])
+
+def _annihilated_elements(module: FiniteModule, order: int):
+    """Elements z of `module` with order * z = 0, in mixed-radix order."""
+    ranges = [[t * (b // r) for t in range(r)]
+              for r, b in zip(_annihilated_radices(module, order), module.factors)]
     return itertools.product(*ranges)
 
 
 def _raw_tensor_orders(m: FiniteModule, n: FiniteModule):
-    from math import gcd
-
     return [(j, i, gcd(a, b)) for j, a in enumerate(m.factors)
             for i, b in enumerate(n.factors)]
+
+
+def _image_array(choices: list, rank: int, dtype) -> np.ndarray:
+    """Every tuple of images, one per generator, as an (N, gens, rank) array.
+
+    Rows run through itertools.product(*choices): the last generator
+    varies fastest.
+    """
+    sizes = [len(c) for c in choices]
+    count = prod(sizes)
+    picks = np.indices(sizes).reshape(len(sizes), count)
+    images = np.empty((count, len(choices), rank), dtype=dtype)
+    for g, c in enumerate(choices):
+        images[:, g] = np.array(c, dtype=dtype).reshape(len(c), rank)[picks[g]]
+    return images
+
+
+def _curried_tables(ft: FiniteModule, gt: FiniteModule, lt: FiniteModule,
+                    gens, images: np.ndarray) -> np.ndarray:
+    """The curried table y |-> (x |-> phi(x (x) y)) of every hom phi.
+
+    phi sends the tensor generator (j, i) to images[:, g]; the table of
+    phi is (|G|*|F|, rank L), rows running over y, then over x.  It is
+    bilinear in the images, so all tables are one product of a
+    coefficient array (|G|*|F|, gens) with the images, reduced once.
+    """
+    x = np.array(list(ft.elements()), dtype=object).reshape(ft.order, ft.rank)
+    y = np.array(list(gt.elements()), dtype=object).reshape(gt.order, gt.rank)
+    coef = np.empty((gt.order * ft.order, len(gens)), dtype=images.dtype)
+    for g, (jj, ii, order) in enumerate(gens):
+        coef[:, g] = (np.outer(y[:, ii], x[:, jj]) % order).ravel()
+    factors = np.array(lt.factors, dtype=images.dtype)
+    tables = np.matmul(coef, images) % factors
+    return tables.astype(np.min_scalar_type(max(lt.factors, default=1) - 1))
+
+
+def _count_distinct(rows: np.ndarray) -> int:
+    if rows.dtype == object:  # entries past 64 bits
+        return len(set(map(tuple, rows.tolist())))
+    return len(np.unique(rows, axis=0))
+
+
+def _is_additive(images: np.ndarray, tables: np.ndarray, radices: list[int],
+                 factors: np.ndarray) -> bool:
+    """T(a + e) == T(a) + T(e) for every image tuple a and generator e.
+
+    The image tuples are indexed in mixed radix (`radices`, last fastest),
+    so a + e is found by index; its image tuple is checked too.  By
+    induction on a word in the generators this is additivity on all pairs.
+    """
+    n = len(tables)
+    if prod(radices) != n:
+        return False
+    idx = np.arange(n)
+    stride = n
+    for r in radices:
+        stride //= r
+        if r == 1:
+            continue
+        nxt = np.where(idx // stride % r == r - 1, idx - (r - 1) * stride, idx + stride)
+        for arr in (images, tables):
+            shifted = np.add(arr, arr[stride], dtype=images.dtype) % factors
+            if not np.array_equal(arr[nxt], shifted):
+                return False
+    return True
 
 
 def adjunction_check(f: FiniteEtaleSpace, g: FiniteEtaleSpace,
@@ -258,71 +325,46 @@ def adjunction_check(f: FiniteEtaleSpace, g: FiniteEtaleSpace,
 
     Works fiberwise: both hom sets decompose over the base, and the
     currying bijection phi |-> (y |-> (x |-> phi(x (x) y))) is checked to
-    be an additive bijection at every point.
+    be an additive bijection at every point.  A fiber whose hom sets
+    exceed `max_side` is refused with BudgetError before anything is
+    built.
     """
     if not (f.base == g.base == l.base):
         raise ValueError("common base required")
     report = {"fibers": {}, "ok": True}
     for t in f.base:
         ft, gt, lt = f.fiber(t), g.fiber(t), l.fiber(t)
-        gens = _raw_tensor_orders(ft, gt)
-        lhs_count = 1
-        choices = []
-        for _, _, order in gens:
-            imgs = list(_annihilated_elements(lt, order))
-            choices.append(imgs)
-            lhs_count *= len(imgs)
-        homfl = hom_module(ft, lt)
-        rhs_count = hom_module(gt, homfl).order
+        # a generator of order 1 has only the zero image
+        gens = [gen for gen in _raw_tensor_orders(ft, gt) if gen[2] > 1]
+        choices = [list(_annihilated_elements(lt, order)) for _, _, order in gens]
+        lhs_count = prod(len(c) for c in choices)
+        rhs_count = hom_module(gt, hom_module(ft, lt)).order
         if lhs_count > max_side or rhs_count > max_side:
-            raise ValueError(f"adjunction fiber at {t} exceeds size bound")
+            raise BudgetError(f"adjunction fiber at {t} exceeds size bound")
 
-        gt_elts = list(gt.elements())
-        ft_elts = list(ft.elements())
-
-        def curried(images):
-            table = []
-            for y in gt_elts:
-                row = []
-                for x in ft_elts:
-                    val = lt.zero_element()
-                    for (jj, ii, order), img in zip(gens, images):
-                        c = (x[jj] * y[ii]) % order
-                        val = lt.add(val, lt.smul(c, img))
-                    row.append(val)
-                table.append(tuple(row))
-            return tuple(table)
-
-        seen = {}
-        tables = set()
-        all_images = list(itertools.product(*choices))
-        for images in all_images:
-            tab = curried(images)
-            tables.add(tab)  # one hash per table: a collision adds nothing
-            if len(tables) == len(seen):
-                report["ok"] = False
-                report["fibers"][t] = {"verdict": "collision"}
-                break
-            seen[images] = tab
-        else:
-            additive = True
-            if len(all_images) >= 2:
-                a, b = all_images[0], all_images[-1]
-                s = tuple(lt.add(x, y) for x, y in zip(a, b))
-                tab_s = curried(s)
-                tab_ab = tuple(
-                    tuple(lt.add(x, y) for x, y in zip(r1, r2))
-                    for r1, r2 in zip(seen[a], curried(b))
-                )
-                additive = tab_s == tab_ab
-            fiber_ok = len(tables) == lhs_count == rhs_count and additive
-            report["fibers"][t] = {
-                "lhs": lhs_count,
-                "rhs": rhs_count,
-                "bijective": len(tables) == rhs_count,
-                "additive": additive,
-                "verdict": "iso" if fiber_ok else "mismatch",
-            }
-            if not fiber_ok:
-                report["ok"] = False
+        # no overflow: in the products below, nor in a sum of two entries
+        top = max(lt.factors, default=1) - 1
+        bound = max(sum(order - 1 for _, _, order in gens) * top, 2 * top)
+        dtype = np.min_scalar_type(bound)
+        images = _image_array(choices, lt.rank, dtype)
+        tables = _curried_tables(ft, gt, lt, gens, images)
+        distinct = _count_distinct(tables.reshape(lhs_count, tables[0].size))
+        if distinct < lhs_count:
+            report["ok"] = False
+            report["fibers"][t] = {"verdict": "collision"}
+            continue
+        radices = [r for _, _, order in gens
+                   for r in _annihilated_radices(lt, order)]
+        additive = _is_additive(images, tables, radices,
+                                np.array(lt.factors, dtype=dtype))
+        fiber_ok = distinct == lhs_count == rhs_count and additive
+        report["fibers"][t] = {
+            "lhs": lhs_count,
+            "rhs": rhs_count,
+            "bijective": distinct == rhs_count,
+            "additive": additive,
+            "verdict": "iso" if fiber_ok else "mismatch",
+        }
+        if not fiber_ok:
+            report["ok"] = False
     return report

@@ -68,12 +68,6 @@ class FiniteModule:
     def zero_element(self) -> tuple[int, ...]:
         return (0,) * self.rank
 
-    def add(self, x, y) -> tuple[int, ...]:
-        return tuple((a + b) % d for a, b, d in zip(x, y, self.factors))
-
-    def smul(self, c: int, x) -> tuple[int, ...]:
-        return tuple((c * a) % d for a, d in zip(x, self.factors))
-
     def identity_map(self) -> "ModuleMap":
         return ModuleMap(self, self, snf.identity(self.rank))
 
@@ -137,10 +131,11 @@ class ModuleMap:
         """self after other."""
         if other.target != self.source:
             raise ValueError("maps are not composable")
-        return ModuleMap(
-            other.source, self.target, snf.mat_mul(list(map(list, self.matrix)),
-                                                   list(map(list, other.matrix)))
-        )
+        if self.source.is_zero:
+            # other.matrix has no rows, so the product would lose its width
+            return zero_map(other.source, self.target)
+        return ModuleMap(other.source, self.target,
+                         snf.mat_mul(self.matrix, other.matrix))
 
     def add(self, other: "ModuleMap") -> "ModuleMap":
         if self.source != other.source or self.target != other.target:
@@ -174,8 +169,7 @@ def zero_map(source: FiniteModule, target: FiniteModule) -> ModuleMap:
 
 def _column_lattice_basis(columns: list[list[int]]) -> list[list[int]]:
     """Basis (columns, full rank assumed) of the lattice spanned by `columns`."""
-    left, d, _ = snf.smith_normal_form(columns)
-    linv = snf.invert_unimodular(left)
+    _, d, _, linv = snf.smith_normal_form(columns)
     diag = snf.diagonal_of(d)
     basis = []
     for j, dj in enumerate(diag):
@@ -191,8 +185,7 @@ def _quotient_structure(basis: list[list[int]], sub: list[list[int]]):
     elements generating the quotient cyclically with the given orders.
     """
     x = snf.solve_integer(basis, sub)
-    u, d, _ = snf.smith_normal_form(x)
-    uinv = snf.invert_unimodular(u)
+    _, d, _, uinv = snf.smith_normal_form(x)
     adapted = snf.mat_mul(basis, uinv)
     diag = snf.diagonal_of(d)
     kept = [(i, di) for i, di in enumerate(diag) if di > 1]
@@ -235,7 +228,7 @@ def cokernel(f: ModuleMap) -> tuple[FiniteModule, ModuleMap]:
         return q, zero_map(tgt, q)
     aug = [list(f.matrix[i]) + [tgt.factors[i] if j == i else 0 for j in range(n)]
            for i in range(n)]
-    u, d, _ = snf.smith_normal_form(aug)
+    u, d, _, _ = snf.smith_normal_form(aug)
     diag = snf.diagonal_of(d)
     kept = [(i, di) for i, di in enumerate(diag[:n]) if di > 1]
     q = FiniteModule(src.ring, tuple(di for _, di in kept))
@@ -272,8 +265,7 @@ def from_cyclic(ring: FiniteRing, orders: list[int]):
         if c < 1 or ring.modulus % c:
             raise ValueError(f"cyclic order {c} invalid for modulus {ring.modulus}")
         diag[i][i] = c
-    u, d, _ = snf.smith_normal_form(diag)
-    uinv = snf.invert_unimodular(u)
+    u, d, _, uinv = snf.smith_normal_form(diag)
     dd = snf.diagonal_of(d)
     kept = [(i, di) for i, di in enumerate(dd) if di > 1]
     mod = FiniteModule(ring, tuple(di for _, di in kept))

@@ -166,8 +166,7 @@ def rank_strata(classes) -> list[list[int]]:
 # towers
 
 
-def induced_class_map(v: ElementaryAbelian, transition,
-                      upper_classes, lower_classes, lower_orbit_map,
+def induced_class_map(transition, upper_classes, lower_orbit_map,
                       lower_homs) -> list[int]:
     """Rep(V, G_{k+1}) -> Rep(V, G_k) on class indices."""
     pos = {h: i for i, h in enumerate(lower_homs)}
@@ -197,8 +196,7 @@ def rep_tower(v: ElementaryAbelian, tower: GroupTower,
     maps = []
     for k, q in enumerate(tower.transitions):
         maps.append(induced_class_map(
-            v, q, levels[k + 1]["classes"], levels[k]["classes"],
-            levels[k]["orbit_map"], levels[k]["homs"]))
+            q, levels[k + 1]["classes"], levels[k]["orbit_map"], levels[k]["homs"]))
     threads = []
     depth = tower.depth
     for top in range(len(levels[-1]["classes"])):

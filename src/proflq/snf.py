@@ -1,13 +1,12 @@
 """Exact integer matrix normal forms.
 
-Smith normal form with unimodular transforms, integer kernels and exact
-linear solves.  Everything runs on plain Python ints (arbitrary precision),
-matrices are lists of lists.  Sizes here are desk scale; clarity over speed.
+Smith normal form with unimodular transforms (and the inverse of the left
+one), integer kernels and exact linear solves.  Everything runs on plain
+Python ints (arbitrary precision), matrices are lists of lists.  Sizes here
+are desk scale; clarity over speed.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 def zeros(rows: int, cols: int) -> list[list[int]]:
@@ -45,23 +44,27 @@ def transpose(a: list[list[int]]) -> list[list[int]]:
     return [list(col) for col in zip(*a)]
 
 
-def smith_normal_form(
-    matrix: list[list[int]],
-) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Return (L, D, R) with L @ matrix @ R == D.
+def smith_normal_form(matrix: list[list[int]]) -> tuple[
+        list[list[int]], list[list[int]], list[list[int]], list[list[int]]]:
+    """Return (L, D, R, L^-1) with L @ matrix @ R == D.
 
     L and R are unimodular, D is diagonal with d_1 | d_2 | ... and
-    nonnegative entries.  Empty matrices are allowed.
+    nonnegative entries.  Empty matrices are allowed.  Every row operation
+    on L is matched by the inverse column operation on L^-1, so the two
+    stay inverse to each other throughout.
     """
     rows = len(matrix)
     cols = len(matrix[0]) if matrix else 0
     a = [list(r) for r in matrix]
     left = identity(rows)
+    left_inv = identity(rows)
     right = identity(cols)
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         left[i], left[j] = left[j], left[i]
+        for r in left_inv:
+            r[i], r[j] = r[j], r[i]
 
     def swap_cols(i, j):
         for r in a:
@@ -76,6 +79,8 @@ def smith_normal_form(
             a[dst][j] += c * arow[j]
         for j in range(rows):
             left[dst][j] += c * lrow[j]
+        for r in left_inv:
+            r[src] -= c * r[dst]
 
     def add_col(src, dst, c):
         for r in a:
@@ -86,6 +91,8 @@ def smith_normal_form(
     def negate_row(i):
         a[i] = [-x for x in a[i]]
         left[i] = [-x for x in left[i]]
+        for r in left_inv:
+            r[i] = -r[i]
 
     t = 0
     while t < min(rows, cols):
@@ -140,7 +147,7 @@ def smith_normal_form(
     diag = zeros(rows, cols)
     for i in range(min(rows, cols)):
         diag[i][i] = a[i][i]
-    return left, diag, right
+    return left, diag, right, left_inv
 
 
 def diagonal_of(d: list[list[int]]) -> list[int]:
@@ -155,7 +162,7 @@ def integer_kernel(matrix: list[list[int]]) -> list[list[int]]:
         return []
     if rows == 0:
         return identity(cols)
-    _, d, right = smith_normal_form(matrix)
+    _, d, right, _ = smith_normal_form(matrix)
     diag = diagonal_of(d)
     free = [j for j in range(cols) if j >= len(diag) or diag[j] == 0]
     # columns of `right` indexed by `free` span the kernel
@@ -175,7 +182,7 @@ def solve_integer(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
         if any(any(r) for r in b):
             raise ValueError("inconsistent system")
         return zeros(0, bcols)
-    left, d, right = smith_normal_form(a)
+    left, d, right, _ = smith_normal_form(a)
     lb = mat_mul(left, b)
     diag = diagonal_of(d)
     y = zeros(cols, bcols)
@@ -193,31 +200,3 @@ def solve_integer(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
                 if i < cols:
                     y[i][j] = q
     return mat_mul(right, y)
-
-
-def invert_unimodular(u: list[list[int]]) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix."""
-    n = len(u)
-    if n == 0:
-        return []
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(u)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    inv = [[row[n + j] for j in range(n)] for row in aug]
-    out = []
-    for row in inv:
-        orow = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            orow.append(int(x))
-        out.append(orow)
-    return out

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import snf
 from .errors import BudgetError
 from .etale import FiniteEtaleSpace, SectionModule, constant_space, sections
 from .finring import (
@@ -21,7 +22,6 @@ from .finring import (
     dual_map,
     kernel,
     pontryagin_dual,
-    zero_map,
 )
 
 DEFAULT_BIT_BUDGET = 64
@@ -180,12 +180,30 @@ def constant_pro_etale(a: FiniteModule, t: SpaceTower) -> ProEtale:
     return ProEtale(t, levels, fts)
 
 
-def _block_map(src: SectionModule, dst: SectionModule, blocks) -> ModuleMap:
-    """Sum of dst.inj[d] . comp . src.proj[s] over blocks (d, s, comp)."""
-    out = zero_map(src.module, dst.module)
-    for d, s, comp in blocks:
-        out = out.add(dst.injections[d].compose(comp).compose(src.projections[s]))
-    return out
+def _sum_of_composites(source: FiniteModule, target: FiniteModule,
+                       chains) -> ModuleMap:
+    """The sum over `chains` of f_1 . f_2 . ... . f_n, as one ModuleMap.
+
+    Each chain is a sequence of composable maps from `source` to `target`.
+    The composites are summed as unreduced integer matrices and reduced
+    once: every column of a well-defined map is killed by its source
+    factor, so this is the map that composing and adding step by step
+    gives, without a validated map for every intermediate.
+    """
+    total = snf.zeros(target.rank, source.rank)
+    for chain in chains:
+        if (chain[0].target != target or chain[-1].source != source
+                or any(f.source != g.target for f, g in zip(chain, chain[1:]))):
+            raise ValueError("maps are not composable")
+        if any(f.source.is_zero for f in chain):
+            continue  # the composite factors through 0
+        product = chain[0].matrix
+        for f in chain[1:]:
+            product = snf.mat_mul(product, f.matrix)
+        for row, summand in zip(total, product):
+            for j, v in enumerate(summand):
+                row[j] += v
+    return ModuleMap(source, target, total)
 
 
 def _check_budget(order: int, n_points: int, bit_budget: int):
@@ -203,11 +221,12 @@ def free_product(a: FiniteModule, t: SpaceTower,
     for lv in t.levels:
         _check_budget(a.order, len(lv), bit_budget)
         secs.append(sections(constant_space(lv, a)))
-    transitions = []
-    for k in range(t.depth):
-        blocks = [(s, t.transitions[k][s], a.identity_map())
-                  for s in t.levels[k + 1]]
-        transitions.append(_block_map(secs[k], secs[k + 1], blocks))
+    transitions = [
+        _sum_of_composites(secs[k].module, secs[k + 1].module,
+                           [(secs[k + 1].injections[s],
+                             secs[k].projections[t.transitions[k][s]])
+                            for s in t.levels[k + 1]])
+        for k in range(t.depth)]
     return IndModule([s.module for s in secs], transitions, section_levels=secs)
 
 
@@ -218,11 +237,12 @@ def free_sum(a: FiniteModule, t: SpaceTower,
     for lv in t.levels:
         _check_budget(a.order, len(lv), bit_budget)
         secs.append(sections(constant_space(lv, a)))
-    transitions = []
-    for k in range(t.depth):
-        blocks = [(t.transitions[k][s], s, a.identity_map())
-                  for s in t.levels[k + 1]]
-        transitions.append(_block_map(secs[k + 1], secs[k], blocks))
+    transitions = [
+        _sum_of_composites(secs[k + 1].module, secs[k].module,
+                           [(secs[k].injections[t.transitions[k][s]],
+                             secs[k + 1].projections[s])
+                            for s in t.levels[k + 1]])
+        for k in range(t.depth)]
     return ProModule([s.module for s in secs], transitions, section_levels=secs)
 
 
@@ -230,11 +250,12 @@ def product_ind(e: IndEtale) -> IndModule:
     """The product over T of an ind-etale tower, as sections per level."""
     t = e.space_tower
     secs = [sections(e.levels[k]) for k in range(len(t.levels))]
-    transitions = []
-    for k in range(t.depth):
-        blocks = [(s, t.transitions[k][s], e.fiber_transitions[k][s])
-                  for s in t.levels[k + 1]]
-        transitions.append(_block_map(secs[k], secs[k + 1], blocks))
+    transitions = [
+        _sum_of_composites(secs[k].module, secs[k + 1].module,
+                           [(secs[k + 1].injections[s], e.fiber_transitions[k][s],
+                             secs[k].projections[t.transitions[k][s]])
+                            for s in t.levels[k + 1]])
+        for k in range(t.depth)]
     return IndModule([s.module for s in secs], transitions,
                      section_levels=secs, strict=e.strict)
 
@@ -243,11 +264,12 @@ def coproduct_pro(e: ProEtale) -> ProModule:
     """The coproduct over T of a pro-etale tower: fiberwise sums per level."""
     t = e.space_tower
     secs = [sections(e.levels[k]) for k in range(len(t.levels))]
-    transitions = []
-    for k in range(t.depth):
-        blocks = [(t.transitions[k][s], s, e.fiber_transitions[k][s])
-                  for s in t.levels[k + 1]]
-        transitions.append(_block_map(secs[k + 1], secs[k], blocks))
+    transitions = [
+        _sum_of_composites(secs[k + 1].module, secs[k].module,
+                           [(secs[k].injections[t.transitions[k][s]],
+                             e.fiber_transitions[k][s], secs[k + 1].projections[s])
+                            for s in t.levels[k + 1]])
+        for k in range(t.depth)]
     return ProModule([s.module for s in secs], transitions,
                      section_levels=secs, strict=e.strict)
 
@@ -330,9 +352,10 @@ def relative_product(a: FiniteModule, pi: TowerMap,
             down = s_tower.transitions[k][s]
             src_sec = fiber_secs[k][down]
             dst_sec = fiber_secs[k + 1][s]
-            blocks = [(u, t.transitions[k][u], a.identity_map())
-                      for u in dst_sec.points]
-            ft[s] = _block_map(src_sec, dst_sec, blocks)
+            ft[s] = _sum_of_composites(
+                src_sec.module, dst_sec.module,
+                [(dst_sec.injections[u], src_sec.projections[t.transitions[k][u]])
+                 for u in dst_sec.points])
         fts.append(ft)
     return IndEtale(s_tower, levels, fts, strict=False)
 
@@ -358,9 +381,10 @@ def relative_sum(a: FiniteModule, pi: TowerMap,
             down = s_tower.transitions[k][s]
             src_sec = fiber_secs[k + 1][s]
             dst_sec = fiber_secs[k][down]
-            blocks = [(t.transitions[k][u], u, a.identity_map())
-                      for u in src_sec.points]
-            ft[s] = _block_map(src_sec, dst_sec, blocks)
+            ft[s] = _sum_of_composites(
+                src_sec.module, dst_sec.module,
+                [(dst_sec.injections[t.transitions[k][u]], src_sec.projections[u])
+                 for u in src_sec.points])
         fts.append(ft)
     return ProEtale(s_tower, levels, fts, strict=False)
 
@@ -368,16 +392,10 @@ def relative_sum(a: FiniteModule, pi: TowerMap,
 def _regrouping_map(outer: SectionModule, inner_secs: dict,
                     flat: SectionModule) -> ModuleMap:
     """⊕_s (⊕_{t in fiber(s)} A)  ->  ⊕_t A, forgetting the grouping."""
-    out = zero_map(outer.module, flat.module)
-    for s in outer.points:
-        inner = inner_secs[s]
-        for t in inner.points:
-            out = out.add(
-                flat.injections[t]
-                .compose(inner.projections[t])
-                .compose(outer.projections[s])
-            )
-    return out
+    return _sum_of_composites(
+        outer.module, flat.module,
+        [(flat.injections[t], inner_secs[s].projections[t], outer.projections[s])
+         for s in outer.points for t in inner_secs[s].points])
 
 
 def decomposition_check(a: FiniteModule, pi: TowerMap,
@@ -462,16 +480,13 @@ def canonical_components(x, threads) -> dict:
             comps = [sec.projections[p] for p in pts]
             fibers = [c.target for c in comps]
             total, injs, _ = direct_sum(fibers) if fibers else (None, [], [])
-            joint = zero_map(x.levels[k], total)
-            for inj, c in zip(injs, comps):
-                joint = joint.add(inj.compose(c))
+            joint = _sum_of_composites(x.levels[k], total, list(zip(injs, comps)))
             surj = joint.is_surjective() if len(set(pts)) == len(pts) else None
             full_pts = sec.points
             full_maps = [sec.projections[p] for p in full_pts]
             ftotal, finjs, _ = direct_sum([m.target for m in full_maps])
-            fjoint = zero_map(x.levels[k], ftotal)
-            for inj, c in zip(finjs, full_maps):
-                fjoint = fjoint.add(inj.compose(c))
+            fjoint = _sum_of_composites(x.levels[k], ftotal,
+                                        list(zip(finjs, full_maps)))
             trivial_kernel = kernel(fjoint)[0].is_zero
             entry = {"level": k, "joint_surjective": surj,
                      "joint_kernel_trivial": trivial_kernel}
@@ -481,9 +496,7 @@ def canonical_components(x, threads) -> dict:
             comps = [sec.injections[p] for p in pts]
             srcs = [c.source for c in comps]
             total, _, projs = direct_sum(srcs) if srcs else (None, [], [])
-            joint = zero_map(total, x.levels[k])
-            for proj, c in zip(projs, comps):
-                joint = joint.add(c.compose(proj))
+            joint = _sum_of_composites(total, x.levels[k], list(zip(comps, projs)))
             dense = joint.is_surjective()
             entry = {"level": k, "dense": dense,
                      "covers_level": set(pts) == set(sec.points)}

@@ -1,6 +1,8 @@
 """The eight acceptance criteria, each with its runtime bound."""
 
-from proflq import acceptance
+import pytest
+
+from proflq import acceptance, etale
 
 
 def _run(criterion, seconds):
@@ -28,6 +30,23 @@ def test_criterion_3_decomposition():
 def test_criterion_4_adjunction():
     report = _run(acceptance.criterion_4, 120)
     assert report["detail"]["instances"] >= 100
+
+
+def test_criterion_4_skips_only_budget_refusals(monkeypatch):
+    # a crash inside one adjunction check must fail the criterion, not be
+    # skipped like an instance over the size bound
+    check = etale.adjunction_check
+    calls = []
+
+    def crash_once(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise ValueError("injected")
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(etale, "adjunction_check", crash_once)
+    with pytest.raises(ValueError, match="injected"):
+        acceptance.criterion_4(trials=5)
 
 
 def test_criterion_5_cohomology_oracle():

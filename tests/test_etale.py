@@ -1,8 +1,11 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
+from proflq import etale
+from proflq.errors import BudgetError
 from proflq.etale import (
     EtaleMorphism,
     FiniteEtaleSpace,
@@ -37,6 +40,89 @@ from proflq.finring import (
 from .test_finring import random_map, random_module
 
 Z12 = FiniteRing(12)
+
+# the fibers of acceptance criterion 4
+CRITERION_4_FIBERS = [cyclic(Z12, 2), cyclic(Z12, 3), cyclic(Z12, 4),
+                      FiniteModule(Z12, (2, 2)), FiniteModule(Z12, (2, 6)),
+                      cyclic(Z12, 12), zero_module(Z12), FiniteModule(Z12, (4, 4))]
+
+
+def reference_adjunction_check(f, g, l, max_side=4096):
+    """The currying check one table cell at a time, in plain Python.
+
+    This is the loop `adjunction_check` used before it built the tables as
+    one numpy product, kept as the reference for its reports.  Its
+    additivity test compares one pair of homs only; on correct input both
+    report True.
+    """
+
+    def add(module, x, y):
+        return tuple((a + b) % d for a, b, d in zip(x, y, module.factors))
+
+    def smul(module, c, x):
+        return tuple((c * a) % d for a, d in zip(x, module.factors))
+
+    report = {"fibers": {}, "ok": True}
+    for t in f.base:
+        ft, gt, lt = f.fiber(t), g.fiber(t), l.fiber(t)
+        gens = etale._raw_tensor_orders(ft, gt)
+        lhs_count = 1
+        choices = []
+        for _, _, order in gens:
+            imgs = list(etale._annihilated_elements(lt, order))
+            choices.append(imgs)
+            lhs_count *= len(imgs)
+        rhs_count = hom_module(gt, hom_module(ft, lt)).order
+        if lhs_count > max_side or rhs_count > max_side:
+            raise ValueError(f"adjunction fiber at {t} exceeds size bound")
+        gt_elts = list(gt.elements())
+        ft_elts = list(ft.elements())
+
+        def curried(images):
+            table = []
+            for y in gt_elts:
+                row = []
+                for x in ft_elts:
+                    val = lt.zero_element()
+                    for (jj, ii, order), img in zip(gens, images):
+                        c = (x[jj] * y[ii]) % order
+                        val = add(lt, val, smul(lt, c, img))
+                    row.append(val)
+                table.append(tuple(row))
+            return tuple(table)
+
+        seen = {}
+        tables = set()
+        all_images = list(itertools.product(*choices))
+        for images in all_images:
+            tab = curried(images)
+            tables.add(tab)
+            if len(tables) == len(seen):
+                report["ok"] = False
+                report["fibers"][t] = {"verdict": "collision"}
+                break
+            seen[images] = tab
+        else:
+            additive = True
+            if len(all_images) >= 2:
+                a, b = all_images[0], all_images[-1]
+                s = tuple(add(lt, x, y) for x, y in zip(a, b))
+                tab_ab = tuple(
+                    tuple(add(lt, x, y) for x, y in zip(r1, r2))
+                    for r1, r2 in zip(seen[a], curried(b))
+                )
+                additive = curried(s) == tab_ab
+            fiber_ok = len(tables) == lhs_count == rhs_count and additive
+            report["fibers"][t] = {
+                "lhs": lhs_count,
+                "rhs": rhs_count,
+                "bijective": len(tables) == rhs_count,
+                "additive": additive,
+                "verdict": "iso" if fiber_ok else "mismatch",
+            }
+            if not fiber_ok:
+                report["ok"] = False
+    return report
 
 
 def space_ab():
@@ -323,6 +409,76 @@ class TestAdjunction:
         report = adjunction_check(c, c, c)
         assert not report["ok"]
         assert report["fibers"]["a"] == {"verdict": "collision"}
+
+    @pytest.mark.parametrize("fi", range(len(CRITERION_4_FIBERS)))
+    def test_reports_match_the_reference(self, fi):
+        # every single-point triple of criterion 4's fibers within max_side
+        point = lambda m: FiniteEtaleSpace((0,), {0: m})
+        f = point(CRITERION_4_FIBERS[fi])
+        compared = 0
+        for gm, lm in itertools.product(CRITERION_4_FIBERS, repeat=2):
+            g, l = point(gm), point(lm)
+            try:
+                want = reference_adjunction_check(f, g, l)
+            except ValueError:
+                with pytest.raises(BudgetError):
+                    adjunction_check(f, g, l)
+                continue
+            assert adjunction_check(f, g, l) == want
+            compared += 1
+        assert compared
+
+    def test_oversized_fiber_is_a_budget_refusal(self):
+        # hom(Z/12 (x) Z/12, Z/12) has 12 elements
+        c = constant_space(("a",), cyclic(Z12, 12))
+        assert adjunction_check(c, c, c, max_side=12)["ok"]
+        with pytest.raises(BudgetError):
+            adjunction_check(c, c, c, max_side=11)
+
+    def test_entries_past_64_bits(self):
+        ring = FiniteRing(2 ** 70)
+        two = constant_space(("a",), cyclic(ring, 2))
+        for l in (cyclic(ring, 2 ** 70), FiniteModule(ring, (2, 2 ** 69))):
+            big = constant_space(("a",), l)
+            report = adjunction_check(two, two, big)
+            assert report == reference_adjunction_check(two, two, big)
+            assert report["ok"]
+
+    def test_perturbed_table_is_not_additive(self, monkeypatch):
+        # hom(Z/2 (x) Z/2, Z/2 + Z/2) has four homs; one table off the
+        # diagonal is changed at x = y = 0 and stays distinct from the
+        # others, so only the additivity check can see it.  The zero hom
+        # and the last hom are untouched, which is the one pair the
+        # reference compares.
+        tables_of = etale._curried_tables
+
+        def perturbed(*args):
+            tables = tables_of(*args).copy()
+            tables[1, 0, 0] ^= 1
+            return tables
+
+        monkeypatch.setattr(etale, "_curried_tables", perturbed)
+        f = constant_space(("a",), cyclic(FiniteRing(2), 2))
+        l = constant_space(("a",), FiniteModule(FiniteRing(2), (2, 2)))
+        report = adjunction_check(f, f, l)
+        assert report["fibers"]["a"] == {"lhs": 4, "rhs": 4, "bijective": True,
+                                         "additive": False, "verdict": "mismatch"}
+        assert not report["ok"]
+
+    def test_images_are_checked_by_index(self):
+        # T(a + e) is looked up at the mixed-radix index of a + e; when the
+        # images are not in that order the lookup is wrong, even for
+        # additive tables, and the check must not pass
+        l = FiniteModule(Z12, (2, 6))
+        choices = [list(etale._annihilated_elements(l, 6))]
+        images = etale._image_array(choices, l.rank, np.uint16)
+        tables = images.reshape(len(images), 1, l.rank)
+        factors = np.array(l.factors, dtype=np.uint16)
+        radices = etale._annihilated_radices(l, 6)
+        assert etale._is_additive(images, tables, radices, factors)
+        order = np.random.default_rng(0).permutation(len(images))
+        assert not etale._is_additive(images[order], tables[order], radices, factors)
+        assert not etale._is_additive(images[order], tables, radices, factors)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_instances(self, seed):

@@ -247,6 +247,13 @@ class TestIsomorphic:
         assert is_isomorphic(cokernel(f)[0], cyclic(ring, 2))
 
 
+def test_compose_through_the_zero_module():
+    a, b = cyclic(Z12, 4), FiniteModule(Z12, (2, 6))
+    z = zero_module(Z12)
+    composite = zero_map(z, b).compose(zero_map(a, z))
+    assert composite == zero_map(a, b)
+
+
 class TestDirectSum:
     def test_mixed_cyclic_normalization(self):
         ring = FiniteRing(6)

@@ -33,6 +33,14 @@ INPUTS = {
                 "transitions": [{"a0": "a", "a1": "a"},
                                 {"a00": "a0", "a01": "a0", "a10": "a1"}]},
 }
+# st.json onto a two-point top level: a00 and a10 share a fiber
+INPUTS["tm.json"] = {
+    "source": INPUTS["st.json"],
+    "target": {"levels": [["s"], ["s0"], ["s00", "s01"]],
+               "transitions": [{"s0": "s"}, {"s00": "s0", "s01": "s0"}]},
+    "level_maps": [{"a": "s"}, {"a0": "s0", "a1": "s0"},
+                   {"a00": "s00", "a01": "s01", "a10": "s00"}],
+}
 
 # (id, argv, exit code, sha256 of stdout)
 CASES = [
@@ -64,6 +72,17 @@ CASES = [
     ("tower-dual", ["tower", "dual", "--tower", "st.json",
                     "--module", "m.json"], 0,
      "607e2b77cc227afc421b4bd81a8d1e67f7200406a7d74a117c1d56cc2e8994d6"),
+    ("tower-freedec", ["tower", "freedec", "--towermap", "tm.json",
+                       "--module", "m.json"], 0,
+     "5adac50a4557829f86b93590e4d4f58674ec2001f6a3dd320521aa99e53816cf"),
+    ("selftest-1", ["selftest", "--criterion", "1"], 0,
+     "b1b265ca4cbb311c375915aeb23c517d1a257306d543f60eef16d7b4191d9d37"),
+    ("selftest-2", ["selftest", "--criterion", "2"], 0,
+     "bbcb699e6a8d7ef2c99e9550df25ae2d1a2f649541992c1d248b301f5e7f9078"),
+    ("selftest-3", ["selftest", "--criterion", "3"], 0,
+     "7ad617837160386133c802a4f26174c3e4ce2660b5a4dfb24ea995ca8e07b740"),
+    ("selftest-4", ["selftest", "--criterion", "4"], 0,
+     "eeedf2fc8b90d887256b4ac047a74c0498017b797117b7cd5b028ce6ce8a3f7b"),
     ("selftest-7", ["selftest", "--criterion", "7"], 0,
      "8aabf6598bb3fa6423831c3d11248d72132a2fd55ad2f9f16830dd46b43fcfb6"),
 ]

@@ -252,7 +252,7 @@ class TestRepTower:
                      [t.transitions[0](t.transitions[1](x))
                       for x in range(t.levels[2].order)])
         direct = repv.induced_class_map(
-            ElementaryAbelian(2, 1), q, rt["levels"][2], rt["levels"][0],
+            q, rt["levels"][2],
             rep_classes(ElementaryAbelian(2, 1), t.levels[0])[1],
             hom_enumerate(ElementaryAbelian(2, 1), t.levels[0]))
         assert composed == direct

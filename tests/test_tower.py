@@ -39,7 +39,9 @@ from proflq.tower import (
     stalk_at_thread,
 )
 
-from .test_finring import random_module
+from proflq import tower
+
+from .test_finring import random_map, random_module
 
 F2 = FiniteRing(2)
 Z4 = FiniteRing(4)
@@ -211,6 +213,19 @@ class TestProductInd:
         assert all(m.is_zero for m in p.levels)
 
 
+    def test_zero_fiber_beside_a_nonzero_one(self):
+        # each block composes through its fiber; a zero fiber gives a zero block
+        t = SpaceTower([("a", "b"), ("a", "b")], [{"a": "a", "b": "b"}])
+        z, c = zero_module(Z4), cyclic(Z4, 4)
+        levels = [FiniteEtaleSpace(("a", "b"), {"a": z, "b": c})] * 2
+        ind = product_ind(IndEtale(t, levels, [{"a": z.identity_map(),
+                                                "b": c.identity_map()}]))
+        assert ind.transitions[0] == c.identity_map()
+        pro = coproduct_pro(ProEtale(t, levels, [{"a": z.identity_map(),
+                                                  "b": c.identity_map()}]))
+        assert pro.transitions[0] == c.identity_map()
+
+
 class TestCoproductPro:
     def test_constant_equals_free_sum(self):
         a = cyclic(Z4, 2)
@@ -347,6 +362,107 @@ class TestDecomposition:
         a = random_module(rng, ring, max_rank=1)
         report = decomposition_check(a, pi, bit_budget=64)
         assert report["ok"]
+
+
+def chain_sum(source, target, chains):
+    """Reference: compose and add one validated map at a time, as the tower
+    builders did before they summed unreduced matrices."""
+    out = zero_map(source, target)
+    for chain in chains:
+        comp = chain[0]
+        for f in chain[1:]:
+            comp = comp.compose(f)
+        out = out.add(comp)
+    return out
+
+
+def fiber_sections(a, pi, k):
+    return {s: sections(constant_space(
+        tuple(u for u in pi.source.levels[k] if pi.level_maps[k][u] == s), a))
+        for s in pi.target.levels[k]}
+
+
+class TestSumOfComposites:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_chains(self, seed):
+        rng = random.Random(seed)
+        ring = FiniteRing(rng.choice([4, 6, 12]))
+        source = random_module(rng, ring)
+        target = random_module(rng, ring)
+        chains = []
+        for _ in range(rng.randint(0, 4)):
+            mods = [target] + [random_module(rng, ring)
+                               for _ in range(rng.randint(0, 2))] + [source]
+            chains.append([random_map(rng, mods[i + 1], mods[i])
+                           for i in range(len(mods) - 1)])
+        assert (tower._sum_of_composites(source, target, chains)
+                == chain_sum(source, target, chains))
+
+    def test_endpoints_are_checked(self):
+        a, b = cyclic(Z4, 4), cyclic(Z4, 2)
+        f = ModuleMap(a, b, [[1]])
+        with pytest.raises(ValueError):
+            tower._sum_of_composites(a, b, [[f, f]])
+        with pytest.raises(ValueError):
+            tower._sum_of_composites(b, b, [[f]])
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_tower_maps_match_the_step_by_step_sums(self, seed):
+        rng = random.Random(seed)
+        pi = random_tower_map(rng)
+        t = pi.source
+        a = random_module(rng, FiniteRing(rng.choice([2, 4, 6])), max_rank=2)
+        fp, fs = free_product(a, t), free_sum(a, t)
+        rel, rel_sum = relative_product(a, pi), relative_sum(a, pi)
+        for k in range(t.depth):
+            tr = t.transitions[k]
+            lo, hi = fp.section_levels[k], fp.section_levels[k + 1]
+            assert fp.transitions[k] == chain_sum(lo.module, hi.module, [
+                (hi.injections[u], a.identity_map(), lo.projections[tr[u]])
+                for u in t.levels[k + 1]])
+            lo, hi = fs.section_levels[k], fs.section_levels[k + 1]
+            assert fs.transitions[k] == chain_sum(hi.module, lo.module, [
+                (lo.injections[tr[u]], a.identity_map(), hi.projections[u])
+                for u in t.levels[k + 1]])
+            lower, upper = fiber_sections(a, pi, k), fiber_sections(a, pi, k + 1)
+            for s in pi.target.levels[k + 1]:
+                lo = lower[pi.target.transitions[k][s]]
+                hi = upper[s]
+                assert rel.fiber_transitions[k][s] == chain_sum(
+                    lo.module, hi.module,
+                    [(hi.injections[u], a.identity_map(), lo.projections[tr[u]])
+                     for u in hi.points])
+                assert rel_sum.fiber_transitions[k][s] == chain_sum(
+                    hi.module, lo.module,
+                    [(lo.injections[tr[u]], a.identity_map(), hi.projections[u])
+                     for u in hi.points])
+        for k in range(len(t.levels)):
+            grouped = sections(rel.levels[k])
+            inner = fiber_sections(a, pi, k)
+            flat = fp.section_levels[k]
+            assert tower._regrouping_map(grouped, inner, flat) == chain_sum(
+                grouped.module, flat.module,
+                [(flat.injections[u], inner[s].projections[u], grouped.projections[s])
+                 for s in grouped.points for u in inner[s].points])
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_etale_towers_match_the_step_by_step_sums(self, seed):
+        rng = random.Random(seed)
+        t = random_tower(rng, max_depth=2, max_size=3)
+        ring = FiniteRing(12)
+        e_ind = constant_ind_etale(random_module(rng, ring, 2), t)
+        e_pro = constant_pro_etale(random_module(rng, ring, 2), t)
+        ind, pro = product_ind(e_ind), coproduct_pro(e_pro)
+        for k in range(t.depth):
+            tr = t.transitions[k]
+            lo, hi = ind.section_levels[k], ind.section_levels[k + 1]
+            assert ind.transitions[k] == chain_sum(lo.module, hi.module, [
+                (hi.injections[u], e_ind.fiber_transitions[k][u], lo.projections[tr[u]])
+                for u in t.levels[k + 1]])
+            lo, hi = pro.section_levels[k], pro.section_levels[k + 1]
+            assert pro.transitions[k] == chain_sum(hi.module, lo.module, [
+                (lo.injections[tr[u]], e_pro.fiber_transitions[k][u], hi.projections[u])
+                for u in t.levels[k + 1]])
 
 
 class TestStalks:
