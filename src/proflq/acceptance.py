@@ -355,7 +355,7 @@ def criterion_8() -> dict:
     for i, c in enumerate(classes):
         if c.image_rank != 1:
             continue
-        rep = sep.fullness_check(v3, f, i, classes=classes)
+        rep = sep.fullness_check(v3, f, i)
         require(not rep["surjective"], "A4 in S4 must fail fullness", rep)
         w = rep["witness"]
         require(w is not None and s4.element_order(w["realized_by"]) == 2,

@@ -1,0 +1,66 @@
+"""The memo tables the library keeps for the life of a process, in one place.
+
+Each region is a plain dict under a fixed name, keyed on the bytes of a
+group's multiplication table (plus whatever else fixes the result), so
+equal tables share entries whatever the groups are called:
+
+* `groupcoh.resolutions` — the free resolution of F_p over F_p[G], per
+  (table, p), extended in place when a longer one is asked for;
+* `lq.subgroup_keys` — the canonical key of a subgroup up to conjugacy;
+* `lq.coset_dims`, `lq.sub_dims` — dims of H^•(G; F_p[G/H]) and of
+  H^•(H; F_p), per conjugacy class of H, p and k_max;
+* `lq.direct_lhs` — dims of H^•(G; Symonds module), per (table, p, r,
+  dim_budget), replaced when a larger k_max is asked for;
+* `repv.hom_enumerate`, `repv.rep_classes` — hom(V, G) and Rep(V, G),
+  per (table, p, r), stored as tuples.
+
+`lookup` counts a hit or a miss per region.  Nothing is evicted: every
+key is a group of desk-scale order.  `clear()` empties every region and
+zeroes the counters; `stats()` reports entries, hits and misses.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+REGIONS = ("groupcoh.resolutions", "lq.subgroup_keys", "lq.coset_dims",
+           "lq.sub_dims", "lq.direct_lhs", "repv.hom_enumerate",
+           "repv.rep_classes")
+
+_ENTRIES = {name: {} for name in REGIONS}
+_HITS: Counter = Counter()
+_MISSES: Counter = Counter()
+
+
+def lookup(region: str, key, usable=None):
+    """The entry of `region` under `key`, or None on a miss.
+
+    An entry for which `usable(entry)` is false counts as a miss; the
+    caller computes a replacement and stores it.
+    """
+    value = _ENTRIES[region].get(key)
+    if value is None or (usable is not None and not usable(value)):
+        _MISSES[region] += 1
+        return None
+    _HITS[region] += 1
+    return value
+
+
+def store(region: str, key, value):
+    """Put `value` under `key` in `region` and return it."""
+    _ENTRIES[region][key] = value
+    return value
+
+
+def clear() -> None:
+    """Empty every region and zero every counter."""
+    for entries in _ENTRIES.values():
+        entries.clear()
+    _HITS.clear()
+    _MISSES.clear()
+
+
+def stats() -> dict:
+    """{region: {"entries", "hits", "misses"}} for every region."""
+    return {name: {"entries": len(_ENTRIES[name]), "hits": _HITS[name],
+                   "misses": _MISSES[name]} for name in REGIONS}

@@ -235,7 +235,7 @@ def _cmd_sep(args) -> int:
     f = jsonio.load_group_hom(jsonio.load_json(args.hom))
     fv = sep.fv_map(v, f, args.budget_hom)
     classes, _ = repv.rep_classes(v, f.source, args.budget_hom)
-    fullness = [sep.fullness_check(v, f, i, args.budget_hom, classes=classes)
+    fullness = [sep.fullness_check(v, f, i, args.budget_hom)
                 for i in range(len(classes))]
     sp = sep.sp_functor_check(f, args.p)
     results = {"fv": fv, "fullness": fullness, "sp_functor": sp}

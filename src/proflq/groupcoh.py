@@ -1,11 +1,12 @@
 """Mod-p cohomology of finite groups.
 
 H^k(G; M) is computed from a free F_pG-resolution of the trivial module,
-built once per (group, prime) and cached; applying Hom_G(-, M) turns the
-differentials into small block matrices over F_p, so many coefficient
-modules reuse one resolution.  An inhomogeneous bar-cochain complex is
-kept alongside as an independent oracle and as the carrier for explicit
-inflation maps, which is what the tower reports need.
+built once per (group table, prime) and kept in `cache`; applying
+Hom_G(-, M) turns the differentials into small block matrices over F_p,
+so many coefficient modules reuse one resolution.  An inhomogeneous
+bar-cochain complex is kept alongside as an independent oracle and as
+the carrier for explicit inflation maps, which is what the tower
+reports need.
 
 The resolution picks its generators greedily: a kernel vector becomes a
 generator when it lies outside the span of the translates chosen so far,
@@ -26,7 +27,7 @@ import itertools
 
 import numpy as np
 
-from . import linalg
+from . import cache, linalg
 from .errors import BudgetError
 from .groups import FiniteGroup, GroupHom
 
@@ -195,14 +196,11 @@ class FreeResolution:
             else np.zeros((blocks * n, 0), dtype=np.int64))
 
 
-_RESOLUTIONS: dict[tuple, FreeResolution] = {}
-
-
 def free_resolution(group: FiniteGroup, p: int, length: int) -> FreeResolution:
     key = (group.table.tobytes(), p)
-    res = _RESOLUTIONS.get(key)
+    res = cache.lookup("groupcoh.resolutions", key)
     if res is None:
-        res = _RESOLUTIONS[key] = FreeResolution(group, p)
+        res = cache.store("groupcoh.resolutions", key, FreeResolution(group, p))
     res.extend_to(length)
     return res
 

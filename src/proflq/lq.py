@@ -13,10 +13,16 @@ T_V H^•(G) is computed two independent ways and compared degreewise:
 
 Equality of the two is the theorem; a mismatch is by definition an
 internal error and raises with a diagnostic dump.
+
+Results are memoized per group table in `cache`: the whole-module lhs
+per (p, r, dim_budget), which `degree0` also reads, and the coset and
+centralizer dims per conjugacy class of subgroup.  The two routes of the
+lhs keep separate entries, so forcing one never reads the other.
 """
 
 from __future__ import annotations
 
+from . import cache
 from . import groupcoh as gc
 from . import repv
 from .errors import InvariantError, require
@@ -45,38 +51,47 @@ def _subgroup_key(group: FiniteGroup, elements) -> tuple:
     """Canonical key of a subgroup up to conjugacy (for dimension caches)."""
     s = frozenset(elements)
     table = group.table.tobytes()
-    key = _SUBGROUP_KEYS.get((table, s))
+    key = cache.lookup("lq.subgroup_keys", (table, s))
     if key is None:
-        key = _SUBGROUP_KEYS[(table, s)] = (
+        key = cache.store("lq.subgroup_keys", (table, s), (
             table, min(tuple(sorted(group.conjugate_subgroup(g, s)))
-                       for g in group.elements()))
+                       for g in group.elements())))
     return key
-
-
-_SUBGROUP_KEYS: dict[tuple, tuple] = {}
-_COSET_DIMS: dict[tuple, tuple] = {}
-_SUB_DIMS: dict[tuple, tuple] = {}
 
 
 def _coset_cohomology(group: FiniteGroup, stab, p: int, k_max: int,
                       dim_budget: int) -> tuple[int, ...]:
     """dims of H^•(G; F_p[G/Stab]) — honest G-cohomology, cached."""
     key = (*_subgroup_key(group, stab), p, k_max)
-    if key not in _COSET_DIMS:
+    dims = cache.lookup("lq.coset_dims", key)
+    if dims is None:
         module = gc.coset_module(group, stab, p)
-        _COSET_DIMS[key] = gc.cohomology(group, module, k_max, dim_budget)
-    return _COSET_DIMS[key]
+        dims = cache.store("lq.coset_dims", key,
+                           gc.cohomology(group, module, k_max, dim_budget))
+    return dims
 
 
 def _subgroup_cohomology(group: FiniteGroup, elements, p: int, k_max: int,
                          dim_budget: int) -> tuple[int, ...]:
     """dims of H^•(H; F_p) for a subgroup given by its elements, cached."""
-    key = (*_subgroup_key(group, elements), p, k_max, "sub")
-    if key not in _SUB_DIMS:
+    key = (*_subgroup_key(group, elements), p, k_max)
+    dims = cache.lookup("lq.sub_dims", key)
+    if dims is None:
         h, _ = subgroup_group(group, elements)
-        _SUB_DIMS[key] = gc.cohomology(h, gc.trivial_module(h, p),
-                                       k_max, dim_budget)
-    return _SUB_DIMS[key]
+        dims = cache.store("lq.sub_dims", key, gc.cohomology(
+            h, gc.trivial_module(h, p), k_max, dim_budget))
+    return dims
+
+
+def _direct_lhs(v: ElementaryAbelian, group: FiniteGroup, k_max: int,
+                dim_budget: int) -> tuple[int, ...]:
+    """dims of H^•(G; Symonds module) fed whole, k <= k_max, cached."""
+    key = (group.table.tobytes(), v.p, v.r, dim_budget)
+    dims = cache.lookup("lq.direct_lhs", key, lambda d: len(d) > k_max)
+    if dims is None:
+        dims = cache.store("lq.direct_lhs", key, gc.cohomology(
+            group, symonds_module(v, group, v.p), k_max, dim_budget))
+    return dims[:k_max + 1]
 
 
 def _orbit_lhs(v, group, classes, k_max, dim_budget):
@@ -102,8 +117,7 @@ def tv_lhs(v: ElementaryAbelian, group: FiniteGroup, k_max: int,
     """dims of H^•(G; C(hom(V,G), F_p)), k <= k_max."""
     homs = repv.hom_enumerate(v, group)
     if len(homs) <= direct_dim:
-        return gc.cohomology(group, symonds_module(v, group, v.p),
-                             k_max, dim_budget)
+        return _direct_lhs(v, group, k_max, dim_budget)
     classes, _ = repv.rep_classes(v, group)
     blocks = _orbit_lhs(v, group, classes, k_max, dim_budget)
     return tuple(sum(b[k] for b in blocks) for k in range(k_max + 1))
@@ -148,8 +162,7 @@ def lq_check(v: ElementaryAbelian, group: FiniteGroup, k_max: int,
 def degree0(v: ElementaryAbelian, group: FiniteGroup,
             dim_budget: int = gc.DEFAULT_DIM_BUDGET) -> int:
     """dim T_V H^0(G) = dim of invariants of the Symonds module."""
-    module = symonds_module(v, group, v.p)
-    return gc.cohomology(group, module, 0, dim_budget)[0]
+    return _direct_lhs(v, group, 0, dim_budget)[0]
 
 
 def strata_split(v: ElementaryAbelian, group: FiniteGroup, k_max: int,

@@ -7,6 +7,11 @@ canonical representative (lex-smallest tuple), orbit size, image rank,
 centralizer and Weyl image: the normalizer of the image acting as
 automorphism matrices over F_p in an echelonized basis drawn from the
 representative's entries.
+
+hom(V, G) and Rep(V, G) are memoized per (group table, p, r) in
+`cache`, so every caller asking about the same group shares one
+enumeration; the budget is checked before the lookup, and each call
+returns fresh lists.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from . import cache
 from .errors import BudgetError
 from .finring import is_prime
 from .groups import FiniteGroup
@@ -38,19 +44,27 @@ class ElementaryAbelian:
         return self.p ** self.r
 
 
+def _memo_key(v: ElementaryAbelian, group: FiniteGroup, budget: int) -> tuple:
+    """The cache key of (V, G), once |G|^r is known to be within budget."""
+    if group.order ** v.r > budget:
+        raise BudgetError(f"|G|^r = {group.order ** v.r} exceeds budget")
+    return group.table.tobytes(), v.p, v.r
+
+
 def hom_enumerate(v: ElementaryAbelian, group: FiniteGroup,
                   budget: int = DEFAULT_HOM_BUDGET) -> list[tuple[int, ...]]:
     """All homomorphisms V -> G as r-tuples of images, lex order."""
-    if group.order ** v.r > budget:
-        raise BudgetError(f"|G|^r = {group.order ** v.r} exceeds budget")
-    p = v.p
-    torsion = [x for x in group.elements()
-               if group.power(x, p) == 0]
-    homs = [()]
-    for _ in range(v.r):
-        homs = [t + (x,) for t in homs for x in torsion
-                if all(group.mul(x, y) == group.mul(y, x) for y in t)]
-    return sorted(homs)
+    key = _memo_key(v, group, budget)
+    homs = cache.lookup("repv.hom_enumerate", key)
+    if homs is None:
+        torsion = [x for x in group.elements()
+                   if group.power(x, v.p) == 0]
+        homs = [()]
+        for _ in range(v.r):
+            homs = [t + (x,) for t in homs for x in torsion
+                    if all(group.mul(x, y) == group.mul(y, x) for y in t)]
+        homs = cache.store("repv.hom_enumerate", key, tuple(sorted(homs)))
+    return list(homs)
 
 
 def image_subgroup(group: FiniteGroup, hom: tuple[int, ...]) -> frozenset[int]:
@@ -129,7 +143,17 @@ def rep_classes(v: ElementaryAbelian, group: FiniteGroup,
     orbit_map[i] is the class index of the i-th homomorphism in the
     lexicographic enumeration.
     """
-    homs = hom_enumerate(v, group, budget)
+    key = _memo_key(v, group, budget)
+    found = cache.lookup("repv.rep_classes", key)
+    if found is None:
+        found = cache.store("repv.rep_classes", key,
+                            _orbits(v, group, hom_enumerate(v, group, budget)))
+    classes, orbit_map = found
+    return list(classes), list(orbit_map)
+
+
+def _orbits(v: ElementaryAbelian, group: FiniteGroup, homs) -> tuple:
+    """(classes, orbit_map) as tuples, computed from the lex-ordered homs."""
     pos = {h: i for i, h in enumerate(homs)}
     orbit_map = [-1] * len(homs)
     classes = []
@@ -150,7 +174,7 @@ def rep_classes(v: ElementaryAbelian, group: FiniteGroup,
             centralizer=cent,
             weyl=tuple(weyl_image(group, rep, v.p)),
         ))
-    return classes, orbit_map
+    return tuple(classes), tuple(orbit_map)
 
 
 def rank_strata(classes) -> list[list[int]]:

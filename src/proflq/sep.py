@@ -53,18 +53,16 @@ def fv_map(v: ElementaryAbelian, f: GroupHom,
 
 
 def fullness_check(v: ElementaryAbelian, f: GroupHom, class_index: int,
-                   budget: int = repv.DEFAULT_HOM_BUDGET, *,
-                   classes=None) -> dict:
+                   budget: int = repv.DEFAULT_HOM_BUDGET) -> dict:
     """Compare eta(N_G(rho(V))) with mu(N_L(f rho(V))) for one class.
 
     Skips (with a note) classes whose representative is not injective,
     or on which f fails to be injective — the orbit formula behind the
-    comparison needs a free Aut(V)-action.  `classes` takes Rep(V, G) as
-    `repv.rep_classes(v, f.source)` lists it, when the caller has it.
-    Raises InvariantError if eta is not inside mu.
+    comparison needs a free Aut(V)-action.  eta is the Weyl image the
+    class of Rep(V, G) carries.  Raises InvariantError if eta is not
+    inside mu.
     """
-    if classes is None:
-        classes, _ = repv.rep_classes(v, f.source, budget)
+    classes, _ = repv.rep_classes(v, f.source, budget)
     c = classes[class_index]
     if c.image_rank != v.r:
         return {"skipped": True,
@@ -76,7 +74,7 @@ def fullness_check(v: ElementaryAbelian, f: GroupHom, class_index: int,
         return {"skipped": True,
                 "note": "f is not injective on the image of rho",
                 "class": c.representative}
-    eta = set(repv.weyl_image(g, c.representative, v.p))
+    eta = set(c.weyl)
     pushed = _push_hom(f, c.representative)
     mu = set(repv.weyl_image(l, pushed, v.p))
     require(eta <= mu, "conjugation by f(n) must reproduce eta",

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from proflq import catalog, groupcoh as gc, lq, repv
+from proflq import cache, catalog, groupcoh as gc, lq, repv
 from proflq.groups import (
     all_subgroups,
     cyclic_group,
@@ -174,7 +174,7 @@ class TestMechanism:
 
     def test_subgroup_key_is_computed_once(self, monkeypatch):
         g = symmetric_group(4)
-        monkeypatch.setattr(lq, "_SUBGROUP_KEYS", {})
+        cache.clear()
         subs = all_subgroups(g)
         expected = [(g.table.tobytes(),
                      min(tuple(sorted(g.conjugate_subgroup(x, frozenset(s))))
