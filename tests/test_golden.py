@@ -33,6 +33,16 @@ INPUTS = {
                 "transitions": [{"a0": "a", "a1": "a"},
                                 {"a00": "a0", "a01": "a0", "a10": "a1"}]},
 }
+# C2 <- S3 along the sign map; S3 elements 1, 3, 4 are the transpositions
+INPUTS["gt.json"] = {
+    "levels": [{"catalog": "C2"}, {"perm_generators": [[2, 1, 3], [2, 3, 1]]}],
+    "transitions": [[0, 1, 0, 1, 1, 0]],
+}
+# threads: the identity against a 3-cycle (both even), two transpositions
+INPUTS["x_id.json"] = [0, 0]
+INPUTS["y_3cycle.json"] = [0, 2]
+INPUTS["x_swap.json"] = [1, 1]
+INPUTS["y_swap.json"] = [1, 3]
 # st.json onto a two-point top level: a00 and a10 share a fiber
 INPUTS["tm.json"] = {
     "source": INPUTS["st.json"],
@@ -75,6 +85,17 @@ CASES = [
     ("tower-freedec", ["tower", "freedec", "--towermap", "tm.json",
                        "--module", "m.json"], 0,
      "5adac50a4557829f86b93590e4d4f58674ec2001f6a3dd320521aa99e53816cf"),
+    ("sep-distinguish-separated",
+     ["sep", "distinguish", "--tower", "gt.json", "--x", "x_id.json",
+      "--y", "y_3cycle.json"], 0,
+     "0f45fc8cf8eb12d56983c10b7e3ab7648327f485f42af31eb62d4973b4a9bbfa"),
+    ("sep-distinguish-exhausted",
+     ["sep", "distinguish", "--tower", "gt.json", "--x", "x_swap.json",
+      "--y", "y_swap.json"], 1,
+     "73faecdc49f6f621adc70e76f44a5ee7b77fac7726beaf84e0a1aa4b6f98d1c0"),
+    ("cohomology-tower", ["cohomology", "--tower", "gt.json", "--p", "2",
+                          "--kmax", "2"], 0,
+     "9419682bad7cf4f9a30e18d3a7cda560c89d9bd8a8f1105710b9eddb0149d784"),
     ("selftest-1", ["selftest", "--criterion", "1"], 0,
      "b1b265ca4cbb311c375915aeb23c517d1a257306d543f60eef16d7b4191d9d37"),
     ("selftest-2", ["selftest", "--criterion", "2"], 0,
