@@ -136,7 +136,7 @@ def criterion_2() -> dict:
             sec = etale.sections(space, list(range(n)))
             # product over the base = module of global sections
             prod = etale.product_finite(space)
-            require(prod.module.factors == sec.module.factors, "product != sections")
+            require(etale.is_product(space, prod), "product != sections")
             # clopen splitting: sections over a partition multiply up
             s1 = etale.sections(space, list(range(n // 2)))
             s2 = etale.sections(space, list(range(n // 2, n)))

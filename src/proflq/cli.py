@@ -23,7 +23,7 @@ from . import acceptance, groupcoh as gc, jsonio, lq, repv, sep, tower
 from .errors import BudgetError, InvariantError
 from .finring import (cokernel, dual_map, image, is_prime, kernel,
                       pontryagin_dual)
-from .etale import coproduct_finite, product_finite, sections
+from .etale import coproduct_finite, is_product, product_finite, sections
 from .repv import ElementaryAbelian
 
 EXIT_OK = 0
@@ -106,8 +106,7 @@ def _cmd_etale(args) -> int:
         "product_factors": prod.module.factors,
         "coproduct_factors": coprod.module.factors,
     }
-    verdicts = {"product_equals_sections":
-                prod.module.factors == sections(space).module.factors}
+    verdicts = {"product_equals_sections": is_product(space, prod)}
     return _emit("etale", {}, _inputs(args, ("space",)), results, verdicts)
 
 

@@ -1,10 +1,11 @@
 """Finite-level etale spaces: a finite base set with one finite module
 per point.
 
-Sections over subsets, stalkwise Hom/tensor/duality, pushforward and
-pullback along maps of finite bases, skyscraper families and the finite
-case of the product/coproduct functors.  Over a finite base the product
-and the coproduct both coincide with the module of global sections.
+Sections over subsets, stalkwise duality, skyscraper families, the
+finite case of the product/coproduct functors and the tensor-Hom
+adjunction.  Over a finite base the product and the coproduct both
+coincide with the module of global sections; `is_product` checks that
+from the universal maps alone.
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ from .finring import (
     FiniteModule,
     FiniteRing,
     direct_sum,
-    dual_map,
     hom_module,
     pontryagin_dual,
-    tensor_module,
+    zero_map,
     zero_module,
 )
 
@@ -60,47 +60,6 @@ class FiniteEtaleSpace:
 
 def constant_space(base, module: FiniteModule) -> FiniteEtaleSpace:
     return FiniteEtaleSpace(base, {t: module for t in base})
-
-
-def zero_space(base, ring: FiniteRing) -> FiniteEtaleSpace:
-    return FiniteEtaleSpace(base, {t: zero_module(ring) for t in base})
-
-
-class EtaleMorphism:
-    """A base map with a compatible module map on every source fiber."""
-
-    def __init__(self, source: FiniteEtaleSpace, target: FiniteEtaleSpace,
-                 base_map: dict, fiber_maps: dict):
-        if set(base_map) != set(source.base):
-            raise ValueError("base_map must cover the source base")
-        for t, s in base_map.items():
-            if s not in target.fibers:
-                raise ValueError(f"base_map sends {t} outside the target base")
-        if set(fiber_maps) != set(source.base):
-            raise ValueError("one fiber map per source point required")
-        for t, f in fiber_maps.items():
-            if f.source != source.fiber(t) or f.target != target.fiber(base_map[t]):
-                raise ValueError(f"fiber map at {t} has wrong endpoints")
-        self.source = source
-        self.target = target
-        self.base_map = dict(base_map)
-        self.fiber_maps = dict(fiber_maps)
-
-    def compose(self, other: "EtaleMorphism") -> "EtaleMorphism":
-        """self after other; base-map compatibility is checked eagerly."""
-        if other.target != self.source:
-            raise ValueError("morphisms are not composable")
-        base_map = {t: self.base_map[other.base_map[t]] for t in other.source.base}
-        fiber_maps = {
-            t: self.fiber_maps[other.base_map[t]].compose(other.fiber_maps[t])
-            for t in other.source.base
-        }
-        return EtaleMorphism(other.source, self.target, base_map, fiber_maps)
-
-
-def identity_morphism(e: FiniteEtaleSpace) -> EtaleMorphism:
-    return EtaleMorphism(e, e, {t: t for t in e.base},
-                         {t: e.fiber(t).identity_map() for t in e.base})
 
 
 @dataclass
@@ -145,63 +104,24 @@ def coproduct_finite(e: FiniteEtaleSpace) -> SectionModule:
     return sections(e)
 
 
-def _fiberwise(e, f, op, name):
-    if e.base != f.base:
-        raise ValueError(f"base mismatch in {name}")
-    if e.ring != f.ring:
-        raise ValueError(f"ring mismatch in {name}")
-    return FiniteEtaleSpace(e.base, {t: op(e.fiber(t), f.fiber(t)) for t in e.base})
+def is_product(e: FiniteEtaleSpace, sec: SectionModule) -> bool:
+    """Whether `sec`, with its maps, is the product of the fibers of e.
 
-
-def hom_etale(e: FiniteEtaleSpace, f: FiniteEtaleSpace) -> FiniteEtaleSpace:
-    return _fiberwise(e, f, hom_module, "hom_etale")
-
-
-def tensor_etale(e: FiniteEtaleSpace, f: FiniteEtaleSpace) -> FiniteEtaleSpace:
-    return _fiberwise(e, f, tensor_module, "tensor_etale")
+    Checked from the maps, not from how `sec` was built: its order is
+    the product of the fiber orders, and projection_s . injection_t is
+    the identity for s = t and zero otherwise.  The injections then embed
+    the direct sum of the fibers, which has the same order.
+    """
+    if sec.module.order != prod(e.fiber(t).order for t in e.base):
+        return False
+    return all(sec.projections[s].compose(sec.injections[t])
+               == (e.fiber(t).identity_map() if s == t
+                   else zero_map(e.fiber(t), e.fiber(s)))
+               for s in e.base for t in e.base)
 
 
 def dual_etale(e: FiniteEtaleSpace) -> FiniteEtaleSpace:
     return FiniteEtaleSpace(e.base, {t: pontryagin_dual(e.fiber(t)) for t in e.base})
-
-
-def dual_morphism(phi: EtaleMorphism) -> EtaleMorphism:
-    """Fiberwise Pontryagin dual of a morphism over the identity base map."""
-    if any(phi.base_map[t] != t for t in phi.source.base):
-        raise ValueError("dual_morphism requires an identity base map")
-    return EtaleMorphism(
-        dual_etale(phi.target), dual_etale(phi.source),
-        {t: t for t in phi.source.base},
-        {t: dual_map(phi.fiber_maps[t]) for t in phi.source.base},
-    )
-
-
-def pushforward(e: FiniteEtaleSpace, psi: dict, target_base) -> FiniteEtaleSpace:
-    """Push e over T forward along a surjection psi: T -> S.
-
-    The fiber at s is the module of sections of e over psi^{-1}(s).
-    """
-    target_base = tuple(target_base)
-    if set(psi) != set(e.base):
-        raise ValueError("psi must be defined on the whole base")
-    if set(psi.values()) != set(target_base):
-        raise ValueError("psi must be surjective onto the target base")
-    fibers = {}
-    for s in target_base:
-        pre = [t for t in e.base if psi[t] == s]
-        fibers[s] = sections(e, pre).module
-    return FiniteEtaleSpace(target_base, fibers)
-
-
-def pullback(e: FiniteEtaleSpace, psi: dict, source_base) -> FiniteEtaleSpace:
-    """Pull e over S back along psi: T -> S; the fiber at t is e_{psi(t)}."""
-    source_base = tuple(source_base)
-    if set(psi) != set(source_base):
-        raise ValueError("psi must be defined on the whole source base")
-    for t, s in psi.items():
-        if s not in e.fibers:
-            raise ValueError(f"psi sends {t} outside the base of e")
-    return FiniteEtaleSpace(source_base, {t: e.fiber(psi[t]) for t in source_base})
 
 
 class SkyscraperFamily:

@@ -2,7 +2,7 @@
 
 A module is a direct sum Z/d_1 + ... + Z/d_k with d_1 | d_2 | ... | d_k,
 all d_i > 1 dividing the ambient modulus m.  Maps are integer matrices
-read modulo the target factors.  Kernels, cokernels, Hom, tensor and
+read modulo the target factors.  Kernels, cokernels, Hom and
 Pontryagin duality (Hom into Z/m, standing in for Q/Z at exponent m) are
 all computed exactly through Smith normal form.
 """
@@ -30,10 +30,6 @@ class FiniteRing:
     def __post_init__(self):
         if self.modulus < 2:
             raise ValueError("modulus must be >= 2")
-
-    @property
-    def is_prime(self) -> bool:
-        return is_prime(self.modulus)
 
 
 @dataclass(frozen=True)
@@ -64,9 +60,6 @@ class FiniteModule:
 
     def elements(self):
         return itertools.product(*(range(d) for d in self.factors))
-
-    def zero_element(self) -> tuple[int, ...]:
-        return (0,) * self.rank
 
     def identity_map(self) -> "ModuleMap":
         return ModuleMap(self, self, snf.identity(self.rank))
@@ -136,15 +129,6 @@ class ModuleMap:
             return zero_map(other.source, self.target)
         return ModuleMap(other.source, self.target,
                          snf.mat_mul(self.matrix, other.matrix))
-
-    def add(self, other: "ModuleMap") -> "ModuleMap":
-        if self.source != other.source or self.target != other.target:
-            raise ValueError("maps with different endpoints")
-        return ModuleMap(
-            self.source,
-            self.target,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.matrix, other.matrix)],
-        )
 
     @property
     def is_zero(self) -> bool:
@@ -303,23 +287,9 @@ def hom_module(m: FiniteModule, n: FiniteModule) -> FiniteModule:
     return from_cyclic(m.ring, orders)[0]
 
 
-def tensor_module(m: FiniteModule, n: FiniteModule) -> FiniteModule:
-    """M (x) N, extended biadditively from Z/a (x) Z/b = Z/gcd(a, b)."""
-    if m.ring != n.ring:
-        raise ValueError("ring mismatch")
-    orders = [gcd(a, b) for a in m.factors for b in n.factors]
-    return from_cyclic(m.ring, orders)[0]
-
-
 def pontryagin_dual(m: FiniteModule) -> FiniteModule:
     """Hom(M, Z/m): finite cyclic groups are self-dual, so same factors."""
     return m
-
-
-def dual_pairing(m: FiniteModule, x, xi) -> int:
-    """<x, xi> in Z/m, where xi are coordinates in the dual (same factors)."""
-    mm = m.ring.modulus
-    return sum(x_i * xi_i * (mm // d) for x_i, xi_i, d in zip(x, xi, m.factors)) % mm
 
 
 def dual_map(f: ModuleMap) -> ModuleMap:
@@ -336,22 +306,3 @@ def is_isomorphic(m: FiniteModule, n: FiniteModule) -> bool:
     if m.ring != n.ring:
         raise ValueError("ring mismatch")
     return m.factors == n.factors
-
-
-def hom_maps(m: FiniteModule, n: FiniteModule):
-    """All homomorphisms M -> N, enumerated as ModuleMaps.
-
-    There are prod gcd(a_j, b_i) of them; use only at small orders.
-    """
-    if m.ring != n.ring:
-        raise ValueError("ring mismatch")
-    choices = []
-    for i, b in enumerate(n.factors):
-        for j, a in enumerate(m.factors):
-            g = gcd(a, b)
-            choices.append([t * (b // g) for t in range(g)])
-    for flat in itertools.product(*choices):
-        matrix = [
-            [flat[i * m.rank + j] for j in range(m.rank)] for i in range(n.rank)
-        ]
-        yield ModuleMap(m, n, matrix)

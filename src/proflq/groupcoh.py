@@ -3,10 +3,9 @@
 H^k(G; M) is computed from a free F_pG-resolution of the trivial module,
 built once per (group table, prime) and kept in `cache`; applying
 Hom_G(-, M) turns the differentials into small block matrices over F_p,
-so many coefficient modules reuse one resolution.  An inhomogeneous
-bar-cochain complex is kept alongside as an independent oracle and as
-the carrier for explicit inflation maps, which is what the tower
-reports need.
+so many coefficient modules reuse one resolution.  Inflation along a
+tower transition, which the tower reports need, is computed on
+inhomogeneous bar cochains, where the pullback is explicit.
 
 The resolution picks its generators greedily: a kernel vector becomes a
 generator when it lies outside the span of the translates chosen so far,
@@ -62,9 +61,6 @@ class GModule:
             if not (np.matmul(mats[s], mats) % p == mats[self.group.table[s]]).all():
                 raise ValueError("action is not a homomorphism")
 
-    def act(self, g: int, vec):
-        return self.matrices[g] @ np.asarray(vec, dtype=np.int64) % self.p
-
     def __repr__(self):
         return f"GModule(p={self.p}, dim={self.dim}, |G|={self.group.order})"
 
@@ -99,12 +95,6 @@ def permutation_module(group: FiniteGroup, action, p: int) -> GModule:
     return GModule(group, p, mats, validate=False)
 
 
-def regular_module(group: FiniteGroup, p: int) -> GModule:
-    action = [[group.mul(g, x) for x in range(group.order)]
-              for g in range(group.order)]
-    return permutation_module(group, action, p)
-
-
 def coset_module(group: FiniteGroup, subgroup_elements, p: int) -> GModule:
     """F_p[G/H]: the induced module on left cosets of H."""
     h = frozenset(subgroup_elements)
@@ -120,16 +110,6 @@ def coset_module(group: FiniteGroup, subgroup_elements, p: int) -> GModule:
     action = [[coset_of[group.mul(g, rep)] for rep in cosets]
               for g in range(group.order)]
     return permutation_module(group, action, p)
-
-
-def direct_sum_module(a: GModule, b: GModule) -> GModule:
-    if a.group is not b.group or a.p != b.p:
-        raise ValueError("summands must share group and prime")
-    n, da, db = a.group.order, a.dim, b.dim
-    mats = np.zeros((n, da + db, da + db), dtype=np.int64)
-    mats[:, :da, :da] = a.matrices
-    mats[:, da:, da:] = b.matrices
-    return GModule(a.group, a.p, mats, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +236,7 @@ def cohomology(group: FiniteGroup, module: GModule, k_max: int,
 
 
 # ---------------------------------------------------------------------------
-# bar cochains (independent oracle + explicit inflation maps)
+# bar cochains and explicit inflation maps
 
 
 def _bar_coboundary(group: FiniteGroup, module: GModule, k: int) -> np.ndarray:
@@ -279,32 +259,6 @@ def _bar_coboundary(group: FiniteGroup, module: GModule, k: int) -> np.ndarray:
         j = pos[t[:-1]]
         out[rows, j * d:(j + 1) * d] += sign * np.eye(d, dtype=np.int64)
     return out % p
-
-
-def bar_cohomology(group: FiniteGroup, module: GModule, k_max: int,
-                   dim_budget: int = DEFAULT_DIM_BUDGET) -> tuple[int, ...]:
-    """The same dimensions as `cohomology`, by brute-force bar cochains."""
-    n, d = group.order, module.dim
-    if n ** (k_max + 1) * max(d, 1) > dim_budget:
-        raise BudgetError("bar cochain spaces exceed budget")
-    if d == 0:
-        return (0,) * (k_max + 1)
-    dims = []
-    prev_rank = 0
-    for k in range(k_max + 1):
-        delta = _bar_coboundary(group, module, k)
-        r = linalg.rank(delta, module.p)
-        dims.append(n ** k * d - r - prev_rank)
-        prev_rank = r
-    return tuple(dims)
-
-
-def inflation(q: GroupHom, module: GModule) -> GModule:
-    """Pull a module over G back to G' along a surjection q: G' -> G."""
-    if not q.is_surjective:
-        raise ValueError("inflation requires a surjective homomorphism")
-    mats = module.matrices[[q(g) for g in range(q.source.order)]]
-    return GModule(q.source, module.p, mats, validate=False)
 
 
 def _bar_pullback(q: GroupHom, k: int, dim: int) -> np.ndarray:
@@ -380,12 +334,6 @@ class GroupTower:
     @property
     def depth(self):
         return len(self.levels)
-
-
-def constant_group_tower(group: FiniteGroup, depth: int) -> GroupTower:
-    from .groups import identity_hom
-    levels = [group] * depth
-    return GroupTower(levels, [identity_hom(group) for _ in range(depth - 1)])
 
 
 def cyclic_p_tower(p: int, depth: int) -> GroupTower:

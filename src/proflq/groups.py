@@ -86,10 +86,6 @@ class FiniteGroup:
     def elements(self):
         return range(self.order)
 
-    @property
-    def is_abelian(self) -> bool:
-        return bool((self.table == self.table.transpose()).all())
-
     def power(self, a: int, k: int) -> int:
         if k < 0:
             return self.power(self._inv[a], -k)
@@ -118,18 +114,6 @@ class FiniteGroup:
                     queue.append(c)
         return frozenset(seen)
 
-    def conjugacy_classes(self) -> list[tuple[int, ...]]:
-        seen = [False] * self.order
-        classes = []
-        for x in range(self.order):
-            if seen[x]:
-                continue
-            orbit = sorted({self.conj(g, x) for g in range(self.order)})
-            for y in orbit:
-                seen[y] = True
-            classes.append(tuple(orbit))
-        return classes
-
     def centralizer(self, subset) -> list[int]:
         rows = self._rows
         subset = list(subset)
@@ -139,9 +123,6 @@ class FiniteGroup:
     def normalizer(self, subgroup_elements) -> list[int]:
         s = frozenset(subgroup_elements)
         return [g for g in range(self.order) if self._conjugate(g, s) == s]
-
-    def center(self) -> list[int]:
-        return self.centralizer(range(self.order))
 
     def generators_greedy(self) -> list[int]:
         gens: list[int] = []
@@ -163,9 +144,6 @@ class FiniteGroup:
         if len(a) != len(b):
             return False
         return any(self._conjugate(g, a) == b for g in range(self.order))
-
-    def are_conjugate(self, x: int, y: int) -> bool:
-        return any(self.conj(g, x) == y for g in range(self.order))
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order}, name={self.name!r})"
@@ -494,87 +472,5 @@ class GroupHom:
                         [self.images[x] for x in other.images])
 
 
-def _close_partial_map(source: FiniteGroup, target: FiniteGroup,
-                       images: dict[int, int], frontier) -> dict[int, int] | None:
-    """Close a partial map under products with the elements of `frontier`,
-    on both sides; return the closed copy, or None when two products
-    force different images."""
-    images = dict(images)
-    frontier = list(frontier)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(images):
-                for x, y in ((source.mul(a, b), target.mul(images[a], images[b])),
-                             (source.mul(b, a), target.mul(images[b], images[a]))):
-                    if x in images:
-                        if images[x] != y:
-                            return None
-                    else:
-                        images[x] = y
-                        nxt.append(x)
-        frontier = nxt
-    return images
-
-
-def hom_from_generators(source: FiniteGroup, target: FiniteGroup,
-                        gen_images: dict[int, int]) -> GroupHom:
-    """Extend images of generating elements to the whole group by closure."""
-    start = {0: 0, **gen_images}
-    images = _close_partial_map(source, target, start, start)
-    if images is None:
-        raise ValueError("generator images are inconsistent")
-    if len(images) != source.order:
-        raise ValueError("generators do not generate the source")
-    return GroupHom(source, target, [images[a] for a in range(source.order)])
-
-
 def identity_hom(g: FiniteGroup) -> GroupHom:
     return GroupHom(g, g, list(range(g.order)))
-
-
-def trivial_hom(g: FiniteGroup, target: FiniteGroup | None = None) -> GroupHom:
-    return GroupHom(g, target or trivial_group(), [0] * g.order)
-
-
-def _element_invariant(g: FiniteGroup, x: int, class_size: dict[int, int]):
-    return (g.element_order(x), class_size[x], len(g.centralizer([x])))
-
-
-def fingerprint(g: FiniteGroup):
-    """A cheap isomorphism invariant used to pre-filter iso testing."""
-    class_size = {}
-    for cls in g.conjugacy_classes():
-        for x in cls:
-            class_size[x] = len(cls)
-    orders = sorted((g.element_order(x), class_size[x]) for x in range(g.order))
-    return (g.order, g.is_abelian, len(g.center()), tuple(orders))
-
-
-def are_isomorphic(g: FiniteGroup, h: FiniteGroup) -> bool:
-    """Backtracking isomorphism search over generator images."""
-    if fingerprint(g) != fingerprint(h):
-        return False
-    gens = g.generators_greedy()
-    class_size_g, class_size_h = {}, {}
-    for grp, store in ((g, class_size_g), (h, class_size_h)):
-        for cls in grp.conjugacy_classes():
-            for x in cls:
-                store[x] = len(cls)
-
-    def search(i, assignment):
-        if i == len(gens):
-            return len(assignment) == g.order
-        target_inv = _element_invariant(g, gens[i], class_size_g)
-        for y in range(h.order):
-            if _element_invariant(h, y, class_size_h) != target_inv:
-                continue
-            closed = _close_partial_map(g, h, {**assignment, gens[i]: y},
-                                        [gens[i]])
-            if closed is None or len(set(closed.values())) != len(closed):
-                continue  # a clash, or the map is not injective
-            if search(i + 1, closed):
-                return True
-        return False
-
-    return search(0, {0: 0})

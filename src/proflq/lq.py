@@ -134,11 +134,10 @@ def tv_rhs(v: ElementaryAbelian, group: FiniteGroup, k_max: int,
 
 
 def lq_check(v: ElementaryAbelian, group: FiniteGroup, k_max: int,
-             dim_budget: int = gc.DEFAULT_DIM_BUDGET,
-             direct_dim: int = DEFAULT_DIRECT_DIM) -> dict:
+             dim_budget: int = gc.DEFAULT_DIM_BUDGET) -> dict:
     """Verify tv_lhs == tv_rhs degreewise; raise InvariantError on mismatch."""
     classes, _ = repv.rep_classes(v, group)
-    lhs = tv_lhs(v, group, k_max, dim_budget, direct_dim)
+    lhs = tv_lhs(v, group, k_max, dim_budget)
     fibers, total = tv_rhs(v, group, k_max, dim_budget)
     verdict = [lhs[k] == total[k] for k in range(k_max + 1)]
     report = {

@@ -7,11 +7,14 @@ images eta(N_G(rho(V))) and mu(N_L(f rho(V))) after transporting the
 basis along f; since conjugation by n and by f(n) give the same matrix,
 eta sits inside mu and the question is whether the inclusion is onto.
 `sp_functor_check` runs the analogous conditions over all finite
-p-subgroups, and the `*_distinguished` helpers scan quotient towers for
-the first level separating two conjugacy threads.
+p-subgroups, and `conjugacy_distinguished` scans a quotient tower for
+the first level separating two conjugacy threads, of elements or of
+subgroups alike.
 """
 
 from __future__ import annotations
+
+from numbers import Integral
 
 from .groups import FiniteGroup, GroupHom, p_subgroups_up_to_conjugacy
 from .groupcoh import GroupTower
@@ -170,46 +173,37 @@ def sp_functor_check(f: GroupHom, p: int) -> dict:
     }
 
 
-def _check_thread(tower: GroupTower, thread) -> list[int]:
+def _check_thread(tower: GroupTower, thread) -> tuple[list[frozenset[int]], bool]:
+    """A thread of elements or of subgroups as one element set per level,
+    checked against the transitions; the flag is set for elements."""
     thread = list(thread)
     if len(thread) != tower.depth:
         raise ValueError("thread length must equal tower depth")
+    elements = all(isinstance(x, Integral) for x in thread)
+    sets = [frozenset([x]) if elements else frozenset(x) for x in thread]
     for k, q in enumerate(tower.transitions):
-        if q(thread[k + 1]) != thread[k]:
+        if frozenset(map(q, sets[k + 1])) != sets[k]:
             raise ValueError(f"thread incompatible at transition {k}")
-    return thread
+    return sets, elements
 
 
 def conjugacy_distinguished(x_thread, y_thread, tower: GroupTower) -> dict:
-    """Smallest level separating two element threads, or an exhausted report."""
-    x = _check_thread(tower, x_thread)
-    y = _check_thread(tower, y_thread)
+    """Smallest level separating two threads, or an exhausted report.
+
+    Both threads are of elements, reported as "x" and "y", or both of
+    subgroups, reported as "a" and "b" (sorted element lists).  An
+    element is compared as the one-point set it forms.
+    """
+    (x, elements), (y, y_elements) = (_check_thread(tower, x_thread),
+                                      _check_thread(tower, y_thread))
+    if elements != y_elements:
+        raise ValueError("threads must both be of elements or of subgroups")
     for k, g in enumerate(tower.levels):
-        if not g.are_conjugate(x[k], y[k]):
+        if not g.are_conjugate_subgroups(x[k], y[k]):
+            if elements:
+                return {"separated": True, "level": k,
+                        "x": min(x[k]), "y": min(y[k])}
             return {"separated": True, "level": k,
-                    "x": x[k], "y": y[k]}
-    return {"separated": False, "levels_checked": tower.depth,
-            "note": "all supplied levels conjugate; no claim beyond depth"}
-
-
-def _check_subgroup_thread(tower: GroupTower, thread) -> list[frozenset[int]]:
-    thread = [frozenset(s) for s in thread]
-    if len(thread) != tower.depth:
-        raise ValueError("thread length must equal tower depth")
-    for k, q in enumerate(tower.transitions):
-        if frozenset(q(x) for x in thread[k + 1]) != thread[k]:
-            raise ValueError(f"subgroup thread incompatible at transition {k}")
-    return thread
-
-
-def subgroup_conjugacy_distinguished(a_thread, b_thread,
-                                     tower: GroupTower) -> dict:
-    """Subgroup version of `conjugacy_distinguished`."""
-    a = _check_subgroup_thread(tower, a_thread)
-    b = _check_subgroup_thread(tower, b_thread)
-    for k, g in enumerate(tower.levels):
-        if not g.are_conjugate_subgroups(a[k], b[k]):
-            return {"separated": True, "level": k,
-                    "a": sorted(a[k]), "b": sorted(b[k])}
+                    "a": sorted(x[k]), "b": sorted(y[k])}
     return {"separated": False, "levels_checked": tower.depth,
             "note": "all supplied levels conjugate; no claim beyond depth"}

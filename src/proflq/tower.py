@@ -3,9 +3,12 @@
 A space tower is a finite chain of finite sets with surjective
 transitions; its threads stand in for the points of the presented
 profinite space.  Module and etale towers carry surjective (pro) or
-injective (ind) transitions, Pontryagin duality swaps the two kinds
-levelwise, and the free product A^T / free sum A[[T]] together with
-their relative versions along a tower map are computed level by level.
+injective (ind) transitions, and Pontryagin duality swaps the two kinds
+levelwise.  Each pro construction is the dual of an ind one and is
+written once with it, its kind a parameter: the free product A^T and
+the free sum A[[T]], the product and coproduct of an etale tower, and
+their relative versions along a tower map, are all levels of section
+modules glued up (ind) or down (pro) by one helper.
 """
 
 from __future__ import annotations
@@ -14,17 +17,20 @@ from dataclasses import dataclass
 
 from . import snf
 from .errors import BudgetError
-from .etale import FiniteEtaleSpace, SectionModule, constant_space, sections
+from .etale import (FiniteEtaleSpace, SectionModule, constant_space, dual_etale,
+                    sections)
 from .finring import (
     FiniteModule,
     ModuleMap,
     direct_sum,
     dual_map,
+    is_isomorphic,
     kernel,
     pontryagin_dual,
 )
 
 DEFAULT_BIT_BUDGET = 64
+_DUAL_KIND = {"pro": "ind", "ind": "pro"}
 
 
 class SpaceTower:
@@ -55,129 +61,101 @@ class SpaceTower:
             out = [th + (t,) for th in out for t, u in tr.items() if u == th[-1]]
         return out
 
-    def is_thread(self, coords) -> bool:
-        coords = tuple(coords)
-        if len(coords) != len(self.levels):
-            return False
-        if any(c not in lv for c, lv in zip(coords, self.levels)):
-            return False
-        return all(tr[coords[k + 1]] == coords[k]
-                   for k, tr in enumerate(self.transitions))
 
-
-def point_tower(depth: int) -> SpaceTower:
-    return SpaceTower([("pt",)] * (depth + 1),
-                      [{"pt": "pt"}] * depth)
+def _check_transition(kind: str, f: ModuleMap, lower, upper, strict: bool,
+                      where: str):
+    """A pro transition runs upper -> lower and is surjective, an ind one
+    runs lower -> upper and is injective; `strict` checks the second part."""
+    pro = kind == "pro"
+    if (f.source, f.target) != ((upper, lower) if pro else (lower, upper)):
+        raise ValueError(f"{where} has wrong endpoints")
+    if strict and not (f.is_surjective() if pro else f.is_injective()):
+        raise ValueError(f"{kind} {where} is not "
+                         f"{'surjective' if pro else 'injective'}")
 
 
 @dataclass
-class ProModule:
+class _ModuleTower:
+    """The body of ProModule and IndModule; the class's `kind` is the direction."""
+
+    levels: list[FiniteModule]
+    transitions: list[ModuleMap]
+    section_levels: list[SectionModule] | None = None
+    strict: bool = True
+
+    def __post_init__(self):
+        for k, f in enumerate(self.transitions):
+            _check_transition(self.kind, f, self.levels[k], self.levels[k + 1],
+                              self.strict, f"transition {k}")
+
+
+class ProModule(_ModuleTower):
     """Chain of finite modules with surjective transitions level+1 -> level."""
 
-    levels: list[FiniteModule]
-    transitions: list[ModuleMap]
-    section_levels: list[SectionModule] | None = None
-    strict: bool = True
-
-    def __post_init__(self):
-        for k, f in enumerate(self.transitions):
-            if f.source != self.levels[k + 1] or f.target != self.levels[k]:
-                raise ValueError(f"transition {k} has wrong endpoints")
-            if self.strict and not f.is_surjective():
-                raise ValueError(f"pro transition {k} is not surjective")
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
+    kind = "pro"
 
 
-@dataclass
-class IndModule:
+class IndModule(_ModuleTower):
     """Chain of finite modules with injective transitions level -> level+1."""
 
-    levels: list[FiniteModule]
-    transitions: list[ModuleMap]
-    section_levels: list[SectionModule] | None = None
-    strict: bool = True
-
-    def __post_init__(self):
-        for k, f in enumerate(self.transitions):
-            if f.source != self.levels[k] or f.target != self.levels[k + 1]:
-                raise ValueError(f"transition {k} has wrong endpoints")
-            if self.strict and not f.is_injective():
-                raise ValueError(f"ind transition {k} is not injective")
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
+    kind = "ind"
 
 
-class ProEtale:
+class _EtaleTower:
+    """The body of ProEtale and IndEtale; the class's `kind` is the direction."""
+
+    def __init__(self, space_tower: SpaceTower, levels, fiber_transitions,
+                 strict: bool = True):
+        if len(levels) != len(space_tower.levels):
+            raise ValueError("one etale space per tower level required")
+        for k, e in enumerate(levels):
+            if e.base != space_tower.levels[k]:
+                raise ValueError(f"etale space {k} sits over the wrong base")
+        if len(fiber_transitions) != space_tower.depth:
+            raise ValueError("one fiber transition family per consecutive pair")
+        for k, ft in enumerate(fiber_transitions):
+            tr = space_tower.transitions[k]
+            if set(ft) != set(space_tower.levels[k + 1]):
+                raise ValueError(
+                    f"fiber transitions at level {k} must cover level {k + 1}")
+            for s, f in ft.items():
+                _check_transition(self.kind, f, levels[k].fiber(tr[s]),
+                                  levels[k + 1].fiber(s), strict,
+                                  f"fiber transition at {s}")
+        self.space_tower = space_tower
+        self.levels = list(levels)
+        self.fiber_transitions = [dict(ft) for ft in fiber_transitions]
+        self.strict = strict
+
+
+class ProEtale(_EtaleTower):
     """Etale spaces over the tower levels, fiberwise surjective downwards."""
 
     kind = "pro"
 
-    def __init__(self, space_tower: SpaceTower, levels, fiber_transitions,
-                 strict: bool = True):
-        _check_etale_tower(space_tower, levels, fiber_transitions,
-                           downward=True, strict=strict)
-        self.space_tower = space_tower
-        self.levels = list(levels)
-        self.fiber_transitions = [dict(ft) for ft in fiber_transitions]
-        self.strict = strict
 
-
-class IndEtale:
+class IndEtale(_EtaleTower):
     """Etale spaces over the tower levels, fiberwise injective upwards."""
 
     kind = "ind"
 
-    def __init__(self, space_tower: SpaceTower, levels, fiber_transitions,
-                 strict: bool = True):
-        _check_etale_tower(space_tower, levels, fiber_transitions,
-                           downward=False, strict=strict)
-        self.space_tower = space_tower
-        self.levels = list(levels)
-        self.fiber_transitions = [dict(ft) for ft in fiber_transitions]
-        self.strict = strict
+
+_MODULE_TOWERS = {"pro": ProModule, "ind": IndModule}
+_ETALE_TOWERS = {"pro": ProEtale, "ind": IndEtale}
 
 
-def _check_etale_tower(space_tower, levels, fiber_transitions, downward, strict):
-    if len(levels) != len(space_tower.levels):
-        raise ValueError("one etale space per tower level required")
-    for k, e in enumerate(levels):
-        if e.base != space_tower.levels[k]:
-            raise ValueError(f"etale space {k} sits over the wrong base")
-    if len(fiber_transitions) != space_tower.depth:
-        raise ValueError("one fiber transition family per consecutive pair")
-    for k, ft in enumerate(fiber_transitions):
-        tr = space_tower.transitions[k]
-        if set(ft) != set(space_tower.levels[k + 1]):
-            raise ValueError(f"fiber transitions at level {k} must cover level {k + 1}")
-        for s, f in ft.items():
-            up, down = levels[k + 1].fiber(s), levels[k].fiber(tr[s])
-            want = (up, down) if downward else (down, up)
-            if (f.source, f.target) != want:
-                raise ValueError(f"fiber transition at {s} has wrong endpoints")
-            if strict:
-                ok = f.is_surjective() if downward else f.is_injective()
-                if not ok:
-                    raise ValueError(
-                        f"fiber transition at {s} fails the "
-                        f"{'surjectivity' if downward else 'injectivity'} requirement"
-                    )
+def _constant_etale(kind: str, a: FiniteModule, t: SpaceTower):
+    levels = [constant_space(lv, a) for lv in t.levels]
+    fts = [{s: a.identity_map() for s in t.levels[k + 1]} for k in range(t.depth)]
+    return _ETALE_TOWERS[kind](t, levels, fts)
 
 
 def constant_ind_etale(a: FiniteModule, t: SpaceTower) -> IndEtale:
-    levels = [constant_space(lv, a) for lv in t.levels]
-    fts = [{s: a.identity_map() for s in t.levels[k + 1]} for k in range(t.depth)]
-    return IndEtale(t, levels, fts)
+    return _constant_etale("ind", a, t)
 
 
 def constant_pro_etale(a: FiniteModule, t: SpaceTower) -> ProEtale:
-    levels = [constant_space(lv, a) for lv in t.levels]
-    fts = [{s: a.identity_map() for s in t.levels[k + 1]} for k in range(t.depth)]
-    return ProEtale(t, levels, fts)
+    return _constant_etale("pro", a, t)
 
 
 def _sum_of_composites(source: FiniteModule, target: FiniteModule,
@@ -214,84 +192,80 @@ def _check_budget(order: int, n_points: int, bit_budget: int):
         )
 
 
+def _glue(kind: str, lo: SectionModule, hi: SectionModule, down: dict,
+          fiber_maps: dict | None = None) -> ModuleMap:
+    """The transition between the section modules of level k and k+1.
+
+    `down` sends each point u of `hi` to a point of `lo`, and f_u is
+    fiber_maps[u], or the identity when there are none.  An ind
+    transition sends `lo` up as the sum of inj_u . f_u . proj_down(u); a
+    pro transition sends `hi` down as the sum of inj_down(u) . f_u . proj_u.
+    """
+    chains = []
+    for u in hi.points:
+        mid = () if fiber_maps is None else (fiber_maps[u],)
+        if kind == "ind":
+            chains.append((hi.injections[u], *mid, lo.projections[down[u]]))
+        else:
+            chains.append((lo.injections[down[u]], *mid, hi.projections[u]))
+    if kind == "ind":
+        return _sum_of_composites(lo.module, hi.module, chains)
+    return _sum_of_composites(hi.module, lo.module, chains)
+
+
+def _section_tower(kind: str, t: SpaceTower, spaces, fiber_transitions=None,
+                   strict: bool = True):
+    """The module tower of sections of one etale space per level of t."""
+    secs = [sections(e) for e in spaces]
+    transitions = [
+        _glue(kind, secs[k], secs[k + 1], t.transitions[k],
+              None if fiber_transitions is None else fiber_transitions[k])
+        for k in range(t.depth)]
+    return _MODULE_TOWERS[kind]([s.module for s in secs], transitions,
+                                section_levels=secs, strict=strict)
+
+
+def _constant_levels(a: FiniteModule, t: SpaceTower, bit_budget: int):
+    for lv in t.levels:
+        _check_budget(a.order, len(lv), bit_budget)
+    return [constant_space(lv, a) for lv in t.levels]
+
+
 def free_product(a: FiniteModule, t: SpaceTower,
                  bit_budget: int = DEFAULT_BIT_BUDGET) -> IndModule:
     """A^T levelwise: maps(T_k, A) with precomposition transitions."""
-    secs = []
-    for lv in t.levels:
-        _check_budget(a.order, len(lv), bit_budget)
-        secs.append(sections(constant_space(lv, a)))
-    transitions = [
-        _sum_of_composites(secs[k].module, secs[k + 1].module,
-                           [(secs[k + 1].injections[s],
-                             secs[k].projections[t.transitions[k][s]])
-                            for s in t.levels[k + 1]])
-        for k in range(t.depth)]
-    return IndModule([s.module for s in secs], transitions, section_levels=secs)
+    return _section_tower("ind", t, _constant_levels(a, t, bit_budget))
 
 
 def free_sum(a: FiniteModule, t: SpaceTower,
              bit_budget: int = DEFAULT_BIT_BUDGET) -> ProModule:
     """A[[T]] levelwise: A[T_k] with fiberwise coordinate sums."""
-    secs = []
-    for lv in t.levels:
-        _check_budget(a.order, len(lv), bit_budget)
-        secs.append(sections(constant_space(lv, a)))
-    transitions = [
-        _sum_of_composites(secs[k + 1].module, secs[k].module,
-                           [(secs[k].injections[t.transitions[k][s]],
-                             secs[k + 1].projections[s])
-                            for s in t.levels[k + 1]])
-        for k in range(t.depth)]
-    return ProModule([s.module for s in secs], transitions, section_levels=secs)
+    return _section_tower("pro", t, _constant_levels(a, t, bit_budget))
 
 
 def product_ind(e: IndEtale) -> IndModule:
     """The product over T of an ind-etale tower, as sections per level."""
-    t = e.space_tower
-    secs = [sections(e.levels[k]) for k in range(len(t.levels))]
-    transitions = [
-        _sum_of_composites(secs[k].module, secs[k + 1].module,
-                           [(secs[k + 1].injections[s], e.fiber_transitions[k][s],
-                             secs[k].projections[t.transitions[k][s]])
-                            for s in t.levels[k + 1]])
-        for k in range(t.depth)]
-    return IndModule([s.module for s in secs], transitions,
-                     section_levels=secs, strict=e.strict)
+    return _section_tower("ind", e.space_tower, e.levels,
+                          e.fiber_transitions, e.strict)
 
 
 def coproduct_pro(e: ProEtale) -> ProModule:
     """The coproduct over T of a pro-etale tower: fiberwise sums per level."""
-    t = e.space_tower
-    secs = [sections(e.levels[k]) for k in range(len(t.levels))]
-    transitions = [
-        _sum_of_composites(secs[k + 1].module, secs[k].module,
-                           [(secs[k].injections[t.transitions[k][s]],
-                             e.fiber_transitions[k][s], secs[k + 1].projections[s])
-                            for s in t.levels[k + 1]])
-        for k in range(t.depth)]
-    return ProModule([s.module for s in secs], transitions,
-                     section_levels=secs, strict=e.strict)
+    return _section_tower("pro", e.space_tower, e.levels,
+                          e.fiber_transitions, e.strict)
 
 
 def dual_tower(x):
     """Levelwise Pontryagin dual; pro and ind kinds swap."""
-    from .etale import dual_etale
-
-    if isinstance(x, ProModule):
-        return IndModule([pontryagin_dual(m) for m in x.levels],
-                         [dual_map(f) for f in x.transitions], strict=x.strict)
-    if isinstance(x, IndModule):
-        return ProModule([pontryagin_dual(m) for m in x.levels],
-                         [dual_map(f) for f in x.transitions], strict=x.strict)
-    if isinstance(x, ProEtale):
-        return IndEtale(x.space_tower, [dual_etale(e) for e in x.levels],
-                        [{s: dual_map(f) for s, f in ft.items()}
-                         for ft in x.fiber_transitions], strict=x.strict)
-    if isinstance(x, IndEtale):
-        return ProEtale(x.space_tower, [dual_etale(e) for e in x.levels],
-                        [{s: dual_map(f) for s, f in ft.items()}
-                         for ft in x.fiber_transitions], strict=x.strict)
+    if isinstance(x, _ModuleTower):
+        return _MODULE_TOWERS[_DUAL_KIND[x.kind]](
+            [pontryagin_dual(m) for m in x.levels],
+            [dual_map(f) for f in x.transitions], strict=x.strict)
+    if isinstance(x, _EtaleTower):
+        return _ETALE_TOWERS[_DUAL_KIND[x.kind]](
+            x.space_tower, [dual_etale(e) for e in x.levels],
+            [{s: dual_map(f) for s, f in ft.items()}
+             for ft in x.fiber_transitions], strict=x.strict)
     raise TypeError(f"cannot dualize {type(x).__name__}")
 
 
@@ -318,75 +292,41 @@ class TowerMap:
         self.target = target
         self.level_maps = [dict(pi) for pi in level_maps]
 
-    def fiber_tower(self, thread) -> SpaceTower:
-        """The tower of fibers over a thread of the target."""
-        levels = []
-        for k, pi in enumerate(self.level_maps):
-            levels.append(tuple(t for t in self.source.levels[k]
-                                if pi[t] == thread[k]))
-        transitions = [
-            {t: self.source.transitions[k][t] for t in levels[k + 1]}
-            for k in range(len(levels) - 1)
-        ]
-        return SpaceTower(levels, transitions)
+
+def _fiber_sections(a: FiniteModule, pi: TowerMap, k: int) -> dict:
+    """Sections of the constant space A over each fiber of pi at level k."""
+    return {s: sections(constant_space(
+        tuple(u for u in pi.source.levels[k] if pi.level_maps[k][u] == s), a))
+        for s in pi.target.levels[k]}
+
+
+def _relative(kind: str, a: FiniteModule, pi: TowerMap, bit_budget: int):
+    """Pushforward of the constant tower along pi: the fiber at s is the
+    module of sections of A over pi^{-1}(s), glued as by `_glue`."""
+    t, s_tower = pi.source, pi.target
+    secs = []
+    for k in range(len(s_tower.levels)):
+        _check_budget(a.order, len(t.levels[k]), bit_budget)
+        secs.append(_fiber_sections(a, pi, k))
+    levels = [FiniteEtaleSpace(lv, {s: secs[k][s].module for s in lv})
+              for k, lv in enumerate(s_tower.levels)]
+    fts = [{s: _glue(kind, secs[k][s_tower.transitions[k][s]], secs[k + 1][s],
+                     t.transitions[k])
+            for s in s_tower.levels[k + 1]}
+           for k in range(s_tower.depth)]
+    return _ETALE_TOWERS[kind](s_tower, levels, fts, strict=False)
 
 
 def relative_product(a: FiniteModule, pi: TowerMap,
                      bit_budget: int = DEFAULT_BIT_BUDGET) -> IndEtale:
     """Pushforward of the constant tower: fiber at s is A^{pi^{-1}(s)}."""
-    t, s_tower = pi.source, pi.target
-    levels = []
-    fiber_secs = []
-    for k, lv in enumerate(s_tower.levels):
-        _check_budget(a.order, len(t.levels[k]), bit_budget)
-        secs = {}
-        for s in lv:
-            pre = [u for u in t.levels[k] if pi.level_maps[k][u] == s]
-            secs[s] = sections(constant_space(tuple(pre), a))
-        fiber_secs.append(secs)
-        levels.append(FiniteEtaleSpace(lv, {s: sec.module for s, sec in secs.items()}))
-    fts = []
-    for k in range(s_tower.depth):
-        ft = {}
-        for s in s_tower.levels[k + 1]:
-            down = s_tower.transitions[k][s]
-            src_sec = fiber_secs[k][down]
-            dst_sec = fiber_secs[k + 1][s]
-            ft[s] = _sum_of_composites(
-                src_sec.module, dst_sec.module,
-                [(dst_sec.injections[u], src_sec.projections[t.transitions[k][u]])
-                 for u in dst_sec.points])
-        fts.append(ft)
-    return IndEtale(s_tower, levels, fts, strict=False)
+    return _relative("ind", a, pi, bit_budget)
 
 
 def relative_sum(a: FiniteModule, pi: TowerMap,
                  bit_budget: int = DEFAULT_BIT_BUDGET) -> ProEtale:
     """Dual construction: fiber at s is A[[pi^{-1}(s)]]."""
-    t, s_tower = pi.source, pi.target
-    levels = []
-    fiber_secs = []
-    for k, lv in enumerate(s_tower.levels):
-        _check_budget(a.order, len(t.levels[k]), bit_budget)
-        secs = {}
-        for s in lv:
-            pre = [u for u in t.levels[k] if pi.level_maps[k][u] == s]
-            secs[s] = sections(constant_space(tuple(pre), a))
-        fiber_secs.append(secs)
-        levels.append(FiniteEtaleSpace(lv, {s: sec.module for s, sec in secs.items()}))
-    fts = []
-    for k in range(s_tower.depth):
-        ft = {}
-        for s in s_tower.levels[k + 1]:
-            down = s_tower.transitions[k][s]
-            src_sec = fiber_secs[k + 1][s]
-            dst_sec = fiber_secs[k][down]
-            ft[s] = _sum_of_composites(
-                src_sec.module, dst_sec.module,
-                [(dst_sec.injections[t.transitions[k][u]], src_sec.projections[u])
-                 for u in src_sec.points])
-        fts.append(ft)
-    return ProEtale(s_tower, levels, fts, strict=False)
+    return _relative("pro", a, pi, bit_budget)
 
 
 def _regrouping_map(outer: SectionModule, inner_secs: dict,
@@ -414,11 +354,7 @@ def decomposition_check(a: FiniteModule, pi: TowerMap,
     report = {"levels": [], "ok": True}
     for k in range(len(t.levels)):
         grouped = sections(rel.levels[k])
-        inner = {
-            s: sections(constant_space(
-                tuple(u for u in t.levels[k] if pi.level_maps[k][u] == s), a))
-            for s in s_tower.levels[k]
-        }
+        inner = _fiber_sections(a, pi, k)
         cmp_prod = _regrouping_map(grouped, inner, flat.section_levels[k])
         prod_ok = cmp_prod.is_isomorphism()
         grouped_sum = sections(rel_sum.levels[k])
@@ -434,18 +370,6 @@ def decomposition_check(a: FiniteModule, pi: TowerMap,
         if not (prod_ok and sum_ok):
             report["ok"] = False
     return report
-
-
-def stalk_at_thread(e, thread):
-    """Fibers along a thread with the induced transitions."""
-    t = e.space_tower
-    if not t.is_thread(thread):
-        raise ValueError(f"{thread} is not a thread of the tower")
-    levels = [e.levels[k].fiber(thread[k]) for k in range(len(t.levels))]
-    transitions = [e.fiber_transitions[k][thread[k + 1]] for k in range(t.depth)]
-    if isinstance(e, ProEtale):
-        return ProModule(levels, transitions, strict=False)
-    return IndModule(levels, transitions, strict=False)
 
 
 def canonical_components(x, threads) -> dict:
@@ -472,7 +396,7 @@ def canonical_components(x, threads) -> dict:
         report["ok"] = False
         return report
 
-    ind = isinstance(x, IndModule)
+    ind = x.kind == "ind"
     for k in range(tower_len):
         sec = x.section_levels[k]
         pts = [th[k] for th in threads]
@@ -513,19 +437,5 @@ def canonical_components(x, threads) -> dict:
 
 
 def levelwise_isomorphic(x, y) -> bool:
-    from .finring import is_isomorphic
-
     return (len(x.levels) == len(y.levels)
             and all(is_isomorphic(a, b) for a, b in zip(x.levels, y.levels)))
-
-
-def restrict_tower(t: SpaceTower, top_block) -> SpaceTower:
-    """The clopen sub-tower hitting a block of T_0."""
-    keep = [tuple(p for p in t.levels[0] if p in set(top_block))]
-    trs = []
-    for k in range(t.depth):
-        nxt = tuple(p for p in t.levels[k + 1]
-                    if t.transitions[k][p] in set(keep[k]))
-        trs.append({p: t.transitions[k][p] for p in nxt})
-        keep.append(nxt)
-    return SpaceTower(keep, trs)

@@ -1,0 +1,223 @@
+"""Reference implementations and fixtures the tests compare the library to.
+
+None of this runs on a `proflq` command path: these are brute-force
+oracles (bar cochains, hom enumeration, isomorphism search) and small
+builders of test inputs (regular and direct-sum modules, constant group
+towers, point towers).
+"""
+
+import itertools
+from math import gcd
+
+import numpy as np
+
+from proflq import groupcoh as gc, linalg
+from proflq.errors import BudgetError
+from proflq.etale import FiniteEtaleSpace
+from proflq.finring import FiniteModule, ModuleMap, zero_module
+from proflq.groups import FiniteGroup, GroupHom, identity_hom, trivial_group
+from proflq.tower import SpaceTower
+
+# -- groups -------------------------------------------------------------------
+
+
+def conjugacy_classes(g: FiniteGroup) -> list[tuple[int, ...]]:
+    seen = [False] * g.order
+    classes = []
+    for x in range(g.order):
+        if seen[x]:
+            continue
+        orbit = sorted({g.conj(h, x) for h in range(g.order)})
+        for y in orbit:
+            seen[y] = True
+        classes.append(tuple(orbit))
+    return classes
+
+
+def center(g: FiniteGroup) -> list[int]:
+    return g.centralizer(range(g.order))
+
+
+def is_abelian(g: FiniteGroup) -> bool:
+    return bool((g.table == g.table.transpose()).all())
+
+
+def _close_partial_map(source: FiniteGroup, target: FiniteGroup,
+                       images: dict[int, int], frontier) -> dict[int, int] | None:
+    """Close a partial map under products with the elements of `frontier`,
+    on both sides; return the closed copy, or None when two products
+    force different images."""
+    images = dict(images)
+    frontier = list(frontier)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in list(images):
+                for x, y in ((source.mul(a, b), target.mul(images[a], images[b])),
+                             (source.mul(b, a), target.mul(images[b], images[a]))):
+                    if x in images:
+                        if images[x] != y:
+                            return None
+                    else:
+                        images[x] = y
+                        nxt.append(x)
+        frontier = nxt
+    return images
+
+
+def hom_from_generators(source: FiniteGroup, target: FiniteGroup,
+                        gen_images: dict[int, int]) -> GroupHom:
+    """Extend images of generating elements to the whole group by closure."""
+    start = {0: 0, **gen_images}
+    images = _close_partial_map(source, target, start, start)
+    if images is None:
+        raise ValueError("generator images are inconsistent")
+    if len(images) != source.order:
+        raise ValueError("generators do not generate the source")
+    return GroupHom(source, target, [images[a] for a in range(source.order)])
+
+
+def trivial_hom(g: FiniteGroup, target: FiniteGroup | None = None) -> GroupHom:
+    return GroupHom(g, target or trivial_group(), [0] * g.order)
+
+
+def _element_invariant(g: FiniteGroup, x: int, class_size: dict[int, int]):
+    return (g.element_order(x), class_size[x], len(g.centralizer([x])))
+
+
+def _class_sizes(g: FiniteGroup) -> dict[int, int]:
+    return {x: len(cls) for cls in conjugacy_classes(g) for x in cls}
+
+
+def fingerprint(g: FiniteGroup):
+    """A cheap isomorphism invariant used to pre-filter iso testing."""
+    class_size = _class_sizes(g)
+    orders = sorted((g.element_order(x), class_size[x]) for x in range(g.order))
+    return (g.order, is_abelian(g), len(center(g)), tuple(orders))
+
+
+def are_isomorphic(g: FiniteGroup, h: FiniteGroup) -> bool:
+    """Backtracking isomorphism search over generator images."""
+    if fingerprint(g) != fingerprint(h):
+        return False
+    gens = g.generators_greedy()
+    class_size_g, class_size_h = _class_sizes(g), _class_sizes(h)
+
+    def search(i, assignment):
+        if i == len(gens):
+            return len(assignment) == g.order
+        target_inv = _element_invariant(g, gens[i], class_size_g)
+        for y in range(h.order):
+            if _element_invariant(h, y, class_size_h) != target_inv:
+                continue
+            closed = _close_partial_map(g, h, {**assignment, gens[i]: y},
+                                        [gens[i]])
+            if closed is None or len(set(closed.values())) != len(closed):
+                continue  # a clash, or the map is not injective
+            if search(i + 1, closed):
+                return True
+        return False
+
+    return search(0, {0: 0})
+
+
+# -- group cohomology -----------------------------------------------------------
+
+
+def regular_module(group: FiniteGroup, p: int) -> gc.GModule:
+    action = [[group.mul(g, x) for x in range(group.order)]
+              for g in range(group.order)]
+    return gc.permutation_module(group, action, p)
+
+
+def direct_sum_module(a: gc.GModule, b: gc.GModule) -> gc.GModule:
+    if a.group is not b.group or a.p != b.p:
+        raise ValueError("summands must share group and prime")
+    n, da, db = a.group.order, a.dim, b.dim
+    mats = np.zeros((n, da + db, da + db), dtype=np.int64)
+    mats[:, :da, :da] = a.matrices
+    mats[:, da:, da:] = b.matrices
+    return gc.GModule(a.group, a.p, mats, validate=False)
+
+
+def bar_cohomology(group: FiniteGroup, module: gc.GModule, k_max: int,
+                   dim_budget: int = gc.DEFAULT_DIM_BUDGET) -> tuple[int, ...]:
+    """The same dimensions as `cohomology`, by brute-force bar cochains."""
+    n, d = group.order, module.dim
+    if n ** (k_max + 1) * max(d, 1) > dim_budget:
+        raise BudgetError("bar cochain spaces exceed budget")
+    if d == 0:
+        return (0,) * (k_max + 1)
+    dims = []
+    prev_rank = 0
+    for k in range(k_max + 1):
+        delta = gc._bar_coboundary(group, module, k)
+        r = linalg.rank(delta, module.p)
+        dims.append(n ** k * d - r - prev_rank)
+        prev_rank = r
+    return tuple(dims)
+
+
+def constant_group_tower(group: FiniteGroup, depth: int) -> gc.GroupTower:
+    return gc.GroupTower([group] * depth,
+                         [identity_hom(group) for _ in range(depth - 1)])
+
+
+# -- finite modules -------------------------------------------------------------
+
+
+def hom_maps(m: FiniteModule, n: FiniteModule):
+    """All homomorphisms M -> N, enumerated as ModuleMaps.
+
+    There are prod gcd(a_j, b_i) of them; use only at small orders.
+    """
+    if m.ring != n.ring:
+        raise ValueError("ring mismatch")
+    choices = []
+    for i, b in enumerate(n.factors):
+        for j, a in enumerate(m.factors):
+            g = gcd(a, b)
+            choices.append([t * (b // g) for t in range(g)])
+    for flat in itertools.product(*choices):
+        matrix = [
+            [flat[i * m.rank + j] for j in range(m.rank)] for i in range(n.rank)
+        ]
+        yield ModuleMap(m, n, matrix)
+
+
+def dual_pairing(m: FiniteModule, x, xi) -> int:
+    """<x, xi> in Z/m, where xi are coordinates in the dual (same factors)."""
+    mm = m.ring.modulus
+    return sum(x_i * xi_i * (mm // d) for x_i, xi_i, d in zip(x, xi, m.factors)) % mm
+
+
+def add_maps(f: ModuleMap, g: ModuleMap) -> ModuleMap:
+    """f + g, validated as a new map."""
+    if f.source != g.source or f.target != g.target:
+        raise ValueError("maps with different endpoints")
+    return ModuleMap(f.source, f.target,
+                     [[a + b for a, b in zip(r1, r2)]
+                      for r1, r2 in zip(f.matrix, g.matrix)])
+
+
+# -- etale spaces and towers ------------------------------------------------------
+
+
+def zero_space(base, ring) -> FiniteEtaleSpace:
+    return FiniteEtaleSpace(base, {t: zero_module(ring) for t in base})
+
+
+def point_tower(depth: int) -> SpaceTower:
+    return SpaceTower([("pt",)] * (depth + 1), [{"pt": "pt"}] * depth)
+
+
+def restrict_tower(t: SpaceTower, top_block) -> SpaceTower:
+    """The clopen sub-tower hitting a block of T_0."""
+    keep = [tuple(p for p in t.levels[0] if p in set(top_block))]
+    trs = []
+    for k in range(t.depth):
+        nxt = tuple(p for p in t.levels[k + 1]
+                    if t.transitions[k][p] in set(keep[k]))
+        trs.append({p: t.transitions[k][p] for p in nxt})
+        keep.append(nxt)
+    return SpaceTower(keep, trs)

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import proflq
-from proflq import cli, lq
+from proflq import cli, etale, lq
 from proflq.errors import InvariantError
+from proflq.finring import zero_map
 from proflq.groups import all_subgroups, subgroup_group, symmetric_group
 from proflq.groupcoh import cyclic_p_tower
 
@@ -87,6 +88,25 @@ def test_etale_sections(inputs, capsys):
     code, report = run(["etale", "--space", inputs["space"]], capsys)
     assert code == 0
     assert report["results"]["product_factors"] == [2, 2, 12]
+
+
+def test_product_check_sees_a_dropped_fiber(inputs, capsys, monkeypatch):
+    # a direct sum that leaves its last summand out, with zero maps for it:
+    # the product and the sections are then equally wrong, and only a check
+    # on the universal maps can tell
+    direct_sum = etale.direct_sum
+
+    def dropping(modules):
+        if len(modules) < 2:
+            return direct_sum(modules)
+        total, injs, projs = direct_sum(modules[:-1])
+        last = modules[-1]
+        return total, injs + [zero_map(last, total)], projs + [zero_map(total, last)]
+
+    monkeypatch.setattr(etale, "direct_sum", dropping)
+    code, report = run(["etale", "--space", inputs["space"]], capsys)
+    assert (code, report["verdicts"]) == (1, {"product_equals_sections": False})
+    assert cli.main(["selftest", "--criterion", "2"]) == cli.EXIT_INTERNAL
 
 
 def test_tower_product_and_dual(inputs, capsys):

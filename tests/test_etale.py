@@ -7,36 +7,31 @@ import pytest
 from proflq import etale
 from proflq.errors import BudgetError
 from proflq.etale import (
-    EtaleMorphism,
     FiniteEtaleSpace,
     SkyscraperFamily,
     adjunction_check,
     constant_space,
     coproduct_finite,
     dual_etale,
-    dual_morphism,
-    hom_etale,
-    identity_morphism,
+    is_product,
     product_finite,
-    pullback,
-    pushforward,
     sections,
     skyscraper_product,
-    tensor_etale,
-    zero_space,
 )
 from proflq.finring import (
     FiniteModule,
     FiniteRing,
     ModuleMap,
     cyclic,
-    hom_maps,
+    dual_map,
     hom_module,
     is_isomorphic,
-    tensor_module,
     zero_module,
 )
 
+from proflq.tower import IndEtale, ProEtale, SpaceTower, TowerMap
+
+from .reference import hom_maps, zero_space
 from .test_finring import random_map, random_module
 
 Z12 = FiniteRing(12)
@@ -83,7 +78,7 @@ def reference_adjunction_check(f, g, l, max_side=4096):
             for y in gt_elts:
                 row = []
                 for x in ft_elts:
-                    val = lt.zero_element()
+                    val = (0,) * lt.rank
                     for (jj, ii, order), img in zip(gens, images):
                         c = (x[jj] * y[ii]) % order
                         val = add(lt, val, smul(lt, c, img))
@@ -187,6 +182,18 @@ class TestProductCoproduct:
         rhs = coproduct_finite(e).module  # self-dual factors
         assert is_isomorphic(lhs, rhs)
 
+    def test_is_product_reads_the_maps(self):
+        rng = random.Random(7)
+        for _ in range(10):
+            e = random_space(rng, Z12)
+            assert is_product(e, product_finite(e))
+        # two equal fibers with their injections swapped: the order is right,
+        # but projection_a . injection_a is zero
+        e = constant_space(("a", "b"), cyclic(Z12, 4))
+        s = product_finite(e)
+        s.injections["a"], s.injections["b"] = s.injections["b"], s.injections["a"]
+        assert not is_product(e, s)
+
     def test_partition_splitting(self):
         # product over the base = product of the section modules of any partition
         rng = random.Random(11)
@@ -207,52 +214,67 @@ class TestProductCoproduct:
 
 
 class TestFiberwiseOps:
+    # Hom of etale spaces is taken fiber by fiber; the tensor product
+    # enters the adjunction check as the cyclic presentation of each fiber
+
     def test_hom_fibers(self):
         e = space_ab()
         f = constant_space(("a", "b"), cyclic(Z12, 4))
-        h = hom_etale(e, f)
-        assert h.fiber("a").factors == (2,)
-        assert h.fiber("b").factors == (4,)
+        assert hom_module(e.fiber("a"), f.fiber("a")).factors == (2,)
+        assert hom_module(e.fiber("b"), f.fiber("b")).factors == (4,)
         # oracle: fiberwise enumeration
         assert sum(1 for _ in hom_maps(e.fiber("a"), f.fiber("a"))) == 2
 
     def test_hom_into_zero(self):
         e = space_ab()
         z = zero_space(e.base, Z12)
-        assert all(m.is_zero for m in hom_etale(e, z).fibers.values())
+        assert all(hom_module(e.fiber(t), z.fiber(t)).is_zero for t in e.base)
 
     def test_hom_of_trivial_spaces(self):
         a, b = FiniteModule(Z12, (2, 4)), cyclic(Z12, 6)
-        base = ("s", "t")
-        h = hom_etale(constant_space(base, a), constant_space(base, b))
-        for t in base:
-            assert is_isomorphic(h.fiber(t), hom_module(a, b))
+        assert hom_module(a, b).order == sum(1 for _ in hom_maps(a, b))
 
     def test_tensor_unit(self):
         e = space_ab()
-        unit = constant_space(e.base, cyclic(Z12, 12))
-        t = tensor_etale(e, unit)
+        unit = cyclic(Z12, 12)
         for pt in e.base:
-            assert is_isomorphic(t.fiber(pt), e.fiber(pt))
+            orders = [o for _, _, o in etale._raw_tensor_orders(e.fiber(pt), unit)]
+            assert orders == list(e.fiber(pt).factors)
 
     def test_tensor_fiber(self):
-        base = ("pt",)
-        t = tensor_etale(
-            constant_space(base, cyclic(Z12, 4)), constant_space(base, cyclic(Z12, 6))
-        )
-        assert t.fiber("pt").factors == (2,)
-        assert is_isomorphic(
-            t.fiber("pt"), tensor_module(cyclic(Z12, 4), cyclic(Z12, 6))
-        )
+        assert etale._raw_tensor_orders(cyclic(Z12, 4), cyclic(Z12, 6)) \
+            == [(0, 0, 2)]
 
     def test_tensor_with_zero(self):
         e = space_ab()
-        z = zero_space(e.base, Z12)
-        assert all(m.is_zero for m in tensor_etale(e, z).fibers.values())
+        assert all(etale._raw_tensor_orders(e.fiber(t), zero_module(Z12)) == []
+                   for t in e.base)
 
     def test_base_mismatch_rejected(self):
+        c = constant_space(("a",), cyclic(Z12, 2))
         with pytest.raises(ValueError):
-            hom_etale(space_ab(), constant_space(("a",), cyclic(Z12, 2)))
+            adjunction_check(space_ab(), c, c)
+
+
+class TestMorphism:
+    def test_malformed_fiber_map_rejected(self):
+        # a fiber map of an etale tower runs between the fibers it joins:
+        # down and surjective (pro), or up and injective (ind)
+        t = SpaceTower([("a",), ("a",)], [{"a": "a"}])
+        z2, z4 = cyclic(Z12, 2), cyclic(Z12, 4)
+        levels = [constant_space(("a",), z2), constant_space(("a",), z4)]
+        surj, inj = ModuleMap(z4, z2, [[1]]), ModuleMap(z2, z4, [[2]])
+        assert ProEtale(t, levels, [{"a": surj}]).fiber_transitions == [{"a": surj}]
+        assert IndEtale(t, levels, [{"a": inj}]).fiber_transitions == [{"a": inj}]
+        for kind, f in ((ProEtale, inj), (IndEtale, surj)):
+            with pytest.raises(ValueError):
+                kind(t, levels, [{"a": f}])
+        flat = [constant_space(("a",), z4)] * 2
+        double = ModuleMap(z4, z4, [[2]])
+        for kind in (ProEtale, IndEtale):
+            with pytest.raises(ValueError):
+                kind(t, flat, [{"a": double}])
+            assert kind(t, flat, [{"a": double}], strict=False).strict is False
 
 
 class TestDuality:
@@ -271,64 +293,40 @@ class TestDuality:
         ring = FiniteRing(4)
         e = constant_space(("t",), cyclic(ring, 4))
         f = constant_space(("t",), cyclic(ring, 2))
-        surj = EtaleMorphism(
-            e, f, {"t": "t"}, {"t": ModuleMap(cyclic(ring, 4), cyclic(ring, 2), [[1]])}
-        )
-        d = dual_morphism(surj)
-        assert d.fiber_maps["t"].is_injective()
-        assert not d.fiber_maps["t"].is_surjective()
-
-
-class TestMorphism:
-    def test_identity_composes(self):
-        e = space_ab()
-        i = identity_morphism(e)
-        c = i.compose(i)
-        assert c.base_map == i.base_map
-        assert c.fiber_maps == i.fiber_maps
-
-    def test_malformed_fiber_map_rejected(self):
-        e = space_ab()
-        with pytest.raises(ValueError):
-            EtaleMorphism(
-                e, e, {"a": "a", "b": "b"},
-                {"a": e.fiber("b").identity_map(), "b": e.fiber("b").identity_map()},
-            )
+        d = dual_map(ModuleMap(e.fiber("t"), f.fiber("t"), [[1]]))
+        assert (d.source, d.target) == (dual_etale(f).fiber("t"),
+                                        dual_etale(e).fiber("t"))
+        assert d.is_injective()
+        assert not d.is_surjective()
 
 
 class TestPushPull:
+    # The pushforward along psi has the sections over psi^{-1}(s) as its
+    # fiber at s; the pullback repeats the fiber at psi(t) at t.
+
     def test_collapse_pairs(self):
         e = constant_space(("1", "2", "3", "4"), cyclic(Z12, 2))
         psi = {"1": "x", "2": "x", "3": "y", "4": "y"}
-        pf = pushforward(e, psi, ("x", "y"))
         for s in ("x", "y"):
-            assert pf.fiber(s).factors == (2, 2)
+            pre = [t for t in e.base if psi[t] == s]
+            assert sections(e, pre).module.factors == (2, 2)
 
     def test_pushforward_identity(self):
         e = space_ab()
-        pf = pushforward(e, {t: t for t in e.base}, e.base)
-        assert pf == e
+        assert all(sections(e, [t]).module == e.fiber(t) for t in e.base)
 
     def test_pushforward_to_point(self):
         rng = random.Random(5)
         e = random_space(rng, Z12)
-        pf = pushforward(e, {t: "pt" for t in e.base}, ("pt",))
-        assert is_isomorphic(pf.fiber("pt"), product_finite(e).module)
+        assert is_isomorphic(sections(e, e.base).module, product_finite(e).module)
 
     def test_non_surjective_rejected(self):
-        e = space_ab()
+        # the pushforward of a tower along pi is tower.relative_product,
+        # which needs pi onto at every level
+        t = SpaceTower([("a", "b")], [])
+        s = SpaceTower([("x", "y")], [])
         with pytest.raises(ValueError):
-            pushforward(e, {"a": "x", "b": "x"}, ("x", "y"))
-
-    def test_pullback_identity(self):
-        e = space_ab()
-        assert pullback(e, {t: t for t in e.base}, e.base) == e
-
-    def test_pullback_from_point(self):
-        m = FiniteModule(Z12, (3,))
-        pt = FiniteEtaleSpace(("pt",), {"pt": m})
-        pb = pullback(pt, {t: "pt" for t in ("a", "b", "c")}, ("a", "b", "c"))
-        assert pb == constant_space(("a", "b", "c"), m)
+            TowerMap(t, s, [{"a": "x", "b": "x"}])
 
     @pytest.mark.parametrize("seed", range(20))
     def test_sections_of_pullback(self, seed):
@@ -337,7 +335,7 @@ class TestPushPull:
         e = random_space(rng, Z12, max_points=3)
         t_base = tuple(f"s{i}" for i in range(rng.randint(1, 5)))
         psi = {t: rng.choice(e.base) for t in t_base}
-        pb = pullback(e, psi, t_base)
+        pb = FiniteEtaleSpace(t_base, {t: e.fiber(psi[t]) for t in t_base})
         u = [pt for pt in e.base if rng.random() < 0.6]
         pre = [t for t in t_base if psi[t] in u]
         got = sections(pb, pre).module.order

@@ -1,5 +1,5 @@
 """Tests for group cohomology: resolution engine vs bar oracle, Shapiro,
-inflation and tower reports."""
+inflation ranks and tower reports."""
 
 import random
 
@@ -13,11 +13,12 @@ from proflq.groups import (
     cyclic_group,
     dihedral_group,
     direct_product,
-    hom_from_generators,
-    quotient_group,
     symmetric_group,
     trivial_group,
 )
+
+from .reference import (bar_cohomology, constant_group_tower, direct_sum_module,
+                        regular_module)
 
 
 class TestGModule:
@@ -27,7 +28,7 @@ class TestGModule:
 
     def test_regular_dimension(self):
         g = symmetric_group(3)
-        assert gc.regular_module(g, 2).dim == 6
+        assert regular_module(g, 2).dim == 6
 
     def test_permutation_module_rejects_bad_action(self):
         g = cyclic_group(2)
@@ -76,17 +77,17 @@ class TestGModule:
 
     def test_direct_sum(self):
         g = cyclic_group(2)
-        m = gc.direct_sum_module(gc.trivial_module(g, 2),
-                                 gc.regular_module(g, 2))
+        m = direct_sum_module(gc.trivial_module(g, 2),
+                                 regular_module(g, 2))
         assert m.dim == 3
         assert gc.cohomology(g, m, 2) == (2, 1, 1)
 
     def test_act(self):
         g = cyclic_group(4)
-        m = gc.regular_module(g, 3)
+        m = regular_module(g, 3)
         v = np.zeros(4, dtype=np.int64)
         v[0] = 1
-        assert list(m.act(1, v)) == [0, 1, 0, 0]
+        assert list(m.matrices[1] @ v % 3) == [0, 1, 0, 0]
 
 
 class TestCohomologyOracles:
@@ -132,7 +133,7 @@ class TestCohomologyOracles:
     def test_regular_module_acyclic(self):
         for g in (symmetric_group(3), dihedral_group(4), cyclic_group(4)):
             for p in (2, 3):
-                dims = gc.cohomology(g, gc.regular_module(g, p), 3)
+                dims = gc.cohomology(g, regular_module(g, p), 3)
                 assert dims[0] == 1 and dims[1:] == (0, 0, 0)
 
     def test_h0_is_invariants(self):
@@ -150,7 +151,7 @@ class TestCohomologyOracles:
     def test_budget(self):
         g = symmetric_group(4)
         with pytest.raises(gc.BudgetError):
-            gc.cohomology(g, gc.regular_module(g, 2), 3, dim_budget=10)
+            gc.cohomology(g, regular_module(g, 2), 3, dim_budget=10)
 
 
 class TestBarOracle:
@@ -160,7 +161,7 @@ class TestBarOracle:
                   symmetric_group(3)):
             for p in (2, 3):
                 m = gc.trivial_module(g, p)
-                assert gc.bar_cohomology(g, m, 2, dim_budget=10 ** 6) == \
+                assert bar_cohomology(g, m, 2, dim_budget=10 ** 6) == \
                     gc.cohomology(g, m, 2)
 
     def test_matches_on_nontrivial_coefficients(self):
@@ -171,13 +172,13 @@ class TestBarOracle:
             s = rng.choice(subs)
             p = rng.choice([2, 3])
             m = gc.coset_module(g, s, p)
-            assert gc.bar_cohomology(g, m, 2, dim_budget=10 ** 6) == \
+            assert bar_cohomology(g, m, 2, dim_budget=10 ** 6) == \
                 gc.cohomology(g, m, 2)
 
     def test_bar_budget(self):
         g = symmetric_group(4)
         with pytest.raises(gc.BudgetError):
-            gc.bar_cohomology(g, gc.trivial_module(g, 2), 3)
+            bar_cohomology(g, gc.trivial_module(g, 2), 3)
 
 
 class TestShapiro:
@@ -215,19 +216,6 @@ class TestShapiro:
 
 
 class TestInflation:
-    def test_module_pullback(self):
-        g8 = cyclic_group(8)
-        g4, proj = quotient_group(g8, {0, 4})
-        q = GroupHom(g8, g4, proj)
-        m = gc.regular_module(g4, 2)
-        infl = gc.inflation(q, m)
-        assert infl.dim == 4 and infl.group is g8
-
-    def test_requires_surjective(self):
-        q = GroupHom(cyclic_group(2), cyclic_group(4), [0, 2])
-        with pytest.raises(ValueError):
-            gc.inflation(q, gc.trivial_module(cyclic_group(4), 2))
-
     def test_identity_inflation_full_rank(self):
         g = symmetric_group(3)
         q = GroupHom(g, g, list(range(6)))
@@ -275,13 +263,13 @@ class TestGroupTower:
 
     def test_constant_tower_stabilizes(self):
         g = symmetric_group(3)
-        rep = gc.continuous_cohomology(gc.constant_group_tower(g, 3), 2, 2,
+        rep = gc.continuous_cohomology(constant_group_tower(g, 3), 2, 2,
                                        dim_budget=10 ** 5)
         assert rep["stable_degrees"] == [0, 1, 2]
 
     def test_trivial_tower(self):
         rep = gc.continuous_cohomology(
-            gc.constant_group_tower(trivial_group(), 3), 2, 3)
+            constant_group_tower(trivial_group(), 3), 2, 3)
         assert rep["dims"] == [(1, 0, 0, 0)] * 3
 
 
@@ -295,7 +283,7 @@ class TestRandomizedConsistency:
             p = rng.choice([2, 3])
             m = gc.coset_module(g, s, p)
             assert gc.cohomology(g, m, 2) == \
-                gc.bar_cohomology(g, m, 2, dim_budget=10 ** 6)
+                bar_cohomology(g, m, 2, dim_budget=10 ** 6)
 
     def test_h0_equals_invariants_dimension(self):
         rng = random.Random(5)
@@ -400,7 +388,7 @@ class TestAgainstReferenceBuilders:
         g = symmetric_group(4)
         for p in (2, 3):
             res = gc.free_resolution(g, p, 3)
-            for m in (gc.regular_module(g, p), gc.coset_module(g, [0], p),
+            for m in (regular_module(g, p), gc.coset_module(g, [0], p),
                       gc.coset_module(g, all_subgroups(g)[3], p)):
                 for i in range(3):
                     assert np.array_equal(gc._hom_coboundary(res, m, i),

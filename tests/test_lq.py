@@ -15,6 +15,8 @@ from proflq.groups import (
 )
 from proflq.repv import ElementaryAbelian
 
+from .reference import constant_group_tower
+
 
 V2 = ElementaryAbelian(2, 1)
 V3 = ElementaryAbelian(3, 1)
@@ -144,13 +146,13 @@ class TestProfiniteLq:
 
     def test_constant_tower(self):
         s3 = symmetric_group(3)
-        rep = lq.profinite_lq(V2, gc.constant_group_tower(s3, 2), 2)
+        rep = lq.profinite_lq(V2, constant_group_tower(s3, 2), 2)
         assert rep["levels"][0]["lhs"] == rep["levels"][1]["lhs"]
         assert len(rep["nontrivial_limit_classes"]) == 1
 
     def test_trivial_tower(self):
         rep = lq.profinite_lq(V2,
-                              gc.constant_group_tower(trivial_group(), 3), 2)
+                              constant_group_tower(trivial_group(), 3), 2)
         assert all(level["lhs"] == (1, 0, 0) for level in rep["levels"])
 
 

@@ -25,6 +25,8 @@ from proflq.repv import (
     weyl_image,
 )
 
+from .reference import constant_group_tower
+
 
 class TestElementaryAbelian:
     def test_valid(self):
@@ -237,7 +239,7 @@ class TestRepTower:
 
     def test_constant_tower(self):
         g = symmetric_group(3)
-        t = gc.constant_group_tower(g, 3)
+        t = constant_group_tower(g, 3)
         rt = rep_tower(ElementaryAbelian(2, 1), t)
         assert len(rt["threads"]) == 2
         assert all(th["persistent"] for th in rt["threads"])

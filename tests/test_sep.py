@@ -15,9 +15,10 @@ from proflq.groups import (
     subgroup_group,
     symmetric_group,
     trivial_group,
-    trivial_hom,
 )
 from proflq.repv import ElementaryAbelian
+
+from .reference import constant_group_tower, trivial_hom
 
 V2 = ElementaryAbelian(2, 1)
 V3 = ElementaryAbelian(3, 1)
@@ -163,15 +164,15 @@ class TestSpFunctor:
 class TestDistinguished:
     def test_different_orders_level0(self):
         s3 = symmetric_group(3)
-        t = gc.constant_group_tower(s3, 2)
+        t = constant_group_tower(s3, 2)
         x = next(a for a in range(6) if s3.element_order(a) == 2)
         y = next(a for a in range(6) if s3.element_order(a) == 3)
         rep = sep.conjugacy_distinguished([x, x], [y, y], t)
-        assert rep["separated"] and rep["level"] == 0
+        assert rep == {"separated": True, "level": 0, "x": x, "y": y}
 
     def test_conjugate_thread_exhausted(self):
         s3 = symmetric_group(3)
-        t = gc.constant_group_tower(s3, 3)
+        t = constant_group_tower(s3, 3)
         xs = [a for a in range(6) if s3.element_order(a) == 2]
         rep = sep.conjugacy_distinguished([xs[0]] * 3, [xs[1]] * 3, t)
         assert not rep["separated"]
@@ -201,31 +202,37 @@ class TestDistinguished:
 
     def test_subgroup_version(self):
         s4 = symmetric_group(4)
-        t = gc.constant_group_tower(s4, 2)
+        t = constant_group_tower(s4, 2)
         kleins = [s for s in all_subgroups(s4)
                   if len(s) == 4 and
                   all(s4.element_order(x) <= 2 for x in s)]
         normal = next(s for s in kleins
                       if s4.normalizer(s) == list(range(24)))
         other = next(s for s in kleins if s != normal)
-        rep = sep.subgroup_conjugacy_distinguished(
+        rep = sep.conjugacy_distinguished(
             [normal, normal], [other, other], t)
-        assert rep["separated"] and rep["level"] == 0
+        assert rep == {"separated": True, "level": 0,
+                       "a": sorted(normal), "b": sorted(other)}
+
+    def test_element_and_subgroup_threads_do_not_mix(self):
+        t = constant_group_tower(symmetric_group(3), 2)
+        with pytest.raises(ValueError):
+            sep.conjugacy_distinguished([0, 0], [{0}, {0}], t)
 
     def test_subgroup_same_thread_exhausted(self):
         g = dihedral_group(4)
-        t = gc.constant_group_tower(g, 2)
+        t = constant_group_tower(g, 2)
         s = next(x for x in all_subgroups(g) if len(x) == 2)
-        rep = sep.subgroup_conjugacy_distinguished([s, s], [s, s], t)
+        rep = sep.conjugacy_distinguished([s, s], [s, s], t)
         assert not rep["separated"]
 
     def test_subgroup_different_orders(self):
         g = dihedral_group(4)
-        t = gc.constant_group_tower(g, 2)
+        t = constant_group_tower(g, 2)
         subs = all_subgroups(g)
         s2 = next(x for x in subs if len(x) == 2)
         s4_ = next(x for x in subs if len(x) == 4)
-        rep = sep.subgroup_conjugacy_distinguished([s2, s2], [s4_, s4_], t)
+        rep = sep.conjugacy_distinguished([s2, s2], [s4_, s4_], t)
         assert rep["separated"] and rep["level"] == 0
 
 

@@ -9,6 +9,10 @@
 * No module-level name bound to an empty `{}` or `dict()` outside
   `cache`: a memo table is a region of `proflq.cache`, where it is
   counted and cleared with the others.
+* Every top-level function and class, and every method, is reachable by
+  name from `cli.main`: the library is exactly the code the `proflq`
+  command runs, and what only the tests use lives in `tests/reference.py`.
+* No module keeps a module-level import it never uses.
 """
 
 import ast
@@ -96,3 +100,142 @@ class C:
 """
     assert [name for name, _ in _module_level_empty_dicts(ast.parse(source))] \
         == ["a", "b", "c", "d", "e", "f"]
+
+
+# -- reachability from the command line ------------------------------------------
+
+# Reached from no command, on purpose:
+ALLOWED_UNREACHED = {
+    "cache.clear",           # test isolation (tests/conftest.py)
+    "cache.stats",           # the hit and miss counts, for a coming --stats
+    "groups.FiniteGroup.inv",  # a kernel primitive the benchmark tracer counts
+}
+
+
+def _references(node):
+    """Bare names and attribute names used in a node, outside annotations."""
+    names, attrs = set(), set()
+    todo = [node]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            attrs.add(node.attr)
+        for field, value in ast.iter_fields(node):
+            if field not in ("annotation", "returns"):
+                todo += [v for v in (value if isinstance(value, list) else [value])
+                         if isinstance(v, ast.AST)]
+    return names, attrs
+
+
+def _unreached(sources):
+    """Definitions of `sources` ({module: text}) that `cli.main` never reaches.
+
+    A bare name reaches every top-level function and class so named; an
+    attribute `.x` reaches those and every method x.  Names are matched
+    across modules, so a collision can hide a dead definition, but a
+    method is never reached by a bare name.  A reached class brings its
+    bases, decorators, class-level statements and dunder methods; module
+    statements other than imports run at import and count as reached.
+    """
+    tops, methods, todo = {}, {}, []
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                tops.setdefault(node.name, []).append((f"{module}.{node.name}", node))
+                for m in node.body if isinstance(node, ast.ClassDef) else []:
+                    if isinstance(m, ast.FunctionDef) and not m.name.startswith("__"):
+                        methods.setdefault(m.name, []).append(
+                            (f"{module}.{node.name}.{m.name}", m))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                todo.append(node)
+    reached = {"cli.main"}
+    todo += [node for qual, node in tops["main"] if qual == "cli.main"]
+    while todo:
+        node = todo.pop()
+        parts = [node]
+        if isinstance(node, ast.ClassDef):
+            parts = node.bases + node.decorator_list + [
+                b for b in node.body
+                if not isinstance(b, ast.FunctionDef) or b.name.startswith("__")]
+        for part in parts:
+            names, attrs = _references(part)
+            for qual, definition in (
+                    [d for n in names | attrs for d in tops.get(n, [])]
+                    + [d for a in attrs for d in methods.get(a, [])]):
+                if qual not in reached:
+                    reached.add(qual)
+                    todo.append(definition)
+    defined = {qual for defs in [*tops.values(), *methods.values()]
+               for qual, _ in defs}
+    return sorted(defined - reached)
+
+
+def test_every_definition_is_reached_from_the_command_line():
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    assert _unreached(sources) == sorted(ALLOWED_UNREACHED)
+
+
+def test_reachability_rule_flags_what_no_command_runs():
+    cli = """
+from .lib import Used, helper
+def main():
+    helper(Used().run)
+"""
+    lib = """
+class Used:
+    def __init__(self):
+        self._setup()
+    def _setup(self):
+        pass
+    def run(self):
+        pass
+    def act(self):
+        pass
+def helper(f):
+    def act(x):
+        return x
+    return act(f)
+def only_in_tests():
+    pass
+"""
+    # the call of the local `act` in helper reaches no method
+    assert _unreached({"cli": cli, "lib": lib}) == [
+        "lib.Used.act", "lib.only_in_tests"]
+
+
+# -- unused imports ------------------------------------------------------------
+
+
+def _unused_imports(tree):
+    """Names bound by module-level imports that the module never reads."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(name for name in bound if name not in used)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_unused_import(path):
+    assert _unused_imports(_tree(path)) == []
+
+
+def test_unused_import_rule_sees_every_import_form():
+    source = """
+from __future__ import annotations
+import os
+import numpy as np
+import os.path
+from .finring import dual_map, kernel as ker
+from . import snf
+def f(x: np.ndarray):
+    return ker(x) + snf.zeros(1, 1)
+"""
+    assert _unused_imports(ast.parse(source)) == ["dual_map", "os"]

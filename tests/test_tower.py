@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from proflq.etale import FiniteEtaleSpace, constant_space, sections, zero_space
+from proflq.etale import FiniteEtaleSpace, constant_space, sections
 from proflq.finring import (
     FiniteModule,
     FiniteRing,
@@ -31,16 +31,14 @@ from proflq.tower import (
     free_product,
     free_sum,
     levelwise_isomorphic,
-    point_tower,
     product_ind,
     relative_product,
     relative_sum,
-    restrict_tower,
-    stalk_at_thread,
 )
 
 from proflq import tower
 
+from .reference import add_maps, point_tower, restrict_tower, zero_space
 from .test_finring import random_map, random_module
 
 F2 = FiniteRing(2)
@@ -123,7 +121,9 @@ class TestSpaceTower:
         t = binary_tower(3)
         threads = t.threads()
         assert len(threads) == 8
-        assert all(t.is_thread(th) for th in threads)
+        assert len(set(threads)) == 8
+        assert all(t.transitions[k][th[k + 1]] == th[k]
+                   for th in threads for k in range(t.depth))
 
     def test_non_surjective_transition_rejected(self):
         with pytest.raises(ValueError):
@@ -276,6 +276,23 @@ class TestDualTower:
         assert isinstance(d, IndEtale)
 
 
+class TestTransitionChecks:
+    def test_module_towers_check_direction(self):
+        # pro transitions run down and onto, ind transitions up and into
+        z2, z4 = cyclic(Z4, 2), cyclic(Z4, 4)
+        surj, inj = ModuleMap(z4, z2, [[1]]), ModuleMap(z2, z4, [[2]])
+        assert ProModule([z2, z4], [surj]).transitions == [surj]
+        assert IndModule([z2, z4], [inj]).transitions == [inj]
+        for kind, f in ((ProModule, inj), (IndModule, surj)):
+            with pytest.raises(ValueError):
+                kind([z2, z4], [f])
+        double = ModuleMap(z4, z4, [[2]])
+        for kind in (ProModule, IndModule):
+            with pytest.raises(ValueError):
+                kind([z4, z4], [double])
+            assert not kind([z4, z4], [double], strict=False).strict
+
+
 class TestRelative:
     def test_identity_map(self):
         a = cyclic(F2, 2)
@@ -316,11 +333,13 @@ class TestRelative:
             {"aa": "s0aa", "ba": "s0aa", "ab": "s0ab", "bb": "s0ab"},
         ])
         rel = relative_product(a, pi)
-        stalk = stalk_at_thread(rel, ("s0", "s0a", "s0aa"))
-        assert [m.order for m in stalk.levels] == [4, 16, 16]
-        # matches the free product over the fiber tower
-        fp = free_product(a, pi.fiber_tower(("s0", "s0a", "s0aa")))
-        assert levelwise_isomorphic(stalk, fp)
+        stalk = [rel.levels[k].fiber(s) for k, s in enumerate(("s0", "s0a", "s0aa"))]
+        assert [m.order for m in stalk] == [4, 16, 16]
+        # matches the free product over the tower of fibers of pi
+        fibers = SpaceTower([("t0",), ("a", "b"), ("aa", "ba")],
+                            [{"a": "t0", "b": "t0"}, {"aa": "a", "ba": "b"}])
+        assert [m.factors for m in free_product(a, fibers).levels] \
+            == [m.factors for m in stalk]
 
 
 class TestDecomposition:
@@ -372,7 +391,7 @@ def chain_sum(source, target, chains):
         comp = chain[0]
         for f in chain[1:]:
             comp = comp.compose(f)
-        out = out.add(comp)
+        out = add_maps(out, comp)
     return out
 
 
@@ -469,14 +488,15 @@ class TestStalks:
     def test_constant_tower(self):
         a = FiniteModule(Z4, (2, 4))
         t = binary_tower(2)
-        stalk = stalk_at_thread(constant_ind_etale(a, t), ("b", "b0", "b00"))
-        assert all(is_isomorphic(m, a) for m in stalk.levels)
+        e = constant_ind_etale(a, t)
+        thread = ("b", "b0", "b00")
+        assert all(e.levels[k].fiber(s) == a for k, s in enumerate(thread))
+        assert all(e.fiber_transitions[k][thread[k + 1]] == a.identity_map()
+                   for k in range(t.depth))
 
     def test_invalid_thread_rejected(self):
-        a = cyclic(F2, 2)
         t = binary_tower(2)
-        with pytest.raises(ValueError):
-            stalk_at_thread(constant_ind_etale(a, t), ("b", "b1", "b00"))
+        assert ("b", "b1", "b00") not in t.threads()
 
     def test_zero_fiber_stalk(self):
         t = binary_tower(1)
@@ -485,8 +505,8 @@ class TestStalks:
             [zero_space(lv, F2) for lv in t.levels],
             [{s: zero_map(zero_module(F2), zero_module(F2)) for s in t.levels[1]}],
         )
-        stalk = stalk_at_thread(e, ("b", "b0"))
-        assert all(m.is_zero for m in stalk.levels)
+        assert all(e.levels[k].fiber(s).is_zero for k, s in enumerate(("b", "b0")))
+        assert all(m.is_zero for m in coproduct_pro(e).levels)
 
 
 class TestCanonicalComponents:
@@ -571,10 +591,10 @@ class TestExactness:
                 lift_i = zero_map(si.module, sa.module)
                 lift_p = zero_map(sa.module, sq.module)
                 for ptt in pts:
-                    lift_i = lift_i.add(
-                        sa.injections[ptt].compose(incl).compose(si.projections[ptt]))
-                    lift_p = lift_p.add(
-                        sq.injections[ptt].compose(proj).compose(sa.projections[ptt]))
+                    lift_i = add_maps(lift_i, sa.injections[ptt].compose(incl)
+                                      .compose(si.projections[ptt]))
+                    lift_p = add_maps(lift_p, sq.injections[ptt].compose(proj)
+                                      .compose(sa.projections[ptt]))
                 assert lift_i.is_injective()
                 assert lift_p.is_surjective()
                 assert lift_p.compose(lift_i).is_zero
