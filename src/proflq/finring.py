@@ -2,9 +2,11 @@
 
 A module is a direct sum Z/d_1 + ... + Z/d_k with d_1 | d_2 | ... | d_k,
 all d_i > 1 dividing the ambient modulus m.  Maps are integer matrices
-read modulo the target factors.  Kernels, cokernels, Hom and
-Pontryagin duality (Hom into Z/m, standing in for Q/Z at exponent m) are
-all computed exactly through Smith normal form.
+read modulo the target factors.  All arithmetic is over Z/m: a cokernel,
+and the normal form of a direct sum, is one Smith form over Z/m
+(`snf.smith_normal_form`); a kernel is the dual of the cokernel of the
+dual map, since Pontryagin duality (Hom into Z/m, standing in for Q/Z at
+exponent m) is exact; an image is the cokernel of the kernel inclusion.
 """
 
 from __future__ import annotations
@@ -151,88 +153,35 @@ def zero_map(source: FiniteModule, target: FiniteModule) -> ModuleMap:
     return ModuleMap(source, target, snf.zeros(target.rank, source.rank))
 
 
-def _column_lattice_basis(columns: list[list[int]]) -> list[list[int]]:
-    """Basis (columns, full rank assumed) of the lattice spanned by `columns`."""
-    _, d, _, linv = snf.smith_normal_form(columns)
-    diag = snf.diagonal_of(d)
-    basis = []
-    for j, dj in enumerate(diag):
-        if dj:
-            basis.append([linv[i][j] * dj for i in range(len(columns))])
-    return snf.transpose(basis)
+def cokernel(f: ModuleMap) -> tuple[FiniteModule, ModuleMap]:
+    """(Q, pi) with pi: target -> Q the universal map killing im(f).
 
-
-def _quotient_structure(basis: list[list[int]], sub: list[list[int]]):
-    """Invariant factors of lattice(basis)/lattice(sub) plus adapted basis.
-
-    Returns (kept_factors, adapted) where adapted's columns are lattice
-    elements generating the quotient cyclically with the given orders.
+    One Smith form of [F | diag(c)] over Z/m, c the target factors: the
+    rows of L with d_i > 1 project onto Q = Z/d_1 + ... .
     """
-    x = snf.solve_integer(basis, sub)
-    _, d, _, uinv = snf.smith_normal_form(x)
-    adapted = snf.mat_mul(basis, uinv)
-    diag = snf.diagonal_of(d)
-    kept = [(i, di) for i, di in enumerate(diag) if di > 1]
-    cols = [[adapted[r][i] for i, _ in kept] for r in range(len(adapted))]
-    return [di for _, di in kept], cols
+    tgt = f.target
+    n = tgt.rank
+    aug = [list(f.matrix[i]) + [tgt.factors[i] if j == i else 0 for j in range(n)]
+           for i in range(n)]
+    left, d, _ = snf.smith_normal_form(aug, tgt.ring.modulus)
+    kept = [i for i, di in enumerate(d) if di > 1]
+    q = FiniteModule(tgt.ring, tuple(d[i] for i in kept))
+    return q, ModuleMap(tgt, q, [left[i] for i in kept])
 
 
 def kernel(f: ModuleMap) -> tuple[FiniteModule, ModuleMap]:
-    """(K, iota) with iota: K -> source the universal map killed by f."""
-    src, tgt = f.source, f.target
-    k, n = src.rank, tgt.rank
-    if k == 0:
-        kmod = zero_module(src.ring)
-        return kmod, zero_map(kmod, src)
-    if n == 0:
-        return src, src.identity_map()
-    # lattice L = {x in Z^k : F x in diag(b) Z^n}
-    aug = [list(f.matrix[i]) + [tgt.factors[i] if j == i else 0 for j in range(n)]
-           for i in range(n)]
-    ker_cols = snf.integer_kernel(aug)
-    proj = [row[:] for row in ker_cols[:k]] if ker_cols else snf.zeros(k, 0)
-    rel = snf.zeros(k, k)
-    for j in range(k):
-        rel[j][j] = src.factors[j]
-    span = [proj[i] + rel[i] for i in range(k)]
-    basis = _column_lattice_basis(span)
-    factors, gen_cols = _quotient_structure(basis, rel)
-    kmod = FiniteModule(src.ring, tuple(factors))
-    incl = ModuleMap(kmod, src, [[gen_cols[i][j] for j in range(kmod.rank)]
-                                 for i in range(k)])
-    return kmod, incl
+    """(K, iota) with iota: K -> source the universal map killed by f.
 
-
-def cokernel(f: ModuleMap) -> tuple[FiniteModule, ModuleMap]:
-    """(Q, pi) with pi: target -> Q the universal map killing im(f)."""
-    src, tgt = f.source, f.target
-    k, n = src.rank, tgt.rank
-    if n == 0:
-        q = zero_module(src.ring)
-        return q, zero_map(tgt, q)
-    aug = [list(f.matrix[i]) + [tgt.factors[i] if j == i else 0 for j in range(n)]
-           for i in range(n)]
-    u, d, _, _ = snf.smith_normal_form(aug)
-    diag = snf.diagonal_of(d)
-    kept = [(i, di) for i, di in enumerate(diag[:n]) if di > 1]
-    q = FiniteModule(src.ring, tuple(di for _, di in kept))
-    proj = ModuleMap(tgt, q, [u[i] for i, _ in kept]) if kept else zero_map(tgt, q)
-    return q, proj
+    Pontryagin duality is exact and swaps kernels and cokernels: the dual
+    of the projection onto coker(f^v) is the inclusion of ker(f).
+    """
+    q, proj = cokernel(dual_map(f))
+    return q, dual_map(proj)
 
 
 def image(f: ModuleMap) -> FiniteModule:
     """The image of f as an abstract module (no embedding returned)."""
-    tgt = f.target
-    n = tgt.rank
-    if n == 0 or f.source.rank == 0:
-        return zero_module(f.source.ring)
-    rel = snf.zeros(n, n)
-    for i in range(n):
-        rel[i][i] = tgt.factors[i]
-    span = [list(f.matrix[i]) + rel[i] for i in range(n)]
-    basis = _column_lattice_basis(span)
-    factors, _ = _quotient_structure(basis, rel)
-    return FiniteModule(f.source.ring, tuple(factors))
+    return cokernel(kernel(f)[1])[0]
 
 
 def from_cyclic(ring: FiniteRing, orders: list[int]):
@@ -249,12 +198,11 @@ def from_cyclic(ring: FiniteRing, orders: list[int]):
         if c < 1 or ring.modulus % c:
             raise ValueError(f"cyclic order {c} invalid for modulus {ring.modulus}")
         diag[i][i] = c
-    u, d, _, uinv = snf.smith_normal_form(diag)
-    dd = snf.diagonal_of(d)
-    kept = [(i, di) for i, di in enumerate(dd) if di > 1]
-    mod = FiniteModule(ring, tuple(di for _, di in kept))
-    to_normal = [u[i] for i, _ in kept]
-    from_normal = [[uinv[r][i] for i, _ in kept] for r in range(n)]
+    left, d, left_inv = snf.smith_normal_form(diag, ring.modulus)
+    kept = [i for i, di in enumerate(d) if di > 1]
+    mod = FiniteModule(ring, tuple(d[i] for i in kept))
+    to_normal = [left[i] for i in kept]
+    from_normal = [[left_inv[r][i] for i in kept] for r in range(n)]
     return mod, to_normal, from_normal
 
 

@@ -76,18 +76,30 @@ def load_json(path: str):
 # -- modules and maps ---------------------------------------------------------
 
 
+def _integers(values) -> list[int]:
+    """`values` if it is a JSON list of integers, else a ValueError.
+
+    A bool, float or string is refused rather than truncated by `int()`.
+    """
+    if not isinstance(values, list) or any(type(v) is not int for v in values):
+        raise ValueError(f"expected a JSON list of integers, got {values!r}")
+    return values
+
+
 def load_module(data: dict) -> FiniteModule:
     """{"m": 12, "factors": [2, 6]}"""
-    return FiniteModule(FiniteRing(int(data["m"])),
-                        tuple(int(d) for d in data["factors"]))
+    (m,) = _integers([data["m"]])
+    return FiniteModule(FiniteRing(m), tuple(_integers(data["factors"])))
 
 
 def load_map(data: dict) -> ModuleMap:
     """{"source": <module>, "target": <module>, "matrix": [[...]]}"""
     src = load_module(data["source"])
     dst = load_module(data["target"])
-    return ModuleMap(src, dst, [[int(x) for x in row]
-                                for row in data["matrix"]])
+    rows = data["matrix"]
+    if not isinstance(rows, list):
+        raise ValueError(f"expected a JSON list of rows, got {rows!r}")
+    return ModuleMap(src, dst, [_integers(row) for row in rows])
 
 
 # -- etale spaces and space towers --------------------------------------------

@@ -1,12 +1,15 @@
-"""Exact integer matrix normal forms.
+"""Smith normal form over Z/m.
 
-Smith normal form with unimodular transforms (and the inverse of the left
-one), integer kernels and exact linear solves.  Everything runs on plain
-Python ints (arbitrary precision), matrices are lists of lists.  Sizes here
-are desk scale; clarity over speed.
+Every lattice the library reduces contains m·Z^n, so its normal forms are
+computed in (Z/m)^n with every entry kept in range(m) (Storjohann and
+Mulders, "Fast algorithms for linear algebra modulo N", ESA 1998).  The
+entries never grow, so every call terminates quickly.  Matrices are lists
+of lists of plain ints.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 
 def zeros(rows: int, cols: int) -> list[list[int]]:
@@ -38,27 +41,32 @@ def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def transpose(a: list[list[int]]) -> list[list[int]]:
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
+def _bezout(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, u) with s*a + u*b == g == gcd(a, b), for a, b >= 0."""
+    s0, s1, u0, u1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        u0, u1 = u1, u0 - q * u1
+    return a, s0, u0
 
 
-def smith_normal_form(matrix: list[list[int]]) -> tuple[
-        list[list[int]], list[list[int]], list[list[int]], list[list[int]]]:
-    """Return (L, D, R, L^-1) with L @ matrix @ R == D.
+def smith_normal_form(matrix: list[list[int]], m: int) -> tuple[
+        list[list[int]], list[int], list[list[int]]]:
+    """Return (L, d, L^-1): L·matrix·R ≡ diag(d) (mod m) for some R.
 
-    L and R are unimodular, D is diagonal with d_1 | d_2 | ... and
-    nonnegative entries.  Empty matrices are allowed.  Every row operation
-    on L is matched by the inverse column operation on L^-1, so the two
-    stay inverse to each other throughout.
+    L and R are invertible mod m and d has min(rows, cols) entries, each a
+    divisor of m, with d_1 | d_2 | ...; d_i = m marks a zero diagonal entry.
+    Diagonal entries are fixed only up to units, which R absorbs, so row i
+    of L·matrix is ≡ 0 mod d_i.  Every row operation on L is matched by the
+    inverse column operation on L^-1, so the two stay inverse throughout.
     """
     rows = len(matrix)
     cols = len(matrix[0]) if matrix else 0
-    a = [list(r) for r in matrix]
+    a = [[x % m for x in r] for r in matrix]
     left = identity(rows)
     left_inv = identity(rows)
-    right = identity(cols)
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -69,134 +77,55 @@ def smith_normal_form(matrix: list[list[int]]) -> tuple[
     def swap_cols(i, j):
         for r in a:
             r[i], r[j] = r[j], r[i]
-        for r in right:
-            r[i], r[j] = r[j], r[i]
 
-    def add_row(src, dst, c):
-        # row_dst += c * row_src
-        arow, lrow = a[src], left[src]
-        for j in range(cols):
-            a[dst][j] += c * arow[j]
-        for j in range(rows):
-            left[dst][j] += c * lrow[j]
+    def mix_rows(i, j, s, u, v, w):
+        # (row_i, row_j) <- (s·row_i + u·row_j, v·row_i + w·row_j), s·w - u·v = 1
+        for mat in (a, left):
+            ri, rj = mat[i], mat[j]
+            mat[i] = [(s * x + u * y) % m for x, y in zip(ri, rj)]
+            mat[j] = [(v * x + w * y) % m for x, y in zip(ri, rj)]
         for r in left_inv:
-            r[src] -= c * r[dst]
+            r[i], r[j] = (w * r[i] - v * r[j]) % m, (s * r[j] - u * r[i]) % m
 
-    def add_col(src, dst, c):
+    def mix_cols(i, j, s, u, v, w):
         for r in a:
-            r[dst] += c * r[src]
-        for r in right:
-            r[dst] += c * r[src]
+            r[i], r[j] = (s * r[i] + u * r[j]) % m, (v * r[i] + w * r[j]) % m
 
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        left[i] = [-x for x in left[i]]
-        for r in left_inv:
-            r[i] = -r[i]
+    def eliminate(mix, p, e, i, j):
+        # zero e against the pivot p by the unimodular 2x2 step mix on i, j
+        if e % p == 0:
+            mix(i, j, 1, 0, -(e // p), 1)
+        else:
+            g, s, u = _bezout(p, e)
+            mix(i, j, s, u, -(e // g), p // g)
 
-    t = 0
-    while t < min(rows, cols):
-        # find a pivot: nonzero entry of minimal absolute value in a[t:, t:]
-        piv = None
-        best = None
+    d = [m] * min(rows, cols)
+    for t in range(len(d)):
+        best, piv = m, None
         for i in range(t, rows):
             for j in range(t, cols):
-                v = abs(a[i][j])
-                if v and (best is None or v < best):
-                    best = v
-                    piv = (i, j)
+                g = gcd(a[i][j], m)
+                if g < best:
+                    best, piv = g, (i, j)
         if piv is None:
             break
         swap_rows(t, piv[0])
         swap_cols(t, piv[1])
-        # clear row and column t
+        # clear column and row t; each Bézout step shrinks the pivot
         while True:
-            progressed = False
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    add_row(t, i, -q)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                    progressed = True
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    add_col(t, j, -q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                    progressed = True
-            if not progressed:
+            i = next((i for i in range(t + 1, rows) if a[i][t]), None)
+            if i is not None:
+                eliminate(mix_rows, a[t][t], a[i][t], t, i)
+                continue
+            j = next((j for j in range(t + 1, cols) if a[t][j]), None)
+            if j is not None:
+                eliminate(mix_cols, a[t][t], a[t][j], t, j)
+                continue
+            # divisibility: gcd(pivot, m) must divide every later entry
+            d[t] = gcd(a[t][t], m)
+            bad = next((i for i in range(t + 1, rows)
+                        if any(x % d[t] for x in a[i][t + 1:])), None)
+            if bad is None:
                 break
-        # divisibility: a[t][t] must divide every later entry
-        d = a[t][t]
-        fixed = True
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % d:
-                    add_row(i, t, 1)
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if fixed:
-            if a[t][t] < 0:
-                negate_row(t)
-            t += 1
-
-    diag = zeros(rows, cols)
-    for i in range(min(rows, cols)):
-        diag[i][i] = a[i][i]
-    return left, diag, right, left_inv
-
-
-def diagonal_of(d: list[list[int]]) -> list[int]:
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
-
-
-def integer_kernel(matrix: list[list[int]]) -> list[list[int]]:
-    """Basis (as columns) of {x in Z^cols : matrix @ x = 0}."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if matrix else 0
-    if cols == 0:
-        return []
-    if rows == 0:
-        return identity(cols)
-    _, d, right, _ = smith_normal_form(matrix)
-    diag = diagonal_of(d)
-    free = [j for j in range(cols) if j >= len(diag) or diag[j] == 0]
-    # columns of `right` indexed by `free` span the kernel
-    return [[right[i][j] for j in free] for i in range(cols)]
-
-
-def solve_integer(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    """Solve a @ x = b exactly where an integer solution is known to exist.
-
-    Used for lattice quotients (a's columns a basis, b's columns inside the
-    lattice), so a has full column rank and the solution is unique.
-    """
-    rows = len(a)
-    cols = len(a[0]) if a else 0
-    bcols = len(b[0]) if b else 0
-    if cols == 0:
-        if any(any(r) for r in b):
-            raise ValueError("inconsistent system")
-        return zeros(0, bcols)
-    left, d, right, _ = smith_normal_form(a)
-    lb = mat_mul(left, b)
-    diag = diagonal_of(d)
-    y = zeros(cols, bcols)
-    for i in range(rows):
-        di = diag[i] if i < len(diag) else 0
-        for j in range(bcols):
-            v = lb[i][j]
-            if di == 0:
-                if v != 0:
-                    raise ValueError("inconsistent system")
-            else:
-                q, r = divmod(v, di)
-                if r:
-                    raise ValueError("no integer solution")
-                if i < cols:
-                    y[i][j] = q
-    return mat_mul(right, y)
+            mix_rows(t, bad, 1, 1, 0, 1)
+    return left, d, left_inv

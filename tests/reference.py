@@ -1,9 +1,9 @@
 """Reference implementations and fixtures the tests compare the library to.
 
 None of this runs on a `proflq` command path: these are brute-force
-oracles (bar cochains, hom enumeration, isomorphism search) and small
-builders of test inputs (regular and direct-sum modules, constant group
-towers, point towers).
+oracles (bar cochains, hom enumeration, isomorphism search, the integer
+Smith normal form) and small builders of test inputs (regular and
+direct-sum modules, constant group towers, point towers).
 """
 
 import itertools
@@ -11,7 +11,7 @@ from math import gcd
 
 import numpy as np
 
-from proflq import groupcoh as gc, linalg
+from proflq import groupcoh as gc, linalg, snf
 from proflq.errors import BudgetError
 from proflq.etale import FiniteEtaleSpace
 from proflq.finring import FiniteModule, ModuleMap, zero_module
@@ -198,6 +198,119 @@ def add_maps(f: ModuleMap, g: ModuleMap) -> ModuleMap:
     return ModuleMap(f.source, f.target,
                      [[a + b for a, b in zip(r1, r2)]
                       for r1, r2 in zip(f.matrix, g.matrix)])
+
+
+# -- integer Smith normal form ---------------------------------------------------
+
+# The classic integer algorithm the library used before it worked over Z/m:
+# the pivot is the entry of least absolute value.  It is exact but its
+# entries can grow without bound on dense matrices past about 6 x 6.
+
+
+def integer_smith_normal_form(matrix: list[list[int]]) -> tuple[
+        list[list[int]], list[list[int]], list[list[int]], list[list[int]]]:
+    """Return (L, D, R, L^-1) with L @ matrix @ R == D over the integers.
+
+    L and R are unimodular, D is diagonal with d_1 | d_2 | ... and
+    nonnegative entries.  Empty matrices are allowed.  Every row operation
+    on L is matched by the inverse column operation on L^-1, so the two
+    stay inverse to each other throughout.
+    """
+    rows = len(matrix)
+    cols = len(matrix[0]) if matrix else 0
+    a = [list(r) for r in matrix]
+    left = snf.identity(rows)
+    left_inv = snf.identity(rows)
+    right = snf.identity(cols)
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        left[i], left[j] = left[j], left[i]
+        for r in left_inv:
+            r[i], r[j] = r[j], r[i]
+
+    def swap_cols(i, j):
+        for r in a:
+            r[i], r[j] = r[j], r[i]
+        for r in right:
+            r[i], r[j] = r[j], r[i]
+
+    def add_row(src, dst, c):
+        # row_dst += c * row_src
+        arow, lrow = a[src], left[src]
+        for j in range(cols):
+            a[dst][j] += c * arow[j]
+        for j in range(rows):
+            left[dst][j] += c * lrow[j]
+        for r in left_inv:
+            r[src] -= c * r[dst]
+
+    def add_col(src, dst, c):
+        for r in a:
+            r[dst] += c * r[src]
+        for r in right:
+            r[dst] += c * r[src]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        left[i] = [-x for x in left[i]]
+        for r in left_inv:
+            r[i] = -r[i]
+
+    t = 0
+    while t < min(rows, cols):
+        # find a pivot: nonzero entry of minimal absolute value in a[t:, t:]
+        piv = None
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                v = abs(a[i][j])
+                if v and (best is None or v < best):
+                    best = v
+                    piv = (i, j)
+        if piv is None:
+            break
+        swap_rows(t, piv[0])
+        swap_cols(t, piv[1])
+        # clear row and column t
+        while True:
+            progressed = False
+            for i in range(t + 1, rows):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    add_row(t, i, -q)
+                    if a[i][t]:
+                        swap_rows(t, i)
+                    progressed = True
+            for j in range(t + 1, cols):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    add_col(t, j, -q)
+                    if a[t][j]:
+                        swap_cols(t, j)
+                    progressed = True
+            if not progressed:
+                break
+        # divisibility: a[t][t] must divide every later entry
+        d = a[t][t]
+        fixed = True
+        for i in range(t + 1, rows):
+            for j in range(t + 1, cols):
+                if a[i][j] % d:
+                    add_row(i, t, 1)
+                    fixed = False
+                    break
+            if not fixed:
+                break
+        if fixed:
+            if a[t][t] < 0:
+                negate_row(t)
+            t += 1
+
+    diag = snf.zeros(rows, cols)
+    for i in range(min(rows, cols)):
+        diag[i][i] = a[i][i]
+    return left, diag, right, left_inv
 
 
 # -- etale spaces and towers ------------------------------------------------------

@@ -160,6 +160,43 @@ def test_usage_errors_are_exit_2(inputs, capsys):
                      "--budget-hom", "1"]) == 2
 
 
+@pytest.mark.parametrize("module, map_rows", [
+    ({"m": 12, "factors": [2.5]}, None),
+    ({"m": 12, "factors": "6"}, None),
+    ({"m": 12, "factors": [6]}, [[1.7]]),
+    ({"m": 12, "factors": [True]}, None),
+], ids=["float-factor", "string-factors", "float-entry", "bool-factor"])
+def test_non_integer_module_input_is_exit_2(tmp_path, capsys, module, map_rows):
+    argv = ["module", "--module", str(tmp_path / "m.json")]
+    (tmp_path / "m.json").write_text(json.dumps(module))
+    if map_rows is not None:
+        (tmp_path / "map.json").write_text(json.dumps(
+            {"source": module, "target": module, "matrix": map_rows}))
+        argv += ["--map", str(tmp_path / "map.json")]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("bad input")
+
+
+def test_dense_map_over_z60_returns(tmp_path):
+    # an endomorphism of (Z/60)^4 on which an integer Smith form never returns
+    module = {"m": 60, "factors": [60, 60, 60, 60]}
+    (tmp_path / "m.json").write_text(json.dumps(module))
+    (tmp_path / "map.json").write_text(json.dumps({
+        "source": module, "target": module,
+        "matrix": [[55, 54, 3, 5], [5, 23, 53, 10], [47, 51, 42, 54],
+                   [19, 16, 38, 13]]}))
+    env = dict(os.environ, PYTHONPATH=str(Path(proflq.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "proflq.cli", "module", "--module", "m.json",
+         "--map", "map.json"],
+        cwd=tmp_path, capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["map"] == {
+        "kernel_factors": [20], "image_factors": [3, 60, 60, 60],
+        "cokernel_factors": [20]}
+
+
 def test_internal_violation_is_exit_3(inputs, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise lq.LqError("forced mismatch", {"report": {}})

@@ -32,7 +32,7 @@ from proflq.finring import (
 from proflq.tower import IndEtale, ProEtale, SpaceTower, TowerMap
 
 from .reference import hom_maps, zero_space
-from .test_finring import random_map, random_module
+from .test_finring import random_module
 
 Z12 = FiniteRing(12)
 

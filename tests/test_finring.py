@@ -1,7 +1,9 @@
 import random
-from math import prod
+import time
+from math import gcd, lcm, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proflq import etale
 from proflq.finring import (
@@ -22,7 +24,7 @@ from proflq.finring import (
     zero_module,
 )
 
-from .reference import dual_pairing, hom_maps
+from .reference import dual_pairing, hom_maps, integer_smith_normal_form
 
 Z12 = FiniteRing(12)
 
@@ -45,11 +47,29 @@ def random_map(rng, source, target):
     for i, b in enumerate(target.factors):
         row = []
         for a in source.factors:
-            from math import gcd
-
             g = gcd(a, b)
             row.append(rng.randrange(g) * (b // g))
         matrix.append(row)
+    return ModuleMap(source, target, matrix)
+
+
+@st.composite
+def module_maps(draw, max_rank):
+    """A random map between modules of rank <= max_rank over Z/m, m <= 360."""
+    m = draw(st.integers(2, 360))
+    ring = FiniteRing(m)
+    divisors = [d for d in range(2, m + 1) if m % d == 0]
+
+    def module():
+        factors = [1]
+        for d in draw(st.lists(st.sampled_from(divisors), max_size=max_rank)):
+            factors.append(lcm(factors[-1], d))
+        return FiniteModule(ring, tuple(factors[1:]))
+
+    source, target = module(), module()
+    # Hom(Z/a, Z/b) is generated by b / gcd(a, b)
+    matrix = [[draw(st.integers(0, m - 1)) * (b // gcd(a, b)) for a in source.factors]
+              for b in target.factors]
     return ModuleMap(source, target, matrix)
 
 
@@ -146,6 +166,50 @@ class TestKernelCokernel:
         assert proj.compose(f).is_zero
         assert incl.is_injective()
         assert proj.is_surjective()
+
+
+# the slowest call seen on these sizes takes a few ms
+CALL_BOUND_S = 0.5
+
+
+def timed(fn, f):
+    start = time.perf_counter()
+    out = fn(f)
+    assert time.perf_counter() - start < CALL_BOUND_S
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(module_maps(max_rank=8))
+def test_random_maps_up_to_8x8(f):
+    k, incl = timed(kernel, f)
+    q, proj = timed(cokernel, f)
+    im = timed(image, f)
+    assert k.order * im.order == f.source.order
+    assert im.order * q.order == f.target.order
+    assert f.compose(incl).is_zero and proj.compose(f).is_zero
+    assert incl.is_injective() and proj.is_surjective()
+    if f.source.order <= 4096:
+        assert k.order == brute_kernel_order(f)
+
+
+def reference_cokernel(f):
+    """Invariant factors of coker(f) from the integer SNF of [F | diag(c)]."""
+    c = f.target.factors
+    aug = [list(row) + [c[i] if j == i else 0 for j in range(len(c))]
+           for i, row in enumerate(f.matrix)]
+    _, d, _, _ = integer_smith_normal_form(aug)
+    m = f.target.ring.modulus
+    return tuple(g for g in (gcd(d[i][i], m) for i in range(len(c))) if g > 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(module_maps(max_rank=3))
+def test_invariant_factors_match_the_integer_reference(f):
+    k, incl = kernel(f)
+    assert cokernel(f)[0].factors == reference_cokernel(f)
+    assert k.factors == reference_cokernel(dual_map(f))
+    assert image(f).factors == reference_cokernel(incl)
 
 
 class TestHomTensor:

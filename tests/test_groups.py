@@ -23,7 +23,6 @@ from proflq.groups import (
     subgroup_group,
     subgroups_up_to_conjugacy,
     symmetric_group,
-    trivial_group,
 )
 
 from .reference import (are_isomorphic, center, conjugacy_classes, fingerprint,

@@ -1,7 +1,5 @@
 """Tests for Rep(V, G) enumeration, strata, Weyl images and rep towers."""
 
-import random
-
 import pytest
 
 from proflq import catalog, groupcoh as gc, repv
@@ -12,7 +10,6 @@ from proflq.groups import (
     dihedral_group,
     direct_product,
     symmetric_group,
-    trivial_group,
 )
 from proflq.repv import (
     ElementaryAbelian,

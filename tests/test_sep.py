@@ -14,7 +14,6 @@ from proflq.groups import (
     identity_hom,
     subgroup_group,
     symmetric_group,
-    trivial_group,
 )
 from proflq.repv import ElementaryAbelian
 

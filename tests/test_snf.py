@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from proflq import snf
+
+from .reference import integer_smith_normal_form
 
 
 def invert_unimodular(u: list[list[int]]) -> list[list[int]]:
@@ -40,9 +43,9 @@ def invert_unimodular(u: list[list[int]]) -> list[list[int]]:
 
 
 def check_snf(matrix):
-    left, d, right, left_inv = snf.smith_normal_form(matrix)
+    left, d, right, left_inv = integer_smith_normal_form(matrix)
     assert snf.mat_mul(snf.mat_mul(left, matrix), right) == d
-    diag = snf.diagonal_of(d)
+    diag = [d[i][i] for i in range(min(len(d), len(right)))]
     for a, b in zip(diag, diag[1:]):
         if a == 0:
             assert b == 0
@@ -75,7 +78,7 @@ def test_zero_one_by_one():
 
 
 def test_empty_matrix():
-    left, d, right, left_inv = snf.smith_normal_form([])
+    left, d, right, left_inv = integer_smith_normal_form([])
     assert d == [] and left_inv == []
 
 
@@ -86,29 +89,6 @@ def test_random_matrices(seed):
     cols = rng.randint(1, 5)
     m = [[rng.randint(-20, 20) for _ in range(cols)] for _ in range(rows)]
     check_snf(m)
-
-
-def test_integer_kernel():
-    m = [[1, 2, 3], [2, 4, 6]]
-    k = snf.integer_kernel(m)
-    assert len(k) == 3 and len(k[0]) == 2
-    assert snf.mat_mul(m, k) == snf.zeros(2, 2)
-
-
-def test_integer_kernel_injective_map():
-    assert snf.integer_kernel([[1, 0], [0, 1], [3, 5]]) == [[], []]
-
-
-def test_solve_integer():
-    a = [[2, 0], [0, 3]]
-    b = [[4], [9]]
-    x = snf.solve_integer(a, b)
-    assert snf.mat_mul(a, x) == b
-
-
-def test_solve_integer_rejects_nonintegral():
-    with pytest.raises(ValueError):
-        snf.solve_integer([[2]], [[3]])
 
 
 def test_invert_unimodular_roundtrip():
@@ -130,7 +110,74 @@ def test_left_inverse_matches_the_reference(rows, cols, seed, bound):
     # this pivoting strategy can grow its entries without bound
     rng = random.Random(seed)
     m = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
-    left, _, _, left_inv = snf.smith_normal_form(m)
+    left, _, _, left_inv = integer_smith_normal_form(m)
     assert left_inv == invert_unimodular(left)
     assert snf.mat_mul(left, left_inv) == snf.identity(rows)
     assert snf.mat_mul(left_inv, left) == snf.identity(rows)
+
+
+# -- Smith normal form over Z/m --------------------------------------------------
+
+MODULI = [2, 4, 6, 8, 9, 12, 30, 36, 60, 64, 210, 360]
+
+
+def check_mod_snf(matrix, m):
+    """The defining properties of snf.smith_normal_form(matrix, m)."""
+    rows = len(matrix)
+    left, d, left_inv = snf.smith_normal_form(matrix, m)
+    assert len(d) == min(rows, len(matrix[0]) if matrix else 0)
+    eye = snf.identity(rows)
+    assert [[x % m for x in r] for r in snf.mat_mul(left, left_inv)] == eye
+    assert [[x % m for x in r] for r in snf.mat_mul(left_inv, left)] == eye
+    assert all(m % di == 0 for di in d)
+    assert all(b % a == 0 for a, b in zip(d, d[1:]))
+    # rows past the diagonal are zero mod m
+    for row, di in zip(snf.mat_mul(left, matrix), d + [m] * rows):
+        assert all(x % di == 0 for x in row)
+    return d
+
+
+def test_mod_snf_of_units_and_zero():
+    assert check_mod_snf([[7, 0], [0, 0]], 12) == [1, 12]
+    assert check_mod_snf([[0, 0, 0]], 6) == [6]
+    assert snf.smith_normal_form([], 5) == ([], [], [])
+
+
+def test_mod_snf_coprime_diagonal():
+    # Z/4 + Z/3 = Z/12 inside Z/12
+    assert check_mod_snf([[4, 0], [0, 3]], 12) == [1, 12]
+
+
+def test_mod_snf_pivot_dividing_an_equal_entry():
+    # equal entries are cleared by plain elimination, not swapped forever
+    assert check_mod_snf([[6, 6], [6, 6]], 12) == [6, 12]
+
+
+def test_mod_snf_dense_matrix_that_grows_the_integer_form():
+    # a 6 x 6 integer matrix on which the integer algorithm does not return
+    matrix = [[-21, 23, -22, -9, -23, 9], [7, 20, 29, -6, -26, 6],
+              [5, -16, 6, -25, 30, -13], [-7, 27, -12, 6, 4, 29],
+              [-23, -1, 27, -13, -24, 20], [-28, 22, -12, -30, 9, 12]]
+    for m in MODULI:
+        check_mod_snf(matrix, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(MODULI))
+def test_mod_snf_properties(rows, cols, seed, m):
+    rng = random.Random(seed)
+    matrix = [[rng.randrange(m) for _ in range(cols)] for _ in range(rows)]
+    check_mod_snf(matrix, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(MODULI))
+def test_mod_snf_matches_the_integer_reference(rows, cols, seed, m):
+    # Z -> Z/m is onto, so the Smith form over Z/m is the integer one mod m
+    rng = random.Random(seed)
+    matrix = [[rng.randint(-20, 20) for _ in range(cols)] for _ in range(rows)]
+    _, d, _, _ = integer_smith_normal_form(matrix)
+    expected = [gcd(d[i][i], m) for i in range(min(rows, cols))]
+    assert check_mod_snf(matrix, m) == expected

@@ -12,7 +12,8 @@
 * Every top-level function and class, and every method, is reachable by
   name from `cli.main`: the library is exactly the code the `proflq`
   command runs, and what only the tests use lives in `tests/reference.py`.
-* No module keeps a module-level import it never uses.
+* No module, of the library or of its tests, keeps a module-level import
+  it never uses.
 """
 
 import ast
@@ -25,6 +26,7 @@ import proflq
 from proflq import errors, groupcoh, lq, repv, tower
 
 SOURCES = sorted(Path(proflq.__file__).parent.glob("*.py"))
+TEST_SOURCES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _tree(path):
@@ -222,7 +224,9 @@ def _unused_imports(tree):
     return sorted(name for name in bound if name not in used)
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+@pytest.mark.parametrize("path", SOURCES + TEST_SOURCES,
+                         ids=[p.name for p in SOURCES]
+                         + [f"tests/{p.name}" for p in TEST_SOURCES])
 def test_no_unused_import(path):
     assert _unused_imports(_tree(path)) == []
 
