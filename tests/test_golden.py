@@ -62,6 +62,15 @@ CASES = [
      "7c9a08e8f5df90c7d45c7e99b433c923c76222b0e7e1ae1fc3e81bb755511b20"),
     ("cohomology-s4-p2", ["cohomology", "--group", "s4.json", "--p", "2"], 0,
      "e336522b448979a48ba61555b635e67846b5c9fbbf23d2d4a5bba732cd90a569"),
+    # Shapiro through the coset modules F_p[S4/S3] and F_p[S4/C4]
+    ("cohomology-s4-p2-shapiro-s3",
+     ["cohomology", "--group", "s4.json", "--p", "2",
+      "--subgroup", "0", "1", "14", "16", "18", "21"], 0,
+     "8684471a1a1c38923bc34ad55d8186d297f2ba65bf300d83c66249b8e1e658e3"),
+    ("cohomology-s4-p3-shapiro-c4",
+     ["cohomology", "--group", "s4.json", "--p", "3", "--kmax", "4",
+      "--subgroup", "0", "1", "20", "23"], 0,
+     "509cb5b4f7e3df609a1f6a0586a821604a5875c6747acb6d839eec1e23209db3"),
     ("rep-s4-p2-r2", ["rep", "--group", "s4.json", "--p", "2",
                       "--rank", "2"], 0,
      "be4412ff6c9817e6c74633fc4a434e75ba972b1d52ce70ffd437b11dedf65e63"),
