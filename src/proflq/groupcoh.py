@@ -1,19 +1,27 @@
 """Mod-p cohomology of finite groups.
 
+Every coefficient module here is a permutation module F_p[X]: the
+trivial module (X a point), the coset modules F_p[G/H] and the Symonds
+module on hom(V, G).  So a `GModule` stores the G-set itself, an
+(|G|, |X|) array with action[g, x] = g . x, and `permutation_module`
+is its one constructor, which checks exactly, on the group's generators
+against every element, that the rows are permutations and form an
+action.
+
 H^k(G; M) is computed from a free F_pG-resolution of the trivial module,
 built once per (group table, prime) and kept in `cache`; applying
-Hom_G(-, M) turns the differentials into small block matrices over F_p,
-so many coefficient modules reuse one resolution.  Inflation along a
+Hom_G(-, M) turns each differential into a small F_p block matrix, so
+many coefficient modules reuse one resolution.  Inflation along a
 tower transition, which the tower reports need, is computed on
-inhomogeneous bar cochains, where the pullback is explicit.
+inhomogeneous bar cochains with trivial coefficients, where the pullback
+is explicit.
 
 The resolution picks its generators greedily: a kernel vector becomes a
 generator when it lies outside the span of the translates chosen so far,
 which a `linalg.RowSpace` tracks incrementally.  A coboundary matrix is
-assembled from the nonzero coefficients of the differential only (about
-3 % of them on the LQ sweep), straight into its block layout, in the
-narrowest unsigned dtype that holds a block sum.  Actions and modules
-are validated exactly, on the group's generators against every element.
+one scatter of the nonzero coefficients of the differential (about 3 %
+of them on the LQ sweep) through the action, straight into its block
+layout, in the narrowest unsigned dtype that holds an entry's sum.
 
 Conventions: C(X, F_p) and F_p[X] are identified through the
 indicator-function basis, so a permutation module is its own function
@@ -34,41 +42,19 @@ DEFAULT_DIM_BUDGET = 5000
 
 
 class GModule:
-    """An F_p[G]-module: one invertible d x d matrix over F_p per element."""
+    """F_p[X] for a finite G-set X: `action[g, x]` is g . x, an (|G|, d) array.
 
-    def __init__(self, group: FiniteGroup, p: int, matrices, validate: bool = True):
-        matrices = np.asarray(matrices, dtype=np.int64) % p
-        n = group.order
-        if matrices.shape[0] != n or matrices.ndim != 3 \
-                or matrices.shape[1] != matrices.shape[2]:
-            raise ValueError("need one square matrix per group element")
+    Build one with `permutation_module`, which checks the action.
+    """
+
+    def __init__(self, group: FiniteGroup, p: int, action: np.ndarray):
         self.group = group
         self.p = p
-        self.dim = matrices.shape[1]
-        self.matrices = matrices
-        if validate:
-            self._validate()
-
-    def _validate(self):
-        mats, d, p = self.matrices, self.dim, self.p
-        if d and not (mats[0] == np.eye(d, dtype=np.int64)).all():
-            raise ValueError("identity must act as the identity matrix")
-        # M[sg] = M[s] M[g] for the generators s and every g is exact: the w
-        # with M[wg] = M[w] M[g] for all g include e and are closed under
-        # left multiplication by generators, so they are all of G.  Every
-        # element then acts invertibly, as M[g] M[g^-1] = M[e] = I.
-        for s in self.group.generators_greedy():
-            if not (np.matmul(mats[s], mats) % p == mats[self.group.table[s]]).all():
-                raise ValueError("action is not a homomorphism")
+        self.action = action
+        self.dim = action.shape[1]
 
     def __repr__(self):
         return f"GModule(p={self.p}, dim={self.dim}, |G|={self.group.order})"
-
-
-def trivial_module(group: FiniteGroup, p: int, dim: int = 1) -> GModule:
-    eye = np.broadcast_to(np.eye(dim, dtype=np.int64),
-                          (group.order, dim, dim)).copy()
-    return GModule(group, p, eye, validate=False)
 
 
 def permutation_module(group: FiniteGroup, action, p: int) -> GModule:
@@ -86,13 +72,18 @@ def permutation_module(group: FiniteGroup, action, p: int) -> GModule:
         raise ValueError(f"action of element {bad[0]} is not a permutation of X")
     if (act[0] != np.arange(m)).any():
         raise ValueError("identity must act trivially")
-    # exact by the argument in GModule._validate: generators s, every g
+    # (sg).x = s.(g.x) for the generators s and every g is exact: the w with
+    # (wg).x = w.(g.x) for all g include e and are closed under left
+    # multiplication by generators, so they are all of G.
     for s in group.generators_greedy():
         if (act[s][act] != act[group.table[s]]).any():
             raise ValueError("action is not associative")
-    mats = np.zeros((n, m, m), dtype=np.int64)
-    mats[np.arange(n)[:, None], act, np.arange(m)] = 1
-    return GModule(group, p, mats, validate=False)
+    return GModule(group, p, act)
+
+
+def trivial_module(group: FiniteGroup, p: int) -> GModule:
+    """F_p with trivial action: the permutation module on one point."""
+    return permutation_module(group, [[0]] * group.order, p)
 
 
 def coset_module(group: FiniteGroup, subgroup_elements, p: int) -> GModule:
@@ -189,24 +180,16 @@ def _hom_coboundary(res: FreeResolution, module: GModule, i: int) -> np.ndarray:
     """Matrix of Hom_G(F_i, M) -> Hom_G(F_{i+1}, M) on stacked coordinates."""
     n, p, d = res.group.order, res.p, module.dim
     b_src, b_dst = res.betti[i], res.betti[i + 1]
-    # block (k, j) is sum_g c * M_g over the terms c g.e_j of d_{i+1}(e_k);
-    # it has at most n terms, each below (p-1)^2
-    dtype = np.min_scalar_type(n * (p - 1) ** 2)
-    mats = module.matrices.astype(dtype)
     # coef[k, j, g]: the coefficient of g.e_j in d_{i+1}(e_k), mostly zero
     coef = res.differentials[i][:, ::n].reshape(b_src, n, b_dst).transpose(2, 0, 1)
+    k, j, g = np.nonzero(coef)
+    # block (k, j) is sum_g c * P_g over the terms c g.e_j of d_{i+1}(e_k),
+    # P_g the permutation matrix of g: c lands at (g.x, x) for every x.  An
+    # entry collects at most n terms, each below p.
+    dtype = np.min_scalar_type(n * (p - 1))
     out = np.zeros((b_dst, d, b_src, d), dtype=dtype)
-    if d <= 16:
-        # small blocks: one scatter-add of every term (np.add.at pays per
-        # element, the loop below per g; on the LQ sweep they cross at d ~ 20)
-        k, j, g = np.nonzero(coef)
-        terms = coef[k, j, g].astype(dtype)[:, None, None] * mats[g]
-        np.add.at(out, (k, slice(None), j, slice(None)), terms)
-    else:
-        # large blocks: per g, one add into the blocks it appears in
-        for g in np.flatnonzero(coef.any(axis=(0, 1))):
-            k, j = np.nonzero(coef[:, :, g])
-            out[k, :, j, :] += coef[k, j, g].astype(dtype)[:, None, None] * mats[g]
+    np.add.at(out, (k[:, None], module.action[g], j[:, None], np.arange(d)),
+              coef[k, j, g].astype(dtype)[:, None])
     out -= out // p * p  # floor division by a scalar is faster than %
     return out.reshape(b_dst * d, b_src * d)
 
@@ -239,40 +222,30 @@ def cohomology(group: FiniteGroup, module: GModule, k_max: int,
 # bar cochains and explicit inflation maps
 
 
-def _bar_coboundary(group: FiniteGroup, module: GModule, k: int) -> np.ndarray:
-    """delta: C^k(G; M) -> C^{k+1}(G; M), inhomogeneous cochains."""
-    n, p, d = group.order, module.p, module.dim
-    tuples_k = list(itertools.product(range(n), repeat=k))
+def _bar_coboundary(group: FiniteGroup, p: int, k: int) -> np.ndarray:
+    """delta: C^k(G; F_p) -> C^{k+1}(G; F_p), inhomogeneous cochains."""
+    n = group.order
     tuples_k1 = list(itertools.product(range(n), repeat=k + 1))
-    pos = {t: i for i, t in enumerate(tuples_k)}
-    out = np.zeros((len(tuples_k1) * d, len(tuples_k) * d), dtype=np.int64)
+    pos = {t: i for i, t in enumerate(itertools.product(range(n), repeat=k))}
+    out = np.zeros((len(tuples_k1), len(pos)), dtype=np.int64)
     for i, t in enumerate(tuples_k1):
-        rows = slice(i * d, (i + 1) * d)
-        j = pos[t[1:]]
-        out[rows, j * d:(j + 1) * d] += module.matrices[t[0]]
+        out[i, pos[t[1:]]] += 1
         sign = -1
         for m in range(k):
-            merged = t[:m] + (group.mul(t[m], t[m + 1]),) + t[m + 2:]
-            j = pos[merged]
-            out[rows, j * d:(j + 1) * d] += sign * np.eye(d, dtype=np.int64)
+            out[i, pos[t[:m] + (group.mul(t[m], t[m + 1]),) + t[m + 2:]]] += sign
             sign = -sign
-        j = pos[t[:-1]]
-        out[rows, j * d:(j + 1) * d] += sign * np.eye(d, dtype=np.int64)
+        out[i, pos[t[:-1]]] += sign
     return out % p
 
 
-def _bar_pullback(q: GroupHom, k: int, dim: int) -> np.ndarray:
-    """Matrix of q^#: C^k(G; F_p^dim) -> C^k(G'; F_p^dim), trivial action."""
-    n_src, n_dst = q.target.order, q.source.order
-    tuples_src = list(itertools.product(range(n_src), repeat=k))
-    pos = {t: i for i, t in enumerate(tuples_src)}
-    tuples_dst = list(itertools.product(range(n_dst), repeat=k))
-    out = np.zeros((len(tuples_dst) * dim, len(tuples_src) * dim),
-                   dtype=np.int64)
-    eye = np.eye(dim, dtype=np.int64)
+def _bar_pullback(q: GroupHom, k: int) -> np.ndarray:
+    """Matrix of q^#: C^k(G; F_p) -> C^k(G'; F_p)."""
+    pos = {t: i for i, t in
+           enumerate(itertools.product(range(q.target.order), repeat=k))}
+    tuples_dst = list(itertools.product(range(q.source.order), repeat=k))
+    out = np.zeros((len(tuples_dst), len(pos)), dtype=np.int64)
     for i, t in enumerate(tuples_dst):
-        j = pos[tuple(q(x) for x in t)]
-        out[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] = eye
+        out[i, pos[tuple(q(x) for x in t)]] = 1
     return out
 
 
@@ -282,16 +255,14 @@ def inflation_ranks(q: GroupHom, p: int, k_max: int,
     g, gp = q.target, q.source
     if max(g.order, gp.order) ** (k_max + 1) > dim_budget:
         raise BudgetError("bar cochain spaces exceed budget")
-    m_g = trivial_module(g, p)
-    m_gp = trivial_module(gp, p)
     ranks = []
     for k in range(k_max + 1):
-        cocycles = linalg.nullspace(_bar_coboundary(g, m_g, k), p).transpose()
-        pulled = (cocycles @ _bar_pullback(q, k, 1).transpose()) % p
+        cocycles = linalg.nullspace(_bar_coboundary(g, p, k), p).transpose()
+        pulled = (cocycles @ _bar_pullback(q, k).transpose()) % p
         if k == 0:
             coboundaries = np.zeros((0, gp.order ** k), dtype=np.int64)
         else:
-            delta_prev = _bar_coboundary(gp, m_gp, k - 1)
+            delta_prev = _bar_coboundary(gp, p, k - 1)
             coboundaries = linalg.row_space_basis(delta_prev.transpose() % p, p)
         base = linalg.rank(coboundaries, p)
         ranks.append(linalg.rank(np.vstack([coboundaries, pulled]), p) - base)

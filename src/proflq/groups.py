@@ -6,11 +6,12 @@ as a list of Python rows, so that `mul`, `inv` and `conj` are plain list
 indexing; the inverses are read off the rows once.  `closure` is a
 breadth-first search from the identity that multiplies only by the
 given generators.  `all_subgroups` computes the subgroup lattice once
-per group object, by cyclic extension with a coset-by-coset closure,
-keeps it on the object and hands every caller a fresh list (table-based
-methods as in Holt, Eick and O'Brien, *Handbook of Computational Group
-Theory*, 2005, ch. 3).  Per-element helpers are private, so that an
-outside tracer of the public methods does not time every lookup.
+per group object, by cyclic extension with a coset-by-coset closure
+(table-based methods as in Holt, Eick and O'Brien, *Handbook of
+Computational Group Theory*, 2005, ch. 3), keeps it on the object and
+hands every caller a fresh list; `generators_greedy` keeps its
+generator list the same way.  Per-element helpers are private, so that
+an outside tracer of the public methods does not time every lookup.
 
 Groups are built from permutation generators (BFS closure with a
 deterministic element order) or from explicit constructions (cyclic,
@@ -27,8 +28,7 @@ DEFAULT_ORDER_BOUND = 360
 
 
 class FiniteGroup:
-    def __init__(self, table, name: str | None = None,
-                 perm_generators=None, validate: bool = True):
+    def __init__(self, table, name: str | None = None, validate: bool = True):
         table = np.asarray(table, dtype=np.int64)
         n = table.shape[0]
         if table.shape != (n, n):
@@ -36,13 +36,13 @@ class FiniteGroup:
         self.table = table
         self.order = n
         self.name = name
-        self.perm_generators = perm_generators
         if validate:
             self._validate()
         self._rows = table.tolist()
         self._inv = [row.index(0) for row in self._rows]
         self.inverse = np.array(self._inv, dtype=np.int64)
         self._subgroups = None  # the lattice, filled by all_subgroups
+        self._generators = None  # filled by generators_greedy
 
     def _validate(self):
         t, n = self.table, self.order
@@ -125,16 +125,19 @@ class FiniteGroup:
         return [g for g in range(self.order) if self._conjugate(g, s) == s]
 
     def generators_greedy(self) -> list[int]:
-        gens: list[int] = []
-        span = frozenset({0})
-        for x in sorted(range(self.order),
-                        key=lambda a: -self.element_order(a)):
-            if x not in span:
-                gens.append(x)
-                span = self.closure(gens)
-                if len(span) == self.order:
-                    break
-        return gens
+        """Generators picked by decreasing element order, computed once."""
+        if self._generators is None:
+            gens: list[int] = []
+            span = frozenset({0})
+            for x in sorted(range(self.order),
+                            key=lambda a: -self.element_order(a)):
+                if x not in span:
+                    gens.append(x)
+                    span = self.closure(gens)
+                    if len(span) == self.order:
+                        break
+            self._generators = tuple(gens)
+        return list(self._generators)
 
     def conjugate_subgroup(self, g: int, elements) -> frozenset[int]:
         return self._conjugate(g, elements)
@@ -162,7 +165,7 @@ def group_from_permutations(generators, name=None,
     tie-break, the identity first, so the numbering is deterministic.
     """
     if not generators:
-        return FiniteGroup([[0]], name=name or "1", perm_generators=[])
+        return FiniteGroup([[0]], name=name or "1")
     degree = len(generators[0])
     gens = []
     for g in generators:
@@ -188,8 +191,7 @@ def group_from_permutations(generators, name=None,
     n = len(elems)
     table = [[index[_perm_compose(elems[a], elems[b])] for b in range(n)]
              for a in range(n)]
-    return FiniteGroup(table, name=name, perm_generators=[list(g) for g in gens],
-                       validate=False)
+    return FiniteGroup(table, name=name, validate=False)
 
 
 def trivial_group() -> FiniteGroup:

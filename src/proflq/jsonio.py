@@ -4,7 +4,9 @@ All loaders take already-parsed JSON values (dicts/lists) and build the
 library objects; `dumps` renders any report payload byte-identically
 (sorted keys, compact separators, tuples/sets/numpy scalars flattened to
 plain JSON values).  `digest` hashes input files so every report can
-embed exactly what it was computed from.
+embed exactly what it was computed from.  Every integer a loader reads
+must be a JSON integer: a bool, float or string raises ValueError rather
+than being truncated.
 """
 
 from __future__ import annotations
@@ -86,6 +88,13 @@ def _integers(values) -> list[int]:
     return values
 
 
+def _integer_rows(rows) -> list[list[int]]:
+    """`rows` if it is a JSON list of lists of integers, else a ValueError."""
+    if not isinstance(rows, list):
+        raise ValueError(f"expected a JSON list of rows, got {rows!r}")
+    return [_integers(row) for row in rows]
+
+
 def load_module(data: dict) -> FiniteModule:
     """{"m": 12, "factors": [2, 6]}"""
     (m,) = _integers([data["m"]])
@@ -96,10 +105,7 @@ def load_map(data: dict) -> ModuleMap:
     """{"source": <module>, "target": <module>, "matrix": [[...]]}"""
     src = load_module(data["source"])
     dst = load_module(data["target"])
-    rows = data["matrix"]
-    if not isinstance(rows, list):
-        raise ValueError(f"expected a JSON list of rows, got {rows!r}")
-    return ModuleMap(src, dst, [_integers(row) for row in rows])
+    return ModuleMap(src, dst, _integer_rows(data["matrix"]))
 
 
 # -- etale spaces and space towers --------------------------------------------
@@ -136,10 +142,11 @@ def load_group(data: dict) -> FiniteGroup:
     """Accepts {"perm_generators": [[2,1,3], ...]} (1-based one-line
     images), {"table": [[...]]} or {"catalog": "S4"}."""
     if "perm_generators" in data:
-        gens = [tuple(int(i) - 1 for i in g) for g in data["perm_generators"]]
+        gens = [tuple(i - 1 for i in g)
+                for g in _integer_rows(data["perm_generators"])]
         return group_from_permutations(gens)
     if "table" in data:
-        return FiniteGroup(np.array(data["table"], dtype=np.int64),
+        return FiniteGroup(np.array(_integer_rows(data["table"]), dtype=np.int64),
                            name=data.get("name"))
     if "catalog" in data:
         return catalog.by_name(str(data["catalog"]))
@@ -150,7 +157,7 @@ def load_group_hom(data: dict) -> GroupHom:
     """{"source": <group>, "target": <group>, "images": [j0, j1, ...]}"""
     src = load_group(data["source"])
     dst = load_group(data["target"])
-    return GroupHom(src, dst, [int(j) for j in data["images"]])
+    return GroupHom(src, dst, _integers(data["images"]))
 
 
 def load_group_tower(data: dict) -> GroupTower:
@@ -159,11 +166,10 @@ def load_group_tower(data: dict) -> GroupTower:
     Transition k lists, per element of level k+1, its image in level k.
     """
     levels = [load_group(g) for g in data["levels"]]
-    transitions = [GroupHom(levels[k + 1], levels[k],
-                            [int(j) for j in images])
-                   for k, images in enumerate(data["transitions"])]
+    transitions = [GroupHom(levels[k + 1], levels[k], images)
+                   for k, images in enumerate(_integer_rows(data["transitions"]))]
     return GroupTower(levels, transitions)
 
 
 def load_thread(data) -> tuple:
-    return tuple(int(x) for x in data)
+    return tuple(_integers(data))

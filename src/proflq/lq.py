@@ -35,16 +35,13 @@ DEFAULT_DIRECT_DIM = 160  # largest Symonds module fed to cohomology whole
 LqError = InvariantError  # the older name, kept for callers that catch it
 
 
-def symonds_module(v: ElementaryAbelian, group: FiniteGroup, p: int,
-                   budget: int = repv.DEFAULT_HOM_BUDGET) -> gc.GModule:
+def symonds_module(v: ElementaryAbelian, group: FiniteGroup) -> gc.GModule:
     """F_p-valued functions on hom(V, G) with the conjugation action."""
-    if p != v.p:
-        raise ValueError("module prime must match V")
-    homs = repv.hom_enumerate(v, group, budget)
+    homs = repv.hom_enumerate(v, group)
     pos = {h: i for i, h in enumerate(homs)}
     action = [[pos[tuple(group.conj(g, x) for x in h)] for h in homs]
               for g in group.elements()]
-    return gc.permutation_module(group, action, p)
+    return gc.permutation_module(group, action, v.p)
 
 
 def _subgroup_key(group: FiniteGroup, elements) -> tuple:
@@ -90,7 +87,7 @@ def _direct_lhs(v: ElementaryAbelian, group: FiniteGroup, k_max: int,
     dims = cache.lookup("lq.direct_lhs", key, lambda d: len(d) > k_max)
     if dims is None:
         dims = cache.store("lq.direct_lhs", key, gc.cohomology(
-            group, symonds_module(v, group, v.p), k_max, dim_budget))
+            group, symonds_module(v, group), k_max, dim_budget))
     return dims[:k_max + 1]
 
 
@@ -112,11 +109,10 @@ def _orbit_lhs(v, group, classes, k_max, dim_budget):
 
 
 def tv_lhs(v: ElementaryAbelian, group: FiniteGroup, k_max: int,
-           dim_budget: int = gc.DEFAULT_DIM_BUDGET,
-           direct_dim: int = DEFAULT_DIRECT_DIM) -> tuple[int, ...]:
+           dim_budget: int = gc.DEFAULT_DIM_BUDGET) -> tuple[int, ...]:
     """dims of H^•(G; C(hom(V,G), F_p)), k <= k_max."""
     homs = repv.hom_enumerate(v, group)
-    if len(homs) <= direct_dim:
+    if len(homs) <= DEFAULT_DIRECT_DIM:
         return _direct_lhs(v, group, k_max, dim_budget)
     classes, _ = repv.rep_classes(v, group)
     blocks = _orbit_lhs(v, group, classes, k_max, dim_budget)

@@ -1,9 +1,10 @@
 """Reference implementations and fixtures the tests compare the library to.
 
 None of this runs on a `proflq` command path: these are brute-force
-oracles (bar cochains, hom enumeration, isomorphism search, the integer
-Smith normal form) and small builders of test inputs (regular and
-direct-sum modules, constant group towers, point towers).
+oracles (bar cochains over any permutation module, hom enumeration,
+isomorphism search, the integer Smith normal form) and small builders of
+test inputs (regular and direct-sum modules, the dense matrices of a
+module, constant group towers, point towers).
 """
 
 import itertools
@@ -131,13 +132,42 @@ def regular_module(group: FiniteGroup, p: int) -> gc.GModule:
 
 
 def direct_sum_module(a: gc.GModule, b: gc.GModule) -> gc.GModule:
+    """F_p[X] + F_p[Y] = F_p[X + Y]: the disjoint union of the G-sets."""
     if a.group is not b.group or a.p != b.p:
         raise ValueError("summands must share group and prime")
-    n, da, db = a.group.order, a.dim, b.dim
-    mats = np.zeros((n, da + db, da + db), dtype=np.int64)
-    mats[:, :da, :da] = a.matrices
-    mats[:, da:, da:] = b.matrices
-    return gc.GModule(a.group, a.p, mats, validate=False)
+    return gc.permutation_module(a.group, np.hstack([a.action, b.action + a.dim]),
+                                 a.p)
+
+
+def dense(module: gc.GModule) -> np.ndarray:
+    """The (|G|, d, d) permutation matrices: column x of g is e_{g.x}."""
+    n, d = module.action.shape
+    mats = np.zeros((n, d, d), dtype=np.int64)
+    mats[np.arange(n)[:, None], module.action, np.arange(d)] = 1
+    return mats
+
+
+def bar_coboundary(group: FiniteGroup, module: gc.GModule, k: int) -> np.ndarray:
+    """delta: C^k(G; M) -> C^{k+1}(G; M), inhomogeneous cochains."""
+    n, p, d = group.order, module.p, module.dim
+    mats = dense(module)
+    tuples_k = list(itertools.product(range(n), repeat=k))
+    tuples_k1 = list(itertools.product(range(n), repeat=k + 1))
+    pos = {t: i for i, t in enumerate(tuples_k)}
+    out = np.zeros((len(tuples_k1) * d, len(tuples_k) * d), dtype=np.int64)
+    for i, t in enumerate(tuples_k1):
+        rows = slice(i * d, (i + 1) * d)
+        j = pos[t[1:]]
+        out[rows, j * d:(j + 1) * d] += mats[t[0]]
+        sign = -1
+        for m in range(k):
+            merged = t[:m] + (group.mul(t[m], t[m + 1]),) + t[m + 2:]
+            j = pos[merged]
+            out[rows, j * d:(j + 1) * d] += sign * np.eye(d, dtype=np.int64)
+            sign = -sign
+        j = pos[t[:-1]]
+        out[rows, j * d:(j + 1) * d] += sign * np.eye(d, dtype=np.int64)
+    return out % p
 
 
 def bar_cohomology(group: FiniteGroup, module: gc.GModule, k_max: int,
@@ -151,7 +181,7 @@ def bar_cohomology(group: FiniteGroup, module: gc.GModule, k_max: int,
     dims = []
     prev_rank = 0
     for k in range(k_max + 1):
-        delta = gc._bar_coboundary(group, module, k)
+        delta = bar_coboundary(group, module, k)
         r = linalg.rank(delta, module.p)
         dims.append(n ** k * d - r - prev_rank)
         prev_rank = r

@@ -7,7 +7,7 @@ answer is compared with them, cold and warm.
 
 import pytest
 
-from proflq import cache, catalog, lq, repv
+from proflq import cache, catalog, groupcoh as gc, lq, repv
 from proflq.errors import BudgetError
 from proflq.groups import dihedral_group, symmetric_group
 from proflq.repv import ElementaryAbelian, RepClass
@@ -98,11 +98,12 @@ def test_budget_refused_after_a_warm_call():
 
 def test_forced_orbit_route_is_computed_after_a_warm_direct_route():
     v, g = ElementaryAbelian(2, 1), symmetric_group(4)
-    direct = lq.tv_lhs(v, g, 2, direct_dim=10 ** 6)
+    direct = lq._direct_lhs(v, g, 2, gc.DEFAULT_DIM_BUDGET)
     assert cache.stats()["lq.direct_lhs"]["misses"] == 1
     assert cache.stats()["lq.coset_dims"]["misses"] == 0
-    blocks = lq.tv_lhs(v, g, 2, direct_dim=0)
     classes, _ = repv.rep_classes(v, g)
+    blocks = tuple(map(sum, zip(*lq._orbit_lhs(v, g, classes, 2,
+                                                gc.DEFAULT_DIM_BUDGET))))
     stats = cache.stats()
     assert stats["lq.coset_dims"]["misses"] == len(classes)
     assert stats["lq.direct_lhs"] == {"entries": 1, "hits": 0, "misses": 1}

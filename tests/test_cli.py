@@ -178,6 +178,37 @@ def test_non_integer_module_input_is_exit_2(tmp_path, capsys, module, map_rows):
     assert captured.out == "" and captured.err.startswith("bad input")
 
 
+C2 = {"table": [[0, 1], [1, 0]]}
+C4 = {"table": [[(a + b) % 4 for b in range(4)] for a in range(4)]}
+TOWER = {"levels": [C2, C4], "transitions": [[0, 1, 0, 1]]}
+
+
+@pytest.mark.parametrize("files, argv", [
+    ({"g.json": {"table": [[0, 1], [1, 0.9]]}},
+     ["cohomology", "--group", "g.json", "--p", "2"]),
+    ({"g.json": {"table": [[0, 1], [1, False]]}},
+     ["cohomology", "--group", "g.json", "--p", "2"]),
+    ({"g.json": {"perm_generators": [[2.0, 1, 3]]}},
+     ["cohomology", "--group", "g.json", "--p", "2"]),
+    ({"hom.json": {"source": C2, "target": C2, "images": [0, 1.6]}},
+     ["sep", "--hom", "hom.json", "--p", "2"]),
+    ({"gt.json": {**TOWER, "transitions": [[0, 1.0, 0, 1]]}},
+     ["cohomology", "--tower", "gt.json", "--p", "2"]),
+    ({"gt.json": TOWER, "x.json": [1.9, 1.2], "y.json": [1, 3]},
+     ["sep", "distinguish", "--tower", "gt.json", "--x", "x.json",
+      "--y", "y.json"]),
+], ids=["table-float", "table-bool", "perm-generator-float", "hom-image-float",
+        "tower-image-float", "thread-float"])
+def test_non_integer_group_input_is_exit_2(tmp_path, capsys, monkeypatch,
+                                           files, argv):
+    for name, payload in files.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("bad input")
+
+
 def test_dense_map_over_z60_returns(tmp_path):
     # an endomorphism of (Z/60)^4 on which an integer Smith form never returns
     module = {"m": 60, "factors": [60, 60, 60, 60]}

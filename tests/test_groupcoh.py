@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from proflq import catalog, groupcoh as gc, linalg
+from proflq import catalog, groupcoh as gc, linalg, lq
 from proflq.groups import (
     GroupHom,
     all_subgroups,
@@ -16,15 +16,16 @@ from proflq.groups import (
     symmetric_group,
     trivial_group,
 )
+from proflq.repv import ElementaryAbelian
 
-from .reference import (bar_cohomology, constant_group_tower, direct_sum_module,
-                        regular_module)
+from .reference import (bar_coboundary, bar_cohomology, constant_group_tower,
+                        dense, direct_sum_module, regular_module)
 
 
 class TestGModule:
     def test_trivial(self):
         m = gc.trivial_module(symmetric_group(3), 2)
-        assert m.dim == 1 and (m.matrices == 1).all()
+        assert m.dim == 1 and (m.action == 0).all()
 
     def test_regular_dimension(self):
         g = symmetric_group(3)
@@ -52,28 +53,29 @@ class TestGModule:
             gc.permutation_module(g, action, 2)
 
     def test_homomorphism_validated(self):
+        # both non-identity elements of C3 swap two points: each row is a
+        # permutation, but g.(g.x) = x while g^2 . x swaps
         g = cyclic_group(3)
-        mats = np.stack([np.eye(2, dtype=np.int64)] * 3)
-        mats[1] = [[1, 1], [0, 1]]
-        mats[2] = [[1, 1], [0, 1]]  # not consistent with g^2
-        with pytest.raises(ValueError):
-            gc.GModule(g, 2, mats)
+        gc.permutation_module(g, [[0, 1], [0, 1], [0, 1]], 2)
+        with pytest.raises(ValueError, match="associative"):
+            gc.permutation_module(g, [[0, 1], [1, 0], [1, 0]], 2)
 
-    def test_one_wrong_matrix_in_a_large_group(self):
-        # |G| = 100: the wrong matrix sits at an element that none of 60
-        # pairs drawn with seeds 0 and 1 touches, so only an exact check
-        # rejects it; it is invertible, so a rank test passes it
+    def test_one_wrong_permutation_in_a_large_group(self):
+        # |G| = 100 acting on Z/4 by translation: the wrong row sits at an
+        # element that none of 60 pairs drawn with seeds 0 and 1 touches,
+        # so only an exact check rejects it; it is a permutation, so a
+        # row-by-row check passes it
         g = cyclic_group(100)
         n = g.order
         a = np.random.default_rng(0).integers(0, n, 60)
         b = np.random.default_rng(1).integers(0, n, 60)
         sampled = set(a) | set(b) | {g.mul(int(x), int(y)) for x, y in zip(a, b)}
         x = next(e for e in range(1, n) if e not in sampled)
-        mats = np.ones((n, 1, 1), dtype=np.int64)
-        gc.GModule(g, 3, mats)
-        mats[x] = 2
-        with pytest.raises(ValueError, match="homomorphism"):
-            gc.GModule(g, 3, mats)
+        action = [[(h + y) % 4 for y in range(4)] for h in range(n)]
+        gc.permutation_module(g, action, 3)
+        action[x] = [(x + 1 + y) % 4 for y in range(4)]
+        with pytest.raises(ValueError, match="associative"):
+            gc.permutation_module(g, action, 3)
 
     def test_direct_sum(self):
         g = cyclic_group(2)
@@ -85,9 +87,10 @@ class TestGModule:
     def test_act(self):
         g = cyclic_group(4)
         m = regular_module(g, 3)
+        assert list(m.action[1]) == [1, 2, 3, 0]
         v = np.zeros(4, dtype=np.int64)
         v[0] = 1
-        assert list(m.matrices[1] @ v % 3) == [0, 1, 0, 0]
+        assert list(dense(m)[1] @ v % 3) == [0, 1, 0, 0]
 
 
 class TestCohomologyOracles:
@@ -127,7 +130,7 @@ class TestCohomologyOracles:
 
     def test_trivial_group(self):
         g = trivial_group()
-        m = gc.trivial_module(g, 2, dim=3)
+        m = gc.permutation_module(g, [[0, 1, 2]], 2)  # three fixed points
         assert gc.cohomology(g, m, 3) == (3, 0, 0, 0)
 
     def test_regular_module_acyclic(self):
@@ -145,7 +148,7 @@ class TestCohomologyOracles:
 
     def test_zero_module(self):
         g = cyclic_group(2)
-        m = gc.GModule(g, 2, np.zeros((2, 0, 0), dtype=np.int64))
+        m = gc.permutation_module(g, [[], []], 2)
         assert gc.cohomology(g, m, 2) == (0, 0, 0)
 
     def test_budget(self):
@@ -174,6 +177,15 @@ class TestBarOracle:
             m = gc.coset_module(g, s, p)
             assert bar_cohomology(g, m, 2, dim_budget=10 ** 6) == \
                 gc.cohomology(g, m, 2)
+
+    def test_trivial_coboundary_matches_the_oracle(self):
+        # the scalar coboundary inflation uses, against the general one
+        for g in (cyclic_group(3), symmetric_group(3)):
+            for p in (2, 3):
+                for k in range(3):
+                    assert np.array_equal(
+                        gc._bar_coboundary(g, p, k),
+                        bar_coboundary(g, gc.trivial_module(g, p), k))
 
     def test_bar_budget(self):
         g = symmetric_group(4)
@@ -293,8 +305,8 @@ class TestRandomizedConsistency:
             s = rng.choice(all_subgroups(g))
             p = rng.choice([2, 3])
             m = gc.coset_module(g, s, p)
-            stacked = np.vstack([m.matrices[a] - np.eye(m.dim, dtype=np.int64)
-                                 for a in range(g.order)])
+            stacked = np.vstack([mats - np.eye(m.dim, dtype=np.int64)
+                                 for mats in dense(m)])
             inv_dim = m.dim - linalg.rank(stacked, p)
             assert gc.cohomology(g, m, 0) == (inv_dim,)
 
@@ -352,6 +364,7 @@ def _reference_coboundary(res, module, i):
     n, p, d = res.group.order, res.p, module.dim
     b_src, b_dst = res.betti[i], res.betti[i + 1]
     diff = res.differentials[i]
+    mats = dense(module)
     out = np.zeros((b_dst * d, b_src * d), dtype=np.int64)
     for k in range(b_dst):
         col = diff[:, k * n].reshape(b_src, n)
@@ -360,7 +373,7 @@ def _reference_coboundary(res, module, i):
             for g in range(n):
                 c = int(col[j, g])
                 if c:
-                    block += c * module.matrices[g]
+                    block += c * mats[g]
             out[k * d:(k + 1) * d, j * d:(j + 1) * d] = block % p
     return out
 
@@ -384,7 +397,7 @@ class TestAgainstReferenceBuilders:
                     assert np.array_equal(delta, _reference_coboundary(res, m, i)), g.name
 
     def test_large_coefficient_blocks(self):
-        # modules of dimension above and below the block-size switch
+        # the regular module and two coset modules of S4, d = 24, 24, 12
         g = symmetric_group(4)
         for p in (2, 3):
             res = gc.free_resolution(g, p, 3)
@@ -393,3 +406,18 @@ class TestAgainstReferenceBuilders:
                 for i in range(3):
                     assert np.array_equal(gc._hom_coboundary(res, m, i),
                                           _reference_coboundary(res, m, i))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_symonds_modules(self, p):
+        # the Symonds modules of the LQ sweep, with d <= 16 and with d > 16
+        dims = set()
+        for g in (symmetric_group(3), dihedral_group(4), symmetric_group(4),
+                  catalog.by_name("Dic3")):
+            res = gc.free_resolution(g, p, 3)
+            for r in (1, 2):
+                m = lq.symonds_module(ElementaryAbelian(p, r), g)
+                dims.add(m.dim)
+                for i in range(3):
+                    assert np.array_equal(gc._hom_coboundary(res, m, i),
+                                          _reference_coboundary(res, m, i)), g.name
+        assert min(dims) <= 16 < max(dims)

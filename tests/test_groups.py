@@ -160,6 +160,14 @@ class TestConstructions:
         g = direct_product(cyclic_group(2), cyclic_group(3))
         assert is_abelian(g) and are_isomorphic(g, cyclic_group(6))
 
+    def test_generators_computed_once_and_handed_out_fresh(self, monkeypatch):
+        g = symmetric_group(4)
+        gens = g.generators_greedy()
+        assert g.closure(gens) == frozenset(range(g.order))
+        gens.append(5)
+        monkeypatch.setattr(type(g), "closure", None)  # a second search fails
+        assert g.generators_greedy() == gens[:-1]
+
 
 class TestSubgroupsQuotients:
     def test_subgroup_counts(self):

@@ -3,8 +3,6 @@ order-<=24 sweep lives in the acceptance suite)."""
 
 import random
 
-import pytest
-
 from proflq import cache, catalog, groupcoh as gc, lq, repv
 from proflq.groups import (
     all_subgroups,
@@ -24,23 +22,20 @@ V3 = ElementaryAbelian(3, 1)
 
 class TestSymondsModule:
     def test_s3_dimension(self):
-        m = lq.symonds_module(V2, symmetric_group(3), 2)
+        m = lq.symonds_module(V2, symmetric_group(3))
         assert m.dim == 4
 
     def test_rank_zero_trivial(self):
-        m = lq.symonds_module(ElementaryAbelian(2, 0), symmetric_group(3), 2)
+        m = lq.symonds_module(ElementaryAbelian(2, 0), symmetric_group(3))
         assert m.dim == 1
 
     def test_abelian_trivial_action(self):
-        import numpy as np
-        m = lq.symonds_module(V2, cyclic_group(4), 2)
-        assert m.dim == 2
-        assert all((m.matrices[g] == np.eye(2, dtype=np.int64)).all()
-                   for g in range(4))
+        m = lq.symonds_module(V2, cyclic_group(4))
+        assert m.dim == 2 and m.p == 2
+        assert m.action.tolist() == [[0, 1]] * 4
 
-    def test_prime_mismatch(self):
-        with pytest.raises(ValueError):
-            lq.symonds_module(V2, symmetric_group(3), 3)
+    def test_prime_is_the_prime_of_v(self):
+        assert lq.symonds_module(V3, symmetric_group(3)).p == 3
 
 
 class TestTvBothRoutes:
@@ -69,9 +64,10 @@ class TestTvBothRoutes:
     def test_orbitwise_route_matches_direct(self):
         # force the block route and compare with the whole-module route
         for g in (symmetric_group(4), dihedral_group(6)):
-            direct = lq.tv_lhs(V2, g, 2, direct_dim=10 ** 6)
-            blocks = lq.tv_lhs(V2, g, 2, direct_dim=0)
-            assert direct == blocks
+            direct = lq._direct_lhs(V2, g, 2, gc.DEFAULT_DIM_BUDGET)
+            classes, _ = repv.rep_classes(V2, g)
+            blocks = lq._orbit_lhs(V2, g, classes, 2, gc.DEFAULT_DIM_BUDGET)
+            assert direct == tuple(map(sum, zip(*blocks)))
 
 
 class TestLqCheck:

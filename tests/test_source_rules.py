@@ -14,6 +14,9 @@
   command runs, and what only the tests use lives in `tests/reference.py`.
 * No module, of the library or of its tests, keeps a module-level import
   it never uses.
+* Only `groupcoh` knows how a module is stored: no other library module
+  reads an attribute `.action` (other than the `tower` command's
+  positional argument, `args.action` in `cli`) or calls `GModule(`.
 """
 
 import ast
@@ -243,3 +246,39 @@ def f(x: np.ndarray):
     return ker(x) + snf.zeros(1, 1)
 """
     assert _unused_imports(ast.parse(source)) == ["dual_map", "os"]
+
+
+# -- the module format stays in groupcoh -----------------------------------------
+
+
+def _module_format_uses(tree):
+    """Lines that read `.action` (not `args.action`) or call `GModule`."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "action" \
+                and ast.unparse(node) != "args.action":
+            found.append(node.lineno)
+        elif isinstance(node, ast.Call) and "GModule" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_module_format_only_in_groupcoh(path):
+    if path.name != "groupcoh.py":
+        assert _module_format_uses(_tree(path)) == []
+
+
+def test_module_format_rule_sees_reads_and_calls():
+    source = """
+from . import groupcoh as gc
+from .groupcoh import GModule
+def f(args, m, g):
+    x = m.action[g]
+    y = gc.GModule(g, 2, x)
+    z = GModule(g, 2, x)
+    if args.action == "dual":
+        return getattr(m, "dim"), m.dim, x, y, z
+"""
+    assert _module_format_uses(ast.parse(source)) == [5, 6, 7]
