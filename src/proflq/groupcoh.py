@@ -89,6 +89,8 @@ def trivial_module(group: FiniteGroup, p: int) -> GModule:
 def coset_module(group: FiniteGroup, subgroup_elements, p: int) -> GModule:
     """F_p[G/H]: the induced module on left cosets of H."""
     h = frozenset(subgroup_elements)
+    if not all(0 <= x < group.order for x in h) or group.closure(h) != h:
+        raise ValueError(f"{sorted(h)} is not a subgroup of the group")
     cosets = []
     coset_of = {}
     for a in range(group.order):

@@ -209,6 +209,15 @@ def test_non_integer_group_input_is_exit_2(tmp_path, capsys, monkeypatch,
     assert captured.out == "" and captured.err.startswith("bad input")
 
 
+@pytest.mark.parametrize("subgroup", [["0", "7"], ["0", "1", "2"], []],
+                         ids=["out-of-range", "not-closed", "empty"])
+def test_shapiro_subgroup_that_is_not_one_is_exit_2(inputs, capsys, subgroup):
+    assert cli.main(["cohomology", "--group", inputs["s3"], "--p", "2",
+                     "--subgroup", *subgroup]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "is not a subgroup" in captured.err
+
+
 def test_dense_map_over_z60_returns(tmp_path):
     # an endomorphism of (Z/60)^4 on which an integer Smith form never returns
     module = {"m": 60, "factors": [60, 60, 60, 60]}
