@@ -1,6 +1,8 @@
 """Tests for the group layer and the order-<=24 catalog."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -299,6 +301,12 @@ class TestCatalog:
         assert catalog.by_name("S4").order == 24
         with pytest.raises(KeyError):
             catalog.by_name("monster")
+
+    def test_tables_and_names_are_pinned(self):
+        """Every catalog table and name, element numbering included."""
+        blob = json.dumps([[g.name, g.table.tolist()] for g in catalog.all_groups()])
+        assert hashlib.sha256(blob.encode()).hexdigest() == (
+            "0cdb7d52972aae45fa80ad008f894400938b1d3cb3a7eff6edb53c3d4e20d571")
 
 
 class TestRandomized:
