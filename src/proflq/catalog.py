@@ -68,14 +68,10 @@ def pauli_group() -> FiniteGroup:
     return g
 
 
-def _inversion(g: FiniteGroup):
-    return [int(g.inverse[x]) for x in range(g.order)]
-
-
 def _semidirect_via_quotient(n_group, h_group, kernel_test, name):
     """N x| H where h acts by inversion unless kernel_test(h)."""
     ident = list(range(n_group.order))
-    inv = _inversion(n_group)
+    inv = [n_group.inv(x) for x in range(n_group.order)]
     action = [ident if kernel_test(h) else inv for h in range(h_group.order)]
     return semidirect_product(n_group, h_group, action, name=name)
 

@@ -33,6 +33,8 @@ class FiniteEtaleSpace:
 
     def __init__(self, base, fibers: dict):
         base = tuple(base)
+        if not base:
+            raise ValueError("an etale space needs at least one base point")
         if len(set(base)) != len(base):
             raise ValueError("duplicate point ids in base")
         if set(fibers) != set(base):
@@ -42,7 +44,7 @@ class FiniteEtaleSpace:
             raise ValueError("all fibers must share one ring")
         self.base = base
         self.fibers = dict(fibers)
-        self.ring = rings.pop() if rings else None
+        self.ring = rings.pop()
 
     def fiber(self, t) -> FiniteModule:
         return self.fibers[t]

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import cache, linalg
 from .errors import BudgetError
-from .groups import FiniteGroup, GroupHom
+from .groups import FiniteGroup, GroupHom, left_cosets, subgroup_group
 
 DEFAULT_DIM_BUDGET = 5000
 
@@ -88,19 +88,8 @@ def trivial_module(group: FiniteGroup, p: int) -> GModule:
 
 def coset_module(group: FiniteGroup, subgroup_elements, p: int) -> GModule:
     """F_p[G/H]: the induced module on left cosets of H."""
-    h = frozenset(subgroup_elements)
-    if not all(0 <= x < group.order for x in h) or group.closure(h) != h:
-        raise ValueError(f"{sorted(h)} is not a subgroup of the group")
-    cosets = []
-    coset_of = {}
-    for a in range(group.order):
-        if a in coset_of:
-            continue
-        c = frozenset(group.mul(a, x) for x in h)
-        for y in c:
-            coset_of[y] = len(cosets)
-        cosets.append(min(c))
-    action = [[coset_of[group.mul(g, rep)] for rep in cosets]
+    coset_of, reps = left_cosets(group, subgroup_elements)
+    action = [[coset_of[group.mul(g, rep)] for rep in reps]
               for g in range(group.order)]
     return permutation_module(group, action, p)
 
@@ -264,8 +253,7 @@ def inflation_ranks(q: GroupHom, p: int, k_max: int,
         if k == 0:
             coboundaries = np.zeros((0, gp.order ** k), dtype=np.int64)
         else:
-            delta_prev = _bar_coboundary(gp, p, k - 1)
-            coboundaries = linalg.row_space_basis(delta_prev.transpose() % p, p)
+            coboundaries = _bar_coboundary(gp, p, k - 1).transpose()
         base = linalg.rank(coboundaries, p)
         ranks.append(linalg.rank(np.vstack([coboundaries, pulled]), p) - base)
     return tuple(ranks)
@@ -278,8 +266,6 @@ def inflation_ranks(q: GroupHom, p: int, k_max: int,
 def shapiro_check(group: FiniteGroup, subgroup_elements, p: int, k_max: int,
                   dim_budget: int = DEFAULT_DIM_BUDGET) -> dict:
     """Compare H^k(G; F_p[G/H]) with H^k(H; F_p), k <= k_max."""
-    from .groups import subgroup_group
-
     induced = coset_module(group, subgroup_elements, p)
     lhs = cohomology(group, induced, k_max, dim_budget)
     h, _ = subgroup_group(group, subgroup_elements)

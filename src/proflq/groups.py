@@ -13,11 +13,15 @@ hands every caller a fresh list; `generators_greedy` keeps its
 generator list the same way.  Per-element helpers are private, so that
 an outside tracer of the public methods does not time every lookup.
 
-Groups are built from permutation generators (BFS closure with a
-deterministic element order) or from explicit constructions (cyclic,
-dihedral, dicyclic, semidirect and direct products, quotients).  Element
-0 is always the identity.  Conjugacy, centralizers and normalizers are
-table scans; everything stays at desk scale.
+Every constructor is an element list and a product rule handed to one
+builder, `_table_group`, which numbers the elements in the given order
+(identity first) and fills the table: permutations closed by BFS in a
+deterministic order, residues, pairs for direct and semidirect products
+and for the dicyclic groups, the elements of a subgroup, and the cosets
+of a normal subgroup.  `left_cosets` numbers the left cosets of a
+subgroup by their first element; quotients and coset modules both read
+it.  Conjugacy, centralizers and normalizers are table scans;
+everything stays at desk scale.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ class FiniteGroup:
             self._validate()
         self._rows = table.tolist()
         self._inv = [row.index(0) for row in self._rows]
-        self.inverse = np.array(self._inv, dtype=np.int64)
         self._subgroups = None  # the lattice, filled by all_subgroups
         self._generators = None  # filled by generators_greedy
 
@@ -152,6 +155,32 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order}, name={self.name!r})"
 
 
+def _table_group(elements, mul, name) -> FiniteGroup:
+    """The group on `elements`, numbered in the given order with the
+    identity first, whose table is filled from the product `mul`."""
+    index = {x: i for i, x in enumerate(elements)}
+    table = [[index[mul(a, b)] for b in elements] for a in elements]
+    return FiniteGroup(table, name=name, validate=False)
+
+
+def left_cosets(g: FiniteGroup, elements) -> tuple[list[int], list[int]]:
+    """(coset_of, reps) for the left cosets aH of the subgroup H given by
+    `elements`: cosets are numbered by their first element, which is also
+    their least one and their representative, so the coset of 0 is 0."""
+    h = frozenset(elements)
+    if not all(0 <= x < g.order for x in h) or g.closure(h) != h:
+        raise ValueError(f"{sorted(h)} is not a subgroup of the group")
+    coset_of = [-1] * g.order
+    reps = []
+    for a in range(g.order):
+        if coset_of[a] < 0:
+            row = g._rows[a]
+            for x in h:
+                coset_of[row[x]] = len(reps)
+            reps.append(a)
+    return coset_of, reps
+
+
 def _perm_compose(p, q):
     """(p . q)(i) = p(q(i))."""
     return tuple(p[q[i]] for i in range(len(p)))
@@ -165,72 +194,50 @@ def group_from_permutations(generators, name=None,
     tie-break, the identity first, so the numbering is deterministic.
     """
     if not generators:
-        return FiniteGroup([[0]], name=name or "1")
+        return _table_group([()], _perm_compose, name or "1")
     degree = len(generators[0])
-    gens = []
     for g in generators:
         if sorted(g) != list(range(degree)):
             raise ValueError(f"{g} is not a permutation of 0..{degree - 1}")
-        gens.append(tuple(g))
-    identity = tuple(range(degree))
-    elems = [identity]
-    index = {identity: 0}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in sorted(gens):
-                q = _perm_compose(p, g)
-                if q not in index:
-                    if len(elems) >= order_bound:
-                        raise ValueError(f"group order exceeds bound {order_bound}")
-                    index[q] = len(elems)
-                    elems.append(q)
-                    nxt.append(q)
-        frontier = nxt
-    n = len(elems)
-    table = [[index[_perm_compose(elems[a], elems[b])] for b in range(n)]
-             for a in range(n)]
-    return FiniteGroup(table, name=name, validate=False)
+    gens = sorted(tuple(g) for g in generators)
+    elems = [tuple(range(degree))]
+    seen = set(elems)
+    for p in elems:  # a queue: BFS from the identity
+        for g in gens:
+            q = _perm_compose(p, g)
+            if q not in seen:
+                if len(elems) >= order_bound:
+                    raise ValueError(f"group order exceeds bound {order_bound}")
+                seen.add(q)
+                elems.append(q)
+    return _table_group(elems, _perm_compose, name)
 
 
 def trivial_group() -> FiniteGroup:
-    return FiniteGroup([[0]], name="1")
+    return _table_group([0], lambda a, b: 0, "1")
 
 
 def cyclic_group(n: int) -> FiniteGroup:
     if n == 1:
         return trivial_group()
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return FiniteGroup(table, name=f"C{n}", validate=False)
+    return _table_group(range(n), lambda a, b: (a + b) % n, f"C{n}")
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup, name=None) -> FiniteGroup:
-    n, m = g.order, h.order
-    idx = lambda a, b: a * m + b
-    table = [[0] * (n * m) for _ in range(n * m)]
-    for a1 in range(n):
-        for b1 in range(m):
-            for a2 in range(n):
-                for b2 in range(m):
-                    table[idx(a1, b1)][idx(a2, b2)] = idx(g.mul(a1, a2), h.mul(b1, b2))
-    return FiniteGroup(table, name=name or f"{g.name}x{h.name}", validate=False)
+    return _table_group(
+        [(a, b) for a in range(g.order) for b in range(h.order)],
+        lambda x, y: (g.mul(x[0], y[0]), h.mul(x[1], y[1])),
+        name or f"{g.name}x{h.name}")
 
 
 def semidirect_cyclic(n: int, k: int, unit: int, name=None) -> FiniteGroup:
     """C_n x| C_k where the generator of C_k acts on C_n by x -> unit * x."""
     if pow(unit, k, n) != 1 % n:
         raise ValueError("unit does not define an action of C_k")
-    idx = lambda i, j: j * n + i
-    table = [[0] * (n * k) for _ in range(n * k)]
-    for i1 in range(n):
-        for j1 in range(k):
-            for i2 in range(n):
-                for j2 in range(k):
-                    i = (i1 + pow(unit, j1, n) * i2) % n
-                    j = (j1 + j2) % k
-                    table[idx(i1, j1)][idx(i2, j2)] = idx(i, j)
-    return FiniteGroup(table, name=name, validate=False)
+    return _table_group(
+        [(i, j) for j in range(k) for i in range(n)],
+        lambda x, y: ((x[0] + pow(unit, x[1], n) * y[0]) % n, (x[1] + y[1]) % k),
+        name)
 
 
 def semidirect_product(n_group: FiniteGroup, h_group: FiniteGroup,
@@ -255,15 +262,10 @@ def semidirect_product(n_group: FiniteGroup, h_group: FiniteGroup,
             composed = [action[h1][action[h2][x]] for x in range(n)]
             if composed != action[h_group.mul(h1, h2)]:
                 raise ValueError("action is not a homomorphism H -> Aut(N)")
-    idx = lambda x, h: h * n + x
-    table = [[0] * (n * k) for _ in range(n * k)]
-    for x1 in range(n):
-        for h1 in range(k):
-            for x2 in range(n):
-                for h2 in range(k):
-                    x = n_group.mul(x1, action[h1][x2])
-                    table[idx(x1, h1)][idx(x2, h2)] = idx(x, h_group.mul(h1, h2))
-    return FiniteGroup(table, name=name, validate=False)
+    return _table_group(
+        [(x, h) for h in range(k) for x in range(n)],
+        lambda a, b: (n_group.mul(a[0], action[a[1]][b[0]]), h_group.mul(a[1], b[1])),
+        name)
 
 
 def dihedral_group(n: int) -> FiniteGroup:
@@ -272,22 +274,20 @@ def dihedral_group(n: int) -> FiniteGroup:
 
 
 def dicyclic_group(n: int) -> FiniteGroup:
-    """Dic_n of order 4n: <a, b | a^{2n} = 1, b^2 = a^n, b a b^{-1} = a^{-1}>."""
+    """Dic_n of order 4n: <a, b | a^{2n} = 1, b^2 = a^n, b a b^{-1} = a^{-1}>.
+
+    The element a^i b^j is the pair (i, j)."""
     m = 2 * n
-    idx = lambda i, j: j * m + i
-    table = [[0] * (4 * n) for _ in range(4 * n)]
-    for i1 in range(m):
-        for j1 in range(2):
-            for i2 in range(m):
-                for j2 in range(2):
-                    if j1 == 0:
-                        i, j = (i1 + i2) % m, j2
-                    elif j2 == 0:
-                        i, j = (i1 - i2) % m, 1
-                    else:
-                        i, j = (i1 - i2 + n) % m, 0
-                    table[idx(i1, j1)][idx(i2, j2)] = idx(i, j)
-    return FiniteGroup(table, name=f"Dic{n}", validate=False)
+
+    def mul(x, y):
+        (i1, j1), (i2, j2) = x, y
+        if j1 == 0:
+            return (i1 + i2) % m, j2
+        if j2 == 0:
+            return (i1 - i2) % m, 1
+        return (i1 - i2 + n) % m, 0
+
+    return _table_group([(i, j) for j in range(2) for i in range(m)], mul, f"Dic{n}")
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -313,37 +313,14 @@ def alternating_group(n: int) -> FiniteGroup:
 
 
 def quotient_group(g: FiniteGroup, normal_elements, name=None):
-    """(Q, projection) for a normal subgroup given by its element set."""
+    """(Q, projection) for a normal subgroup given by its element set;
+    coset i of Q is the left coset of `left_cosets` numbered i."""
     n_set = frozenset(normal_elements)
-    if g.closure(n_set) != n_set:
-        raise ValueError("subset is not a subgroup")
-    for x in n_set:
-        for h in range(g.order):
-            if g.conj(h, x) not in n_set:
-                raise ValueError("subgroup is not normal")
-    coset_of = {}
-    reps = []
-    for a in range(g.order):
-        if a in coset_of:
-            continue
-        coset = frozenset(g.mul(a, x) for x in n_set)
-        rep_idx = len(reps)
-        reps.append(min(coset))
-        for y in coset:
-            coset_of[y] = rep_idx
-    # reindex so the identity coset is 0
-    order = [coset_of[0]] + [i for i in range(len(reps)) if i != coset_of[0]]
-    renum = {old: new for new, old in enumerate(order)}
-    proj = [renum[coset_of[a]] for a in range(g.order)]
-    q = len(reps)
-    table = [[0] * q for _ in range(q)]
-    rep_for = [0] * q
-    for a in range(g.order):
-        rep_for[proj[a]] = a
-    for i in range(q):
-        for j in range(q):
-            table[i][j] = proj[g.mul(rep_for[i], rep_for[j])]
-    return FiniteGroup(table, name=name, validate=False), proj
+    proj, reps = left_cosets(g, n_set)
+    if len(g.normalizer(n_set)) != g.order:
+        raise ValueError("subgroup is not normal")
+    return _table_group(range(len(reps)),
+                        lambda i, j: proj[g.mul(reps[i], reps[j])], name), proj
 
 
 def subgroup_group(g: FiniteGroup, elements, name=None):
@@ -352,9 +329,7 @@ def subgroup_group(g: FiniteGroup, elements, name=None):
     if g.closure(elems) != elems:
         raise ValueError("subset is not closed")
     order = [0] + sorted(x for x in elems if x != 0)
-    pos = {x: i for i, x in enumerate(order)}
-    table = [[pos[g.mul(a, b)] for b in order] for a in order]
-    return FiniteGroup(table, name=name, validate=False), order
+    return _table_group(order, g.mul, name), order
 
 
 def all_subgroups(g: FiniteGroup) -> list[frozenset[int]]:

@@ -197,11 +197,6 @@ def nullspace(matrix, p: int) -> np.ndarray:
     return _kernel(*rref(matrix, p), p)
 
 
-def row_space_basis(matrix, p: int) -> np.ndarray:
-    r, pivots = rref(matrix, p)
-    return r[: len(pivots)]
-
-
 def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p, split along the inner dimension so int64 cannot overflow."""
     step = max(1, (_INT64_MAX - p) // max((p - 1) ** 2, 1))

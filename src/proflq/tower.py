@@ -40,6 +40,8 @@ class SpaceTower:
         levels = [tuple(lv) for lv in levels]
         if not levels:
             raise ValueError("a tower needs at least one level")
+        if not all(levels):
+            raise ValueError("every tower level needs at least one point")
         if len(transitions) != len(levels) - 1:
             raise ValueError("need exactly one transition per consecutive pair")
         for k, tr in enumerate(transitions):
@@ -342,29 +344,36 @@ def decomposition_check(a: FiniteModule, pi: TowerMap,
                         bit_budget: int = DEFAULT_BIT_BUDGET) -> dict:
     """Compare grouped and plain free products/sums along pi, levelwise.
 
-    Builds the natural regrouping map at every level for both the product
-    and the sum side and verifies it is an isomorphism; a failure names
-    the level.
+    At level k the natural regrouping map r_k sends the sections of the
+    grouped tower, ⊕_s (⊕_{t over s} A), to ⊕_t A; at a finite level the
+    grouped product and the grouped sum have the same sections, and so do
+    the plain ones, so one r_k serves both sides.  The product side holds
+    at k when r_k is an isomorphism that commutes with the ind
+    transitions k -> k+1, the sum side when it is one that commutes with
+    the pro transitions k+1 -> k; a failure names the level.
     """
-    t, s_tower = pi.source, pi.target
-    rel = relative_product(a, pi, bit_budget)
-    rel_sum = relative_sum(a, pi, bit_budget)
+    t = pi.source
+    grouped = product_ind(relative_product(a, pi, bit_budget))
+    grouped_sum = coproduct_pro(relative_sum(a, pi, bit_budget))
     flat = free_product(a, t, bit_budget)
     flat_sum = free_sum(a, t, bit_budget)
+    regroup = [_regrouping_map(grouped.section_levels[k], _fiber_sections(a, pi, k),
+                               flat.section_levels[k])
+               for k in range(len(t.levels))]
     report = {"levels": [], "ok": True}
-    for k in range(len(t.levels)):
-        grouped = sections(rel.levels[k])
-        inner = _fiber_sections(a, pi, k)
-        cmp_prod = _regrouping_map(grouped, inner, flat.section_levels[k])
-        prod_ok = cmp_prod.is_isomorphism()
-        grouped_sum = sections(rel_sum.levels[k])
-        cmp_sum = _regrouping_map(grouped_sum, inner, flat_sum.section_levels[k])
-        sum_ok = cmp_sum.is_isomorphism()
+    for k, r in enumerate(regroup):
+        prod_ok = sum_ok = r.is_isomorphism()
+        if k < t.depth:
+            up = regroup[k + 1]
+            prod_ok = prod_ok and (flat.transitions[k].compose(r)
+                                   == up.compose(grouped.transitions[k]))
+            sum_ok = sum_ok and (flat_sum.transitions[k].compose(up)
+                                 == r.compose(grouped_sum.transitions[k]))
         report["levels"].append({
             "level": k,
             "product_iso": prod_ok,
             "sum_iso": sum_ok,
-            "grouped_order": grouped.module.order,
+            "grouped_order": grouped.levels[k].order,
             "flat_order": flat.levels[k].order,
         })
         if not (prod_ok and sum_ok):
@@ -406,11 +415,9 @@ def canonical_components(x, threads) -> dict:
             total, injs, _ = direct_sum(fibers) if fibers else (None, [], [])
             joint = _sum_of_composites(x.levels[k], total, list(zip(injs, comps)))
             surj = joint.is_surjective() if len(set(pts)) == len(pts) else None
-            full_pts = sec.points
-            full_maps = [sec.projections[p] for p in full_pts]
-            ftotal, finjs, _ = direct_sum([m.target for m in full_maps])
-            fjoint = _sum_of_composites(x.levels[k], ftotal,
-                                        list(zip(finjs, full_maps)))
+            fjoint = _sum_of_composites(
+                x.levels[k], sec.module,
+                [(sec.injections[p], sec.projections[p]) for p in sec.points])
             trivial_kernel = kernel(fjoint)[0].is_zero
             entry = {"level": k, "joint_surjective": surj,
                      "joint_kernel_trivial": trivial_kernel}

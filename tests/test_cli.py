@@ -209,6 +209,22 @@ def test_non_integer_group_input_is_exit_2(tmp_path, capsys, monkeypatch,
     assert captured.out == "" and captured.err.startswith("bad input")
 
 
+@pytest.mark.parametrize("files, argv", [
+    ({"space.json": {"base": [], "fibers": {}}}, ["etale", "--space", "space.json"]),
+    ({"tower.json": {"levels": [[]], "transitions": []},
+      "m.json": {"m": 4, "factors": [4]}},
+     ["tower", "product", "--tower", "tower.json", "--module", "m.json"]),
+], ids=["etale-empty-base", "tower-empty-level"])
+def test_empty_space_or_tower_level_is_exit_2(tmp_path, capsys, monkeypatch,
+                                              files, argv):
+    for name, payload in files.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("bad input")
+
+
 @pytest.mark.parametrize("subgroup", [["0", "7"], ["0", "1", "2"], []],
                          ids=["out-of-range", "not-closed", "empty"])
 def test_shapiro_subgroup_that_is_not_one_is_exit_2(inputs, capsys, subgroup):

@@ -19,6 +19,7 @@ from proflq.groups import (
     direct_product,
     group_from_permutations,
     identity_hom,
+    left_cosets,
     p_subgroups_up_to_conjugacy,
     quotient_group,
     semidirect_cyclic,
@@ -214,6 +215,20 @@ class TestSubgroupsQuotients:
         with pytest.raises(ValueError):
             quotient_group(g, {0, x})
 
+    @pytest.mark.parametrize("elements", [{0, 6}, {0, 2}, set()],
+                             ids=["out-of-range", "not-closed", "empty"])
+    def test_quotient_rejects_a_set_that_is_not_a_subgroup(self, elements):
+        with pytest.raises(ValueError, match="is not a subgroup"):
+            quotient_group(symmetric_group(3), elements)
+
+    def test_left_cosets_are_numbered_by_their_first_element(self):
+        g = symmetric_group(4)
+        for h in all_subgroups(g):
+            coset_of, reps = left_cosets(g, h)
+            assert reps == sorted({min(g.mul(a, x) for x in h) for a in g.elements()})
+            for a in g.elements():
+                assert coset_of[a] == reps.index(min(g.mul(a, x) for x in h))
+
 
 class TestHoms:
     def test_identity_and_trivial(self):
@@ -369,7 +384,8 @@ class TestKernelAgainstReference:
 
     def test_mul_inv_conj_agree_with_table(self):
         for g in catalog.all_groups():
-            t, inverse = g.table, g.inverse
+            t = g.table
+            inverse = (t == 0).argmax(axis=1)  # the identity's column in each row
             for a in g.elements():
                 assert g.inv(a) == inverse[a] and t[a, inverse[a]] == 0
                 for b in g.elements():

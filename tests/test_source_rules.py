@@ -17,6 +17,9 @@
 * Only `groupcoh` knows how a module is stored: no other library module
   reads an attribute `.action` (other than the `tower` command's
   positional argument, `args.action` in `cli`) or calls `GModule(`.
+* A group is built in one place: `FiniteGroup(` is called only by
+  `groups._table_group`, which every constructor goes through, and by
+  `jsonio.load_group`, which reads a table as given.
 """
 
 import ast
@@ -113,7 +116,6 @@ class C:
 ALLOWED_UNREACHED = {
     "cache.clear",           # test isolation (tests/conftest.py)
     "cache.stats",           # the hit and miss counts, for a coming --stats
-    "groups.FiniteGroup.inv",  # a kernel primitive the benchmark tracer counts
 }
 
 
@@ -282,3 +284,52 @@ def f(args, m, g):
         return getattr(m, "dim"), m.dim, x, y, z
 """
     assert _module_format_uses(ast.parse(source)) == [5, 6, 7]
+
+
+# -- one group builder -------------------------------------------------------------
+
+GROUP_BUILDERS = ["groups._table_group", "jsonio.load_group"]
+
+
+def _finite_group_callers(module, tree):
+    """The definition (`module.f`, `module.C.m`, ...) around each call of
+    `FiniteGroup`, or `module` for a call at module level."""
+    found, todo = [], [(tree, module)]
+    while todo:
+        node, owner = todo.pop()
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{owner}.{child.name}"
+            elif isinstance(child, ast.Call) and "FiniteGroup" in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                found.append(owner)
+            todo.append((child, inner))
+    return sorted(found)
+
+
+def test_finite_group_is_built_only_by_the_builders():
+    callers = [c for path in SOURCES
+               for c in _finite_group_callers(path.stem, _tree(path))]
+    assert sorted(set(callers)) == GROUP_BUILDERS
+
+
+def test_group_builder_rule_sees_every_call_site():
+    source = """
+from . import groups
+from .groups import FiniteGroup
+ONE = FiniteGroup([[0]])
+def _table_group(elements, mul, name):
+    return FiniteGroup([[0]], name=name)
+def cyclic(n):
+    def inner():
+        return groups.FiniteGroup([[0]])
+    return inner()
+class Q:
+    def build(self):
+        return FiniteGroup([[0]])
+def named(g):
+    return "FiniteGroup(" + g.name
+"""
+    assert _finite_group_callers("groups", ast.parse(source)) == [
+        "groups", "groups.Q.build", "groups._table_group", "groups.cyclic.inner"]

@@ -382,6 +382,28 @@ class TestDecomposition:
         report = decomposition_check(a, pi, bit_budget=64)
         assert report["ok"]
 
+    def test_a_regrouping_that_is_not_natural_fails(self, monkeypatch):
+        """Sending each summand one point along its fiber is an isomorphism
+        at every level, but it does not commute with the transitions."""
+        def twisted(outer, inner_secs, flat):
+            chains = []
+            for s in outer.points:
+                pts = inner_secs[s].points
+                chains += [(flat.injections[pts[(i + 1) % len(pts)]],
+                            inner_secs[s].projections[u], outer.projections[s])
+                           for i, u in enumerate(pts)]
+            return tower._sum_of_composites(outer.module, flat.module, chains)
+
+        a = cyclic(F2, 2)
+        t = binary_tower(2)
+        pi = TowerMap(t, point_tower(2), [{p: "pt" for p in lv} for lv in t.levels])
+        monkeypatch.setattr(tower, "_regrouping_map", twisted)
+        report = decomposition_check(a, pi)
+        assert not report["ok"]
+        # levels 0 and 1 keep the diagonal; the square 1 -> 2 breaks
+        assert [(lv["product_iso"], lv["sum_iso"]) for lv in report["levels"]] \
+            == [(True, True), (False, False), (True, True)]
+
 
 def chain_sum(source, target, chains):
     """Reference: compose and add one validated map at a time, as the tower
