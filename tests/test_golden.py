@@ -38,6 +38,7 @@ INPUTS["gt.json"] = {
     "levels": [{"catalog": "C2"}, {"perm_generators": [[2, 1, 3], [2, 3, 1]]}],
     "transitions": [[0, 1, 0, 1, 1, 0]],
 }
+INPUTS["sl23.json"] = {"catalog": "SL(2,3)"}
 # threads: the identity against a 3-cycle (both even), two transpositions
 INPUTS["x_id.json"] = [0, 0]
 INPUTS["y_3cycle.json"] = [0, 2]
@@ -105,6 +106,13 @@ CASES = [
     ("cohomology-tower", ["cohomology", "--tower", "gt.json", "--p", "2",
                           "--kmax", "2"], 0,
      "9419682bad7cf4f9a30e18d3a7cda560c89d9bd8a8f1105710b9eddb0149d784"),
+    # p = 3 elimination: the resolution of an order-24 group, and the
+    # inflation ranks along the sign map of S3
+    ("cohomology-sl23-p3", ["cohomology", "--group", "sl23.json", "--p", "3",
+                            "--kmax", "4"], 0,
+     "16e84f0f74961a6c4c7f612c1ddc9c2b12d4fcd14db2d98015fdb51909636dd9"),
+    ("cohomology-tower-p3", ["cohomology", "--tower", "gt.json", "--p", "3"], 0,
+     "7e9a8b94c8ab6d71fafaca35bae81941928a57e4f7282a8c669e39af4f1feed6"),
     ("selftest-1", ["selftest", "--criterion", "1"], 0,
      "b1b265ca4cbb311c375915aeb23c517d1a257306d543f60eef16d7b4191d9d37"),
     ("selftest-2", ["selftest", "--criterion", "2"], 0,
@@ -113,6 +121,8 @@ CASES = [
      "7ad617837160386133c802a4f26174c3e4ce2660b5a4dfb24ea995ca8e07b740"),
     ("selftest-4", ["selftest", "--criterion", "4"], 0,
      "eeedf2fc8b90d887256b4ac047a74c0498017b797117b7cd5b028ce6ce8a3f7b"),
+    ("selftest-6", ["selftest", "--criterion", "6"], 0,
+     "86467279edd95112c9ac0d21257723b97d64068e21d43a73a384b51b79248c4f"),
     ("selftest-7", ["selftest", "--criterion", "7"], 0,
      "8aabf6598bb3fa6423831c3d11248d72132a2fd55ad2f9f16830dd46b43fcfb6"),
 ]
