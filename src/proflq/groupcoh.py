@@ -145,10 +145,8 @@ class FreeResolution:
         # of those chosen so far becomes the next generator
         translates = []
         span = linalg.RowSpace(p, len(free))
-        for v in kernel:
-            if span.contains(v[free]):
-                continue
-            translates.append(self._translates(v, blocks))
+        for i in span.outside(kernel[:, free]):
+            translates.append(self._translates(kernel[i], blocks))
             span.add(translates[-1][:, free])
             if span.dim == kernel.shape[0]:
                 break

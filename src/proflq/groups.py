@@ -163,13 +163,19 @@ def _table_group(elements, mul, name) -> FiniteGroup:
     return FiniteGroup(table, name=name, validate=False)
 
 
+def _subgroup_elements(g: FiniteGroup, elements) -> frozenset[int]:
+    """`elements` as a set, refused unless it is a subgroup of g."""
+    h = frozenset(elements)
+    if not all(0 <= x < g.order for x in h) or g.closure(h) != h:
+        raise ValueError(f"{sorted(h)} is not a subgroup of the group")
+    return h
+
+
 def left_cosets(g: FiniteGroup, elements) -> tuple[list[int], list[int]]:
     """(coset_of, reps) for the left cosets aH of the subgroup H given by
     `elements`: cosets are numbered by their first element, which is also
     their least one and their representative, so the coset of 0 is 0."""
-    h = frozenset(elements)
-    if not all(0 <= x < g.order for x in h) or g.closure(h) != h:
-        raise ValueError(f"{sorted(h)} is not a subgroup of the group")
+    h = _subgroup_elements(g, elements)
     coset_of = [-1] * g.order
     reps = []
     for a in range(g.order):
@@ -325,9 +331,7 @@ def quotient_group(g: FiniteGroup, normal_elements, name=None):
 
 def subgroup_group(g: FiniteGroup, elements, name=None):
     """(H, embedding) where embedding[i] is the parent index of element i."""
-    elems = frozenset(elements)
-    if g.closure(elems) != elems:
-        raise ValueError("subset is not closed")
+    elems = _subgroup_elements(g, elements)
     order = [0] + sorted(x for x in elems if x != 0)
     return _table_group(order, g.mul, name), order
 

@@ -1,20 +1,25 @@
 """Dense exact linear algebra over the prime fields F_p.
 
-Two elimination paths, chosen from p:
+Two elimination designs, chosen from p:
 
-* p = 2: each row is a Python int (`np.packbits`, then `int.from_bytes`,
-  so column 0 is the highest bit).  A row echelon form is a dict from
-  leading bit to row, built by XOR-ing away leading bits; `rank` stops
-  there, `rref` back-substitutes (the packed-row idea of M4RI: Albrecht,
-  Bard and Hart, ACM TOMS 37(1), 2010).
-* odd p: Gaussian elimination on numpy int64 arrays with all arithmetic
-  reduced mod p.  Columns that are zero throughout are skipped, each
-  pivot updates only the columns from the pivot on, and `rank` only the
-  rows below it.  At p = 2 this path is the reference the bitset path
-  is tested against.
+* p in {2, 3}: packed rows of Python ints, with column 0 the highest bit
+  (`np.packbits`, then `int.from_bytes`; the packed-row design of M4RI:
+  Albrecht, Bard and Hart, ACM TOMS 37(1), 2010).  At p = 2 a row is one
+  int and rows add by XOR.  At p = 3 a row is two bit planes
+  `(ones, twos)`, the columns that hold 1 and those that hold 2
+  (bitslicing: Boothby and Bradshaw, arXiv:0901.1413); two rows add in
+  seven bitwise operations and a row is negated by swapping its planes.
+  A row echelon form is a dict from leading bit length to a row whose
+  leading coefficient is 1.  `rank` stops there; `rref` back-substitutes
+  over the pivot bits a row has.
+* p >= 5: Gaussian elimination on numpy int64 arrays with all arithmetic
+  reduced mod p (`_eliminate`).  Columns that are zero throughout are
+  skipped, each pivot updates only the columns from the pivot on, and
+  `rank` only the rows below it.  At p = 2 and 3 this path is the
+  reference the packed rows are tested against.
 
-`RowSpace` is a row space that grows by `add` and answers `contains`;
-the free-resolution builder uses it to pick generators.  p stays small
+`RowSpace` is a row space that grows by `add` and names the rows
+`outside` it; the free-resolution builder uses it to pick generators.  p stays small
 (2, 3, 5, ...), so int64 never overflows.  No floating point anywhere.
 """
 
@@ -42,46 +47,59 @@ def as_fp(matrix, p: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# p = 2: rows as Python ints
+# p in {2, 3}: rows as Python ints
 
 
-def _pack(matrix) -> tuple[list[int], int]:
-    """Rows of an F_2 matrix as ints (column c is bit cols - 1 - c), and cols."""
+def _ints(bits: np.ndarray) -> list[int]:
+    """Rows of a 0/1 array as ints; column c is bit cols - 1 - c."""
+    rows, cols = bits.shape
+    if cols == 0:
+        return [0] * rows
+    packed = np.packbits(bits, axis=1)
+    shift = packed.shape[1] * 8 - cols
+    data, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[i:i + width], "big") >> shift
+            for i in range(0, len(data), width)]
+
+
+def _bits(ints, cols: int) -> np.ndarray:
+    """The inverse of `_ints`, as uint8."""
+    width = (cols + 7) // 8
+    shift = width * 8 - cols
+    data = b"".join((x << shift).to_bytes(width, "big") for x in ints)
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8).reshape(-1, width),
+                         axis=1)
+    return bits[:, :cols]
+
+
+def _pack(matrix, p: int) -> tuple[list, int]:
+    """Rows of an F_p matrix, p in {2, 3}, packed; and the number of columns.
+
+    A row is an int at p = 2 and a pair (ones, twos) of ints at p = 3.
+    Any integer dtype is read as its residues mod p.
+    """
     a = np.asarray(matrix)
     if a.dtype.kind not in "iu":
         a = np.asarray(a, dtype=np.int64)
     a = _as_2d(a)
-    rows, cols = a.shape
-    if rows == 0 or cols == 0:
-        return [0] * rows, cols
-    packed = np.packbits(a & 1, axis=1)
-    shift = packed.shape[1] * 8 - cols
-    data, width = packed.tobytes(), packed.shape[1]
-    return [int.from_bytes(data[i * width:(i + 1) * width], "big") >> shift
-            for i in range(rows)], cols
+    if p == 2:
+        return _ints(a & 1), a.shape[1]
+    a = _mod(a, 3)
+    ints = _ints(np.concatenate([a == 1, a == 2]))
+    rows = a.shape[0]
+    return list(zip(ints[:rows], ints[rows:])), a.shape[1]
 
 
-def _unpack(ints: list[int], rows: int, cols: int) -> np.ndarray:
+def _unpack(packed: list, rows: int, cols: int, p: int) -> np.ndarray:
     """The inverse of `_pack`, padded with zero rows to `rows`."""
     out = np.zeros((rows, cols), dtype=np.int64)
-    if ints and cols:
-        width = (cols + 7) // 8
-        shift = width * 8 - cols
-        data = b"".join((x << shift).to_bytes(width, "big") for x in ints)
-        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8).reshape(-1, width),
-                             axis=1)
-        out[:len(ints)] = bits[:, :cols]
+    if packed and cols:
+        if p == 2:
+            out[:len(packed)] = _bits(packed, cols)
+        else:
+            ones, twos = zip(*packed)
+            out[:len(packed)] = _bits(ones, cols) + 2 * _bits(twos, cols)
     return out
-
-
-def _reduce_f2(x: int, lead: dict[int, int]) -> int:
-    """x with leading bits XOR-ed away while the echelon form has them."""
-    while x:
-        r = lead.get(x.bit_length())
-        if r is None:
-            return x
-        x ^= r
-    return 0
 
 
 def _echelon_f2(ints, lead: dict[int, int]) -> None:
@@ -96,36 +114,106 @@ def _echelon_f2(ints, lead: dict[int, int]) -> None:
             x ^= r
 
 
-def _rref_f2(matrix) -> tuple[np.ndarray, list[int]]:
-    ints, cols = _pack(matrix)
-    lead: dict[int, int] = {}
-    _echelon_f2(ints, lead)
-    # back-substitute from the rightmost pivot on: a reduced row has no bit
-    # at any other pivot, so XOR-ing it in clears one pivot bit and sets none
-    reduced: dict[int, int] = {}
+def _reduce_f2(x: int, lead: dict[int, int]) -> int:
+    """x with leading bits XOR-ed away while the echelon form has them."""
+    while x:
+        r = lead.get(x.bit_length())
+        if r is None:
+            return x
+        x ^= r
+    return 0
+
+
+def _reduce_f3(x1: int, x2: int, lead: dict) -> tuple[int, int]:
+    """(x1, x2) with leading entries cleared while the echelon form has them.
+
+    The planes are disjoint, so the one with the leading entry is the
+    larger int.  A leading 2 adds the pivot row y, a leading 1 adds -y.
+    For x + y, with t = (x1 | y2) ^ (x2 | y1), the ones are (x2 | y2) ^ t
+    and the twos (x1 | y1) ^ t: seven operations on whole rows.
+    """
+    while x1 or x2:
+        if x1 > x2:  # -y is y with its planes swapped
+            r = lead.get(x1.bit_length())
+            if r is None:
+                return x1, x2
+            y2, y1 = r
+        else:
+            r = lead.get(x2.bit_length())
+            if r is None:
+                return x1, x2
+            y1, y2 = r
+        t = (x1 | y2) ^ (x2 | y1)
+        x1, x2 = (x2 | y2) ^ t, (x1 | y1) ^ t
+    return 0, 0
+
+
+def _echelon_f3(rows, lead: dict) -> None:
+    """Insert rows into an echelon form kept as {leading bit length: row},
+    each row scaled (by 2 = -1, a plane swap) to a leading 1."""
+    for x1, x2 in rows:
+        x1, x2 = _reduce_f3(x1, x2, lead)
+        if x1 > x2:
+            lead[x1.bit_length()] = (x1, x2)
+        elif x2:
+            lead[x2.bit_length()] = (x2, x1)
+
+
+def _echelon(rows, lead: dict, p: int) -> None:
+    (_echelon_f2 if p == 2 else _echelon_f3)(rows, lead)
+
+
+def _back_substitute(lead: dict, p: int) -> dict:
+    """The reduced echelon form of an echelon form.
+
+    From the rightmost pivot on: a reduced row has no entry at any other
+    pivot, so adding a multiple of it clears one pivot entry and sets none.
+    """
+    reduced: dict = {}
     pivot_bits = 0
     for b in sorted(lead):
         x = lead[b]
-        t = x & pivot_bits
-        while t:
-            c = t.bit_length()
-            x ^= reduced[c]
-            t ^= 1 << (c - 1)
+        if p == 2:
+            t = x & pivot_bits
+            while t:
+                c = t.bit_length()
+                x ^= reduced[c]
+                t ^= 1 << (c - 1)
+        else:
+            x1, x2 = x
+            t = (x1 | x2) & pivot_bits
+            while t:
+                c = t.bit_length()
+                y1, y2 = reduced[c]
+                if x1 >> (c - 1) & 1:  # an entry 1 at c: add -y
+                    y1, y2 = y2, y1
+                u = (x1 | y2) ^ (x2 | y1)
+                x1, x2 = (x2 | y2) ^ u, (x1 | y1) ^ u
+                t ^= 1 << (c - 1)
+            x = (x1, x2)
         reduced[b] = x
         pivot_bits |= 1 << (b - 1)
+    return reduced
+
+
+def _rref_packed(matrix, p: int) -> tuple[np.ndarray, list[int]]:
+    rows, cols = _pack(matrix, p)
+    lead: dict = {}
+    _echelon(rows, lead, p)
+    reduced = _back_substitute(lead, p)
     order = sorted(reduced, reverse=True)
-    return _unpack([reduced[b] for b in order], len(ints), cols), [cols - b for b in order]
+    return (_unpack([reduced[b] for b in order], len(rows), cols, p),
+            [cols - b for b in order])
 
 
-def _rank_f2(matrix) -> int:
-    ints, _ = _pack(matrix)
-    lead: dict[int, int] = {}
-    _echelon_f2(ints, lead)
+def _rank_packed(matrix, p: int) -> int:
+    lead: dict = {}
+    _echelon(_pack(matrix, p)[0], lead, p)
     return len(lead)
 
 
 # ---------------------------------------------------------------------------
-# odd p (and the p = 2 reference): numpy int64
+# p >= 5 (and the reference at p in {2, 3}): numpy int64
 
 
 def _eliminate(a: np.ndarray, p: int, reduce_above: bool) -> list[int]:
@@ -173,11 +261,11 @@ def _rank_fp(matrix, p: int) -> int:
 
 def rref(matrix, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form over F_p; returns (R, pivot_columns)."""
-    return _rref_f2(matrix) if p == 2 else _rref_fp(matrix, p)
+    return _rref_packed(matrix, p) if p <= 3 else _rref_fp(matrix, p)
 
 
 def rank(matrix, p: int) -> int:
-    return _rank_f2(matrix) if p == 2 else _rank_fp(matrix, p)
+    return _rank_packed(matrix, p) if p <= 3 else _rank_fp(matrix, p)
 
 
 def _kernel(r: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
@@ -209,21 +297,23 @@ def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 class RowSpace:
     """A subspace of F_p^ncols that grows by `add`.
 
-    At p = 2 it is a bitset echelon form (leading bit -> row).  At odd p
-    it is a full reduced row-echelon form, updated on each `add` by
-    reducing the new rows against it with one product and clearing the
-    new pivot columns from it with another.
+    At p in {2, 3} it is the packed echelon form (leading bit length ->
+    row with leading coefficient 1), grown by inserting the new rows and
+    probed by reducing a vector against it.  At p >= 5 it is a full
+    reduced row-echelon form, updated on each `add` by reducing the new
+    rows against it with one product and clearing the new pivot columns
+    from it with another.
     """
 
     def __init__(self, p: int, ncols: int):
         self.p = p
-        self._lead: dict[int, int] = {}                        # p = 2
-        self._rows = np.zeros((0, ncols), dtype=np.int64)      # odd p
+        self._lead: dict = {}                                  # p <= 3
+        self._rows = np.zeros((0, ncols), dtype=np.int64)      # p >= 5
         self._pivots: list[int] = []
 
     @property
     def dim(self) -> int:
-        return len(self._lead) if self.p == 2 else len(self._pivots)
+        return len(self._lead) if self.p <= 3 else len(self._pivots)
 
     def _reduce(self, rows: np.ndarray) -> np.ndarray:
         rows = as_fp(rows, self.p)
@@ -234,8 +324,8 @@ class RowSpace:
         return (rows - _mulmod(coef[:, used], self._rows[used], self.p)) % self.p
 
     def add(self, rows) -> None:
-        if self.p == 2:
-            _echelon_f2(_pack(rows)[0], self._lead)
+        if self.p <= 3:
+            _echelon(_pack(rows, self.p)[0], self._lead, self.p)
             return
         new, pivots = _rref_fp(self._reduce(rows), self.p)
         if not pivots:
@@ -247,7 +337,20 @@ class RowSpace:
         self._rows = np.vstack([old, new])[order]
         self._pivots = [merged[i] for i in order]
 
-    def contains(self, vec) -> bool:
-        if self.p == 2:
-            return not _reduce_f2(_pack(np.reshape(vec, (1, -1)))[0][0], self._lead)
-        return not self._reduce(np.reshape(vec, (1, -1))).any()
+    def outside(self, rows):
+        """Yield the index of each row that is not in the space when it is
+        reached.  The caller may `add` in between: the rows are packed
+        once, and each is reduced against the space as it is then."""
+        p, lead = self.p, self._lead
+        if p == 2:
+            for i, x in enumerate(_pack(rows, 2)[0]):
+                if _reduce_f2(x, lead):
+                    yield i
+        elif p == 3:
+            for i, (x1, x2) in enumerate(_pack(rows, 3)[0]):
+                if any(_reduce_f3(x1, x2, lead)):
+                    yield i
+        else:
+            for i, row in enumerate(as_fp(rows, p)):
+                if self._reduce(row[None]).any():
+                    yield i

@@ -381,6 +381,17 @@ def decomposition_check(a: FiniteModule, pi: TowerMap,
     return report
 
 
+def _joint_projection(level: FiniteModule, projections) -> ModuleMap:
+    """The map of `level` into the direct sum of the projections' targets.
+
+    Its kernel is the joint kernel of the projections.  The sum is built
+    afresh from the targets, so the map reads the projections alone, not
+    the injections the level's own sections carry.
+    """
+    total, injs, _ = direct_sum([c.target for c in projections])
+    return _sum_of_composites(level, total, list(zip(injs, projections)))
+
+
 def canonical_components(x, threads) -> dict:
     """Evaluation maps at threads (ind) or inclusions (pro), with checks.
 
@@ -410,15 +421,11 @@ def canonical_components(x, threads) -> dict:
         sec = x.section_levels[k]
         pts = [th[k] for th in threads]
         if ind:
-            comps = [sec.projections[p] for p in pts]
-            fibers = [c.target for c in comps]
-            total, injs, _ = direct_sum(fibers) if fibers else (None, [], [])
-            joint = _sum_of_composites(x.levels[k], total, list(zip(injs, comps)))
-            surj = joint.is_surjective() if len(set(pts)) == len(pts) else None
-            fjoint = _sum_of_composites(
-                x.levels[k], sec.module,
-                [(sec.injections[p], sec.projections[p]) for p in sec.points])
-            trivial_kernel = kernel(fjoint)[0].is_zero
+            surj = (_joint_projection(x.levels[k], [sec.projections[p] for p in pts])
+                    .is_surjective() if len(set(pts)) == len(pts) else None)
+            stalks = _joint_projection(x.levels[k],
+                                       [sec.projections[p] for p in sec.points])
+            trivial_kernel = kernel(stalks)[0].is_zero
             entry = {"level": k, "joint_surjective": surj,
                      "joint_kernel_trivial": trivial_kernel}
             if surj is False or not trivial_kernel:

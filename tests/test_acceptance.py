@@ -2,7 +2,10 @@
 
 import pytest
 
-from proflq import acceptance, etale
+from proflq import acceptance, etale, tower
+from proflq.errors import InvariantError
+
+from .test_tower import twist_a_projection
 
 
 def _run(criterion, seconds):
@@ -20,6 +23,13 @@ def test_criterion_1_duality():
 
 def test_criterion_2_products_coproducts():
     _run(acceptance.criterion_2, 60)
+
+
+def test_criterion_2_refuses_a_twisted_projection(monkeypatch):
+    build = tower.product_ind
+    monkeypatch.setattr(tower, "product_ind", lambda e: twist_a_projection(build(e)))
+    with pytest.raises(InvariantError, match="joint kernel"):
+        acceptance.criterion_2()
 
 
 def test_criterion_3_decomposition():

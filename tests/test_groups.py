@@ -199,6 +199,12 @@ class TestSubgroupsQuotients:
             for b in range(8):
                 assert emb[h.mul(a, b)] == g.mul(emb[a], emb[b])
 
+    @pytest.mark.parametrize("elements", [{0, 9}, {0, -1}, {0, 2}],
+                             ids=["out-of-range", "negative", "not-closed"])
+    def test_subgroup_group_rejects_a_set_that_is_not_a_subgroup(self, elements):
+        with pytest.raises(ValueError, match="is not a subgroup"):
+            subgroup_group(symmetric_group(3), elements)
+
     def test_quotient_s4_mod_v4(self):
         g = symmetric_group(4)
         v4 = next(s for s in all_subgroups(g)

@@ -1,14 +1,15 @@
 """Differential and invariant tests for the F_p elimination layer.
 
-The bitset path (p = 2) is checked against the numpy path run at p = 2,
-and both against the defining invariants at p in {2, 3, 5, 7}.
+The packed rows (p = 2 and p = 3) are checked against the numpy path run
+at the same p, and both against the defining invariants at p in
+{2, 3, 5, 7}.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proflq import linalg
+from proflq import catalog, groupcoh as gc, linalg
 
 PRIMES = (2, 3, 5, 7)
 
@@ -26,6 +27,10 @@ def matrices(draw, p=None, max_side=12):
     if rows >= 2 and draw(st.booleans()):
         a[-1] = (a[0] * rng.integers(1, p + 1)) % p  # a dependent row
     return a.astype(np.int64), p
+
+
+def contains(space, v):
+    return next(space.outside(np.reshape(v, (1, -1))), None) is None
 
 
 def is_rref(r, pivots, p):
@@ -46,13 +51,13 @@ class TestBitsetAgainstNumpy:
     def test_rref_rank_nullspace(self, case):
         a, _ = case
         before = a.copy()
-        r_bits, piv_bits = linalg._rref_f2(a)
+        r_bits, piv_bits = linalg._rref_packed(a, 2)
         r_np, piv_np = linalg._rref_fp(a, 2)
         assert (a == before).all()  # the input is not reduced in place
         assert piv_bits == piv_np
         assert r_bits.dtype == np.int64 and r_bits.shape == r_np.shape
         assert (r_bits == r_np).all()
-        assert linalg._rank_f2(a) == linalg._rank_fp(a, 2) == len(piv_np)
+        assert linalg._rank_packed(a, 2) == linalg._rank_fp(a, 2) == len(piv_np)
         assert np.array_equal(linalg.nullspace(a, 2),
                               linalg._kernel(r_np, piv_np, 2))
 
@@ -75,9 +80,91 @@ class TestBitsetAgainstNumpy:
         rng = np.random.default_rng(7)
         a = rng.integers(0, 2, (40, 200))
         a[:, 63:66] = 0
-        r, piv = linalg._rref_f2(a)
+        r, piv = linalg._rref_packed(a, 2)
         r2, piv2 = linalg._rref_fp(a, 2)
         assert piv == piv2 and (r == r2).all()
+
+
+def same_as_numpy(a, p):
+    """The packed rref, pivots, rank and nullspace of `a` equal the numpy path's."""
+    r, pivots = linalg._rref_packed(a, p)
+    r_np, piv_np = linalg._rref_fp(a, p)
+    assert pivots == piv_np
+    assert r.dtype == np.int64 and r.shape == r_np.shape
+    assert (r == r_np).all()
+    assert linalg.rank(a, p) == linalg._rank_fp(a, p) == len(piv_np)
+    assert np.array_equal(linalg.nullspace(a, p), linalg._kernel(r_np, piv_np, p))
+
+
+class TestF3AgainstNumpy:
+    @settings(max_examples=300, deadline=None)
+    @given(matrices(p=3, max_side=80))
+    def test_rref_rank_nullspace(self, case):
+        a, _ = case
+        before = a.copy()
+        same_as_numpy(a, 3)
+        assert (a == before).all()  # the input is not reduced in place
+
+    @settings(max_examples=100, deadline=None)
+    @given(matrices(p=3, max_side=20))
+    def test_any_integer_input(self, case):
+        # negative and narrow entries reduce like their int64 residues
+        a, _ = case
+        for b in (a - 3 * a, -a - 1, (a + 3).astype(np.uint8),
+                  (a * 85).astype(np.uint8), a.astype(np.int8) - 5,
+                  a.astype(np.int32) + 4):
+            same_as_numpy(b, 3)
+
+    def test_coboundaries(self):
+        # the uint8 coboundaries and the differentials of real resolutions
+        for name in ("S3", "A4", "SL(2,3)", "C3xQ8"):
+            g = catalog.by_name(name)
+            res = gc.free_resolution(g, 3, 4)
+            for d in res.differentials:
+                same_as_numpy(d, 3)
+            for module in (gc.trivial_module(g, 3), gc.coset_module(g, [0], 3)):
+                for k in range(3):
+                    delta = gc._hom_coboundary(res, module, k)
+                    assert delta.dtype.kind == "u"
+                    same_as_numpy(delta, 3)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0), (1, 1), (3, 4)])
+    def test_empty_and_zero(self, shape):
+        for a in (np.zeros(shape, dtype=np.int64), np.full(shape, 3)):
+            same_as_numpy(a, 3)
+            assert linalg.rank(a, 3) == 0
+            assert linalg.nullspace(a, 3).shape == (shape[1], shape[1])
+
+    @pytest.mark.parametrize("cols", [63, 64, 65, 127, 128, 129, 200])
+    def test_widths_across_word_boundaries(self, cols):
+        rng = np.random.default_rng(cols)
+        for density in (0.02, 0.3, 1.0):
+            a = rng.integers(0, 3, (50, cols)) * (rng.random((50, cols)) < density)
+            a[:, 60:67] = 0
+            a[-1] = 2 * a[0] + a[1]  # a dependent row
+            same_as_numpy(a, 3)
+            same_as_numpy(a.transpose(), 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrices(p=3, max_side=70), st.integers(1, 5), st.data())
+    def test_row_space(self, case, chunks, data):
+        # add, dim and membership against the numpy rank of the stacked rows
+        a, _ = case
+        cols = a.shape[1]
+        space = linalg.RowSpace(3, cols)
+        added = np.zeros((0, cols), dtype=np.int64)
+        for part in np.array_split(a, chunks):
+            space.add(part)
+            added = np.vstack([added, part])
+            assert space.dim == linalg._rank_fp(added, 3)
+        base = linalg._rank_fp(added, 3)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        probes = [row for row in a] + [(2 * a[0] + a[-1]) - 3 if len(a) else
+                                       np.zeros(cols, dtype=np.int64)]
+        probes += [rng.integers(-3, 6, cols) for _ in range(3)]
+        for v in probes:
+            inside = linalg._rank_fp(np.vstack([added, v.reshape(1, -1)]), 3) == base
+            assert contains(space, v) == inside
 
 
 class TestInvariants:
@@ -85,7 +172,7 @@ class TestInvariants:
     @given(matrices())
     def test_rref_is_reduced_and_spans_the_rows(self, case):
         a, p = case
-        paths = [linalg._rref_fp] + ([lambda m, _: linalg._rref_f2(m)] if p == 2 else [])
+        paths = [linalg._rref_fp] + ([linalg._rref_packed] if p <= 3 else [])
         for path in paths:
             r, pivots = path(a, p)
             assert is_rref(r, pivots, p)
@@ -122,15 +209,34 @@ class TestInvariants:
         base = linalg.rank(added, p)
         for v in probes:
             inside = linalg.rank(np.vstack([added, v.reshape(1, -1)]), p) == base
-            assert space.contains(v) == inside
+            assert contains(space, v) == inside
 
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(max_side=30))
+def test_outside_sees_the_rows_added_in_between(case):
+    # the greedy choice of the resolution builder, against numpy ranks
+    a, p = case
+    space = linalg.RowSpace(p, a.shape[1])
+    chosen = []
+    for i in space.outside(a):
+        chosen.append(i)
+        space.add(a[i:i + 1])
+    expected, span = [], a[:0]
+    for i, row in enumerate(a):
+        grown = np.vstack([span, row[None]])
+        if linalg._rank_fp(grown, p) > linalg._rank_fp(span, p):
+            expected.append(i)
+            span = grown
+    assert chosen == expected
+    assert space.dim == len(expected)
 
 def test_row_space_starts_empty():
     for p in PRIMES:
         space = linalg.RowSpace(p, 3)
         assert space.dim == 0
-        assert space.contains(np.zeros(3, dtype=np.int64))
-        assert not space.contains(np.array([0, 1, 0]))
+        assert contains(space, np.zeros(3, dtype=np.int64))
+        assert not contains(space, np.array([0, 1, 0]))
         space.add(np.zeros((0, 3), dtype=np.int64))
         assert space.dim == 0
 

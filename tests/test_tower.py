@@ -531,6 +531,17 @@ class TestStalks:
         assert all(m.is_zero for m in coproduct_pro(e).levels)
 
 
+def twist_a_projection(x):
+    """x with one projection replaced: at the first level with two points,
+    the first point's projection reads the second point's component."""
+    for sec in x.section_levels:
+        if len(sec.points) >= 2:
+            a, b = sec.points[:2]
+            sec.projections[a] = sec.projections[b]
+            break
+    return x
+
+
 class TestCanonicalComponents:
     def test_two_separated_threads(self):
         a = cyclic(F2, 2)
@@ -541,6 +552,14 @@ class TestCanonicalComponents:
         assert all(lv["joint_kernel_trivial"] for lv in report["levels"])
         # at level >= 1 the two threads are distinguished and jointly surjective
         assert report["levels"][1]["joint_surjective"]
+
+    def test_a_twisted_projection_leaves_a_joint_kernel(self):
+        a = cyclic(F2, 2)
+        p = twist_a_projection(product_ind(constant_ind_etale(a, binary_tower(2))))
+        report = canonical_components(p, [("b", "b0", "b00"), ("b", "b1", "b10")])
+        assert not report["ok"]
+        assert [lv["joint_kernel_trivial"] for lv in report["levels"]] \
+            == [True, False, True]
 
     def test_single_thread_point_tower(self):
         a = cyclic(Z4, 4)
