@@ -128,6 +128,14 @@ class TestF3AgainstNumpy:
                     assert delta.dtype.kind == "u"
                     same_as_numpy(delta, 3)
 
+    def test_a_leading_two_is_scaled_to_one(self):
+        # rows with distinct leading columns: the echelon form only scales
+        a = np.array([[0, 2, 1, 0], [2, 0, 0, 1], [0, 0, 0, 2]])
+        r, pivots = linalg.rref(a, 3)
+        assert pivots == [0, 1, 3]
+        assert r.tolist() == [[1, 0, 0, 0], [0, 1, 2, 0], [0, 0, 0, 1]]
+        same_as_numpy(a, 3)
+
     @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0), (1, 1), (3, 4)])
     def test_empty_and_zero(self, shape):
         for a in (np.zeros(shape, dtype=np.int64), np.full(shape, 3)):
