@@ -19,8 +19,9 @@ Two elimination designs, chosen from p:
   reference the packed rows are tested against.
 
 `RowSpace` is a row space that grows by `add` and names the rows
-`outside` it; the free-resolution builder uses it to pick generators.  p stays small
-(2, 3, 5, ...), so int64 never overflows.  No floating point anywhere.
+`outside` it; the free-resolution builder uses it to pick generators.
+p stays small (2, 3, 5, ...), so int64 never overflows.  No floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -102,6 +103,16 @@ def _unpack(packed: list, rows: int, cols: int, p: int) -> np.ndarray:
     return out
 
 
+def _reduce_f2(x: int, lead: dict[int, int]) -> int:
+    """x with leading bits XOR-ed away while the echelon form has them."""
+    while x:
+        r = lead.get(x.bit_length())
+        if r is None:
+            return x
+        x ^= r
+    return 0
+
+
 def _echelon_f2(ints, lead: dict[int, int]) -> None:
     """Insert rows into an echelon form kept as {leading bit length: row}."""
     for x in ints:  # the loop of _reduce_f2, inline: this is the hot path
@@ -112,16 +123,6 @@ def _echelon_f2(ints, lead: dict[int, int]) -> None:
                 lead[b] = x
                 break
             x ^= r
-
-
-def _reduce_f2(x: int, lead: dict[int, int]) -> int:
-    """x with leading bits XOR-ed away while the echelon form has them."""
-    while x:
-        r = lead.get(x.bit_length())
-        if r is None:
-            return x
-        x ^= r
-    return 0
 
 
 def _reduce_f3(x1: int, x2: int, lead: dict) -> tuple[int, int]:
@@ -298,11 +299,11 @@ class RowSpace:
     """A subspace of F_p^ncols that grows by `add`.
 
     At p in {2, 3} it is the packed echelon form (leading bit length ->
-    row with leading coefficient 1), grown by inserting the new rows and
-    probed by reducing a vector against it.  At p >= 5 it is a full
-    reduced row-echelon form, updated on each `add` by reducing the new
-    rows against it with one product and clearing the new pivot columns
-    from it with another.
+    row with leading coefficient 1), grown by inserting the new rows; a
+    row is in the space when it reduces to zero against it.  At p >= 5
+    it is a full reduced row-echelon form, updated on each `add` by
+    reducing the new rows against it with one product and clearing the
+    new pivot columns from it with another.
     """
 
     def __init__(self, p: int, ncols: int):

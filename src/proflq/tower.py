@@ -421,8 +421,10 @@ def canonical_components(x, threads) -> dict:
         sec = x.section_levels[k]
         pts = [th[k] for th in threads]
         if ind:
-            surj = (_joint_projection(x.levels[k], [sec.projections[p] for p in pts])
-                    .is_surjective() if len(set(pts)) == len(pts) else None)
+            surj = None
+            if len(set(pts)) == len(pts):
+                joint = _joint_projection(x.levels[k], [sec.projections[p] for p in pts])
+                surj = joint.is_surjective()
             stalks = _joint_projection(x.levels[k],
                                        [sec.projections[p] for p in sec.points])
             trivial_kernel = kernel(stalks)[0].is_zero
