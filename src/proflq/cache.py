@@ -1,8 +1,9 @@
 """The memo tables the library keeps for the life of a process, in one place.
 
-Each region is a plain dict under a fixed name, keyed on the bytes of a
-group's multiplication table (plus whatever else fixes the result), so
-equal tables share entries whatever the groups are called:
+Each region is a plain dict under a fixed name.  The group regions are
+keyed on the bytes of a group's multiplication table (plus whatever else
+fixes the result), so equal tables share entries whatever the groups are
+called:
 
 * `groupcoh.resolutions` — the free resolution of F_p over F_p[G], per
   (table, p), extended in place when a longer one is asked for;
@@ -14,9 +15,17 @@ equal tables share entries whatever the groups are called:
 * `repv.hom_enumerate`, `repv.rep_classes` — hom(V, G) and Rep(V, G),
   per (table, p, r), stored as tuples.
 
+The module region is keyed on the modules themselves, which are frozen
+and hashable, not on table bytes:
+
+* `finring.direct_sum` — the normalized sum with its injections and
+  projections, per tuple of summands, stored as (total, injections,
+  projections) with the maps in tuples.
+
 `lookup` counts a hit or a miss per region.  Nothing is evicted: every
-key is a group of desk-scale order.  `clear()` empties every region and
-zeroes the counters; `stats()` reports entries, hits and misses.
+key is a group of desk-scale order or the summands of a desk-scale sum.
+`clear()` empties every region and zeroes the counters; `stats()`
+reports entries, hits and misses.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from collections import Counter
 
 REGIONS = ("groupcoh.resolutions", "lq.subgroup_keys", "lq.coset_dims",
            "lq.sub_dims", "lq.direct_lhs", "repv.hom_enumerate",
-           "repv.rep_classes")
+           "repv.rep_classes", "finring.direct_sum")
 
 _ENTRIES = {name: {} for name in REGIONS}
 _HITS: Counter = Counter()

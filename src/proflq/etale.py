@@ -80,10 +80,12 @@ class SectionModule:
 
 def sections(e: FiniteEtaleSpace, subset=None) -> SectionModule:
     """The module of sections of e over `subset` (default: the whole base)."""
-    pts = tuple(e.base) if subset is None else tuple(
-        t for t in e.base if t in set(subset))
-    if subset is not None:
-        unknown = set(subset) - set(e.base)
+    if subset is None:
+        pts = tuple(e.base)
+    else:
+        wanted = set(subset)
+        pts = tuple(t for t in e.base if t in wanted)
+        unknown = wanted - set(e.base)
         if unknown:
             raise ValueError(f"unknown point ids: {sorted(unknown)}")
     if not pts:
@@ -136,9 +138,10 @@ class SkyscraperFamily:
 
     def __init__(self, base, support, modules: dict, ring: FiniteRing | None = None):
         base = tuple(base)
-        if not set(support) <= set(base):
+        wanted = set(support)
+        if not wanted <= set(base):
             raise ValueError("support must be a subset of the base")
-        support = tuple(s for s in base if s in set(support))
+        support = tuple(s for s in base if s in wanted)
         if set(modules) != set(support):
             raise ValueError("one module per support point required")
         if ring is None:

@@ -7,6 +7,9 @@ and the normal form of a direct sum, is one Smith form over Z/m
 (`snf.smith_normal_form`); a kernel is the dual of the cokernel of the
 dual map, since Pontryagin duality (Hom into Z/m, standing in for Q/Z at
 exponent m) is exact; an image is the cokernel of the kernel inclusion.
+A direct sum is normalized once per tuple of summands and kept in
+`proflq.cache`, so its maps are shared: a `ModuleMap` cannot be changed
+after it is built.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd, isqrt, prod
 
-from . import snf
+from . import cache, snf
 
 
 def is_prime(n: int) -> bool:
@@ -79,8 +82,11 @@ class ModuleMap:
     """A homomorphism between finite modules, stored as an integer matrix.
 
     Entry (i, j) is read modulo the i-th target factor; well-definedness
-    (source factor annihilates its column) is validated eagerly.
+    (source factor annihilates its column) is validated eagerly, once:
+    the map is immutable after `__init__`.
     """
+
+    __slots__ = ("source", "target", "matrix")
 
     def __init__(self, source: FiniteModule, target: FiniteModule, matrix):
         if source.ring != target.ring:
@@ -98,9 +104,15 @@ class ModuleMap:
                     raise ValueError(
                         f"entry ({i},{j}) does not define a homomorphism"
                     )
-        self.source = source
-        self.target = target
-        self.matrix = reduced
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "matrix", reduced)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ModuleMap is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"ModuleMap is immutable: cannot delete {name!r}")
 
     def __call__(self, x) -> tuple[int, ...]:
         return tuple(
@@ -207,24 +219,35 @@ def from_cyclic(ring: FiniteRing, orders: list[int]):
 
 
 def direct_sum(modules: list[FiniteModule]):
-    """Normalized direct sum with explicit injections and projections."""
+    """Normalized direct sum with explicit injections and projections.
+
+    Returns (total, injections, projections), the lists fresh on every
+    call; the sum of each tuple of summands is computed once and kept in
+    the `finring.direct_sum` region of `proflq.cache`.
+    """
     if not modules:
         raise ValueError("direct_sum of an empty list needs a ring; use zero_module")
     ring = modules[0].ring
     if any(m.ring != ring for m in modules):
         raise ValueError("ring mismatch in direct_sum")
-    orders = [d for m in modules for d in m.factors]
-    total, to_normal, from_normal = from_cyclic(ring, orders)
-    injections, projections = [], []
-    off = 0
-    for m in modules:
-        block = range(off, off + m.rank)
-        inj = [[to_normal[i][j] for j in block] for i in range(total.rank)]
-        proj = [from_normal[j] for j in block]
-        injections.append(ModuleMap(m, total, inj))
-        projections.append(ModuleMap(total, m, proj))
-        off += m.rank
-    return total, injections, projections
+    key = tuple(modules)
+    entry = cache.lookup("finring.direct_sum", key)
+    if entry is None:
+        orders = [d for m in modules for d in m.factors]
+        total, to_normal, from_normal = from_cyclic(ring, orders)
+        injections, projections = [], []
+        off = 0
+        for m in modules:
+            block = range(off, off + m.rank)
+            inj = [[to_normal[i][j] for j in block] for i in range(total.rank)]
+            proj = [from_normal[j] for j in block]
+            injections.append(ModuleMap(m, total, inj))
+            projections.append(ModuleMap(total, m, proj))
+            off += m.rank
+        entry = cache.store("finring.direct_sum", key,
+                            (total, tuple(injections), tuple(projections)))
+    total, injections, projections = entry
+    return total, list(injections), list(projections)
 
 
 def hom_module(m: FiniteModule, n: FiniteModule) -> FiniteModule:

@@ -2,7 +2,8 @@
 
 None of this runs on a `proflq` command path: these are brute-force
 oracles (bar cochains over any permutation module, hom enumeration,
-isomorphism search, the integer Smith normal form) and small builders of
+isomorphism search, the integer Smith normal form, the direct sum as it
+ran before it was memoized) and small builders of
 test inputs (regular and direct-sum modules, the dense matrices of a
 module, constant group towers, point towers).
 """
@@ -15,7 +16,7 @@ import numpy as np
 from proflq import groupcoh as gc, linalg, snf
 from proflq.errors import BudgetError
 from proflq.etale import FiniteEtaleSpace
-from proflq.finring import FiniteModule, ModuleMap, zero_module
+from proflq.finring import FiniteModule, ModuleMap, from_cyclic, zero_module
 from proflq.groups import FiniteGroup, GroupHom, identity_hom, trivial_group
 from proflq.tower import SpaceTower
 
@@ -228,6 +229,28 @@ def add_maps(f: ModuleMap, g: ModuleMap) -> ModuleMap:
     return ModuleMap(f.source, f.target,
                      [[a + b for a, b in zip(r1, r2)]
                       for r1, r2 in zip(f.matrix, g.matrix)])
+
+
+def uncached_direct_sum(modules: list[FiniteModule]):
+    """`finring.direct_sum` as it ran before `proflq.cache` kept its
+    results: every call normalizes the sum and builds fresh maps."""
+    if not modules:
+        raise ValueError("direct_sum of an empty list needs a ring; use zero_module")
+    ring = modules[0].ring
+    if any(m.ring != ring for m in modules):
+        raise ValueError("ring mismatch in direct_sum")
+    orders = [d for m in modules for d in m.factors]
+    total, to_normal, from_normal = from_cyclic(ring, orders)
+    injections, projections = [], []
+    off = 0
+    for m in modules:
+        block = range(off, off + m.rank)
+        inj = [[to_normal[i][j] for j in block] for i in range(total.rank)]
+        proj = [from_normal[j] for j in block]
+        injections.append(ModuleMap(m, total, inj))
+        projections.append(ModuleMap(total, m, proj))
+        off += m.rank
+    return total, injections, projections
 
 
 # -- integer Smith normal form ---------------------------------------------------

@@ -1,16 +1,23 @@
 """The memo tables of `proflq.cache` against the uncached computations.
 
 `reference_hom_enumerate` and `reference_rep_classes` are the enumeration
-and orbit split as they ran before `repv` memoized them; every cached
-answer is compared with them, cold and warm.
+and orbit split as they ran before `repv` memoized them, and
+`reference.uncached_direct_sum` is the direct sum before `finring` did;
+every cached answer is compared with them, cold and warm.
 """
+
+import itertools
+import random
 
 import pytest
 
 from proflq import cache, catalog, groupcoh as gc, lq, repv
 from proflq.errors import BudgetError
+from proflq.finring import FiniteModule, FiniteRing, cyclic, direct_sum, zero_module
 from proflq.groups import dihedral_group, symmetric_group
 from proflq.repv import ElementaryAbelian, RepClass
+
+from .reference import uncached_direct_sum
 
 
 def reference_hom_enumerate(v, group):
@@ -119,6 +126,91 @@ def test_direct_lhs_counts_and_k_max():
     assert lq.tv_lhs(v, g, 3) == (2, 2, 2, 2)
     assert cache.stats()["lq.direct_lhs"] == {"entries": 1, "hits": 3,
                                               "misses": 2}
+
+
+# -- finring.direct_sum ----------------------------------------------------------
+
+Z12 = FiniteRing(12)
+# the fibers criterion 2 puts over its bases
+FIBERS_Z12 = [cyclic(Z12, 2), cyclic(Z12, 4), cyclic(Z12, 3), cyclic(Z12, 12),
+              zero_module(Z12)]
+DUALITY_RINGS = [FiniteRing(m) for m in (4, 6, 8, 9, 12)]
+
+
+def _random_chain(rng, ring):
+    """A module over `ring` with 0 to 3 invariant factors."""
+    factors = []
+    for _ in range(rng.randrange(4)):
+        options = [d for d in range(2, ring.modulus + 1) if ring.modulus % d == 0
+                   and d % (factors[-1] if factors else 1) == 0]
+        factors.append(rng.choice(options))
+    return FiniteModule(ring, tuple(factors))
+
+
+def _summand_lists():
+    """Every list of up to three criterion-2 fibers, then random lists of
+    one to four chains over each duality ring; no list twice."""
+    lists = [list(pick) for n in (1, 2, 3)
+             for pick in itertools.product(FIBERS_Z12, repeat=n)]
+    rng = random.Random(12)
+    for ring in DUALITY_RINGS:
+        for _ in range(40):
+            lists.append([_random_chain(rng, ring)
+                          for _ in range(rng.randint(1, 4))])
+    return list({tuple(modules): modules for modules in lists}.values())
+
+
+def test_direct_sum_warm_equals_cold_equals_uncached():
+    lists = _summand_lists()
+    for modules in lists:
+        cold = direct_sum(modules)
+        warm = direct_sum(modules)
+        assert warm == cold == uncached_direct_sum(modules), modules
+        assert warm[1] is not cold[1] and warm[2] is not cold[2]
+    n = len(lists)
+    assert n > 5 + 25 + 125
+    assert cache.stats()["finring.direct_sum"] == {"entries": n, "hits": n,
+                                                   "misses": n}
+
+
+def test_direct_sum_is_keyed_on_equal_modules():
+    total, injections, _ = direct_sum([cyclic(Z12, 4), cyclic(Z12, 3)])
+    again = direct_sum([FiniteModule(FiniteRing(12), (4,)),
+                        FiniteModule(FiniteRing(12), (3,))])
+    assert again[0] == total and again[1] == injections
+    assert direct_sum([cyclic(Z12, 3), cyclic(Z12, 4)])[0] == total
+    assert cache.stats()["finring.direct_sum"] == {"entries": 2, "hits": 1,
+                                                   "misses": 2}
+
+
+def test_direct_sum_lists_are_fresh():
+    modules = [cyclic(Z12, 4), cyclic(Z12, 6), zero_module(Z12)]
+    total, injections, projections = direct_sum(modules)
+    expected = (total, list(injections), list(projections))
+    injections.append(injections[0])
+    injections.reverse()
+    projections.clear()
+    modules.pop()
+    assert direct_sum([cyclic(Z12, 4), cyclic(Z12, 6), zero_module(Z12)]) \
+        == expected
+    with pytest.raises(AttributeError):
+        expected[1][0].matrix = ((1,),)
+    assert cache.stats()["finring.direct_sum"] == {"entries": 1, "hits": 1,
+                                                   "misses": 1}
+
+
+def test_direct_sum_refusals_after_a_warm_call():
+    direct_sum([cyclic(Z12, 4)])
+    before = cache.stats()["finring.direct_sum"]
+    with pytest.raises(ValueError, match="empty list"):
+        direct_sum([])
+    with pytest.raises(ValueError, match="ring mismatch"):
+        direct_sum([cyclic(Z12, 4), cyclic(FiniteRing(4), 4)])
+    with pytest.raises(ValueError, match="ring mismatch"):
+        direct_sum([cyclic(FiniteRing(4), 4), cyclic(Z12, 4)])
+    # refused before any lookup: nothing counted, nothing stored
+    assert cache.stats()["finring.direct_sum"] == before == {
+        "entries": 1, "hits": 0, "misses": 1}
 
 
 def test_clear_and_stats():

@@ -317,6 +317,19 @@ def test_compose_through_the_zero_module():
     assert composite == zero_map(a, b)
 
 
+def test_module_map_is_immutable():
+    f = ModuleMap(cyclic(Z12, 4), cyclic(Z12, 2), [[1]])
+    for name, value in [("source", cyclic(Z12, 2)), ("target", cyclic(Z12, 4)),
+                        ("matrix", ((0,),)), ("note", 1)]:
+        with pytest.raises(AttributeError):
+            setattr(f, name, value)
+    for name in ("source", "matrix"):
+        with pytest.raises(AttributeError):
+            delattr(f, name)
+    assert not hasattr(f, "__dict__")
+    assert (f.source, f.target, f.matrix) == (cyclic(Z12, 4), cyclic(Z12, 2), ((1,),))
+
+
 class TestDirectSum:
     def test_mixed_cyclic_normalization(self):
         ring = FiniteRing(6)

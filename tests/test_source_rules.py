@@ -9,6 +9,9 @@
 * No module-level name bound to an empty `{}` or `dict()` outside
   `cache`: a memo table is a region of `proflq.cache`, where it is
   counted and cleared with the others.
+* Every region in `cache.REGIONS` is read by some `cache.lookup` in the
+  library, and every `lookup` and `store` call names a region of
+  `REGIONS` by a string literal: no region is dead and none misspelled.
 * Every top-level function and class, and every method, is reachable by
   name from `cli.main`: the library is exactly the code the `proflq`
   command runs, and what only the tests use lives in `tests/reference.py`.
@@ -29,7 +32,7 @@ from pathlib import Path
 import pytest
 
 import proflq
-from proflq import errors, groupcoh, lq, repv, tower
+from proflq import cache, errors, groupcoh, lq, repv, tower
 
 SOURCES = sorted(Path(proflq.__file__).parent.glob("*.py"))
 TEST_SOURCES = sorted(Path(__file__).parent.glob("*.py"))
@@ -108,6 +111,62 @@ class C:
 """
     assert [name for name, _ in _module_level_empty_dicts(ast.parse(source))] \
         == ["a", "b", "c", "d", "e", "f"]
+
+
+# -- every cache region is read, and every call names one --------------------------
+
+
+def _region_uses(tree):
+    """(call, region, line) for each call of `cache.lookup` or `cache.store`,
+    or of either name imported from `cache`; region is None unless the
+    region argument is a string literal."""
+    calls = ("lookup", "store")
+    imported = {alias.asname or alias.name: alias.name
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[-1] == "cache"
+                for alias in node.names if alias.name in calls}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in calls \
+                and isinstance(func.value, ast.Name) and func.value.id == "cache":
+            call = func.attr
+        elif isinstance(func, ast.Name) and func.id in imported:
+            call = imported[func.id]
+        else:
+            continue
+        arg = node.args[0] if node.args else next(
+            (k.value for k in node.keywords if k.arg == "region"), None)
+        region = arg.value if isinstance(arg, ast.Constant) \
+            and isinstance(arg.value, str) else None
+        found.append((call, region, node.lineno))
+    return sorted(found, key=lambda use: use[2])
+
+
+def test_every_cache_region_is_read_and_every_call_names_one():
+    uses = [(path.name, *use) for path in SOURCES if path.name != "cache.py"
+            for use in _region_uses(_tree(path))]
+    assert [use for use in uses if use[2] not in cache.REGIONS] == []
+    read = {region for _, call, region, _ in uses if call == "lookup"}
+    assert sorted(set(cache.REGIONS) - read) == []
+
+
+def test_region_rule_sees_every_call_form():
+    source = """
+from . import cache
+from .cache import lookup as find, store
+def f(key, name, other):
+    a = cache.lookup("finring.direct_sum", key)
+    b = find("lq.sub_dim", key)
+    store(name, key, a)
+    cache.store(region="repv.rep_classes", key=key, value=b)
+    return other.lookup("not.a.cache.call", key)
+"""
+    assert _region_uses(ast.parse(source)) == [
+        ("lookup", "finring.direct_sum", 5), ("lookup", "lq.sub_dim", 6),
+        ("store", None, 7), ("store", "repv.rep_classes", 8)]
 
 
 # -- reachability from the command line ------------------------------------------
