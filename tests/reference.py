@@ -3,7 +3,8 @@
 None of this runs on a `proflq` command path: these are brute-force
 oracles (bar cochains over any permutation module, hom enumeration,
 isomorphism search, the integer Smith normal form, the direct sum as it
-ran before it was memoized) and small builders of
+ran before it was memoized, subgroup conjugacy and the S_p functor check
+by whole-group scans) and small builders of
 test inputs (regular and direct-sum modules, the dense matrices of a
 module, constant group towers, point towers).
 """
@@ -17,7 +18,8 @@ from proflq import groupcoh as gc, linalg, snf
 from proflq.errors import BudgetError
 from proflq.etale import FiniteEtaleSpace
 from proflq.finring import FiniteModule, ModuleMap, from_cyclic, zero_module
-from proflq.groups import FiniteGroup, GroupHom, identity_hom, trivial_group
+from proflq.groups import (FiniteGroup, GroupHom, all_subgroups, identity_hom,
+                           trivial_group)
 from proflq.tower import SpaceTower
 
 # -- groups -------------------------------------------------------------------
@@ -121,6 +123,75 @@ def are_isomorphic(g: FiniteGroup, h: FiniteGroup) -> bool:
         return False
 
     return search(0, {0: 0})
+
+
+def subgroups_up_to_conjugacy(g: FiniteGroup, subs=None) -> list[frozenset[int]]:
+    """The first subgroup of each conjugacy class met in `subs` (default:
+    the whole lattice), found by conjugating it by every element of g."""
+    subs = all_subgroups(g) if subs is None else list(subs)
+    reps, seen = [], set()
+    for s in subs:
+        if s not in seen:
+            seen.update(g.conjugate_subgroup(x, s) for x in range(g.order))
+            reps.append(s)
+    return reps
+
+
+def p_subgroups_up_to_conjugacy(g: FiniteGroup, p: int) -> list[frozenset[int]]:
+    def is_p_power(n):
+        while n % p == 0:
+            n //= p
+        return n == 1
+
+    return subgroups_up_to_conjugacy(
+        g, [s for s in all_subgroups(g) if is_p_power(len(s))])
+
+
+def _aut_perms(group: FiniteGroup, sub) -> frozenset:
+    elems = sorted(sub)
+    pos = {x: i for i, x in enumerate(elems)}
+    return frozenset(tuple(pos[group.conj(n, x)] for x in elems)
+                     for n in group.normalizer(sub))
+
+
+def sp_functor_check(f: GroupHom, p: int) -> dict:
+    """`sep.sp_functor_check` by scans: every conjugacy question is a
+    search over the whole target group."""
+    g, l = f.source, f.target
+    subs_g = p_subgroups_up_to_conjugacy(g, p)
+    subs_l = p_subgroups_up_to_conjugacy(l, p)
+
+    def image(s):
+        return frozenset(f(x) for x in s)
+
+    a_failures = [(sorted(subs_g[i]), sorted(subs_g[j]))
+                  for i in range(len(subs_g)) for j in range(i + 1, len(subs_g))
+                  if l.are_conjugate_subgroups(image(subs_g[i]), image(subs_g[j]))]
+    b_failures, b_skipped = [], []
+    for s in subs_g:
+        if len(image(s)) != len(s):
+            b_skipped.append(sorted(s))
+            continue
+        eta = _aut_perms(g, s)
+        elems = sorted(s)
+        img_order = {f(x): i for i, x in enumerate(elems)}
+        mu = {tuple(img_order[l.conj(n, f(x))] for x in elems)
+              for n in l.normalizer(image(s))}
+        if eta != frozenset(mu):
+            b_failures.append({"subgroup": elems,
+                               "eta_order": len(eta), "mu_order": len(mu)})
+    c_failures = [sorted(t) for t in subs_l
+                  if not any(l.are_conjugate_subgroups(image(s), t) for s in subs_g)]
+    return {
+        "a_conjugacy_reflected": not a_failures,
+        "a_witnesses": a_failures,
+        "b_full": not b_failures,
+        "b_witnesses": b_failures,
+        "b_skipped": b_skipped,
+        "c_dense": not c_failures,
+        "c_witnesses": c_failures,
+        "equivalence": not (a_failures or b_failures or c_failures),
+    }
 
 
 # -- group cohomology -----------------------------------------------------------

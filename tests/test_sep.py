@@ -1,5 +1,7 @@
 """Tests for the separability checks of `sep`."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -12,11 +14,13 @@ from proflq.groups import (
     dihedral_group,
     direct_product,
     identity_hom,
+    quotient_group,
     subgroup_group,
     symmetric_group,
 )
 from proflq.repv import ElementaryAbelian
 
+from . import reference
 from .reference import constant_group_tower, trivial_hom
 
 V2 = ElementaryAbelian(2, 1)
@@ -158,6 +162,44 @@ class TestSpFunctor:
         for g in rng.sample(catalog.all_groups(), 12):
             for p in (2, 3):
                 assert sep.sp_functor_check(identity_hom(g), p)["equivalence"]
+
+
+def pinned_homs():
+    """(name, f) for the homs whose S_p reports are pinned: the trivial hom
+    S4 -> C2, the quotient S4 -> S3 and every subgroup inclusion into S4
+    and SL(2,3)."""
+    s4 = symmetric_group(4)
+    v4 = next(s for s in all_subgroups(s4)
+              if len(s) == 4 and s4.normalizer(s) == list(range(24)))
+    s3, proj = quotient_group(s4, v4)
+    homs = [("S4->C2", trivial_hom(s4, cyclic_group(2))),
+            ("S4->S4/V4", GroupHom(s4, s3, proj))]
+    for big in (s4, catalog.sl23()):
+        homs += [(f"{sorted(s)}<{big.name}", embed_subgroup(big, s)[1])
+                 for s in all_subgroups(big)]
+    return homs
+
+
+# SHA-256 of the JSON of every pinned report, as the whole-group scans of
+# `reference.sp_functor_check` produce them.
+PINNED_REPORTS_SHA256 = ("6d0a53ab998ced01f9a30d2f3deff7ce"
+                         "c0efb9971484ee14715b59f6c233ea71")
+
+
+class TestSpFunctorPinned:
+    def test_reports_match_the_scans_and_the_pinned_digest(self):
+        reports = []
+        for name, f in pinned_homs():
+            for p in (2, 3):
+                rep = sep.sp_functor_check(f, p)
+                assert rep == reference.sp_functor_check(f, p), (name, p)
+                reports.append([name, p, rep])
+        # every kind of failure is exercised, with its witnesses
+        for key in ("a_witnesses", "b_witnesses", "b_skipped", "c_witnesses"):
+            assert any(rep[key] for _, _, rep in reports), key
+        assert any(rep["equivalence"] for _, _, rep in reports)
+        digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode())
+        assert digest.hexdigest() == PINNED_REPORTS_SHA256
 
 
 class TestDistinguished:
