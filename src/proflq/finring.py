@@ -149,7 +149,8 @@ class ModuleMap:
         return all(all(e == 0 for e in row) for row in self.matrix)
 
     def is_injective(self) -> bool:
-        return kernel(self)[0].is_zero
+        # |ker f| = |A| |coker f| / |B|, so no kernel need be built
+        return self.source.order * cokernel(self)[0].order == self.target.order
 
     def is_surjective(self) -> bool:
         return cokernel(self)[0].is_zero

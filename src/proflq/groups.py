@@ -26,6 +26,10 @@ everything stays at desk scale.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from types import MappingProxyType
+from typing import NamedTuple
+
 import numpy as np
 
 DEFAULT_ORDER_BOUND = 360
@@ -46,6 +50,7 @@ class FiniteGroup:
         self._inv = [row.index(0) for row in self._rows]
         self._subgroups = None  # the lattice, filled by all_subgroups
         self._generators = None  # filled by generators_greedy
+        self._classes = None  # filled by subgroup_classes
 
     def _validate(self):
         t, n = self.table, self.order
@@ -396,21 +401,53 @@ def _adjoin(rows, s: frozenset[int], gens: tuple[int, ...]) -> frozenset[int]:
     return frozenset(seen)
 
 
-def subgroups_up_to_conjugacy(g: FiniteGroup, subs=None) -> list[frozenset[int]]:
-    subs = all_subgroups(g) if subs is None else list(subs)
-    reps = []
-    seen = set()
-    for s in subs:
-        if s in seen:
-            continue
-        seen.update(g._conjugate(x, s) for x in range(g.order))
-        reps.append(s)
-    return reps
+class SubgroupClasses(NamedTuple):
+    """The conjugacy classes of subgroups of one group.
+
+    `index` maps every subgroup to the number of its class; `reps[k]` is
+    the first subgroup of class k in `all_subgroups` order, the classes
+    numbered in the order of their representatives; `normalizers[k]` is
+    N(reps[k]), the stabiliser of the class under conjugation.
+    """
+
+    index: Mapping[frozenset[int], int]
+    reps: tuple[frozenset[int], ...]
+    normalizers: tuple[tuple[int, ...], ...]
+
+
+def subgroup_classes(g: FiniteGroup) -> SubgroupClasses:
+    """The subgroup conjugacy classes of g, computed once per group object.
+
+    One pass conjugates each representative by every element of g: the
+    images are its class, and the elements that fix it its normalizer.
+    """
+    if g._classes is None:
+        index: dict[frozenset[int], int] = {}
+        reps, normalizers = [], []
+        for s in all_subgroups(g):
+            if s in index:
+                continue
+            stabiliser = []
+            for x in range(g.order):
+                t = g._conjugate(x, s)
+                index[t] = len(reps)
+                if t == s:
+                    stabiliser.append(x)
+            reps.append(s)
+            normalizers.append(tuple(stabiliser))
+        g._classes = SubgroupClasses(MappingProxyType(index), tuple(reps),
+                                     tuple(normalizers))
+    return g._classes
+
+
+def subgroups_up_to_conjugacy(g: FiniteGroup) -> list[frozenset[int]]:
+    """One subgroup per conjugacy class, the first in `all_subgroups`
+    order, as a fresh list."""
+    return list(subgroup_classes(g).reps)
 
 
 def p_subgroups_up_to_conjugacy(g: FiniteGroup, p: int) -> list[frozenset[int]]:
-    subs = [s for s in all_subgroups(g) if _is_p_power(len(s), p)]
-    return subgroups_up_to_conjugacy(g, subs)
+    return [s for s in subgroups_up_to_conjugacy(g) if _is_p_power(len(s), p)]
 
 
 def _is_p_power(n: int, p: int) -> bool:

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from numbers import Integral
 
-from .groups import FiniteGroup, GroupHom, p_subgroups_up_to_conjugacy
+from .groups import (FiniteGroup, GroupHom, p_subgroups_up_to_conjugacy,
+                     subgroup_classes)
 from .groupcoh import GroupTower
 from . import repv
 from .errors import require
@@ -105,18 +106,12 @@ def fullness_check(v: ElementaryAbelian, f: GroupHom, class_index: int,
     }
 
 
-def _image_subgroup_set(f: GroupHom, elements) -> frozenset[int]:
-    return frozenset(f(x) for x in elements)
-
-
-def _aut_perms(group: FiniteGroup, sub) -> frozenset:
-    """Conjugation automorphisms of a subgroup as index permutations."""
-    elems = sorted(sub)
+def _aut_perms(group: FiniteGroup, elems, normalizer) -> frozenset:
+    """Conjugation by each element of `normalizer` as a permutation of the
+    positions in `elems`."""
     pos = {x: i for i, x in enumerate(elems)}
-    out = set()
-    for n in group.normalizer(sub):
-        out.add(tuple(pos[group.conj(n, x)] for x in elems))
-    return frozenset(out)
+    return frozenset(tuple(pos[group.conj(n, x)] for x in elems)
+                     for n in normalizer)
 
 
 def sp_functor_check(f: GroupHom, p: int) -> dict:
@@ -126,40 +121,41 @@ def sp_functor_check(f: GroupHom, p: int) -> dict:
     (b) the normalizer automorphism images agree after transport
         (fullness at the level of finite p-subgroups);
     (c) every p-subgroup of L is conjugate to an image (density).
+
+    Conjugacy in L is read from the class index of `subgroup_classes(L)`,
+    and N_G of a class representative from that of G.
     """
     g, l = f.source, f.target
+    classes_g, classes_l = subgroup_classes(g), subgroup_classes(l)
     subs_g = p_subgroups_up_to_conjugacy(g, p)
-    subs_l = p_subgroups_up_to_conjugacy(l, p)
+    images = [frozenset(f(x) for x in s) for s in subs_g]
+    image_class = [classes_l.index.get(image) for image in images]
+    require(None not in image_class, "the image of a subgroup must be a subgroup",
+            {"images": [sorted(image) for image, k in zip(images, image_class)
+                        if k is None]})
 
-    a_failures = []
-    for i in range(len(subs_g)):
-        for j in range(i + 1, len(subs_g)):
-            # representatives of distinct classes are never conjugate
-            if l.are_conjugate_subgroups(_image_subgroup_set(f, subs_g[i]),
-                                         _image_subgroup_set(f, subs_g[j])):
-                a_failures.append((sorted(subs_g[i]), sorted(subs_g[j])))
+    # representatives of distinct classes are never conjugate
+    a_failures = [(sorted(subs_g[i]), sorted(subs_g[j]))
+                  for i in range(len(subs_g)) for j in range(i + 1, len(subs_g))
+                  if image_class[i] == image_class[j]]
 
     b_failures = []
     b_skipped = []
-    for s in subs_g:
-        image = _image_subgroup_set(f, s)
+    for s, image in zip(subs_g, images):
         if len(image) != len(s):
             b_skipped.append(sorted(s))
             continue
-        eta = _aut_perms(g, s)
         # transport: index elements of the image by f of the sorted source
         elems = sorted(s)
-        img_order = {f(x): i for i, x in enumerate(elems)}
-        mu = set()
-        for n in l.normalizer(image):
-            mu.add(tuple(img_order[l.conj(n, f(x))] for x in elems))
-        if eta != frozenset(mu):
+        eta = _aut_perms(g, elems, classes_g.normalizers[classes_g.index[s]])
+        mu = _aut_perms(l, [f(x) for x in elems], l.normalizer(image))
+        if eta != mu:
             b_failures.append({"subgroup": elems,
                                "eta_order": len(eta), "mu_order": len(mu)})
 
-    hit = [any(l.are_conjugate_subgroups(_image_subgroup_set(f, s), t)
-               for s in subs_g) for t in subs_l]
-    c_failures = [sorted(subs_l[i]) for i, ok in enumerate(hit) if not ok]
+    hit = set(image_class)
+    c_failures = [sorted(t) for t in p_subgroups_up_to_conjugacy(l, p)
+                  if classes_l.index[t] not in hit]
 
     return {
         "a_conjugacy_reflected": not a_failures,

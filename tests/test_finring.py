@@ -5,7 +5,7 @@ from math import gcd, lcm, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proflq import etale
+from proflq import acceptance, etale
 from proflq.finring import (
     FiniteModule,
     FiniteRing,
@@ -166,6 +166,41 @@ class TestKernelCokernel:
         assert proj.compose(f).is_zero
         assert incl.is_injective()
         assert proj.is_surjective()
+
+
+class TestInjectivityByOrder:
+    """`is_injective` compares |A| |coker f| with |B| instead of building
+    the kernel; the kernel route is the reference."""
+
+    def test_agrees_with_the_kernel_on_the_criterion_1_maps(self):
+        # criterion 1's draws at the default seed, and the maps it builds
+        rng = random.Random(1)
+        rings = [FiniteRing(m) for m in (4, 6, 8, 9, 12)]
+        verdicts = []
+        for _ in range(500):
+            ring = rng.choice(rings)
+            a = acceptance._random_module(rng, ring)
+            b = acceptance._random_module(rng, ring)
+            f = acceptance._random_map(rng, a, b)
+            inc = kernel(f)[1]
+            proj = cokernel(inc)[1]
+            for g in (f, inc, dual_map(inc), dual_map(proj)):
+                verdicts.append(g.is_injective())
+                assert verdicts[-1] == kernel(g)[0].is_zero, g
+        assert verdicts.count(True) > 500 and verdicts.count(False) > 100
+
+    @pytest.mark.parametrize("modulus", range(4, 13))
+    def test_agrees_with_the_kernel_on_random_maps(self, modulus):
+        rng = random.Random(modulus)
+        ring = FiniteRing(modulus)
+        verdicts = set()
+        for _ in range(60):
+            f = random_map(rng, random_module(rng, ring), random_module(rng, ring))
+            verdicts.add(f.is_injective())
+            assert f.is_injective() == kernel(f)[0].is_zero, f
+            if f.source.order <= 4096:
+                assert f.is_injective() == (brute_kernel_order(f) == 1), f
+        assert verdicts == {True, False}
 
 
 # the slowest call seen on these sizes takes a few ms

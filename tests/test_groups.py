@@ -23,11 +23,13 @@ from proflq.groups import (
     p_subgroups_up_to_conjugacy,
     quotient_group,
     semidirect_cyclic,
+    subgroup_classes,
     subgroup_group,
     subgroups_up_to_conjugacy,
     symmetric_group,
 )
 
+from . import reference
 from .reference import (are_isomorphic, center, conjugacy_classes, fingerprint,
                         hom_from_generators, is_abelian, trivial_hom)
 
@@ -425,3 +427,54 @@ class TestKernelAgainstReference:
         assert second == expected and len(second) == 30
         second.reverse()
         assert all_subgroups(g) == expected
+
+
+class TestSubgroupClassesAgainstScans:
+    """`subgroup_classes` against `are_conjugate_subgroups`, `normalizer`
+    and the scan-based class representatives of `tests/reference.py`."""
+
+    def test_equal_class_index_iff_conjugate(self):
+        for g in catalog.all_groups():
+            subs = all_subgroups(g)
+            index = subgroup_classes(g).index
+            assert sorted(index, key=subs.index) == subs, g.name
+            for a, b in itertools.combinations(subs, 2):
+                assert (index[a] == index[b]) == g.are_conjugate_subgroups(a, b), \
+                    (g.name, sorted(a), sorted(b))
+
+    def test_representatives_and_normalizers(self):
+        for g in catalog.all_groups():
+            classes = subgroup_classes(g)
+            assert list(classes.reps) == reference.subgroups_up_to_conjugacy(g), g.name
+            assert [classes.index[s] for s in classes.reps] == \
+                list(range(len(classes.reps)))
+            assert [list(n) for n in classes.normalizers] == \
+                [g.normalizer(s) for s in classes.reps], g.name
+
+    def test_p_subgroup_classes_match_the_scans(self):
+        for g in catalog.all_groups():
+            for p in (2, 3, 5):
+                assert p_subgroups_up_to_conjugacy(g, p) == \
+                    reference.p_subgroups_up_to_conjugacy(g, p), (g.name, p)
+
+    def test_s4_classes_of_equal_order_are_told_apart(self):
+        # two classes of order-2 subgroups and two of Klein four-groups
+        g = symmetric_group(4)
+        orders = [len(s) for s in subgroups_up_to_conjugacy(g)]
+        assert orders == [1, 2, 2, 3, 4, 4, 4, 6, 8, 12, 24]
+
+    def test_class_lists_are_isolated_from_callers(self):
+        g = symmetric_group(4)
+        for get in (subgroups_up_to_conjugacy,
+                    lambda g: p_subgroups_up_to_conjugacy(g, 2)):
+            first = get(g)
+            expected = list(first)
+            first.clear()
+            second = get(g)
+            assert second == expected and second
+            second.reverse()
+            assert get(g) == expected
+        classes = subgroup_classes(g)
+        with pytest.raises(TypeError):
+            classes.index[frozenset({0})] = 1
+        assert subgroup_classes(g) is classes
