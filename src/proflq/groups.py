@@ -20,7 +20,11 @@ deterministic order, residues, pairs for direct and semidirect products
 and for the dicyclic groups, the elements of a subgroup, and the cosets
 of a normal subgroup.  `left_cosets` numbers the left cosets of a
 subgroup by their first element; quotients and coset modules both read
-it.  Conjugacy, centralizers and normalizers are table scans;
+it.  `subgroup_classes` splits the lattice into conjugacy classes once
+per group object, in one orbit pass that also records the normalizer of
+each class representative; `subgroups_up_to_conjugacy` and
+`p_subgroups_up_to_conjugacy` read its representatives.  Conjugacy,
+centralizers and normalizers of arbitrary element sets are table scans;
 everything stays at desk scale.
 """
 
@@ -81,7 +85,7 @@ class FiniteGroup:
     def _conjugate(self, g: int, elements) -> frozenset[int]:
         """g S g^{-1} as a set; private, so per-element work is not traced."""
         rows, row_g, g_inv = self._rows, self._rows[g], self._inv[g]
-        return frozenset(rows[row_g[x]][g_inv] for x in elements)
+        return frozenset([rows[row_g[x]][g_inv] for x in elements])
 
     def element_order(self, a: int) -> int:
         rows = self._rows

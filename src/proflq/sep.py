@@ -7,7 +7,8 @@ images eta(N_G(rho(V))) and mu(N_L(f rho(V))) after transporting the
 basis along f; since conjugation by n and by f(n) give the same matrix,
 eta sits inside mu and the question is whether the inclusion is onto.
 `sp_functor_check` runs the analogous conditions over all finite
-p-subgroups, and `conjugacy_distinguished` scans a quotient tower for
+p-subgroups, reading conjugacy from the subgroup class tables of both
+groups, and `conjugacy_distinguished` scans a quotient tower for
 the first level separating two conjugacy threads, of elements or of
 subgroups alike.
 """

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from proflq import catalog, groupcoh as gc, repv, sep
+from proflq.errors import InvariantError
 from proflq.groups import (
     GroupHom,
     all_subgroups,
@@ -162,6 +163,19 @@ class TestSpFunctor:
         for g in rng.sample(catalog.all_groups(), 12):
             for p in (2, 3):
                 assert sep.sp_functor_check(identity_hom(g), p)["equivalence"]
+
+
+    def test_an_image_outside_the_class_table_is_an_invariant_error(
+            self, monkeypatch):
+        _, s4, f = s3_in_s4()
+        table = sep.subgroup_classes
+
+        def without_index(g):
+            return table(g)._replace(index={}) if g is s4 else table(g)
+
+        monkeypatch.setattr(sep, "subgroup_classes", without_index)
+        with pytest.raises(InvariantError, match="must be a subgroup"):
+            sep.sp_functor_check(f, 2)
 
 
 def pinned_homs():
