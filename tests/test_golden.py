@@ -39,6 +39,8 @@ INPUTS["gt.json"] = {
     "transitions": [[0, 1, 0, 1, 1, 0]],
 }
 INPUTS["sl23.json"] = {"catalog": "SL(2,3)"}
+INPUTS["c2c2s3.json"] = {"catalog": "C2xC2xS3"}
+INPUTS["c2x4.json"] = {"catalog": "C2xC2xC2xC2"}
 # threads: the identity against a 3-cycle (both even), two transpositions
 INPUTS["x_id.json"] = [0, 0]
 INPUTS["y_3cycle.json"] = [0, 2]
@@ -113,6 +115,18 @@ CASES = [
      "16e84f0f74961a6c4c7f612c1ddc9c2b12d4fcd14db2d98015fdb51909636dd9"),
     ("cohomology-tower-p3", ["cohomology", "--tower", "gt.json", "--p", "3"], 0,
      "7e9a8b94c8ab6d71fafaca35bae81941928a57e4f7282a8c669e39af4f1feed6"),
+    # the largest coboundary of the LQ sweep: delta_3 with the r = 2 Symonds
+    # module of C2xC2xS3 at p = 2, 4160 x 2560
+    ("lq-c2c2s3-p2-r2", ["lq", "--group", "c2c2s3.json", "--p", "2",
+                         "--rank", "2", "--kmax", "3"], 0,
+     "9390dc6392238ab838acc12c48e8c5f9ed8f8b202caeeac1e8908f01b3462d95"),
+    ("cohomology-c2x4-p2", ["cohomology", "--group", "c2x4.json", "--p", "2",
+                            "--kmax", "4"], 0,
+     "4bcf5cff8ef43bbcff109f440e8c6e8575e51bbafaa24258da3069579137a5e7"),
+    # one degree further, the cochain dimension 6400 exceeds the budget
+    ("lq-c2c2s3-p2-r2-budget", ["lq", "--group", "c2c2s3.json", "--p", "2",
+                                "--rank", "2", "--kmax", "4"], 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("selftest-1", ["selftest", "--criterion", "1"], 0,
      "b1b265ca4cbb311c375915aeb23c517d1a257306d543f60eef16d7b4191d9d37"),
     ("selftest-2", ["selftest", "--criterion", "2"], 0,
