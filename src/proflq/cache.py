@@ -6,7 +6,8 @@ fixes the result), so equal tables share entries whatever the groups are
 called:
 
 * `groupcoh.resolutions` — the free resolution of F_p over F_p[G], per
-  (table, p), extended in place when a longer one is asked for;
+  (table, p), extended in place when a longer one is asked for; its
+  differentials are uint8 for every p < 257;
 * `lq.subgroup_keys` — the canonical key of a subgroup up to conjugacy;
 * `lq.coset_dims`, `lq.sub_dims` — dims of H^•(G; F_p[G/H]) and of
   H^•(H; F_p), per conjugacy class of H, p and k_max;

@@ -18,10 +18,15 @@ is explicit.
 
 The resolution picks its generators greedily: a kernel vector becomes a
 generator when it lies outside the span of the translates chosen so far,
-which a `linalg.RowSpace` tracks incrementally.  A coboundary matrix is
+which a `linalg.RowSpace` tracks incrementally.  Its differentials are
+kept in uint8 (the narrowest unsigned dtype that holds p - 1), as they
+live in the cache for the life of the process.  A coboundary matrix is
 one scatter of the nonzero coefficients of the differential (about 3 %
 of them on the LQ sweep) through the action, straight into its block
-layout, in the narrowest unsigned dtype that holds an entry's sum.
+layout, in the narrowest unsigned dtype that holds an entry's sum.  Its
+rank is taken by row blocks of at most `_BLOCK_CELLS` cells, one range
+of target generators at a time, all reduced into one `linalg.RowSpace`,
+so no coboundary is ever held whole.
 
 Conventions: C(X, F_p) and F_p[X] are identified through the
 indicator-function basis, so a permutation module is its own function
@@ -102,19 +107,23 @@ class FreeResolution:
     """... -> F_2 -> F_1 -> F_0 -> F_p -> 0 with F_i = (F_pG)^{betti[i]}.
 
     differentials[i] is the F_p matrix of d_i: F_i -> F_{i-1} in the
-    basis {g . e_j}; column (j, g) holds g . d_i(e_j).
+    basis {g . e_j}; column (j, g) holds g . d_i(e_j).  Its entries lie
+    below p and are stored in `dtype`, the narrowest unsigned dtype that
+    holds p - 1 (uint8 for every p < 257), since a cached resolution
+    lives as long as the process.
     """
 
     def __init__(self, group: FiniteGroup, p: int):
         self.group = group
         self.p = p
+        self.dtype = np.min_scalar_type(p - 1)
         self.betti = [1]
         self.differentials: list[np.ndarray] = []
 
     def _translates(self, vec, blocks: int) -> np.ndarray:
         """Row g is g . vec on F_p^{blocks * n}, blockwise left translation."""
         n = self.group.order
-        out = np.zeros((n, blocks, n), dtype=vec.dtype)
+        out = np.zeros((n, blocks, n), dtype=self.dtype)
         # out[g, b, g h] = vec[b, h]; the table row g is h -> g h
         out[np.arange(n)[:, None, None], np.arange(blocks)[:, None],
             self.group.table[:, None, :]] = vec.reshape(blocks, n)
@@ -130,7 +139,7 @@ class FreeResolution:
         i = len(self.differentials)
         if i == 0:
             # kernel of the augmentation (F_pG)^1 -> F_p
-            prev = np.ones((1, n), dtype=np.int64)
+            prev = np.ones((1, n), dtype=self.dtype)
         else:
             prev = self.differentials[-1]
         kernel = linalg.nullspace(prev, p).transpose()  # rows span ker d_i
@@ -153,7 +162,7 @@ class FreeResolution:
         self.betti.append(len(translates))
         self.differentials.append(
             np.vstack(translates).transpose() if translates
-            else np.zeros((blocks * n, 0), dtype=np.int64))
+            else np.zeros((blocks * n, 0), dtype=self.dtype))
 
 
 def free_resolution(group: FiniteGroup, p: int, length: int) -> FreeResolution:
@@ -165,22 +174,51 @@ def free_resolution(group: FiniteGroup, p: int, length: int) -> FreeResolution:
     return res
 
 
-def _hom_coboundary(res: FreeResolution, module: GModule, i: int) -> np.ndarray:
-    """Matrix of Hom_G(F_i, M) -> Hom_G(F_{i+1}, M) on stacked coordinates."""
+def _hom_coboundary(res: FreeResolution, module: GModule, i: int,
+                    targets: slice = slice(None)) -> np.ndarray:
+    """Matrix of Hom_G(F_i, M) -> Hom_G(F_{i+1}, M) on stacked coordinates.
+
+    Only the rows of the target generators e_k, k in `targets`, are built.
+    """
     n, p, d = res.group.order, res.p, module.dim
     b_src, b_dst = res.betti[i], res.betti[i + 1]
     # coef[k, j, g]: the coefficient of g.e_j in d_{i+1}(e_k), mostly zero
     coef = res.differentials[i][:, ::n].reshape(b_src, n, b_dst).transpose(2, 0, 1)
+    coef = coef[targets]
     k, j, g = np.nonzero(coef)
     # block (k, j) is sum_g c * P_g over the terms c g.e_j of d_{i+1}(e_k),
     # P_g the permutation matrix of g: c lands at (g.x, x) for every x.  An
     # entry collects at most n terms, each below p.
     dtype = np.min_scalar_type(n * (p - 1))
-    out = np.zeros((b_dst, d, b_src, d), dtype=dtype)
+    out = np.zeros((coef.shape[0], d, b_src, d), dtype=dtype)
     np.add.at(out, (k[:, None], module.action[g], j[:, None], np.arange(d)),
               coef[k, j, g].astype(dtype)[:, None])
     out -= out // p * p  # floor division by a scalar is faster than %
-    return out.reshape(b_dst * d, b_src * d)
+    return out.reshape(coef.shape[0] * d, b_src * d)
+
+
+# A coboundary is ranked a block of rows at a time, each block at most this
+# many cells, all reduced into one echelon form.  Nearly every coboundary of
+# the LQ sweep fits in one block; the few that do not (delta_3 of C2xC2xS3
+# with the r = 2 Symonds module at p = 2 has 10.6 M cells) would otherwise
+# be built whole, with the mod-p and packing copies beside them, and set the
+# peak memory of a whole run.
+_BLOCK_CELLS = 1 << 20
+
+
+def _coboundary_rank(res: FreeResolution, module: GModule, i: int) -> int:
+    """rank of `_hom_coboundary(res, module, i)`, built by row blocks."""
+    width = res.betti[i] * module.dim
+    # target generators per block, each of which owns module.dim rows
+    step = max(1, _BLOCK_CELLS // max(1, module.dim * width))
+    if step >= res.betti[i + 1]:
+        # one block: `rank` keeps p >= 5 free of back-substitution, and a
+        # traced run reports the shape of each coboundary rank
+        return linalg.rank(_hom_coboundary(res, module, i), res.p)
+    span = linalg.RowSpace(res.p, width)
+    for k in range(0, res.betti[i + 1], step):
+        span.add(_hom_coboundary(res, module, i, slice(k, k + step)))
+    return span.dim
 
 
 def cohomology(group: FiniteGroup, module: GModule, k_max: int,
@@ -200,8 +238,7 @@ def cohomology(group: FiniteGroup, module: GModule, k_max: int,
     dims = []
     prev_rank = 0
     for k in range(k_max + 1):
-        delta = _hom_coboundary(res, module, k)
-        r = linalg.rank(delta, p)
+        r = _coboundary_rank(res, module, k)
         dims.append(res.betti[k] * module.dim - r - prev_rank)
         prev_rank = r
     return tuple(dims)

@@ -95,8 +95,7 @@ def _orbit_lhs(v, group, classes, k_max, dim_budget):
     """Per-class dims of H^•(G; F_p[orbit]) via the coset-module blocks."""
     out = []
     for c in classes:
-        stab = [g for g in group.elements()
-                if all(group.conj(g, x) == x for x in c.representative)]
+        stab = c.centralizer  # the stabilizer of rho is C_G(rho(V))
         require(len(stab) * c.orbit_size == group.order,
                 f"orbit-stabilizer fails for {c.representative}: "
                 f"|Stab| = {len(stab)}, orbit size {c.orbit_size}, "

@@ -2,11 +2,12 @@
 inflation ranks and tower reports."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from proflq import catalog, groupcoh as gc, linalg, lq
+from proflq import cache, catalog, groupcoh as gc, linalg, lq
 from proflq.groups import (
     GroupHom,
     all_subgroups,
@@ -421,3 +422,57 @@ class TestAgainstReferenceBuilders:
                     assert np.array_equal(gc._hom_coboundary(res, m, i),
                                           _reference_coboundary(res, m, i)), g.name
         assert min(dims) <= 16 < max(dims)
+
+
+class TestCoboundaryRowBlocks:
+    """The coboundary ranks built a block of rows at a time."""
+
+    @staticmethod
+    def _modules(g, p):
+        subs = all_subgroups(g)
+        return [gc.trivial_module(g, p), gc.coset_module(g, subs[len(subs) // 2], p),
+                lq.symonds_module(ElementaryAbelian(p, 1), g)]
+
+    @pytest.mark.parametrize("p, groups", [
+        (2, None), (3, None), (5, ["D10"])])
+    def test_one_block_row_at_a_time(self, p, groups, monkeypatch):
+        # every block is one block row, so every multi-row coboundary is
+        # ranked from several blocks in one echelon form
+        k_max = 2
+        pool = (catalog.all_groups(24) if groups is None
+                else [catalog.by_name(name) for name in groups])
+        whole = {g.name: [gc.cohomology(g, m, k_max) for m in self._modules(g, p)]
+                 for g in pool}
+        monkeypatch.setattr(gc, "_BLOCK_CELLS", 1)
+        for g in pool:
+            res = gc.free_resolution(g, p, k_max + 1)
+            for m, dims in zip(self._modules(g, p), whole[g.name]):
+                assert gc.cohomology(g, m, k_max) == dims, g.name
+                for i in range(k_max + 1):
+                    ref = linalg._rank_fp(_reference_coboundary(res, m, i), p)
+                    assert gc._coboundary_rank(res, m, i) == ref, (g.name, m.dim, i)
+
+
+class TestResolutionMemory:
+    def test_largest_lq_sweep_check_stays_small(self):
+        # delta_3 with the r = 2 Symonds module of C2xC2xS3 at p = 2 is
+        # 4160 x 2560; built whole, the check peaks near 37 MB
+        g = catalog.by_name("C2xC2xS3")
+        cache.clear()
+        tracemalloc.start()
+        try:
+            lq.lq_check(ElementaryAbelian(2, 2), g, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
+    def test_cached_differentials_are_uint8(self):
+        g = catalog.by_name("C2xC2xS3")
+        for p in (2, 3):
+            lq.lq_check(ElementaryAbelian(p, 1), g, 3)
+        resolutions = list(cache._ENTRIES["groupcoh.resolutions"].values())
+        assert {res.p for res in resolutions} == {2, 3}
+        for res in resolutions:
+            for d in res.differentials:
+                assert d.dtype == np.uint8 and (d < res.p).all()

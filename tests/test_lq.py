@@ -1,9 +1,13 @@
 """Tests for the Lannes-Quillen engine (small instances; the full
 order-<=24 sweep lives in the acceptance suite)."""
 
+import dataclasses
 import random
 
+import pytest
+
 from proflq import cache, catalog, groupcoh as gc, lq, repv
+from proflq.errors import InvariantError
 from proflq.groups import (
     all_subgroups,
     cyclic_group,
@@ -169,6 +173,15 @@ class TestMechanism:
         blocks = lq._orbit_lhs(V2, g, classes, 2, gc.DEFAULT_DIM_BUDGET)
         fibers, _ = lq.tv_rhs(V2, g, 2)
         assert blocks == fibers
+
+    def test_orbit_stabilizer_checks_the_class_centralizer(self):
+        # the coset blocks use c.centralizer, so a wrong one must not pass
+        g = symmetric_group(4)
+        classes, _ = repv.rep_classes(V2, g)
+        short = [dataclasses.replace(c, centralizer=c.centralizer[:-1])
+                 for c in classes]
+        with pytest.raises(InvariantError, match="orbit-stabilizer"):
+            lq._orbit_lhs(V2, g, short, 2, gc.DEFAULT_DIM_BUDGET)
 
     def test_subgroup_key_is_computed_once(self, monkeypatch):
         g = symmetric_group(4)
