@@ -26,7 +26,7 @@ of them on the LQ sweep) through the action, straight into its block
 layout, in the narrowest unsigned dtype that holds an entry's sum.  Its
 rank is taken by row blocks of at most `_BLOCK_CELLS` cells, one range
 of target generators at a time, all reduced into one `linalg.RowSpace`,
-so no coboundary is ever held whole.
+so a coboundary larger than that is never held whole.
 
 Conventions: C(X, F_p) and F_p[X] are identified through the
 indicator-function basis, so a permutation module is its own function
