@@ -115,6 +115,10 @@ CASES = [
      "16e84f0f74961a6c4c7f612c1ddc9c2b12d4fcd14db2d98015fdb51909636dd9"),
     ("cohomology-tower-p3", ["cohomology", "--tower", "gt.json", "--p", "3"], 0,
      "7e9a8b94c8ab6d71fafaca35bae81941928a57e4f7282a8c669e39af4f1feed6"),
+    # inflation along the sign map of S3 up to degree 4
+    ("cohomology-tower-k4", ["cohomology", "--tower", "gt.json", "--p", "2",
+                             "--kmax", "4", "--budget-dim", "10000"], 0,
+     "2da20dae0250538333b5b272d118c5630e98ec2433cd120bb3ac6a05bf1e60b0"),
     # the largest coboundary of the LQ sweep: delta_3 with the r = 2 Symonds
     # module of C2xC2xS3 at p = 2, 4160 x 2560
     ("lq-c2c2s3-p2-r2", ["lq", "--group", "c2c2s3.json", "--p", "2",
