@@ -12,9 +12,9 @@ H^k(G; M) is computed from a free F_pG-resolution of the trivial module,
 built once per (group table, prime) and kept in `cache`; applying
 Hom_G(-, M) turns each differential into a small F_p block matrix, so
 many coefficient modules reuse one resolution.  Inflation along a
-tower transition, which the tower reports need, is computed on
-inhomogeneous bar cochains with trivial coefficients, where the pullback
-is explicit.
+tower transition q: G' -> G uses the same resolutions, through a chain
+map over q lifted one degree at a time.  So `dim_budget` has one meaning:
+the Betti number times the width (dim M, or |G| for the chain map).
 
 The resolution picks its generators greedily: a kernel vector becomes a
 generator when it lies outside the span of the translates chosen so far,
@@ -35,13 +35,11 @@ space and no transposes appear downstream.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from . import cache, linalg
-from .errors import BudgetError
-from .groups import FiniteGroup, GroupHom, left_cosets, subgroup_group
+from .errors import BudgetError, require
+from .groups import FiniteGroup, GroupHom, cyclic_group, left_cosets, subgroup_group
 
 DEFAULT_DIM_BUDGET = 5000
 
@@ -174,27 +172,28 @@ def free_resolution(group: FiniteGroup, p: int, length: int) -> FreeResolution:
     return res
 
 
-def _hom_coboundary(res: FreeResolution, module: GModule, i: int,
-                    targets: slice = slice(None)) -> np.ndarray:
-    """Matrix of Hom_G(F_i, M) -> Hom_G(F_{i+1}, M) on stacked coordinates.
+def _coefficients(res: FreeResolution, i: int) -> np.ndarray:
+    """coef[k, j, g]: the coefficient of g.e_j in d_{i+1}(e_k), mostly zero."""
+    n = res.group.order
+    return res.differentials[i][:, ::n].reshape(
+        res.betti[i], n, res.betti[i + 1]).transpose(2, 0, 1)
 
-    Only the rows of the target generators e_k, k in `targets`, are built.
-    """
-    n, p, d = res.group.order, res.p, module.dim
-    b_src, b_dst = res.betti[i], res.betti[i + 1]
-    # coef[k, j, g]: the coefficient of g.e_j in d_{i+1}(e_k), mostly zero
-    coef = res.differentials[i][:, ::n].reshape(b_src, n, b_dst).transpose(2, 0, 1)
-    coef = coef[targets]
+
+def _hom_coboundary(coef: np.ndarray, module: GModule) -> np.ndarray:
+    """Matrix of Hom_G(F_i, M) -> Hom_G(F_{i+1}, M) on stacked coordinates,
+    from `_coefficients(res, i)` or the rows of a range of its targets."""
+    b_dst, b_src, n = coef.shape
+    p, d = module.p, module.dim
     k, j, g = np.nonzero(coef)
     # block (k, j) is sum_g c * P_g over the terms c g.e_j of d_{i+1}(e_k),
     # P_g the permutation matrix of g: c lands at (g.x, x) for every x.  An
     # entry collects at most n terms, each below p.
     dtype = np.min_scalar_type(n * (p - 1))
-    out = np.zeros((coef.shape[0], d, b_src, d), dtype=dtype)
+    out = np.zeros((b_dst, d, b_src, d), dtype=dtype)
     np.add.at(out, (k[:, None], module.action[g], j[:, None], np.arange(d)),
               coef[k, j, g].astype(dtype)[:, None])
     out -= out // p * p  # floor division by a scalar is faster than %
-    return out.reshape(coef.shape[0] * d, b_src * d)
+    return out.reshape(b_dst * d, b_src * d)
 
 
 # A coboundary is ranked a block of rows at a time, each block at most this
@@ -207,18 +206,29 @@ _BLOCK_CELLS = 1 << 20
 
 
 def _coboundary_rank(res: FreeResolution, module: GModule, i: int) -> int:
-    """rank of `_hom_coboundary(res, module, i)`, built by row blocks."""
+    """rank of the coboundary on Hom_G(F_i, M), built by row blocks."""
+    coef = _coefficients(res, i)
     width = res.betti[i] * module.dim
     # target generators per block, each of which owns module.dim rows
     step = max(1, _BLOCK_CELLS // max(1, module.dim * width))
     if step >= res.betti[i + 1]:
         # one block: `rank` keeps p >= 5 free of back-substitution, and a
         # traced run reports the shape of each coboundary rank
-        return linalg.rank(_hom_coboundary(res, module, i), res.p)
+        return linalg.rank(_hom_coboundary(coef, module), res.p)
     span = linalg.RowSpace(res.p, width)
     for k in range(0, res.betti[i + 1], step):
-        span.add(_hom_coboundary(res, module, i, slice(k, k + step)))
+        span.add(_hom_coboundary(coef[k:k + step], module))
     return span.dim
+
+
+def _budgeted_resolution(group: FiniteGroup, p: int, k_max: int, width: int,
+                         dim_budget: int) -> FreeResolution:
+    """The resolution through F_{k_max + 1}, if betti * width fits the budget."""
+    res = free_resolution(group, p, k_max + 1)
+    dim = max(res.betti[:k_max + 2]) * width
+    if dim > dim_budget:
+        raise BudgetError(f"cochain dimension {dim} exceeds budget {dim_budget}")
+    return res
 
 
 def cohomology(group: FiniteGroup, module: GModule, k_max: int,
@@ -227,68 +237,64 @@ def cohomology(group: FiniteGroup, module: GModule, k_max: int,
     if module.group is not group and \
             not (module.group.table == group.table).all():
         raise ValueError("module is not over the given group")
-    p = module.p
     if module.dim == 0:
         return (0,) * (k_max + 1)
-    res = free_resolution(group, p, k_max + 1)
-    for b in res.betti[:k_max + 2]:
-        if b * module.dim > dim_budget:
-            raise BudgetError(f"cochain dimension {b * module.dim} "
-                              f"exceeds budget {dim_budget}")
-    dims = []
-    prev_rank = 0
-    for k in range(k_max + 1):
-        r = _coboundary_rank(res, module, k)
-        dims.append(res.betti[k] * module.dim - r - prev_rank)
-        prev_rank = r
-    return tuple(dims)
+    res = _budgeted_resolution(group, module.p, k_max, module.dim, dim_budget)
+    ranks = [0] + [_coboundary_rank(res, module, k) for k in range(k_max + 1)]
+    return tuple(res.betti[k] * module.dim - ranks[k + 1] - ranks[k]
+                 for k in range(k_max + 1))
 
 
 # ---------------------------------------------------------------------------
-# bar cochains and explicit inflation maps
+# inflation through a chain map between resolutions
 
 
-def _bar_coboundary(group: FiniteGroup, p: int, k: int) -> np.ndarray:
-    """delta: C^k(G; F_p) -> C^{k+1}(G; F_p), inhomogeneous cochains."""
-    n = group.order
-    tuples_k1 = list(itertools.product(range(n), repeat=k + 1))
-    pos = {t: i for i, t in enumerate(itertools.product(range(n), repeat=k))}
-    out = np.zeros((len(tuples_k1), len(pos)), dtype=np.int64)
-    for i, t in enumerate(tuples_k1):
-        out[i, pos[t[1:]]] += 1
-        sign = -1
-        for m in range(k):
-            out[i, pos[t[:m] + (group.mul(t[m], t[m + 1]),) + t[m + 2:]]] += sign
-            sign = -sign
-        out[i, pos[t[:-1]]] += sign
-    return out % p
+def _chain_map(q: GroupHom, res: FreeResolution, res_src: FreeResolution,
+               k_max: int) -> list[np.ndarray]:
+    """phi_k: F'_k -> F_k, k <= k_max, a chain map over q: G' -> G from the
+    resolution of G' to that of G (Brown, Cohomology of Groups, I.7).
 
-
-def _bar_pullback(q: GroupHom, k: int) -> np.ndarray:
-    """Matrix of q^#: C^k(G; F_p) -> C^k(G'; F_p)."""
-    pos = {t: i for i, t in
-           enumerate(itertools.product(range(q.target.order), repeat=k))}
-    tuples_dst = list(itertools.product(range(q.source.order), repeat=k))
-    out = np.zeros((len(tuples_dst), len(pos)), dtype=np.int64)
-    for i, t in enumerate(tuples_dst):
-        out[i, pos[tuple(q(x) for x in t)]] = 1
-    return out
+    Column j of phi[k] is phi_k(e'_j); phi_0(e') = e, and phi_k(e'_j) is a
+    solution of d_k x = phi_{k-1}(d'_k e'_j), a cycle, which F being exact
+    has.  Each such system is checked for consistency.
+    """
+    group, p, n = res.group, res.p, res.group.order
+    shift = group.table[[group.inv(h) for h in q.images]]  # y -> q(g')^-1 y
+    phi = [np.eye(n, 1, dtype=np.int64)]
+    for k, d in enumerate(res.differentials[:k_max], start=1):
+        coef = _coefficients(res_src, k - 1).astype(np.int64)
+        # cycle j is sum c q(g').phi_{k-1}(e'_i), and (h.v)[m, y] = v[m, h^-1 y]
+        prev = phi[-1].transpose().reshape(coef.shape[1], res.betti[k - 1], n)
+        cycles = np.einsum("jig,imgy->jmy", coef, prev[:, :, shift]) % p
+        cycles = cycles.reshape(len(coef), d.shape[0]).transpose()
+        r, pivots = linalg.rref(np.hstack([d, cycles]), p)
+        require(not pivots or pivots[-1] < d.shape[1],
+                f"no lift in degree {k}: d_k x = phi_(k-1)(d'_k e') is inconsistent",
+                {"degree": k, "pivots": pivots})
+        phi.append(np.zeros((d.shape[1], len(coef)), dtype=np.int64))
+        phi[-1][pivots] = r[:len(pivots), d.shape[1]:]
+    return phi
 
 
 def inflation_ranks(q: GroupHom, p: int, k_max: int,
                     dim_budget: int = DEFAULT_DIM_BUDGET) -> tuple[int, ...]:
-    """rank of H^k(G; F_p) -> H^k(G'; F_p) along a surjection q, k <= k_max."""
+    """rank of H^k(G; F_p) -> H^k(G'; F_p) along a surjection q, k <= k_max.
+
+    A cochain f pulls back to f . phi; as f(g.e_m) = f(e_m), the inflation
+    matrix sums each block of phi_k(e'_j).  The rank is that of the pulled
+    back cocycles of G modulo the coboundaries of G'.
+    """
     g, gp = q.target, q.source
-    if max(g.order, gp.order) ** (k_max + 1) > dim_budget:
-        raise BudgetError("bar cochain spaces exceed budget")
+    res = _budgeted_resolution(g, p, k_max, g.order, dim_budget)
+    res_src = _budgeted_resolution(gp, p, k_max, gp.order, dim_budget)
+    trivial, trivial_src = trivial_module(g, p), trivial_module(gp, p)
     ranks = []
-    for k in range(k_max + 1):
-        cocycles = linalg.nullspace(_bar_coboundary(g, p, k), p).transpose()
-        pulled = (cocycles @ _bar_pullback(q, k).transpose()) % p
-        if k == 0:
-            coboundaries = np.zeros((0, gp.order ** k), dtype=np.int64)
-        else:
-            coboundaries = _bar_coboundary(gp, p, k - 1).transpose()
+    for k, x in enumerate(_chain_map(q, res, res_src, k_max)):
+        inflation = x.reshape(res.betti[k], g.order, res_src.betti[k]).sum(axis=1)
+        delta = _hom_coboundary(_coefficients(res, k), trivial)
+        pulled = linalg.nullspace(delta, p).transpose() @ inflation % p
+        coboundaries = (_hom_coboundary(_coefficients(res_src, k - 1), trivial_src)
+                        .transpose() if k else np.zeros((0, 1), dtype=np.int64))
         base = linalg.rank(coboundaries, p)
         ranks.append(linalg.rank(np.vstack([coboundaries, pulled]), p) - base)
     return tuple(ranks)
@@ -332,7 +338,6 @@ class GroupTower:
 
 def cyclic_p_tower(p: int, depth: int) -> GroupTower:
     """Z/p <- Z/p^2 <- ... <- Z/p^depth with reduction maps."""
-    from .groups import cyclic_group
     levels = [cyclic_group(p ** (k + 1)) for k in range(depth)]
     transitions = [GroupHom(levels[k + 1], levels[k],
                             [x % p ** (k + 1) for x in range(p ** (k + 2))])
@@ -352,16 +357,11 @@ def continuous_cohomology(tower: GroupTower, p: int, k_max: int,
             for g in tower.levels]
     ranks = [inflation_ranks(q, p, k_max, dim_budget)
              for q in tower.transitions]
-    stable = []
-    for k in range(k_max + 1):
-        if len(ranks) >= 2:
-            ok = all(r[k] == dims[i][k] == dims[i + 1][k]
-                     for i, r in enumerate(ranks[-2:], start=len(ranks) - 2))
-        else:
-            ok = False
-        stable.append(ok)
+    last = range(len(ranks) - 2, len(ranks)) if len(ranks) >= 2 else ()
+    stable = [k for k in range(k_max + 1) if last and all(
+        ranks[i][k] == dims[i][k] == dims[i + 1][k] for i in last)]
     return {"dims": [tuple(d) for d in dims],
             "inflation_ranks": [tuple(r) for r in ranks],
-            "stable_degrees": [k for k in range(k_max + 1) if stable[k]],
-            "growing_degrees": [k for k in range(k_max + 1) if not stable[k]],
+            "stable_degrees": stable,
+            "growing_degrees": [k for k in range(k_max + 1) if k not in stable],
             "k_max": k_max, "p": p, "depth": tower.depth}

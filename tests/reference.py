@@ -1,12 +1,13 @@
 """Reference implementations and fixtures the tests compare the library to.
 
 None of this runs on a `proflq` command path: these are brute-force
-oracles (bar cochains over any permutation module, hom enumeration,
-isomorphism search, the integer Smith normal form, the direct sum as it
-ran before it was memoized, subgroup conjugacy and the S_p functor check
-by whole-group scans) and small builders of
-test inputs (regular and direct-sum modules, the dense matrices of a
-module, constant group towers, point towers).
+oracles (bar cochains over any permutation module, inflation as the
+pullback of bar cocycles, hom enumeration, isomorphism search, the
+integer Smith normal form, the direct sum as it ran before it was
+memoized, subgroup conjugacy and the S_p functor check by whole-group
+scans) and small builders of test inputs (regular and direct-sum
+modules, the dense matrices of a module, constant group towers, point
+towers).
 """
 
 import itertools
@@ -258,6 +259,37 @@ def bar_cohomology(group: FiniteGroup, module: gc.GModule, k_max: int,
         dims.append(n ** k * d - r - prev_rank)
         prev_rank = r
     return tuple(dims)
+
+
+def bar_pullback(q: GroupHom, k: int) -> np.ndarray:
+    """Matrix of q^#: C^k(G; F_p) -> C^k(G'; F_p), inhomogeneous cochains."""
+    pos = {t: i for i, t in
+           enumerate(itertools.product(range(q.target.order), repeat=k))}
+    tuples_src = list(itertools.product(range(q.source.order), repeat=k))
+    out = np.zeros((len(tuples_src), len(pos)), dtype=np.int64)
+    for i, t in enumerate(tuples_src):
+        out[i, pos[tuple(q(x) for x in t)]] = 1
+    return out
+
+
+def bar_inflation_ranks(q: GroupHom, p: int, k_max: int,
+                        dim_budget: int = gc.DEFAULT_DIM_BUDGET) -> tuple[int, ...]:
+    """The same ranks as `inflation_ranks`, by pulling back bar cocycles."""
+    g, gp = q.target, q.source
+    if max(g.order, gp.order) ** (k_max + 1) > dim_budget:
+        raise BudgetError("bar cochain spaces exceed budget")
+    trivial, trivial_src = gc.trivial_module(g, p), gc.trivial_module(gp, p)
+    ranks = []
+    for k in range(k_max + 1):
+        cocycles = linalg.nullspace(bar_coboundary(g, trivial, k), p).transpose()
+        pulled = (cocycles @ bar_pullback(q, k).transpose()) % p
+        if k == 0:
+            coboundaries = np.zeros((0, 1), dtype=np.int64)
+        else:
+            coboundaries = bar_coboundary(gp, trivial_src, k - 1).transpose()
+        base = linalg.rank(coboundaries, p)
+        ranks.append(linalg.rank(np.vstack([coboundaries, pulled]), p) - base)
+    return tuple(ranks)
 
 
 def constant_group_tower(group: FiniteGroup, depth: int) -> gc.GroupTower:

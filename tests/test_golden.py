@@ -119,6 +119,11 @@ CASES = [
     ("cohomology-tower-k4", ["cohomology", "--tower", "gt.json", "--p", "2",
                              "--kmax", "4", "--budget-dim", "10000"], 0,
      "2da20dae0250538333b5b272d118c5630e98ec2433cd120bb3ac6a05bf1e60b0"),
+    # the same at the default budget: the chain map needs betti * |G| <= 5000
+    # cochains, where bar cochains needed 6^5 = 7776
+    ("cohomology-tower-k4-default-budget",
+     ["cohomology", "--tower", "gt.json", "--p", "2", "--kmax", "4"], 0,
+     "bff55a2a5a440905e2674bc726b98b9f03dddf180a8db3f42532b2f41e9477a0"),
     # the largest coboundary of the LQ sweep: delta_3 with the r = 2 Symonds
     # module of C2xC2xS3 at p = 2, 4160 x 2560
     ("lq-c2c2s3-p2-r2", ["lq", "--group", "c2c2s3.json", "--p", "2",

@@ -1,5 +1,5 @@
 """Tests for group cohomology: resolution engine vs bar oracle, Shapiro,
-inflation ranks and tower reports."""
+inflation ranks (the chain-map route vs bar cochains) and tower reports."""
 
 import random
 import tracemalloc
@@ -8,19 +8,22 @@ import numpy as np
 import pytest
 
 from proflq import cache, catalog, groupcoh as gc, linalg, lq
+from proflq.errors import InvariantError
 from proflq.groups import (
     GroupHom,
     all_subgroups,
     cyclic_group,
     dihedral_group,
     direct_product,
+    quotient_group,
     symmetric_group,
     trivial_group,
 )
 from proflq.repv import ElementaryAbelian
 
-from .reference import (bar_coboundary, bar_cohomology, constant_group_tower,
-                        dense, direct_sum_module, regular_module)
+from .reference import (bar_cohomology, bar_inflation_ranks,
+                        constant_group_tower, dense, direct_sum_module,
+                        regular_module)
 
 
 class TestGModule:
@@ -179,15 +182,6 @@ class TestBarOracle:
             assert bar_cohomology(g, m, 2, dim_budget=10 ** 6) == \
                 gc.cohomology(g, m, 2)
 
-    def test_trivial_coboundary_matches_the_oracle(self):
-        # the scalar coboundary inflation uses, against the general one
-        for g in (cyclic_group(3), symmetric_group(3)):
-            for p in (2, 3):
-                for k in range(3):
-                    assert np.array_equal(
-                        gc._bar_coboundary(g, p, k),
-                        bar_coboundary(g, gc.trivial_module(g, p), k))
-
     def test_bar_budget(self):
         g = symmetric_group(4)
         with pytest.raises(gc.BudgetError):
@@ -244,6 +238,98 @@ class TestInflation:
         g = cyclic_group(3)
         q = GroupHom(g, trivial_group(), [0, 0, 0])
         assert gc.inflation_ranks(q, 3, 2, dim_budget=10 ** 5) == (1, 0, 0)
+
+
+def _normal_quotients(max_order):
+    """G -> G/N for every proper nontrivial normal N of the catalog groups."""
+    for g in catalog.all_groups(max_order):
+        for s in all_subgroups(g):
+            if 1 < len(s) < g.order and len(g.normalizer(s)) == g.order:
+                quotient, proj = quotient_group(g, s)
+                yield GroupHom(g, quotient, proj)
+
+
+class TestInflationAgainstBarOracle:
+    """The chain-map route against the pullback of bar cocycles."""
+
+    @pytest.mark.parametrize("max_order, count, p, k_max", [
+        (12, 66, 2, 2), (12, 66, 3, 2), (12, 66, 5, 2), (8, 37, 2, 3)])
+    def test_normal_quotients(self, max_order, count, p, k_max):
+        quotients = list(_normal_quotients(max_order))
+        assert len(quotients) == count
+        for q in quotients:
+            assert gc.inflation_ranks(q, p, k_max) == \
+                bar_inflation_ranks(q, p, k_max), (q.source.name, q.target.order)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_zero_betti_numbers(self, p):
+        # the trivial group has Betti numbers 1, 0, 0, ...: lifting steps
+        # with no generators on either side
+        one = trivial_group()
+        homs = [GroupHom(one, one, [0])]
+        homs += [GroupHom(g, one, [0] * g.order) for g in catalog.all_groups(8)]
+        for q in homs:
+            assert gc.inflation_ranks(q, p, 3) == \
+                bar_inflation_ranks(q, p, 3) == (1, 0, 0, 0), q.source.name
+        cp = cyclic_group(p)
+        rep = gc.continuous_cohomology(
+            gc.GroupTower([one, cp], [GroupHom(cp, one, [0] * p)]), p, 4)
+        assert rep["inflation_ranks"] == [(1, 0, 0, 0, 0)]
+
+    def test_p5_cyclic_and_dihedral(self):
+        q = gc.cyclic_p_tower(5, 2).transitions[0]
+        assert gc.inflation_ranks(q, 5, 1) == bar_inflation_ranks(q, 5, 1)
+        assert gc.inflation_ranks(q, 5, 4) == (1, 1, 0, 0, 0)
+        # the dihedral group of order 20 onto D5, C2xC2 and three times C2
+        quotients = [q for q in _normal_quotients(20) if q.source.name == "D10"]
+        assert sorted(q.target.order for q in quotients) == [2, 2, 2, 4, 10]
+        for q in quotients:
+            for p in (2, 5):
+                assert gc.inflation_ranks(q, p, 2) == \
+                    bar_inflation_ranks(q, p, 2, dim_budget=10 ** 4)
+
+
+class TestInflationReach:
+    """Towers the bar cochains could not reach under the default budget."""
+
+    def test_cyclic_tower_to_degree_4(self):
+        t = gc.cyclic_p_tower(2, 3)
+        with pytest.raises(gc.BudgetError):
+            bar_inflation_ranks(t.transitions[-1], 2, 4)
+        rep = gc.continuous_cohomology(t, 2, 4)
+        assert rep["inflation_ranks"] == [(1, 1, 0, 0, 0)] * 2
+
+    @pytest.mark.parametrize("p, depth", [(2, 6), (3, 4)])
+    def test_long_cyclic_towers_to_degree_8(self, p, depth):
+        rep = gc.continuous_cohomology(gc.cyclic_p_tower(p, depth), p, 8)
+        assert rep["dims"] == [(1,) * 9] * depth
+        # the colimit is H*(Z_p; F_p): exterior on one class of degree 1
+        assert rep["inflation_ranks"] == [(1, 1) + (0,) * 7] * (depth - 1)
+        assert rep["stable_degrees"] == [0, 1]
+
+    def test_small_budget_still_refuses(self):
+        # the levels' cochains fit (one generator per degree, trivial
+        # coefficients), but the lift works in F_k = (F_2 Z/8)^1
+        t = gc.cyclic_p_tower(2, 3)
+        gc.continuous_cohomology(t, 2, 4, dim_budget=8)
+        with pytest.raises(gc.BudgetError):
+            gc.continuous_cohomology(t, 2, 4, dim_budget=7)
+
+
+class TestChainMapInvariant:
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_a_twisted_lift_is_refused(self, p, monkeypatch):
+        # translating by q(g)^-1 is not a G'-action on S3 (not abelian), so
+        # some lifting system has no solution
+        s4 = symmetric_group(4)
+        v4 = next(s for s in all_subgroups(s4) if len(s) == 4
+                  and len(s4.normalizer(s)) == s4.order)
+        s3, proj = quotient_group(s4, v4)
+        q = GroupHom(s4, s3, proj)
+        gc.inflation_ranks(q, p, 3)
+        monkeypatch.setattr(q, "images", [s3.inv(x) for x in q.images])
+        with pytest.raises(InvariantError, match="no lift"):
+            gc.inflation_ranks(q, p, 3)
 
 
 class TestGroupTower:
@@ -394,7 +480,7 @@ class TestAgainstReferenceBuilders:
             modules = [gc.trivial_module(g, p), gc.coset_module(g, subs[len(subs) // 2], p)]
             for m in modules:
                 for i in range(length - 1):
-                    delta = gc._hom_coboundary(res, m, i)
+                    delta = gc._hom_coboundary(gc._coefficients(res, i), m)
                     assert np.array_equal(delta, _reference_coboundary(res, m, i)), g.name
 
     def test_large_coefficient_blocks(self):
@@ -405,8 +491,9 @@ class TestAgainstReferenceBuilders:
             for m in (regular_module(g, p), gc.coset_module(g, [0], p),
                       gc.coset_module(g, all_subgroups(g)[3], p)):
                 for i in range(3):
-                    assert np.array_equal(gc._hom_coboundary(res, m, i),
-                                          _reference_coboundary(res, m, i))
+                    assert np.array_equal(
+                        gc._hom_coboundary(gc._coefficients(res, i), m),
+                        _reference_coboundary(res, m, i))
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_symonds_modules(self, p):
@@ -419,8 +506,9 @@ class TestAgainstReferenceBuilders:
                 m = lq.symonds_module(ElementaryAbelian(p, r), g)
                 dims.add(m.dim)
                 for i in range(3):
-                    assert np.array_equal(gc._hom_coboundary(res, m, i),
-                                          _reference_coboundary(res, m, i)), g.name
+                    assert np.array_equal(
+                        gc._hom_coboundary(gc._coefficients(res, i), m),
+                        _reference_coboundary(res, m, i)), g.name
         assert min(dims) <= 16 < max(dims)
 
 
@@ -451,6 +539,21 @@ class TestCoboundaryRowBlocks:
                 for i in range(k_max + 1):
                     ref = linalg._rank_fp(_reference_coboundary(res, m, i), p)
                     assert gc._coboundary_rank(res, m, i) == ref, (g.name, m.dim, i)
+
+
+    def test_coefficients_read_once_per_coboundary(self, monkeypatch):
+        g = symmetric_group(4)
+        res = gc.free_resolution(g, 2, 3)
+        m = lq.symonds_module(ElementaryAbelian(2, 1), g)
+        reads = []
+        coefficients = gc._coefficients
+        monkeypatch.setattr(gc, "_coefficients",
+                            lambda res, i: reads.append(i) or coefficients(res, i))
+        monkeypatch.setattr(gc, "_BLOCK_CELLS", 1)
+        for i in range(3):
+            gc._coboundary_rank(res, m, i)
+        # several blocks per coboundary, one read of d_{i+1} each
+        assert min(res.betti[1:4]) > 1 and reads == [0, 1, 2]
 
 
 class TestResolutionMemory:

@@ -124,7 +124,7 @@ class TestF3AgainstNumpy:
                 same_as_numpy(d, 3)
             for module in (gc.trivial_module(g, 3), gc.coset_module(g, [0], 3)):
                 for k in range(3):
-                    delta = gc._hom_coboundary(res, module, k)
+                    delta = gc._hom_coboundary(gc._coefficients(res, k), module)
                     assert delta.dtype.kind == "u"
                     same_as_numpy(delta, 3)
 
