@@ -254,9 +254,9 @@ def _chain_map(q: GroupHom, res: FreeResolution, res_src: FreeResolution,
     """phi_k: F'_k -> F_k, k <= k_max, a chain map over q: G' -> G from the
     resolution of G' to that of G (Brown, Cohomology of Groups, I.7).
 
-    Column j of phi[k] is phi_k(e'_j); phi_0(e') = e, and phi_k(e'_j) is a
-    solution of d_k x = phi_{k-1}(d'_k e'_j), a cycle, which F being exact
-    has.  Each such system is checked for consistency.
+    Column j of phi[k] is phi_k(e'_j).  phi_0(e') = e, and phi_k(e'_j) solves
+    d_k x = phi_{k-1}(d'_k e'_j): the right side is a cycle, so as F is exact
+    a solution exists, and each system is checked to have one.
     """
     group, p, n = res.group, res.p, res.group.order
     shift = group.table[[group.inv(h) for h in q.images]]  # y -> q(g')^-1 y
