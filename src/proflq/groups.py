@@ -1,17 +1,24 @@
 """Finite groups as multiplication tables.
 
-`FiniteGroup` is the one group kernel.  It holds the table twice: as a
-numpy int64 array (`table`, whose bytes key the cohomology caches) and
-as a list of Python rows, so that `mul`, `inv` and `conj` are plain list
-indexing; the inverses are read off the rows once.  `closure` is a
-breadth-first search from the identity that multiplies only by the
-given generators.  `all_subgroups` computes the subgroup lattice once
-per group object, by cyclic extension with a coset-by-coset closure
-(table-based methods as in Holt, Eick and O'Brien, *Handbook of
-Computational Group Theory*, 2005, ch. 3), keeps it on the object and
-hands every caller a fresh list; `generators_greedy` keeps its
-generator list the same way.  Per-element helpers are private, so that
-an outside tracer of the public methods does not time every lookup.
+`FiniteGroup` is the one group kernel.  It holds the table as a numpy
+int64 array (`table`, whose bytes key the cohomology caches) and as a
+list of Python rows, so that `mul` and `inv` are plain list indexing;
+the inverses are read off the rows once.  Beside them it keeps the
+conjugation rows `conj_rows[g][x] = g x g⁻¹`, built in one numpy
+gather, so that conjugating a set or a tuple by g is one `map` over a
+row: `conj`, subgroup conjugation, the subgroup class pass and the
+conjugation sweeps of `repv`, `lq` and `sep` all read them.
+
+`closure` is a breadth-first search from the identity that multiplies
+only by the given generators.  `all_subgroups` computes the subgroup
+lattice once per group object, by cyclic extension with a
+coset-by-coset closure (table-based methods as in Holt, Eick and
+O'Brien, *Handbook of Computational Group Theory*, 2005, ch. 3) that
+reads the coset {h·x : h in S} from column x of the table.  It keeps
+the lattice on the object and hands every caller a fresh list;
+`generators_greedy` keeps its generator list the same way.  Per-element
+helpers are private, so that an outside tracer of the public methods
+does not time every lookup.
 
 Every constructor is an element list and a product rule handed to one
 builder, `_table_group`, which numbers the elements in the given order
@@ -22,10 +29,13 @@ of a normal subgroup.  `left_cosets` numbers the left cosets of a
 subgroup by their first element; quotients and coset modules both read
 it.  `subgroup_classes` splits the lattice into conjugacy classes once
 per group object, in one orbit pass that also records the normalizer of
-each class representative; `subgroups_up_to_conjugacy` and
-`p_subgroups_up_to_conjugacy` read its representatives.  Conjugacy,
-centralizers and normalizers of arbitrary element sets are table scans;
-everything stays at desk scale.
+each class representative and, for every subgroup, the least element
+conjugating its representative to it; the normalizer of any subgroup is
+then that conjugate of its representative's.  `subgroups_up_to_conjugacy`
+and `p_subgroups_up_to_conjugacy` read its representatives.  The
+centralizer and normalizer methods, and the conjugacy test of two
+arbitrary element sets, scan the group; everything stays at desk scale.
+`GroupHom` checks f(ab) = f(a)f(b) on all pairs in one numpy comparison.
 """
 
 from __future__ import annotations
@@ -52,6 +62,8 @@ class FiniteGroup:
             self._validate()
         self._rows = table.tolist()
         self._inv = [row.index(0) for row in self._rows]
+        # conj_rows[g][x] = g x g^{-1}, one gather (g x) then (g x) g^{-1}
+        self.conj_rows = table[table, np.array(self._inv)[:, None]].tolist()
         self._subgroups = None  # the lattice, filled by all_subgroups
         self._generators = None  # filled by generators_greedy
         self._classes = None  # filled by subgroup_classes
@@ -79,13 +91,11 @@ class FiniteGroup:
 
     def conj(self, g: int, x: int) -> int:
         """g x g^{-1}."""
-        rows = self._rows
-        return rows[rows[g][x]][self._inv[g]]
+        return self.conj_rows[g][x]
 
     def _conjugate(self, g: int, elements) -> frozenset[int]:
         """g S g^{-1} as a set; private, so per-element work is not traced."""
-        rows, row_g, g_inv = self._rows, self._rows[g], self._inv[g]
-        return frozenset([rows[row_g[x]][g_inv] for x in elements])
+        return frozenset(map(self.conj_rows[g].__getitem__, elements))
 
     def element_order(self, a: int) -> int:
         rows = self._rows
@@ -360,7 +370,7 @@ def _subgroup_lattice(g: FiniteGroup) -> list[frozenset[int]]:
     """Cyclic extension: every subgroup arises from {1} by adjoining one
     cyclic subgroup at a time, and <H, x> depends only on <x> and on the
     coset Hx, so one generator per cyclic subgroup and coset is tried."""
-    rows = g._rows
+    rows, cols = g._rows, g.table.T.tolist()  # cols[x][h] = h x
     cyclic: dict[frozenset[int], int] = {}
     for x in range(1, g.order):
         powers, y = [0], x
@@ -379,8 +389,8 @@ def _subgroup_lattice(g: FiniteGroup) -> list[frozenset[int]]:
             for x in cyclic.values():
                 if x in tried:
                     continue
-                tried.update(rows[h][x] for h in s)
-                t = _adjoin(rows, s, gens + (x,))
+                tried.update(map(cols[x].__getitem__, s))
+                t = _adjoin(rows, cols, s, gens + (x,))
                 if t not in gens_of:
                     gens_of[t] = gens + (x,)
                     nxt.append(t)
@@ -388,7 +398,7 @@ def _subgroup_lattice(g: FiniteGroup) -> list[frozenset[int]]:
     return sorted(gens_of, key=lambda s: (len(s), sorted(s)))
 
 
-def _adjoin(rows, s: frozenset[int], gens: tuple[int, ...]) -> frozenset[int]:
+def _adjoin(rows, cols, s: frozenset[int], gens: tuple[int, ...]) -> frozenset[int]:
     """<gens> for gens that contain generators of the subgroup s, built
     one right coset s·r at a time (Dimino's algorithm): the union of the
     cosets found is closed under right multiplication by every generator
@@ -400,7 +410,7 @@ def _adjoin(rows, s: frozenset[int], gens: tuple[int, ...]) -> frozenset[int]:
         for x in gens:
             c = row[x]
             if c not in seen:
-                seen.update(rows[h][c] for h in s)
+                seen.update(map(cols[c].__getitem__, s))
                 reps.append(c)
     return frozenset(seen)
 
@@ -411,36 +421,46 @@ class SubgroupClasses(NamedTuple):
     `index` maps every subgroup to the number of its class; `reps[k]` is
     the first subgroup of class k in `all_subgroups` order, the classes
     numbered in the order of their representatives; `normalizers[k]` is
-    N(reps[k]), the stabiliser of the class under conjugation.
+    N(reps[k]), the stabiliser of the class under conjugation, in
+    increasing order.  `conjugators` maps every subgroup t to the least
+    element c with c·reps[index[t]]·c⁻¹ = t, so N(t) = c·N(rep)·c⁻¹
+    without a scan of the group.
     """
 
     index: Mapping[frozenset[int], int]
     reps: tuple[frozenset[int], ...]
     normalizers: tuple[tuple[int, ...], ...]
+    conjugators: Mapping[frozenset[int], int]
 
 
 def subgroup_classes(g: FiniteGroup) -> SubgroupClasses:
     """The subgroup conjugacy classes of g, computed once per group object.
 
-    One pass conjugates each representative by every element of g: the
-    images are its class, and the elements that fix it its normalizer.
+    One pass conjugates each representative by every element of g, in
+    increasing order, through the conjugation rows: the images are its
+    class, the first element reaching an image is that image's conjugator,
+    and the elements that fix it are its normalizer.
     """
     if g._classes is None:
         index: dict[frozenset[int], int] = {}
+        conjugators: dict[frozenset[int], int] = {}
         reps, normalizers = [], []
         for s in all_subgroups(g):
             if s in index:
                 continue
             stabiliser = []
-            for x in range(g.order):
-                t = g._conjugate(x, s)
-                index[t] = len(reps)
+            for x, row in enumerate(g.conj_rows):
+                t = frozenset(map(row.__getitem__, s))
+                if t not in index:
+                    index[t] = len(reps)
+                    conjugators[t] = x
                 if t == s:
                     stabiliser.append(x)
             reps.append(s)
             normalizers.append(tuple(stabiliser))
         g._classes = SubgroupClasses(MappingProxyType(index), tuple(reps),
-                                     tuple(normalizers))
+                                     tuple(normalizers),
+                                     MappingProxyType(conjugators))
     return g._classes
 
 
@@ -467,11 +487,12 @@ class GroupHom:
         images = list(images)
         if len(images) != source.order:
             raise ValueError("one image per source element required")
-        target_rows = target._rows
-        for row, image in zip(source._rows, images):
-            image_row = target_rows[image]
-            if any(images[ab] != image_row[images[b]] for b, ab in enumerate(row)):
-                raise ValueError("images are not multiplicative")
+        im = np.asarray(images)
+        if im.dtype.kind not in "iu" or im.min() < 0 or im.max() >= target.order:
+            raise ValueError(f"images must be integers in 0..{target.order - 1}")
+        # f(ab) = f(a) f(b) for every pair (a, b), in one comparison
+        if not (im[source.table] == target.table[im[:, None], im]).all():
+            raise ValueError("images are not multiplicative")
         self.source = source
         self.target = target
         self.images = images

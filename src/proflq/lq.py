@@ -39,8 +39,8 @@ def symonds_module(v: ElementaryAbelian, group: FiniteGroup) -> gc.GModule:
     """F_p-valued functions on hom(V, G) with the conjugation action."""
     homs = repv.hom_enumerate(v, group)
     pos = {h: i for i, h in enumerate(homs)}
-    action = [[pos[tuple(group.conj(g, x) for x in h)] for h in homs]
-              for g in group.elements()]
+    action = [[pos[tuple(map(row.__getitem__, h))] for h in homs]
+              for row in group.conj_rows]
     return gc.permutation_module(group, action, v.p)
 
 

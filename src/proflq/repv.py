@@ -160,8 +160,7 @@ def _orbits(v: ElementaryAbelian, group: FiniteGroup, homs) -> tuple:
     for i, h in enumerate(homs):
         if orbit_map[i] != -1:
             continue
-        orbit = sorted({tuple(group.conj(g, x) for x in h)
-                        for g in group.elements()})
+        orbit = sorted({tuple(map(row.__getitem__, h)) for row in group.conj_rows})
         idx = len(classes)
         for t in orbit:
             orbit_map[pos[t]] = idx

@@ -11,6 +11,11 @@ p-subgroups, reading conjugacy from the subgroup class tables of both
 groups, and `conjugacy_distinguished` scans a quotient tower for
 the first level separating two conjugacy threads, of elements or of
 subgroups alike.
+
+Neither check scans L for a normalizer: N_L(t) is read from the class
+table as c·N(rep)·c⁻¹, with c the conjugator stored for t, after a
+`require` that c really carries the representative to t.  Conjugation
+by n acts through the group's conjugation rows.
 """
 
 from __future__ import annotations
@@ -65,7 +70,9 @@ def fullness_check(v: ElementaryAbelian, f: GroupHom, class_index: int,
     or on which f fails to be injective — the orbit formula behind the
     comparison needs a free Aut(V)-action.  eta is the Weyl image the
     class of Rep(V, G) carries.  Raises InvariantError if eta is not
-    inside mu.
+    inside mu.  The witness of a failure is the least element of
+    N_L(f rho(V)), read from the class table of L, that realizes the
+    least matrix of mu outside eta.
     """
     classes, _ = repv.rep_classes(v, f.source, budget)
     c = classes[class_index]
@@ -90,8 +97,9 @@ def fullness_check(v: ElementaryAbelian, f: GroupHom, class_index: int,
         basis = repv.echelon_basis(l, pushed)
         target_sub = repv.image_subgroup(l, pushed)
         logs = repv._discrete_log_table(l, basis, v.p)
-        for n in l.normalizer(target_sub):
-            cols = tuple(logs[l.conj(n, b)] for b in basis)
+        for n in _normalizer(l, target_sub):
+            row = l.conj_rows[n]
+            cols = tuple(logs[row[b]] for b in basis)
             if cols == missing:
                 witness = {"matrix": missing, "realized_by": n}
                 break
@@ -107,11 +115,23 @@ def fullness_check(v: ElementaryAbelian, f: GroupHom, class_index: int,
     }
 
 
+def _normalizer(group: FiniteGroup, t) -> list[int]:
+    """N(t) in increasing order, read from the class table of `group`:
+    with c the stored conjugator of t, N(t) = c·N(rep)·c⁻¹."""
+    classes = subgroup_classes(group)
+    k, c = classes.index[t], classes.conjugators[t]
+    require(group.conjugate_subgroup(c, classes.reps[k]) == t,
+            "the stored conjugator must carry the class representative to t",
+            {"subgroup": sorted(t), "conjugator": c, "rep": sorted(classes.reps[k])})
+    return sorted(map(group.conj_rows[c].__getitem__, classes.normalizers[k]))
+
+
 def _aut_perms(group: FiniteGroup, elems, normalizer) -> frozenset:
     """Conjugation by each element of `normalizer` as a permutation of the
     positions in `elems`."""
-    pos = {x: i for i, x in enumerate(elems)}
-    return frozenset(tuple(pos[group.conj(n, x)] for x in elems)
+    pos = {x: i for i, x in enumerate(elems)}.__getitem__
+    rows = group.conj_rows
+    return frozenset(tuple(map(pos, map(rows[n].__getitem__, elems)))
                      for n in normalizer)
 
 
@@ -124,7 +144,9 @@ def sp_functor_check(f: GroupHom, p: int) -> dict:
     (c) every p-subgroup of L is conjugate to an image (density).
 
     Conjugacy in L is read from the class index of `subgroup_classes(L)`,
-    and N_G of a class representative from that of G.
+    and N_G of a class representative from that of G.  N_L of an image
+    is the stored conjugate of its representative's normalizer, so no
+    condition scans L.
     """
     g, l = f.source, f.target
     classes_g, classes_l = subgroup_classes(g), subgroup_classes(l)
@@ -149,7 +171,7 @@ def sp_functor_check(f: GroupHom, p: int) -> dict:
         # transport: index elements of the image by f of the sorted source
         elems = sorted(s)
         eta = _aut_perms(g, elems, classes_g.normalizers[classes_g.index[s]])
-        mu = _aut_perms(l, [f(x) for x in elems], l.normalizer(image))
+        mu = _aut_perms(l, [f(x) for x in elems], _normalizer(l, image))
         if eta != mu:
             b_failures.append({"subgroup": elems,
                                "eta_order": len(eta), "mu_order": len(mu)})

@@ -5,9 +5,9 @@ oracles (bar cochains over any permutation module, inflation as the
 pullback of bar cocycles, hom enumeration, isomorphism search, the
 integer Smith normal form, the direct sum as it ran before it was
 memoized, subgroup conjugacy and the S_p functor check by whole-group
-scans) and small builders of test inputs (regular and direct-sum
-modules, the dense matrices of a module, constant group towers, point
-towers).
+scans, the row-by-row homomorphism check) and small builders of test
+inputs (regular and direct-sum modules, the dense matrices of a module,
+constant group towers, point towers).
 """
 
 import itertools
@@ -84,6 +84,23 @@ def hom_from_generators(source: FiniteGroup, target: FiniteGroup,
 
 def trivial_hom(g: FiniteGroup, target: FiniteGroup | None = None) -> GroupHom:
     return GroupHom(g, target or trivial_group(), [0] * g.order)
+
+
+def is_hom(source: FiniteGroup, target: FiniteGroup, images) -> bool:
+    """Whether `images` lists a homomorphism source -> target: one image
+    per element, each an element of the target, and f(ab) = f(a) f(b)
+    checked row by row over the Python tables: the scalar form of the
+    one numpy comparison in `GroupHom`."""
+    images = list(images)
+    if len(images) != source.order or \
+            not all(0 <= image < target.order for image in images):
+        return False
+    target_rows = target.table.tolist()
+    for row, image in zip(source.table.tolist(), images):
+        image_row = target_rows[image]
+        if any(images[ab] != image_row[images[b]] for b, ab in enumerate(row)):
+            return False
+    return True
 
 
 def _element_invariant(g: FiniteGroup, x: int, class_size: dict[int, int]):

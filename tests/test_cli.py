@@ -210,6 +210,28 @@ def test_non_integer_group_input_is_exit_2(tmp_path, capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("files, argv", [
+    ({"hom.json": {"source": C2, "target": C2, "images": [0, 2]}},
+     ["sep", "--hom", "hom.json", "--p", "2"]),
+    ({"hom.json": {"source": C2, "target": C2, "images": [0, -1]}},
+     ["sep", "--hom", "hom.json", "--p", "2"]),
+    ({"gt.json": {**TOWER, "transitions": [[0, 1, 0, 2]]}},
+     ["lq", "--tower", "gt.json", "--p", "2"]),
+    ({"gt.json": {**TOWER, "transitions": [[0, 1, 0, -1]]}},
+     ["lq", "--tower", "gt.json", "--p", "2"]),
+], ids=["hom-image-too-large", "hom-image-negative", "tower-image-too-large",
+        "tower-image-negative"])
+def test_image_outside_the_target_is_exit_2(tmp_path, capsys, monkeypatch,
+                                            files, argv):
+    for name, payload in files.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("bad input")
+    assert "images must be integers in 0..1" in captured.err
+
+
+@pytest.mark.parametrize("files, argv", [
     ({"space.json": {"base": [], "fibers": {}}}, ["etale", "--space", "space.json"]),
     ({"tower.json": {"levels": [[]], "transitions": []},
       "m.json": {"m": 4, "factors": [4]}},

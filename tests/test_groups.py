@@ -261,6 +261,12 @@ class TestHoms:
         with pytest.raises(ValueError):
             GroupHom(g, cyclic_group(3), [0, 1, 1])
 
+    @pytest.mark.parametrize("images", [[0, 2], [0, -1], [0, 1.0], [True, False]],
+                             ids=["too-large", "negative", "float", "bool"])
+    def test_images_outside_the_target_are_a_value_error(self, images):
+        with pytest.raises(ValueError, match="images must be integers"):
+            GroupHom(cyclic_group(2), cyclic_group(2), images)
+
     def test_compose(self):
         g = cyclic_group(8)
         q4, p4 = quotient_group(g, {0, 4})
@@ -398,6 +404,7 @@ class TestKernelAgainstReference:
                 assert g.inv(a) == inverse[a] and t[a, inverse[a]] == 0
                 for b in g.elements():
                     assert g.mul(a, b) == t[a, b]
+                    assert g.conj_rows[a][b] == t[t[a, b], inverse[a]]
                     assert g.conj(a, b) == t[t[a, b], inverse[a]]
 
     def test_closure_matches_reference(self):
@@ -429,6 +436,57 @@ class TestKernelAgainstReference:
         assert all_subgroups(g) == expected
 
 
+def accepts(source, target, images) -> bool:
+    try:
+        GroupHom(source, target, images)
+    except ValueError:
+        return False
+    return True
+
+
+class TestHomCheckAgainstReference:
+    """The one numpy comparison of `GroupHom` against the row-by-row loop
+    of `tests/reference.py`, on image lists for catalog groups of order
+    <= 12: homs (trivial, inner automorphisms, quotient maps), random
+    lists, homs with one image changed, and homs with one image moved
+    out of range, negative or past the target's order."""
+
+    def image_lists(self, g, h, rng):
+        valid = [[0] * g.order]
+        if h is g:
+            valid += g.conj_rows[:4]  # inner automorphisms
+        lists = list(valid)
+        for images in valid:
+            changed = list(images)
+            changed[rng.randrange(g.order)] = rng.randrange(h.order)
+            lists.append(changed)
+            for bad in (-1, -rng.randint(1, h.order), h.order,
+                        h.order + rng.randrange(5)):
+                moved = list(images)
+                moved[rng.randrange(g.order)] = bad
+                lists.append(moved)
+        lists += [[rng.randrange(h.order) for _ in range(g.order)] for _ in range(3)]
+        return lists
+
+    def test_numpy_check_matches_the_loop(self):
+        rng = random.Random(16)
+        groups = catalog.all_groups(12)
+        verdicts = []
+        for g in groups:
+            pairs = [(h, self.image_lists(g, h, rng))
+                     for h in [g, *rng.sample(groups, 3)]]
+            for n in all_subgroups(g):
+                if len(g.normalizer(n)) == g.order:
+                    q, proj = quotient_group(g, n)
+                    pairs.append((q, [proj, [-x for x in proj], proj[:-1] + [q.order]]))
+            for h, lists in pairs:
+                for images in lists:
+                    verdict = reference.is_hom(g, h, images)
+                    assert accepts(g, h, images) == verdict, (g.name, h.name, images)
+                    verdicts.append(verdict)
+        assert verdicts.count(True) > 200 and verdicts.count(False) > 1000
+
+
 class TestSubgroupClassesAgainstScans:
     """`subgroup_classes` against `are_conjugate_subgroups`, `normalizer`
     and the scan-based class representatives of `tests/reference.py`."""
@@ -450,6 +508,17 @@ class TestSubgroupClassesAgainstScans:
                 list(range(len(classes.reps)))
             assert [list(n) for n in classes.normalizers] == \
                 [g.normalizer(s) for s in classes.reps], g.name
+
+    def test_conjugators_are_the_least_conjugating_elements(self):
+        for g in catalog.all_groups():
+            t = g.table
+            inverse = (t == 0).argmax(axis=1)
+            classes = subgroup_classes(g)
+            for s in all_subgroups(g):
+                rep = classes.reps[classes.index[s]]
+                assert classes.conjugators[s] == next(
+                    x for x in g.elements()
+                    if {t[t[x, y], inverse[x]] for y in rep} == s), (g.name, sorted(s))
 
     def test_p_subgroup_classes_match_the_scans(self):
         for g in catalog.all_groups():

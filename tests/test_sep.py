@@ -16,6 +16,7 @@ from proflq.groups import (
     direct_product,
     identity_hom,
     quotient_group,
+    subgroup_classes,
     subgroup_group,
     symmetric_group,
 )
@@ -45,6 +46,17 @@ def s3_in_s4():
     s3_elems = next(s for s in all_subgroups(s4) if len(s) == 6)
     s3, f = embed_subgroup(s4, s3_elems, name="S3")
     return s3, s4, f
+
+
+def zero_conjugators(monkeypatch):
+    """Make `sep` read class tables whose stored conjugators are all 0."""
+    table = sep.subgroup_classes
+
+    def zeroed(g):
+        classes = table(g)
+        return classes._replace(conjugators=dict.fromkeys(classes.conjugators, 0))
+
+    monkeypatch.setattr(sep, "subgroup_classes", zeroed)
 
 
 class TestFvMap:
@@ -97,6 +109,18 @@ class TestFullness:
             assert w["realized_by"] not in set(f.images)
             found = True
         assert found
+
+    def test_a_wrong_stored_conjugator_is_an_invariant_error(self, monkeypatch):
+        a4, _, f = a4_in_s4()
+        zero_conjugators(monkeypatch)
+        classes, _ = repv.rep_classes(V3, a4)
+        # every rank-1 class fails fullness, so its witness is looked for
+        # in N_L of its image; the second class's image is not the first
+        # subgroup of its S4 class
+        with pytest.raises(InvariantError, match="stored conjugator"):
+            for i, c in enumerate(classes):
+                if c.image_rank == 1:
+                    sep.fullness_check(V3, f, i)
 
     def test_identity_always_bijective(self):
         g = dihedral_group(4)
@@ -176,6 +200,26 @@ class TestSpFunctor:
         monkeypatch.setattr(sep, "subgroup_classes", without_index)
         with pytest.raises(InvariantError, match="must be a subgroup"):
             sep.sp_functor_check(f, 2)
+
+
+    def test_a_wrong_stored_conjugator_is_an_invariant_error(self, monkeypatch):
+        # the last S3 of S4: its order-2 subgroup is not the first of its
+        # S4 class, so a conjugator of 0 cannot carry the class
+        # representative to it
+        s4 = symmetric_group(4)
+        s3_elems = [s for s in all_subgroups(s4) if len(s) == 6][-1]
+        _, f = embed_subgroup(s4, s3_elems)
+        image = next(s for s in all_subgroups(s4) if len(s) == 2 and s <= s3_elems)
+        assert subgroup_classes(s4).conjugators[image] != 0
+        zero_conjugators(monkeypatch)
+        with pytest.raises(InvariantError, match="stored conjugator"):
+            sep.sp_functor_check(f, 2)
+
+    def test_transported_normalizers_match_the_scans(self):
+        for g in catalog.all_groups():
+            for t in all_subgroups(g):
+                assert sep._normalizer(g, t) == g.normalizer(t), \
+                    (g.name, sorted(t))
 
 
 def pinned_homs():
