@@ -375,9 +375,12 @@ def uncached_direct_sum(modules: list[FiniteModule]):
 
 # -- integer Smith normal form ---------------------------------------------------
 
-# The classic integer algorithm the library used before it worked over Z/m:
-# the pivot is the entry of least absolute value.  It is exact but its
-# entries can grow without bound on dense matrices past about 6 x 6.
+# The classic integer algorithm: the pivot is the entry of least absolute
+# value in the part not yet diagonal, chosen afresh after every pass, and a
+# pass reduces the pivot's row and column by the nearest quotient, so each
+# remainder left is at most half the pivot.  The library's former version
+# kept one pivot row through a whole Euclid sequence with floor quotients;
+# its entries grew past 10^5 bits on a 3 x 5 matrix with entries below 200.
 
 
 def integer_smith_normal_form(matrix: list[list[int]]) -> tuple[
@@ -430,55 +433,41 @@ def integer_smith_normal_form(matrix: list[list[int]]) -> tuple[
         for r in left_inv:
             r[i] = -r[i]
 
+    def nearest(x, p):
+        # the quotient q with |x - q p| <= |p| / 2
+        q, r = divmod(x, p)
+        return q + 1 if 2 * abs(r) > abs(p) else q
+
     t = 0
     while t < min(rows, cols):
-        # find a pivot: nonzero entry of minimal absolute value in a[t:, t:]
-        piv = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                v = abs(a[i][j])
-                if v and (best is None or v < best):
-                    best = v
-                    piv = (i, j)
+        # the pivot: a nonzero entry of least absolute value in a[t:, t:]
+        piv = min(((abs(a[i][j]), i, j) for i in range(t, rows)
+                   for j in range(t, cols) if a[i][j]), default=None)
         if piv is None:
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        # clear row and column t
-        while True:
-            progressed = False
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    add_row(t, i, -q)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                    progressed = True
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    add_col(t, j, -q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                    progressed = True
-            if not progressed:
-                break
-        # divisibility: a[t][t] must divide every later entry
-        d = a[t][t]
-        fixed = True
+        swap_rows(t, piv[1])
+        swap_cols(t, piv[2])
+        p = a[t][t]
         for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % d:
-                    add_row(i, t, 1)
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if fixed:
-            if a[t][t] < 0:
-                negate_row(t)
-            t += 1
+            if a[i][t]:
+                add_row(t, i, -nearest(a[i][t], p))
+        for j in range(t + 1, cols):
+            if a[t][j]:
+                add_col(t, j, -nearest(a[t][j], p))
+        # a remainder left in row or column t is a smaller pivot
+        if any(a[i][t] for i in range(t + 1, rows)) or \
+                any(a[t][j] for j in range(t + 1, cols)):
+            continue
+        # divisibility: a[t][t] must divide every later entry; adding a row
+        # that breaks it leaves a remainder in row t for the next pass
+        bad = next((i for i in range(t + 1, rows)
+                    if any(a[i][j] % p for j in range(t + 1, cols))), None)
+        if bad is not None:
+            add_row(bad, t, 1)
+            continue
+        if p < 0:
+            negate_row(t)
+        t += 1
 
     diag = snf.zeros(rows, cols)
     for i in range(min(rows, cols)):

@@ -91,6 +91,14 @@ def test_random_matrices(seed):
     check_snf(m)
 
 
+def test_reference_returns_where_floor_pivoting_grew():
+    # an augmented inclusion matrix drawn by the finring reference test; a
+    # pivot kept through a whole Euclid sequence grew its entries past
+    # 10^5 bits here and did not return
+    m = [[17, 129, 185, 0, 0], [166, 154, 0, 185, 0], [110, 49, 0, 0, 185]]
+    assert check_snf(m) == [1, 37, 185]
+
+
 def test_invert_unimodular_roundtrip():
     u = [[1, 2], [0, 1]]
     inv = invert_unimodular(u)
@@ -106,8 +114,7 @@ def test_invert_rejects_nonunimodular():
 @given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 2 ** 32 - 1),
        st.sampled_from([1, 3, 20]))
 def test_left_inverse_matches_the_reference(rows, cols, seed, bound):
-    # sizes as in the library's use; past about 6 x 6 with entries near 10
-    # this pivoting strategy can grow its entries without bound
+    # sizes as in the library's use
     rng = random.Random(seed)
     m = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
     left, _, _, left_inv = integer_smith_normal_form(m)
@@ -154,12 +161,14 @@ def test_mod_snf_pivot_dividing_an_equal_entry():
 
 
 def test_mod_snf_dense_matrix_that_grows_the_integer_form():
-    # a 6 x 6 integer matrix on which the integer algorithm does not return
+    # a 6 x 6 integer matrix on which the library's former integer
+    # algorithm does not return; the reference does
     matrix = [[-21, 23, -22, -9, -23, 9], [7, 20, 29, -6, -26, 6],
               [5, -16, 6, -25, 30, -13], [-7, 27, -12, 6, 4, 29],
               [-23, -1, 27, -13, -24, 20], [-28, 22, -12, -30, 9, 12]]
+    diag = check_snf(matrix)
     for m in MODULI:
-        check_mod_snf(matrix, m)
+        assert check_mod_snf(matrix, m) == [gcd(d, m) for d in diag]
 
 
 @settings(max_examples=300, deadline=None)
