@@ -8,6 +8,8 @@ called:
 * `groupcoh.resolutions` — the free resolution of F_p over F_p[G], per
   (table, p), extended in place when a longer one is asked for; its
   differentials are uint8 for every p < 257;
+* `groupcoh.one_point_dims` — dims of H^•(G; F_p) per (table, p),
+  replaced when a larger k_max is asked for;
 * `lq.subgroup_keys` — the canonical key of a subgroup up to conjugacy;
 * `lq.coset_dims`, `lq.sub_dims` — dims of H^•(G; F_p[G/H]) and of
   H^•(H; F_p), per conjugacy class of H, p and k_max;
@@ -33,9 +35,9 @@ from __future__ import annotations
 
 from collections import Counter
 
-REGIONS = ("groupcoh.resolutions", "lq.subgroup_keys", "lq.coset_dims",
-           "lq.sub_dims", "lq.direct_lhs", "repv.hom_enumerate",
-           "repv.rep_classes", "finring.direct_sum")
+REGIONS = ("groupcoh.resolutions", "groupcoh.one_point_dims",
+           "lq.subgroup_keys", "lq.coset_dims", "lq.sub_dims", "lq.direct_lhs",
+           "repv.hom_enumerate", "repv.rep_classes", "finring.direct_sum")
 
 _ENTRIES = {name: {} for name in REGIONS}
 _HITS: Counter = Counter()

@@ -18,9 +18,12 @@ the Betti number times the width (dim M, or |G| for the chain map).
 
 The resolution picks its generators greedily: a kernel vector becomes a
 generator when it lies outside the span of the translates chosen so far,
-which a `linalg.RowSpace` tracks incrementally.  Its differentials are
-kept in uint8 (the narrowest unsigned dtype that holds p - 1), as they
-live in the cache for the life of the process.  A coboundary matrix is
+which a `linalg.RowSpace` tracks incrementally.  ker d_i is taken from
+the rows of d_i at the free coordinates of ker d_{i-1} alone.  Its
+differentials are kept in uint8 (the narrowest unsigned dtype that holds
+p - 1), as they live in the cache for the life of the process, and
+H^•(G; F_p) once per (table, p), looked up after the budget is applied.
+A coboundary matrix is
 one scatter of the nonzero coefficients of the differential (about 3 %
 of them on the LQ sweep) through the action, straight into its block
 layout, in the narrowest unsigned dtype that holds an entry's sum.  Its
@@ -117,15 +120,23 @@ class FreeResolution:
         self.dtype = np.min_scalar_type(p - 1)
         self.betti = [1]
         self.differentials: list[np.ndarray] = []
+        # the free coordinates of the last kernel taken, ker(F_p -> 0) at first
+        self.free = np.zeros(1, dtype=np.int64)
+        self._left_inv = group.table[list(map(group.inv, range(group.order)))]
 
     def _translates(self, vec, blocks: int) -> np.ndarray:
-        """Row g is g . vec on F_p^{blocks * n}, blockwise left translation."""
+        """Row g is g . vec, (g . vec)[b, y] = vec[b, g^-1 y]: one gather."""
         n = self.group.order
-        out = np.zeros((n, blocks, n), dtype=self.dtype)
-        # out[g, b, g h] = vec[b, h]; the table row g is h -> g h
-        out[np.arange(n)[:, None, None], np.arange(blocks)[:, None],
-            self.group.table[:, None, :]] = vec.reshape(blocks, n)
-        return out.reshape(n, blocks * n)
+        return vec.astype(self.dtype).reshape(blocks, n)[
+            np.arange(blocks)[:, None], self._left_inv[:, None]].reshape(n, -1)
+
+    def kernel(self) -> np.ndarray:
+        """Rows spanning ker d_i, i = len(differentials), d_0 the augmentation,
+        from the rows of d_i at the free coordinates of ker d_{i-1}, which fix
+        each vector of im d_i: so the kernel and its rref basis are d_i's."""
+        prev = (self.differentials[-1] if self.differentials
+                else np.ones((1, self.group.order), dtype=self.dtype))
+        return linalg.nullspace(prev[self.free], self.p).transpose()
 
     def extend_to(self, length: int):
         """Ensure differentials d_1 .. d_length exist."""
@@ -133,25 +144,19 @@ class FreeResolution:
             self._extend_once()
 
     def _extend_once(self):
-        n, p = self.group.order, self.p
-        i = len(self.differentials)
-        if i == 0:
-            # kernel of the augmentation (F_pG)^1 -> F_p
-            prev = np.ones((1, n), dtype=self.dtype)
-        else:
-            prev = self.differentials[-1]
-        kernel = linalg.nullspace(prev, p).transpose()  # rows span ker d_i
-        blocks = self.betti[i]
+        kernel = self.kernel()
+        blocks = self.betti[-1]
         # The kernel basis is the identity on the free columns, each the last
         # nonzero of its vector, so a kernel vector is fixed by its free
         # coordinates.  The translates stay in the kernel (a submodule), so
         # the span is kept in those coordinates only.
-        free = (kernel.shape[1] - 1 - (kernel[:, ::-1] != 0).argmax(axis=1)
-                if kernel.shape[1] else np.zeros(0, dtype=np.int64))
+        free = self.free = (
+            kernel.shape[1] - 1 - (kernel[:, ::-1] != 0).argmax(axis=1)
+            if kernel.shape[1] else np.zeros(0, dtype=np.int64))
         # greedy: the first kernel vector outside the span of the translates
         # of those chosen so far becomes the next generator
         translates = []
-        span = linalg.RowSpace(p, len(free))
+        span = linalg.RowSpace(self.p, len(free))
         for i in span.outside(kernel[:, free]):
             translates.append(self._translates(kernel[i], blocks))
             span.add(translates[-1][:, free])
@@ -160,7 +165,7 @@ class FreeResolution:
         self.betti.append(len(translates))
         self.differentials.append(
             np.vstack(translates).transpose() if translates
-            else np.zeros((blocks * n, 0), dtype=self.dtype))
+            else np.zeros((kernel.shape[1], 0), dtype=self.dtype))
 
 
 def free_resolution(group: FiniteGroup, p: int, length: int) -> FreeResolution:
@@ -240,9 +245,16 @@ def cohomology(group: FiniteGroup, module: GModule, k_max: int,
     if module.dim == 0:
         return (0,) * (k_max + 1)
     res = _budgeted_resolution(group, module.p, k_max, module.dim, dim_budget)
-    ranks = [0] + [_coboundary_rank(res, module, k) for k in range(k_max + 1)]
-    return tuple(res.betti[k] * module.dim - ranks[k + 1] - ranks[k]
-                 for k in range(k_max + 1))
+    key = (group.table.tobytes(), module.p)  # dim 1: the one-point module
+    dims = (cache.lookup("groupcoh.one_point_dims", key, lambda d: len(d) > k_max)
+            if module.dim == 1 else None)
+    if dims is None:
+        ranks = [0] + [_coboundary_rank(res, module, k) for k in range(k_max + 1)]
+        dims = tuple(res.betti[k] * module.dim - ranks[k + 1] - ranks[k]
+                     for k in range(k_max + 1))
+        if module.dim == 1:
+            cache.store("groupcoh.one_point_dims", key, dims)
+    return dims[:k_max + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +271,7 @@ def _chain_map(q: GroupHom, res: FreeResolution, res_src: FreeResolution,
     a solution exists, and each system is checked to have one.
     """
     group, p, n = res.group, res.p, res.group.order
-    shift = group.table[[group.inv(h) for h in q.images]]  # y -> q(g')^-1 y
+    shift = res._left_inv[q.images]  # y -> q(g')^-1 y
     phi = [np.eye(n, 1, dtype=np.int64)]
     for k, d in enumerate(res.differentials[:k_max], start=1):
         coef = _coefficients(res_src, k - 1).astype(np.int64)

@@ -52,12 +52,15 @@ def as_fp(matrix, p: int) -> np.ndarray:
 
 
 def _ints(bits: np.ndarray) -> list[int]:
-    """Rows of a 0/1 array as ints; column c is bit cols - 1 - c."""
+    """Rows of a 0/1 array as ints; column c is bit cols - 1 - c.  Rows of
+    at most 64 columns are read as big-endian words by one `tolist`."""
     rows, cols = bits.shape
-    if cols == 0:
-        return [0] * rows
     packed = np.packbits(bits, axis=1)
     shift = packed.shape[1] * 8 - cols
+    if cols <= 64:
+        words = np.zeros((rows, 8), dtype=np.uint8)  # C-ordered, as view needs
+        words[:, 8 - packed.shape[1]:] = packed
+        return (words.view(">u8")[:, 0] >> shift).tolist()
     data, width = packed.tobytes(), packed.shape[1]
     return [int.from_bytes(data[i:i + width], "big") >> shift
             for i in range(0, len(data), width)]

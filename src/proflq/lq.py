@@ -17,7 +17,10 @@ internal error and raises with a diagnostic dump.
 Results are memoized per group table in `cache`: the whole-module lhs
 per (p, r, dim_budget), which `degree0` also reads, and the coset and
 centralizer dims per conjugacy class of subgroup.  The two routes of the
-lhs keep separate entries, so forcing one never reads the other.
+lhs keep separate entries, so forcing one never reads the other, except
+when p does not divide |G|: then hom(V, G) is one point, and the direct
+route, the orbit route (F_p[G/G]) and the rhs fiber of the trivial class
+all read the one H^•(G; F_p) entry that `groupcoh` keeps per (table, p).
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ None of this runs on a `proflq` command path: these are brute-force
 oracles (bar cochains over any permutation module, inflation as the
 pullback of bar cocycles, hom enumeration, isomorphism search, the
 integer Smith normal form, the direct sum as it ran before it was
-memoized, subgroup conjugacy and the S_p functor check by whole-group
+memoized, rows packed from their bytes, subgroup conjugacy and the S_p functor check by whole-group
 scans, the row-by-row homomorphism check) and small builders of test
 inputs (regular and direct-sum modules, the dense matrices of a module,
 constant group towers, point towers).
@@ -210,6 +210,31 @@ def sp_functor_check(f: GroupHom, p: int) -> dict:
         "c_witnesses": c_failures,
         "equivalence": not (a_failures or b_failures or c_failures),
     }
+
+
+# -- F_p elimination -------------------------------------------------------------
+
+
+def bytes_ints(bits: np.ndarray) -> list[int]:
+    """Rows of a 0/1 array as ints, each read from its bytes by
+    `int.from_bytes`; column c is bit cols - 1 - c."""
+    rows, cols = bits.shape
+    if cols == 0:
+        return [0] * rows
+    packed = np.packbits(bits, axis=1)
+    shift = packed.shape[1] * 8 - cols
+    data, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[i:i + width], "big") >> shift
+            for i in range(0, len(data), width)]
+
+
+def bytes_pack(matrix, p: int) -> tuple[list, int]:
+    """`linalg._pack` with every row read from its bytes: an int per row at
+    p = 2, a pair (ones, twos) at p = 3; and the number of columns."""
+    a = np.asarray(matrix, dtype=np.int64) % p
+    if p == 2:
+        return bytes_ints(a), a.shape[1]
+    return list(zip(bytes_ints(a == 1), bytes_ints(a == 2))), a.shape[1]
 
 
 # -- group cohomology -----------------------------------------------------------

@@ -128,6 +128,52 @@ def test_direct_lhs_counts_and_k_max():
                                               "misses": 2}
 
 
+# -- groupcoh.one_point_dims --------------------------------------------------------
+
+
+def uncached_one_point(g, p, k_max):
+    """dims of H^•(G; F_p) ranked on a resolution of its own, past every memo."""
+    res = gc.FreeResolution(g, p)
+    res.extend_to(k_max + 1)
+    point = gc.trivial_module(g, p)
+    ranks = [0] + [gc._coboundary_rank(res, point, k) for k in range(k_max + 1)]
+    return tuple(res.betti[k] - ranks[k + 1] - ranks[k] for k in range(k_max + 1))
+
+
+def test_one_point_warm_equals_cold_equals_uncached():
+    cases = [(g, p) for g in catalog.all_groups() for p in (2, 3, 5)]
+    assert len({(g.table.tobytes(), p) for g, p in cases}) == len(cases)
+
+    def dims(k_max):
+        return [gc.cohomology(g, gc.trivial_module(g, p), k_max) for g, p in cases]
+
+    cold = dims(2)
+    longer = dims(4)  # a larger k_max than the entry: computed and replaced
+    warm, shorter = dims(4), dims(1)
+    n = len(cases)
+    assert cache.stats()["groupcoh.one_point_dims"] == {
+        "entries": n, "hits": 2 * n, "misses": 2 * n}
+    cache.clear()
+    uncached = [uncached_one_point(g, p, 4) for g, p in cases]
+    assert cache.stats()["groupcoh.one_point_dims"] == {
+        "entries": 0, "hits": 0, "misses": 0}
+    assert warm == longer == uncached
+    assert cold == [d[:3] for d in uncached] and shorter == [d[:2] for d in uncached]
+
+
+def test_one_point_budget_refused_after_a_warm_call():
+    g = symmetric_group(4)
+    point = gc.trivial_module(g, 2)
+    dims = gc.cohomology(g, point, 4)
+    need = max(gc.free_resolution(g, 2, 5).betti)  # the budget F_0 .. F_5 need
+    before = cache.stats()["groupcoh.one_point_dims"]
+    with pytest.raises(BudgetError):
+        gc.cohomology(g, point, 4, dim_budget=need - 1)
+    # refused before the lookup: nothing counted
+    assert cache.stats()["groupcoh.one_point_dims"] == before
+    assert gc.cohomology(g, point, 4, dim_budget=need) == dims
+
+
 # -- finring.direct_sum ----------------------------------------------------------
 
 Z12 = FiniteRing(12)

@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from proflq import catalog, groupcoh as gc, linalg
 
+from .reference import bytes_pack
+
 PRIMES = (2, 3, 5, 7)
 
 
@@ -83,6 +85,24 @@ class TestBitsetAgainstNumpy:
         r, piv = linalg._rref_packed(a, 2)
         r2, piv2 = linalg._rref_fp(a, 2)
         assert piv == piv2 and (r == r2).all()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("cols", [0, 1, 63, 64, 65, 128, 129])
+@pytest.mark.parametrize("rows", [0, 1, 70])
+def test_word_packed_rows_equal_the_bytes_oracle(p, cols, rows):
+    # rows of at most 64 columns are read as 64-bit words, wider ones from
+    # their bytes; F-ordered input is what the stored differentials are
+    rng = np.random.default_rng(1000 * cols + rows)
+    a = rng.integers(0, p, (rows, cols)) * (rng.random((rows, cols)) < 0.5)
+    for b in (a.astype(np.uint8), a.astype(np.int64), a.astype(bool),
+              np.asfortranarray(a.astype(np.uint8)),
+              np.ascontiguousarray(a.transpose()).transpose(),
+              np.repeat(a, 2, axis=1)[:, ::2]):
+        packed = linalg._pack(b, p)
+        assert packed == bytes_pack(b, p), (b.dtype, b.flags.c_contiguous)
+        assert np.array_equal(linalg._unpack(packed[0], rows, cols, p),
+                              b.astype(np.int64) % p)
 
 
 def same_as_numpy(a, p):
