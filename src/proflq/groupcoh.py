@@ -122,13 +122,6 @@ class FreeResolution:
         self.differentials: list[np.ndarray] = []
         # the free coordinates of the last kernel taken, ker(F_p -> 0) at first
         self.free = np.zeros(1, dtype=np.int64)
-        self._left_inv = group.table[list(map(group.inv, range(group.order)))]
-
-    def _translates(self, vec, blocks: int) -> np.ndarray:
-        """Row g is g . vec, (g . vec)[b, y] = vec[b, g^-1 y]: one gather."""
-        n = self.group.order
-        return vec.astype(self.dtype).reshape(blocks, n)[
-            np.arange(blocks)[:, None], self._left_inv[:, None]].reshape(n, -1)
 
     def kernel(self) -> np.ndarray:
         """Rows spanning ker d_i, i = len(differentials), d_0 the augmentation,
@@ -145,7 +138,7 @@ class FreeResolution:
 
     def _extend_once(self):
         kernel = self.kernel()
-        blocks = self.betti[-1]
+        n, blocks = self.group.order, self.betti[-1]
         # The kernel basis is the identity on the free columns, each the last
         # nonzero of its vector, so a kernel vector is fixed by its free
         # coordinates.  The translates stay in the kernel (a submodule), so
@@ -153,12 +146,17 @@ class FreeResolution:
         free = self.free = (
             kernel.shape[1] - 1 - (kernel[:, ::-1] != 0).argmax(axis=1)
             if kernel.shape[1] else np.zeros(0, dtype=np.int64))
+        # row g of the translates of v is g . v, (g . v)[b, y] = v[b, g^-1 y]:
+        # one gather through the table of g^-1 y
+        at = (np.arange(blocks)[:, None],
+              self.group.table[list(map(self.group.inv, range(n)))][:, None])
         # greedy: the first kernel vector outside the span of the translates
         # of those chosen so far becomes the next generator
         translates = []
         span = linalg.RowSpace(self.p, len(free))
         for i in span.outside(kernel[:, free]):
-            translates.append(self._translates(kernel[i], blocks))
+            translates.append(kernel[i].astype(self.dtype).reshape(blocks, n)[at]
+                              .reshape(n, -1))
             span.add(translates[-1][:, free])
             if span.dim == kernel.shape[0]:
                 break
@@ -271,7 +269,7 @@ def _chain_map(q: GroupHom, res: FreeResolution, res_src: FreeResolution,
     a solution exists, and each system is checked to have one.
     """
     group, p, n = res.group, res.p, res.group.order
-    shift = res._left_inv[q.images]  # y -> q(g')^-1 y
+    shift = group.table[[group.inv(h) for h in q.images]]  # y -> q(g')^-1 y
     phi = [np.eye(n, 1, dtype=np.int64)]
     for k, d in enumerate(res.differentials[:k_max], start=1):
         coef = _coefficients(res_src, k - 1).astype(np.int64)
