@@ -23,13 +23,13 @@ the rows of d_i at the free coordinates of ker d_{i-1} alone.  Its
 differentials are kept in uint8 (the narrowest unsigned dtype that holds
 p - 1), as they live in the cache for the life of the process, and
 H^•(G; F_p) once per (table, p), looked up after the budget is applied.
-A coboundary matrix is
-one scatter of the nonzero coefficients of the differential (about 3 %
-of them on the LQ sweep) through the action, straight into its block
-layout, in the narrowest unsigned dtype that holds an entry's sum.  Its
-rank is taken by row blocks of at most `_BLOCK_CELLS` cells, one range
-of target generators at a time, all reduced into one `linalg.RowSpace`,
-so a coboundary larger than that is never held whole.
+A coboundary matrix is one scatter of the nonzero coefficients of the
+differential (about 3 % of them on the LQ sweep) through the action,
+straight into its block layout, in the narrowest unsigned dtype that
+holds an entry's sum.  Its rank is taken by row blocks of at most
+`_BLOCK_CELLS` cells, one range of target generators at a time, all
+reduced into one `linalg.RowSpace`, so a coboundary larger than that is
+never held whole.
 
 Conventions: C(X, F_p) and F_p[X] are identified through the
 indicator-function basis, so a permutation module is its own function
@@ -243,14 +243,15 @@ def cohomology(group: FiniteGroup, module: GModule, k_max: int,
     if module.dim == 0:
         return (0,) * (k_max + 1)
     res = _budgeted_resolution(group, module.p, k_max, module.dim, dim_budget)
-    key = (group.table.tobytes(), module.p)  # dim 1: the one-point module
-    dims = (cache.lookup("groupcoh.one_point_dims", key, lambda d: len(d) > k_max)
-            if module.dim == 1 else None)
+    # dim 1 is the one-point module, whose dims are kept per (table, p)
+    key = (group.table.tobytes(), module.p) if module.dim == 1 else None
+    dims = key and cache.lookup("groupcoh.one_point_dims", key,
+                                lambda d: len(d) > k_max)
     if dims is None:
         ranks = [0] + [_coboundary_rank(res, module, k) for k in range(k_max + 1)]
         dims = tuple(res.betti[k] * module.dim - ranks[k + 1] - ranks[k]
                      for k in range(k_max + 1))
-        if module.dim == 1:
+        if key:
             cache.store("groupcoh.one_point_dims", key, dims)
     return dims[:k_max + 1]
 
