@@ -12,9 +12,7 @@ called:
   replaced when a larger k_max is asked for;
 * `lq.subgroup_keys` — the canonical key of a subgroup up to conjugacy;
 * `lq.coset_dims`, `lq.sub_dims` — dims of H^•(G; F_p[G/H]) and of
-  H^•(H; F_p), per conjugacy class of H, p and k_max;
-* `lq.direct_lhs` — dims of H^•(G; Symonds module), per (table, p, r,
-  dim_budget), replaced when a larger k_max is asked for;
+  H^•(H; F_p), per conjugacy class of H, p, k_max and dim_budget;
 * `repv.hom_enumerate`, `repv.rep_classes` — hom(V, G) and Rep(V, G),
   per (table, p, r), stored as tuples.
 
@@ -36,7 +34,7 @@ from __future__ import annotations
 from collections import Counter
 
 REGIONS = ("groupcoh.resolutions", "groupcoh.one_point_dims",
-           "lq.subgroup_keys", "lq.coset_dims", "lq.sub_dims", "lq.direct_lhs",
+           "lq.subgroup_keys", "lq.coset_dims", "lq.sub_dims",
            "repv.hom_enumerate", "repv.rep_classes", "finring.direct_sum")
 
 _ENTRIES = {name: {} for name in REGIONS}

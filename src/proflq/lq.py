@@ -3,10 +3,10 @@
 T_V H^•(G) is computed two independent ways and compared degreewise:
 
 * lhs — cohomology of G with coefficients in the Symonds module, the
-  permutation module on hom(V, G) with the conjugation action.  Large
-  modules are handled orbitwise: the Symonds module splits G-equivariantly
-  into coset modules F_p[G / Stab(rho)], and cohomology is additive, so
-  each block is fed to the resolution engine separately (still honest
+  permutation module on hom(V, G) with the conjugation action.  It is
+  taken orbit by orbit: the Symonds module splits G-equivariantly into
+  coset modules F_p[G / Stab(rho)], and cohomology is additive, so each
+  block is fed to the resolution engine separately (honest
   G-cohomology of induced modules, never the subgroup shortcut).
 * rhs — the centralizer decomposition: one copy of H^•(C_G(rho(V)); F_p)
   per class of Rep(V, G).
@@ -14,13 +14,13 @@ T_V H^•(G) is computed two independent ways and compared degreewise:
 Equality of the two is the theorem; a mismatch is by definition an
 internal error and raises with a diagnostic dump.
 
-Results are memoized per group table in `cache`: the whole-module lhs
-per (p, r, dim_budget), which `degree0` also reads, and the coset and
-centralizer dims per conjugacy class of subgroup.  The two routes of the
-lhs keep separate entries, so forcing one never reads the other, except
-when p does not divide |G|: then hom(V, G) is one point, and the direct
-route, the orbit route (F_p[G/G]) and the rhs fiber of the trivial class
-all read the one H^•(G; F_p) entry that `groupcoh` keeps per (table, p).
+Results are memoized in `cache`: the coset and centralizer dims per
+conjugacy class of subgroup, p, k_max and dim_budget, so a warm entry
+never skips the budget.  The coset block F_p[G/G] of the trivial class
+and its rhs fiber H^•(G; F_p) read the one entry that `groupcoh` keeps
+per (table, p).  `degree0` alone feeds the whole Symonds module to
+`cohomology`, in degree 0 only, as a count of Rep(V, G) independent of
+the orbit split.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from . import repv
 from .errors import InvariantError, require
 from .groups import FiniteGroup, subgroup_group
 from .repv import ElementaryAbelian
-
-DEFAULT_DIRECT_DIM = 160  # largest Symonds module fed to cohomology whole
 
 
 LqError = InvariantError  # the older name, kept for callers that catch it
@@ -62,7 +60,7 @@ def _subgroup_key(group: FiniteGroup, elements) -> tuple:
 def _coset_cohomology(group: FiniteGroup, stab, p: int, k_max: int,
                       dim_budget: int) -> tuple[int, ...]:
     """dims of H^•(G; F_p[G/Stab]) — honest G-cohomology, cached."""
-    key = (*_subgroup_key(group, stab), p, k_max)
+    key = (*_subgroup_key(group, stab), p, k_max, dim_budget)
     dims = cache.lookup("lq.coset_dims", key)
     if dims is None:
         module = gc.coset_module(group, stab, p)
@@ -74,7 +72,7 @@ def _coset_cohomology(group: FiniteGroup, stab, p: int, k_max: int,
 def _subgroup_cohomology(group: FiniteGroup, elements, p: int, k_max: int,
                          dim_budget: int) -> tuple[int, ...]:
     """dims of H^•(H; F_p) for a subgroup given by its elements, cached."""
-    key = (*_subgroup_key(group, elements), p, k_max)
+    key = (*_subgroup_key(group, elements), p, k_max, dim_budget)
     dims = cache.lookup("lq.sub_dims", key)
     if dims is None:
         h, _ = subgroup_group(group, elements)
@@ -83,15 +81,9 @@ def _subgroup_cohomology(group: FiniteGroup, elements, p: int, k_max: int,
     return dims
 
 
-def _direct_lhs(v: ElementaryAbelian, group: FiniteGroup, k_max: int,
-                dim_budget: int) -> tuple[int, ...]:
-    """dims of H^•(G; Symonds module) fed whole, k <= k_max, cached."""
-    key = (group.table.tobytes(), v.p, v.r, dim_budget)
-    dims = cache.lookup("lq.direct_lhs", key, lambda d: len(d) > k_max)
-    if dims is None:
-        dims = cache.store("lq.direct_lhs", key, gc.cohomology(
-            group, symonds_module(v, group), k_max, dim_budget))
-    return dims[:k_max + 1]
+def _total(dims, k_max: int) -> tuple[int, ...]:
+    """The coordinatewise sum of a list of graded dims, k <= k_max."""
+    return tuple(sum(d[k] for d in dims) for k in range(k_max + 1))
 
 
 def _orbit_lhs(v, group, classes, k_max, dim_budget):
@@ -112,13 +104,9 @@ def _orbit_lhs(v, group, classes, k_max, dim_budget):
 
 def tv_lhs(v: ElementaryAbelian, group: FiniteGroup, k_max: int,
            dim_budget: int = gc.DEFAULT_DIM_BUDGET) -> tuple[int, ...]:
-    """dims of H^•(G; C(hom(V,G), F_p)), k <= k_max."""
-    homs = repv.hom_enumerate(v, group)
-    if len(homs) <= DEFAULT_DIRECT_DIM:
-        return _direct_lhs(v, group, k_max, dim_budget)
+    """dims of H^•(G; C(hom(V,G), F_p)), k <= k_max: the orbit blocks summed."""
     classes, _ = repv.rep_classes(v, group)
-    blocks = _orbit_lhs(v, group, classes, k_max, dim_budget)
-    return tuple(sum(b[k] for b in blocks) for k in range(k_max + 1))
+    return _total(_orbit_lhs(v, group, classes, k_max, dim_budget), k_max)
 
 
 def tv_rhs(v: ElementaryAbelian, group: FiniteGroup, k_max: int,
@@ -127,15 +115,15 @@ def tv_rhs(v: ElementaryAbelian, group: FiniteGroup, k_max: int,
     classes, _ = repv.rep_classes(v, group)
     fibers = [_subgroup_cohomology(group, c.centralizer, v.p, k_max,
                                    dim_budget) for c in classes]
-    total = tuple(sum(f[k] for f in fibers) for k in range(k_max + 1))
-    return fibers, total
+    return fibers, _total(fibers, k_max)
 
 
 def lq_check(v: ElementaryAbelian, group: FiniteGroup, k_max: int,
              dim_budget: int = gc.DEFAULT_DIM_BUDGET) -> dict:
     """Verify tv_lhs == tv_rhs degreewise; raise InvariantError on mismatch."""
     classes, _ = repv.rep_classes(v, group)
-    lhs = tv_lhs(v, group, k_max, dim_budget)
+    blocks = _orbit_lhs(v, group, classes, k_max, dim_budget)
+    lhs = _total(blocks, k_max)
     fibers, total = tv_rhs(v, group, k_max, dim_budget)
     verdict = [lhs[k] == total[k] for k in range(k_max + 1)]
     report = {
@@ -145,21 +133,21 @@ def lq_check(v: ElementaryAbelian, group: FiniteGroup, k_max: int,
         "classes": [c.representative for c in classes],
         "verdict": verdict,
     }
-    if not all(verdict):  # not `require`: the dump recomputes the lhs by orbits
-        dump = {
-            "report": report,
-            "orbit_lhs": _orbit_lhs(v, group, classes, k_max, dim_budget),
-            "centralizers": [c.centralizer for c in classes],
-        }
-        raise InvariantError(f"lq mismatch for {report['group']}, p={v.p}, "
-                             f"r={v.r}: lhs={lhs}, rhs={total}", dump)
+    require(all(verdict), f"lq mismatch for {report['group']}, p={v.p}, "
+            f"r={v.r}: lhs={lhs}, rhs={total}",
+            {"report": report, "orbit_lhs": blocks,
+             "centralizers": [c.centralizer for c in classes]})
     return report
 
 
 def degree0(v: ElementaryAbelian, group: FiniteGroup,
             dim_budget: int = gc.DEFAULT_DIM_BUDGET) -> int:
-    """dim T_V H^0(G) = dim of invariants of the Symonds module."""
-    return _direct_lhs(v, group, 0, dim_budget)[0]
+    """dim T_V H^0(G) = dim of invariants of the Symonds module.
+
+    The whole module is ranked in degree 0 alone, uncached: a count of
+    Rep(V, G) by linear algebra, independent of `repv.rep_classes`.
+    """
+    return gc.cohomology(group, symonds_module(v, group), 0, dim_budget)[0]
 
 
 def strata_split(v: ElementaryAbelian, group: FiniteGroup, k_max: int,
@@ -168,19 +156,21 @@ def strata_split(v: ElementaryAbelian, group: FiniteGroup, k_max: int,
 
     Stratum 0 is the fixed point of the trivial homomorphism; its block
     must contribute exactly the dims of H^•(G; F_p), and all strata
-    together must add up to tv_lhs.
+    together must add up to tv_lhs.  Both sides of each comparison are
+    sums of the same cached orbit blocks, so the two verdicts check
+    `repv.rank_strata`: `totals_match_lhs` that the strata partition the
+    classes, `stratum0_is_group_cohomology` that the trivial class is
+    alone in stratum 0.
     """
     classes, _ = repv.rep_classes(v, group)
     strata = repv.rank_strata(classes)
     per_class = _orbit_lhs(v, group, classes, k_max, dim_budget)
-    stratum_dims = [tuple(sum(per_class[i][k] for i in stratum)
-                          for k in range(k_max + 1))
+    stratum_dims = [_total([per_class[i] for i in stratum], k_max)
                     for stratum in strata]
     trivial = gc.cohomology(group, gc.trivial_module(group, v.p),
                             k_max, dim_budget)
     lhs = tv_lhs(v, group, k_max, dim_budget)
-    totals = tuple(sum(s[k] for s in stratum_dims)
-                   for k in range(k_max + 1))
+    totals = _total(stratum_dims, k_max)
     return {
         "strata_sizes": [len(s) for s in strata],
         "stratum_dims": stratum_dims,

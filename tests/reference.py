@@ -2,7 +2,8 @@
 
 None of this runs on a `proflq` command path: these are brute-force
 oracles (bar cochains over any permutation module, inflation as the
-pullback of bar cocycles, hom enumeration, isomorphism search, the
+pullback of bar cocycles, the Symonds module fed to `cohomology` whole,
+hom enumeration, isomorphism search, the
 integer Smith normal form, the direct sum as it ran before it was
 memoized, rows packed from their bytes, subgroup conjugacy and the S_p functor check by whole-group
 scans, the row-by-row homomorphism check) and small builders of test
@@ -15,7 +16,7 @@ from math import gcd
 
 import numpy as np
 
-from proflq import groupcoh as gc, linalg, snf
+from proflq import groupcoh as gc, linalg, lq, snf
 from proflq.errors import BudgetError
 from proflq.etale import FiniteEtaleSpace
 from proflq.finring import FiniteModule, ModuleMap, from_cyclic, zero_module
@@ -332,6 +333,13 @@ def bar_inflation_ranks(q: GroupHom, p: int, k_max: int,
         base = linalg.rank(coboundaries, p)
         ranks.append(linalg.rank(np.vstack([coboundaries, pulled]), p) - base)
     return tuple(ranks)
+
+
+def whole_module_lhs(v, group: FiniteGroup, k_max: int,
+                     dim_budget: int = gc.DEFAULT_DIM_BUDGET) -> tuple[int, ...]:
+    """dims of H^•(G; C(hom(V, G), F_p)) with the Symonds module fed whole,
+    not split into its orbit blocks as `lq.tv_lhs` splits it."""
+    return gc.cohomology(group, lq.symonds_module(v, group), k_max, dim_budget)
 
 
 def constant_group_tower(group: FiniteGroup, depth: int) -> gc.GroupTower:

@@ -103,29 +103,29 @@ def test_budget_refused_after_a_warm_call():
         lq.degree0(v, g, dim_budget=1)
 
 
-def test_forced_orbit_route_is_computed_after_a_warm_direct_route():
-    v, g = ElementaryAbelian(2, 1), symmetric_group(4)
-    direct = lq._direct_lhs(v, g, 2, gc.DEFAULT_DIM_BUDGET)
-    assert cache.stats()["lq.direct_lhs"]["misses"] == 1
-    assert cache.stats()["lq.coset_dims"]["misses"] == 0
-    classes, _ = repv.rep_classes(v, g)
-    blocks = tuple(map(sum, zip(*lq._orbit_lhs(v, g, classes, 2,
-                                                gc.DEFAULT_DIM_BUDGET))))
-    stats = cache.stats()
-    assert stats["lq.coset_dims"]["misses"] == len(classes)
-    assert stats["lq.direct_lhs"] == {"entries": 1, "hits": 0, "misses": 1}
-    assert direct == blocks
+def test_lq_budget_refused_after_a_warm_call():
+    # C2^4 at p = 2, r = 2: 256 one-point orbits, and F_2 needs 20 cochains
+    # in degree 2 on each of them and on each centralizer
+    v, g = ElementaryAbelian(2, 2), catalog.by_name("C2xC2xC2xC2")
+    assert lq.tv_lhs(v, g, 2) == (256, 1024, 2560)
+    with pytest.raises(BudgetError, match="20 exceeds budget 10"):
+        lq.tv_lhs(v, g, 2, dim_budget=10)
+    assert lq.tv_rhs(v, g, 2)[1] == (256, 1024, 2560)
+    with pytest.raises(BudgetError, match="20 exceeds budget 10"):
+        lq.tv_rhs(v, g, 2, dim_budget=10)
+    with pytest.raises(BudgetError):
+        lq.lq_check(v, g, 2, dim_budget=10)
 
 
-def test_direct_lhs_counts_and_k_max():
+def test_coset_dims_counts_and_k_max():
     v, g = ElementaryAbelian(2, 1), symmetric_group(3)
-    assert lq.tv_lhs(v, g, 2) == (2, 2, 2)
-    assert lq.tv_lhs(v, g, 1) == (2, 2)        # read from the k_max = 2 entry
-    assert lq.degree0(v, g) == 2               # likewise
-    assert lq.tv_lhs(v, g, 3) == (2, 2, 2, 2)  # too short: recomputed
-    assert lq.tv_lhs(v, g, 3) == (2, 2, 2, 2)
-    assert cache.stats()["lq.direct_lhs"] == {"entries": 1, "hits": 3,
-                                              "misses": 2}
+    assert lq.tv_lhs(v, g, 2) == (2, 2, 2)     # one miss per class
+    assert lq.tv_lhs(v, g, 2) == (2, 2, 2)     # one hit per class
+    assert lq.tv_lhs(v, g, 1) == (2, 2)        # k_max is in the key: missed
+    assert lq.tv_lhs(v, g, 2, dim_budget=100) == (2, 2, 2)  # so is the budget
+    assert lq.degree0(v, g) == 2               # reads no lq entry
+    assert cache.stats()["lq.coset_dims"] == {"entries": 6, "hits": 2,
+                                              "misses": 6}
 
 
 # -- groupcoh.one_point_dims --------------------------------------------------------

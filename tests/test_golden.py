@@ -138,6 +138,11 @@ CASES = [
                                 "--rank", "2", "--kmax", "4",
                                 "--budget-dim", "100"], 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # the same at the default budget: F_5 has rank 40, so an orbit block of
+    # 3 points needs 120 cochains, where the 160-dim whole module needed 6400
+    ("lq-c2c2s3-p2-r2-k4", ["lq", "--group", "c2c2s3.json", "--p", "2",
+                            "--rank", "2", "--kmax", "4"], 0,
+     "dbb36df8c05a26d7ffc525d1c4e4123c01d696b4ca124c68e28b48b1925d2afe"),
     ("selftest-1", ["selftest", "--criterion", "1"], 0,
      "b1b265ca4cbb311c375915aeb23c517d1a257306d543f60eef16d7b4191d9d37"),
     ("selftest-2", ["selftest", "--criterion", "2"], 0,

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from proflq import cache, catalog, groupcoh as gc, lq, repv
-from proflq.errors import InvariantError
+from proflq.errors import BudgetError, InvariantError
 from proflq.groups import (
     all_subgroups,
     cyclic_group,
@@ -17,7 +17,7 @@ from proflq.groups import (
 )
 from proflq.repv import ElementaryAbelian
 
-from .reference import constant_group_tower
+from .reference import constant_group_tower, whole_module_lhs
 
 
 V2 = ElementaryAbelian(2, 1)
@@ -66,13 +66,23 @@ class TestTvBothRoutes:
         assert fibers == [trivial, trivial]
         assert total == tuple(2 * d for d in trivial)
 
-    def test_orbitwise_route_matches_direct(self):
-        # force the block route and compare with the whole-module route
-        for g in (symmetric_group(4), dihedral_group(6)):
-            direct = lq._direct_lhs(V2, g, 2, gc.DEFAULT_DIM_BUDGET)
-            classes, _ = repv.rep_classes(V2, g)
-            blocks = lq._orbit_lhs(V2, g, classes, 2, gc.DEFAULT_DIM_BUDGET)
-            assert direct == tuple(map(sum, zip(*blocks)))
+
+class TestWholeModuleOracle:
+    def test_tv_lhs_equals_the_whole_module_on_the_sweep(self):
+        # the instances of criterion 6: catalog, p in {2, 3}, r in {1, 2}
+        cases = [(g, ElementaryAbelian(p, r)) for g in catalog.all_groups()
+                 for p in (2, 3) for r in (1, 2)]
+        assert len(cases) == 296
+        for g, v in cases:
+            budget = gc.DEFAULT_DIM_BUDGET
+            if (g.name, v.p, v.r) == ("C2xC2xC2xC2", 2, 2):
+                # the 256-dim whole module needs 35 * 256 = 8960 cochains;
+                # G is abelian, so each orbit block is one point
+                with pytest.raises(BudgetError):
+                    whole_module_lhs(v, g, 3)
+                budget = 10**4
+            assert lq.tv_lhs(v, g, 3) == whole_module_lhs(v, g, 3, budget), \
+                (g.name, v)
 
 
 class TestLqCheck:
@@ -91,6 +101,23 @@ class TestLqCheck:
     def test_rank_two(self):
         rep = lq.lq_check(ElementaryAbelian(2, 2), dihedral_group(4), 2)
         assert all(rep["verdict"])
+
+    def test_mismatch_dumps_the_blocks_it_summed(self, monkeypatch):
+        g = symmetric_group(4)
+        classes, _ = repv.rep_classes(V2, g)
+        blocks = lq._orbit_lhs(V2, g, classes, 2, gc.DEFAULT_DIM_BUDGET)
+        real = lq._subgroup_cohomology
+        monkeypatch.setattr(lq, "_subgroup_cohomology",
+                            lambda *args: tuple(d + 1 for d in real(*args)))
+        hits = cache.stats()["lq.coset_dims"]["hits"]
+        with pytest.raises(InvariantError, match="lq mismatch") as err:
+            lq.lq_check(V2, g, 2)
+        # the blocks are looked up once, and the dump reports those
+        assert cache.stats()["lq.coset_dims"]["hits"] == hits + len(classes)
+        dump = err.value.dump
+        assert dump["orbit_lhs"] == blocks
+        assert dump["report"]["lhs"] == tuple(map(sum, zip(*blocks)))
+        assert dump["centralizers"] == [c.centralizer for c in classes]
 
     def test_random_sample_of_sweep(self):
         rng = random.Random(2)
@@ -133,6 +160,33 @@ class TestStrataSplit:
         rep = lq.strata_split(ElementaryAbelian(2, 0), dihedral_group(4), 2)
         assert rep["strata_sizes"] == [1]
         assert rep["stratum0_is_group_cohomology"]
+
+    def test_verdicts_catch_a_wrong_rank_split(self, monkeypatch):
+        # each verdict compares two sums of the same orbit blocks, so the
+        # verdicts are what check the classes `repv.rank_strata` returns
+        v, g = ElementaryAbelian(2, 2), symmetric_group(4)
+        real = repv.rank_strata
+        rep = lq.strata_split(v, g, 3)
+        assert rep["strata_sizes"] == [1, 6, 4]
+        assert rep["stratum0_is_group_cohomology"] and rep["totals_match_lhs"]
+
+        def dropped(classes):  # one rank-1 class in no stratum
+            strata = real(classes)
+            return [strata[0], strata[1][1:], *strata[2:]]
+
+        monkeypatch.setattr(repv, "rank_strata", dropped)
+        rep = lq.strata_split(v, g, 3)
+        assert rep["stratum0_is_group_cohomology"]
+        assert not rep["totals_match_lhs"]
+
+        def promoted(classes):  # one rank-1 class beside the trivial one
+            strata = real(classes)
+            return [strata[0] + strata[1][:1], strata[1][1:], *strata[2:]]
+
+        monkeypatch.setattr(repv, "rank_strata", promoted)
+        rep = lq.strata_split(v, g, 3)
+        assert not rep["stratum0_is_group_cohomology"]
+        assert rep["totals_match_lhs"]
 
 
 class TestProfiniteLq:
