@@ -3,9 +3,9 @@
 None of this runs on a `proflq` command path: these are brute-force
 oracles (bar cochains over any permutation module, inflation as the
 pullback of bar cocycles, the Symonds module fed to `cohomology` whole,
-hom enumeration, isomorphism search, the
-integer Smith normal form, the direct sum as it ran before it was
-memoized, rows packed from their bytes, subgroup conjugacy and the S_p functor check by whole-group
+hom enumeration, isomorphism search, the integer Smith normal form, the
+direct sum as it ran before it was memoized, rows packed from their
+bytes, subgroup conjugacy and the S_p functor check by whole-group
 scans, the row-by-row homomorphism check) and small builders of test
 inputs (regular and direct-sum modules, the dense matrices of a module,
 constant group towers, point towers).
