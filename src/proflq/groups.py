@@ -6,7 +6,7 @@ list of Python rows, so that `mul` and `inv` are plain list indexing;
 the inverses are read off the rows once.  Beside them it keeps the
 conjugation rows `conj_rows[g][x] = g x g⁻¹`, built in one numpy
 gather, so that conjugating a set or a tuple by g is one `map` over a
-row: `conj`, subgroup conjugation, the subgroup class pass and the
+row: subgroup conjugation, the subgroup class pass and the
 conjugation sweeps of `repv`, `lq` and `sep` all read them.
 
 `closure` is a breadth-first search from the identity that multiplies
@@ -33,8 +33,8 @@ each class representative and, for every subgroup, the least element
 conjugating its representative to it; the normalizer of any subgroup is
 then that conjugate of its representative's.  `subgroups_up_to_conjugacy`
 and `p_subgroups_up_to_conjugacy` read its representatives.  The
-centralizer and normalizer methods, and the conjugacy test of two
-arbitrary element sets, scan the group; everything stays at desk scale.
+normalizer method and the conjugacy test of two arbitrary element sets
+scan the group; everything stays at desk scale.
 `GroupHom` checks f(ab) = f(a)f(b) on all pairs in one numpy comparison.
 """
 
@@ -89,10 +89,6 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return self._inv[a]
 
-    def conj(self, g: int, x: int) -> int:
-        """g x g^{-1}."""
-        return self.conj_rows[g][x]
-
     def _conjugate(self, g: int, elements) -> frozenset[int]:
         """g S g^{-1} as a set; private, so per-element work is not traced."""
         return frozenset(map(self.conj_rows[g].__getitem__, elements))
@@ -135,12 +131,6 @@ class FiniteGroup:
                     seen.add(c)
                     queue.append(c)
         return frozenset(seen)
-
-    def centralizer(self, subset) -> list[int]:
-        rows = self._rows
-        subset = list(subset)
-        return [g for g in range(self.order)
-                if all(rows[g][x] == rows[x][g] for x in subset)]
 
     def normalizer(self, subgroup_elements) -> list[int]:
         s = frozenset(subgroup_elements)
@@ -503,16 +493,6 @@ class GroupHom:
     @property
     def is_surjective(self) -> bool:
         return len(set(self.images)) == self.target.order
-
-    @property
-    def is_injective(self) -> bool:
-        return len(set(self.images)) == self.source.order
-
-    def compose(self, other: "GroupHom") -> "GroupHom":
-        if other.target is not self.source and other.target.order != self.source.order:
-            raise ValueError("homs are not composable")
-        return GroupHom(other.source, self.target,
-                        [self.images[x] for x in other.images])
 
 
 def identity_hom(g: FiniteGroup) -> GroupHom:

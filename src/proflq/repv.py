@@ -6,7 +6,8 @@ conjugation and Rep(V, G) is the orbit set.  Each class carries its
 canonical representative (lex-smallest tuple), orbit size, image rank,
 centralizer and Weyl image: the normalizer of the image acting as
 automorphism matrices over F_p in an echelonized basis drawn from the
-representative's entries.
+representative's entries.  `repv` is the one module that computes
+these facts, each in one pass over the conjugation rows of G.
 
 hom(V, G) and Rep(V, G) are memoized per (group table, p, r) in
 `cache`, so every caller asking about the same group shares one
@@ -67,19 +68,6 @@ def hom_enumerate(v: ElementaryAbelian, group: FiniteGroup,
     return list(homs)
 
 
-def image_subgroup(group: FiniteGroup, hom: tuple[int, ...]) -> frozenset[int]:
-    return group.closure(hom)
-
-
-def image_rank(group: FiniteGroup, hom: tuple[int, ...], p: int) -> int:
-    order = len(image_subgroup(group, hom))
-    r = 0
-    while order > 1:
-        order //= p
-        r += 1
-    return r
-
-
 def echelon_basis(group: FiniteGroup, hom: tuple[int, ...]) -> list[int]:
     """Basis of the image subgroup, greedily drawn from the tuple entries."""
     basis: list[int] = []
@@ -104,23 +92,23 @@ def _discrete_log_table(group: FiniteGroup, basis: list[int],
 
 
 def weyl_image(group: FiniteGroup, hom: tuple[int, ...],
-               p: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Image of N_G(rho(V)) -> Aut(rho(V)) as i x i matrices over F_p.
+               p: int) -> dict[tuple[tuple[int, ...], ...], int]:
+    """Image of N_G(rho(V)) -> Aut(rho(V)), as {matrix: least n realizing it}.
 
-    Matrices act on exponent vectors in the echelonized basis; the list
-    is sorted and duplicate-free, so it can be compared as a set.
+    Matrices are i x i over F_p and act on exponent vectors in the
+    echelonized basis, column j the image of basis vector j.  One pass
+    over the conjugation rows in increasing order: n normalizes rho(V)
+    exactly when it conjugates every basis element into the image, that
+    is into the keys of the discrete-log table.
     """
     basis = echelon_basis(group, hom)
-    i = len(basis)
-    if i == 0:
-        return [()]
-    subgroup = image_subgroup(group, hom)
     logs = _discrete_log_table(group, basis, p)
-    mats = set()
-    for n in group.normalizer(subgroup):
-        cols = tuple(logs[group.conj(n, b)] for b in basis)
-        mats.add(cols)  # column j = image of basis vector j
-    return sorted(mats)
+    realizers = {}
+    for n, row in enumerate(group.conj_rows):
+        cols = [logs.get(row[b]) for b in basis]
+        if None not in cols:
+            realizers.setdefault(tuple(cols), n)
+    return realizers
 
 
 @dataclass(frozen=True)
@@ -153,25 +141,29 @@ def rep_classes(v: ElementaryAbelian, group: FiniteGroup,
 
 
 def _orbits(v: ElementaryAbelian, group: FiniteGroup, homs) -> tuple:
-    """(classes, orbit_map) as tuples, computed from the lex-ordered homs."""
+    """(classes, orbit_map) as tuples, computed from the lex-ordered homs.
+
+    The first hom not yet placed is the least of its orbit, so it is the
+    representative.  Its images under the conjugation rows, in increasing
+    order, are its orbit and, where they equal it, its centralizer.
+    """
     pos = {h: i for i, h in enumerate(homs)}
     orbit_map = [-1] * len(homs)
     classes = []
     for i, h in enumerate(homs):
         if orbit_map[i] != -1:
             continue
-        orbit = sorted({tuple(map(row.__getitem__, h)) for row in group.conj_rows})
-        idx = len(classes)
+        images = [tuple(map(row.__getitem__, h)) for row in group.conj_rows]
+        orbit = sorted(set(images))
         for t in orbit:
-            orbit_map[pos[t]] = idx
-        rep = orbit[0]
-        cent = tuple(group.centralizer(rep))
+            orbit_map[pos[t]] = len(classes)
+        weyl = sorted(weyl_image(group, h, v.p))
         classes.append(RepClass(
-            representative=rep,
+            representative=h,
             orbit=tuple(orbit),
-            image_rank=image_rank(group, rep, v.p),
-            centralizer=cent,
-            weyl=tuple(weyl_image(group, rep, v.p)),
+            image_rank=len(weyl[0]),  # the matrices are rank x rank
+            centralizer=tuple(g for g, t in enumerate(images) if t == h),
+            weyl=tuple(weyl),
         ))
     return tuple(classes), tuple(orbit_map)
 

@@ -12,10 +12,11 @@ groups, and `conjugacy_distinguished` scans a quotient tower for
 the first level separating two conjugacy threads, of elements or of
 subgroups alike.
 
-Neither check scans L for a normalizer: N_L(t) is read from the class
-table as c·N(rep)·c⁻¹, with c the conjugator stored for t, after a
-`require` that c really carries the representative to t.  Conjugation
-by n acts through the group's conjugation rows.
+Neither check builds N_L by a scan of L.  `fullness_check` reads mu and
+its least realizers from the one pass of `repv.weyl_image` over L, and
+`sp_functor_check` reads N_L(t) from the class table as c·N(rep)·c⁻¹,
+with c the conjugator stored for t, after a `require` that c really
+carries the representative to t.
 """
 
 from __future__ import annotations
@@ -70,9 +71,9 @@ def fullness_check(v: ElementaryAbelian, f: GroupHom, class_index: int,
     or on which f fails to be injective — the orbit formula behind the
     comparison needs a free Aut(V)-action.  eta is the Weyl image the
     class of Rep(V, G) carries.  Raises InvariantError if eta is not
-    inside mu.  The witness of a failure is the least element of
-    N_L(f rho(V)), read from the class table of L, that realizes the
-    least matrix of mu outside eta.
+    inside mu.  mu and its realizers come from one `repv.weyl_image`
+    pass over L; the witness of a failure is the least element of
+    N_L(f rho(V)) that realizes the least matrix of mu outside eta.
     """
     classes, _ = repv.rep_classes(v, f.source, budget)
     c = classes[class_index]
@@ -80,29 +81,19 @@ def fullness_check(v: ElementaryAbelian, f: GroupHom, class_index: int,
         return {"skipped": True,
                 "note": "non-injective rho: fullness not asserted",
                 "class": c.representative}
-    g, l = f.source, f.target
-    image = repv.image_subgroup(g, c.representative)
-    if len({f(x) for x in image}) != len(image):
+    realizers = repv.weyl_image(f.target, _push_hom(f, c.representative), v.p)
+    # mu acts on f(rho(V)), which has rank r exactly when f is injective on rho(V)
+    if len(next(iter(realizers))) != v.r:
         return {"skipped": True,
                 "note": "f is not injective on the image of rho",
                 "class": c.representative}
-    eta = set(c.weyl)
-    pushed = _push_hom(f, c.representative)
-    mu = set(repv.weyl_image(l, pushed, v.p))
+    eta, mu = set(c.weyl), set(realizers)
     require(eta <= mu, "conjugation by f(n) must reproduce eta",
             {"not_in_mu": sorted(eta - mu)})
     witness = None
     if eta != mu:
-        missing = sorted(mu - eta)[0]
-        basis = repv.echelon_basis(l, pushed)
-        target_sub = repv.image_subgroup(l, pushed)
-        logs = repv._discrete_log_table(l, basis, v.p)
-        for n in _normalizer(l, target_sub):
-            row = l.conj_rows[n]
-            cols = tuple(logs[row[b]] for b in basis)
-            if cols == missing:
-                witness = {"matrix": missing, "realized_by": n}
-                break
+        missing = min(mu - eta)
+        witness = {"matrix": missing, "realized_by": realizers[missing]}
     return {
         "skipped": False,
         "class": c.representative,

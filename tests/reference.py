@@ -5,8 +5,8 @@ oracles (bar cochains over any permutation module, inflation as the
 pullback of bar cocycles, the Symonds module fed to `cohomology` whole,
 hom enumeration, isomorphism search, the integer Smith normal form, the
 direct sum as it ran before it was memoized, rows packed from their
-bytes, subgroup conjugacy and the S_p functor check by whole-group
-scans, the row-by-row homomorphism check) and small builders of test
+bytes, subgroup conjugacy, centralizers, Weyl images and the S_p functor
+check by whole-group scans, the row-by-row homomorphism check) and small builders of test
 inputs (regular and direct-sum modules, the dense matrices of a module,
 constant group towers, point towers).
 """
@@ -16,7 +16,7 @@ from math import gcd
 
 import numpy as np
 
-from proflq import groupcoh as gc, linalg, lq, snf
+from proflq import groupcoh as gc, linalg, lq, repv, snf
 from proflq.errors import BudgetError
 from proflq.etale import FiniteEtaleSpace
 from proflq.finring import FiniteModule, ModuleMap, from_cyclic, zero_module
@@ -27,13 +27,25 @@ from proflq.tower import SpaceTower
 # -- groups -------------------------------------------------------------------
 
 
+def conj(g: FiniteGroup, h: int, x: int) -> int:
+    """h x h⁻¹ from the table, without the conjugation rows."""
+    return g.mul(g.mul(h, x), g.inv(h))
+
+
+def centralizer(g: FiniteGroup, subset) -> list[int]:
+    """C_g(subset) in increasing order, by a scan of g."""
+    subset = list(subset)
+    return [h for h in range(g.order)
+            if all(g.mul(h, x) == g.mul(x, h) for x in subset)]
+
+
 def conjugacy_classes(g: FiniteGroup) -> list[tuple[int, ...]]:
     seen = [False] * g.order
     classes = []
     for x in range(g.order):
         if seen[x]:
             continue
-        orbit = sorted({g.conj(h, x) for h in range(g.order)})
+        orbit = sorted({conj(g, h, x) for h in range(g.order)})
         for y in orbit:
             seen[y] = True
         classes.append(tuple(orbit))
@@ -41,7 +53,7 @@ def conjugacy_classes(g: FiniteGroup) -> list[tuple[int, ...]]:
 
 
 def center(g: FiniteGroup) -> list[int]:
-    return g.centralizer(range(g.order))
+    return centralizer(g, range(g.order))
 
 
 def is_abelian(g: FiniteGroup) -> bool:
@@ -105,7 +117,7 @@ def is_hom(source: FiniteGroup, target: FiniteGroup, images) -> bool:
 
 
 def _element_invariant(g: FiniteGroup, x: int, class_size: dict[int, int]):
-    return (g.element_order(x), class_size[x], len(g.centralizer([x])))
+    return (g.element_order(x), class_size[x], len(centralizer(g, [x])))
 
 
 def _class_sizes(g: FiniteGroup) -> dict[int, int]:
@@ -169,7 +181,7 @@ def p_subgroups_up_to_conjugacy(g: FiniteGroup, p: int) -> list[frozenset[int]]:
 def _aut_perms(group: FiniteGroup, sub) -> frozenset:
     elems = sorted(sub)
     pos = {x: i for i, x in enumerate(elems)}
-    return frozenset(tuple(pos[group.conj(n, x)] for x in elems)
+    return frozenset(tuple(pos[conj(group, n, x)] for x in elems)
                      for n in group.normalizer(sub))
 
 
@@ -194,7 +206,7 @@ def sp_functor_check(f: GroupHom, p: int) -> dict:
         eta = _aut_perms(g, s)
         elems = sorted(s)
         img_order = {f(x): i for i, x in enumerate(elems)}
-        mu = {tuple(img_order[l.conj(n, f(x))] for x in elems)
+        mu = {tuple(img_order[conj(l, n, f(x))] for x in elems)
               for n in l.normalizer(image(s))}
         if eta != frozenset(mu):
             b_failures.append({"subgroup": elems,
@@ -211,6 +223,18 @@ def sp_functor_check(f: GroupHom, p: int) -> dict:
         "c_witnesses": c_failures,
         "equivalence": not (a_failures or b_failures or c_failures),
     }
+
+
+def weyl_image(group: FiniteGroup, hom, p: int) -> dict:
+    """`repv.weyl_image` by a normalizer scan: N_G(rho(V)) is every element
+    fixing the image subgroup, and each matrix is kept with the first
+    element of N_G(rho(V)), in increasing order, that gives it."""
+    basis = repv.echelon_basis(group, hom)
+    logs = repv._discrete_log_table(group, basis, p)
+    realizers = {}
+    for n in group.normalizer(group.closure(hom)):
+        realizers.setdefault(tuple(logs[conj(group, n, b)] for b in basis), n)
+    return realizers
 
 
 # -- F_p elimination -------------------------------------------------------------

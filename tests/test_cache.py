@@ -1,7 +1,8 @@
 """The memo tables of `proflq.cache` against the uncached computations.
 
 `reference_hom_enumerate` and `reference_rep_classes` are the enumeration
-and orbit split as they ran before `repv` memoized them, and
+and orbit split as they ran before `repv` memoized them, with the
+centralizer and Weyl image of each class by scans of the group, and
 `reference.uncached_direct_sum` is the direct sum before `finring` did;
 every cached answer is compared with them, cold and warm.
 """
@@ -17,7 +18,7 @@ from proflq.finring import FiniteModule, FiniteRing, cyclic, direct_sum, zero_mo
 from proflq.groups import dihedral_group, symmetric_group
 from proflq.repv import ElementaryAbelian, RepClass
 
-from .reference import uncached_direct_sum
+from .reference import centralizer, conj, uncached_direct_sum, weyl_image
 
 
 def reference_hom_enumerate(v, group):
@@ -37,16 +38,16 @@ def reference_rep_classes(v, group):
     for i, h in enumerate(homs):
         if orbit_map[i] != -1:
             continue
-        orbit = sorted({tuple(group.conj(g, x) for x in h)
+        orbit = sorted({tuple(conj(group, g, x) for x in h)
                         for g in group.elements()})
         for t in orbit:
             orbit_map[pos[t]] = len(classes)
         rep = orbit[0]
         classes.append(RepClass(
             representative=rep, orbit=tuple(orbit),
-            image_rank=repv.image_rank(group, rep, v.p),
-            centralizer=tuple(group.centralizer(rep)),
-            weyl=tuple(repv.weyl_image(group, rep, v.p))))
+            image_rank=len(repv.echelon_basis(group, rep)),
+            centralizer=tuple(centralizer(group, rep)),
+            weyl=tuple(sorted(weyl_image(group, rep, v.p)))))
     return classes, orbit_map
 
 

@@ -296,8 +296,8 @@ import sys
 from proflq import cli, repv
 real = repv.weyl_image
 def widened(group, hom, p, *args):
-    mats = real(group, hom, p, *args)
-    return mats + [((0,),)] if group.order == 12 else mats
+    realizers = real(group, hom, p, *args)
+    return {**realizers, ((0,),): 0} if group.order == 12 else realizers
 repv.weyl_image = widened
 sys.exit(cli.main(sys.argv[1:]))
 """

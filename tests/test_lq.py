@@ -17,7 +17,7 @@ from proflq.groups import (
 )
 from proflq.repv import ElementaryAbelian
 
-from .reference import constant_group_tower, whole_module_lhs
+from .reference import conj, constant_group_tower, whole_module_lhs
 
 
 V2 = ElementaryAbelian(2, 1)
@@ -218,7 +218,7 @@ class TestMechanism:
             classes, _ = repv.rep_classes(V2, g)
             for c in classes:
                 stab = [x for x in g.elements()
-                        if all(g.conj(x, y) == y for y in c.representative)]
+                        if all(conj(g, x, y) == y for y in c.representative)]
                 assert sorted(stab) == sorted(c.centralizer)
 
     def test_orbitwise_shapiro_dims(self):

@@ -5,24 +5,28 @@ import pytest
 from proflq import catalog, groupcoh as gc, repv
 from proflq.groups import (
     GroupHom,
+    all_subgroups,
     alternating_group,
     cyclic_group,
     dihedral_group,
     direct_product,
+    subgroup_group,
     symmetric_group,
 )
 from proflq.repv import (
     ElementaryAbelian,
     echelon_basis,
     hom_enumerate,
-    image_rank,
     rank_strata,
     rep_classes,
     rep_tower,
     weyl_image,
 )
 
+from . import reference
 from .reference import constant_group_tower
+
+V3 = ElementaryAbelian(3, 1)
 
 
 class TestElementaryAbelian:
@@ -146,7 +150,7 @@ class TestStrata:
 
 class TestWeylImage:
     def test_trivial_hom(self):
-        assert weyl_image(symmetric_group(3), (0,), 2) == [()]
+        assert weyl_image(symmetric_group(3), (0,), 2) == {(): 0}
 
     def test_a4_versus_s4(self):
         a4, s4 = alternating_group(4), symmetric_group(4)
@@ -193,6 +197,40 @@ class TestWeylImage:
                         image = _apply_aut(g, c.representative, m, p)
                         orbit_classes.add(orbit_map[pos[image]])
                     assert len(orbit_classes) * len(c.weyl) == len(aut)
+
+
+class TestAgainstTheScans:
+    """The one conjugation pass against the scans it replaced: the centralizer
+    against `reference.centralizer`, and the Weyl image against
+    `reference.weyl_image`, which keeps for each matrix the least element of
+    the scanned normalizer giving it, so equal dicts mean equal matrices and
+    least realizers."""
+
+    def test_every_catalog_class(self):
+        for g in catalog.all_groups():
+            for p in (2, 3):
+                for r in (1, 2):
+                    for c in rep_classes(ElementaryAbelian(p, r), g)[0]:
+                        rep = c.representative
+                        realizers = weyl_image(g, rep, p)
+                        assert realizers == reference.weyl_image(g, rep, p), \
+                            (g.name, p, rep)
+                        assert c.centralizer == tuple(reference.centralizer(g, rep))
+                        assert c.weyl == tuple(sorted(realizers))
+                        assert c.image_rank == len(echelon_basis(g, rep))
+
+    def test_a4_classes_pushed_into_s4(self):
+        # the tuples `sep.fullness_check` reads in S4, some of them not
+        # the representatives of their S4 classes
+        s4 = symmetric_group(4)
+        a4 = next(s for s in all_subgroups(s4) if len(s) == 12)
+        small, emb = subgroup_group(s4, a4)
+        s4_reps = {c.representative for c in rep_classes(V3, s4)[0]}
+        pushed = [tuple(emb[x] for x in c.representative)
+                  for c in rep_classes(V3, small)[0]]
+        assert set(pushed) - s4_reps
+        for hom in pushed:
+            assert weyl_image(s4, hom, 3) == reference.weyl_image(s4, hom, 3), hom
 
 
 def _aut_matrices(p, r):
@@ -277,4 +315,6 @@ class TestEchelonBasis:
     def test_redundant_entries_skipped(self):
         g = cyclic_group(2)
         assert echelon_basis(g, (1, 1)) == [1]
-        assert image_rank(g, (1, 1), 2) == 1
+        classes, _ = rep_classes(ElementaryAbelian(2, 2), g)
+        assert classes[-1].representative == (1, 1)
+        assert classes[-1].image_rank == 1

@@ -15,6 +15,7 @@ from proflq.groups import (
     dihedral_group,
     direct_product,
     identity_hom,
+    p_subgroups_up_to_conjugacy,
     quotient_group,
     subgroup_classes,
     subgroup_group,
@@ -111,16 +112,20 @@ class TestFullness:
         assert found
 
     def test_a_wrong_stored_conjugator_is_an_invariant_error(self, monkeypatch):
-        a4, _, f = a4_in_s4()
+        # fullness reads no class table, so the stored conjugators are
+        # checked through sp_functor_check, the only reader of
+        # `sep._normalizer`: the embedding of A4 is twisted by conjugation
+        # in S4 until the image of its Sylow 3-subgroup is not the first
+        # subgroup of its class
+        a4, s4, f = a4_in_s4()
+        sylow = p_subgroups_up_to_conjugacy(a4, 3)[-1]
+        conjugators = subgroup_classes(s4).conjugators
+        x = next(x for x, row in enumerate(s4.conj_rows)
+                 if conjugators[frozenset(row[f(y)] for y in sylow)] != 0)
+        twisted = GroupHom(a4, s4, [s4.conj_rows[x][y] for y in f.images])
         zero_conjugators(monkeypatch)
-        classes, _ = repv.rep_classes(V3, a4)
-        # every rank-1 class fails fullness, so its witness is looked for
-        # in N_L of its image; the second class's image is not the first
-        # subgroup of its S4 class
         with pytest.raises(InvariantError, match="stored conjugator"):
-            for i, c in enumerate(classes):
-                if c.image_rank == 1:
-                    sep.fullness_check(V3, f, i)
+            sep.sp_functor_check(twisted, 3)
 
     def test_identity_always_bijective(self):
         g = dihedral_group(4)
@@ -178,7 +183,7 @@ class TestSpFunctor:
         f = GroupHom(c2, k4, [0, 2])
         big = direct_product(k4, cyclic_group(2))
         g = GroupHom(k4, big, [0, 2, 4, 6])
-        composed = g.compose(f)
+        composed = GroupHom(c2, big, [g(f(x)) for x in c2.elements()])
         assert not sep.sp_functor_check(f, 2)["c_dense"]
         assert not sep.sp_functor_check(composed, 2)["c_dense"]
 

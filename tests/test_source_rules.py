@@ -23,6 +23,8 @@
 * A group is built in one place: `FiniteGroup(` is called only by
   `groups._table_group`, which every constructor goes through, and by
   `jsonio.load_group`, which reads a table as given.
+* No library module reads a private `_name` of another library module,
+  neither as `m._name` nor by `from .m import _name`.
 """
 
 import ast
@@ -392,3 +394,54 @@ def named(g):
 """
     assert _finite_group_callers("groups", ast.parse(source)) == [
         "groups", "groups.Q.build", "groups._table_group", "groups.cyclic.inner"]
+
+
+# -- private names stay in their module ----------------------------------------------
+
+
+def _package_import(node):
+    """Whether an `ImportFrom` node imports from the library package."""
+    return node.level > 0 or (node.module or "").split(".")[0] == "proflq"
+
+
+def _private_reads(tree):
+    """(line, name) for each read of a private name of another library
+    module: `m._x` with `m` bound by `from . import m` (or `from proflq
+    import m`, either with `as`), and `from .m import _x`."""
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and _package_import(node)]
+    modules = {alias.asname or alias.name for node in imports
+               if node.module in (None, "proflq") for alias in node.names}
+    found = [(node.lineno, alias.name) for node in imports
+             if node.module not in (None, "proflq") for alias in node.names
+             if alias.name.startswith("_")]
+    found += [(node.lineno, f"{node.value.id}.{node.attr}")
+              for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+              and not node.attr.startswith("__")
+              and isinstance(node.value, ast.Name) and node.value.id in modules]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_private_name_of_another_module(path):
+    assert _private_reads(_tree(path)) == []
+
+
+def test_private_name_rule_sees_every_read():
+    source = """
+from . import groupcoh as gc, repv
+from .groups import FiniteGroup, _table_group
+from proflq import lq
+from numpy import _private_but_not_ours
+def f(group, hom):
+    logs = repv._discrete_log_table(group, hom, 2)
+    rows = group._rows
+    def inner():
+        from .linalg import _pack as pack
+        return gc._chain_map, lq._total(()), pack, repv.__name__
+    return logs, rows, inner, repv.weyl_image, FiniteGroup._validate
+"""
+    assert _private_reads(ast.parse(source)) == [
+        (3, "_table_group"), (7, "repv._discrete_log_table"), (10, "_pack"),
+        (11, "gc._chain_map"), (11, "lq._total")]
