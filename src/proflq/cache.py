@@ -10,9 +10,8 @@ called:
   differentials are uint8 for every p < 257;
 * `groupcoh.one_point_dims` — dims of H^•(G; F_p) per (table, p),
   replaced when a larger k_max is asked for;
-* `lq.subgroup_keys` — the canonical key of a subgroup up to conjugacy;
-* `lq.coset_dims`, `lq.sub_dims` — dims of H^•(G; F_p[G/H]) and of
-  H^•(H; F_p), per conjugacy class of H, p, k_max and dim_budget;
+* `groupcoh.shapiro` — the pair of dims of H^•(G; F_p[G/H]) and of
+  H^•(H; F_p), per (table, frozenset of H, p, k_max, dim_budget);
 * `repv.hom_enumerate`, `repv.rep_classes` — hom(V, G) and Rep(V, G),
   per (table, p, r), stored as tuples.
 
@@ -34,8 +33,8 @@ from __future__ import annotations
 from collections import Counter
 
 REGIONS = ("groupcoh.resolutions", "groupcoh.one_point_dims",
-           "lq.subgroup_keys", "lq.coset_dims", "lq.sub_dims",
-           "repv.hom_enumerate", "repv.rep_classes", "finring.direct_sum")
+           "groupcoh.shapiro", "repv.hom_enumerate", "repv.rep_classes",
+           "finring.direct_sum")
 
 _ENTRIES = {name: {} for name in REGIONS}
 _HITS: Counter = Counter()

@@ -31,6 +31,10 @@ holds an entry's sum.  Its rank is taken by row blocks of at most
 reduced into one `linalg.RowSpace`, so a coboundary larger than that is
 never held whole.
 
+`shapiro_check` keeps both of its sides, H^•(G; F_p[G/H]) and
+H^•(H; F_p), per (table, H, p, k_max, dim_budget); `lq` reads the orbit
+block and the centralizer fiber of each Rep(V, G) class from it.
+
 Conventions: C(X, F_p) and F_p[X] are identified through the
 indicator-function basis, so a permutation module is its own function
 space and no transposes appear downstream.
@@ -317,13 +321,20 @@ def inflation_ranks(q: GroupHom, p: int, k_max: int,
 
 def shapiro_check(group: FiniteGroup, subgroup_elements, p: int, k_max: int,
                   dim_budget: int = DEFAULT_DIM_BUDGET) -> dict:
-    """Compare H^k(G; F_p[G/H]) with H^k(H; F_p), k <= k_max."""
-    induced = coset_module(group, subgroup_elements, p)
-    lhs = cohomology(group, induced, k_max, dim_budget)
-    h, _ = subgroup_group(group, subgroup_elements)
-    rhs = cohomology(h, trivial_module(h, p), k_max, dim_budget)
+    """Compare H^k(G; F_p[G/H]) with H^k(H; F_p), k <= k_max; the pair is
+    memoized with the budget in its key, and computed on a miss only."""
+    elements = frozenset(subgroup_elements)
+    key = (group.table.tobytes(), elements, p, k_max, dim_budget)
+    dims = cache.lookup("groupcoh.shapiro", key)
+    if dims is None:
+        induced = coset_module(group, elements, p)
+        h, _ = subgroup_group(group, elements)
+        dims = cache.store("groupcoh.shapiro", key, (
+            cohomology(group, induced, k_max, dim_budget),
+            cohomology(h, trivial_module(h, p), k_max, dim_budget)))
+    lhs, rhs = dims
     return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs,
-            "index": group.order // len(frozenset(subgroup_elements))}
+            "index": group.order // len(elements)}
 
 
 class GroupTower:

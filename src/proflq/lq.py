@@ -14,22 +14,20 @@ T_V H^•(G) is computed two independent ways and compared degreewise:
 Equality of the two is the theorem; a mismatch is by definition an
 internal error and raises with a diagnostic dump.
 
-Results are memoized in `cache`: the coset and centralizer dims per
-conjugacy class of subgroup, p, k_max and dim_budget, so a warm entry
-never skips the budget.  The coset block F_p[G/G] of the trivial class
-and its rhs fiber H^•(G; F_p) read the one entry that `groupcoh` keeps
-per (table, p).  `degree0` alone feeds the whole Symonds module to
-`cohomology`, in degree 0 only, as a count of Rep(V, G) independent of
-the orbit split.
+Per class the two sides are the two sides of Shapiro's lemma for
+Stab(rho) = C_G(rho(V)), so both are read from one
+`groupcoh.shapiro_check`, which keeps them in `cache` per exact
+subgroup, p, k_max and dim_budget: a warm entry never skips the budget.
+`degree0` alone feeds the whole Symonds module to `cohomology`, in
+degree 0 only, as a count of Rep(V, G) independent of the orbit split.
 """
 
 from __future__ import annotations
 
-from . import cache
 from . import groupcoh as gc
 from . import repv
 from .errors import InvariantError, require
-from .groups import FiniteGroup, subgroup_group
+from .groups import FiniteGroup
 from .repv import ElementaryAbelian
 
 
@@ -45,50 +43,18 @@ def symonds_module(v: ElementaryAbelian, group: FiniteGroup) -> gc.GModule:
     return gc.permutation_module(group, action, v.p)
 
 
-def _subgroup_key(group: FiniteGroup, elements) -> tuple:
-    """Canonical key of a subgroup up to conjugacy (for dimension caches)."""
-    s = frozenset(elements)
-    table = group.table.tobytes()
-    key = cache.lookup("lq.subgroup_keys", (table, s))
-    if key is None:
-        key = cache.store("lq.subgroup_keys", (table, s), (
-            table, min(tuple(sorted(group.conjugate_subgroup(g, s)))
-                       for g in group.elements())))
-    return key
-
-
-def _coset_cohomology(group: FiniteGroup, stab, p: int, k_max: int,
-                      dim_budget: int) -> tuple[int, ...]:
-    """dims of H^•(G; F_p[G/Stab]) — honest G-cohomology, cached."""
-    key = (*_subgroup_key(group, stab), p, k_max, dim_budget)
-    dims = cache.lookup("lq.coset_dims", key)
-    if dims is None:
-        module = gc.coset_module(group, stab, p)
-        dims = cache.store("lq.coset_dims", key,
-                           gc.cohomology(group, module, k_max, dim_budget))
-    return dims
-
-
-def _subgroup_cohomology(group: FiniteGroup, elements, p: int, k_max: int,
-                         dim_budget: int) -> tuple[int, ...]:
-    """dims of H^•(H; F_p) for a subgroup given by its elements, cached."""
-    key = (*_subgroup_key(group, elements), p, k_max, dim_budget)
-    dims = cache.lookup("lq.sub_dims", key)
-    if dims is None:
-        h, _ = subgroup_group(group, elements)
-        dims = cache.store("lq.sub_dims", key, gc.cohomology(
-            h, gc.trivial_module(h, p), k_max, dim_budget))
-    return dims
-
-
 def _total(dims, k_max: int) -> tuple[int, ...]:
     """The coordinatewise sum of a list of graded dims, k <= k_max."""
     return tuple(sum(d[k] for d in dims) for k in range(k_max + 1))
 
 
-def _orbit_lhs(v, group, classes, k_max, dim_budget):
-    """Per-class dims of H^•(G; F_p[orbit]) via the coset-module blocks."""
-    out = []
+def _sides(v: ElementaryAbelian, group: FiniteGroup, k_max: int,
+           dim_budget: int):
+    """(classes, blocks, fibers): the classes of Rep(V, G) and, per class,
+    the dims of its orbit block H^•(G; F_p[G/C_G(rho)]) and of its fiber
+    H^•(C_G(rho(V)); F_p)."""
+    classes, _ = repv.rep_classes(v, group)
+    blocks, fibers = [], []
     for c in classes:
         stab = c.centralizer  # the stabilizer of rho is C_G(rho(V))
         require(len(stab) * c.orbit_size == group.order,
@@ -98,33 +64,18 @@ def _orbit_lhs(v, group, classes, k_max, dim_budget):
                 {"group": group.name or f"order{group.order}",
                  "class": c.representative, "stabilizer": stab,
                  "orbit_size": c.orbit_size})
-        out.append(_coset_cohomology(group, stab, v.p, k_max, dim_budget))
-    return out
-
-
-def tv_lhs(v: ElementaryAbelian, group: FiniteGroup, k_max: int,
-           dim_budget: int = gc.DEFAULT_DIM_BUDGET) -> tuple[int, ...]:
-    """dims of H^•(G; C(hom(V,G), F_p)), k <= k_max: the orbit blocks summed."""
-    classes, _ = repv.rep_classes(v, group)
-    return _total(_orbit_lhs(v, group, classes, k_max, dim_budget), k_max)
-
-
-def tv_rhs(v: ElementaryAbelian, group: FiniteGroup, k_max: int,
-           dim_budget: int = gc.DEFAULT_DIM_BUDGET):
-    """(per-class dims of H^•(C_G(rho(V))), coordinatewise total)."""
-    classes, _ = repv.rep_classes(v, group)
-    fibers = [_subgroup_cohomology(group, c.centralizer, v.p, k_max,
-                                   dim_budget) for c in classes]
-    return fibers, _total(fibers, k_max)
+        sides = gc.shapiro_check(group, stab, v.p, k_max, dim_budget)
+        blocks.append(sides["lhs"])
+        fibers.append(sides["rhs"])
+    return classes, blocks, fibers
 
 
 def lq_check(v: ElementaryAbelian, group: FiniteGroup, k_max: int,
              dim_budget: int = gc.DEFAULT_DIM_BUDGET) -> dict:
-    """Verify tv_lhs == tv_rhs degreewise; raise InvariantError on mismatch."""
-    classes, _ = repv.rep_classes(v, group)
-    blocks = _orbit_lhs(v, group, classes, k_max, dim_budget)
-    lhs = _total(blocks, k_max)
-    fibers, total = tv_rhs(v, group, k_max, dim_budget)
+    """Verify that the orbit blocks and the centralizer fibers add up to
+    the same dims, degreewise; raise InvariantError on mismatch."""
+    classes, blocks, fibers = _sides(v, group, k_max, dim_budget)
+    lhs, total = _total(blocks, k_max), _total(fibers, k_max)
     verdict = [lhs[k] == total[k] for k in range(k_max + 1)]
     report = {
         "group": group.name or f"order{group.order}",
@@ -156,20 +107,19 @@ def strata_split(v: ElementaryAbelian, group: FiniteGroup, k_max: int,
 
     Stratum 0 is the fixed point of the trivial homomorphism; its block
     must contribute exactly the dims of H^•(G; F_p), and all strata
-    together must add up to tv_lhs.  Both sides of each comparison are
-    sums of the same cached orbit blocks, so the two verdicts check
+    together must add up to the lhs.  Both sides of each comparison are
+    sums of the same orbit blocks, so the two verdicts check
     `repv.rank_strata`: `totals_match_lhs` that the strata partition the
     classes, `stratum0_is_group_cohomology` that the trivial class is
     alone in stratum 0.
     """
-    classes, _ = repv.rep_classes(v, group)
+    classes, blocks, _ = _sides(v, group, k_max, dim_budget)
     strata = repv.rank_strata(classes)
-    per_class = _orbit_lhs(v, group, classes, k_max, dim_budget)
-    stratum_dims = [_total([per_class[i] for i in stratum], k_max)
+    stratum_dims = [_total([blocks[i] for i in stratum], k_max)
                     for stratum in strata]
     trivial = gc.cohomology(group, gc.trivial_module(group, v.p),
                             k_max, dim_budget)
-    lhs = tv_lhs(v, group, k_max, dim_budget)
+    lhs = _total(blocks, k_max)
     totals = _total(stratum_dims, k_max)
     return {
         "strata_sizes": [len(s) for s in strata],

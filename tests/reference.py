@@ -362,7 +362,7 @@ def bar_inflation_ranks(q: GroupHom, p: int, k_max: int,
 def whole_module_lhs(v, group: FiniteGroup, k_max: int,
                      dim_budget: int = gc.DEFAULT_DIM_BUDGET) -> tuple[int, ...]:
     """dims of H^•(G; C(hom(V, G), F_p)) with the Symonds module fed whole,
-    not split into its orbit blocks as `lq.tv_lhs` splits it."""
+    not split into its orbit blocks as `lq.lq_check` splits it."""
     return gc.cohomology(group, lq.symonds_module(v, group), k_max, dim_budget)
 
 

@@ -15,7 +15,7 @@ import pytest
 from proflq import cache, catalog, groupcoh as gc, lq, repv
 from proflq.errors import BudgetError
 from proflq.finring import FiniteModule, FiniteRing, cyclic, direct_sum, zero_module
-from proflq.groups import dihedral_group, symmetric_group
+from proflq.groups import all_subgroups, dihedral_group, subgroup_group, symmetric_group
 from proflq.repv import ElementaryAbelian, RepClass
 
 from .reference import centralizer, conj, uncached_direct_sum, weyl_image
@@ -97,9 +97,9 @@ def test_budget_refused_after_a_warm_call():
         repv.hom_enumerate(v, g, budget=10)
     with pytest.raises(BudgetError):
         repv.rep_classes(v, g, budget=10)
-    assert lq.tv_lhs(v, g, 2)
+    assert all(lq.lq_check(v, g, 2)["verdict"])
     with pytest.raises(BudgetError):
-        lq.tv_lhs(v, g, 2, dim_budget=10)
+        lq.lq_check(v, g, 2, dim_budget=10)
     with pytest.raises(BudgetError):
         lq.degree0(v, g, dim_budget=1)
 
@@ -108,25 +108,97 @@ def test_lq_budget_refused_after_a_warm_call():
     # C2^4 at p = 2, r = 2: 256 one-point orbits, and F_2 needs 20 cochains
     # in degree 2 on each of them and on each centralizer
     v, g = ElementaryAbelian(2, 2), catalog.by_name("C2xC2xC2xC2")
-    assert lq.tv_lhs(v, g, 2) == (256, 1024, 2560)
+    rep = lq.lq_check(v, g, 2)
+    assert rep["lhs"] == rep["rhs_total"] == (256, 1024, 2560)
     with pytest.raises(BudgetError, match="20 exceeds budget 10"):
-        lq.tv_lhs(v, g, 2, dim_budget=10)
-    assert lq.tv_rhs(v, g, 2)[1] == (256, 1024, 2560)
-    with pytest.raises(BudgetError, match="20 exceeds budget 10"):
-        lq.tv_rhs(v, g, 2, dim_budget=10)
-    with pytest.raises(BudgetError):
         lq.lq_check(v, g, 2, dim_budget=10)
+    # every class has C_G(rho) = G, so all 256 read one entry per budget
+    assert cache.stats()["groupcoh.shapiro"] == {"entries": 1, "hits": 255,
+                                                 "misses": 2}
 
 
-def test_coset_dims_counts_and_k_max():
-    v, g = ElementaryAbelian(2, 1), symmetric_group(3)
-    assert lq.tv_lhs(v, g, 2) == (2, 2, 2)     # one miss per class
-    assert lq.tv_lhs(v, g, 2) == (2, 2, 2)     # one hit per class
-    assert lq.tv_lhs(v, g, 1) == (2, 2)        # k_max is in the key: missed
-    assert lq.tv_lhs(v, g, 2, dim_budget=100) == (2, 2, 2)  # so is the budget
-    assert lq.degree0(v, g) == 2               # reads no lq entry
-    assert cache.stats()["lq.coset_dims"] == {"entries": 6, "hits": 2,
-                                              "misses": 6}
+# -- groupcoh.shapiro -------------------------------------------------------------
+
+
+def test_shapiro_counts_k_max_and_budget():
+    g = symmetric_group(3)
+    h = [1, 0]  # C2, the centralizer of a transposition
+    cold = gc.shapiro_check(g, h, 2, 2)                      # missed
+    assert cold == {"lhs": (1, 1, 1), "rhs": (1, 1, 1), "equal": True,
+                    "index": 3}
+    assert gc.shapiro_check(g, {0, 1}, 2, 2) == cold         # the set is the key
+    assert gc.shapiro_check(g, h, 2, 1)["lhs"] == (1, 1)     # k_max is: missed
+    assert gc.shapiro_check(g, h, 2, 2, dim_budget=100) == cold  # so is the budget
+    assert gc.shapiro_check(g, h, 3, 2)["lhs"] == (1, 0, 0)  # and p
+    assert cache.stats()["groupcoh.shapiro"] == {"entries": 4, "hits": 1,
+                                                 "misses": 4}
+    key = (g.table.tobytes(), frozenset(h), 2, 2, gc.DEFAULT_DIM_BUDGET)
+    assert cache.lookup("groupcoh.shapiro", key) == ((1, 1, 1), (1, 1, 1))
+    # lq reads the same entries: one per class of Rep(V, G), C_G(1) = G too
+    classes, _ = repv.rep_classes(ElementaryAbelian(2, 1), g)
+    lq.lq_check(ElementaryAbelian(2, 1), g, 2)
+    assert cache.stats()["groupcoh.shapiro"] == {"entries": 5, "hits": 3,
+                                                 "misses": 5}
+    assert sorted(c.centralizer for c in classes) == [(0, 1), tuple(range(6))]
+
+
+def test_shapiro_warm_equals_cold_equals_uncached():
+    g = symmetric_group(4)
+    cases = [(s, p) for s in all_subgroups(g) for p in (2, 3)]
+    cold = [gc.shapiro_check(g, s, p, 3) for s, p in cases]
+    warm = [gc.shapiro_check(g, sorted(s), p, 3) for s, p in cases]
+    n = len(cases)
+    assert n == 60
+    assert cache.stats()["groupcoh.shapiro"] == {"entries": n, "hits": n,
+                                                 "misses": n}
+    cache.clear()
+    uncached = []
+    for s, p in cases:
+        h, _ = subgroup_group(g, s)
+        uncached.append((gc.cohomology(g, gc.coset_module(g, s, p), 3),
+                         gc.cohomology(h, gc.trivial_module(h, p), 3)))
+    assert warm == cold
+    assert [(r["lhs"], r["rhs"]) for r in warm] == uncached
+    assert all(r["equal"] and r["index"] * len(s) == 24
+               for r, (s, _) in zip(warm, cases))
+
+
+def test_shapiro_budget_refused_after_a_warm_call():
+    g, h = symmetric_group(4), [0, 3, 11]
+    dims = gc.shapiro_check(g, h, 2, 3)
+    # the lhs needs the index 8 times the largest of F_0 .. F_4 cochains
+    need = max(gc.free_resolution(g, 2, 4).betti[:5]) * 8
+    before = cache.stats()["groupcoh.shapiro"]
+    with pytest.raises(BudgetError):
+        gc.shapiro_check(g, h, 2, 3, dim_budget=need - 1)
+    # looked up and missed, but nothing stored
+    assert cache.stats()["groupcoh.shapiro"] == dict(
+        before, misses=before["misses"] + 1)
+    assert gc.shapiro_check(g, h, 2, 3, dim_budget=need) == dims
+
+
+def test_shapiro_refuses_a_non_subgroup_after_a_warm_call():
+    g = symmetric_group(4)
+    gc.shapiro_check(g, [0, 3, 11], 2, 2)
+    before = cache.stats()["groupcoh.shapiro"]
+    with pytest.raises(ValueError, match="not a subgroup"):
+        gc.shapiro_check(g, [0, 3], 2, 2)
+    with pytest.raises(ValueError, match="not a subgroup"):
+        gc.shapiro_check(g, [0, 3], 2, 2)
+    assert cache.stats()["groupcoh.shapiro"]["entries"] == before["entries"]
+
+
+def test_shapiro_returned_dicts_are_fresh():
+    g = symmetric_group(4)
+    first = gc.shapiro_check(g, [0, 3, 11], 2, 2)
+    expected = dict(first)
+    first["lhs"] = (9, 9, 9)
+    first["equal"] = False
+    del first["rhs"]
+    again = gc.shapiro_check(g, [0, 3, 11], 2, 2)
+    assert again == expected and again is not first
+    assert cache.stats()["groupcoh.shapiro"] == {"entries": 1, "hits": 1,
+                                                 "misses": 1}
 
 
 # -- groupcoh.one_point_dims --------------------------------------------------------

@@ -9,7 +9,6 @@ import pytest
 from proflq import cache, catalog, groupcoh as gc, lq, repv
 from proflq.errors import BudgetError, InvariantError
 from proflq.groups import (
-    all_subgroups,
     cyclic_group,
     dihedral_group,
     symmetric_group,
@@ -44,27 +43,26 @@ class TestSymondsModule:
 
 class TestTvBothRoutes:
     def test_s3_spec_example(self):
-        lhs = lq.tv_lhs(V2, symmetric_group(3), 3)
-        fibers, total = lq.tv_rhs(V2, symmetric_group(3), 3)
-        assert lhs == total == (2, 2, 2, 2)
-        assert fibers == [(1, 1, 1, 1), (1, 1, 1, 1)]
+        rep = lq.lq_check(V2, symmetric_group(3), 3)
+        assert rep["lhs"] == rep["rhs_total"] == (2, 2, 2, 2)
+        assert rep["rhs"] == [(1, 1, 1, 1), (1, 1, 1, 1)]
 
     def test_z2(self):
-        assert lq.tv_lhs(V2, cyclic_group(2), 3) == (2, 2, 2, 2)
+        assert lq.lq_check(V2, cyclic_group(2), 3)["lhs"] == (2, 2, 2, 2)
 
     def test_z3_mod2(self):
-        assert lq.tv_lhs(V2, cyclic_group(3), 3) == (1, 0, 0, 0)
+        assert lq.lq_check(V2, cyclic_group(3), 3)["lhs"] == (1, 0, 0, 0)
 
     def test_trivial_group(self):
-        assert lq.tv_lhs(V2, trivial_group(), 3) == (1, 0, 0, 0)
+        assert lq.lq_check(V2, trivial_group(), 3)["lhs"] == (1, 0, 0, 0)
 
     def test_q8_doubled(self):
         q8 = catalog.quaternion_group()
         trivial = gc.cohomology(q8, gc.trivial_module(q8, 2), 3)
         cache.clear()  # the fibers are one-point modules too: compute them afresh
-        fibers, total = lq.tv_rhs(V2, q8, 3)
-        assert fibers == [trivial, trivial]
-        assert total == tuple(2 * d for d in trivial)
+        rep = lq.lq_check(V2, q8, 3)
+        assert rep["rhs"] == [trivial, trivial]
+        assert rep["rhs_total"] == tuple(2 * d for d in trivial)
 
 
 class TestWholeModuleOracle:
@@ -81,8 +79,8 @@ class TestWholeModuleOracle:
                 with pytest.raises(BudgetError):
                     whole_module_lhs(v, g, 3)
                 budget = 10**4
-            assert lq.tv_lhs(v, g, 3) == whole_module_lhs(v, g, 3, budget), \
-                (g.name, v)
+            assert lq.lq_check(v, g, 3, budget)["lhs"] \
+                == whole_module_lhs(v, g, 3, budget), (g.name, v)
 
 
 class TestLqCheck:
@@ -105,15 +103,22 @@ class TestLqCheck:
     def test_mismatch_dumps_the_blocks_it_summed(self, monkeypatch):
         g = symmetric_group(4)
         classes, _ = repv.rep_classes(V2, g)
-        blocks = lq._orbit_lhs(V2, g, classes, 2, gc.DEFAULT_DIM_BUDGET)
-        real = lq._subgroup_cohomology
-        monkeypatch.setattr(lq, "_subgroup_cohomology",
-                            lambda *args: tuple(d + 1 for d in real(*args)))
-        hits = cache.stats()["lq.coset_dims"]["hits"]
+        blocks = [gc.cohomology(g, gc.coset_module(g, c.centralizer, 2), 2)
+                  for c in classes]
+        lq.lq_check(V2, g, 2)
+        real = gc.shapiro_check
+
+        def shifted(*args):  # every rhs fiber one too large in each degree
+            sides = real(*args)
+            return dict(sides, rhs=tuple(d + 1 for d in sides["rhs"]))
+
+        monkeypatch.setattr(gc, "shapiro_check", shifted)
+        hits = cache.stats()["groupcoh.shapiro"]["hits"]
         with pytest.raises(InvariantError, match="lq mismatch") as err:
             lq.lq_check(V2, g, 2)
-        # the blocks are looked up once, and the dump reports those
-        assert cache.stats()["lq.coset_dims"]["hits"] == hits + len(classes)
+        # the sides of each class are looked up once, and the dump reports
+        # the blocks that were summed
+        assert cache.stats()["groupcoh.shapiro"]["hits"] == hits + len(classes)
         dump = err.value.dump
         assert dump["orbit_lhs"] == blocks
         assert dump["report"]["lhs"] == tuple(map(sum, zip(*blocks)))
@@ -225,30 +230,21 @@ class TestMechanism:
         # each orbit block of the lhs equals the centralizer cohomology
         g = symmetric_group(4)
         classes, _ = repv.rep_classes(V2, g)
-        blocks = lq._orbit_lhs(V2, g, classes, 2, gc.DEFAULT_DIM_BUDGET)
+        blocks = [gc.cohomology(g, gc.coset_module(g, c.centralizer, 2), 2)
+                  for c in classes]
         cache.clear()  # F_2[G/G] and C_G(1) = G would share a one-point entry
-        fibers, _ = lq.tv_rhs(V2, g, 2)
-        assert blocks == fibers
+        assert lq.lq_check(V2, g, 2)["rhs"] == blocks
 
-    def test_orbit_stabilizer_checks_the_class_centralizer(self):
-        # the coset blocks use c.centralizer, so a wrong one must not pass
-        g = symmetric_group(4)
-        classes, _ = repv.rep_classes(V2, g)
-        short = [dataclasses.replace(c, centralizer=c.centralizer[:-1])
-                 for c in classes]
+    def test_orbit_stabilizer_checks_the_class_centralizer(self, monkeypatch):
+        # the blocks use c.centralizer, so a wrong one must not pass; it is
+        # refused before `shapiro_check`, whose cosets would raise ValueError
+        real = repv.rep_classes
+
+        def shortened(*args):
+            classes, orbit_map = real(*args)
+            return [dataclasses.replace(c, centralizer=c.centralizer[:-1])
+                    for c in classes], orbit_map
+
+        monkeypatch.setattr(repv, "rep_classes", shortened)
         with pytest.raises(InvariantError, match="orbit-stabilizer"):
-            lq._orbit_lhs(V2, g, short, 2, gc.DEFAULT_DIM_BUDGET)
-
-    def test_subgroup_key_is_computed_once(self, monkeypatch):
-        g = symmetric_group(4)
-        cache.clear()
-        subs = all_subgroups(g)
-        expected = [(g.table.tobytes(),
-                     min(tuple(sorted(g.conjugate_subgroup(x, frozenset(s))))
-                         for x in g.elements())) for s in subs]
-        assert [lq._subgroup_key(g, s) for s in subs] == expected
-        calls = []
-        monkeypatch.setattr(g, "conjugate_subgroup",
-                            lambda *args: calls.append(args))
-        assert [lq._subgroup_key(g, sorted(s)) for s in subs] == expected
-        assert calls == []
+            lq.lq_check(V2, symmetric_group(4), 2)
