@@ -16,10 +16,12 @@ internal error and raises with a diagnostic dump.
 
 Per class the two sides are the two sides of Shapiro's lemma for
 Stab(rho) = C_G(rho(V)), so both are read from one
-`groupcoh.shapiro_check`, which keeps them in `cache` per exact
-subgroup, p, k_max and dim_budget: a warm entry never skips the budget.
-`degree0` alone feeds the whole Symonds module to `cohomology`, in
-degree 0 only, as a count of Rep(V, G) independent of the orbit split.
+`groupcoh.shapiro_check`, kept in `cache` per exact subgroup, p, k_max
+and dim_budget: a warm entry never skips the budget.  The block F_p[G/G]
+of the trivial class and its fiber H^•(G; F_p) read the one entry that
+`groupcoh` keeps per (table, p).  `degree0` alone feeds the whole
+Symonds module to `cohomology`, in degree 0 only, as a count of
+Rep(V, G) independent of the orbit split.
 """
 
 from __future__ import annotations
