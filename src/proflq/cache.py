@@ -7,7 +7,8 @@ called:
 
 * `groupcoh.resolutions` — the free resolution of F_p over F_p[G], per
   (table, p), extended in place when a longer one is asked for; its
-  differentials are uint8 for every p < 257;
+  differentials are uint8 for every p < 257.  It also holds the
+  resolution of each G/O_p'(G) that a resolution of G is lifted from;
 * `groupcoh.one_point_dims` — dims of H^•(G; F_p) per (table, p),
   replaced when a larger k_max is asked for;
 * `groupcoh.shapiro` — the pair of dims of H^•(G; F_p[G/H]) and of

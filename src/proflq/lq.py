@@ -115,12 +115,13 @@ def strata_split(v: ElementaryAbelian, group: FiniteGroup, k_max: int,
     classes, `stratum0_is_group_cohomology` that the trivial class is
     alone in stratum 0.
     """
-    classes, blocks, _ = _sides(v, group, k_max, dim_budget)
+    classes, blocks, fibers = _sides(v, group, k_max, dim_budget)
     strata = repv.rank_strata(classes)
     stratum_dims = [_total([blocks[i] for i in stratum], k_max)
                     for stratum in strata]
-    trivial = gc.cohomology(group, gc.trivial_module(group, v.p),
-                            k_max, dim_budget)
+    # the fiber of the trivial class is H^•(C_G(1); F_p) = H^•(G; F_p)
+    trivial = next(f for c, f in zip(classes, fibers)
+                   if not any(c.representative))
     lhs = _total(blocks, k_max)
     totals = _total(stratum_dims, k_max)
     return {

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from proflq import cache, catalog, groupcoh as gc, linalg, lq
+from proflq import cache, catalog, cli, groupcoh as gc, linalg, lq
 from proflq.errors import InvariantError
 from proflq.groups import (
     GroupHom,
@@ -583,8 +583,9 @@ class TestCoboundaryRowBlocks:
 
 class TestResolutionMemory:
     def test_largest_lq_sweep_check_stays_small(self):
-        # delta_3 with the r = 2 Symonds module of C2xC2xS3 at p = 2 is
-        # 4160 x 2560; built whole, the check peaks near 37 MB
+        # the resolution of C2xC2xS3 at p = 2 is lifted from G/C3 (Betti
+        # numbers 1, 3, 6, 10, 15), and the check peaks near 1.2 MB; with
+        # the greedy one (1, 4, 9, 16, 26) it peaked near 1.9 MB
         g = catalog.by_name("C2xC2xS3")
         cache.clear()
         tracemalloc.start()
@@ -604,3 +605,85 @@ class TestResolutionMemory:
         for res in resolutions:
             for d in res.differentials:
                 assert d.dtype == np.uint8 and (d < res.p).all()
+
+
+# ---------------------------------------------------------------------------
+# resolutions lifted from G/O_p'(G)
+
+
+def _scanned_core(g, p):
+    """The largest normal subgroup of order prime to p, from the lattice."""
+    return max((s for s in all_subgroups(g) if len(s) % p
+                and len(g.normalizer(s)) == g.order), key=len)
+
+
+def _exact_through(res, length):
+    """d_i d_{i+1} = 0 with d_0 the augmentation, and rank d_i + rank d_{i+1}
+    = dim F_i, for i < length; the differentials are uint8."""
+    g, p = res.group, res.p
+    ds = [np.ones((1, g.order), dtype=np.uint8)] + res.differentials[:length]
+    assert all(d.dtype == np.uint8 for d in ds), g.name
+    for i in range(length):
+        assert not (ds[i].astype(np.int64) @ ds[i + 1] % p).any(), (g.name, p, i)
+        assert linalg.rank(ds[i], p) + linalg.rank(ds[i + 1], p) \
+            == res.betti[i] * g.order, (g.name, p, i)
+
+
+class TestLiftedResolution:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_core_is_the_largest_normal_p_prime_subgroup(self, p):
+        for g in catalog.all_groups():
+            assert gc._p_prime_core(g, p) == _scanned_core(g, p), g.name
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_exact_with_uint8_differentials(self, p):
+        lifted = 0
+        for g in catalog.all_groups():
+            res = gc.free_resolution(g, p, 5)
+            lifted += isinstance(res, gc.LiftedResolution)
+            _exact_through(res, 5)
+        assert lifted == sum(len(_scanned_core(g, p)) > 1
+                             for g in catalog.all_groups())
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_dims_equal_the_greedy_builders(self, p):
+        # at p = 5 the greedy builder runs the numpy path, which the lifted
+        # resolutions of the coprime groups no longer reach
+        for g in catalog.all_groups():
+            greedy = gc.FreeResolution(g, p)
+            greedy.extend_to(5)
+            subs = all_subgroups(g)
+            for m in (gc.trivial_module(g, p),
+                      gc.coset_module(g, subs[len(subs) // 2], p)):
+                assert gc.cohomology(g, m, 4) == gc._dims(greedy, m, 4), (g.name, m.dim)
+
+    def test_small_betti_numbers(self):
+        # F_3 is projective over C2xC2xC2xC2, and SL(2,3)/Q8 = C3
+        for name in ("C2xC2xC2xC2", "SL(2,3)"):
+            assert gc.free_resolution(catalog.by_name(name), 3, 4).betti \
+                == [1, 1, 1, 1, 1], name
+        total = sum(sum(gc.free_resolution(g, p, 4).betti)
+                    for g in catalog.all_groups() for p in (2, 3))
+        assert total <= 1559
+
+    def test_quotient_resolution_shares_the_region(self):
+        g = catalog.by_name("C2xC2xS3")
+        assert gc.free_resolution(g, 2, 5).betti == [1, 3, 6, 10, 15, 21]
+        # G and G/C3 = C2xC2xC2, whose resolution is lifted
+        assert cache.stats()["groupcoh.resolutions"]["entries"] == 2
+
+    @pytest.mark.parametrize("core", [
+        [0, 1],     # a subgroup of order 2: not normal in S3
+        [0, 2, 5],  # A3: normal, but its order is 3
+    ])
+    def test_a_wrong_core_is_an_invariant_error(self, core, monkeypatch, tmp_path):
+        s3 = symmetric_group(3)
+        subgroup = frozenset(core)
+        assert subgroup in all_subgroups(s3)
+        assert (len(s3.normalizer(subgroup)) == 6) == (len(subgroup) == 3)
+        monkeypatch.setattr(gc, "_p_prime_core", lambda g, p: subgroup)
+        with pytest.raises(InvariantError, match="normal p'-subgroup"):
+            gc.free_resolution(s3, 3, 2)
+        (tmp_path / "s3.json").write_text('{"catalog": "S3"}')
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["cohomology", "--group", "s3.json", "--p", "3"]) == 3
