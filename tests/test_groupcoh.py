@@ -617,18 +617,6 @@ def _scanned_core(g, p):
                 and len(g.normalizer(s)) == g.order), key=len)
 
 
-def _exact_through(res, length):
-    """d_i d_{i+1} = 0 with d_0 the augmentation, and rank d_i + rank d_{i+1}
-    = dim F_i, for i < length; the differentials are uint8."""
-    g, p = res.group, res.p
-    ds = [np.ones((1, g.order), dtype=np.uint8)] + res.differentials[:length]
-    assert all(d.dtype == np.uint8 for d in ds), g.name
-    for i in range(length):
-        assert not (ds[i].astype(np.int64) @ ds[i + 1] % p).any(), (g.name, p, i)
-        assert linalg.rank(ds[i], p) + linalg.rank(ds[i + 1], p) \
-            == res.betti[i] * g.order, (g.name, p, i)
-
-
 class TestLiftedResolution:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_core_is_the_largest_normal_p_prime_subgroup(self, p):
@@ -637,11 +625,18 @@ class TestLiftedResolution:
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_exact_with_uint8_differentials(self, p):
+        # d_i d_{i+1} = 0 with d_0 the augmentation, and rank d_i +
+        # rank d_{i+1} = dim F_i, through F_5
         lifted = 0
         for g in catalog.all_groups():
             res = gc.free_resolution(g, p, 5)
             lifted += isinstance(res, gc.LiftedResolution)
-            _exact_through(res, 5)
+            ds = [np.ones((1, g.order), dtype=np.uint8)] + res.differentials
+            assert all(d.dtype == np.uint8 for d in ds), g.name
+            for i in range(5):
+                assert not (ds[i].astype(np.int64) @ ds[i + 1] % p).any(), (g.name, i)
+                assert linalg.rank(ds[i], p) + linalg.rank(ds[i + 1], p) \
+                    == res.betti[i] * g.order, (g.name, i)
         assert lifted == sum(len(_scanned_core(g, p)) > 1
                              for g in catalog.all_groups())
 
@@ -669,7 +664,7 @@ class TestLiftedResolution:
     def test_quotient_resolution_shares_the_region(self):
         g = catalog.by_name("C2xC2xS3")
         assert gc.free_resolution(g, 2, 5).betti == [1, 3, 6, 10, 15, 21]
-        # G and G/C3 = C2xC2xC2, whose resolution is lifted
+        # the lifted resolution of G and the greedy one of G/C3 = C2xC2xC2
         assert cache.stats()["groupcoh.resolutions"]["entries"] == 2
 
     @pytest.mark.parametrize("core", [
