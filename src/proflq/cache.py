@@ -5,12 +5,16 @@ keyed on the bytes of a group's multiplication table (plus whatever else
 fixes the result), so equal tables share entries whatever the groups are
 called:
 
-* `groupcoh.resolutions` — the free resolution of F_p over F_p[G], per
-  (table, p), extended in place when a longer one is asked for; its
-  differentials are uint8 for every p < 257.  It also holds the
-  resolution of each G/O_p'(G) that a resolution of G is lifted from;
-* `groupcoh.one_point_dims` — dims of H^•(G; F_p) per (table, p),
-  replaced when a larger k_max is asked for;
+* `groupcoh.resolutions` — the greedy free resolution of F_p over
+  F_p[G], per (table, p), extended in place when a longer one is asked
+  for; its differentials are uint8 for every p < 257.  Cohomology is
+  ranked on the resolutions of the quotients G/O_p'(G) below, inflation
+  on those of a tower's levels;
+* `groupcoh.p_prime_quotients` — per (table, p), the quotient G/N by
+  N = O_p'(G), with a representative of each coset and the elements of
+  N, or an empty tuple when N = 1;
+* `groupcoh.one_point_dims` — dims of H^•(G; F_p) per (table of
+  G/O_p'(G), p), replaced when a larger k_max is asked for;
 * `groupcoh.shapiro` — the pair of dims of H^•(G; F_p[G/H]) and of
   H^•(H; F_p), per (table, frozenset of H, p, k_max, dim_budget);
 * `repv.hom_enumerate`, `repv.rep_classes` — hom(V, G) and Rep(V, G),
@@ -33,9 +37,9 @@ from __future__ import annotations
 
 from collections import Counter
 
-REGIONS = ("groupcoh.resolutions", "groupcoh.one_point_dims",
-           "groupcoh.shapiro", "repv.hom_enumerate", "repv.rep_classes",
-           "finring.direct_sum")
+REGIONS = ("groupcoh.resolutions", "groupcoh.p_prime_quotients",
+           "groupcoh.one_point_dims", "groupcoh.shapiro", "repv.hom_enumerate",
+           "repv.rep_classes", "finring.direct_sum")
 
 _ENTRIES = {name: {} for name in REGIONS}
 _HITS: Counter = Counter()

@@ -16,30 +16,23 @@ tower transition q: G' -> G uses the same resolutions, through a chain
 map over q lifted one degree at a time.  So `dim_budget` has one meaning:
 the Betti number times the width (dim M, or |G| for the chain map).
 
-The resolution of G is greedy when O_p'(G), the largest normal subgroup
-of order prime to p, is trivial, and lifted from G/O_p'(G) otherwise.
-The greedy builder picks its generators one at a time: a kernel vector
-becomes a generator when it lies outside the span of the translates
-chosen so far, which a `linalg.RowSpace` tracks incrementally.  ker d_i
-is taken from the rows of d_i at the free coordinates of ker d_{i-1}
-alone.  The lift rests on e = |N|^-1 sum_{x in N} x for N = O_p'(G): a
-central idempotent with F_pG e = F_p[G/N] (Maschke; the collapse of
-Hochschild-Serre, Brown, Cohomology of Groups, VII).  So the greedy
-resolution P of G/N, with Betti numbers b_i, resolves F_p over G on the
-e-half of free modules, and contractible pairs U (in the e-half) and W
-(in the (1 - e)-half) pad both halves to one rank c_i: from c_0 = 1,
-u_0 = 0 and w_0 = 1,
+Mod-p cohomology cannot see a normal subgroup N of order prime to p:
+H^j(N; M) = 0 for j > 0, so Hochschild-Serre collapses (Brown, Cohomology
+of Groups, VII) to H^k(G; M) = H^k(G/N; M^N), and for M = F_p[X] the
+invariants M^N are the permutation module F_p[X/N].  So `cohomology`
+first reduces (G, F_p[X]) to (G/N, F_p[X/N]) for N = O_p'(G), the largest
+normal subgroup of order prime to p (G/N = 1 when p does not divide |G|),
+and ranks the reduced module on the resolution of G/N, with the width
+in the budget still dim M of the module as given.
 
-    c_i = max(b_i + u_{i-1}, w_{i-1}),  u_i = c_i - b_i - u_{i-1},
-    w_i = c_i - w_{i-1}.
-
-The factor |N|^-1 is what makes e idempotent: without it the W copies,
-which map by 1 - e, would map by 1 - sum_{x in N} x, whose augmentation
-1 - |N| is nonzero unless |N| = 1 (mod p).  When p does not divide |G|,
-G/N = 1 and every Betti number is 1.  Differentials are kept in uint8
-(the narrowest unsigned dtype that holds p - 1), as they live in the
-cache for the life of the process, and H^•(G; F_p) once per (table, p),
-looked up after the budget is applied.
+The resolution picks its generators greedily: a kernel vector becomes a
+generator when it lies outside the span of the translates chosen so far,
+which a `linalg.RowSpace` tracks incrementally.  ker d_i is taken from
+the rows of d_i at the free coordinates of ker d_{i-1} alone.  Its
+differentials are kept in uint8 (the narrowest unsigned dtype that holds
+p - 1), as they live in the cache for the life of the process, and
+H^•(G; F_p) once per (table of G/O_p'(G), p), looked up after the budget
+is applied.
 A coboundary matrix is one scatter of the nonzero coefficients of the
 differential (about 3 % of them on the LQ sweep) through the action,
 straight into its block layout, in the narrowest unsigned dtype that
@@ -127,9 +120,7 @@ def coset_module(group: FiniteGroup, subgroup_elements, p: int) -> GModule:
 
 
 class FreeResolution:
-    """... -> F_2 -> F_1 -> F_0 -> F_p -> 0 with F_i = (F_pG)^{betti[i]},
-    built greedily: `free_resolution` uses it when O_p'(G) = 1, which
-    holds for every G/O_p'(G), and lifts from it otherwise.
+    """... -> F_2 -> F_1 -> F_0 -> F_p -> 0 with F_i = (F_pG)^{betti[i]}.
 
     differentials[i] is the F_p matrix of d_i: F_i -> F_{i-1} in the
     basis {g . e_j}; column (j, g) holds g . d_i(e_j).  Its entries lie
@@ -204,83 +195,48 @@ def _p_prime_core(group: FiniteGroup, p: int) -> frozenset[int]:
     return frozenset(core)
 
 
-class LiftedResolution:
-    """The resolution of F_p over F_pG lifted from that of Q = G/N, where
-    N = O_p'(G) != 1 (see the module docstring for the ranks c_i, u_i and
-    w_i of F_i = (P_i + U_i + U_{i-1}) e + (W_i + W_{i-1}) (1 - e)).
-
-    The P-block of d_i is |N|^-1 D_Q read through the coset map: row (k, y)
-    from (k, proj y) and column (j, g) from (j, proj g).  The U_{i-1} copies
-    map by e onto their copies in F_{i-1}, the W_{i-1} copies by 1 - e, and
-    U_i and W_i map to 0.  The generators of F_i hold, in e, P first, then
-    U_{i-1}, then U_i; and in 1 - e, W_{i-1} first, then W_i.
-    """
-
-    def __init__(self, group: FiniteGroup, p: int, core: frozenset[int]):
-        require(group.closure(core) == core and len(core) % p
-                and all(row[x] in core for row in group.conj_rows for x in core),
-                f"O_p'(G) is not a normal p'-subgroup: {sorted(core)} at p = {p}",
-                {"group": group.name or f"order{group.order}", "p": p,
-                 "core": sorted(core)})
-        self.group = group
-        self.p = p
-        self._quotient, proj = quotient_group(group, core)
-        self._proj = np.array(proj)
-        # e and 1 - e in the basis {y}: column g of e is |N|^-1 on the coset
-        # gN.  An entry of d_i adds at most two of these entries, each < p.
-        self._acc = np.min_scalar_type(2 * (p - 1))
-        self._scale = pow(len(core), -1, p)
-        e = self._scale * (self._proj[:, None] == self._proj)
-        self._e = e.astype(self._acc)
-        self._not_e = ((np.eye(len(proj), dtype=np.int64) - e) % p).astype(self._acc)
-        self.betti = [1]
-        self.differentials: list[np.ndarray] = []
-        self._pads = [(0, 0), (0, 1)]  # (u_i, w_i) for i = -1, 0
-
-    def extend_to(self, length: int):
-        """Ensure differentials d_1 .. d_length exist."""
-        if len(self.differentials) < length:
-            quotient = free_resolution(self._quotient, self.p, length)
-            while len(self.differentials) < length:
-                self._lift_once(quotient)
-
-    def _lift_once(self, quotient):
-        i = len(self.differentials) + 1
-        p, n, m = self.p, self.group.order, self._quotient.order
-        b_dst, b_src = quotient.betti[i - 1], quotient.betti[i]
-        (u2, w2), (u1, w1) = self._pads[-2:]
-        c = max(b_src + u1, w1)
-        self._pads.append((c - b_src - u1, c - w1))
-        d = np.zeros((self.betti[-1], n, c, n), dtype=self._acc)
-        d_q = (quotient.differentials[i - 1].astype(np.int64) * self._scale % p
-               ).reshape(b_dst, m, b_src, m)
-        d[:b_dst, :, :b_src] = d_q[:, self._proj][..., self._proj]
-        d[b_dst + u2 + np.arange(u1), :, b_src + np.arange(u1)] = self._e
-        d[w2 + np.arange(w1), :, np.arange(w1)] += self._not_e
-        d %= p
-        self.betti.append(c)
-        self.differentials.append(d.astype(np.min_scalar_type(p - 1), copy=False)
-                                  .reshape(self.betti[-2] * n, c * n))
-
-
-Resolution = FreeResolution | LiftedResolution
-
-
-def free_resolution(group: FiniteGroup, p: int, length: int) -> Resolution:
-    """The cached resolution of F_p over F_pG through F_length: lifted from
-    G/O_p'(G) when O_p'(G) != 1, greedy otherwise."""
+def free_resolution(group: FiniteGroup, p: int, length: int) -> FreeResolution:
+    """The cached greedy resolution of F_p over F_pG through F_length."""
     key = (group.table.tobytes(), p)
     res = cache.lookup("groupcoh.resolutions", key)
     if res is None:
-        core = _p_prime_core(group, p)
-        res = cache.store("groupcoh.resolutions", key,
-                          LiftedResolution(group, p, core) if len(core) > 1
-                          else FreeResolution(group, p))
+        res = cache.store("groupcoh.resolutions", key, FreeResolution(group, p))
     res.extend_to(length)
     return res
 
 
-def _coefficients(res: Resolution, i: int) -> np.ndarray:
+def _p_prime_quotient(group: FiniteGroup, p: int):
+    """(G/N, reps, N) for N = O_p'(G) != 1, reps[i] an element of coset i and
+    N as an array, or None when N = 1; kept per (table, p)."""
+    key = (group.table.tobytes(), p)
+    entry = cache.lookup("groupcoh.p_prime_quotients", key)
+    if entry is None:
+        core, entry = _p_prime_core(group, p), ()
+        if len(core) > 1:
+            require(group.closure(core) == core and len(core) % p
+                    and all(row[x] in core for row in group.conj_rows for x in core),
+                    f"O_p'(G) is not a normal p'-subgroup: {sorted(core)} at p = {p}",
+                    {"group": group.name or f"order{group.order}", "p": p,
+                     "core": sorted(core)})
+            quotient, proj = quotient_group(group, core)
+            entry = (quotient, np.unique(proj, return_index=True)[1],
+                     np.array(sorted(core)))
+        cache.store("groupcoh.p_prime_quotients", key, entry)
+    return entry or None
+
+
+def _reduced(module: GModule) -> GModule:
+    """F_p[X/N] over G/N for N = O_p'(G), or the module itself when N = 1:
+    each N-orbit is labelled by its least point, and coset i acts by reps[i]."""
+    quotient = _p_prime_quotient(module.group, module.p)
+    if quotient is None:
+        return module
+    group, reps, core = quotient
+    points, orbit = np.unique(module.action[core].min(axis=0), return_inverse=True)
+    return GModule(group, module.p, orbit[module.action[reps][:, points]])
+
+
+def _coefficients(res: FreeResolution, i: int) -> np.ndarray:
     """coef[k, j, g]: the coefficient of g.e_j in d_{i+1}(e_k), mostly zero."""
     n = res.group.order
     return res.differentials[i][:, ::n].reshape(
@@ -313,7 +269,7 @@ def _hom_coboundary(coef: np.ndarray, module: GModule) -> np.ndarray:
 _BLOCK_CELLS = 1 << 20
 
 
-def _coboundary_rank(res: Resolution, module: GModule, i: int) -> int:
+def _coboundary_rank(res: FreeResolution, module: GModule, i: int) -> int:
     """rank of the coboundary on Hom_G(F_i, M), built by row blocks."""
     coef = _coefficients(res, i)
     width = res.betti[i] * module.dim
@@ -330,7 +286,7 @@ def _coboundary_rank(res: Resolution, module: GModule, i: int) -> int:
 
 
 def _budgeted_resolution(group: FiniteGroup, p: int, k_max: int, width: int,
-                         dim_budget: int) -> Resolution:
+                         dim_budget: int) -> FreeResolution:
     """The resolution through F_{k_max + 1}, if betti * width fits the budget."""
     res = free_resolution(group, p, k_max + 1)
     dim = max(res.betti[:k_max + 2]) * width
@@ -339,7 +295,7 @@ def _budgeted_resolution(group: FiniteGroup, p: int, k_max: int, width: int,
     return res
 
 
-def _dims(res: Resolution, module: GModule, k_max: int) -> tuple[int, ...]:
+def _dims(res: FreeResolution, module: GModule, k_max: int) -> tuple[int, ...]:
     """dim H^k(G; M) for k <= k_max, ranked on a budgeted resolution."""
     ranks = [0] + [_coboundary_rank(res, module, k) for k in range(k_max + 1)]
     return tuple(res.betti[k] * module.dim - ranks[k + 1] - ranks[k]
@@ -348,8 +304,12 @@ def _dims(res: Resolution, module: GModule, k_max: int) -> tuple[int, ...]:
 
 def _one_point_dims(group: FiniteGroup, p: int, k_max: int,
                     dim_budget: int) -> tuple[int, ...]:
-    """dims of H^•(G; F_p), kept per (table, p) and looked up after the
-    budget is applied; the one-point module is built on a miss only."""
+    """dims of H^•(G; F_p) = H^•(G/O_p'(G); F_p), kept per (table of the
+    quotient, p) and looked up after the budget is applied; the one-point
+    module is built on a miss only."""
+    quotient = _p_prime_quotient(group, p)
+    if quotient is not None:
+        group = quotient[0]
     res = _budgeted_resolution(group, p, k_max, 1, dim_budget)
     key = (group.table.tobytes(), p)
     dims = cache.lookup("groupcoh.one_point_dims", key, lambda d: len(d) > k_max)
@@ -361,23 +321,25 @@ def _one_point_dims(group: FiniteGroup, p: int, k_max: int,
 
 def cohomology(group: FiniteGroup, module: GModule, k_max: int,
                dim_budget: int = DEFAULT_DIM_BUDGET) -> tuple[int, ...]:
-    """Graded dimensions (dim H^0, ..., dim H^{k_max})."""
+    """Graded dimensions (dim H^0, ..., dim H^{k_max}), ranked on G/O_p'(G)
+    with the budget applied to the unreduced module."""
     if module.group is not group and \
-            not (module.group.table == group.table).all():
+            not np.array_equal(module.group.table, group.table):
         raise ValueError("module is not over the given group")
     if module.dim == 0:
         return (0,) * (k_max + 1)
     if module.dim == 1:  # the one-point module
         return _one_point_dims(group, module.p, k_max, dim_budget)
-    return _dims(_budgeted_resolution(group, module.p, k_max, module.dim, dim_budget),
-                 module, k_max)
+    reduced = _reduced(module)
+    return _dims(_budgeted_resolution(reduced.group, module.p, k_max, module.dim,
+                                      dim_budget), reduced, k_max)
 
 
 # ---------------------------------------------------------------------------
 # inflation through a chain map between resolutions
 
 
-def _chain_map(q: GroupHom, res: Resolution, res_src: Resolution,
+def _chain_map(q: GroupHom, res: FreeResolution, res_src: FreeResolution,
                k_max: int) -> list[np.ndarray]:
     """phi_k: F'_k -> F_k, k <= k_max, a chain map over q: G' -> G from the
     resolution of G' to that of G (Brown, Cohomology of Groups, I.7).

@@ -19,8 +19,8 @@ Stab(rho) = C_G(rho(V)), so both are read from one
 `groupcoh.shapiro_check`, kept in `cache` per exact subgroup, p, k_max
 and dim_budget: a warm entry never skips the budget.  The block F_p[G/G]
 of the trivial class and its fiber H^•(G; F_p) read the one entry that
-`groupcoh` keeps per (table, p).  `degree0` alone feeds the whole
-Symonds module to `cohomology`, in degree 0 only, as a count of
+`groupcoh` keeps per (table of G/O_p'(G), p).  `degree0` alone feeds the
+whole Symonds module to `cohomology`, in degree 0 only, as a count of
 Rep(V, G) independent of the orbit split.
 """
 
@@ -66,6 +66,12 @@ def _sides(v: ElementaryAbelian, group: FiniteGroup, k_max: int,
                 {"group": group.name or f"order{group.order}",
                  "class": c.representative, "stabilizer": stab,
                  "orbit_size": c.orbit_size})
+        # with orbit-stabilizer, this makes the stabilizer exactly C_G(rho(V))
+        require(all(group.conj_rows[g][x] == x
+                    for g in stab for x in c.representative),
+                f"the centralizer of {c.representative} moves it",
+                {"group": group.name or f"order{group.order}",
+                 "class": c.representative, "centralizer": stab})
         sides = gc.shapiro_check(group, stab, v.p, k_max, dim_budget)
         blocks.append(sides["lhs"])
         fibers.append(sides["rhs"])

@@ -223,9 +223,13 @@ def test_one_point_warm_equals_cold_equals_uncached():
     cold = dims(2)
     longer = dims(4)  # a larger k_max than the entry: computed and replaced
     warm, shorter = dims(4), dims(1)
+    # the memo is keyed on the table of G/O_p'(G): the 222 cases share 43
+    # entries (every group of order prime to p has the trivial quotient),
+    # so each pass of two that add degrees misses 43 times and hits 179
     n = len(cases)
+    assert (n, len(cache._ENTRIES["groupcoh.p_prime_quotients"])) == (222, 222)
     assert cache.stats()["groupcoh.one_point_dims"] == {
-        "entries": n, "hits": 2 * n, "misses": 2 * n}
+        "entries": 43, "hits": 4 * n - 2 * 43, "misses": 2 * 43}
     cache.clear()
     uncached = [uncached_one_point(g, p, 4) for g, p in cases]
     assert cache.stats()["groupcoh.one_point_dims"] == {

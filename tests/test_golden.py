@@ -124,24 +124,24 @@ CASES = [
     ("cohomology-tower-k4-default-budget",
      ["cohomology", "--tower", "gt.json", "--p", "2", "--kmax", "4"], 0,
      "bff55a2a5a440905e2674bc726b98b9f03dddf180a8db3f42532b2f41e9477a0"),
-    # C2xC2xS3 at p = 2 resolved through G/C3 = C2xC2xC2 (Betti numbers 1, 3,
-    # 6, 10, 15); its largest coboundary, delta_3 on a 3-point orbit block,
-    # is 45 x 30
+    # C2xC2xS3 at p = 2 is ranked on G/C3 = C2xC2xC2 (Betti numbers 1, 3, 6,
+    # 10, 15), where C3 merges a 3-point orbit block into one point: its
+    # largest coboundary, delta_3 on that point, is 15 x 10
     ("lq-c2c2s3-p2-r2", ["lq", "--group", "c2c2s3.json", "--p", "2",
                          "--rank", "2", "--kmax", "3"], 0,
      "9390dc6392238ab838acc12c48e8c5f9ed8f8b202caeeac1e8908f01b3462d95"),
     ("cohomology-c2x4-p2", ["cohomology", "--group", "c2x4.json", "--p", "2",
                             "--kmax", "4"], 0,
      "4bcf5cff8ef43bbcff109f440e8c6e8575e51bbafaa24258da3069579137a5e7"),
-    # one degree further with a small budget: F_5 has rank 21, so an orbit
-    # block of 3 points needs 63 cochains, over 60, and the run stops before
-    # any output
+    # one degree further with a small budget: F_5 of G/C3 has rank 21, and
+    # the budget counts the unreduced orbit block of 3 points, 63 cochains,
+    # over 60, so the run stops before any output
     ("lq-c2c2s3-p2-r2-budget", ["lq", "--group", "c2c2s3.json", "--p", "2",
                                 "--rank", "2", "--kmax", "4",
                                 "--budget-dim", "60"], 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    # the same at the default budget: F_5 has rank 21, so an orbit block of
-    # 3 points needs 63 cochains, and the 160-dim whole module 3360
+    # the same at the default budget: the orbit block of 3 points counts 63
+    # cochains, where the 160-dim whole module would count 3360
     ("lq-c2c2s3-p2-r2-k4", ["lq", "--group", "c2c2s3.json", "--p", "2",
                             "--rank", "2", "--kmax", "4"], 0,
      "dbb36df8c05a26d7ffc525d1c4e4123c01d696b4ca124c68e28b48b1925d2afe"),

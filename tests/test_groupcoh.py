@@ -88,6 +88,15 @@ class TestGModule:
         assert m.dim == 3
         assert gc.cohomology(g, m, 2) == (2, 1, 1)
 
+    @pytest.mark.parametrize("other", [
+        cyclic_group(3),                                    # another order
+        direct_product(cyclic_group(2), cyclic_group(2)),  # another table
+    ], ids=["C3", "C2xC2"])
+    def test_module_over_another_group_is_refused(self, other):
+        m = regular_module(cyclic_group(4), 2)
+        with pytest.raises(ValueError, match="module is not over the given group"):
+            gc.cohomology(other, m, 1)
+
     def test_act(self):
         g = cyclic_group(4)
         m = regular_module(g, 3)
@@ -583,9 +592,9 @@ class TestCoboundaryRowBlocks:
 
 class TestResolutionMemory:
     def test_largest_lq_sweep_check_stays_small(self):
-        # the resolution of C2xC2xS3 at p = 2 is lifted from G/C3 (Betti
-        # numbers 1, 3, 6, 10, 15), and the check peaks near 1.2 MB; with
-        # the greedy one (1, 4, 9, 16, 26) it peaked near 1.9 MB
+        # C2xC2xS3 at p = 2 is ranked on G/C3 (Betti numbers 1, 3, 6, 10,
+        # 15), and the check peaks near 0.2 MB; with a resolution of G lifted
+        # from G/C3 it peaked near 1.2 MB, with the greedy one of G near 1.9 MB
         g = catalog.by_name("C2xC2xS3")
         cache.clear()
         tracemalloc.start()
@@ -608,7 +617,7 @@ class TestResolutionMemory:
 
 
 # ---------------------------------------------------------------------------
-# resolutions lifted from G/O_p'(G)
+# cohomology read on G/O_p'(G)
 
 
 def _scanned_core(g, p):
@@ -618,54 +627,41 @@ def _scanned_core(g, p):
 
 
 class TestLiftedResolution:
+    """Cohomology over G reduced to G/O_p'(G), which replaced the
+    resolutions lifted from that quotient, against the greedy resolution
+    of G itself."""
+
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_core_is_the_largest_normal_p_prime_subgroup(self, p):
         for g in catalog.all_groups():
             assert gc._p_prime_core(g, p) == _scanned_core(g, p), g.name
 
     @pytest.mark.parametrize("p", [2, 3, 5])
-    def test_exact_with_uint8_differentials(self, p):
-        # d_i d_{i+1} = 0 with d_0 the augmentation, and rank d_i +
-        # rank d_{i+1} = dim F_i, through F_5
-        lifted = 0
-        for g in catalog.all_groups():
-            res = gc.free_resolution(g, p, 5)
-            lifted += isinstance(res, gc.LiftedResolution)
-            ds = [np.ones((1, g.order), dtype=np.uint8)] + res.differentials
-            assert all(d.dtype == np.uint8 for d in ds), g.name
-            for i in range(5):
-                assert not (ds[i].astype(np.int64) @ ds[i + 1] % p).any(), (g.name, i)
-                assert linalg.rank(ds[i], p) + linalg.rank(ds[i + 1], p) \
-                    == res.betti[i] * g.order, (g.name, i)
-        assert lifted == sum(len(_scanned_core(g, p)) > 1
-                             for g in catalog.all_groups())
-
-    @pytest.mark.parametrize("p", [2, 3, 5])
     def test_dims_equal_the_greedy_builders(self, p):
-        # at p = 5 the greedy builder runs the numpy path, which the lifted
-        # resolutions of the coprime groups no longer reach
+        # the trivial, a coset and the r = 1 Symonds module, reduced and
+        # ranked on G/O_p'(G), against the same module ranked on G; at
+        # p = 5 the greedy builder of G runs the numpy path
+        reduced = 0
         for g in catalog.all_groups():
             greedy = gc.FreeResolution(g, p)
             greedy.extend_to(5)
             subs = all_subgroups(g)
             for m in (gc.trivial_module(g, p),
-                      gc.coset_module(g, subs[len(subs) // 2], p)):
+                      gc.coset_module(g, subs[len(subs) // 2], p),
+                      lq.symonds_module(ElementaryAbelian(p, 1), g)):
                 assert gc.cohomology(g, m, 4) == gc._dims(greedy, m, 4), (g.name, m.dim)
-
-    def test_small_betti_numbers(self):
-        # F_3 is projective over C2xC2xC2xC2, and SL(2,3)/Q8 = C3
-        for name in ("C2xC2xC2xC2", "SL(2,3)"):
-            assert gc.free_resolution(catalog.by_name(name), 3, 4).betti \
-                == [1, 1, 1, 1, 1], name
-        total = sum(sum(gc.free_resolution(g, p, 4).betti)
-                    for g in catalog.all_groups() for p in (2, 3))
-        assert total <= 1559
+            reduced += gc._p_prime_quotient(g, p) is not None
+        assert reduced == sum(len(_scanned_core(g, p)) > 1
+                              for g in catalog.all_groups())
 
     def test_quotient_resolution_shares_the_region(self):
+        # C2xC2xS3 at p = 2 is ranked on G/C3 = C2xC2xC2, whose resolution
+        # is the only one built, in the region of every other group's
         g = catalog.by_name("C2xC2xS3")
-        assert gc.free_resolution(g, 2, 5).betti == [1, 3, 6, 10, 15, 21]
-        # the lifted resolution of G and the greedy one of G/C3 = C2xC2xC2
-        assert cache.stats()["groupcoh.resolutions"]["entries"] == 2
+        gc.cohomology(g, gc.coset_module(g, [0], 2), 4)
+        (res,) = cache._ENTRIES["groupcoh.resolutions"].values()
+        assert res.group.order == 8 and res.betti == [1, 3, 6, 10, 15, 21]
+        assert cache.stats()["groupcoh.p_prime_quotients"]["entries"] == 1
 
     @pytest.mark.parametrize("core", [
         [0, 1],     # a subgroup of order 2: not normal in S3
@@ -678,7 +674,7 @@ class TestLiftedResolution:
         assert (len(s3.normalizer(subgroup)) == 6) == (len(subgroup) == 3)
         monkeypatch.setattr(gc, "_p_prime_core", lambda g, p: subgroup)
         with pytest.raises(InvariantError, match="normal p'-subgroup"):
-            gc.free_resolution(s3, 3, 2)
+            gc.cohomology(s3, gc.trivial_module(s3, 3), 2)
         (tmp_path / "s3.json").write_text('{"catalog": "S3"}')
         monkeypatch.chdir(tmp_path)
         assert cli.main(["cohomology", "--group", "s3.json", "--p", "3"]) == 3

@@ -6,9 +6,10 @@ import random
 
 import pytest
 
-from proflq import cache, catalog, groupcoh as gc, lq, repv
+from proflq import cache, catalog, cli, groupcoh as gc, lq, repv
 from proflq.errors import BudgetError, InvariantError
 from proflq.groups import (
+    all_subgroups,
     cyclic_group,
     dihedral_group,
     symmetric_group,
@@ -248,3 +249,22 @@ class TestMechanism:
         monkeypatch.setattr(repv, "rep_classes", shortened)
         with pytest.raises(InvariantError, match="orbit-stabilizer"):
             lq.lq_check(V2, symmetric_group(4), 2)
+
+    def test_a_centralizer_of_the_same_order_is_refused(self, monkeypatch):
+        # another subgroup of the centralizer's order passes orbit-stabilizer
+        # and Shapiro, so only the fixed-point check can see it
+        real = repv._orbits
+
+        def swapped(v, group, homs):
+            classes, orbit_map = real(v, group, homs)
+            subgroups = all_subgroups(group)
+            return tuple(dataclasses.replace(c, centralizer=tuple(sorted(next(
+                (s for s in subgroups if len(s) == len(c.centralizer)
+                 and s != frozenset(c.centralizer)), c.centralizer))))
+                for c in classes), orbit_map
+
+        monkeypatch.setattr(repv, "_orbits", swapped)
+        with pytest.raises(InvariantError, match="centralizer of .* moves it"):
+            lq.lq_check(V2, symmetric_group(4), 2)
+        cache.clear()
+        assert cli.main(["selftest", "--criterion", "6"]) == 3

@@ -12,6 +12,7 @@
 * Every region in `cache.REGIONS` is read by some `cache.lookup` in the
   library, and every `lookup` and `store` call names a region of
   `REGIONS` by a string literal: no region is dead and none misspelled.
+  The `cache` docstring names every region, in backquotes.
 * Every top-level function and class, and every method, is reachable by
   name from `cli.main`: the library is exactly the code the `proflq`
   command runs, and what only the tests use lives in `tests/reference.py`.
@@ -147,12 +148,26 @@ def _region_uses(tree):
     return sorted(found, key=lambda use: use[2])
 
 
+def _undocumented_regions(doc, regions):
+    """The regions that a docstring does not name in backquotes."""
+    return [region for region in regions if f"`{region}`" not in doc]
+
+
 def test_every_cache_region_is_read_and_every_call_names_one():
     uses = [(path.name, *use) for path in SOURCES if path.name != "cache.py"
             for use in _region_uses(_tree(path))]
     assert [use for use in uses if use[2] not in cache.REGIONS] == []
     read = {region for _, call, region, _ in uses if call == "lookup"}
     assert sorted(set(cache.REGIONS) - read) == []
+    assert _undocumented_regions(cache.__doc__, cache.REGIONS) == []
+
+
+def test_region_docstring_rule_sees_an_undocumented_region():
+    # a region named only as part of a longer name, or without backquotes,
+    # is undocumented
+    regions = cache.REGIONS + ("groupcoh.resolution", "groupcoh.lifts")
+    assert _undocumented_regions(cache.__doc__ + "groupcoh.lifts", regions) \
+        == ["groupcoh.resolution", "groupcoh.lifts"]
 
 
 def test_region_rule_sees_every_call_form():
