@@ -1,9 +1,10 @@
 """The memo tables the library keeps for the life of a process, in one place.
 
 Each region is a plain dict under a fixed name.  The group regions are
-keyed on the bytes of a group's multiplication table (plus whatever else
-fixes the result), so equal tables share entries whatever the groups are
-called:
+keyed on `FiniteGroup.key`, the bytes of the group's read-only
+multiplication table serialized once when the group is built (plus
+whatever else fixes the result), so equal tables share entries whatever
+the groups are called:
 
 * `groupcoh.resolutions` — the greedy free resolution of F_p over
   F_p[G], per (table, p), extended in place when a longer one is asked
@@ -17,8 +18,9 @@ called:
   G/O_p'(G), p), replaced when a larger k_max is asked for;
 * `groupcoh.shapiro` — the pair of dims of H^•(G; F_p[G/H]) and of
   H^•(H; F_p), per (table, frozenset of H, p, k_max, dim_budget);
-* `repv.hom_enumerate`, `repv.rep_classes` — hom(V, G) and Rep(V, G),
-  per (table, p, r), stored as tuples.
+* `repv.hom_enumerate` — hom(V, G) as a tuple, with the read-only array
+  of G's conjugation action on it, per (table, p, r);
+* `repv.rep_classes` — Rep(V, G), per (table, p, r), stored as tuples.
 
 The module region is keyed on the modules themselves, which are frozen
 and hashable, not on table bytes:

@@ -4,9 +4,11 @@ Every coefficient module here is a permutation module F_p[X]: the
 trivial module (X a point), the coset modules F_p[G/H] and the Symonds
 module on hom(V, G).  So a `GModule` stores the G-set itself, an
 (|G|, |X|) array with action[g, x] = g . x, and `permutation_module`
-is its one constructor, which checks exactly, on the group's generators
-against every element, that the rows are permutations and form an
-action.
+is its one constructor, which takes rows or an integer array (the coset
+action is one gather, the Symonds action the array `repv` keeps) and
+checks exactly, on the group's generators against every element, that
+the rows are permutations and form an action.  The caches are keyed on
+`FiniteGroup.key`, the table's bytes taken once.
 
 H^k(G; M) is computed from a free F_pG-resolution of the trivial module,
 built once per (group table, prime) and kept in `cache`; applying
@@ -79,16 +81,21 @@ class GModule:
 
 
 def permutation_module(group: FiniteGroup, action, p: int) -> GModule:
-    """F_p[X] for a G-set X given as action[g][x] = g . x."""
-    action = [list(row) for row in action]
+    """F_p[X] for a G-set X given as action[g][x] = g . x, as rows or as an
+    integer array; an int64 array is kept as given, not copied."""
     n = group.order
-    if len(action) != n:
+    if not isinstance(action, np.ndarray):
+        action = [list(row) for row in action]
+        if len(action) != n:
+            raise ValueError("one permutation per group element required")
+        bad = [g for g, row in enumerate(action) if len(row) != len(action[0])]
+        if bad:
+            raise ValueError(f"action of element {bad[0]} is not a permutation of X")
+    act = np.asarray(action, dtype=np.int64)
+    if act.ndim != 2 or len(act) != n:
         raise ValueError("one permutation per group element required")
-    m = len(action[0])
-    bad = [g for g, row in enumerate(action) if len(row) != m]
-    if not bad:
-        act = np.array(action, dtype=np.int64).reshape(n, m)
-        bad = np.flatnonzero((np.sort(act, axis=1) != np.arange(m)).any(axis=1))
+    m = act.shape[1]
+    bad = np.flatnonzero((np.sort(act, axis=1) != np.arange(m)).any(axis=1))
     if len(bad):
         raise ValueError(f"action of element {bad[0]} is not a permutation of X")
     if (act[0] != np.arange(m)).any():
@@ -108,11 +115,10 @@ def trivial_module(group: FiniteGroup, p: int) -> GModule:
 
 
 def coset_module(group: FiniteGroup, subgroup_elements, p: int) -> GModule:
-    """F_p[G/H]: the induced module on left cosets of H."""
+    """F_p[G/H]: the induced module on left cosets of H, whose action is
+    one gather, g . rH = coset_of[g r]."""
     coset_of, reps = left_cosets(group, subgroup_elements)
-    action = [[coset_of[group.mul(g, rep)] for rep in reps]
-              for g in range(group.order)]
-    return permutation_module(group, action, p)
+    return permutation_module(group, np.array(coset_of)[group.table[:, reps]], p)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +203,7 @@ def _p_prime_core(group: FiniteGroup, p: int) -> frozenset[int]:
 
 def free_resolution(group: FiniteGroup, p: int, length: int) -> FreeResolution:
     """The cached greedy resolution of F_p over F_pG through F_length."""
-    key = (group.table.tobytes(), p)
+    key = (group.key, p)
     res = cache.lookup("groupcoh.resolutions", key)
     if res is None:
         res = cache.store("groupcoh.resolutions", key, FreeResolution(group, p))
@@ -208,7 +214,7 @@ def free_resolution(group: FiniteGroup, p: int, length: int) -> FreeResolution:
 def _p_prime_quotient(group: FiniteGroup, p: int):
     """(G/N, reps, N) for N = O_p'(G) != 1, reps[i] an element of coset i and
     N as an array, or None when N = 1; kept per (table, p)."""
-    key = (group.table.tobytes(), p)
+    key = (group.key, p)
     entry = cache.lookup("groupcoh.p_prime_quotients", key)
     if entry is None:
         core, entry = _p_prime_core(group, p), ()
@@ -311,7 +317,7 @@ def _one_point_dims(group: FiniteGroup, p: int, k_max: int,
     if quotient is not None:
         group = quotient[0]
     res = _budgeted_resolution(group, p, k_max, 1, dim_budget)
-    key = (group.table.tobytes(), p)
+    key = (group.key, p)
     dims = cache.lookup("groupcoh.one_point_dims", key, lambda d: len(d) > k_max)
     if dims is None:
         dims = cache.store("groupcoh.one_point_dims", key,
@@ -323,8 +329,7 @@ def cohomology(group: FiniteGroup, module: GModule, k_max: int,
                dim_budget: int = DEFAULT_DIM_BUDGET) -> tuple[int, ...]:
     """Graded dimensions (dim H^0, ..., dim H^{k_max}), ranked on G/O_p'(G)
     with the budget applied to the unreduced module."""
-    if module.group is not group and \
-            not np.array_equal(module.group.table, group.table):
+    if module.group is not group and module.group.key != group.key:
         raise ValueError("module is not over the given group")
     if module.dim == 0:
         return (0,) * (k_max + 1)
@@ -399,7 +404,7 @@ def shapiro_check(group: FiniteGroup, subgroup_elements, p: int, k_max: int,
     """Compare H^k(G; F_p[G/H]) with H^k(H; F_p), k <= k_max; the pair is
     memoized with the budget in its key, and computed on a miss only."""
     elements = frozenset(subgroup_elements)
-    key = (group.table.tobytes(), elements, p, k_max, dim_budget)
+    key = (group.key, elements, p, k_max, dim_budget)
     dims = cache.lookup("groupcoh.shapiro", key)
     if dims is None:
         induced = coset_module(group, elements, p)

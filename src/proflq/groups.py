@@ -1,13 +1,15 @@
 """Finite groups as multiplication tables.
 
-`FiniteGroup` is the one group kernel.  It holds the table as a numpy
-int64 array (`table`, whose bytes key the cohomology caches) and as a
-list of Python rows, so that `mul` and `inv` are plain list indexing;
-the inverses are read off the rows once.  Beside them it keeps the
-conjugation rows `conj_rows[g][x] = g x g⁻¹`, built in one numpy
-gather, so that conjugating a set or a tuple by g is one `map` over a
-row: subgroup conjugation, the subgroup class pass and the
-conjugation sweeps of `repv`, `lq` and `sep` all read them.
+`FiniteGroup` is the one group kernel.  It owns a read-only int64 copy
+of its table (`table`), serializes it once into `key`, the bytes every
+cache key of `groupcoh` and `repv` starts with, and keeps it as a list
+of Python rows, so that `mul` and `inv` are plain list indexing; the
+inverses are read off the rows once.  Beside them it keeps the
+conjugation table `conj[g, x] = g x g⁻¹`, built in one numpy gather and
+read-only too, and its rows `conj_rows`, so that conjugating a set or a
+tuple by g is one `map` over a row: subgroup conjugation, the subgroup
+class pass and the conjugation sweeps of `repv`, `lq` and `sep` read
+the rows, and `repv` gathers whole arrays of homs through `conj`.
 
 `closure` is a breadth-first search from the identity that multiplies
 only by the given generators.  `all_subgroups` computes the subgroup
@@ -51,7 +53,9 @@ DEFAULT_ORDER_BOUND = 360
 
 class FiniteGroup:
     def __init__(self, table, name: str | None = None, validate: bool = True):
-        table = np.asarray(table, dtype=np.int64)
+        # a copy of its own, read-only, so that `key` stays the table's bytes
+        table = np.array(table, dtype=np.int64)
+        table.flags.writeable = False
         n = table.shape[0]
         if table.shape != (n, n):
             raise ValueError("multiplication table must be square")
@@ -60,10 +64,13 @@ class FiniteGroup:
         self.name = name
         if validate:
             self._validate()
+        self.key = table.tobytes()
         self._rows = table.tolist()
         self._inv = [row.index(0) for row in self._rows]
-        # conj_rows[g][x] = g x g^{-1}, one gather (g x) then (g x) g^{-1}
-        self.conj_rows = table[table, np.array(self._inv)[:, None]].tolist()
+        # conj[g, x] = g x g^{-1}, one gather (g x) then (g x) g^{-1}
+        self.conj = table[table, np.array(self._inv)[:, None]]
+        self.conj.flags.writeable = False
+        self.conj_rows = self.conj.tolist()
         self._subgroups = None  # the lattice, filled by all_subgroups
         self._generators = None  # filled by generators_greedy
         self._classes = None  # filled by subgroup_classes

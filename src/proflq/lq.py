@@ -3,11 +3,12 @@
 T_V H^•(G) is computed two independent ways and compared degreewise:
 
 * lhs — cohomology of G with coefficients in the Symonds module, the
-  permutation module on hom(V, G) with the conjugation action.  It is
-  taken orbit by orbit: the Symonds module splits G-equivariantly into
-  coset modules F_p[G / Stab(rho)], and cohomology is additive, so each
-  block is fed to the resolution engine separately (honest
-  G-cohomology of induced modules, never the subgroup shortcut).
+  permutation module on hom(V, G) with the conjugation action that
+  `repv.conjugation_action` keeps.  It is taken orbit by orbit: the
+  Symonds module splits G-equivariantly into coset modules
+  F_p[G / Stab(rho)], and cohomology is additive, so each block is fed
+  to the resolution engine separately (honest G-cohomology of induced
+  modules, never the subgroup shortcut).
 * rhs — the centralizer decomposition: one copy of H^•(C_G(rho(V)); F_p)
   per class of Rep(V, G).
 
@@ -15,13 +16,20 @@ Equality of the two is the theorem; a mismatch is by definition an
 internal error and raises with a diagnostic dump.
 
 Per class the two sides are the two sides of Shapiro's lemma for
-Stab(rho) = C_G(rho(V)), so both are read from one
-`groupcoh.shapiro_check`, kept in `cache` per exact subgroup, p, k_max
-and dim_budget: a warm entry never skips the budget.  The block F_p[G/G]
-of the trivial class and its fiber H^•(G; F_p) read the one entry that
-`groupcoh` keeps per (table of G/O_p'(G), p).  `degree0` alone feeds the
-whole Symonds module to `cohomology`, in degree 0 only, as a count of
-Rep(V, G) independent of the orbit split.
+Stab(rho) = C_G(rho(V)), so both are read from `groupcoh.shapiro_check`,
+kept in `cache` per exact subgroup, p, k_max and dim_budget: a warm
+entry never skips the budget.  Each call looks up each distinct
+centralizer once, after checking every class (orbit-stabilizer, and
+that its centralizer fixes its representative).  The block F_p[G/G] of
+the trivial class and its fiber H^•(G; F_p) read the one entry that
+`groupcoh` keeps per (table of G/O_p'(G), p).
+
+`degree0` alone feeds the whole Symonds module to `cohomology`, in
+degree 0 only.  Its G-set is the array whose columns `rep_classes`
+walks for orbits, validated by `repv` (every conjugate of a hom is a
+hom) and by `permutation_module` (the rows are permutations forming a
+left action).  So degree0 keeps independence of the orbit walk and of
+the block split, not of the G-set: it counts the orbits by a rank.
 """
 
 from __future__ import annotations
@@ -37,12 +45,9 @@ LqError = InvariantError  # the older name, kept for callers that catch it
 
 
 def symonds_module(v: ElementaryAbelian, group: FiniteGroup) -> gc.GModule:
-    """F_p-valued functions on hom(V, G) with the conjugation action."""
-    homs = repv.hom_enumerate(v, group)
-    pos = {h: i for i, h in enumerate(homs)}
-    action = [[pos[tuple(map(row.__getitem__, h))] for h in homs]
-              for row in group.conj_rows]
-    return gc.permutation_module(group, action, v.p)
+    """F_p-valued functions on hom(V, G) with the conjugation action, the
+    array `repv` keeps beside the homs."""
+    return gc.permutation_module(group, repv.conjugation_action(v, group), v.p)
 
 
 def _total(dims, k_max: int) -> tuple[int, ...]:
@@ -56,26 +61,31 @@ def _sides(v: ElementaryAbelian, group: FiniteGroup, k_max: int,
     the dims of its orbit block H^•(G; F_p[G/C_G(rho)]) and of its fiber
     H^•(C_G(rho(V)); F_p)."""
     classes, _ = repv.rep_classes(v, group)
-    blocks, fibers = [], []
-    for c in classes:
-        stab = c.centralizer  # the stabilizer of rho is C_G(rho(V))
-        require(len(stab) * c.orbit_size == group.order,
-                f"orbit-stabilizer fails for {c.representative}: "
-                f"|Stab| = {len(stab)}, orbit size {c.orbit_size}, "
-                f"|G| = {group.order}",
-                {"group": group.name or f"order{group.order}",
-                 "class": c.representative, "stabilizer": stab,
-                 "orbit_size": c.orbit_size})
-        # with orbit-stabilizer, this makes the stabilizer exactly C_G(rho(V))
-        require(all(group.conj_rows[g][x] == x
-                    for g in stab for x in c.representative),
-                f"the centralizer of {c.representative} moves it",
-                {"group": group.name or f"order{group.order}",
-                 "class": c.representative, "centralizer": stab})
-        sides = gc.shapiro_check(group, stab, v.p, k_max, dim_budget)
-        blocks.append(sides["lhs"])
-        fibers.append(sides["rhs"])
-    return classes, blocks, fibers
+    # the stabilizer of rho is C_G(rho(V)); each check tests every class and
+    # words its message for the first that fails
+    c = next((c for c in classes
+              if len(c.centralizer) * c.orbit_size != group.order), None)
+    if c is not None:
+        raise InvariantError(
+            f"orbit-stabilizer fails for {c.representative}: "
+            f"|Stab| = {len(c.centralizer)}, orbit size {c.orbit_size}, "
+            f"|G| = {group.order}",
+            {"group": group.name or f"order{group.order}",
+             "class": c.representative, "stabilizer": c.centralizer,
+             "orbit_size": c.orbit_size})
+    # with orbit-stabilizer, this makes the stabilizer exactly C_G(rho(V))
+    rows = group.conj_rows
+    c = next((c for c in classes if any(rows[g][x] != x for g in c.centralizer
+                                        for x in c.representative)), None)
+    if c is not None:
+        raise InvariantError(f"the centralizer of {c.representative} moves it",
+                             {"group": group.name or f"order{group.order}",
+                              "class": c.representative,
+                              "centralizer": c.centralizer})
+    sides = {s: gc.shapiro_check(group, s, v.p, k_max, dim_budget)
+             for s in dict.fromkeys(c.centralizer for c in classes)}
+    return (classes, [sides[c.centralizer]["lhs"] for c in classes],
+            [sides[c.centralizer]["rhs"] for c in classes])
 
 
 def lq_check(v: ElementaryAbelian, group: FiniteGroup, k_max: int,
@@ -104,7 +114,8 @@ def degree0(v: ElementaryAbelian, group: FiniteGroup,
     """dim T_V H^0(G) = dim of invariants of the Symonds module.
 
     The whole module is ranked in degree 0 alone, uncached: a count of
-    Rep(V, G) by linear algebra, independent of `repv.rep_classes`.
+    the orbits of the validated G-set whose columns `repv.rep_classes`
+    walks, by linear algebra rather than by that walk.
     """
     return gc.cohomology(group, symonds_module(v, group), 0, dim_budget)[0]
 

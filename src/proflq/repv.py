@@ -2,17 +2,21 @@
 
 hom(V, G) is the set of r-tuples of pairwise-commuting elements of order
 dividing p, enumerated lexicographically; G acts by simultaneous
-conjugation and Rep(V, G) is the orbit set.  Each class carries its
-canonical representative (lex-smallest tuple), orbit size, image rank,
-centralizer and Weyl image: the normalizer of the image acting as
-automorphism matrices over F_p in an echelonized basis drawn from the
-representative's entries.  `repv` is the one module that computes
-these facts, each in one pass over the conjugation rows of G.
+conjugation and Rep(V, G) is the orbit set.  The action is one integer
+array, action[g, i] the index of g·rho_i·g⁻¹, found for all g and i at
+once by coding tuples in base |G| (`_conjugation_action`); `rep_classes`
+reads each orbit and centralizer from a column of it, and
+`lq.symonds_module` hands the same array to `permutation_module`.
+Each class carries its canonical representative (lex-smallest tuple),
+orbit, image rank, centralizer and Weyl image: the normalizer of the
+image acting as automorphism matrices over F_p in an echelonized basis
+drawn from the representative's entries.  `repv` is the one module that
+computes these facts.
 
-hom(V, G) and Rep(V, G) are memoized per (group table, p, r) in
-`cache`, so every caller asking about the same group shares one
-enumeration; the budget is checked before the lookup, and each call
-returns fresh lists.
+hom(V, G) with its action, stored read-only, and Rep(V, G) are memoized
+per (group key, p, r) in `cache`, so every caller asking about the same
+group shares one enumeration; the budget is checked before the lookup,
+and each call returns fresh lists.
 """
 
 from __future__ import annotations
@@ -20,8 +24,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import cache
-from .errors import BudgetError
+from .errors import BudgetError, require
 from .finring import is_prime
 from .groups import FiniteGroup
 from .groupcoh import GroupTower
@@ -49,23 +55,69 @@ def _memo_key(v: ElementaryAbelian, group: FiniteGroup, budget: int) -> tuple:
     """The cache key of (V, G), once |G|^r is known to be within budget."""
     if group.order ** v.r > budget:
         raise BudgetError(f"|G|^r = {group.order ** v.r} exceeds budget")
-    return group.table.tobytes(), v.p, v.r
+    return group.key, v.p, v.r
 
 
-def hom_enumerate(v: ElementaryAbelian, group: FiniteGroup,
-                  budget: int = DEFAULT_HOM_BUDGET) -> list[tuple[int, ...]]:
-    """All homomorphisms V -> G as r-tuples of images, lex order."""
+def _codes(rows: np.ndarray, tuples: np.ndarray) -> np.ndarray:
+    """codes[g, i]: the tuple of rows[g, x] for x in tuples[i] as one integer
+    in base n = rows.shape[1], its first entry the most significant digit,
+    so codes sort as the tuples do.  One gather per entry, added in place."""
+    codes = np.zeros((len(rows), len(tuples)), dtype=np.int64)
+    for column in tuples.T:
+        codes *= rows.shape[1]
+        codes += rows[:, column]
+    return codes
+
+
+def _conjugation_action(v: ElementaryAbelian, group: FiniteGroup,
+                        homs) -> np.ndarray:
+    """action[g, i] = j where g·homs[i]·g⁻¹ = homs[j], read-only.
+
+    The codes of the image tuples are gathered through `group.conj`, whose
+    row 0 (the identity) codes the homs themselves; each is found by
+    `searchsorted` among those sorted codes, and must be found there,
+    since a conjugate of a hom is a hom.
+    """
+    images = _codes(group.conj,
+                    np.array(homs, dtype=np.int64).reshape(len(homs), v.r))
+    action = np.searchsorted(images[0], images)
+    require(not (images[0].take(action, mode="clip") != images).any(),
+            "a conjugate of a hom V -> G is not in hom(V, G)",
+            {"group": group.name or f"order{group.order}", "p": v.p, "r": v.r})
+    action.flags.writeable = False
+    return action
+
+
+def _enumeration(v: ElementaryAbelian, group: FiniteGroup, budget: int) -> tuple:
+    """(homs, action): hom(V, G) in lex order and the conjugation action on
+    it, computed once per (table, p, r)."""
     key = _memo_key(v, group, budget)
-    homs = cache.lookup("repv.hom_enumerate", key)
-    if homs is None:
+    entry = cache.lookup("repv.hom_enumerate", key)
+    if entry is None:
         torsion = [x for x in group.elements()
                    if group.power(x, v.p) == 0]
         homs = [()]
         for _ in range(v.r):
             homs = [t + (x,) for t in homs for x in torsion
                     if all(group.mul(x, y) == group.mul(y, x) for y in t)]
-        homs = cache.store("repv.hom_enumerate", key, tuple(sorted(homs)))
-    return list(homs)
+        homs = tuple(sorted(homs))
+        entry = cache.store("repv.hom_enumerate", key,
+                            (homs, _conjugation_action(v, group, homs)))
+    return entry
+
+
+def hom_enumerate(v: ElementaryAbelian, group: FiniteGroup,
+                  budget: int = DEFAULT_HOM_BUDGET) -> list[tuple[int, ...]]:
+    """All homomorphisms V -> G as r-tuples of images, lex order."""
+    return list(_enumeration(v, group, budget)[0])
+
+
+def conjugation_action(v: ElementaryAbelian, group: FiniteGroup,
+                       budget: int = DEFAULT_HOM_BUDGET) -> np.ndarray:
+    """The action of G on hom(V, G) by conjugation, as a read-only array
+    shared by every caller: action[g, i] is the index, in `hom_enumerate`
+    order, of g·rho·g⁻¹ for rho the i-th hom."""
+    return _enumeration(v, group, budget)[1]
 
 
 def echelon_basis(group: FiniteGroup, hom: tuple[int, ...]) -> list[int]:
@@ -134,35 +186,38 @@ def rep_classes(v: ElementaryAbelian, group: FiniteGroup,
     key = _memo_key(v, group, budget)
     found = cache.lookup("repv.rep_classes", key)
     if found is None:
-        found = cache.store("repv.rep_classes", key,
-                            _orbits(v, group, hom_enumerate(v, group, budget)))
+        found = cache.store("repv.rep_classes", key, _orbits(
+            v, group, hom_enumerate(v, group, budget),
+            conjugation_action(v, group, budget)))
     classes, orbit_map = found
     return list(classes), list(orbit_map)
 
 
-def _orbits(v: ElementaryAbelian, group: FiniteGroup, homs) -> tuple:
-    """(classes, orbit_map) as tuples, computed from the lex-ordered homs.
+def _orbits(v: ElementaryAbelian, group: FiniteGroup, homs,
+            action: np.ndarray) -> tuple:
+    """(classes, orbit_map) as tuples, computed from the lex-ordered homs
+    and the conjugation action on them.
 
     The first hom not yet placed is the least of its orbit, so it is the
-    representative.  Its images under the conjugation rows, in increasing
-    order, are its orbit and, where they equal it, its centralizer.
+    representative.  Its column of the action holds the indices of its
+    images under every element in increasing order: their set is its
+    orbit and the elements that fix it are its centralizer.
     """
-    pos = {h: i for i, h in enumerate(homs)}
     orbit_map = [-1] * len(homs)
     classes = []
     for i, h in enumerate(homs):
         if orbit_map[i] != -1:
             continue
-        images = [tuple(map(row.__getitem__, h)) for row in group.conj_rows]
+        images = action[:, i].tolist()
         orbit = sorted(set(images))
-        for t in orbit:
-            orbit_map[pos[t]] = len(classes)
+        for j in orbit:
+            orbit_map[j] = len(classes)
         weyl = sorted(weyl_image(group, h, v.p))
         classes.append(RepClass(
             representative=h,
-            orbit=tuple(orbit),
+            orbit=tuple(map(homs.__getitem__, orbit)),
             image_rank=len(weyl[0]),  # the matrices are rank x rank
-            centralizer=tuple(g for g, t in enumerate(images) if t == h),
+            centralizer=tuple(g for g, j in enumerate(images) if j == i),
             weyl=tuple(weyl),
         ))
     return tuple(classes), tuple(orbit_map)

@@ -6,9 +6,11 @@ pullback of bar cocycles, the Symonds module fed to `cohomology` whole,
 hom enumeration, isomorphism search, the integer Smith normal form, the
 direct sum as it ran before it was memoized, rows packed from their
 bytes, subgroup conjugacy, centralizers, Weyl images and the S_p functor
-check by whole-group scans, the row-by-row homomorphism check) and small builders of test
-inputs (regular and direct-sum modules, the dense matrices of a module,
-constant group towers, point towers).
+check by whole-group scans, the row-by-row homomorphism check, the
+conjugation action on hom(V, G) one tuple at a time and the coset action
+one element at a time) and small builders of test inputs (regular and
+direct-sum modules, the dense matrices of a module, constant group
+towers, point towers).
 """
 
 import itertools
@@ -21,7 +23,7 @@ from proflq.errors import BudgetError
 from proflq.etale import FiniteEtaleSpace
 from proflq.finring import FiniteModule, ModuleMap, from_cyclic, zero_module
 from proflq.groups import (FiniteGroup, GroupHom, all_subgroups, identity_hom,
-                           trivial_group)
+                           left_cosets, trivial_group)
 from proflq.tower import SpaceTower
 
 # -- groups -------------------------------------------------------------------
@@ -364,6 +366,24 @@ def whole_module_lhs(v, group: FiniteGroup, k_max: int,
     """dims of H^•(G; C(hom(V, G), F_p)) with the Symonds module fed whole,
     not split into its orbit blocks as `lq.lq_check` splits it."""
     return gc.cohomology(group, lq.symonds_module(v, group), k_max, dim_budget)
+
+
+def symonds_action(v, group: FiniteGroup) -> list[list[int]]:
+    """action[g][i]: the index of g·rho·g⁻¹ for rho the i-th hom, looked up
+    one tuple at a time, as `lq.symonds_module` built it before `repv`
+    kept the action as one array."""
+    homs = repv.hom_enumerate(v, group)
+    pos = {h: i for i, h in enumerate(homs)}
+    return [[pos[tuple(map(row.__getitem__, h))] for h in homs]
+            for row in group.conj_rows]
+
+
+def coset_action(group: FiniteGroup, subgroup_elements) -> list[list[int]]:
+    """action[g][i]: the coset of g·r_i, one product at a time, as
+    `groupcoh.coset_module` built it before it was one gather."""
+    coset_of, reps = left_cosets(group, subgroup_elements)
+    return [[coset_of[group.mul(g, rep)] for rep in reps]
+            for g in range(group.order)]
 
 
 def constant_group_tower(group: FiniteGroup, depth: int) -> gc.GroupTower:

@@ -10,6 +10,7 @@ every cached answer is compared with them, cold and warm.
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from proflq import cache, catalog, groupcoh as gc, lq, repv
@@ -18,7 +19,8 @@ from proflq.finring import FiniteModule, FiniteRing, cyclic, direct_sum, zero_mo
 from proflq.groups import all_subgroups, dihedral_group, subgroup_group, symmetric_group
 from proflq.repv import ElementaryAbelian, RepClass
 
-from .reference import centralizer, conj, uncached_direct_sum, weyl_image
+from .reference import (centralizer, conj, symonds_action, uncached_direct_sum,
+                        weyl_image)
 
 
 def reference_hom_enumerate(v, group):
@@ -66,14 +68,19 @@ def test_warm_equals_cold_equals_reference():
         cold_homs = repv.hom_enumerate(v, g)
         cold = _full(repv.rep_classes(v, g))
         warm = _full(repv.rep_classes(v, g))
+        action = repv.conjugation_action(v, g)
         assert repv.hom_enumerate(v, g) == cold_homs \
             == reference_hom_enumerate(v, g), (g.name, v)
         assert warm == cold == _full(reference_rep_classes(v, g)), (g.name, v)
+        assert np.array_equal(action, symonds_action(v, g)), (g.name, v)
+        assert not action.flags.writeable
     n = len(CASES)
     stats = cache.stats()
     assert stats["repv.rep_classes"] == {"entries": n, "hits": n, "misses": n}
-    # each rep_classes miss reads the enumeration the cold call stored
-    assert stats["repv.hom_enumerate"] == {"entries": n, "hits": 2 * n,
+    # the entry the cold enumeration stored holds the homs and the action:
+    # each rep_classes miss reads both (two hits), and the conjugation_action
+    # call, the warm hom_enumerate and the reference's lookup one each
+    assert stats["repv.hom_enumerate"] == {"entries": n, "hits": 5 * n,
                                            "misses": n}
 
 
@@ -112,8 +119,9 @@ def test_lq_budget_refused_after_a_warm_call():
     assert rep["lhs"] == rep["rhs_total"] == (256, 1024, 2560)
     with pytest.raises(BudgetError, match="20 exceeds budget 10"):
         lq.lq_check(v, g, 2, dim_budget=10)
-    # every class has C_G(rho) = G, so all 256 read one entry per budget
-    assert cache.stats()["groupcoh.shapiro"] == {"entries": 1, "hits": 255,
+    # every class has C_G(rho) = G, and lq looks each distinct centralizer
+    # up once per call: one lookup per budget, both missed, one stored
+    assert cache.stats()["groupcoh.shapiro"] == {"entries": 1, "hits": 0,
                                                  "misses": 2}
 
 

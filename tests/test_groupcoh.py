@@ -22,8 +22,8 @@ from proflq.groups import (
 from proflq.repv import ElementaryAbelian
 
 from .reference import (bar_cohomology, bar_inflation_ranks,
-                        constant_group_tower, dense, direct_sum_module,
-                        regular_module)
+                        constant_group_tower, coset_action, dense,
+                        direct_sum_module, regular_module)
 
 
 class TestGModule:
@@ -104,6 +104,18 @@ class TestGModule:
         v = np.zeros(4, dtype=np.int64)
         v[0] = 1
         assert list(dense(m)[1] @ v % 3) == [0, 1, 0, 0]
+
+
+class TestCosetActionAgainstReference:
+    @pytest.mark.parametrize("name", ["S4", "SL(2,3)", "C2xC2xS3"])
+    def test_every_subgroup(self, name):
+        # the one gather coset_of[table[:, reps]] against a product per entry
+        g = catalog.by_name(name)
+        for s in all_subgroups(g):
+            for p in (2, 3):
+                m = gc.coset_module(g, s, p)
+                assert np.array_equal(m.action, coset_action(g, s)), sorted(s)
+                assert m.dim * len(s) == g.order and m.p == p
 
 
 class TestCohomologyOracles:

@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
 from proflq import catalog
@@ -96,6 +97,27 @@ class TestTableValidation:
         g = FiniteGroup([[(a + b) % 4 for b in range(4)] for a in range(4)])
         assert g.element_order(1) == 4
         assert g.inv(1) == 3
+
+
+class TestReadOnlyTables:
+    def test_the_group_owns_a_read_only_copy(self):
+        # group.key is the table's bytes, taken once: sound only while the
+        # table cannot change
+        table = np.array([[(a + b) % 4 for b in range(4)] for a in range(4)])
+        g = FiniteGroup(table)
+        key = g.key
+        with pytest.raises(ValueError, match="read-only"):
+            g.table[1, 1] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            g.conj[1, 1] = 0
+        table[1, 1] = 3  # the caller's array is not the group's
+        assert g.table[1, 1] == 2 and g.key == key == g.table.tobytes()
+
+    def test_every_constructor_keys_its_table(self):
+        for g in catalog.all_groups(12):
+            assert not g.table.flags.writeable and not g.conj.flags.writeable
+            assert g.key == g.table.tobytes()
+            assert g.conj.tolist() == g.conj_rows
 
 
 class TestBasicOps:

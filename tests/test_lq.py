@@ -4,6 +4,7 @@ order-<=24 sweep lives in the acceptance suite)."""
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 from proflq import cache, catalog, cli, groupcoh as gc, lq, repv
@@ -17,7 +18,7 @@ from proflq.groups import (
 )
 from proflq.repv import ElementaryAbelian
 
-from .reference import conj, constant_group_tower, whole_module_lhs
+from .reference import conj, constant_group_tower, symonds_action, whole_module_lhs
 
 
 V2 = ElementaryAbelian(2, 1)
@@ -40,6 +41,19 @@ class TestSymondsModule:
 
     def test_prime_is_the_prime_of_v(self):
         assert lq.symonds_module(V3, symmetric_group(3)).p == 3
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_action_against_the_per_tuple_reference(self, p, r):
+        # the coded gather and searchsorted of repv against a dict lookup
+        # of every conjugate tuple, for every catalog group
+        v = ElementaryAbelian(p, r)
+        for g in catalog.all_groups():
+            expected = np.array(symonds_action(v, g))
+            action = repv.conjugation_action(v, g)
+            assert np.array_equal(action, expected), g.name
+            # the module holds the array repv keeps, not a copy of it
+            assert lq.symonds_module(v, g).action is action
 
 
 class TestTvBothRoutes:
@@ -236,6 +250,32 @@ class TestMechanism:
         cache.clear()  # F_2[G/G] and C_G(1) = G would share a one-point entry
         assert lq.lq_check(V2, g, 2)["rhs"] == blocks
 
+    def test_codes_in_the_wrong_radix_order_are_refused(self, monkeypatch):
+        # with the last entry the most significant digit, the codes of the
+        # lex-ordered homs are not sorted, so searchsorted finds other homs
+        def reversed_codes(rows, tuples):
+            codes = np.zeros((len(rows), len(tuples)), dtype=np.int64)
+            for column in tuples.T[::-1]:
+                codes = codes * rows.shape[1] + rows[:, column]
+            return codes
+
+        monkeypatch.setattr(repv, "_codes", reversed_codes)
+        with pytest.raises(InvariantError, match="is not in hom"):
+            repv.hom_enumerate(ElementaryAbelian(2, 2), symmetric_group(4))
+        with pytest.raises(InvariantError, match="is not in hom"):
+            lq.lq_check(ElementaryAbelian(2, 2), symmetric_group(3), 2)
+
+    def test_an_action_by_inverse_conjugation_is_refused(self):
+        # rho -> g⁻¹·rho·g is a right action; S3 acts faithfully on its
+        # transpositions and is not abelian, so it is not a left action
+        g = symmetric_group(3)
+        for v in (V2, ElementaryAbelian(2, 2)):
+            action = repv.conjugation_action(v, g)
+            gc.permutation_module(g, action, v.p)
+            inverse = action[[g.inv(x) for x in range(g.order)]]
+            with pytest.raises(ValueError, match="not associative"):
+                gc.permutation_module(g, inverse, v.p)
+
     def test_orbit_stabilizer_checks_the_class_centralizer(self, monkeypatch):
         # the blocks use c.centralizer, so a wrong one must not pass; it is
         # refused before `shapiro_check`, whose cosets would raise ValueError
@@ -255,8 +295,8 @@ class TestMechanism:
         # and Shapiro, so only the fixed-point check can see it
         real = repv._orbits
 
-        def swapped(v, group, homs):
-            classes, orbit_map = real(v, group, homs)
+        def swapped(v, group, homs, action):
+            classes, orbit_map = real(v, group, homs, action)
             subgroups = all_subgroups(group)
             return tuple(dataclasses.replace(c, centralizer=tuple(sorted(next(
                 (s for s in subgroups if len(s) == len(c.centralizer)

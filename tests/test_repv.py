@@ -77,6 +77,18 @@ class TestHomEnumerate:
     def test_budget(self):
         with pytest.raises(repv.BudgetError):
             hom_enumerate(ElementaryAbelian(2, 2), symmetric_group(4), budget=10)
+        with pytest.raises(repv.BudgetError):
+            repv.conjugation_action(ElementaryAbelian(2, 2), symmetric_group(4),
+                                    budget=10)
+
+    def test_the_stored_action_is_read_only(self):
+        # every caller shares the array in the memo entry
+        v, g = ElementaryAbelian(2, 2), symmetric_group(4)
+        action = repv.conjugation_action(v, g)
+        assert action.shape == (g.order, len(hom_enumerate(v, g)))
+        with pytest.raises(ValueError, match="read-only"):
+            action[0, 0] = 1
+        assert repv.conjugation_action(v, g) is action
 
 
 class TestRepClasses:

@@ -26,6 +26,9 @@
   `jsonio.load_group`, which reads a table as given.
 * No library module reads a private `_name` of another library module,
   neither as `m._name` nor by `from .m import _name`.
+* Only `groups` serializes a group table: no other library module calls
+  `.tobytes()` on an expression that reads a `.table` attribute; a cache
+  key reads `group.key`, the bytes taken once when the group is built.
 """
 
 import ast
@@ -460,3 +463,35 @@ def f(group, hom):
     assert _private_reads(ast.parse(source)) == [
         (3, "_table_group"), (7, "repv._discrete_log_table"), (10, "_pack"),
         (11, "gc._chain_map"), (11, "lq._total")]
+
+
+# -- a group table is serialized once, in groups -----------------------------------
+
+
+def _table_bytes_calls(tree):
+    """Lines that call `.tobytes()` on an expression reading `.table`."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "tobytes"
+                  and any(isinstance(n, ast.Attribute) and n.attr == "table"
+                          for n in ast.walk(node.func.value)))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_group_table_bytes_only_in_groups(path):
+    if path.name != "groups.py":
+        assert _table_bytes_calls(_tree(path)) == []
+
+
+def test_table_bytes_rule_sees_every_call():
+    source = """
+import numpy as np
+def f(g, res, packed):
+    a = g.table.tobytes()
+    b = (res.group.table
+         .tobytes())
+    c = np.asarray(g.table, dtype=np.int64).tobytes()
+    return a, b, c, packed.tobytes(), g.key, g.table.tolist(), g.tobytes()
+"""
+    assert _table_bytes_calls(ast.parse(source)) == [4, 5, 7]
