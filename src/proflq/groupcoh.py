@@ -86,8 +86,6 @@ def permutation_module(group: FiniteGroup, action, p: int) -> GModule:
     n = group.order
     if not isinstance(action, np.ndarray):
         action = [list(row) for row in action]
-        if len(action) != n:
-            raise ValueError("one permutation per group element required")
         bad = [g for g, row in enumerate(action) if len(row) != len(action[0])]
         if bad:
             raise ValueError(f"action of element {bad[0]} is not a permutation of X")
