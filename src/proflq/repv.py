@@ -5,7 +5,8 @@ dividing p, enumerated lexicographically; G acts by simultaneous
 conjugation and Rep(V, G) is the orbit set.  The action is one integer
 array, action[g, i] the index of g·rho_i·g⁻¹, found for all g and i at
 once by coding tuples in base |G| (`_conjugation_action`); `rep_classes`
-reads each orbit and centralizer from a column of it, and
+reads each orbit, centralizer and set of Weyl candidates (the least
+element of each coset of the centralizer) from a column of it, and
 `lq.symonds_module` hands the same array to `permutation_module`.
 Each class carries its canonical representative (lex-smallest tuple),
 orbit, image rank, centralizer and Weyl image: the normalizer of the
@@ -143,24 +144,31 @@ def _discrete_log_table(group: FiniteGroup, basis: list[int],
     return table
 
 
+def _realizers(group: FiniteGroup, hom: tuple[int, ...], p: int,
+               elements) -> dict[tuple[tuple[int, ...], ...], int]:
+    """{matrix: first n realizing it} over the n of `elements` that
+    normalize rho(V): n does exactly when it conjugates every basis element
+    into the image, that is into the keys of the discrete-log table."""
+    basis = echelon_basis(group, hom)
+    logs = _discrete_log_table(group, basis, p)
+    rows = group.conj_rows
+    realizers = {}
+    for n in elements:
+        cols = [logs.get(rows[n][b]) for b in basis]
+        if None not in cols:
+            realizers.setdefault(tuple(cols), n)
+    return realizers
+
+
 def weyl_image(group: FiniteGroup, hom: tuple[int, ...],
                p: int) -> dict[tuple[tuple[int, ...], ...], int]:
     """Image of N_G(rho(V)) -> Aut(rho(V)), as {matrix: least n realizing it}.
 
     Matrices are i x i over F_p and act on exponent vectors in the
     echelonized basis, column j the image of basis vector j.  One pass
-    over the conjugation rows in increasing order: n normalizes rho(V)
-    exactly when it conjugates every basis element into the image, that
-    is into the keys of the discrete-log table.
+    over the conjugation rows in increasing order.
     """
-    basis = echelon_basis(group, hom)
-    logs = _discrete_log_table(group, basis, p)
-    realizers = {}
-    for n, row in enumerate(group.conj_rows):
-        cols = [logs.get(row[b]) for b in basis]
-        if None not in cols:
-            realizers.setdefault(tuple(cols), n)
-    return realizers
+    return _realizers(group, hom, p, range(group.order))
 
 
 @dataclass(frozen=True)
@@ -201,7 +209,10 @@ def _orbits(v: ElementaryAbelian, group: FiniteGroup, homs,
     The first hom not yet placed is the least of its orbit, so it is the
     representative.  Its column of the action holds the indices of its
     images under every element in increasing order: their set is its
-    orbit and the elements that fix it are its centralizer.
+    orbit and the elements that fix it are its centralizer C.  The
+    elements reaching one image form a coset gC, and conjugation by g and
+    by gc agree on rho(V), so the least element of each coset gives every
+    Weyl matrix.
     """
     orbit_map = [-1] * len(homs)
     classes = []
@@ -209,15 +220,18 @@ def _orbits(v: ElementaryAbelian, group: FiniteGroup, homs,
         if orbit_map[i] != -1:
             continue
         images = action[:, i].tolist()
-        orbit = sorted(set(images))
+        # image -> least element reaching it: later pairs overwrite earlier
+        least = dict(zip(reversed(images), range(len(images) - 1, -1, -1)))
+        orbit = sorted(least)
         for j in orbit:
             orbit_map[j] = len(classes)
-        weyl = sorted(weyl_image(group, h, v.p))
+        weyl = sorted(_realizers(group, h, v.p, least.values()))
         classes.append(RepClass(
             representative=h,
             orbit=tuple(map(homs.__getitem__, orbit)),
             image_rank=len(weyl[0]),  # the matrices are rank x rank
-            centralizer=tuple(g for g, j in enumerate(images) if j == i),
+            centralizer=tuple(itertools.compress(range(len(images)),
+                                                 map(i.__eq__, images))),
             weyl=tuple(weyl),
         ))
     return tuple(classes), tuple(orbit_map)

@@ -294,11 +294,11 @@ def run_optimized(script, argv):
 WIDEN_SOURCE_WEYL = """
 import sys
 from proflq import cli, repv
-real = repv.weyl_image
+real = repv._realizers
 def widened(group, hom, p, *args):
     realizers = real(group, hom, p, *args)
     return {**realizers, ((0,),): 0} if group.order == 12 else realizers
-repv.weyl_image = widened
+repv._realizers = widened
 sys.exit(cli.main(sys.argv[1:]))
 """
 
