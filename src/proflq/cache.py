@@ -18,9 +18,10 @@ the groups are called:
   G/O_p'(G), p), replaced when a larger k_max is asked for;
 * `groupcoh.shapiro` — the pair of dims of H^•(G; F_p[G/H]) and of
   H^•(H; F_p), per (table, frozenset of H, p, k_max, dim_budget);
-* `repv.hom_enumerate` — hom(V, G) as a tuple, with the read-only array
-  of G's conjugation action on it, per (table, p, r);
-* `repv.rep_classes` — Rep(V, G), per (table, p, r), stored as tuples.
+* `repv.hom_enumerate` — hom(V, G), per (table, p, r), as a tuple;
+* `repv.rep_classes` — Rep(V, G) as tuples, with the read-only array of
+  G's conjugation action on hom(V, G) whose orbits they are, per
+  (table, p, r).
 
 The module region is keyed on the modules themselves, which are frozen
 and hashable, not on table bytes:

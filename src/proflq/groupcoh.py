@@ -82,14 +82,20 @@ class GModule:
 
 def permutation_module(group: FiniteGroup, action, p: int) -> GModule:
     """F_p[X] for a G-set X given as action[g][x] = g . x, as rows or as an
-    integer array; an int64 array is kept as given, not copied."""
+    integer array.  The module's action is read-only: a read-only int64
+    array (the one `repv` keeps) is used as given, anything else copied."""
     n = group.order
     if not isinstance(action, np.ndarray):
         action = [list(row) for row in action]
         bad = [g for g, row in enumerate(action) if len(row) != len(action[0])]
         if bad:
             raise ValueError(f"action of element {bad[0]} is not a permutation of X")
-    act = np.asarray(action, dtype=np.int64)
+    if isinstance(action, np.ndarray) and action.dtype == np.int64 \
+            and not action.flags.writeable:
+        act = action
+    else:
+        act = np.array(action, dtype=np.int64)
+        act.flags.writeable = False
     if act.ndim != 2 or len(act) != n:
         raise ValueError("one permutation per group element required")
     m = act.shape[1]

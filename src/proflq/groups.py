@@ -5,11 +5,11 @@ of its table (`table`), serializes it once into `key`, the bytes every
 cache key of `groupcoh` and `repv` starts with, and keeps it as a list
 of Python rows, so that `mul` and `inv` are plain list indexing; the
 inverses are read off the rows once.  Beside them it keeps the
-conjugation table `conj[g, x] = g x g⁻¹`, built in one numpy gather and
-read-only too, and its rows `conj_rows`, so that conjugating a set or a
-tuple by g is one `map` over a row: subgroup conjugation, the subgroup
-class pass and the conjugation sweeps of `repv`, `lq` and `sep` read
-the rows, and `repv` gathers whole arrays of homs through `conj`.
+conjugation rows `conj_rows[g][x] = g x g⁻¹`, built in one numpy
+gather, so that conjugating a set or a tuple by g is one `map` over a
+row: subgroup conjugation, the subgroup class pass and the conjugation
+sweeps of `repv`, `lq` and `sep` read them, and `repv` turns them into
+one array to conjugate all of hom(V, G) at once.
 
 `closure` is a breadth-first search from the identity that multiplies
 only by the given generators.  `all_subgroups` computes the subgroup
@@ -67,10 +67,8 @@ class FiniteGroup:
         self.key = table.tobytes()
         self._rows = table.tolist()
         self._inv = [row.index(0) for row in self._rows]
-        # conj[g, x] = g x g^{-1}, one gather (g x) then (g x) g^{-1}
-        self.conj = table[table, np.array(self._inv)[:, None]]
-        self.conj.flags.writeable = False
-        self.conj_rows = self.conj.tolist()
+        # conj_rows[g][x] = g x g^{-1}, one gather (g x) then (g x) g^{-1}
+        self.conj_rows = table[table, np.array(self._inv)[:, None]].tolist()
         self._subgroups = None  # the lattice, filled by all_subgroups
         self._generators = None  # filled by generators_greedy
         self._classes = None  # filled by subgroup_classes

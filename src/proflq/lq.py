@@ -46,7 +46,7 @@ LqError = InvariantError  # the older name, kept for callers that catch it
 
 def symonds_module(v: ElementaryAbelian, group: FiniteGroup) -> gc.GModule:
     """F_p-valued functions on hom(V, G) with the conjugation action, the
-    array `repv` keeps beside the homs."""
+    array `repv` keeps with Rep(V, G)."""
     return gc.permutation_module(group, repv.conjugation_action(v, group), v.p)
 
 

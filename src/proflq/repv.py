@@ -4,7 +4,8 @@ hom(V, G) is the set of r-tuples of pairwise-commuting elements of order
 dividing p, enumerated lexicographically; G acts by simultaneous
 conjugation and Rep(V, G) is the orbit set.  The action is one integer
 array, action[g, i] the index of g·rho_i·g⁻¹, found for all g and i at
-once by coding tuples in base |G| (`_conjugation_action`); `rep_classes`
+once by coding tuples in base |G| (by their ranks once |G|^r passes
+the int64 range; `_codes`, `_conjugation_action`); `rep_classes`
 reads each orbit, centralizer and set of Weyl candidates (the least
 element of each coset of the centralizer) from a column of it, and
 `lq.symonds_module` hands the same array to `permutation_module`.
@@ -14,10 +15,10 @@ image acting as automorphism matrices over F_p in an echelonized basis
 drawn from the representative's entries.  `repv` is the one module that
 computes these facts.
 
-hom(V, G) with its action, stored read-only, and Rep(V, G) are memoized
-per (group key, p, r) in `cache`, so every caller asking about the same
-group shares one enumeration; the budget is checked before the lookup,
-and each call returns fresh lists.
+hom(V, G), and Rep(V, G) with the action whose orbits it is (stored
+read-only), are memoized per (group key, p, r) in `cache`, so every
+caller asking about the same group shares one enumeration; the budget
+is checked before the lookup, and each call returns fresh lists.
 """
 
 from __future__ import annotations
@@ -60,12 +61,22 @@ def _memo_key(v: ElementaryAbelian, group: FiniteGroup, budget: int) -> tuple:
 
 
 def _codes(rows: np.ndarray, tuples: np.ndarray) -> np.ndarray:
-    """codes[g, i]: the tuple of rows[g, x] for x in tuples[i] as one integer
-    in base n = rows.shape[1], its first entry the most significant digit,
-    so codes sort as the tuples do.  One gather per entry, added in place."""
+    """codes[g, i]: one integer for the tuple of rows[g, x], x in tuples[i],
+    ordered as the tuples are and equal only for equal tuples.
+
+    The tuple in base n = rows.shape[1], its first entry the most
+    significant digit, one gather per entry added in place, while n^r
+    fits in an int64; past that the sums would wrap, and the code is the
+    tuple's rank among all the image tuples instead.
+    """
+    n, r = rows.shape[1], tuples.shape[1]
+    if n ** r >= 1 << 63:
+        images = rows[:, tuples].reshape(-1, r)
+        _, rank = np.unique(images, axis=0, return_inverse=True)
+        return rank.reshape(len(rows), len(tuples))
     codes = np.zeros((len(rows), len(tuples)), dtype=np.int64)
     for column in tuples.T:
-        codes *= rows.shape[1]
+        codes *= n
         codes += rows[:, column]
     return codes
 
@@ -74,12 +85,12 @@ def _conjugation_action(v: ElementaryAbelian, group: FiniteGroup,
                         homs) -> np.ndarray:
     """action[g, i] = j where g·homs[i]·g⁻¹ = homs[j], read-only.
 
-    The codes of the image tuples are gathered through `group.conj`, whose
-    row 0 (the identity) codes the homs themselves; each is found by
-    `searchsorted` among those sorted codes, and must be found there,
-    since a conjugate of a hom is a hom.
+    The codes of the image tuples are gathered through the conjugation
+    rows, whose row 0 (the identity) codes the homs themselves; each is
+    found by `searchsorted` among those sorted codes, and must be found
+    there, since a conjugate of a hom is a hom.
     """
-    images = _codes(group.conj,
+    images = _codes(np.asarray(group.conj_rows),
                     np.array(homs, dtype=np.int64).reshape(len(homs), v.r))
     action = np.searchsorted(images[0], images)
     require(not (images[0].take(action, mode="clip") != images).any(),
@@ -89,36 +100,29 @@ def _conjugation_action(v: ElementaryAbelian, group: FiniteGroup,
     return action
 
 
-def _enumeration(v: ElementaryAbelian, group: FiniteGroup, budget: int) -> tuple:
-    """(homs, action): hom(V, G) in lex order and the conjugation action on
-    it, computed once per (table, p, r)."""
+def hom_enumerate(v: ElementaryAbelian, group: FiniteGroup,
+                  budget: int = DEFAULT_HOM_BUDGET) -> list[tuple[int, ...]]:
+    """All homomorphisms V -> G as r-tuples of images, lex order."""
     key = _memo_key(v, group, budget)
-    entry = cache.lookup("repv.hom_enumerate", key)
-    if entry is None:
+    homs = cache.lookup("repv.hom_enumerate", key)
+    if homs is None:
         torsion = [x for x in group.elements()
                    if group.power(x, v.p) == 0]
         homs = [()]
         for _ in range(v.r):
             homs = [t + (x,) for t in homs for x in torsion
                     if all(group.mul(x, y) == group.mul(y, x) for y in t)]
-        homs = tuple(sorted(homs))
-        entry = cache.store("repv.hom_enumerate", key,
-                            (homs, _conjugation_action(v, group, homs)))
-    return entry
-
-
-def hom_enumerate(v: ElementaryAbelian, group: FiniteGroup,
-                  budget: int = DEFAULT_HOM_BUDGET) -> list[tuple[int, ...]]:
-    """All homomorphisms V -> G as r-tuples of images, lex order."""
-    return list(_enumeration(v, group, budget)[0])
+        homs = cache.store("repv.hom_enumerate", key, tuple(sorted(homs)))
+    return list(homs)
 
 
 def conjugation_action(v: ElementaryAbelian, group: FiniteGroup,
                        budget: int = DEFAULT_HOM_BUDGET) -> np.ndarray:
     """The action of G on hom(V, G) by conjugation, as a read-only array
     shared by every caller: action[g, i] is the index, in `hom_enumerate`
-    order, of g·rho·g⁻¹ for rho the i-th hom."""
-    return _enumeration(v, group, budget)[1]
+    order, of g·rho·g⁻¹ for rho the i-th hom.  It is kept with Rep(V, G),
+    its orbit set."""
+    return _classes(v, group, budget)[2]
 
 
 def echelon_basis(group: FiniteGroup, hom: tuple[int, ...]) -> list[int]:
@@ -191,14 +195,22 @@ def rep_classes(v: ElementaryAbelian, group: FiniteGroup,
     orbit_map[i] is the class index of the i-th homomorphism in the
     lexicographic enumeration.
     """
+    classes, orbit_map, _ = _classes(v, group, budget)
+    return list(classes), list(orbit_map)
+
+
+def _classes(v: ElementaryAbelian, group: FiniteGroup, budget: int) -> tuple:
+    """(classes, orbit_map, action), computed once per (table, p, r): the
+    enumeration is read once, the action built from it and its orbits
+    read from the action."""
     key = _memo_key(v, group, budget)
     found = cache.lookup("repv.rep_classes", key)
     if found is None:
-        found = cache.store("repv.rep_classes", key, _orbits(
-            v, group, hom_enumerate(v, group, budget),
-            conjugation_action(v, group, budget)))
-    classes, orbit_map = found
-    return list(classes), list(orbit_map)
+        homs = hom_enumerate(v, group, budget)
+        action = _conjugation_action(v, group, homs)
+        found = cache.store("repv.rep_classes", key,
+                            (*_orbits(v, group, homs, action), action))
+    return found
 
 
 def _orbits(v: ElementaryAbelian, group: FiniteGroup, homs,

@@ -368,11 +368,12 @@ def whole_module_lhs(v, group: FiniteGroup, k_max: int,
     return gc.cohomology(group, lq.symonds_module(v, group), k_max, dim_budget)
 
 
-def symonds_action(v, group: FiniteGroup) -> list[list[int]]:
+def symonds_action(v, group: FiniteGroup,
+                   budget: int = repv.DEFAULT_HOM_BUDGET) -> list[list[int]]:
     """action[g][i]: the index of g·rho·g⁻¹ for rho the i-th hom, looked up
     one tuple at a time, as `lq.symonds_module` built it before `repv`
     kept the action as one array."""
-    homs = repv.hom_enumerate(v, group)
+    homs = repv.hom_enumerate(v, group, budget)
     pos = {h: i for i, h in enumerate(homs)}
     return [[pos[tuple(map(row.__getitem__, h))] for h in homs]
             for row in group.conj_rows]

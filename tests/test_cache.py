@@ -76,11 +76,13 @@ def test_warm_equals_cold_equals_reference():
         assert not action.flags.writeable
     n = len(CASES)
     stats = cache.stats()
-    assert stats["repv.rep_classes"] == {"entries": n, "hits": n, "misses": n}
-    # the entry the cold enumeration stored holds the homs and the action:
-    # each rep_classes miss reads both (two hits), and the conjugation_action
-    # call, the warm hom_enumerate and the reference's lookup one each
-    assert stats["repv.hom_enumerate"] == {"entries": n, "hits": 5 * n,
+    # the action is kept with Rep(V, G): the warm rep_classes call and
+    # conjugation_action read that entry
+    assert stats["repv.rep_classes"] == {"entries": n, "hits": 2 * n,
+                                         "misses": n}
+    # each rep_classes miss reads the enumeration the cold call stored once,
+    # and the warm hom_enumerate and the reference's lookup one each
+    assert stats["repv.hom_enumerate"] == {"entries": n, "hits": 3 * n,
                                            "misses": n}
 
 

@@ -42,6 +42,18 @@ class TestGModule:
         with pytest.raises(ValueError):
             gc.permutation_module(g, [[1, 0], [0, 1]], 2)
 
+    def test_a_validated_action_cannot_change(self):
+        # a writable array is copied into a read-only one, a read-only
+        # int64 array is kept as it is
+        g = cyclic_group(2)
+        action = np.array([[0, 1], [1, 0]])
+        m = gc.permutation_module(g, action, 2)
+        action[1] = [0, 1]
+        assert m.action.tolist() == [[0, 1], [1, 0]]
+        with pytest.raises(ValueError, match="read-only"):
+            m.action[1, 0] = 0
+        assert gc.permutation_module(g, m.action, 2).action is m.action
+
     def test_permutation_module_checks_every_element(self):
         # only one row off, at an element that is not a generator: the
         # generator-only check must still see it

@@ -108,16 +108,13 @@ class TestReadOnlyTables:
         key = g.key
         with pytest.raises(ValueError, match="read-only"):
             g.table[1, 1] = 0
-        with pytest.raises(ValueError, match="read-only"):
-            g.conj[1, 1] = 0
         table[1, 1] = 3  # the caller's array is not the group's
         assert g.table[1, 1] == 2 and g.key == key == g.table.tobytes()
 
     def test_every_constructor_keys_its_table(self):
         for g in catalog.all_groups(12):
-            assert not g.table.flags.writeable and not g.conj.flags.writeable
+            assert not g.table.flags.writeable
             assert g.key == g.table.tobytes()
-            assert g.conj.tolist() == g.conj_rows
 
 
 class TestBasicOps:

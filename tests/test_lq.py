@@ -55,6 +55,14 @@ class TestSymondsModule:
             # the module holds the array repv keeps, not a copy of it
             assert lq.symonds_module(v, g).action is action
 
+    def test_action_past_the_int64_codes(self):
+        # 24^14 > 2^64: base-24 codes of 14-tuples would wrap in int64 (and
+        # two tuples could share one), so the tuples are ranked instead
+        v, g, budget = ElementaryAbelian(2, 14), cyclic_group(24), 10 ** 20
+        action = repv.conjugation_action(v, g, budget)
+        assert action.shape == (24, 2 ** 14)
+        assert np.array_equal(action, np.array(symonds_action(v, g, budget)))
+
 
 class TestTvBothRoutes:
     def test_s3_spec_example(self):
@@ -261,7 +269,7 @@ class TestMechanism:
 
         monkeypatch.setattr(repv, "_codes", reversed_codes)
         with pytest.raises(InvariantError, match="is not in hom"):
-            repv.hom_enumerate(ElementaryAbelian(2, 2), symmetric_group(4))
+            repv.rep_classes(ElementaryAbelian(2, 2), symmetric_group(4))
         with pytest.raises(InvariantError, match="is not in hom"):
             lq.lq_check(ElementaryAbelian(2, 2), symmetric_group(3), 2)
 
