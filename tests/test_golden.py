@@ -124,6 +124,12 @@ CASES = [
     ("cohomology-tower-k4-default-budget",
      ["cohomology", "--tower", "gt.json", "--p", "2", "--kmax", "4"], 0,
      "bff55a2a5a440905e2674bc726b98b9f03dddf180a8db3f42532b2f41e9477a0"),
+    # Rep(V, -) along the sign map of S3: the class maps and the threads
+    ("rep-tower-p2-r2", ["rep", "--tower", "gt.json", "--p", "2",
+                         "--rank", "2"], 0,
+     "7edd3f9e55b6c2a9acee561b594af88470f253420c9a66c4123f551f97bace7d"),
+    ("lq-tower-p2", ["lq", "--tower", "gt.json", "--p", "2"], 0,
+     "7db412c0d73d09b4af2002c301408b113092b52eb42d4e638ccd501cc1c5bc2f"),
     # C2xC2xS3 at p = 2 is ranked on G/C3 = C2xC2xC2 (Betti numbers 1, 3, 6,
     # 10, 15), where C3 merges a 3-point orbit block into one point: its
     # largest coboundary, delta_3 on that point, is 15 x 10
