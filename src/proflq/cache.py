@@ -18,10 +18,10 @@ the groups are called:
   G/O_p'(G), p), replaced when a larger k_max is asked for;
 * `groupcoh.shapiro` — the pair of dims of H^•(G; F_p[G/H]) and of
   H^•(H; F_p), per (table, frozenset of H, p, k_max, dim_budget);
-* `repv.hom_enumerate` — hom(V, G), per (table, p, r), as a tuple;
-* `repv.rep_classes` — Rep(V, G) as tuples, with the read-only array of
-  G's conjugation action on hom(V, G) whose orbits they are, per
-  (table, p, r).
+* `repv.rep_classes` — Rep(V, G) per (table, p, r), as one record:
+  hom(V, G) in lex order, the classes and orbit map as tuples, checked
+  when they were made, and the read-only array of G's conjugation action
+  on hom(V, G) whose orbits they are.
 
 The module region is keyed on the modules themselves, which are frozen
 and hashable, not on table bytes:
@@ -41,8 +41,8 @@ from __future__ import annotations
 from collections import Counter
 
 REGIONS = ("groupcoh.resolutions", "groupcoh.p_prime_quotients",
-           "groupcoh.one_point_dims", "groupcoh.shapiro", "repv.hom_enumerate",
-           "repv.rep_classes", "finring.direct_sum")
+           "groupcoh.one_point_dims", "groupcoh.shapiro", "repv.rep_classes",
+           "finring.direct_sum")
 
 _ENTRIES = {name: {} for name in REGIONS}
 _HITS: Counter = Counter()

@@ -19,10 +19,11 @@ Per class the two sides are the two sides of Shapiro's lemma for
 Stab(rho) = C_G(rho(V)), so both are read from `groupcoh.shapiro_check`,
 kept in `cache` per exact subgroup, p, k_max and dim_budget: a warm
 entry never skips the budget.  Each call looks up each distinct
-centralizer once, after checking every class (orbit-stabilizer, and
-that its centralizer fixes its representative).  The block F_p[G/G] of
-the trivial class and its fiber H^•(G; F_p) read the one entry that
-`groupcoh` keeps per (table of G/O_p'(G), p).
+centralizer once; `repv` has checked, when it made the classes, that
+each centralizer is exactly the stabilizer C_G(rho(V)) that Shapiro's
+lemma needs.  The block F_p[G/G] of the trivial class and its fiber
+H^•(G; F_p) read the one entry that `groupcoh` keeps per (table of
+G/O_p'(G), p).
 
 `degree0` alone feeds the whole Symonds module to `cohomology`, in
 degree 0 only.  Its G-set is the array whose columns `rep_classes`
@@ -57,31 +58,10 @@ def _total(dims, k_max: int) -> tuple[int, ...]:
 
 def _sides(v: ElementaryAbelian, group: FiniteGroup, k_max: int,
            dim_budget: int):
-    """(classes, blocks, fibers): the classes of Rep(V, G) and, per class,
-    the dims of its orbit block H^•(G; F_p[G/C_G(rho)]) and of its fiber
-    H^•(C_G(rho(V)); F_p)."""
+    """(classes, blocks, fibers): the classes of Rep(V, G), whose
+    centralizers `repv` has checked, and, per class, the dims of its orbit
+    block H^•(G; F_p[G/C_G(rho)]) and of its fiber H^•(C_G(rho(V)); F_p)."""
     classes, _ = repv.rep_classes(v, group)
-    # the stabilizer of rho is C_G(rho(V)); each check tests every class and
-    # words its message for the first that fails
-    c = next((c for c in classes
-              if len(c.centralizer) * c.orbit_size != group.order), None)
-    if c is not None:
-        raise InvariantError(
-            f"orbit-stabilizer fails for {c.representative}: "
-            f"|Stab| = {len(c.centralizer)}, orbit size {c.orbit_size}, "
-            f"|G| = {group.order}",
-            {"group": group.name or f"order{group.order}",
-             "class": c.representative, "stabilizer": c.centralizer,
-             "orbit_size": c.orbit_size})
-    # with orbit-stabilizer, this makes the stabilizer exactly C_G(rho(V))
-    rows = group.conj_rows
-    c = next((c for c in classes if any(rows[g][x] != x for g in c.centralizer
-                                        for x in c.representative)), None)
-    if c is not None:
-        raise InvariantError(f"the centralizer of {c.representative} moves it",
-                             {"group": group.name or f"order{group.order}",
-                              "class": c.representative,
-                              "centralizer": c.centralizer})
     sides = {s: gc.shapiro_check(group, s, v.p, k_max, dim_budget)
              for s in dict.fromkeys(c.centralizer for c in classes)}
     return (classes, [sides[c.centralizer]["lhs"] for c in classes],

@@ -13,25 +13,30 @@ Each class carries its canonical representative (lex-smallest tuple),
 orbit, image rank, centralizer and Weyl image: the normalizer of the
 image acting as automorphism matrices over F_p in an echelonized basis
 drawn from the representative's entries.  `repv` is the one module that
-computes these facts.
+computes these facts, and checks each centralizer where it is made
+(`_check_classes`): it is exactly C_G(rho(V)).  `class_map` pushes
+Rep(V, G) forward along a homomorphism G -> L, which is both the
+separability map of `sep` and a transition of `rep_tower`.
 
-hom(V, G), and Rep(V, G) with the action whose orbits it is (stored
-read-only), are memoized per (group key, p, r) in `cache`, so every
-caller asking about the same group shares one enumeration; the budget
-is checked before the lookup, and each call returns fresh lists.
+Rep(V, G) is one record per (group key, p, r) in `cache`: the lex-ordered
+homs, the checked classes, the orbit map and the action whose orbits
+they are (stored read-only), so every caller asking about the same group
+shares one enumeration and one check; the budget is checked before the
+lookup, and each call returns fresh lists.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import cache
-from .errors import BudgetError, require
+from .errors import BudgetError, InvariantError, require
 from .finring import is_prime
-from .groups import FiniteGroup
+from .groups import FiniteGroup, GroupHom
 from .groupcoh import GroupTower
 
 DEFAULT_HOM_BUDGET = 1 << 20
@@ -53,11 +58,10 @@ class ElementaryAbelian:
         return self.p ** self.r
 
 
-def _memo_key(v: ElementaryAbelian, group: FiniteGroup, budget: int) -> tuple:
-    """The cache key of (V, G), once |G|^r is known to be within budget."""
+def _check_budget(v: ElementaryAbelian, group: FiniteGroup, budget: int) -> None:
+    """Refuse (V, G) unless |G|^r, which bounds |hom(V, G)|, is within budget."""
     if group.order ** v.r > budget:
         raise BudgetError(f"|G|^r = {group.order ** v.r} exceeds budget")
-    return group.key, v.p, v.r
 
 
 def _codes(rows: np.ndarray, tuples: np.ndarray) -> np.ndarray:
@@ -102,18 +106,15 @@ def _conjugation_action(v: ElementaryAbelian, group: FiniteGroup,
 
 def hom_enumerate(v: ElementaryAbelian, group: FiniteGroup,
                   budget: int = DEFAULT_HOM_BUDGET) -> list[tuple[int, ...]]:
-    """All homomorphisms V -> G as r-tuples of images, lex order."""
-    key = _memo_key(v, group, budget)
-    homs = cache.lookup("repv.hom_enumerate", key)
-    if homs is None:
-        torsion = [x for x in group.elements()
-                   if group.power(x, v.p) == 0]
-        homs = [()]
-        for _ in range(v.r):
-            homs = [t + (x,) for t in homs for x in torsion
-                    if all(group.mul(x, y) == group.mul(y, x) for y in t)]
-        homs = cache.store("repv.hom_enumerate", key, tuple(sorted(homs)))
-    return list(homs)
+    """All homomorphisms V -> G as r-tuples of images, lex order, uncached:
+    `rep_classes` keeps them with the classes."""
+    _check_budget(v, group, budget)
+    torsion = [x for x in group.elements() if group.power(x, v.p) == 0]
+    homs = [()]
+    for _ in range(v.r):
+        homs = [t + (x,) for t in homs for x in torsion
+                if all(group.mul(x, y) == group.mul(y, x) for y in t)]
+    return sorted(homs)
 
 
 def conjugation_action(v: ElementaryAbelian, group: FiniteGroup,
@@ -122,7 +123,7 @@ def conjugation_action(v: ElementaryAbelian, group: FiniteGroup,
     shared by every caller: action[g, i] is the index, in `hom_enumerate`
     order, of g·rho·g⁻¹ for rho the i-th hom.  It is kept with Rep(V, G),
     its orbit set."""
-    return _classes(v, group, budget)[2]
+    return _classes(v, group, budget)[3]
 
 
 def echelon_basis(group: FiniteGroup, hom: tuple[int, ...]) -> list[int]:
@@ -195,22 +196,44 @@ def rep_classes(v: ElementaryAbelian, group: FiniteGroup,
     orbit_map[i] is the class index of the i-th homomorphism in the
     lexicographic enumeration.
     """
-    classes, orbit_map, _ = _classes(v, group, budget)
+    _, classes, orbit_map, _ = _classes(v, group, budget)
     return list(classes), list(orbit_map)
 
 
 def _classes(v: ElementaryAbelian, group: FiniteGroup, budget: int) -> tuple:
-    """(classes, orbit_map, action), computed once per (table, p, r): the
-    enumeration is read once, the action built from it and its orbits
-    read from the action."""
-    key = _memo_key(v, group, budget)
+    """(homs, classes, orbit_map, action), computed and checked once per
+    (table, p, r): the homs are enumerated once, the action built from
+    them, its orbits read from the action and checked by `_check_classes`."""
+    _check_budget(v, group, budget)
+    key = group.key, v.p, v.r
     found = cache.lookup("repv.rep_classes", key)
     if found is None:
-        homs = hom_enumerate(v, group, budget)
+        homs = tuple(hom_enumerate(v, group, budget))
         action = _conjugation_action(v, group, homs)
+        classes, orbit_map = _orbits(v, group, homs, action)
+        _check_classes(group, classes)
         found = cache.store("repv.rep_classes", key,
-                            (*_orbits(v, group, homs, action), action))
+                            (homs, classes, orbit_map, action))
     return found
+
+
+def _check_classes(group: FiniteGroup, classes) -> None:
+    """Require that each centralizer is C_G(rho(V)), the stabilizer of the
+    representative rho: orbit-stabilizer holds, and every element of the
+    centralizer fixes each entry of rho, which pins it exactly."""
+    name, rows = group.name or f"order{group.order}", group.conj_rows
+    for c in classes:
+        if len(c.centralizer) * c.orbit_size != group.order:
+            raise InvariantError(
+                f"orbit-stabilizer fails for {c.representative}: "
+                f"|Stab| = {len(c.centralizer)}, orbit size {c.orbit_size}, "
+                f"|G| = {group.order}",
+                {"group": name, "class": c.representative,
+                 "stabilizer": c.centralizer, "orbit_size": c.orbit_size})
+        if any(rows[g][x] != x for g in c.centralizer for x in c.representative):
+            raise InvariantError(f"the centralizer of {c.representative} moves it",
+                                 {"group": name, "class": c.representative,
+                                  "centralizer": c.centralizer})
 
 
 def _orbits(v: ElementaryAbelian, group: FiniteGroup, homs,
@@ -259,17 +282,24 @@ def rank_strata(classes) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# towers
+# along homomorphisms and towers
 
 
-def induced_class_map(transition, upper_classes, lower_orbit_map,
-                      lower_homs) -> list[int]:
-    """Rep(V, G_{k+1}) -> Rep(V, G_k) on class indices."""
-    pos = {h: i for i, h in enumerate(lower_homs)}
+def class_map(v: ElementaryAbelian, f: GroupHom,
+              budget: int = DEFAULT_HOM_BUDGET) -> list[int]:
+    """Rep(V, G) -> Rep(V, L) along f: G -> L on class indices: entry i is
+    the class of f∘rho, rho the representative of class i, found by
+    bisection among the lex-ordered homs that Rep(V, L) keeps."""
+    classes = _classes(v, f.source, budget)[1]
+    homs, _, orbit_map, _ = _classes(v, f.target, budget)
     out = []
-    for c in upper_classes:
-        image = tuple(transition(x) for x in c.representative)
-        out.append(lower_orbit_map[pos[image]])
+    for c in classes:
+        image = tuple(map(f, c.representative))
+        i = bisect.bisect_left(homs, image)
+        require(i < len(homs) and homs[i] == image,
+                "the image of a hom V -> G is not in hom(V, L)",
+                {"representative": c.representative, "image": image})
+        out.append(orbit_map[i])
     return out
 
 
@@ -283,28 +313,20 @@ def rep_tower(v: ElementaryAbelian, tower: GroupTower,
     genuine limit class, while a rank drop pins the thread as a
     truncation artifact.  No claim is made beyond the supplied depth.
     """
-    levels = []
-    for g in tower.levels:
-        classes, orbit_map = rep_classes(v, g, budget)
-        homs = hom_enumerate(v, g, budget)
-        levels.append({"classes": classes, "orbit_map": orbit_map,
-                       "homs": homs})
-    maps = []
-    for k, q in enumerate(tower.transitions):
-        maps.append(induced_class_map(
-            q, levels[k + 1]["classes"], levels[k]["orbit_map"], levels[k]["homs"]))
+    levels = [rep_classes(v, g, budget)[0] for g in tower.levels]
+    maps = [class_map(v, q, budget) for q in tower.transitions]
     threads = []
     depth = tower.depth
-    for top in range(len(levels[-1]["classes"])):
+    for top in range(len(levels[-1])):
         seq = [top]
         for k in range(depth - 2, -1, -1):
             seq.append(maps[k][seq[-1]])
         seq.reverse()
-        ranks = [levels[k]["classes"][seq[k]].image_rank for k in range(depth)]
+        ranks = [levels[k][seq[k]].image_rank for k in range(depth)]
         persistent = depth < 2 or ranks[-1] == ranks[-2]
         threads.append({"classes": tuple(seq), "ranks": tuple(ranks),
                         "persistent": persistent})
-    return {"levels": [lv["classes"] for lv in levels],
+    return {"levels": levels,
             "class_maps": maps,
             "threads": threads,
             "persistent_threads": [t["classes"] for t in threads

@@ -1,8 +1,10 @@
 """Separability checks: how Rep(V, -) and the p-subgroup category see a
 homomorphism f: G -> L.
 
-`fv_map` pushes Rep(V, G) into Rep(V, L) and reports injectivity and
-surjectivity with witnesses.  `fullness_check` compares the two Weyl
+`fv_map` pushes Rep(V, G) into Rep(V, L) along `repv.class_map`, the
+push-forward `repv.rep_tower` takes along transitions, and reports
+injectivity and surjectivity with witnesses; both Rep sets come with
+centralizers `repv` has checked.  `fullness_check` compares the two Weyl
 images eta(N_G(rho(V))) and mu(N_L(f rho(V))) after transporting the
 basis along f; since conjugation by n and by f(n) give the same matrix,
 eta sits inside mu and the question is whether the inclusion is onto.
@@ -31,10 +33,6 @@ from .errors import require
 from .repv import ElementaryAbelian
 
 
-def _push_hom(f: GroupHom, hom):
-    return tuple(f(x) for x in hom)
-
-
 def fv_map(v: ElementaryAbelian, f: GroupHom,
            budget: int = repv.DEFAULT_HOM_BUDGET) -> dict:
     """The induced map Rep(V, G) -> Rep(V, L) with verdicts.
@@ -42,12 +40,8 @@ def fv_map(v: ElementaryAbelian, f: GroupHom,
     Injectivity failures are witnessed by pairs of source classes that
     collide; surjectivity failures by the unhit target classes.
     """
-    src_classes, _ = repv.rep_classes(v, f.source, budget)
-    dst_classes, dst_orbit_map = repv.rep_classes(v, f.target, budget)
-    dst_homs = repv.hom_enumerate(v, f.target, budget)
-    pos = {h: i for i, h in enumerate(dst_homs)}
-    mapping = [dst_orbit_map[pos[_push_hom(f, c.representative)]]
-               for c in src_classes]
+    mapping = repv.class_map(v, f, budget)
+    dst_classes, _ = repv.rep_classes(v, f.target, budget)
     collisions = {}
     for i, j in enumerate(mapping):
         collisions.setdefault(j, []).append(i)
@@ -81,7 +75,8 @@ def fullness_check(v: ElementaryAbelian, f: GroupHom, class_index: int,
         return {"skipped": True,
                 "note": "non-injective rho: fullness not asserted",
                 "class": c.representative}
-    realizers = repv.weyl_image(f.target, _push_hom(f, c.representative), v.p)
+    realizers = repv.weyl_image(f.target, tuple(map(f, c.representative)),
+                                 v.p)
     # mu acts on f(rho(V)), which has rank r exactly when f is injective on rho(V)
     if len(next(iter(realizers))) != v.r:
         return {"skipped": True,

@@ -30,6 +30,7 @@ def inputs(tmp_path):
     t = cyclic_p_tower(2, 3)
     return {
         "s3": put("s3.json", {"perm_generators": [[2, 1, 3], [2, 3, 1]]}),
+        "s4": put("s4.json", {"table": s4.table.tolist()}),
         "module": put("m.json", {"m": 12, "factors": [2, 6]}),
         "map": put("map.json", {"source": {"m": 12, "factors": [2, 6]},
                                 "target": {"m": 12, "factors": [6]},
@@ -305,11 +306,28 @@ sys.exit(cli.main(sys.argv[1:]))
 DOUBLE_ORBITS = """
 import dataclasses, sys
 from proflq import cli, repv
-real = repv.rep_classes
-def doubled(*args, **kwargs):
-    classes, orbit_map = real(*args, **kwargs)
-    return [dataclasses.replace(c, orbit=c.orbit * 2) for c in classes], orbit_map
-repv.rep_classes = doubled
+real = repv._orbits
+def doubled(*args):
+    classes, orbit_map = real(*args)
+    return tuple(dataclasses.replace(c, orbit=c.orbit * 2) for c in classes), orbit_map
+repv._orbits = doubled
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+# each centralizer swapped for another subgroup of its order, where there is one
+SAME_ORDER_CENTRALIZER = """
+import dataclasses, sys
+from proflq import cli, repv
+from proflq.groups import all_subgroups
+real = repv._orbits
+def swapped(v, group, homs, action):
+    classes, orbit_map = real(v, group, homs, action)
+    subgroups = all_subgroups(group)
+    return tuple(dataclasses.replace(c, centralizer=tuple(sorted(next(
+        (s for s in subgroups if len(s) == len(c.centralizer)
+         and s != frozenset(c.centralizer)), c.centralizer))))
+        for c in classes), orbit_map
+repv._orbits = swapped
 sys.exit(cli.main(sys.argv[1:]))
 """
 
@@ -336,6 +354,19 @@ def test_orbit_stabilizer_is_checked_under_O(inputs):
                                          "--rank", "1", "--dump-orbits"])
     assert proc.returncode == 3, proc.stderr
     assert "orbit-stabilizer" in proc.stderr and proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["lq", "--group", "s4", "--p", "2", "--rank", "2"],
+    ["rep", "--group", "s4", "--p", "2", "--rank", "2"],
+    ["sep", "--hom", "a4_in_s4", "--p", "3"],
+], ids=["lq", "rep", "sep"])
+def test_centralizer_is_checked_for_every_command_under_O(inputs, argv):
+    # the classes are checked where they are made, whichever command reads them
+    proc = run_optimized(SAME_ORDER_CENTRALIZER,
+                         [inputs.get(arg, arg) for arg in argv])
+    assert proc.returncode == 3, proc.stderr
+    assert "moves it" in proc.stderr and proc.stdout == ""
 
 
 def test_selftest_criterion_is_checked_under_O():

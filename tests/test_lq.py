@@ -286,15 +286,16 @@ class TestMechanism:
 
     def test_orbit_stabilizer_checks_the_class_centralizer(self, monkeypatch):
         # the blocks use c.centralizer, so a wrong one must not pass; it is
-        # refused before `shapiro_check`, whose cosets would raise ValueError
-        real = repv.rep_classes
+        # refused where the classes are made, before `shapiro_check`, whose
+        # cosets would raise ValueError
+        real = repv._orbits
 
-        def shortened(*args):
-            classes, orbit_map = real(*args)
-            return [dataclasses.replace(c, centralizer=c.centralizer[:-1])
-                    for c in classes], orbit_map
+        def shortened(v, group, homs, action):
+            classes, orbit_map = real(v, group, homs, action)
+            return tuple(dataclasses.replace(c, centralizer=c.centralizer[:-1])
+                         for c in classes), orbit_map
 
-        monkeypatch.setattr(repv, "rep_classes", shortened)
+        monkeypatch.setattr(repv, "_orbits", shortened)
         with pytest.raises(InvariantError, match="orbit-stabilizer"):
             lq.lq_check(V2, symmetric_group(4), 2)
 

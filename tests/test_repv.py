@@ -244,6 +244,25 @@ class TestAgainstTheScans:
         for hom in pushed:
             assert weyl_image(s4, hom, 3) == reference.weyl_image(s4, hom, 3), hom
 
+    def test_class_map_along_every_catalog_inclusion(self):
+        # the class of f∘rho is the one whose representative lies in the
+        # orbit of f∘rho, conjugated by every element of L
+        for l in catalog.all_groups():
+            for s in all_subgroups(l):
+                h, emb = subgroup_group(l, s)
+                f = GroupHom(h, l, emb)
+                for p in (2, 3):
+                    v = ElementaryAbelian(p, 1)
+                    targets = [c.representative for c in rep_classes(v, l)[0]]
+                    expected = []
+                    for c in rep_classes(v, h)[0]:
+                        image = [f(x) for x in c.representative]
+                        orbit = {tuple(reference.conj(l, g, x) for x in image)
+                                 for g in range(l.order)}
+                        expected.append(next(j for j, t in enumerate(targets)
+                                             if t in orbit))
+                    assert repv.class_map(v, f) == expected, (l.name, sorted(s), p)
+
 
 def _aut_matrices(p, r):
     """All invertible r x r matrices over F_p."""
@@ -300,11 +319,7 @@ class TestRepTower:
         q = GroupHom(t.levels[2], t.levels[0],
                      [t.transitions[0](t.transitions[1](x))
                       for x in range(t.levels[2].order)])
-        direct = repv.induced_class_map(
-            q, rt["levels"][2],
-            rep_classes(ElementaryAbelian(2, 1), t.levels[0])[1],
-            hom_enumerate(ElementaryAbelian(2, 1), t.levels[0]))
-        assert composed == direct
+        assert composed == repv.class_map(ElementaryAbelian(2, 1), q)
 
     def test_s3_times_c2_tower(self):
         s3 = symmetric_group(3)

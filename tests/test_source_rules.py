@@ -29,6 +29,9 @@
 * Only `groups` serializes a group table: no other library module calls
   `.tobytes()` on an expression that reads a `.table` attribute; a cache
   key reads `group.key`, the bytes taken once when the group is built.
+* Only `repv` enumerates hom(V, G): no other library module names
+  `hom_enumerate`, so every other reads the homs, the classes and the
+  action from the one checked Rep(V, G) record that `repv` keeps.
 """
 
 import ast
@@ -495,3 +498,33 @@ def f(g, res, packed):
     return a, b, c, packed.tobytes(), g.key, g.table.tolist(), g.tobytes()
 """
     assert _table_bytes_calls(ast.parse(source)) == [4, 5, 7]
+
+
+# -- hom(V, G) is enumerated in repv alone -------------------------------------------
+
+
+def _hom_enumerate_uses(tree):
+    """Lines that name `hom_enumerate`: a call, a read or an import."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id == "hom_enumerate"
+                  or isinstance(node, ast.Attribute) and node.attr == "hom_enumerate"
+                  or isinstance(node, ast.ImportFrom)
+                  and any(a.name == "hom_enumerate" for a in node.names))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_homs_enumerated_only_in_repv(path):
+    if path.name != "repv.py":
+        assert _hom_enumerate_uses(_tree(path)) == []
+
+
+def test_hom_enumerate_rule_sees_every_use():
+    source = """
+from . import repv
+from .repv import ElementaryAbelian, hom_enumerate as homs
+def f(v, g):
+    a = repv.hom_enumerate(v, g)
+    enumerate_ = repv.hom_enumerate
+    return a, enumerate_(v, g), homs, repv.rep_classes(v, g), "hom_enumerate"
+"""
+    assert _hom_enumerate_uses(ast.parse(source)) == [3, 5, 6]
