@@ -23,15 +23,20 @@ the groups are called:
   when they were made, and the read-only array of G's conjugation action
   on hom(V, G) whose orbits they are.
 
-The module region is keyed on the modules themselves, which are frozen
-and hashable, not on table bytes:
+The module regions are keyed on the modules and maps themselves, which
+are frozen and hashable, not on table bytes:
 
 * `finring.direct_sum` — the normalized sum with its injections and
   projections, per tuple of summands, stored as (total, injections,
-  projections) with the maps in tuples.
+  projections) with the maps in tuples;
+* `finring.cokernel` — the pair (Q, pi) of `finring.cokernel`, per
+  `ModuleMap` (its source, target and reduced matrix); `kernel`,
+  `image`, `is_injective` and `is_surjective` read it through
+  `cokernel`.
 
 `lookup` counts a hit or a miss per region.  Nothing is evicted: every
-key is a group of desk-scale order or the summands of a desk-scale sum.
+key is a group of desk-scale order, the summands of a desk-scale sum or
+a map between desk-scale modules.
 `clear()` empties every region and zeroes the counters; `stats()`
 reports entries, hits and misses.
 """
@@ -42,7 +47,7 @@ from collections import Counter
 
 REGIONS = ("groupcoh.resolutions", "groupcoh.p_prime_quotients",
            "groupcoh.one_point_dims", "groupcoh.shapiro", "repv.rep_classes",
-           "finring.direct_sum")
+           "finring.direct_sum", "finring.cokernel")
 
 _ENTRIES = {name: {} for name in REGIONS}
 _HITS: Counter = Counter()

@@ -7,9 +7,9 @@ and the normal form of a direct sum, is one Smith form over Z/m
 (`snf.smith_normal_form`); a kernel is the dual of the cokernel of the
 dual map, since Pontryagin duality (Hom into Z/m, standing in for Q/Z at
 exponent m) is exact; an image is the cokernel of the kernel inclusion.
-A direct sum is normalized once per tuple of summands and kept in
-`proflq.cache`, so its maps are shared: a `ModuleMap` cannot be changed
-after it is built.
+A cokernel is computed once per map, and a direct sum normalized once
+per tuple of summands, and both are kept in `proflq.cache`, so their
+maps are shared: a `ModuleMap` cannot be changed after it is built.
 """
 
 from __future__ import annotations
@@ -170,16 +170,22 @@ def cokernel(f: ModuleMap) -> tuple[FiniteModule, ModuleMap]:
     """(Q, pi) with pi: target -> Q the universal map killing im(f).
 
     One Smith form of [F | diag(c)] over Z/m, c the target factors: the
-    rows of L with d_i > 1 project onto Q = Z/d_1 + ... .
+    rows of L with d_i > 1 project onto Q = Z/d_1 + ... .  The pair is
+    computed once per map and kept in the `finring.cokernel` region of
+    `proflq.cache`.
     """
-    tgt = f.target
-    n = tgt.rank
-    aug = [list(f.matrix[i]) + [tgt.factors[i] if j == i else 0 for j in range(n)]
-           for i in range(n)]
-    left, d, _ = snf.smith_normal_form(aug, tgt.ring.modulus)
-    kept = [i for i, di in enumerate(d) if di > 1]
-    q = FiniteModule(tgt.ring, tuple(d[i] for i in kept))
-    return q, ModuleMap(tgt, q, [left[i] for i in kept])
+    entry = cache.lookup("finring.cokernel", f)
+    if entry is None:
+        tgt = f.target
+        n = tgt.rank
+        aug = [list(f.matrix[i]) + [tgt.factors[i] if j == i else 0 for j in range(n)]
+               for i in range(n)]
+        left, d, _ = snf.smith_normal_form(aug, tgt.ring.modulus)
+        kept = [i for i, di in enumerate(d) if di > 1]
+        q = FiniteModule(tgt.ring, tuple(d[i] for i in kept))
+        entry = cache.store("finring.cokernel", f,
+                            (q, ModuleMap(tgt, q, [left[i] for i in kept])))
+    return entry
 
 
 def kernel(f: ModuleMap) -> tuple[FiniteModule, ModuleMap]:

@@ -4,18 +4,22 @@
 and orbit split as they ran before `repv` memoized them, with the
 centralizer and Weyl image of each class by scans of the group, and
 `reference.uncached_direct_sum` is the direct sum before `finring` did;
-every cached answer is compared with them, cold and warm.
+every cached answer is compared with them, cold and warm.  A cokernel,
+and the kernel and image read through it, is compared warm with the same
+answer computed alone in an empty cache.
 """
 
 import itertools
 import random
+from math import gcd
 
 import numpy as np
 import pytest
 
 from proflq import cache, catalog, groupcoh as gc, lq, repv
 from proflq.errors import BudgetError
-from proflq.finring import FiniteModule, FiniteRing, cyclic, direct_sum, zero_module
+from proflq.finring import (FiniteModule, FiniteRing, ModuleMap, cokernel, cyclic,
+                            direct_sum, image, kernel, zero_module)
 from proflq.groups import all_subgroups, dihedral_group, subgroup_group, symmetric_group
 from proflq.repv import ElementaryAbelian, RepClass
 
@@ -340,6 +344,94 @@ def test_direct_sum_refusals_after_a_warm_call():
     # refused before any lookup: nothing counted, nothing stored
     assert cache.stats()["finring.direct_sum"] == before == {
         "entries": 1, "hits": 0, "misses": 1}
+
+
+# -- finring.cokernel -------------------------------------------------------------
+
+def test_cokernel_counts_per_map():
+    # f: Z/12 -> Z/2 + Z/12, 1 |-> (1, 2), with kernel 6Z/12 and image Z/6
+    f = ModuleMap(cyclic(Z12, 12), FiniteModule(Z12, (2, 12)), [[1], [2]])
+
+    def counts():
+        return cache.stats()["finring.cokernel"]
+
+    first = cokernel(f)
+    assert counts() == {"entries": 1, "hits": 0, "misses": 1}
+    again = ModuleMap(cyclic(Z12, 12), FiniteModule(Z12, (2, 12)), [[13], [14]])
+    assert cokernel(again) is first  # an equal map is the same key
+    assert counts() == {"entries": 1, "hits": 1, "misses": 1}
+    # the kernel is the cokernel of the dual map, a second key
+    k = kernel(f)
+    assert counts() == {"entries": 2, "hits": 1, "misses": 2}
+    assert kernel(f) == k
+    assert counts() == {"entries": 2, "hits": 2, "misses": 2}
+    # the image reads the kernel, then the cokernel of its inclusion
+    assert image(f) == cyclic(Z12, 6)
+    assert counts() == {"entries": 3, "hits": 3, "misses": 3}
+    assert image(f) == cyclic(Z12, 6)
+    assert counts() == {"entries": 3, "hits": 5, "misses": 3}
+    assert k[0] == cyclic(Z12, 2) and not f.is_injective()
+    assert counts() == {"entries": 3, "hits": 6, "misses": 3}
+    assert not f.is_surjective()
+    assert counts() == {"entries": 3, "hits": 7, "misses": 3}
+
+
+def _random_maps():
+    """Random maps over Z/4, Z/12, Z/36 and Z/256, with zero sources and
+    zero targets, and maps that share a matrix but not their modules."""
+    rng = random.Random(25)
+    maps = []
+    for ring in (FiniteRing(m) for m in (4, 12, 36, 256)):
+        zero = zero_module(ring)
+        for _ in range(40):
+            src, dst = _random_chain(rng, ring), _random_chain(rng, ring)
+            maps.append(ModuleMap(src, dst, [
+                [rng.randrange(gcd(a, b)) * (b // gcd(a, b)) for a in src.factors]
+                for b in dst.factors]))
+            maps.append(ModuleMap(zero, dst, [[] for _ in dst.factors]))
+            maps.append(ModuleMap(src, zero, []))
+            # the zero matrix of this shape between other modules
+            maps.append(ModuleMap(FiniteModule(ring, (ring.modulus,) * src.rank),
+                                  FiniteModule(ring, (ring.modulus,) * dst.rank),
+                                  [[0] * src.rank for _ in dst.factors]))
+    return maps
+
+
+def _answers(f):
+    q, pi = cokernel(f)
+    k, iota = kernel(f)
+    return (q, pi, k, iota, image(f), f.is_injective(), f.is_surjective())
+
+
+def test_cokernel_warm_equals_cold():
+    maps = _random_maps()
+    cold = []
+    for f in maps:
+        cache.clear()
+        cold.append(_answers(f))
+    cache.clear()
+    first = [_answers(f) for f in maps]
+    warm = [_answers(f) for f in maps]
+    assert first == warm == cold
+    assert any(f.source.is_zero for f in maps) and any(f.target.is_zero for f in maps)
+    stats = cache.stats()["finring.cokernel"]
+    assert stats["misses"] == stats["entries"] < len(maps) * 3
+    assert stats["hits"] > 4 * len(maps)
+
+
+def test_cached_cokernel_refuses_setattr():
+    f = ModuleMap(cyclic(Z12, 4), cyclic(Z12, 12), [[3]])
+    q, pi = cokernel(f)
+    expected = (q, ModuleMap(pi.source, pi.target, pi.matrix))
+    with pytest.raises(AttributeError):
+        pi.matrix = ((1,),)
+    with pytest.raises(AttributeError):
+        del pi.target
+    with pytest.raises(AttributeError):
+        q.factors = (12,)
+    assert cokernel(f) == expected
+    assert cache.stats()["finring.cokernel"] == {"entries": 1, "hits": 1,
+                                                 "misses": 1}
 
 
 def test_clear_and_stats():

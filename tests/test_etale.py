@@ -361,6 +361,43 @@ class TestSkyscraper:
         assert is_isomorphic(skyscraper_product(k), product_finite(e).module)
 
 
+class TestCountDistinct:
+    # each dtype np.min_scalar_type picks in adjunction_check, against the
+    # sort-based count of np.unique, on rows drawn with many repeats
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
+    def test_against_np_unique(self, dtype):
+        rng = np.random.default_rng(25)
+        for n, width, high in [(1, 1, 1), (7, 1, 1), (40, 3, 2), (60, 5, 255),
+                               (80, 2, int(np.iinfo(dtype).max))]:
+            base = rng.integers(0, high, size=(n, width), dtype=dtype, endpoint=True)
+            rows = base[rng.integers(0, n, size=2 * n)]
+            for view in (rows, rows[::-1, ::2], rows.T.copy().T):
+                assert etale._count_distinct(view) == len(np.unique(view, axis=0))
+
+    def test_rows_apart_in_a_high_byte(self):
+        rows = np.array([[0, 1], [256, 1], [0, 257], [0, 1]], dtype=np.uint16)
+        assert etale._count_distinct(rows) == len(np.unique(rows, axis=0)) == 3
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_zero_width_rows_count_one(self, n):
+        for dtype in (np.uint8, np.uint64):
+            rows = np.zeros((n, 0), dtype=dtype)
+            assert etale._count_distinct(rows) == len(np.unique(rows, axis=0)) == 1
+        # hom(Z/2 (x) Z/2, 0) is one table of width 0
+        two = constant_space(("a",), cyclic(Z12, 2))
+        zero = constant_space(("a",), zero_module(Z12))
+        assert adjunction_check(two, two, zero)["fibers"]["a"] == {
+            "lhs": 1, "rhs": 1, "bijective": True, "additive": True, "verdict": "iso"}
+
+    def test_entries_past_64_bits(self):
+        rng = np.random.default_rng(26)
+        base = rng.integers(0, 3, size=(30, 4), dtype=np.uint64)
+        rows = base[rng.integers(0, 30, size=60)]
+        wide = rows.astype(object) + 2 ** 70
+        assert wide.dtype == object
+        assert etale._count_distinct(wide) == len(np.unique(rows, axis=0))
+
+
 class TestAdjunction:
     def test_constant_z2(self):
         ring = FiniteRing(2)
