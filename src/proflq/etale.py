@@ -214,12 +214,8 @@ def _curried_tables(ft: FiniteModule, gt: FiniteModule, lt: FiniteModule,
 
 
 def _count_distinct(rows: np.ndarray) -> int:
-    """The number of distinct rows of a 2-d array.
-
-    Two rows of one integer dtype are equal exactly when their bytes are,
-    so the rows are counted as a set of bytes, with no sort; a row of
-    width 0 is the empty bytes, so such rows count as one.
-    """
+    """The number of distinct rows: rows of one integer dtype are equal
+    exactly when their bytes are, and rows of width 0 count as one."""
     if rows.dtype == object:  # entries past 64 bits
         return len(set(map(tuple, rows.tolist())))
     return len(set(map(bytes, np.ascontiguousarray(rows))))
