@@ -15,6 +15,7 @@ maps are shared: a `ModuleMap` cannot be changed after it is built.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from math import gcd, isqrt, prod
 
@@ -43,6 +44,12 @@ class FiniteModule:
     factors: tuple[int, ...]
 
     def __post_init__(self):
+        # the caches key on modules, so the factors are kept as a tuple of ints
+        try:
+            factors = tuple(map(operator.index, self.factors))
+        except TypeError:
+            raise ValueError(f"factors {self.factors!r} are not all integers") from None
+        object.__setattr__(self, "factors", factors)
         m = self.ring.modulus
         for a, b in zip(self.factors, self.factors[1:]):
             if b % a:
@@ -91,22 +98,22 @@ class ModuleMap:
     def __init__(self, source: FiniteModule, target: FiniteModule, matrix):
         if source.ring != target.ring:
             raise ValueError("source and target live over different rings")
-        rows, cols = target.rank, source.rank
+        t_factors, s_factors = target.factors, source.factors
+        rows, cols = len(t_factors), len(s_factors)
         if len(matrix) != rows or any(len(r) != cols for r in matrix):
             raise ValueError(f"matrix must be {rows}x{cols}")
-        reduced = tuple(
-            tuple(int(matrix[i][j]) % target.factors[i] for j in range(cols))
-            for i in range(rows)
-        )
-        for i in range(rows):
-            for j in range(cols):
-                if (reduced[i][j] * source.factors[j]) % target.factors[i]:
-                    raise ValueError(
-                        f"entry ({i},{j}) does not define a homomorphism"
-                    )
+        reduced = []
+        for i, (row, d) in enumerate(zip(matrix, t_factors)):
+            row = tuple([int(x) % d for x in row])
+            for x, c in zip(row, s_factors):
+                if x * c % d:
+                    j = next(j for j, (x, c) in enumerate(zip(row, s_factors))
+                             if x * c % d)
+                    raise ValueError(f"entry ({i},{j}) does not define a homomorphism")
+            reduced.append(row)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "matrix", reduced)
+        object.__setattr__(self, "matrix", tuple(reduced))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"ModuleMap is immutable: cannot set {name!r}")

@@ -101,12 +101,20 @@ def smith_normal_form(matrix: list[list[int]], m: int) -> tuple[
 
     d = [m] * min(rows, cols)
     for t in range(len(d)):
+        # the first entry of least gcd with m in row-major order; a zero
+        # (gcd m) never wins, and a unit is least, so the first ends it
         best, piv = m, None
         for i in range(t, rows):
+            row = a[i]
             for j in range(t, cols):
-                g = gcd(a[i][j], m)
-                if g < best:
-                    best, piv = g, (i, j)
+                if row[j]:
+                    g = gcd(row[j], m)
+                    if g < best:
+                        best, piv = g, (i, j)
+                        if g == 1:
+                            break
+            if best == 1:
+                break
         if piv is None:
             break
         swap_rows(t, piv[0])
@@ -121,10 +129,12 @@ def smith_normal_form(matrix: list[list[int]], m: int) -> tuple[
             if j is not None:
                 eliminate(mix_cols, a[t][t], a[t][j], t, j)
                 continue
-            # divisibility: gcd(pivot, m) must divide every later entry
+            # divisibility: gcd(pivot, m) must divide every later entry;
+            # a unit pivot divides them all
             d[t] = gcd(a[t][t], m)
-            bad = next((i for i in range(t + 1, rows)
-                        if any(x % d[t] for x in a[i][t + 1:])), None)
+            bad = None if d[t] == 1 else next(
+                (i for i in range(t + 1, rows) if any(x % d[t] for x in a[i][t + 1:])),
+                None)
             if bad is None:
                 break
             mix_rows(t, bad, 1, 1, 0, 1)

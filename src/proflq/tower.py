@@ -168,22 +168,48 @@ def _sum_of_composites(source: FiniteModule, target: FiniteModule,
     The composites are summed as unreduced integer matrices and reduced
     once: every column of a well-defined map is killed by its source
     factor, so this is the map that composing and adding step by step
-    gives, without a validated map for every intermediate.
+    gives, without a validated map for every intermediate.  The matrices
+    are small and mostly zero, so each composite is built from right to
+    left as rows of its nonzero (column, value) entries, and only those
+    are added into the total.
     """
     total = snf.zeros(target.rank, source.rank)
     for chain in chains:
-        if (chain[0].target != target or chain[-1].source != source
-                or any(f.source != g.target for f, g in zip(chain, chain[1:]))):
+        # the summands share their modules, so `is` settles most checks
+        end, through_zero = target, False
+        for f in chain:
+            if f.target is not end and f.target != end:
+                raise ValueError("maps are not composable")
+            end = f.source
+            through_zero = through_zero or end.is_zero
+        if end is not source and end != source:
             raise ValueError("maps are not composable")
-        if any(f.source.is_zero for f in chain):
+        if through_zero:
             continue  # the composite factors through 0
-        product = chain[0].matrix
-        for f in chain[1:]:
-            product = snf.mat_mul(product, f.matrix)
-        for row, summand in zip(total, product):
-            for j, v in enumerate(summand):
-                row[j] += v
+        if len(chain) == 1:
+            sparse = [[(j, 1)] for j in range(source.rank)]
+        else:
+            sparse = [[(j, v) for j, v in enumerate(row) if v]
+                      for row in chain[-1].matrix]
+            for f in chain[-2:0:-1]:
+                sparse = [_sparse_product(row, sparse) for row in f.matrix]
+        for row, out in zip(chain[0].matrix, total):
+            for x, entries in zip(row, sparse):
+                if x:
+                    for j, v in entries:
+                        out[j] += x * v
     return ModuleMap(source, target, total)
+
+
+def _sparse_product(row, sparse) -> list:
+    """The (column, value) entries of `row` times the matrix whose rows
+    are the entry lists of `sparse`; an entry that cancels stays, as 0."""
+    acc = {}
+    for x, entries in zip(row, sparse):
+        if x:
+            for j, v in entries:
+                acc[j] = acc.get(j, 0) + x * v
+    return list(acc.items())
 
 
 def _check_budget(order: int, n_points: int, bit_budget: int):
@@ -302,14 +328,21 @@ def _fiber_sections(a: FiniteModule, pi: TowerMap, k: int) -> dict:
         for s in pi.target.levels[k]}
 
 
-def _relative(kind: str, a: FiniteModule, pi: TowerMap, bit_budget: int):
-    """Pushforward of the constant tower along pi: the fiber at s is the
-    module of sections of A over pi^{-1}(s), glued as by `_glue`."""
-    t, s_tower = pi.source, pi.target
+def _relative_sections(a: FiniteModule, pi: TowerMap, bit_budget: int) -> list:
+    """The sections of A over each fiber of pi, level by level, each level
+    checked against the budget before it is built."""
     secs = []
-    for k in range(len(s_tower.levels)):
-        _check_budget(a.order, len(t.levels[k]), bit_budget)
+    for k, lv in enumerate(pi.source.levels):
+        _check_budget(a.order, len(lv), bit_budget)
         secs.append(_fiber_sections(a, pi, k))
+    return secs
+
+
+def _relative(kind: str, pi: TowerMap, secs: list):
+    """Pushforward of the constant tower along pi: the fiber at s is the
+    module of sections of A over pi^{-1}(s), secs[k][s] at level k, glued
+    as by `_glue`."""
+    t, s_tower = pi.source, pi.target
     levels = [FiniteEtaleSpace(lv, {s: secs[k][s].module for s in lv})
               for k, lv in enumerate(s_tower.levels)]
     fts = [{s: _glue(kind, secs[k][s_tower.transitions[k][s]], secs[k + 1][s],
@@ -320,15 +353,26 @@ def _relative(kind: str, a: FiniteModule, pi: TowerMap, bit_budget: int):
 
 
 def relative_product(a: FiniteModule, pi: TowerMap,
-                     bit_budget: int = DEFAULT_BIT_BUDGET) -> IndEtale:
-    """Pushforward of the constant tower: fiber at s is A^{pi^{-1}(s)}."""
-    return _relative("ind", a, pi, bit_budget)
+                     bit_budget: int = DEFAULT_BIT_BUDGET, *,
+                     _sections: list | None = None) -> IndEtale:
+    """Pushforward of the constant tower: fiber at s is A^{pi^{-1}(s)}.
+
+    `decomposition_check` passes the fiber sections it has built as
+    `_sections`, so that both of its sides and its regrouping share them.
+    """
+    if _sections is None:
+        _sections = _relative_sections(a, pi, bit_budget)
+    return _relative("ind", pi, _sections)
 
 
 def relative_sum(a: FiniteModule, pi: TowerMap,
-                 bit_budget: int = DEFAULT_BIT_BUDGET) -> ProEtale:
-    """Dual construction: fiber at s is A[[pi^{-1}(s)]]."""
-    return _relative("pro", a, pi, bit_budget)
+                 bit_budget: int = DEFAULT_BIT_BUDGET, *,
+                 _sections: list | None = None) -> ProEtale:
+    """Dual construction: fiber at s is A[[pi^{-1}(s)]]; `_sections` as
+    for `relative_product`."""
+    if _sections is None:
+        _sections = _relative_sections(a, pi, bit_budget)
+    return _relative("pro", pi, _sections)
 
 
 def _regrouping_map(outer: SectionModule, inner_secs: dict,
@@ -353,11 +397,12 @@ def decomposition_check(a: FiniteModule, pi: TowerMap,
     the pro transitions k+1 -> k; a failure names the level.
     """
     t = pi.source
-    grouped = product_ind(relative_product(a, pi, bit_budget))
-    grouped_sum = coproduct_pro(relative_sum(a, pi, bit_budget))
+    secs = _relative_sections(a, pi, bit_budget)
+    grouped = product_ind(relative_product(a, pi, _sections=secs))
+    grouped_sum = coproduct_pro(relative_sum(a, pi, _sections=secs))
     flat = free_product(a, t, bit_budget)
     flat_sum = free_sum(a, t, bit_budget)
-    regroup = [_regrouping_map(grouped.section_levels[k], _fiber_sections(a, pi, k),
+    regroup = [_regrouping_map(grouped.section_levels[k], secs[k],
                                flat.section_levels[k])
                for k in range(len(t.levels))]
     report = {"levels": [], "ok": True}

@@ -4,13 +4,14 @@ None of this runs on a `proflq` command path: these are brute-force
 oracles (bar cochains over any permutation module, inflation as the
 pullback of bar cocycles, the Symonds module fed to `cohomology` whole,
 hom enumeration, isomorphism search, the integer Smith normal form, the
-direct sum as it ran before it was memoized, rows packed from their
-bytes, subgroup conjugacy, centralizers, Weyl images and the S_p functor
-check by whole-group scans, the row-by-row homomorphism check, the
-conjugation action on hom(V, G) one tuple at a time and the coset action
-one element at a time) and small builders of test inputs (regular and
-direct-sum modules, the dense matrices of a module, constant group
-towers, point towers).
+Smith form over Z/m with a full pivot scan, the sum of composites by
+dense products, the direct sum as it ran before it was memoized, rows
+packed from their bytes, subgroup conjugacy, centralizers, Weyl images
+and the S_p functor check by whole-group scans, the row-by-row
+homomorphism check, the conjugation action on hom(V, G) one tuple at a
+time and the coset action one element at a time) and small builders of
+test inputs (regular and direct-sum modules, the dense matrices of a
+module, constant group towers, point towers).
 """
 
 import itertools
@@ -553,6 +554,84 @@ def integer_smith_normal_form(matrix: list[list[int]]) -> tuple[
     return left, diag, right, left_inv
 
 
+# -- Smith normal form over Z/m, before its pivot search skipped zeros -----------
+
+
+def full_scan_smith_normal_form(matrix: list[list[int]], m: int) -> tuple[
+        list[list[int]], list[int], list[list[int]]]:
+    """`snf.smith_normal_form` as it ran before its pivot search skipped
+    zeros and stopped at the first unit, and before it skipped the
+    divisibility scan under a unit pivot: it takes the gcd of every entry
+    with m at every step.  Returns the same (L, d, L^-1)."""
+    rows = len(matrix)
+    cols = len(matrix[0]) if matrix else 0
+    a = [[x % m for x in r] for r in matrix]
+    left = snf.identity(rows)
+    left_inv = snf.identity(rows)
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        left[i], left[j] = left[j], left[i]
+        for r in left_inv:
+            r[i], r[j] = r[j], r[i]
+
+    def swap_cols(i, j):
+        for r in a:
+            r[i], r[j] = r[j], r[i]
+
+    def mix_rows(i, j, s, u, v, w):
+        # (row_i, row_j) <- (s·row_i + u·row_j, v·row_i + w·row_j), s·w - u·v = 1
+        for mat in (a, left):
+            ri, rj = mat[i], mat[j]
+            mat[i] = [(s * x + u * y) % m for x, y in zip(ri, rj)]
+            mat[j] = [(v * x + w * y) % m for x, y in zip(ri, rj)]
+        for r in left_inv:
+            r[i], r[j] = (w * r[i] - v * r[j]) % m, (s * r[j] - u * r[i]) % m
+
+    def mix_cols(i, j, s, u, v, w):
+        for r in a:
+            r[i], r[j] = (s * r[i] + u * r[j]) % m, (v * r[i] + w * r[j]) % m
+
+    def eliminate(mix, p, e, i, j):
+        # zero e against the pivot p by the unimodular 2x2 step mix on i, j
+        if e % p == 0:
+            mix(i, j, 1, 0, -(e // p), 1)
+        else:
+            g, s, u = snf._bezout(p, e)
+            mix(i, j, s, u, -(e // g), p // g)
+
+    d = [m] * min(rows, cols)
+    for t in range(len(d)):
+        best, piv = m, None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                g = gcd(a[i][j], m)
+                if g < best:
+                    best, piv = g, (i, j)
+        if piv is None:
+            break
+        swap_rows(t, piv[0])
+        swap_cols(t, piv[1])
+        # clear column and row t; each Bézout step shrinks the pivot
+        while True:
+            i = next((i for i in range(t + 1, rows) if a[i][t]), None)
+            if i is not None:
+                eliminate(mix_rows, a[t][t], a[i][t], t, i)
+                continue
+            j = next((j for j in range(t + 1, cols) if a[t][j]), None)
+            if j is not None:
+                eliminate(mix_cols, a[t][t], a[t][j], t, j)
+                continue
+            # divisibility: gcd(pivot, m) must divide every later entry
+            d[t] = gcd(a[t][t], m)
+            bad = next((i for i in range(t + 1, rows)
+                        if any(x % d[t] for x in a[i][t + 1:])), None)
+            if bad is None:
+                break
+            mix_rows(t, bad, 1, 1, 0, 1)
+    return left, d, left_inv
+
+
 # -- etale spaces and towers ------------------------------------------------------
 
 
@@ -574,3 +653,24 @@ def restrict_tower(t: SpaceTower, top_block) -> SpaceTower:
         trs.append({p: t.transitions[k][p] for p in nxt})
         keep.append(nxt)
     return SpaceTower(keep, trs)
+
+
+def dense_sum_of_composites(source: FiniteModule, target: FiniteModule,
+                            chains) -> ModuleMap:
+    """`tower._sum_of_composites` as it ran before it summed sparsely: each
+    composite of a chain is a dense product by `snf.mat_mul`, added cell
+    by cell into one unreduced total, which is reduced once."""
+    total = snf.zeros(target.rank, source.rank)
+    for chain in chains:
+        if (chain[0].target != target or chain[-1].source != source
+                or any(f.source != g.target for f, g in zip(chain, chain[1:]))):
+            raise ValueError("maps are not composable")
+        if any(f.source.is_zero for f in chain):
+            continue  # the composite factors through 0
+        product = chain[0].matrix
+        for f in chain[1:]:
+            product = snf.mat_mul(product, f.matrix)
+        for row, summand in zip(total, product):
+            for j, v in enumerate(summand):
+                row[j] += v
+    return ModuleMap(source, target, total)

@@ -2,6 +2,7 @@ import random
 import time
 from math import gcd, lcm, prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -109,6 +110,21 @@ class TestModule:
     def test_order(self):
         assert FiniteModule(Z12, (2, 6)).order == 12
         assert zero_module(Z12).order == 1
+
+    @pytest.mark.parametrize("factors", [[2, 4], (np.int64(2), np.int32(4)),
+                                         [np.uint8(2), 4]])
+    def test_factors_are_kept_as_a_tuple_of_ints(self, factors):
+        m = FiniteModule(Z12, factors)
+        assert m == FiniteModule(Z12, (2, 4)) and hash(m) == hash(FiniteModule(Z12, (2, 4)))
+        assert type(m.factors) is tuple and all(type(d) is int for d in m.factors)
+        # the caches key on modules
+        assert direct_sum([m, m])[0].factors == (2, 2, 4, 4)
+        assert cokernel(m.identity_map())[0].is_zero
+
+    @pytest.mark.parametrize("factors", [(2.0, 4), [2, 4.0], ("2",), (2, None)])
+    def test_non_integer_factors_are_refused(self, factors):
+        with pytest.raises(ValueError, match="not all integers"):
+            FiniteModule(Z12, factors)
 
 
 class TestKernelCokernel:
@@ -350,6 +366,53 @@ def test_compose_through_the_zero_module():
     z = zero_module(Z12)
     composite = zero_map(z, b).compose(zero_map(a, z))
     assert composite == zero_map(a, b)
+
+
+class TestModuleMapRefusals:
+    # source Z/2 + Z/6 and target Z/4 + Z/12: every entry of row 0 must be
+    # even, and row 1 needs a multiple of 6, then an even entry
+    SOURCE, TARGET = FiniteModule(Z12, (2, 6)), FiniteModule(Z12, (4, 12))
+
+    def test_ring_mismatch(self):
+        with pytest.raises(ValueError, match="different rings"):
+            ModuleMap(cyclic(FiniteRing(4), 2), cyclic(FiniteRing(8), 2), [[1]])
+
+    @pytest.mark.parametrize("matrix", [[[0, 0]], [[0, 0], [0, 0], [0, 0]], []])
+    def test_wrong_row_count(self, matrix):
+        with pytest.raises(ValueError, match="matrix must be 2x2"):
+            ModuleMap(self.SOURCE, self.TARGET, matrix)
+
+    @pytest.mark.parametrize("matrix", [[[0, 0], [0]], [[1, 1], [0, 0, 0]]])
+    def test_ragged_row(self, matrix):
+        # the shape is refused before any entry, bad or not, is read
+        with pytest.raises(ValueError, match="matrix must be 2x2"):
+            ModuleMap(self.SOURCE, self.TARGET, matrix)
+
+    @pytest.mark.parametrize("matrix, entry", [
+        ([[0, 1], [1, 0]], "(0,1)"),     # the first in row-major order, not (1,0)
+        ([[1, 0], [0, 1]], "(0,0)"),
+        ([[0, 0], [6, 1]], "(1,1)"),     # only the last row is bad
+        ([[2, 4], [1, 0]], "(1,0)"),
+    ])
+    def test_the_first_bad_entry_is_named(self, matrix, entry):
+        with pytest.raises(ValueError) as refusal:
+            ModuleMap(self.SOURCE, self.TARGET, matrix)
+        assert str(refusal.value) == f"entry {entry} does not define a homomorphism"
+
+    def test_an_unscaled_dual_is_refused(self):
+        # the dual of Z/4 -> Z/2 (entry 1) has entry 2; entry 1 is no map Z/2 -> Z/4
+        ring = FiniteRing(4)
+        f = ModuleMap(cyclic(ring, 4), cyclic(ring, 2), [[1]])
+        assert dual_map(f).matrix == ((2,),)
+        with pytest.raises(ValueError, match="does not define a homomorphism"):
+            ModuleMap(cyclic(ring, 2), cyclic(ring, 4), [[1]])
+
+    def test_numpy_and_negative_entries_are_reduced(self):
+        f = ModuleMap(self.SOURCE, self.TARGET,
+                      np.array([[-2, np.int64(6)], [-6, -14]], dtype=np.int64))
+        assert f.matrix == ((2, 2), (6, 10))
+        assert all(type(x) is int for row in f.matrix for x in row)
+        assert type(f.matrix) is tuple and all(type(r) is tuple for r in f.matrix)
 
 
 def test_module_map_is_immutable():

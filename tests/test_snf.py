@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from proflq import snf
 
-from .reference import integer_smith_normal_form
+from .reference import full_scan_smith_normal_form, integer_smith_normal_form
 
 
 def invert_unimodular(u: list[list[int]]) -> list[list[int]]:
@@ -190,3 +190,49 @@ def test_mod_snf_matches_the_integer_reference(rows, cols, seed, m):
     _, d, _, _ = integer_smith_normal_form(matrix)
     expected = [gcd(d[i][i], m) for i in range(min(rows, cols))]
     assert check_mod_snf(matrix, m) == expected
+
+
+# -- the pivot search against the full scan it replaced --------------------------
+
+SCAN_MODULI = [2, 3, 4, 6, 8, 9, 12, 36, 256]
+
+
+@st.composite
+def scan_cases(draw):
+    """A matrix over Z/m, m in SCAN_MODULI, with entries in [-m, m]: any
+    entries, or zeros and non-units with one unit at a drawn place (so
+    the first unit may come early or late), or no unit at all."""
+    m = draw(st.sampled_from(SCAN_MODULI))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    values = range(-m, m + 1)
+    units = [x for x in values if gcd(x, m) == 1]
+    others = [x for x in values if gcd(x, m) > 1]
+    kind = draw(st.sampled_from(["any", "one unit", "no unit"]))
+    pool = values if kind == "any" else [0, 0, 0] + others
+    matrix = [[draw(st.sampled_from(pool)) for _ in range(cols)] for _ in range(rows)]
+    if kind == "one unit" and rows and cols:
+        place = draw(st.integers(0, rows * cols - 1))
+        matrix[place // cols][place % cols] = draw(st.sampled_from(units))
+    return matrix, m
+
+
+@settings(max_examples=600, deadline=None)
+@given(scan_cases())
+def test_mod_snf_equals_the_full_scan(case):
+    matrix, m = case
+    assert snf.smith_normal_form(matrix, m) == full_scan_smith_normal_form(matrix, m)
+
+
+@pytest.mark.parametrize("matrix, m", [
+    ([], 4),                                   # 0 x 0
+    ([[], [], []], 6),                         # 3 x 0
+    ([[0, 0, 0, 0]], 12),                      # 1 x 4, all zero
+    ([[1, 2, 3], [2, 4, 6]], 4),               # a unit first
+    ([[2, 4, 6], [6, 4, 2], [8, 0, 3]], 12),   # the only unit last
+    ([[2, 0], [0, 3]], 12),                    # no unit: 2 does not divide 3
+    ([[-3, 9], [-6, -27]], 36),                # negative entries
+    ([[0, 5, 7], [11, 0, 1]], 256),            # several units, not the first
+])
+def test_mod_snf_equals_the_full_scan_at_the_edges(matrix, m):
+    assert snf.smith_normal_form(matrix, m) == full_scan_smith_normal_form(matrix, m)
+

@@ -38,7 +38,8 @@ from proflq.tower import (
 
 from proflq import tower
 
-from .reference import add_maps, point_tower, restrict_tower, zero_space
+from .reference import (add_maps, dense_sum_of_composites, point_tower, restrict_tower,
+                        zero_space)
 from .test_finring import random_map, random_module
 
 F2 = FiniteRing(2)
@@ -382,6 +383,21 @@ class TestDecomposition:
         report = decomposition_check(a, pi, bit_budget=64)
         assert report["ok"]
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_each_level_s_fiber_sections_are_built_once(self, seed, monkeypatch):
+        built = []
+        build = tower._fiber_sections
+
+        def counted(a, pi, k):
+            built.append(k)
+            return build(a, pi, k)
+
+        rng = random.Random(seed)
+        pi = random_tower_map(rng, depth=3)
+        monkeypatch.setattr(tower, "_fiber_sections", counted)
+        assert decomposition_check(cyclic(Z4, 2), pi)["ok"]
+        assert built == list(range(len(pi.source.levels)))
+
     def test_a_regrouping_that_is_not_natural_fails(self, monkeypatch):
         """Sending each summand one point along its fiber is an isomorphism
         at every level, but it does not commute with the transitions."""
@@ -439,13 +455,38 @@ class TestSumOfComposites:
         assert (tower._sum_of_composites(source, target, chains)
                 == chain_sum(source, target, chains))
 
+    @pytest.mark.parametrize("seed", range(60))
+    def test_sparse_sums_equal_the_dense_ones(self, seed):
+        """Chains of one to four maps over Z/4, Z/12 and Z/36, some through
+        the zero module, against the dense sums they replace and against
+        composing and adding validated maps."""
+        rng = random.Random(seed)
+        ring = FiniteRing(rng.choice([4, 12, 36]))
+        source, target = random_module(rng, ring), random_module(rng, ring)
+        chains = []
+        for _ in range(rng.randint(1, 6)):
+            length = rng.randint(1, 4)
+            mods = [target] + [random_module(rng, ring) for _ in range(length - 1)] \
+                + [source]
+            if length > 1 and rng.random() < 0.3:
+                mods[rng.randint(1, length - 1)] = zero_module(ring)
+            chains.append([random_map(rng, mods[i + 1], mods[i]) for i in range(length)])
+        summed = tower._sum_of_composites(source, target, chains)
+        assert summed == dense_sum_of_composites(source, target, chains)
+        assert summed == chain_sum(source, target, chains)
+
     def test_endpoints_are_checked(self):
         a, b = cyclic(Z4, 4), cyclic(Z4, 2)
+        z = zero_module(Z4)
         f = ModuleMap(a, b, [[1]])
-        with pytest.raises(ValueError):
-            tower._sum_of_composites(a, b, [[f, f]])
-        with pytest.raises(ValueError):
-            tower._sum_of_composites(b, b, [[f]])
+        for source, target, chain in [
+                (a, b, [f, f]),                        # b -> a in the middle
+                (b, b, [f]),                           # wrong source
+                (a, a, [f]),                           # wrong target
+                (a, b, [zero_map(z, b), zero_map(a, a)]),  # through 0, mismatched
+        ]:
+            with pytest.raises(ValueError, match="maps are not composable"):
+                tower._sum_of_composites(source, target, [chain])
 
     @pytest.mark.parametrize("seed", range(15))
     def test_tower_maps_match_the_step_by_step_sums(self, seed):
