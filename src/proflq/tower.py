@@ -338,10 +338,13 @@ def _relative_sections(a: FiniteModule, pi: TowerMap, bit_budget: int) -> list:
     return secs
 
 
-def _relative(kind: str, pi: TowerMap, secs: list):
+def _relative(kind: str, a: FiniteModule, pi: TowerMap, bit_budget: int,
+              secs: list | None):
     """Pushforward of the constant tower along pi: the fiber at s is the
-    module of sections of A over pi^{-1}(s), secs[k][s] at level k, glued
-    as by `_glue`."""
+    module of sections of A over pi^{-1}(s), secs[k][s] at level k (built
+    here when `secs` is None), glued as by `_glue`."""
+    if secs is None:
+        secs = _relative_sections(a, pi, bit_budget)
     t, s_tower = pi.source, pi.target
     levels = [FiniteEtaleSpace(lv, {s: secs[k][s].module for s in lv})
               for k, lv in enumerate(s_tower.levels)]
@@ -360,9 +363,7 @@ def relative_product(a: FiniteModule, pi: TowerMap,
     `decomposition_check` passes the fiber sections it has built as
     `_sections`, so that both of its sides and its regrouping share them.
     """
-    if _sections is None:
-        _sections = _relative_sections(a, pi, bit_budget)
-    return _relative("ind", pi, _sections)
+    return _relative("ind", a, pi, bit_budget, _sections)
 
 
 def relative_sum(a: FiniteModule, pi: TowerMap,
@@ -370,9 +371,7 @@ def relative_sum(a: FiniteModule, pi: TowerMap,
                  _sections: list | None = None) -> ProEtale:
     """Dual construction: fiber at s is A[[pi^{-1}(s)]]; `_sections` as
     for `relative_product`."""
-    if _sections is None:
-        _sections = _relative_sections(a, pi, bit_budget)
-    return _relative("pro", pi, _sections)
+    return _relative("pro", a, pi, bit_budget, _sections)
 
 
 def _regrouping_map(outer: SectionModule, inner_secs: dict,
@@ -394,12 +393,13 @@ def decomposition_check(a: FiniteModule, pi: TowerMap,
     the plain ones, so one r_k serves both sides.  The product side holds
     at k when r_k is an isomorphism that commutes with the ind
     transitions k -> k+1, the sum side when it is one that commutes with
-    the pro transitions k+1 -> k; a failure names the level.
+    the pro transitions k+1 -> k; a failure names the level.  The fiber
+    sections of each level are built once, for both sides and r_k.
     """
     t = pi.source
     secs = _relative_sections(a, pi, bit_budget)
-    grouped = product_ind(relative_product(a, pi, _sections=secs))
-    grouped_sum = coproduct_pro(relative_sum(a, pi, _sections=secs))
+    grouped = product_ind(relative_product(a, pi, bit_budget, _sections=secs))
+    grouped_sum = coproduct_pro(relative_sum(a, pi, bit_budget, _sections=secs))
     flat = free_product(a, t, bit_budget)
     flat_sum = free_sum(a, t, bit_budget)
     regroup = [_regrouping_map(grouped.section_levels[k], secs[k],
