@@ -384,7 +384,7 @@ class TestDecomposition:
         assert report["ok"]
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_each_level_s_fiber_sections_are_built_once(self, seed, monkeypatch):
+    def test_fiber_sections_are_built_once_per_level(self, seed, monkeypatch):
         built = []
         build = tower._fiber_sections
 
