@@ -10,6 +10,7 @@ their seed from the PROFLQ_SEED environment variable (default 0).
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 import time
@@ -20,6 +21,7 @@ from .finring import (
     FiniteRing,
     FiniteModule,
     ModuleMap,
+    cokernel,
     cyclic,
     direct_sum,
     dual_map,
@@ -32,6 +34,8 @@ from .finring import (
 from .groups import (
     GroupHom,
     all_subgroups,
+    cyclic_group,
+    direct_product,
     identity_hom,
     subgroup_group,
     symmetric_group,
@@ -55,7 +59,7 @@ def _timed(fn):
 # -- shared random generators ------------------------------------------------
 
 
-def _random_module(rng, ring, max_order=256):
+def _random_module(rng, ring):
     factors = []
     order = 1
     divisors = [d for d in range(2, ring.modulus + 1) if ring.modulus % d == 0]
@@ -64,7 +68,7 @@ def _random_module(rng, ring, max_order=256):
                        or divisors)
         if factors and d % factors[-1] != 0:
             continue
-        if order * d > max_order:
+        if order * d > 256:
             break
         factors.append(d)
         order *= d
@@ -72,7 +76,6 @@ def _random_module(rng, ring, max_order=256):
 
 
 def _random_map(rng, src, dst):
-    import math
     rows = []
     for b in dst.factors:
         row = []
@@ -89,7 +92,6 @@ def _random_map(rng, src, dst):
 @_timed
 def criterion_1(trials: int = 500) -> dict:
     """Duality suite: double dual, exactness reversal, (sum)^dual = prod."""
-    from .finring import cokernel
     rng = random.Random(_seed() + 1)
     rings = [FiniteRing(m) for m in (4, 6, 8, 9, 12)]
     checked = 0
@@ -168,7 +170,7 @@ def criterion_2() -> dict:
             "detail": {"bases": bases, "towers": towers}}
 
 
-def _random_space_tower(rng, depth, max_points=8):
+def _random_space_tower(rng, depth, max_points):
     """Random chain of surjections with `depth` transitions."""
     sizes = [rng.randrange(1, max_points + 1)]
     for _ in range(depth):
@@ -183,9 +185,11 @@ def _random_space_tower(rng, depth, max_points=8):
     return tower.SpaceTower(levels, transitions)
 
 
-def _random_tower_map(rng, depth=2, max_points=5):
-    """A fiberwise-surjective TowerMap onto a random base tower."""
-    base = _random_space_tower(rng, depth, max_points)
+def _random_tower_map(rng):
+    """A fiberwise-surjective TowerMap onto a random base tower of depth 2
+    with at most 5 points a level."""
+    depth = 2
+    base = _random_space_tower(rng, depth, max_points=5)
     sizes = [len(lv) for lv in base.levels]
     src_sizes = [s + rng.randrange(0, 3) for s in sizes]
     vertical = []
@@ -260,7 +264,7 @@ def criterion_4(trials: int = 100) -> dict:
                or l.fiber(t).order > 16 for t in range(n)):
             continue
         try:
-            report = etale.adjunction_check(f, g, l, max_side=4096)
+            report = etale.adjunction_check(f, g, l)
         except BudgetError:
             continue
         require(report["ok"], "tensor-hom adjunction fails", report)
@@ -272,7 +276,6 @@ def criterion_4(trials: int = 100) -> dict:
 @_timed
 def criterion_5() -> dict:
     """Cohomology oracles and the exhaustive Shapiro sweep."""
-    from .groups import cyclic_group, direct_product
     for p in (2, 3, 5):
         g = cyclic_group(p)
         require(gc.cohomology(g, gc.trivial_module(g, p), 4) == (1,) * 5,

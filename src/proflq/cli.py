@@ -338,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sep = sub.add_parser("sep", help="separability and fullness checks")
     sep_sub = p_sep.add_subparsers(dest="sep_command")
     p_dist = sep_sub.add_parser("distinguish",
-                                help="separate two element threads")
+                                help="separate two threads of elements or of subgroups")
     p_dist.add_argument("--tower", required=True)
     p_dist.add_argument("--x", required=True)
     p_dist.add_argument("--y", required=True)

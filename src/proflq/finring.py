@@ -7,6 +7,7 @@ and the normal form of a direct sum, is one Smith form over Z/m
 (`snf.smith_normal_form`); a kernel is the dual of the cokernel of the
 dual map, since Pontryagin duality (Hom into Z/m, standing in for Q/Z at
 exponent m) is exact; an image is the cokernel of the kernel inclusion.
+Composites, and sums of them, are one `sum_of_composites` each.
 A cokernel is computed once per map, and a direct sum normalized once
 per tuple of summands, and both are kept in `proflq.cache`, so their
 maps are shared: a `ModuleMap` cannot be changed after it is built.
@@ -142,14 +143,8 @@ class ModuleMap:
         return f"ModuleMap({self.source.factors}->{self.target.factors}, {self.matrix})"
 
     def compose(self, other: "ModuleMap") -> "ModuleMap":
-        """self after other."""
-        if other.target != self.source:
-            raise ValueError("maps are not composable")
-        if self.source.is_zero:
-            # other.matrix has no rows, so the product would lose its width
-            return zero_map(other.source, self.target)
-        return ModuleMap(other.source, self.target,
-                         snf.mat_mul(self.matrix, other.matrix))
+        """self after other: a sum of one composite."""
+        return sum_of_composites(other.source, self.target, [(self, other)])
 
     @property
     def is_zero(self) -> bool:
@@ -171,6 +166,58 @@ class ModuleMap:
 
 def zero_map(source: FiniteModule, target: FiniteModule) -> ModuleMap:
     return ModuleMap(source, target, snf.zeros(target.rank, source.rank))
+
+
+def sum_of_composites(source: FiniteModule, target: FiniteModule,
+                      chains) -> ModuleMap:
+    """The sum over `chains` of f_1 . f_2 . ... . f_n, as one ModuleMap.
+
+    Each chain is a sequence of composable maps from `source` to `target`.
+    The composites are summed as unreduced integer matrices and reduced
+    once: every column of a well-defined map is killed by its source
+    factor, so this is the map that composing and adding step by step
+    gives, without a validated map for every intermediate.  The matrices
+    are small and mostly zero, so each composite is built from right to
+    left as rows of its nonzero (column, value) entries, and only those
+    are added into the total.
+    """
+    total = snf.zeros(target.rank, source.rank)
+    for chain in chains:
+        # the summands share their modules, so `is` settles most checks
+        end, through_zero = target, False
+        for f in chain:
+            if f.target is not end and f.target != end:
+                raise ValueError("maps are not composable")
+            end = f.source
+            through_zero = through_zero or end.is_zero
+        if end is not source and end != source:
+            raise ValueError("maps are not composable")
+        if through_zero:
+            continue  # the composite factors through 0
+        if len(chain) == 1:
+            sparse = [[(j, 1)] for j in range(source.rank)]
+        else:
+            sparse = [[(j, v) for j, v in enumerate(row) if v]
+                      for row in chain[-1].matrix]
+            for f in chain[-2:0:-1]:
+                sparse = [_sparse_product(row, sparse) for row in f.matrix]
+        for row, out in zip(chain[0].matrix, total):
+            for x, entries in zip(row, sparse):
+                if x:
+                    for j, v in entries:
+                        out[j] += x * v
+    return ModuleMap(source, target, total)
+
+
+def _sparse_product(row, sparse) -> list:
+    """The (column, value) entries of `row` times the matrix whose rows
+    are the entry lists of `sparse`; an entry that cancels stays, as 0."""
+    acc = {}
+    for x, entries in zip(row, sparse):
+        if x:
+            for j, v in entries:
+                acc[j] = acc.get(j, 0) + x * v
+    return list(acc.items())
 
 
 def cokernel(f: ModuleMap) -> tuple[FiniteModule, ModuleMap]:

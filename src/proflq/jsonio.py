@@ -172,4 +172,7 @@ def load_group_tower(data: dict) -> GroupTower:
 
 
 def load_thread(data) -> tuple:
+    """A thread of elements, [g0, g1, ...], or of subgroups, [[...], [...], ...]."""
+    if isinstance(data, list) and data and all(isinstance(x, list) for x in data):
+        return tuple(tuple(_integers(x)) for x in data)
     return tuple(_integers(data))

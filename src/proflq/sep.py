@@ -180,12 +180,18 @@ def sp_functor_check(f: GroupHom, p: int) -> dict:
 
 def _check_thread(tower: GroupTower, thread) -> tuple[list[frozenset[int]], bool]:
     """A thread of elements or of subgroups as one element set per level,
-    checked against the transitions; the flag is set for elements."""
+    checked against the transitions; the flag is set for elements.  Each
+    entry lies in its level, and a subgroup entry is its own closure."""
     thread = list(thread)
     if len(thread) != tower.depth:
         raise ValueError("thread length must equal tower depth")
     elements = all(isinstance(x, Integral) for x in thread)
     sets = [frozenset([x]) if elements else frozenset(x) for x in thread]
+    for k, (g, s) in enumerate(zip(tower.levels, sets)):
+        if any(not 0 <= x < g.order for x in s):
+            raise ValueError(f"thread entry at level {k} is not in 0..{g.order - 1}")
+        if not elements and g.closure(s) != s:
+            raise ValueError(f"thread entry at level {k} is not a subgroup")
     for k, q in enumerate(tower.transitions):
         if frozenset(map(q, sets[k + 1])) != sets[k]:
             raise ValueError(f"thread incompatible at transition {k}")

@@ -4,7 +4,7 @@ Every lattice the library reduces contains m·Z^n, so its normal forms are
 computed in (Z/m)^n with every entry kept in range(m) (Storjohann and
 Mulders, "Fast algorithms for linear algebra modulo N", ESA 1998).  The
 entries never grow, so every call terminates quickly.  Matrices are lists
-of lists of plain ints.
+of lists of plain ints.  Only `finring` imports this module.
 """
 
 from __future__ import annotations
@@ -20,24 +20,6 @@ def identity(n: int) -> list[list[int]]:
     out = zeros(n, n)
     for i in range(n):
         out[i][i] = 1
-    return out
-
-
-def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("dimension mismatch in mat_mul")
-    inner = len(b)
-    cols = len(b[0]) if b else 0
-    out = zeros(len(a), cols)
-    for i, row in enumerate(a):
-        for k in range(inner):
-            aik = row[k]
-            if aik == 0:
-                continue
-            brow = b[k]
-            orow = out[i]
-            for j in range(cols):
-                orow[j] += aik * brow[j]
     return out
 
 

@@ -8,14 +8,14 @@ levelwise.  Each pro construction is the dual of an ind one and is
 written once with it, its kind a parameter: the free product A^T and
 the free sum A[[T]], the product and coproduct of an etale tower, and
 their relative versions along a tower map, are all levels of section
-modules glued up (ind) or down (pro) by one helper.
+modules glued up (ind) or down (pro) by one helper.  Every map among
+them is one `finring.sum_of_composites`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import snf
 from .errors import BudgetError
 from .etale import (FiniteEtaleSpace, SectionModule, constant_space, dual_etale,
                     sections)
@@ -27,6 +27,7 @@ from .finring import (
     is_isomorphic,
     kernel,
     pontryagin_dual,
+    sum_of_composites,
 )
 
 DEFAULT_BIT_BUDGET = 64
@@ -160,58 +161,6 @@ def constant_pro_etale(a: FiniteModule, t: SpaceTower) -> ProEtale:
     return _constant_etale("pro", a, t)
 
 
-def _sum_of_composites(source: FiniteModule, target: FiniteModule,
-                       chains) -> ModuleMap:
-    """The sum over `chains` of f_1 . f_2 . ... . f_n, as one ModuleMap.
-
-    Each chain is a sequence of composable maps from `source` to `target`.
-    The composites are summed as unreduced integer matrices and reduced
-    once: every column of a well-defined map is killed by its source
-    factor, so this is the map that composing and adding step by step
-    gives, without a validated map for every intermediate.  The matrices
-    are small and mostly zero, so each composite is built from right to
-    left as rows of its nonzero (column, value) entries, and only those
-    are added into the total.
-    """
-    total = snf.zeros(target.rank, source.rank)
-    for chain in chains:
-        # the summands share their modules, so `is` settles most checks
-        end, through_zero = target, False
-        for f in chain:
-            if f.target is not end and f.target != end:
-                raise ValueError("maps are not composable")
-            end = f.source
-            through_zero = through_zero or end.is_zero
-        if end is not source and end != source:
-            raise ValueError("maps are not composable")
-        if through_zero:
-            continue  # the composite factors through 0
-        if len(chain) == 1:
-            sparse = [[(j, 1)] for j in range(source.rank)]
-        else:
-            sparse = [[(j, v) for j, v in enumerate(row) if v]
-                      for row in chain[-1].matrix]
-            for f in chain[-2:0:-1]:
-                sparse = [_sparse_product(row, sparse) for row in f.matrix]
-        for row, out in zip(chain[0].matrix, total):
-            for x, entries in zip(row, sparse):
-                if x:
-                    for j, v in entries:
-                        out[j] += x * v
-    return ModuleMap(source, target, total)
-
-
-def _sparse_product(row, sparse) -> list:
-    """The (column, value) entries of `row` times the matrix whose rows
-    are the entry lists of `sparse`; an entry that cancels stays, as 0."""
-    acc = {}
-    for x, entries in zip(row, sparse):
-        if x:
-            for j, v in entries:
-                acc[j] = acc.get(j, 0) + x * v
-    return list(acc.items())
-
-
 def _check_budget(order: int, n_points: int, bit_budget: int):
     if order > 1 and n_points * order.bit_length() > bit_budget:
         raise BudgetError(
@@ -237,8 +186,8 @@ def _glue(kind: str, lo: SectionModule, hi: SectionModule, down: dict,
         else:
             chains.append((lo.injections[down[u]], *mid, hi.projections[u]))
     if kind == "ind":
-        return _sum_of_composites(lo.module, hi.module, chains)
-    return _sum_of_composites(hi.module, lo.module, chains)
+        return sum_of_composites(lo.module, hi.module, chains)
+    return sum_of_composites(hi.module, lo.module, chains)
 
 
 def _section_tower(kind: str, t: SpaceTower, spaces, fiber_transitions=None,
@@ -377,7 +326,7 @@ def relative_sum(a: FiniteModule, pi: TowerMap,
 def _regrouping_map(outer: SectionModule, inner_secs: dict,
                     flat: SectionModule) -> ModuleMap:
     """⊕_s (⊕_{t in fiber(s)} A)  ->  ⊕_t A, forgetting the grouping."""
-    return _sum_of_composites(
+    return sum_of_composites(
         outer.module, flat.module,
         [(flat.injections[t], inner_secs[s].projections[t], outer.projections[s])
          for s in outer.points for t in inner_secs[s].points])
@@ -434,7 +383,7 @@ def _joint_projection(level: FiniteModule, projections) -> ModuleMap:
     the injections the level's own sections carry.
     """
     total, injs, _ = direct_sum([c.target for c in projections])
-    return _sum_of_composites(level, total, list(zip(injs, projections)))
+    return sum_of_composites(level, total, list(zip(injs, projections)))
 
 
 def canonical_components(x, threads) -> dict:
@@ -481,7 +430,7 @@ def canonical_components(x, threads) -> dict:
             comps = [sec.injections[p] for p in pts]
             srcs = [c.source for c in comps]
             total, _, projs = direct_sum(srcs) if srcs else (None, [], [])
-            joint = _sum_of_composites(total, x.levels[k], list(zip(comps, projs)))
+            joint = sum_of_composites(total, x.levels[k], list(zip(comps, projs)))
             dense = joint.is_surjective()
             entry = {"level": k, "dense": dense,
                      "covers_level": set(pts) == set(sec.points)}

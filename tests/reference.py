@@ -4,14 +4,15 @@ None of this runs on a `proflq` command path: these are brute-force
 oracles (bar cochains over any permutation module, inflation as the
 pullback of bar cocycles, the Symonds module fed to `cohomology` whole,
 hom enumeration, isomorphism search, the integer Smith normal form, the
-Smith form over Z/m with a full pivot scan, the sum of composites by
-dense products, the direct sum as it ran before it was memoized, rows
-packed from their bytes, subgroup conjugacy, centralizers, Weyl images
-and the S_p functor check by whole-group scans, the row-by-row
-homomorphism check, the conjugation action on hom(V, G) one tuple at a
-time and the coset action one element at a time) and small builders of
-test inputs (regular and direct-sum modules, the dense matrices of a
-module, constant group towers, point towers).
+Smith form over Z/m with a full pivot scan, the dense matrix product
+and the composite and sum of composites built on it, the direct sum as
+it ran before it was memoized, rows packed from their bytes, subgroup
+conjugacy, centralizers, Weyl images and the S_p functor check by
+whole-group scans, the row-by-row homomorphism check, the conjugation
+action on hom(V, G) one tuple at a time and the coset action one
+element at a time) and small builders of test inputs (regular and
+direct-sum modules, the dense matrices of a module, constant group
+towers, point towers).
 """
 
 import itertools
@@ -22,7 +23,7 @@ import numpy as np
 from proflq import groupcoh as gc, linalg, lq, repv, snf
 from proflq.errors import BudgetError
 from proflq.etale import FiniteEtaleSpace
-from proflq.finring import FiniteModule, ModuleMap, from_cyclic, zero_module
+from proflq.finring import FiniteModule, ModuleMap, from_cyclic, zero_map, zero_module
 from proflq.groups import (FiniteGroup, GroupHom, all_subgroups, identity_hom,
                            left_cosets, trivial_group)
 from proflq.tower import SpaceTower
@@ -421,6 +422,37 @@ def dual_pairing(m: FiniteModule, x, xi) -> int:
     return sum(x_i * xi_i * (mm // d) for x_i, xi_i, d in zip(x, xi, m.factors)) % mm
 
 
+def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """The dense integer product a·b, as `snf` computed it before map
+    matrices were multiplied only in `finring.sum_of_composites`."""
+    if a and b and len(a[0]) != len(b):
+        raise ValueError("dimension mismatch in mat_mul")
+    inner = len(b)
+    cols = len(b[0]) if b else 0
+    out = snf.zeros(len(a), cols)
+    for i, row in enumerate(a):
+        for k in range(inner):
+            aik = row[k]
+            if aik == 0:
+                continue
+            brow = b[k]
+            orow = out[i]
+            for j in range(cols):
+                orow[j] += aik * brow[j]
+    return out
+
+
+def dense_compose(f: ModuleMap, g: ModuleMap) -> ModuleMap:
+    """f after g by one dense product, as `ModuleMap.compose` ran before it
+    became a sum of one composite."""
+    if g.target != f.source:
+        raise ValueError("maps are not composable")
+    if f.source.is_zero:
+        # g.matrix has no rows, so the product would lose its width
+        return zero_map(g.source, f.target)
+    return ModuleMap(g.source, f.target, mat_mul(f.matrix, g.matrix))
+
+
 def add_maps(f: ModuleMap, g: ModuleMap) -> ModuleMap:
     """f + g, validated as a new map."""
     if f.source != g.source or f.target != g.target:
@@ -657,8 +689,8 @@ def restrict_tower(t: SpaceTower, top_block) -> SpaceTower:
 
 def dense_sum_of_composites(source: FiniteModule, target: FiniteModule,
                             chains) -> ModuleMap:
-    """`tower._sum_of_composites` as it ran before it summed sparsely: each
-    composite of a chain is a dense product by `snf.mat_mul`, added cell
+    """`finring.sum_of_composites` as it ran before it summed sparsely: each
+    composite of a chain is a dense product by `mat_mul`, added cell
     by cell into one unreduced total, which is reduced once."""
     total = snf.zeros(target.rank, source.rank)
     for chain in chains:
@@ -669,7 +701,7 @@ def dense_sum_of_composites(source: FiniteModule, target: FiniteModule,
             continue  # the composite factors through 0
         product = chain[0].matrix
         for f in chain[1:]:
-            product = snf.mat_mul(product, f.matrix)
+            product = mat_mul(product, f.matrix)
         for row, summand in zip(total, product):
             for j, v in enumerate(summand):
                 row[j] += v

@@ -15,6 +15,8 @@ from proflq.finring import zero_map
 from proflq.groups import all_subgroups, subgroup_group, symmetric_group
 from proflq.groupcoh import cyclic_p_tower
 
+from .test_golden import INPUTS as GOLDEN_INPUTS
+
 
 @pytest.fixture()
 def inputs(tmp_path):
@@ -150,6 +152,45 @@ def test_sep_distinguish_exit_codes(inputs, capsys):
     code, report = run(["sep", "distinguish", "--tower", inputs["gt"],
                         "--x", inputs["x"], "--y", inputs["x"]], capsys)
     assert code == 1 and not report["results"]["separated"]
+
+
+def _sep_distinguish(tmp_path, monkeypatch, capsys, x, y):
+    """`sep distinguish` on the golden C2 <- S3 tower and the threads x, y."""
+    for name, payload in {"gt.json": GOLDEN_INPUTS["gt.json"],
+                          "a.json": x, "b.json": y}.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    monkeypatch.chdir(tmp_path)
+    return cli.main(["sep", "distinguish", "--tower", "gt.json", "--x", "a.json",
+                     "--y", "b.json"]), capsys.readouterr()
+
+
+@pytest.mark.parametrize("y, code, results", [
+    # 1 above A3 = {0, 2, 5}: apart already in C2
+    ([[0], [0, 2, 5]], 0, {"separated": True, "level": 0, "a": [0, 1], "b": [0]}),
+    # two conjugate transpositions
+    ([[0, 1], [0, 3]], 1, {"separated": False, "levels_checked": 2,
+                           "note": "all supplied levels conjugate; no claim beyond depth"}),
+], ids=["separated", "exhausted"])
+def test_sep_distinguish_subgroup_threads(tmp_path, monkeypatch, capsys,
+                                          y, code, results):
+    got, captured = _sep_distinguish(tmp_path, monkeypatch, capsys,
+                                     [[0, 1], [0, 1]], y)
+    assert (got, json.loads(captured.out)["results"]) == (code, results)
+
+
+@pytest.mark.parametrize("y, message", [
+    ([[0, 1], [0, 1, 2]], "thread entry at level 1 is not a subgroup"),
+    ([[0, 1], [0, 6]], "thread entry at level 1 is not in 0..5"),
+    ([1, -1], "thread entry at level 1 is not in 0..5"),
+    ([[0, 1], 1], "expected a JSON list of integers"),
+    ([[0, 1], [0, 1.0]], "expected a JSON list of integers"),
+], ids=["not-a-subgroup", "outside-the-level", "negative-element", "mixed",
+        "float-element"])
+def test_bad_subgroup_threads_are_exit_2(tmp_path, monkeypatch, capsys, y, message):
+    got, captured = _sep_distinguish(tmp_path, monkeypatch, capsys,
+                                     [[0, 1], [0, 1]], y)
+    assert got == 2 and captured.out == ""
+    assert captured.err.startswith("bad input") and message in captured.err
 
 
 def test_usage_errors_are_exit_2(inputs, capsys):

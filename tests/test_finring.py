@@ -25,7 +25,7 @@ from proflq.finring import (
     zero_module,
 )
 
-from .reference import dual_pairing, hom_maps, integer_smith_normal_form
+from .reference import dense_compose, dual_pairing, hom_maps, integer_smith_normal_form
 
 Z12 = FiniteRing(12)
 
@@ -366,6 +366,39 @@ def test_compose_through_the_zero_module():
     z = zero_module(Z12)
     composite = zero_map(z, b).compose(zero_map(a, z))
     assert composite == zero_map(a, b)
+
+
+class TestCompose:
+    """`ModuleMap.compose`, a sum of one composite, against one dense
+    product (`reference.dense_compose`)."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_pairs_match_the_dense_product(self, seed):
+        rng = random.Random(seed)
+        ring = FiniteRing(rng.randint(4, 12))
+        a, b, c = (random_module(rng, ring) for _ in range(3))
+        if seed % 4 == 0:
+            # through 0 the dense product has no rows to keep its width
+            b = zero_module(ring)
+            a, c = (FiniteModule(ring, (ring.modulus,) * rng.randint(1, 3))
+                    for _ in range(2))
+        f, g = random_map(rng, b, c), random_map(rng, a, b)
+        assert f.compose(g) == dense_compose(f, g)
+        other = random_module(rng, ring)
+        if other != b:
+            h = random_map(rng, a, other)
+            for compose in (ModuleMap.compose, dense_compose):
+                with pytest.raises(ValueError, match="maps are not composable"):
+                    compose(f, h)
+
+    def test_mismatched_endpoints_are_refused(self):
+        a, b, z = cyclic(Z12, 4), FiniteModule(Z12, (2, 6)), zero_module(Z12)
+        for f, g in [(zero_map(b, a), zero_map(a, a)),   # a -> a, then b -> a
+                     (zero_map(z, a), zero_map(a, b)),   # into b, then out of 0
+                     (zero_map(a, z), zero_map(z, z))]:  # into 0, then out of a
+            for compose in (ModuleMap.compose, dense_compose):
+                with pytest.raises(ValueError, match="maps are not composable"):
+                    compose(f, g)
 
 
 class TestModuleMapRefusals:

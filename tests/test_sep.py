@@ -323,6 +323,20 @@ class TestDistinguished:
         with pytest.raises(ValueError):
             sep.conjugacy_distinguished([0, 0], [{0}, {0}], t)
 
+    def test_a_set_that_is_not_a_subgroup_is_refused(self):
+        """{1, (12), (23)} lies over {1, sign -1} under the sign map, so the
+        thread is compatible, but it is not a subgroup of S3."""
+        s3, c2 = symmetric_group(3), cyclic_group(2)
+        sign = GroupHom(s3, c2, [int(s3.element_order(x) == 2) for x in range(6)])
+        t = gc.GroupTower([c2, s3], [sign])
+        odd = [x for x in range(6) if s3.element_order(x) == 2]
+        a, b = [{0, 1}, {0, odd[0]}], [{0, 1}, {0, *odd[:2]}]
+        assert sep.conjugacy_distinguished(a, a, t)["separated"] is False
+        with pytest.raises(ValueError, match="level 1 is not a subgroup"):
+            sep.conjugacy_distinguished(a, b, t)
+        with pytest.raises(ValueError, match="level 1 is not a subgroup"):
+            sep.conjugacy_distinguished(b, a, t)
+
     def test_subgroup_same_thread_exhausted(self):
         g = dihedral_group(4)
         t = constant_group_tower(g, 2)

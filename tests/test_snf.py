@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from proflq import snf
 
-from .reference import full_scan_smith_normal_form, integer_smith_normal_form
+from .reference import full_scan_smith_normal_form, integer_smith_normal_form, mat_mul
 
 
 def invert_unimodular(u: list[list[int]]) -> list[list[int]]:
@@ -44,7 +44,7 @@ def invert_unimodular(u: list[list[int]]) -> list[list[int]]:
 
 def check_snf(matrix):
     left, d, right, left_inv = integer_smith_normal_form(matrix)
-    assert snf.mat_mul(snf.mat_mul(left, matrix), right) == d
+    assert mat_mul(mat_mul(left, matrix), right) == d
     diag = [d[i][i] for i in range(min(len(d), len(right)))]
     for a, b in zip(diag, diag[1:]):
         if a == 0:
@@ -59,7 +59,7 @@ def check_snf(matrix):
                 assert v == 0
     # transforms unimodular, and the returned inverse is the inverse
     assert left_inv == invert_unimodular(left)
-    assert snf.mat_mul(left, left_inv) == snf.identity(len(left))
+    assert mat_mul(left, left_inv) == snf.identity(len(left))
     invert_unimodular(right)
     return diag
 
@@ -102,7 +102,7 @@ def test_reference_returns_where_floor_pivoting_grew():
 def test_invert_unimodular_roundtrip():
     u = [[1, 2], [0, 1]]
     inv = invert_unimodular(u)
-    assert snf.mat_mul(u, inv) == snf.identity(2)
+    assert mat_mul(u, inv) == snf.identity(2)
 
 
 def test_invert_rejects_nonunimodular():
@@ -119,8 +119,8 @@ def test_left_inverse_matches_the_reference(rows, cols, seed, bound):
     m = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
     left, _, _, left_inv = integer_smith_normal_form(m)
     assert left_inv == invert_unimodular(left)
-    assert snf.mat_mul(left, left_inv) == snf.identity(rows)
-    assert snf.mat_mul(left_inv, left) == snf.identity(rows)
+    assert mat_mul(left, left_inv) == snf.identity(rows)
+    assert mat_mul(left_inv, left) == snf.identity(rows)
 
 
 # -- Smith normal form over Z/m --------------------------------------------------
@@ -134,12 +134,12 @@ def check_mod_snf(matrix, m):
     left, d, left_inv = snf.smith_normal_form(matrix, m)
     assert len(d) == min(rows, len(matrix[0]) if matrix else 0)
     eye = snf.identity(rows)
-    assert [[x % m for x in r] for r in snf.mat_mul(left, left_inv)] == eye
-    assert [[x % m for x in r] for r in snf.mat_mul(left_inv, left)] == eye
+    assert [[x % m for x in r] for r in mat_mul(left, left_inv)] == eye
+    assert [[x % m for x in r] for r in mat_mul(left_inv, left)] == eye
     assert all(m % di == 0 for di in d)
     assert all(b % a == 0 for a, b in zip(d, d[1:]))
     # rows past the diagonal are zero mod m
-    for row, di in zip(snf.mat_mul(left, matrix), d + [m] * rows):
+    for row, di in zip(mat_mul(left, matrix), d + [m] * rows):
         assert all(x % di == 0 for x in row)
     return d
 

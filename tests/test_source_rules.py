@@ -32,6 +32,9 @@
 * Only `repv` enumerates hom(V, G): no other library module names
   `hom_enumerate`, so every other reads the homs, the classes and the
   action from the one checked Rep(V, G) record that `repv` keeps.
+* Only `finring` imports `snf`: the Smith form sits behind the module
+  layer, and map matrices are multiplied in `finring.sum_of_composites`
+  alone.
 """
 
 import ast
@@ -528,3 +531,43 @@ def f(v, g):
     return a, enumerate_(v, g), homs, repv.rep_classes(v, g), "hom_enumerate"
 """
     assert _hom_enumerate_uses(ast.parse(source)) == [3, 5, 6]
+
+
+# -- the Smith form sits behind finring ----------------------------------------------
+
+
+def _snf_imports(tree):
+    """Lines that import `snf`, as a module or a name from it, by any form."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _package_import(node):
+            module = (node.module or "").split(".")
+            if module[-1] == "snf" or any(a.name == "snf" for a in node.names):
+                found.append(node.lineno)
+        elif isinstance(node, ast.Import) and any(
+                a.name == "proflq.snf" for a in node.names):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_only_finring_imports_snf(path):
+    if path.name != "finring.py":
+        assert _snf_imports(_tree(path)) == []
+
+
+def test_snf_import_rule_sees_every_import_form():
+    source = """
+from . import cache, snf
+from .snf import smith_normal_form as smith
+import proflq.snf
+from proflq import snf as s
+from proflq.snf import zeros
+def f(x):
+    from . import snf
+    return snf.zeros(1, 1), smith, s, zeros, x.snf
+from .finring import snf_like
+from numpy import snf as not_ours
+import snf
+"""
+    assert _snf_imports(ast.parse(source)) == [2, 3, 4, 5, 6, 8]

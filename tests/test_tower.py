@@ -11,6 +11,7 @@ from proflq.finring import (
     image,
     is_isomorphic,
     kernel,
+    sum_of_composites,
     zero_map,
     zero_module,
 )
@@ -38,8 +39,8 @@ from proflq.tower import (
 
 from proflq import tower
 
-from .reference import (add_maps, dense_sum_of_composites, point_tower, restrict_tower,
-                        zero_space)
+from .reference import (add_maps, dense_compose, dense_sum_of_composites, point_tower,
+                        restrict_tower, zero_space)
 from .test_finring import random_map, random_module
 
 F2 = FiniteRing(2)
@@ -408,7 +409,7 @@ class TestDecomposition:
                 chains += [(flat.injections[pts[(i + 1) % len(pts)]],
                             inner_secs[s].projections[u], outer.projections[s])
                            for i, u in enumerate(pts)]
-            return tower._sum_of_composites(outer.module, flat.module, chains)
+            return sum_of_composites(outer.module, flat.module, chains)
 
         a = cyclic(F2, 2)
         t = binary_tower(2)
@@ -422,13 +423,14 @@ class TestDecomposition:
 
 
 def chain_sum(source, target, chains):
-    """Reference: compose and add one validated map at a time, as the tower
-    builders did before they summed unreduced matrices."""
+    """Reference: compose by dense products and add one validated map at a
+    time, as the tower builders did before they summed unreduced matrices;
+    `ModuleMap.compose` is itself a sum of composites, so it is not used."""
     out = zero_map(source, target)
     for chain in chains:
         comp = chain[0]
         for f in chain[1:]:
-            comp = comp.compose(f)
+            comp = dense_compose(comp, f)
         out = add_maps(out, comp)
     return out
 
@@ -440,6 +442,9 @@ def fiber_sections(a, pi, k):
 
 
 class TestSumOfComposites:
+    """`finring.sum_of_composites` against dense references, alone and in
+    the maps the tower builders make with it."""
+
     @pytest.mark.parametrize("seed", range(40))
     def test_random_chains(self, seed):
         rng = random.Random(seed)
@@ -452,7 +457,7 @@ class TestSumOfComposites:
                                for _ in range(rng.randint(0, 2))] + [source]
             chains.append([random_map(rng, mods[i + 1], mods[i])
                            for i in range(len(mods) - 1)])
-        assert (tower._sum_of_composites(source, target, chains)
+        assert (sum_of_composites(source, target, chains)
                 == chain_sum(source, target, chains))
 
     @pytest.mark.parametrize("seed", range(60))
@@ -471,7 +476,7 @@ class TestSumOfComposites:
             if length > 1 and rng.random() < 0.3:
                 mods[rng.randint(1, length - 1)] = zero_module(ring)
             chains.append([random_map(rng, mods[i + 1], mods[i]) for i in range(length)])
-        summed = tower._sum_of_composites(source, target, chains)
+        summed = sum_of_composites(source, target, chains)
         assert summed == dense_sum_of_composites(source, target, chains)
         assert summed == chain_sum(source, target, chains)
 
@@ -486,7 +491,7 @@ class TestSumOfComposites:
                 (a, b, [zero_map(z, b), zero_map(a, a)]),  # through 0, mismatched
         ]:
             with pytest.raises(ValueError, match="maps are not composable"):
-                tower._sum_of_composites(source, target, [chain])
+                sum_of_composites(source, target, [chain])
 
     @pytest.mark.parametrize("seed", range(15))
     def test_tower_maps_match_the_step_by_step_sums(self, seed):
