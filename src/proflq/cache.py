@@ -26,13 +26,26 @@ the groups are called:
 The module regions are keyed on the modules and maps themselves, which
 are frozen and hashable, not on table bytes:
 
-* `finring.direct_sum` — the normalized sum with its injections and
-  projections, per tuple of summands, stored as (total, injections,
-  projections) with the maps in tuples;
-* `finring.cokernel` — the pair (Q, pi) of `finring.cokernel`, per
-  `ModuleMap` (its source, target and reduced matrix); `kernel`,
-  `image`, `is_injective` and `is_surjective` read it through
-  `cokernel`.
+* `finring.direct_sum` — the normalized sum per tuple of summands, as a
+  `finring.DirectSum`: the total and the normalizing matrices, with each
+  injection and projection built the first time a caller reads it and
+  kept from then on;
+* `finring.cokernel` — per `ModuleMap` (its source, target and reduced
+  matrix), the cokernel Q with the rows of the Smith transform that
+  give pi, and the pair (Q, pi) of `finring.cokernel` once it has built
+  pi; `kernel` reads the pair, and `image`, `is_injective` and
+  `is_surjective` read Q alone;
+* `finring.dual_map` — the dual f^v per `ModuleMap` f, stored under f
+  only, never under f^v, so the double dual of a map is computed, not
+  looked up;
+* `tower.fiber_glue` — the gluing map between two levels of a fiber of
+  a pushforward along a tower map (`tower.relative_product`,
+  `relative_sum`), per (source, target, chains of section maps); the
+  fibers are sections of one module over a few points, built from the
+  shared maps of `finring.direct_sum`, so equal gluings recur.
+
+Modules and maps hash themselves once, when built, so a lookup rehashes
+nothing.
 
 `lookup` counts a hit or a miss per region.  Nothing is evicted: every
 key is a group of desk-scale order, the summands of a desk-scale sum or
@@ -47,7 +60,8 @@ from collections import Counter
 
 REGIONS = ("groupcoh.resolutions", "groupcoh.p_prime_quotients",
            "groupcoh.one_point_dims", "groupcoh.shapiro", "repv.rep_classes",
-           "finring.direct_sum", "finring.cokernel")
+           "finring.direct_sum", "finring.cokernel", "finring.dual_map",
+           "tower.fiber_glue")
 
 _ENTRIES = {name: {} for name in REGIONS}
 _HITS: Counter = Counter()

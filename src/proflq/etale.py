@@ -20,8 +20,8 @@ from .errors import BudgetError
 from .finring import (
     FiniteModule,
     FiniteRing,
-    direct_sum,
     hom_module,
+    lazy_direct_sum,
     pontryagin_dual,
     zero_map,
     zero_module,
@@ -64,12 +64,28 @@ def constant_space(base, module: FiniteModule) -> FiniteEtaleSpace:
     return FiniteEtaleSpace(base, {t: module for t in base})
 
 
+class _PointMaps(dict):
+    """point -> map, the map at points[i] built by `build(i)` the first
+    time it is read and kept from then on.  Only the maps read or assigned
+    so far are entries; the points are the section module's `points`."""
+
+    def __init__(self, build, points):
+        super().__init__()
+        self._build = build
+        self._index = {t: i for i, t in enumerate(points)}
+
+    def __missing__(self, t):
+        self[t] = built = self._build(self._index[t])
+        return built
+
+
 @dataclass
 class SectionModule:
     """Sections over a subset, with the canonical per-point maps.
 
     projections[t] is the evaluation map at t ("omicron"), injections[t]
-    the inclusion of the fiber at t ("omega").
+    the inclusion of the fiber at t ("omega"); `sections` builds each the
+    first time it is read.
     """
 
     module: FiniteModule
@@ -90,12 +106,10 @@ def sections(e: FiniteEtaleSpace, subset=None) -> SectionModule:
             raise ValueError(f"unknown point ids: {sorted(unknown)}")
     if not pts:
         return SectionModule(zero_module(e.ring), ())
-    total, injs, projs = direct_sum([e.fiber(t) for t in pts])
-    return SectionModule(
-        total, pts,
-        injections={t: injs[i] for i, t in enumerate(pts)},
-        projections={t: projs[i] for i, t in enumerate(pts)},
-    )
+    summed = lazy_direct_sum([e.fiber(t) for t in pts])
+    return SectionModule(summed.total, pts,
+                         injections=_PointMaps(summed.injection, pts),
+                         projections=_PointMaps(summed.projection, pts))
 
 
 def product_finite(e: FiniteEtaleSpace) -> SectionModule:
@@ -148,6 +162,8 @@ class SkyscraperFamily:
             if not modules:
                 raise ValueError("an empty family must name its ring")
             ring = next(iter(modules.values())).ring
+        if any(m.ring != ring for m in modules.values()):
+            raise ValueError("every module of the family must live over its ring")
         self.base = base
         self.support = support
         self.modules = dict(modules)
@@ -159,7 +175,7 @@ def skyscraper_product(k: SkyscraperFamily) -> FiniteModule:
     mods = [k.modules[s] for s in k.support]
     if not mods:
         return zero_module(k.ring)
-    return direct_sum(mods)[0]
+    return lazy_direct_sum(mods).total
 
 
 def _annihilated_radices(module: FiniteModule, order: int) -> list[int]:

@@ -8,9 +8,15 @@ and the normal form of a direct sum, is one Smith form over Z/m
 dual map, since Pontryagin duality (Hom into Z/m, standing in for Q/Z at
 exponent m) is exact; an image is the cokernel of the kernel inclusion.
 Composites, and sums of them, are one `sum_of_composites` each.
-A cokernel is computed once per map, and a direct sum normalized once
-per tuple of summands, and both are kept in `proflq.cache`, so their
-maps are shared: a `ModuleMap` cannot be changed after it is built.
+
+Each map is built once, and only when something reads it.  A cokernel
+and a dual are computed once per map, and a direct sum normalized once
+per tuple of summands, and all are kept in `proflq.cache`, so their maps
+are shared: a `ModuleMap` cannot be changed after it is built.  The
+projection onto a cokernel, and the injection and projection of a
+summand of a `DirectSum`, are built the first time one is read.  Modules
+and maps are hashed once, when built, so the cache lookups rehash
+nothing.
 """
 
 from __future__ import annotations
@@ -45,7 +51,8 @@ class FiniteModule:
     factors: tuple[int, ...]
 
     def __post_init__(self):
-        # the caches key on modules, so the factors are kept as a tuple of ints
+        # the caches key on modules, so the factors are kept as a tuple of
+        # ints and hashed once, here
         try:
             factors = tuple(map(operator.index, self.factors))
         except TypeError:
@@ -58,6 +65,10 @@ class FiniteModule:
         for d in self.factors:
             if d <= 1 or m % d:
                 raise ValueError(f"factor {d} invalid for modulus {m}")
+        object.__setattr__(self, "_hash", hash((self.ring, factors)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def rank(self) -> int:
@@ -91,10 +102,10 @@ class ModuleMap:
 
     Entry (i, j) is read modulo the i-th target factor; well-definedness
     (source factor annihilates its column) is validated eagerly, once:
-    the map is immutable after `__init__`.
+    the map is immutable after `__init__`, which also hashes it once.
     """
 
-    __slots__ = ("source", "target", "matrix")
+    __slots__ = ("source", "target", "matrix", "_hash")
 
     def __init__(self, source: FiniteModule, target: FiniteModule, matrix):
         if source.ring != target.ring:
@@ -112,9 +123,11 @@ class ModuleMap:
                              if x * c % d)
                     raise ValueError(f"entry ({i},{j}) does not define a homomorphism")
             reduced.append(row)
+        reduced = tuple(reduced)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "matrix", tuple(reduced))
+        object.__setattr__(self, "matrix", reduced)
+        object.__setattr__(self, "_hash", hash((source, target, reduced)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"ModuleMap is immutable: cannot set {name!r}")
@@ -129,15 +142,18 @@ class ModuleMap:
         )
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, ModuleMap)
+            and self._hash == other._hash
             and self.source == other.source
             and self.target == other.target
             and self.matrix == other.matrix
         )
 
     def __hash__(self):
-        return hash((self.source, self.target, self.matrix))
+        return self._hash
 
     def __repr__(self):
         return f"ModuleMap({self.source.factors}->{self.target.factors}, {self.matrix})"
@@ -152,10 +168,10 @@ class ModuleMap:
 
     def is_injective(self) -> bool:
         # |ker f| = |A| |coker f| / |B|, so no kernel need be built
-        return self.source.order * cokernel(self)[0].order == self.target.order
+        return self.source.order * _cokernel(self)[0].order == self.target.order
 
     def is_surjective(self) -> bool:
-        return cokernel(self)[0].is_zero
+        return _cokernel(self)[0].is_zero
 
     def is_isomorphism(self) -> bool:
         return (
@@ -220,13 +236,12 @@ def _sparse_product(row, sparse) -> list:
     return list(acc.items())
 
 
-def cokernel(f: ModuleMap) -> tuple[FiniteModule, ModuleMap]:
-    """(Q, pi) with pi: target -> Q the universal map killing im(f).
+def _cokernel(f: ModuleMap) -> list:
+    """The `finring.cokernel` entry of f: [Q, the rows of L that give pi,
+    the pair (Q, pi) once `cokernel` has built it, else None].
 
     One Smith form of [F | diag(c)] over Z/m, c the target factors: the
-    rows of L with d_i > 1 project onto Q = Z/d_1 + ... .  The pair is
-    computed once per map and kept in the `finring.cokernel` region of
-    `proflq.cache`.
+    rows of L with d_i > 1 project onto Q = Z/d_1 + ... .
     """
     entry = cache.lookup("finring.cokernel", f)
     if entry is None:
@@ -234,12 +249,26 @@ def cokernel(f: ModuleMap) -> tuple[FiniteModule, ModuleMap]:
         n = tgt.rank
         aug = [list(f.matrix[i]) + [tgt.factors[i] if j == i else 0 for j in range(n)]
                for i in range(n)]
-        left, d, _ = snf.smith_normal_form(aug, tgt.ring.modulus)
+        left, d, _ = snf.smith_normal_form(aug, tgt.ring.modulus, inverse=False)
         kept = [i for i, di in enumerate(d) if di > 1]
         q = FiniteModule(tgt.ring, tuple(d[i] for i in kept))
-        entry = cache.store("finring.cokernel", f,
-                            (q, ModuleMap(tgt, q, [left[i] for i in kept])))
+        entry = cache.store("finring.cokernel", f, [q, [left[i] for i in kept], None])
     return entry
+
+
+def cokernel(f: ModuleMap) -> tuple[FiniteModule, ModuleMap]:
+    """(Q, pi) with pi: target -> Q the universal map killing im(f).
+
+    Q is computed once per map and kept in the `finring.cokernel` region
+    of `proflq.cache`; pi is built the first time it is asked for here,
+    and kept with it.  `image`, `is_injective` and `is_surjective` read
+    Q alone.
+    """
+    entry = _cokernel(f)
+    if entry[2] is None:
+        q, rows = entry[0], entry[1]
+        entry[2] = (q, ModuleMap(f.target, q, rows))
+    return entry[2]
 
 
 def kernel(f: ModuleMap) -> tuple[FiniteModule, ModuleMap]:
@@ -254,7 +283,7 @@ def kernel(f: ModuleMap) -> tuple[FiniteModule, ModuleMap]:
 
 def image(f: ModuleMap) -> FiniteModule:
     """The image of f as an abstract module (no embedding returned)."""
-    return cokernel(kernel(f)[1])[0]
+    return _cokernel(kernel(f)[1])[0]
 
 
 def from_cyclic(ring: FiniteRing, orders: list[int]):
@@ -279,12 +308,52 @@ def from_cyclic(ring: FiniteRing, orders: list[int]):
     return mod, to_normal, from_normal
 
 
-def direct_sum(modules: list[FiniteModule]):
-    """Normalized direct sum with explicit injections and projections.
+class DirectSum:
+    """A normalized direct sum: the total, with its injections and
+    projections, the maps of summand i built the first time each is read
+    and then kept.
 
-    Returns (total, injections, projections), the lists fresh on every
-    call; the sum of each tuple of summands is computed once and kept in
-    the `finring.direct_sum` region of `proflq.cache`.
+    The total and the matrices between the raw coordinates and it come
+    from one `from_cyclic`; summand i owns the coordinates in `_blocks[i]`.
+    """
+
+    __slots__ = ("summands", "total", "_to_normal", "_from_normal", "_blocks",
+                 "_injections", "_projections")
+
+    def __init__(self, summands: tuple[FiniteModule, ...]):
+        orders = [d for m in summands for d in m.factors]
+        self.summands = summands
+        self.total, self._to_normal, self._from_normal = from_cyclic(
+            summands[0].ring, orders)
+        ends = list(itertools.accumulate(m.rank for m in summands))
+        self._blocks = [slice(a, b) for a, b in zip([0, *ends], ends)]
+        self._injections = [None] * len(summands)
+        self._projections = [None] * len(summands)
+
+    def injection(self, i: int) -> ModuleMap:
+        """The inclusion of summand i into the total."""
+        inj = self._injections[i]
+        if inj is None:
+            block = self._blocks[i]
+            inj = self._injections[i] = ModuleMap(
+                self.summands[i], self.total, [row[block] for row in self._to_normal])
+        return inj
+
+    def projection(self, i: int) -> ModuleMap:
+        """The projection of the total onto summand i."""
+        proj = self._projections[i]
+        if proj is None:
+            proj = self._projections[i] = ModuleMap(
+                self.total, self.summands[i], self._from_normal[self._blocks[i]])
+        return proj
+
+
+def lazy_direct_sum(modules: list[FiniteModule]) -> DirectSum:
+    """The normalized direct sum of `modules`, its maps built on first read.
+
+    The sum of each tuple of summands is computed once and kept in the
+    `finring.direct_sum` region of `proflq.cache`, so the maps read once
+    are shared by every later caller.
     """
     if not modules:
         raise ValueError("direct_sum of an empty list needs a ring; use zero_module")
@@ -294,21 +363,21 @@ def direct_sum(modules: list[FiniteModule]):
     key = tuple(modules)
     entry = cache.lookup("finring.direct_sum", key)
     if entry is None:
-        orders = [d for m in modules for d in m.factors]
-        total, to_normal, from_normal = from_cyclic(ring, orders)
-        injections, projections = [], []
-        off = 0
-        for m in modules:
-            block = range(off, off + m.rank)
-            inj = [[to_normal[i][j] for j in block] for i in range(total.rank)]
-            proj = [from_normal[j] for j in block]
-            injections.append(ModuleMap(m, total, inj))
-            projections.append(ModuleMap(total, m, proj))
-            off += m.rank
-        entry = cache.store("finring.direct_sum", key,
-                            (total, tuple(injections), tuple(projections)))
-    total, injections, projections = entry
-    return total, list(injections), list(projections)
+        entry = cache.store("finring.direct_sum", key, DirectSum(key))
+    return entry
+
+
+def direct_sum(modules: list[FiniteModule]):
+    """Normalized direct sum with explicit injections and projections.
+
+    Returns (total, injections, projections), the lists fresh on every
+    call and holding every map; `lazy_direct_sum` builds only the maps a
+    caller reads.
+    """
+    s = lazy_direct_sum(modules)
+    summands = range(len(modules))
+    return (s.total, [s.injection(i) for i in summands],
+            [s.projection(i) for i in summands])
 
 
 def hom_module(m: FiniteModule, n: FiniteModule) -> FiniteModule:
@@ -325,13 +394,22 @@ def pontryagin_dual(m: FiniteModule) -> FiniteModule:
 
 
 def dual_map(f: ModuleMap) -> ModuleMap:
-    """f^v: N^v -> M^v defined by <f(x), xi> = <x, f^v(xi)>."""
-    src, tgt = f.source, f.target
-    matrix = [
-        [f.matrix[i][j] * src.factors[j] // tgt.factors[i] for i in range(tgt.rank)]
-        for j in range(src.rank)
-    ]
-    return ModuleMap(pontryagin_dual(tgt), pontryagin_dual(src), matrix)
+    """f^v: N^v -> M^v defined by <f(x), xi> = <x, f^v(xi)>.
+
+    Computed once per map and kept in the `finring.dual_map` region of
+    `proflq.cache`, under f only: the dual of f^v is computed, and
+    checked, on its own first call.
+    """
+    dual = cache.lookup("finring.dual_map", f)
+    if dual is None:
+        src, tgt = f.source, f.target
+        matrix = [
+            [f.matrix[i][j] * src.factors[j] // tgt.factors[i] for i in range(tgt.rank)]
+            for j in range(src.rank)
+        ]
+        dual = cache.store("finring.dual_map", f, ModuleMap(
+            pontryagin_dual(tgt), pontryagin_dual(src), matrix))
+    return dual
 
 
 def is_isomorphic(m: FiniteModule, n: FiniteModule) -> bool:

@@ -10,13 +10,15 @@ reads each orbit, centralizer and set of Weyl candidates (the least
 element of each coset of the centralizer) from a column of it, and
 `lq.symonds_module` hands the same array to `permutation_module`.
 Each class carries its canonical representative (lex-smallest tuple),
-orbit, image rank, centralizer and Weyl image: the normalizer of the
-image acting as automorphism matrices over F_p in an echelonized basis
-drawn from the representative's entries.  `repv` is the one module that
-computes these facts, and checks each centralizer where it is made
-(`_check_classes`): it is exactly C_G(rho(V)).  `class_map` pushes
-Rep(V, G) forward along a homomorphism G -> L, which is both the
-separability map of `sep` and a transition of `rep_tower`.
+orbit, image rank (the size of `echelon_basis`), centralizer and Weyl
+image: the normalizer of the image acting as automorphism matrices over
+F_p in an echelonized basis drawn from the representative's entries,
+computed the first time it is read, from the least element of each
+coset of the centralizer.  `repv` is the one module that computes these
+facts, and checks each centralizer where it is made (`_check_classes`):
+it is exactly C_G(rho(V)).  `class_map` pushes Rep(V, G) forward along
+a homomorphism G -> L, which is both the separability map of `sep` and
+a transition of `rep_tower`.
 
 Rep(V, G) is one record per (group key, p, r) in `cache`: the lex-ordered
 homs, the checked classes, the orbit map and the action whose orbits
@@ -149,12 +151,12 @@ def _discrete_log_table(group: FiniteGroup, basis: list[int],
     return table
 
 
-def _realizers(group: FiniteGroup, hom: tuple[int, ...], p: int,
+def _realizers(group: FiniteGroup, basis: tuple[int, ...], p: int,
                elements) -> dict[tuple[tuple[int, ...], ...], int]:
     """{matrix: first n realizing it} over the n of `elements` that
-    normalize rho(V): n does exactly when it conjugates every basis element
-    into the image, that is into the keys of the discrete-log table."""
-    basis = echelon_basis(group, hom)
+    normalize rho(V), `basis` its echelon basis: n does exactly when it
+    conjugates every basis element into the image, that is into the keys
+    of the discrete-log table."""
     logs = _discrete_log_table(group, basis, p)
     rows = group.conj_rows
     realizers = {}
@@ -173,20 +175,35 @@ def weyl_image(group: FiniteGroup, hom: tuple[int, ...],
     echelonized basis, column j the image of basis vector j.  One pass
     over the conjugation rows in increasing order.
     """
-    return _realizers(group, hom, p, range(group.order))
+    return _realizers(group, echelon_basis(group, hom), p, range(group.order))
 
 
 @dataclass(frozen=True)
 class RepClass:
+    """One class of Rep(V, G).  `weyl`, the matrices of `weyl_image` in
+    sorted order, is computed the first time it is read, from `weyl_from`:
+    (G, p, the echelon basis of the image, the least element of each
+    coset of the centralizer), those elements between them giving every
+    matrix."""
+
     representative: tuple[int, ...]
     orbit: tuple[tuple[int, ...], ...]
     image_rank: int
     centralizer: tuple[int, ...]
-    weyl: tuple = field(default=(), compare=False)
+    weyl_from: tuple = field(compare=False, repr=False)
 
     @property
     def orbit_size(self):
         return len(self.orbit)
+
+    @property
+    def weyl(self) -> tuple:
+        weyl = self.__dict__.get("_weyl")
+        if weyl is None:
+            group, p, basis, elements = self.weyl_from
+            weyl = tuple(sorted(_realizers(group, basis, p, elements)))
+            object.__setattr__(self, "_weyl", weyl)
+        return weyl
 
 
 def rep_classes(v: ElementaryAbelian, group: FiniteGroup,
@@ -247,7 +264,8 @@ def _orbits(v: ElementaryAbelian, group: FiniteGroup, homs,
     orbit and the elements that fix it are its centralizer C.  The
     elements reaching one image form a coset gC, and conjugation by g and
     by gc agree on rho(V), so the least element of each coset gives every
-    Weyl matrix.
+    Weyl matrix; the class keeps those elements, and reads the matrices
+    from them only when its `weyl` is read.
     """
     orbit_map = [-1] * len(homs)
     classes = []
@@ -260,14 +278,14 @@ def _orbits(v: ElementaryAbelian, group: FiniteGroup, homs,
         orbit = sorted(least)
         for j in orbit:
             orbit_map[j] = len(classes)
-        weyl = sorted(_realizers(group, h, v.p, least.values()))
+        basis = tuple(echelon_basis(group, h))
         classes.append(RepClass(
             representative=h,
             orbit=tuple(map(homs.__getitem__, orbit)),
-            image_rank=len(weyl[0]),  # the matrices are rank x rank
+            image_rank=len(basis),
             centralizer=tuple(itertools.compress(range(len(images)),
                                                  map(i.__eq__, images))),
-            weyl=tuple(weyl),
+            weyl_from=(group, v.p, basis, tuple(least.values())),
         ))
     return tuple(classes), tuple(orbit_map)
 

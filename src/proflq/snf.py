@@ -34,8 +34,8 @@ def _bezout(a: int, b: int) -> tuple[int, int, int]:
     return a, s0, u0
 
 
-def smith_normal_form(matrix: list[list[int]], m: int) -> tuple[
-        list[list[int]], list[int], list[list[int]]]:
+def smith_normal_form(matrix: list[list[int]], m: int, inverse: bool = True) -> tuple[
+        list[list[int]], list[int], list[list[int]] | None]:
     """Return (L, d, L^-1): L·matrix·R ≡ diag(d) (mod m) for some R.
 
     L and R are invertible mod m and d has min(rows, cols) entries, each a
@@ -43,12 +43,15 @@ def smith_normal_form(matrix: list[list[int]], m: int) -> tuple[
     Diagonal entries are fixed only up to units, which R absorbs, so row i
     of L·matrix is ≡ 0 mod d_i.  Every row operation on L is matched by the
     inverse column operation on L^-1, so the two stay inverse throughout.
+    With `inverse` false, L^-1 is not tracked and None stands in for it;
+    L and d are the same.
     """
     rows = len(matrix)
     cols = len(matrix[0]) if matrix else 0
     a = [[x % m for x in r] for r in matrix]
     left = identity(rows)
-    left_inv = identity(rows)
+    # untracked, L^-1 has no rows, and the column operations on it do nothing
+    left_inv = identity(rows) if inverse else []
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -120,4 +123,4 @@ def smith_normal_form(matrix: list[list[int]], m: int) -> tuple[
             if bad is None:
                 break
             mix_rows(t, bad, 1, 1, 0, 1)
-    return left, d, left_inv
+    return left, d, left_inv if inverse else None

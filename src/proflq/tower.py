@@ -16,16 +16,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import cache
 from .errors import BudgetError
 from .etale import (FiniteEtaleSpace, SectionModule, constant_space, dual_etale,
                     sections)
 from .finring import (
     FiniteModule,
     ModuleMap,
-    direct_sum,
     dual_map,
     is_isomorphic,
     kernel,
+    lazy_direct_sum,
     pontryagin_dual,
     sum_of_composites,
 )
@@ -149,7 +150,8 @@ _ETALE_TOWERS = {"pro": ProEtale, "ind": IndEtale}
 
 def _constant_etale(kind: str, a: FiniteModule, t: SpaceTower):
     levels = [constant_space(lv, a) for lv in t.levels]
-    fts = [{s: a.identity_map() for s in t.levels[k + 1]} for k in range(t.depth)]
+    identity = a.identity_map()
+    fts = [dict.fromkeys(t.levels[k + 1], identity) for k in range(t.depth)]
     return _ETALE_TOWERS[kind](t, levels, fts)
 
 
@@ -169,9 +171,10 @@ def _check_budget(order: int, n_points: int, bit_budget: int):
         )
 
 
-def _glue(kind: str, lo: SectionModule, hi: SectionModule, down: dict,
-          fiber_maps: dict | None = None) -> ModuleMap:
-    """The transition between the section modules of level k and k+1.
+def _glue_chains(kind: str, lo: SectionModule, hi: SectionModule, down: dict,
+                 fiber_maps: dict | None = None) -> tuple:
+    """(source, target, chains) of the transition between the section
+    modules of level k and k+1, for `sum_of_composites`.
 
     `down` sends each point u of `hi` to a point of `lo`, and f_u is
     fiber_maps[u], or the identity when there are none.  An ind
@@ -186,8 +189,27 @@ def _glue(kind: str, lo: SectionModule, hi: SectionModule, down: dict,
         else:
             chains.append((lo.injections[down[u]], *mid, hi.projections[u]))
     if kind == "ind":
-        return sum_of_composites(lo.module, hi.module, chains)
-    return sum_of_composites(hi.module, lo.module, chains)
+        return lo.module, hi.module, tuple(chains)
+    return hi.module, lo.module, tuple(chains)
+
+
+def _glue(kind: str, lo: SectionModule, hi: SectionModule, down: dict,
+          fiber_maps: dict | None = None) -> ModuleMap:
+    """The transition between the section modules of level k and k+1."""
+    return sum_of_composites(*_glue_chains(kind, lo, hi, down, fiber_maps))
+
+
+def _fiber_glue(kind: str, lo: SectionModule, hi: SectionModule,
+                down: dict) -> ModuleMap:
+    """`_glue` between two levels of a fiber of a pushforward, kept per
+    (source, target, chains) in the `tower.fiber_glue` region of
+    `proflq.cache`: the fibers are sections of one module over a few
+    points, whose maps `finring.direct_sum` shares, so most recur."""
+    key = _glue_chains(kind, lo, hi, down)
+    glue = cache.lookup("tower.fiber_glue", key)
+    if glue is None:
+        glue = cache.store("tower.fiber_glue", key, sum_of_composites(*key))
+    return glue
 
 
 def _section_tower(kind: str, t: SpaceTower, spaces, fiber_transitions=None,
@@ -291,14 +313,14 @@ def _relative(kind: str, a: FiniteModule, pi: TowerMap, bit_budget: int,
               secs: list | None):
     """Pushforward of the constant tower along pi: the fiber at s is the
     module of sections of A over pi^{-1}(s), secs[k][s] at level k (built
-    here when `secs` is None), glued as by `_glue`."""
+    here when `secs` is None), glued by `_fiber_glue`."""
     if secs is None:
         secs = _relative_sections(a, pi, bit_budget)
     t, s_tower = pi.source, pi.target
     levels = [FiniteEtaleSpace(lv, {s: secs[k][s].module for s in lv})
               for k, lv in enumerate(s_tower.levels)]
-    fts = [{s: _glue(kind, secs[k][s_tower.transitions[k][s]], secs[k + 1][s],
-                     t.transitions[k])
+    fts = [{s: _fiber_glue(kind, secs[k][s_tower.transitions[k][s]], secs[k + 1][s],
+                           t.transitions[k])
             for s in s_tower.levels[k + 1]}
            for k in range(s_tower.depth)]
     return _ETALE_TOWERS[kind](s_tower, levels, fts, strict=False)
@@ -382,8 +404,9 @@ def _joint_projection(level: FiniteModule, projections) -> ModuleMap:
     afresh from the targets, so the map reads the projections alone, not
     the injections the level's own sections carry.
     """
-    total, injs, _ = direct_sum([c.target for c in projections])
-    return sum_of_composites(level, total, list(zip(injs, projections)))
+    summed = lazy_direct_sum([c.target for c in projections])
+    return sum_of_composites(level, summed.total,
+                             [(summed.injection(i), c) for i, c in enumerate(projections)])
 
 
 def canonical_components(x, threads) -> dict:
@@ -428,9 +451,9 @@ def canonical_components(x, threads) -> dict:
                 report["ok"] = False
         else:
             comps = [sec.injections[p] for p in pts]
-            srcs = [c.source for c in comps]
-            total, _, projs = direct_sum(srcs) if srcs else (None, [], [])
-            joint = sum_of_composites(total, x.levels[k], list(zip(comps, projs)))
+            summed = lazy_direct_sum([c.source for c in comps])
+            joint = sum_of_composites(summed.total, x.levels[k],
+                                      [(c, summed.projection(i)) for i, c in enumerate(comps)])
             dense = joint.is_surjective()
             entry = {"level": k, "dense": dense,
                      "covers_level": set(pts) == set(sec.points)}

@@ -484,6 +484,16 @@ def uncached_direct_sum(modules: list[FiniteModule]):
     return total, injections, projections
 
 
+def uncached_dual_map(f: ModuleMap) -> ModuleMap:
+    """`finring.dual_map` as it ran before `proflq.cache` kept its results:
+    entry (j, i) of f^v is f_ij scaled by a_j / b_i, a and b the source
+    and target factors, so that <f(x), xi> = <x, f^v(xi)>."""
+    a, b = f.source.factors, f.target.factors
+    return ModuleMap(f.target, f.source,
+                     [[f.matrix[i][j] * a[j] // b[i] for i in range(len(b))]
+                      for j in range(len(a))])
+
+
 # -- integer Smith normal form ---------------------------------------------------
 
 # The classic integer algorithm: the pivot is the entry of least absolute

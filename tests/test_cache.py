@@ -16,15 +16,16 @@ from math import gcd
 import numpy as np
 import pytest
 
-from proflq import cache, catalog, groupcoh as gc, lq, repv
+from proflq import cache, catalog, groupcoh as gc, lq, repv, tower
 from proflq.errors import BudgetError
 from proflq.finring import (FiniteModule, FiniteRing, ModuleMap, cokernel, cyclic,
-                            direct_sum, image, kernel, zero_module)
+                            direct_sum, dual_map, image, kernel, zero_module)
 from proflq.groups import all_subgroups, dihedral_group, subgroup_group, symmetric_group
 from proflq.repv import ElementaryAbelian, RepClass
 
 from .reference import (centralizer, conj, symonds_action, uncached_direct_sum,
-                        weyl_image)
+                        uncached_dual_map, weyl_image)
+from .test_tower import random_tower_map
 
 
 def reference_hom_enumerate(v, group):
@@ -37,6 +38,8 @@ def reference_hom_enumerate(v, group):
 
 
 def reference_rep_classes(v, group):
+    """(classes, orbit_map), each class paired with its Weyl image by the
+    normalizer scan, as `_full` pairs the classes of `repv`."""
     homs = reference_hom_enumerate(v, group)
     pos = {h: i for i, h in enumerate(homs)}
     orbit_map = [-1] * len(homs)
@@ -49,11 +52,12 @@ def reference_rep_classes(v, group):
         for t in orbit:
             orbit_map[pos[t]] = len(classes)
         rep = orbit[0]
-        classes.append(RepClass(
+        classes.append((RepClass(
             representative=rep, orbit=tuple(orbit),
             image_rank=len(repv.echelon_basis(group, rep)),
             centralizer=tuple(centralizer(group, rep)),
-            weyl=tuple(sorted(weyl_image(group, rep, v.p)))))
+            weyl_from=()),
+            tuple(sorted(weyl_image(group, rep, v.p)))))
     return classes, orbit_map
 
 
@@ -75,7 +79,7 @@ def test_warm_equals_cold_equals_reference():
         action = repv.conjugation_action(v, g)
         assert repv.hom_enumerate(v, g) == cold_homs \
             == reference_hom_enumerate(v, g), (g.name, v)
-        assert warm == cold == _full(reference_rep_classes(v, g)), (g.name, v)
+        assert warm == cold == reference_rep_classes(v, g), (g.name, v)
         assert np.array_equal(action, symonds_action(v, g)), (g.name, v)
         assert not action.flags.writeable
     n = len(CASES)
@@ -376,6 +380,27 @@ def test_cokernel_counts_per_map():
     assert counts() == {"entries": 3, "hits": 7, "misses": 3}
 
 
+def test_cokernel_projection_is_built_when_first_read(monkeypatch):
+    # Z/12 -> Z/2 + Z/12, 1 |-> (1, 2): is_injective and is_surjective read
+    # the cokernel module alone, and build no map
+    f = ModuleMap(cyclic(Z12, 12), FiniteModule(Z12, (2, 12)), [[1], [2]])
+    built = []
+    init = ModuleMap.__init__
+
+    def counting(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(ModuleMap, "__init__", counting)
+    assert not f.is_injective() and not f.is_surjective()
+    assert built == []
+    pair = cokernel(f)
+    assert built == [pair[1]] and pair[0] == cyclic(Z12, 4)
+    assert cokernel(f) is pair and not f.is_surjective()
+    assert built == [pair[1]]
+    assert cache.stats()["finring.cokernel"] == {"entries": 1, "hits": 4, "misses": 1}
+
+
 def _random_maps():
     """Random maps over Z/4, Z/12, Z/36 and Z/256, with zero sources and
     zero targets, and maps that share a matrix but not their modules."""
@@ -419,6 +444,82 @@ def test_cokernel_warm_equals_cold():
     stats = cache.stats()["finring.cokernel"]
     assert stats["hits"] + stats["misses"] == 2 * 6 * len(maps)
     assert stats["misses"] == stats["entries"] < 3 * len(maps)
+
+
+# -- finring.dual_map ------------------------------------------------------------
+
+def test_dual_map_warm_equals_cold_equals_uncached():
+    maps = _random_maps()
+    cold = []
+    for f in maps:
+        cache.clear()
+        cold.append(dual_map(f))
+    cache.clear()
+    first = [dual_map(f) for f in maps]
+    warm = [dual_map(f) for f in maps]
+    assert first == warm == cold == [uncached_dual_map(f) for f in maps]
+    assert all(w is f for w, f in zip(warm, first))
+    # one miss per distinct map, whichever object asks
+    distinct = len(set(maps))
+    assert distinct < len(maps)
+    assert cache.stats()["finring.dual_map"] == {
+        "entries": distinct, "hits": 2 * len(maps) - distinct, "misses": distinct}
+
+
+def test_a_double_dual_is_computed_not_looked_up():
+    # f: Z/4 -> Z/2, 1 |-> 1, whose dual Z/2 -> Z/4 sends 1 to 2
+    f = ModuleMap(cyclic(Z12, 4), cyclic(Z12, 2), [[1]])
+
+    def counts():
+        return cache.stats()["finring.dual_map"]
+
+    d = dual_map(f)
+    assert d == ModuleMap(cyclic(Z12, 2), cyclic(Z12, 4), [[2]])
+    assert counts() == {"entries": 1, "hits": 0, "misses": 1}
+    # the dual is stored under f only, so dualizing it again is a miss
+    dd = dual_map(d)
+    assert dd == f and dd is not f
+    assert counts() == {"entries": 2, "hits": 0, "misses": 2}
+    assert dual_map(dual_map(f)) is dd and dual_map(f) is d
+    assert counts() == {"entries": 2, "hits": 3, "misses": 2}
+
+
+# -- tower.fiber_glue ------------------------------------------------------------
+
+def _pushforward_cases():
+    """(module, tower map) pairs: random tower maps over Z/4, Z/12 and Z/8,
+    with equal modules and equal fiber shapes among them."""
+    rng = random.Random(33)
+    modules = [cyclic(Z12, 2), cyclic(Z12, 6), cyclic(FiniteRing(4), 4),
+               FiniteModule(FiniteRing(8), (2, 8))]
+    return [(rng.choice(modules), random_tower_map(rng)) for _ in range(24)]
+
+
+def _fiber_transitions(cases):
+    return [[dict(ft) for ft in build(a, pi).fiber_transitions]
+            for a, pi in cases for build in (tower.relative_product, tower.relative_sum)]
+
+
+def test_fiber_glue_warm_equals_cold_equals_uncached(monkeypatch):
+    cases = _pushforward_cases()
+    cold = []
+    for case in cases:
+        cache.clear()
+        cold += _fiber_transitions([case])
+    cache.clear()
+    first = _fiber_transitions(cases)
+    warm = _fiber_transitions(cases)
+    stats = cache.stats()["tower.fiber_glue"]
+    with monkeypatch.context() as m:
+        m.setattr(tower, "_fiber_glue", tower._glue)
+        uncached = _fiber_transitions(cases)
+    assert first == warm == cold == uncached
+    assert all(w is f for ws, fs in zip(warm, first) for wk, fk in zip(ws, fs)
+               for w, f in zip(wk.values(), fk.values()))
+    # one miss per distinct gluing: the fibers' shapes recur
+    calls = sum(len(ft) for per in first for ft in per)
+    assert stats["misses"] == stats["entries"] < calls // 3
+    assert stats["hits"] + stats["misses"] == 2 * calls
 
 
 def test_cached_cokernel_refuses_setattr():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -97,16 +98,19 @@ def test_product_check_sees_a_dropped_fiber(inputs, capsys, monkeypatch):
     # a direct sum that leaves its last summand out, with zero maps for it:
     # the product and the sections are then equally wrong, and only a check
     # on the universal maps can tell
-    direct_sum = etale.direct_sum
+    lazy_direct_sum = etale.lazy_direct_sum
 
     def dropping(modules):
         if len(modules) < 2:
-            return direct_sum(modules)
-        total, injs, projs = direct_sum(modules[:-1])
-        last = modules[-1]
-        return total, injs + [zero_map(last, total)], projs + [zero_map(total, last)]
+            return lazy_direct_sum(modules)
+        kept, last, n = lazy_direct_sum(modules[:-1]), modules[-1], len(modules) - 1
+        total = kept.total
+        return SimpleNamespace(
+            total=total,
+            injection=lambda i: zero_map(last, total) if i == n else kept.injection(i),
+            projection=lambda i: zero_map(total, last) if i == n else kept.projection(i))
 
-    monkeypatch.setattr(etale, "direct_sum", dropping)
+    monkeypatch.setattr(etale, "lazy_direct_sum", dropping)
     code, report = run(["etale", "--space", inputs["space"]], capsys)
     assert (code, report["verdicts"]) == (1, {"product_equals_sections": False})
     assert cli.main(["selftest", "--criterion", "2"]) == cli.EXIT_INTERNAL

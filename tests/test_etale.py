@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from proflq import etale
+from proflq import cache, etale
 from proflq.errors import BudgetError
 from proflq.etale import (
     FiniteEtaleSpace,
@@ -31,7 +31,7 @@ from proflq.finring import (
 
 from proflq.tower import IndEtale, ProEtale, SpaceTower, TowerMap
 
-from .reference import hom_maps, zero_space
+from .reference import hom_maps, uncached_direct_sum, zero_space
 from .test_finring import random_module
 
 Z12 = FiniteRing(12)
@@ -159,6 +159,37 @@ class TestSections:
                 for u in e.base:
                     if u != t:
                         assert s.projections[u].compose(s.injections[t]).is_zero
+
+
+def test_section_maps_are_built_on_first_read_and_kept(monkeypatch):
+    """Each map of `sections` equals that of `reference.uncached_direct_sum`
+    and is built the first time it is read, once: a second read, and a read
+    through another section module over the same fibers, build nothing."""
+    rng = random.Random(29)
+    spaces = [random_space(rng, Z12, max_points=5) for _ in range(12)]
+    built = []
+    init = ModuleMap.__init__
+
+    def counting(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(ModuleMap, "__init__", counting)
+    for e in spaces:
+        cache.clear()
+        _, injections, projections = uncached_direct_sum([e.fiber(t) for t in e.base])
+        sec = sections(e)
+        for name, expected in (("injections", injections), ("projections", projections)):
+            maps = getattr(sec, name)
+            for t, want in zip(e.base, expected):
+                built.clear()
+                assert t not in maps
+                got = maps[t]
+                assert got == want and built == [got]
+                assert maps[t] is got and getattr(sections(e), name)[t] is got
+                assert built == [got]
+        with pytest.raises(KeyError):
+            sec.injections["not a point"]
 
 
 class TestProductCoproduct:
@@ -360,6 +391,15 @@ class TestSkyscraper:
         k = SkyscraperFamily(e.base, e.base, dict(e.fibers))
         assert is_isomorphic(skyscraper_product(k), product_finite(e).module)
 
+    def test_a_module_over_another_ring_is_refused(self):
+        # Z/4 over Z/4 is not a module of a family over Z/12: its product
+        # would be a Z/4 module
+        z4 = cyclic(FiniteRing(4), 4)
+        with pytest.raises(ValueError, match="ring"):
+            SkyscraperFamily(("a", "b"), ("a",), {"a": z4}, ring=Z12)
+        with pytest.raises(ValueError, match="ring"):
+            SkyscraperFamily(("a", "b"), ("a", "b"), {"a": cyclic(Z12, 4), "b": z4})
+
 
 class TestCountDistinct:
     # each dtype np.min_scalar_type picks in adjunction_check, against the
@@ -431,7 +471,7 @@ class TestAdjunction:
     def test_repeated_element_is_a_collision(self, monkeypatch):
         # a hom listed twice curries to the same table: the injectivity
         # check must report it, not a count mismatch
-        from proflq import etale
+        from proflq import cache, etale
 
         elements = etale._annihilated_elements
 

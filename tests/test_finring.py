@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proflq import acceptance, etale
+from proflq import acceptance, etale, finring
 from proflq.finring import (
     FiniteModule,
     FiniteRing,
@@ -459,6 +459,20 @@ def test_module_map_is_immutable():
             delattr(f, name)
     assert not hasattr(f, "__dict__")
     assert (f.source, f.target, f.matrix) == (cyclic(Z12, 4), cyclic(Z12, 2), ((1,),))
+
+
+def test_equal_hashes_do_not_make_maps_equal(monkeypatch):
+    # every module and map hashed to 0: equality must still read the
+    # modules and the matrix, not stop at the hash
+    monkeypatch.setattr(finring, "hash", lambda value: 0, raising=False)
+    a, b = cyclic(Z12, 4), FiniteModule(Z12, (2, 4))
+    f = ModuleMap(a, b, [[1], [1]])
+    g = ModuleMap(a, b, [[0], [1]])
+    h = ModuleMap(a, b, [[3], [5]])  # f, read modulo the target factors
+    assert hash(f) == hash(g) == hash(h) == hash(a) == hash(b) == 0
+    assert f != g and g != f and f == h and h == f and f != a
+    assert len({f, g, h}) == 2 and {f: 1, g: 2}[h] == 1
+    assert ModuleMap(b, b, [[1, 0], [0, 1]]) != ModuleMap(b, b, [[1, 0], [0, 3]])
 
 
 class TestDirectSum:

@@ -211,6 +211,30 @@ class TestWeylImage:
                     assert len(orbit_classes) * len(c.weyl) == len(aut)
 
 
+def test_weyl_images_are_computed_on_first_read(monkeypatch):
+    # the classes are made without a Weyl matrix; each class reads its own
+    # from the cosets of its centralizer when `weyl` is first read, once
+    real = repv._realizers
+    calls = []
+
+    def counting(group, basis, p, elements):
+        calls.append((basis, tuple(elements)))
+        return real(group, basis, p, elements)
+
+    monkeypatch.setattr(repv, "_realizers", counting)
+    g = symmetric_group(4)
+    classes, _ = rep_classes(ElementaryAbelian(2, 2), g)
+    assert calls == []
+    for c in classes:
+        w = c.weyl
+        assert c.weyl is w and calls[-1][0] == tuple(echelon_basis(g, c.representative))
+        # one element per coset of the centralizer
+        assert len(calls[-1][1]) * len(c.centralizer) == g.order
+    assert len(calls) == len(classes)
+    assert rep_classes(ElementaryAbelian(2, 2), g)[0][0].weyl is classes[0].weyl
+    assert len(calls) == len(classes)
+
+
 class TestAgainstTheScans:
     """The one conjugation pass against the scans it replaced: the centralizer
     against `reference.centralizer`, and the Weyl image against

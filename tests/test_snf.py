@@ -220,7 +220,10 @@ def scan_cases(draw):
 @given(scan_cases())
 def test_mod_snf_equals_the_full_scan(case):
     matrix, m = case
-    assert snf.smith_normal_form(matrix, m) == full_scan_smith_normal_form(matrix, m)
+    left, d, left_inv = full_scan_smith_normal_form(matrix, m)
+    assert snf.smith_normal_form(matrix, m) == (left, d, left_inv)
+    # untracked, L^-1 is None, and L and d are the same
+    assert snf.smith_normal_form(matrix, m, inverse=False) == (left, d, None)
 
 
 @pytest.mark.parametrize("matrix, m", [
@@ -234,5 +237,7 @@ def test_mod_snf_equals_the_full_scan(case):
     ([[0, 5, 7], [11, 0, 1]], 256),            # several units, not the first
 ])
 def test_mod_snf_equals_the_full_scan_at_the_edges(matrix, m):
-    assert snf.smith_normal_form(matrix, m) == full_scan_smith_normal_form(matrix, m)
+    left, d, left_inv = full_scan_smith_normal_form(matrix, m)
+    assert snf.smith_normal_form(matrix, m) == (left, d, left_inv)
+    assert snf.smith_normal_form(matrix, m, inverse=False) == (left, d, None)
 
