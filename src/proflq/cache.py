@@ -12,8 +12,8 @@ the groups are called:
   ranked on the resolutions of the quotients G/O_p'(G) below, inflation
   on those of a tower's levels;
 * `groupcoh.p_prime_quotients` — per (table, p), the quotient G/N by
-  N = O_p'(G), with a representative of each coset and the elements of
-  N, or an empty tuple when N = 1;
+  N = O_p'(G), with a representative of each coset, the elements of N
+  and the projection G -> G/N, or an empty tuple when N = 1;
 * `groupcoh.one_point_dims` — dims of H^•(G; F_p) per (table of
   G/O_p'(G), p), replaced when a larger k_max is asked for;
 * `groupcoh.shapiro` — the pair of dims of H^•(G; F_p[G/H]) and of

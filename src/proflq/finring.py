@@ -7,7 +7,8 @@ and the normal form of a direct sum, is one Smith form over Z/m
 (`snf.smith_normal_form`); a kernel is the dual of the cokernel of the
 dual map, since Pontryagin duality (Hom into Z/m, standing in for Q/Z at
 exponent m) is exact; an image is the cokernel of the kernel inclusion.
-Composites, and sums of them, are one `sum_of_composites` each.
+Composites, and sums of them, are one `sum_of_composites` each, and
+`composites_agree` compares two such sums without building either.
 
 Each map is built once, and only when something reads it.  A cokernel
 and a dual are computed once per map, and a direct sum normalized once
@@ -197,6 +198,26 @@ def sum_of_composites(source: FiniteModule, target: FiniteModule,
     left as rows of its nonzero (column, value) entries, and only those
     are added into the total.
     """
+    return ModuleMap(source, target, _composite_total(source, target, chains))
+
+
+def composites_agree(source: FiniteModule, target: FiniteModule,
+                     chains, other_chains) -> bool:
+    """Whether the sums of composites over `chains` and over `other_chains`
+    are the same map from `source` to `target`.
+
+    Both sums are well defined, so they are equal exactly when their
+    unreduced totals agree modulo the target factors; no map is built.
+    """
+    return all((x - y) % d == 0
+               for row, other, d in zip(_composite_total(source, target, chains),
+                                        _composite_total(source, target, other_chains),
+                                        target.factors)
+               for x, y in zip(row, other))
+
+
+def _composite_total(source: FiniteModule, target: FiniteModule, chains) -> list:
+    """The unreduced integer matrix of `sum_of_composites`."""
     total = snf.zeros(target.rank, source.rank)
     for chain in chains:
         # the summands share their modules, so `is` settles most checks
@@ -222,7 +243,7 @@ def sum_of_composites(source: FiniteModule, target: FiniteModule,
                 if x:
                     for j, v in entries:
                         out[j] += x * v
-    return ModuleMap(source, target, total)
+    return total
 
 
 def _sparse_product(row, sparse) -> list:

@@ -216,8 +216,9 @@ def free_resolution(group: FiniteGroup, p: int, length: int) -> FreeResolution:
 
 
 def _p_prime_quotient(group: FiniteGroup, p: int):
-    """(G/N, reps, N) for N = O_p'(G) != 1, reps[i] an element of coset i and
-    N as an array, or None when N = 1; kept per (table, p)."""
+    """(G/N, reps, N, proj) for N = O_p'(G) != 1, reps[i] an element of coset
+    i, N as an array and proj[g] the coset of g, or None when N = 1; kept
+    per (table, p)."""
     key = (group.key, p)
     entry = cache.lookup("groupcoh.p_prime_quotients", key)
     if entry is None:
@@ -230,7 +231,7 @@ def _p_prime_quotient(group: FiniteGroup, p: int):
                      "core": sorted(core)})
             quotient, proj = quotient_group(group, core)
             entry = (quotient, np.unique(proj, return_index=True)[1],
-                     np.array(sorted(core)))
+                     np.array(sorted(core)), proj)
         cache.store("groupcoh.p_prime_quotients", key, entry)
     return entry or None
 
@@ -241,7 +242,7 @@ def _reduced(module: GModule) -> GModule:
     quotient = _p_prime_quotient(module.group, module.p)
     if quotient is None:
         return module
-    group, reps, core = quotient
+    group, reps, core, _ = quotient
     points, orbit = np.unique(module.action[core].min(axis=0), return_inverse=True)
     return GModule(group, module.p, orbit[module.action[reps][:, points]])
 
@@ -312,15 +313,16 @@ def _dims(res: FreeResolution, module: GModule, k_max: int) -> tuple[int, ...]:
                  for k in range(k_max + 1))
 
 
-def _one_point_dims(group: FiniteGroup, p: int, k_max: int,
-                    dim_budget: int) -> tuple[int, ...]:
+def _one_point_dims(group: FiniteGroup, p: int, k_max: int, dim_budget: int,
+                    width: int = 1) -> tuple[int, ...]:
     """dims of H^•(G; F_p) = H^•(G/O_p'(G); F_p), kept per (table of the
-    quotient, p) and looked up after the budget is applied; the one-point
-    module is built on a miss only."""
+    quotient, p) and looked up after the budget is applied at `width` (the
+    dim of the module as given, which reduced to the one point); the
+    one-point module is built on a miss only."""
     quotient = _p_prime_quotient(group, p)
     if quotient is not None:
         group = quotient[0]
-    res = _budgeted_resolution(group, p, k_max, 1, dim_budget)
+    res = _budgeted_resolution(group, p, k_max, width, dim_budget)
     key = (group.key, p)
     dims = cache.lookup("groupcoh.one_point_dims", key, lambda d: len(d) > k_max)
     if dims is None:
@@ -406,16 +408,31 @@ def inflation_ranks(q: GroupHom, p: int, k_max: int,
 def shapiro_check(group: FiniteGroup, subgroup_elements, p: int, k_max: int,
                   dim_budget: int = DEFAULT_DIM_BUDGET) -> dict:
     """Compare H^k(G; F_p[G/H]) with H^k(H; F_p), k <= k_max; the pair is
-    memoized with the budget in its key, and computed on a miss only."""
+    memoized with the budget in its key, and computed on a miss only.
+
+    The lhs is what `cohomology` gives on F_p[G/H], but its reduction to
+    N = O_p'(G) is built directly: F_p[G/H]^N = F_p[G/HN] is the coset
+    module of HN/N over G/N, so F_p[G/H] itself is never built.  The
+    budget width stays [G:H].
+    """
     elements = frozenset(subgroup_elements)
     key = (group.key, elements, p, k_max, dim_budget)
     dims = cache.lookup("groupcoh.shapiro", key)
     if dims is None:
-        induced = coset_module(group, elements, p)
         h, _ = subgroup_group(group, elements)
-        dims = cache.store("groupcoh.shapiro", key, (
-            cohomology(group, induced, k_max, dim_budget),
-            _one_point_dims(h, p, k_max, dim_budget)))
+        over, image = group, elements
+        quotient = _p_prime_quotient(group, p)
+        if quotient is not None:
+            over, proj = quotient[0], quotient[3]
+            image = {proj[x] for x in elements}
+        index = group.order // len(elements)
+        if len(image) == over.order:  # HN = G: F_p[G/HN] is the one-point module
+            lhs = _one_point_dims(group, p, k_max, dim_budget, index)
+        else:
+            lhs = _dims(_budgeted_resolution(over, p, k_max, index, dim_budget),
+                        coset_module(over, image, p), k_max)
+        dims = cache.store("groupcoh.shapiro", key,
+                           (lhs, _one_point_dims(h, p, k_max, dim_budget)))
     lhs, rhs = dims
     return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs,
             "index": group.order // len(elements)}

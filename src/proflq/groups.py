@@ -177,19 +177,18 @@ def _table_group(elements, mul, name) -> FiniteGroup:
     return FiniteGroup(table, name=name, validate=False)
 
 
-def _subgroup_elements(g: FiniteGroup, elements) -> frozenset[int]:
-    """`elements` as a set, refused unless it is a subgroup of g."""
-    h = frozenset(elements)
-    if not all(0 <= x < g.order for x in h) or g.closure(h) != h:
-        raise ValueError(f"{sorted(h)} is not a subgroup of the group")
-    return h
+def _not_a_subgroup(h) -> ValueError:
+    return ValueError(f"{sorted(h)} is not a subgroup of the group")
 
 
 def left_cosets(g: FiniteGroup, elements) -> tuple[list[int], list[int]]:
     """(coset_of, reps) for the left cosets aH of the subgroup H given by
     `elements`: cosets are numbered by their first element, which is also
-    their least one and their representative, so the coset of 0 is 0."""
-    h = _subgroup_elements(g, elements)
+    their least one and their representative, so the coset of 0 is 0.
+    A set that is not a subgroup is refused."""
+    h = frozenset(elements)
+    if not all(0 <= x < g.order for x in h) or g.closure(h) != h:
+        raise _not_a_subgroup(h)
     coset_of = [-1] * g.order
     reps = []
     for a in range(g.order):
@@ -344,10 +343,20 @@ def quotient_group(g: FiniteGroup, normal_elements, name=None):
 
 
 def subgroup_group(g: FiniteGroup, elements, name=None):
-    """(H, embedding) where embedding[i] is the parent index of element i."""
-    elems = _subgroup_elements(g, elements)
-    order = [0] + sorted(x for x in elems if x != 0)
-    return _table_group(order, g.mul, name), order
+    """(H, embedding) where embedding[i] is the parent index of element i.
+
+    Filling H's table is the subgroup check: a finite set that holds the
+    identity and every product of its elements is a subgroup, and a
+    product outside the set has no index in it.
+    """
+    elems = frozenset(elements)
+    if 0 not in elems or not all(0 <= x < g.order for x in elems):
+        raise _not_a_subgroup(elems)
+    order = sorted(elems)
+    try:
+        return _table_group(order, g.mul, name), order
+    except KeyError:
+        raise _not_a_subgroup(elems) from None
 
 
 def all_subgroups(g: FiniteGroup) -> list[frozenset[int]]:

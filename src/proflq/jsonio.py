@@ -11,7 +11,6 @@ than being truncated.
 
 from __future__ import annotations
 
-import hashlib
 import json
 
 import numpy as np
@@ -66,6 +65,7 @@ def dumps(payload) -> str:
 
 
 def digest(path: str) -> str:
+    import hashlib  # here, not at the top: it loads libcrypto (~3.6 MB RSS)
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 

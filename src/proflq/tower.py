@@ -23,6 +23,7 @@ from .etale import (FiniteEtaleSpace, SectionModule, constant_space, dual_etale,
 from .finring import (
     FiniteModule,
     ModuleMap,
+    composites_agree,
     dual_map,
     is_isomorphic,
     kernel,
@@ -364,8 +365,10 @@ def decomposition_check(a: FiniteModule, pi: TowerMap,
     the plain ones, so one r_k serves both sides.  The product side holds
     at k when r_k is an isomorphism that commutes with the ind
     transitions k -> k+1, the sum side when it is one that commutes with
-    the pro transitions k+1 -> k; a failure names the level.  The fiber
-    sections of each level are built once, for both sides and r_k.
+    the pro transitions k+1 -> k; a failure names the level.  The two
+    composites of each square are compared by `finring.composites_agree`,
+    so neither is built as a map.  The fiber sections of each level are
+    built once, for both sides and r_k.
     """
     t = pi.source
     secs = _relative_sections(a, pi, bit_budget)
@@ -381,10 +384,12 @@ def decomposition_check(a: FiniteModule, pi: TowerMap,
         prod_ok = sum_ok = r.is_isomorphism()
         if k < t.depth:
             up = regroup[k + 1]
-            prod_ok = prod_ok and (flat.transitions[k].compose(r)
-                                   == up.compose(grouped.transitions[k]))
-            sum_ok = sum_ok and (flat_sum.transitions[k].compose(up)
-                                 == r.compose(grouped_sum.transitions[k]))
+            prod_ok = prod_ok and composites_agree(
+                r.source, up.target, [(flat.transitions[k], r)],
+                [(up, grouped.transitions[k])])
+            sum_ok = sum_ok and composites_agree(
+                up.source, r.target, [(flat_sum.transitions[k], up)],
+                [(r, grouped_sum.transitions[k])])
         report["levels"].append({
             "level": k,
             "product_iso": prod_ok,

@@ -454,6 +454,18 @@ def test_console_entry_point(inputs):
     assert "total" in proc.stderr  # timings stay off stdout
 
 
+def test_library_import_leaves_libcrypto_unloaded():
+    # `_hashlib` loads OpenSSL's libcrypto (about 3.6 MB resident); only
+    # `jsonio.digest` needs it, so importing the library must not.
+    env = dict(os.environ, PYTHONPATH=str(Path(proflq.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, proflq.cli; print('_hashlib' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_selftest_single_criterion(capsys):
     code, report = run(["selftest", "--criterion", "1"], capsys)
     assert code == 0

@@ -257,6 +257,19 @@ class TestShapiro:
             s = rng.choice(all_subgroups(g))
             assert gc.shapiro_check(g, s, rng.choice([2, 3]), 2)["equal"]
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_lhs_on_the_quotient_equals_the_coset_module_over_g(self, p):
+        """Where O_p'(G) != 1 the lhs is the coset module of HN/N over G/N;
+        against F_p[G/H] built over G and reduced by `cohomology`, for every
+        subgroup H of every such catalog group."""
+        groups = [g for g in catalog.all_groups()
+                  if gc._p_prime_quotient(g, p) is not None]
+        assert len(groups) >= 10
+        for g in groups:
+            for h in all_subgroups(g):
+                assert gc.shapiro_check(g, h, p, 3)["lhs"] == gc.cohomology(
+                    g, gc.coset_module(g, h, p), 3), (g.name, sorted(h))
+
 
 class TestInflation:
     def test_identity_inflation_full_rank(self):

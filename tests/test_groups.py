@@ -220,8 +220,9 @@ class TestSubgroupsQuotients:
             for b in range(8):
                 assert emb[h.mul(a, b)] == g.mul(emb[a], emb[b])
 
-    @pytest.mark.parametrize("elements", [{0, 9}, {0, -1}, {0, 2}],
-                             ids=["out-of-range", "negative", "not-closed"])
+    @pytest.mark.parametrize("elements", [{0, 9}, {0, -1}, {0, 2}, {1, 2}, set()],
+                             ids=["out-of-range", "negative", "not-closed",
+                                  "no-identity", "empty"])
     def test_subgroup_group_rejects_a_set_that_is_not_a_subgroup(self, elements):
         with pytest.raises(ValueError, match="is not a subgroup"):
             subgroup_group(symmetric_group(3), elements)

@@ -7,6 +7,7 @@ from proflq.finring import (
     FiniteModule,
     FiniteRing,
     ModuleMap,
+    composites_agree,
     cyclic,
     image,
     is_isomorphic,
@@ -492,6 +493,43 @@ class TestSumOfComposites:
         ]:
             with pytest.raises(ValueError, match="maps are not composable"):
                 sum_of_composites(source, target, [chain])
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_composites_agree_as_the_built_maps_do(self, seed):
+        """Against equality of the built sums: two random sums (mostly
+        unequal), a sum against its own reduced map (equal, although the
+        unreduced totals differ by multiples of the target factors), and a
+        sum against its chains in reverse order."""
+        rng = random.Random(seed)
+        ring = FiniteRing(rng.choice([4, 12, 36]))
+        source, target = random_module(rng, ring), random_module(rng, ring)
+
+        def random_chains():
+            chains = []
+            for _ in range(rng.randint(1, 4)):
+                mods = [target] + [random_module(rng, ring)
+                                   for _ in range(rng.randint(1, 3))] + [source]
+                chains.append([random_map(rng, mods[i + 1], mods[i])
+                               for i in range(len(mods) - 1)])
+            return chains
+
+        left, right = random_chains(), random_chains()
+        reduced = [[sum_of_composites(source, target, left)]]
+        for a, b in [(left, right), (right, left), (left, reduced),
+                     (reduced, left), (right, reduced), (left, left[::-1])]:
+            assert composites_agree(source, target, a, b) == (
+                chain_sum(source, target, a) == chain_sum(source, target, b))
+        assert composites_agree(source, target, left, reduced)
+
+    def test_composites_agree_reduces_by_each_target_factor(self):
+        """2 and 2 . 2 = 4 agree as maps Z/4 -> Z/2, not as maps Z/4 -> Z/4."""
+        z4, z2 = cyclic(Z4, 4), cyclic(Z4, 2)
+        to_z2, to_z4 = ModuleMap(z4, z2, [[1]]), z4.identity_map()
+        twice = ModuleMap(z4, z4, [[2]])
+        assert composites_agree(z4, z2, [(to_z2, twice)], [(to_z2, twice, twice)])
+        assert not composites_agree(z4, z4, [(to_z4, twice)], [(to_z4, twice, twice)])
+        with pytest.raises(ValueError, match="maps are not composable"):
+            composites_agree(z4, z2, [(to_z2,)], [(to_z4,)])
 
     @pytest.mark.parametrize("seed", range(15))
     def test_tower_maps_match_the_step_by_step_sums(self, seed):
