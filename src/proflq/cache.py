@@ -10,12 +10,11 @@ the groups are called:
   F_p[G], per (table, p), extended in place when a longer one is asked
   for; its differentials are uint8 for every p < 257.  Cohomology is
   ranked on the resolutions of the quotients G/O_p'(G) below, inflation
-  on those of a tower's levels;
+  on those of a tower's levels.  The resolution of G/O_p'(G) also keeps
+  the dims of H^•(G; F_p), replaced when a larger k_max is asked for;
 * `groupcoh.p_prime_quotients` — per (table, p), the quotient G/N by
   N = O_p'(G), with a representative of each coset, the elements of N
   and the projection G -> G/N, or an empty tuple when N = 1;
-* `groupcoh.one_point_dims` — dims of H^•(G; F_p) per (table of
-  G/O_p'(G), p), replaced when a larger k_max is asked for;
 * `groupcoh.shapiro` — the pair of dims of H^•(G; F_p[G/H]) and of
   H^•(H; F_p), per (table, frozenset of H, p, k_max, dim_budget);
 * `repv.rep_classes` — Rep(V, G) per (table, p, r), as one record:
@@ -39,10 +38,10 @@ are frozen and hashable, not on table bytes:
   only, never under f^v, so the double dual of a map is computed, not
   looked up;
 * `tower.fiber_glue` — the gluing map between two levels of a fiber of
-  a pushforward along a tower map (`tower.relative_product`,
-  `relative_sum`), per (source, target, chains of section maps); the
-  fibers are sections of one module over a few points, built from the
-  shared maps of `finring.direct_sum`, so equal gluings recur.
+  a pushforward along a tower map (the grouped sides of
+  `tower.decomposition_check`), per (source, target, chains of section
+  maps); the fibers are sections of one module over a few points, built
+  from the shared maps of `finring.direct_sum`, so equal gluings recur.
 
 Modules and maps hash themselves once, when built, so a lookup rehashes
 nothing.
@@ -59,23 +58,18 @@ from __future__ import annotations
 from collections import Counter
 
 REGIONS = ("groupcoh.resolutions", "groupcoh.p_prime_quotients",
-           "groupcoh.one_point_dims", "groupcoh.shapiro", "repv.rep_classes",
-           "finring.direct_sum", "finring.cokernel", "finring.dual_map",
-           "tower.fiber_glue")
+           "groupcoh.shapiro", "repv.rep_classes", "finring.direct_sum",
+           "finring.cokernel", "finring.dual_map", "tower.fiber_glue")
 
 _ENTRIES = {name: {} for name in REGIONS}
 _HITS: Counter = Counter()
 _MISSES: Counter = Counter()
 
 
-def lookup(region: str, key, usable=None):
-    """The entry of `region` under `key`, or None on a miss.
-
-    An entry for which `usable(entry)` is false counts as a miss; the
-    caller computes a replacement and stores it.
-    """
+def lookup(region: str, key):
+    """The entry of `region` under `key`, or None on a miss."""
     value = _ENTRIES[region].get(key)
-    if value is None or (usable is not None and not usable(value)):
+    if value is None:
         _MISSES[region] += 1
         return None
     _HITS[region] += 1

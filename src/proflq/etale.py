@@ -27,6 +27,9 @@ from .finring import (
     zero_module,
 )
 
+# `adjunction_check` refuses a fiber with more homs than this on either side
+MAX_SIDE = 4096
+
 
 class FiniteEtaleSpace:
     """A finite base (ordered point ids) with a module fiber per point."""
@@ -263,13 +266,13 @@ def _is_additive(images: np.ndarray, tables: np.ndarray, radices: list[int],
 
 
 def adjunction_check(f: FiniteEtaleSpace, g: FiniteEtaleSpace,
-                     l: FiniteEtaleSpace, max_side: int = 4096) -> dict:
+                     l: FiniteEtaleSpace) -> dict:
     """Verify hom(F (x) G, L) = hom(G, Hom(F, L)) by explicit enumeration.
 
     Works fiberwise: both hom sets decompose over the base, and the
     currying bijection phi |-> (y |-> (x |-> phi(x (x) y))) is checked to
     be an additive bijection at every point.  A fiber whose hom sets
-    exceed `max_side` is refused with BudgetError before anything is
+    exceed `MAX_SIDE` is refused with BudgetError before anything is
     built.
     """
     if not (f.base == g.base == l.base):
@@ -282,7 +285,7 @@ def adjunction_check(f: FiniteEtaleSpace, g: FiniteEtaleSpace,
         choices = [list(_annihilated_elements(lt, order)) for _, _, order in gens]
         lhs_count = prod(len(c) for c in choices)
         rhs_count = hom_module(gt, hom_module(ft, lt)).order
-        if lhs_count > max_side or rhs_count > max_side:
+        if lhs_count > MAX_SIDE or rhs_count > MAX_SIDE:
             raise BudgetError(f"adjunction fiber at {t} exceeds size bound")
 
         # no overflow: in the products below, nor in a sum of two entries

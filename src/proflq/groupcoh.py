@@ -32,9 +32,9 @@ generator when it lies outside the span of the translates chosen so far,
 which a `linalg.RowSpace` tracks incrementally.  ker d_i is taken from
 the rows of d_i at the free coordinates of ker d_{i-1} alone.  Its
 differentials are kept in uint8 (the narrowest unsigned dtype that holds
-p - 1), as they live in the cache for the life of the process, and
-H^•(G; F_p) once per (table of G/O_p'(G), p), looked up after the budget
-is applied.
+p - 1), as they live in the cache for the life of the process.  The
+resolution of G/O_p'(G) also keeps H^•(G; F_p), read after the budget
+is applied and replaced when a larger k_max is asked for.
 A coboundary matrix is one scatter of the nonzero coefficients of the
 differential (about 3 % of them on the LQ sweep) through the action,
 straight into its block layout, in the narrowest unsigned dtype that
@@ -136,7 +136,8 @@ class FreeResolution:
     basis {g . e_j}; column (j, g) holds g . d_i(e_j).  Its entries lie
     below p and are stored in `dtype`, the narrowest unsigned dtype that
     holds p - 1 (uint8 for every p < 257), since a cached resolution
-    lives as long as the process.
+    lives as long as the process.  `one_point` holds the dims of
+    H^•(G; F_p) ranked on it so far, in degrees 0, 1, ...
     """
 
     def __init__(self, group: FiniteGroup, p: int):
@@ -145,6 +146,7 @@ class FreeResolution:
         self.dtype = np.min_scalar_type(p - 1)
         self.betti = [1]
         self.differentials: list[np.ndarray] = []
+        self.one_point: tuple[int, ...] = ()
         # the free coordinates of the last kernel taken, ker(F_p -> 0) at first
         self.free = np.zeros(1, dtype=np.int64)
 
@@ -315,20 +317,17 @@ def _dims(res: FreeResolution, module: GModule, k_max: int) -> tuple[int, ...]:
 
 def _one_point_dims(group: FiniteGroup, p: int, k_max: int, dim_budget: int,
                     width: int = 1) -> tuple[int, ...]:
-    """dims of H^•(G; F_p) = H^•(G/O_p'(G); F_p), kept per (table of the
-    quotient, p) and looked up after the budget is applied at `width` (the
-    dim of the module as given, which reduced to the one point); the
-    one-point module is built on a miss only."""
+    """dims of H^•(G; F_p) = H^•(G/O_p'(G); F_p), kept on the resolution of
+    the quotient and read after the budget is applied at `width` (the dim
+    of the module as given, which reduced to the one point); they are
+    ranked, on the one-point module, when they reach below k_max only."""
     quotient = _p_prime_quotient(group, p)
     if quotient is not None:
         group = quotient[0]
     res = _budgeted_resolution(group, p, k_max, width, dim_budget)
-    key = (group.key, p)
-    dims = cache.lookup("groupcoh.one_point_dims", key, lambda d: len(d) > k_max)
-    if dims is None:
-        dims = cache.store("groupcoh.one_point_dims", key,
-                           _dims(res, trivial_module(group, p), k_max))
-    return dims[:k_max + 1]
+    if len(res.one_point) <= k_max:
+        res.one_point = _dims(res, trivial_module(group, p), k_max)
+    return res.one_point[:k_max + 1]
 
 
 def cohomology(group: FiniteGroup, module: GModule, k_max: int,
@@ -383,7 +382,8 @@ def inflation_ranks(q: GroupHom, p: int, k_max: int,
 
     A cochain f pulls back to f . phi; as f(g.e_m) = f(e_m), the inflation
     matrix sums each block of phi_k(e'_j).  The rank is that of the pulled
-    back cocycles of G modulo the coboundaries of G'.
+    back cocycles of G modulo the coboundaries of G': what the cocycles add
+    to a row space that holds the coboundaries.
     """
     g, gp = q.target, q.source
     res = _budgeted_resolution(g, p, k_max, g.order, dim_budget)
@@ -393,11 +393,13 @@ def inflation_ranks(q: GroupHom, p: int, k_max: int,
     for k, x in enumerate(_chain_map(q, res, res_src, k_max)):
         inflation = x.reshape(res.betti[k], g.order, res_src.betti[k]).sum(axis=1)
         delta = _hom_coboundary(_coefficients(res, k), trivial)
-        pulled = linalg.nullspace(delta, p).transpose() @ inflation % p
-        coboundaries = (_hom_coboundary(_coefficients(res_src, k - 1), trivial_src)
-                        .transpose() if k else np.zeros((0, 1), dtype=np.int64))
-        base = linalg.rank(coboundaries, p)
-        ranks.append(linalg.rank(np.vstack([coboundaries, pulled]), p) - base)
+        span = linalg.RowSpace(p, res_src.betti[k])
+        if k:
+            span.add(_hom_coboundary(_coefficients(res_src, k - 1), trivial_src)
+                     .transpose())
+        base = span.dim
+        span.add(linalg.nullspace(delta, p).transpose() @ inflation % p)
+        ranks.append(span.dim - base)
     return tuple(ranks)
 
 

@@ -110,10 +110,9 @@ class FiniteGroup:
         return range(self.order)
 
     def power(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.power(self._inv[a], -k)
+        """a^k, any integer k: a^|G| = 1, so k is read mod |G|."""
         rows, out = self._rows, 0
-        for _ in range(k):
+        for _ in range(k % self.order):
             out = rows[out][a]
         return out
 
@@ -205,12 +204,12 @@ def _perm_compose(p, q):
     return tuple(p[q[i]] for i in range(len(p)))
 
 
-def group_from_permutations(generators, name=None,
-                            order_bound: int = DEFAULT_ORDER_BOUND) -> FiniteGroup:
+def group_from_permutations(generators, name=None) -> FiniteGroup:
     """Close a set of permutations (tuples of 0-based images) under product.
 
     Elements are ordered by BFS over the generators with lexicographic
-    tie-break, the identity first, so the numbering is deterministic.
+    tie-break, the identity first, so the numbering is deterministic.  A
+    group of more than `DEFAULT_ORDER_BOUND` elements is refused.
     """
     if not generators:
         return _table_group([()], _perm_compose, name or "1")
@@ -225,8 +224,8 @@ def group_from_permutations(generators, name=None,
         for g in gens:
             q = _perm_compose(p, g)
             if q not in seen:
-                if len(elems) >= order_bound:
-                    raise ValueError(f"group order exceeds bound {order_bound}")
+                if len(elems) >= DEFAULT_ORDER_BOUND:
+                    raise ValueError(f"group order exceeds bound {DEFAULT_ORDER_BOUND}")
                 seen.add(q)
                 elems.append(q)
     return _table_group(elems, _perm_compose, name)

@@ -20,8 +20,12 @@ Two elimination designs, chosen from p:
 
 `RowSpace` is a row space that grows by `add` and names the rows
 `outside` it; the free-resolution builder uses it to pick generators.
-p stays small (2, 3, 5, ...), so int64 never overflows.  No floating
-point anywhere.
+At p >= 5 it is an `rref`, re-eliminated with each `add`.
+
+Every int64 value of an elimination stays within p(p - 1) in absolute
+value, so `_eliminate` refuses, with a ValueError, any p above that
+bound: p(p - 1) <= 2^63 - 1, that is p <= 3037000493 among the primes.
+No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -222,6 +226,9 @@ def _rank_packed(matrix, p: int) -> int:
 
 def _eliminate(a: np.ndarray, p: int, reduce_above: bool) -> list[int]:
     """Row-reduce `a` in place; with `reduce_above`, to reduced echelon form."""
+    if p * (p - 1) > _INT64_MAX:
+        raise ValueError(f"p = {p} is too large for int64 arithmetic over F_p: "
+                         "p(p - 1) must be at most 2^63 - 1, so p <= 3037000493")
     rows = a.shape[0]
     pivots: list[int] = []
     r = 0
@@ -289,62 +296,37 @@ def nullspace(matrix, p: int) -> np.ndarray:
     return _kernel(*rref(matrix, p), p)
 
 
-def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p, split along the inner dimension so int64 cannot overflow."""
-    step = max(1, (_INT64_MAX - p) // max((p - 1) ** 2, 1))
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for s in range(0, a.shape[1], step):
-        out = (out + a[:, s:s + step] @ b[s:s + step]) % p
-    return out
-
-
 class RowSpace:
     """A subspace of F_p^ncols that grows by `add`.
 
     At p in {2, 3} it is the packed echelon form (leading bit length ->
     row with leading coefficient 1), grown by inserting the new rows; a
     row is in the space when it reduces to zero against it.  At p >= 5
-    it is a full reduced row-echelon form, updated on each `add` by
-    reducing the new rows against it with one product and clearing the
-    new pivot columns from it with another.
+    it is the nonzero rows of an `rref`, re-eliminated with the new rows
+    stacked below on each `add`; a row is in the space when stacking it
+    below keeps the rank.
     """
 
     def __init__(self, p: int, ncols: int):
         self.p = p
         self._lead: dict = {}                                  # p <= 3
         self._rows = np.zeros((0, ncols), dtype=np.int64)      # p >= 5
-        self._pivots: list[int] = []
 
     @property
     def dim(self) -> int:
-        return len(self._lead) if self.p <= 3 else len(self._pivots)
-
-    def _reduce(self, rows: np.ndarray) -> np.ndarray:
-        rows = as_fp(rows, self.p)
-        coef = rows[:, self._pivots]
-        used = np.flatnonzero(coef.any(axis=0))  # basis rows that take part
-        if not used.size:
-            return rows
-        return (rows - _mulmod(coef[:, used], self._rows[used], self.p)) % self.p
+        return len(self._lead) if self.p <= 3 else len(self._rows)
 
     def add(self, rows) -> None:
         if self.p <= 3:
             _echelon(_pack(rows, self.p)[0], self._lead, self.p)
             return
-        new, pivots = _rref_fp(self._reduce(rows), self.p)
-        if not pivots:
-            return
-        new = new[:len(pivots)]
-        old = (self._rows - _mulmod(self._rows[:, pivots], new, self.p)) % self.p
-        merged = self._pivots + pivots
-        order = np.argsort(merged, kind="stable")
-        self._rows = np.vstack([old, new])[order]
-        self._pivots = [merged[i] for i in order]
+        r, pivots = _rref_fp(np.vstack([self._rows, as_fp(rows, self.p)]), self.p)
+        self._rows = r[:len(pivots)]
 
     def outside(self, rows):
         """Yield the index of each row that is not in the space when it is
-        reached.  The caller may `add` in between: the rows are packed
-        once, and each is reduced against the space as it is then."""
+        reached.  The caller may `add` in between: the rows are read
+        once, and each is tested against the space as it is then."""
         p, lead = self.p, self._lead
         if p == 2:
             for i, x in enumerate(_pack(rows, 2)[0]):
@@ -356,5 +338,5 @@ class RowSpace:
                     yield i
         else:
             for i, row in enumerate(as_fp(rows, p)):
-                if self._reduce(row[None]).any():
+                if _rank_fp(np.vstack([self._rows, row]), p) > self.dim:
                     yield i

@@ -8,8 +8,11 @@ levelwise.  Each pro construction is the dual of an ind one and is
 written once with it, its kind a parameter: the free product A^T and
 the free sum A[[T]], the product and coproduct of an etale tower, and
 their relative versions along a tower map, are all levels of section
-modules glued up (ind) or down (pro) by one helper.  Every map among
-them is one `finring.sum_of_composites`.
+modules glued up (ind) or down (pro) by one helper.  The relative
+versions are the grouped sides of `decomposition_check`, which builds
+the fiber sections of each level once and pushes the constant tower
+forward over them.  Every map among them is one
+`finring.sum_of_composites`.
 """
 
 from __future__ import annotations
@@ -310,13 +313,12 @@ def _relative_sections(a: FiniteModule, pi: TowerMap, bit_budget: int) -> list:
     return secs
 
 
-def _relative(kind: str, a: FiniteModule, pi: TowerMap, bit_budget: int,
-              secs: list | None):
-    """Pushforward of the constant tower along pi: the fiber at s is the
-    module of sections of A over pi^{-1}(s), secs[k][s] at level k (built
-    here when `secs` is None), glued by `_fiber_glue`."""
-    if secs is None:
-        secs = _relative_sections(a, pi, bit_budget)
+def _relative(kind: str, pi: TowerMap, secs: list):
+    """Pushforward of a constant tower along pi: the fiber at s is the
+    module of sections of A over pi^{-1}(s), secs[k][s] at level k (from
+    `_relative_sections`), glued by `_fiber_glue`.  The ind kind is the
+    relative product, A^{pi^{-1}(s)}; the pro kind the relative sum,
+    A[[pi^{-1}(s)]]."""
     t, s_tower = pi.source, pi.target
     levels = [FiniteEtaleSpace(lv, {s: secs[k][s].module for s in lv})
               for k, lv in enumerate(s_tower.levels)]
@@ -325,25 +327,6 @@ def _relative(kind: str, a: FiniteModule, pi: TowerMap, bit_budget: int,
             for s in s_tower.levels[k + 1]}
            for k in range(s_tower.depth)]
     return _ETALE_TOWERS[kind](s_tower, levels, fts, strict=False)
-
-
-def relative_product(a: FiniteModule, pi: TowerMap,
-                     bit_budget: int = DEFAULT_BIT_BUDGET, *,
-                     _sections: list | None = None) -> IndEtale:
-    """Pushforward of the constant tower: fiber at s is A^{pi^{-1}(s)}.
-
-    `decomposition_check` passes the fiber sections it has built as
-    `_sections`, so that both of its sides and its regrouping share them.
-    """
-    return _relative("ind", a, pi, bit_budget, _sections)
-
-
-def relative_sum(a: FiniteModule, pi: TowerMap,
-                 bit_budget: int = DEFAULT_BIT_BUDGET, *,
-                 _sections: list | None = None) -> ProEtale:
-    """Dual construction: fiber at s is A[[pi^{-1}(s)]]; `_sections` as
-    for `relative_product`."""
-    return _relative("pro", a, pi, bit_budget, _sections)
 
 
 def _regrouping_map(outer: SectionModule, inner_secs: dict,
@@ -372,8 +355,8 @@ def decomposition_check(a: FiniteModule, pi: TowerMap,
     """
     t = pi.source
     secs = _relative_sections(a, pi, bit_budget)
-    grouped = product_ind(relative_product(a, pi, bit_budget, _sections=secs))
-    grouped_sum = coproduct_pro(relative_sum(a, pi, bit_budget, _sections=secs))
+    grouped = product_ind(_relative("ind", pi, secs))
+    grouped_sum = coproduct_pro(_relative("pro", pi, secs))
     flat = free_product(a, t, bit_budget)
     flat_sum = free_sum(a, t, bit_budget)
     regroup = [_regrouping_map(grouped.section_levels[k], secs[k],

@@ -10,9 +10,11 @@ it ran before it was memoized, rows packed from their bytes, subgroup
 conjugacy, centralizers, Weyl images and the S_p functor check by
 whole-group scans, the row-by-row homomorphism check, the conjugation
 action on hom(V, G) one tuple at a time and the coset action one
-element at a time) and small builders of test inputs (regular and
-direct-sum modules, the dense matrices of a module, constant group
-towers, point towers).
+element at a time, the rref in Python ints) and small builders of test
+inputs (regular and direct-sum modules, the dense matrices of a module,
+constant group towers, point towers) and of the relative product and sum
+along a tower map, which only `tower.decomposition_check` builds in the
+library.
 """
 
 import itertools
@@ -20,13 +22,14 @@ from math import gcd
 
 import numpy as np
 
-from proflq import groupcoh as gc, linalg, lq, repv, snf
+from proflq import groupcoh as gc, linalg, lq, repv, snf, tower
 from proflq.errors import BudgetError
 from proflq.etale import FiniteEtaleSpace
 from proflq.finring import FiniteModule, ModuleMap, from_cyclic, zero_map, zero_module
 from proflq.groups import (FiniteGroup, GroupHom, all_subgroups, identity_hom,
                            left_cosets, trivial_group)
-from proflq.tower import SpaceTower
+from proflq.tower import (DEFAULT_BIT_BUDGET, IndEtale, ProEtale, SpaceTower,
+                          TowerMap)
 
 # -- groups -------------------------------------------------------------------
 
@@ -242,6 +245,25 @@ def weyl_image(group: FiniteGroup, hom, p: int) -> dict:
 
 
 # -- F_p elimination -------------------------------------------------------------
+
+
+def object_rref(matrix, p: int) -> tuple[np.ndarray, list[int]]:
+    """The reduced row-echelon form over F_p in Python ints (an object
+    array), which no p overflows; returns (R, pivot_columns)."""
+    a = np.array(matrix, dtype=object) % p
+    pivots: list[int] = []
+    for c in range(a.shape[1]):
+        r = len(pivots)
+        nz = [i for i in range(r, a.shape[0]) if a[i, c]]
+        if not nz:
+            continue
+        a[[r, nz[0]]] = a[[nz[0], r]]
+        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
+        for i in range(a.shape[0]):
+            if i != r:
+                a[i] = (a[i] - a[i, c] * a[r]) % p
+        pivots.append(c)
+    return a, pivots
 
 
 def bytes_ints(bits: np.ndarray) -> list[int]:
@@ -695,6 +717,20 @@ def restrict_tower(t: SpaceTower, top_block) -> SpaceTower:
         trs.append({p: t.transitions[k][p] for p in nxt})
         keep.append(nxt)
     return SpaceTower(keep, trs)
+
+
+def relative_product(a: FiniteModule, pi: TowerMap,
+                     bit_budget: int = DEFAULT_BIT_BUDGET) -> IndEtale:
+    """The pushforward of the constant tower along pi, fiber A^{pi^{-1}(s)}
+    at s: the product side of `tower.decomposition_check`, built alone."""
+    return tower._relative("ind", pi, tower._relative_sections(a, pi, bit_budget))
+
+
+def relative_sum(a: FiniteModule, pi: TowerMap,
+                 bit_budget: int = DEFAULT_BIT_BUDGET) -> ProEtale:
+    """The dual pushforward, fiber A[[pi^{-1}(s)]] at s: the sum side of
+    `tower.decomposition_check`, built alone."""
+    return tower._relative("pro", pi, tower._relative_sections(a, pi, bit_budget))
 
 
 def dense_sum_of_composites(source: FiniteModule, target: FiniteModule,

@@ -23,8 +23,9 @@ from proflq.finring import (FiniteModule, FiniteRing, ModuleMap, cokernel, cycli
 from proflq.groups import all_subgroups, dihedral_group, subgroup_group, symmetric_group
 from proflq.repv import ElementaryAbelian, RepClass
 
-from .reference import (centralizer, conj, symonds_action, uncached_direct_sum,
-                        uncached_dual_map, weyl_image)
+from .reference import (centralizer, conj, relative_product, relative_sum,
+                        symonds_action, uncached_direct_sum, uncached_dual_map,
+                        weyl_image)
 from .test_tower import random_tower_map
 
 
@@ -215,7 +216,7 @@ def test_shapiro_returned_dicts_are_fresh():
                                                  "misses": 1}
 
 
-# -- groupcoh.one_point_dims --------------------------------------------------------
+# -- H^•(G; F_p) on the resolution ---------------------------------------------------
 
 
 def uncached_one_point(g, p, k_max):
@@ -227,41 +228,57 @@ def uncached_one_point(g, p, k_max):
     return tuple(res.betti[k] - ranks[k + 1] - ranks[k] for k in range(k_max + 1))
 
 
-def test_one_point_warm_equals_cold_equals_uncached():
+def test_one_point_warm_equals_cold_equals_uncached(monkeypatch):
     cases = [(g, p) for g in catalog.all_groups() for p in (2, 3, 5)]
     assert len({(g.table.tobytes(), p) for g, p in cases}) == len(cases)
+    ranked = []
+    dims_of = gc._dims
+    monkeypatch.setattr(gc, "_dims", lambda res, module, k_max: ranked.append(
+        (res, module.dim, k_max)) or dims_of(res, module, k_max))
 
     def dims(k_max):
         return [gc.cohomology(g, gc.trivial_module(g, p), k_max) for g, p in cases]
 
     cold = dims(2)
-    longer = dims(4)  # a larger k_max than the entry: computed and replaced
+    longer = dims(4)  # a larger k_max than is kept: ranked again and replaced
     warm, shorter = dims(4), dims(1)
-    # the memo is keyed on the table of G/O_p'(G): the 222 cases share 43
-    # entries (every group of order prime to p has the trivial quotient),
-    # so each pass of two that add degrees misses 43 times and hits 179
+    # the dims are kept on the resolution of G/O_p'(G): the 222 cases share
+    # 43 resolutions (every group of order prime to p has the trivial
+    # quotient), each ranked once per pass that adds degrees
     n = len(cases)
     assert (n, len(cache._ENTRIES["groupcoh.p_prime_quotients"])) == (222, 222)
-    assert cache.stats()["groupcoh.one_point_dims"] == {
-        "entries": 43, "hits": 4 * n - 2 * 43, "misses": 2 * 43}
+    assert cache.stats()["groupcoh.resolutions"] == {
+        "entries": 43, "hits": 4 * n - 43, "misses": 43}
+    resolutions = list(cache._ENTRIES["groupcoh.resolutions"].values())
+    assert sorted((id(res), d, k) for res, d, k in ranked) == sorted(
+        (id(res), 1, k) for res in resolutions for k in (2, 4))
     cache.clear()
     uncached = [uncached_one_point(g, p, 4) for g, p in cases]
-    assert cache.stats()["groupcoh.one_point_dims"] == {
+    assert cache.stats()["groupcoh.resolutions"] == {
         "entries": 0, "hits": 0, "misses": 0}
     assert warm == longer == uncached
     assert cold == [d[:3] for d in uncached] and shorter == [d[:2] for d in uncached]
+    assert [res.one_point for res in resolutions] == [
+        uncached_one_point(res.group, res.p, 4) for res in resolutions]
 
 
 def test_one_point_budget_refused_after_a_warm_call():
     g = symmetric_group(4)
     point = gc.trivial_module(g, 2)
     dims = gc.cohomology(g, point, 4)
-    need = max(gc.free_resolution(g, 2, 5).betti)  # the budget F_0 .. F_5 need
-    before = cache.stats()["groupcoh.one_point_dims"]
+    res = gc.free_resolution(g, 2, 5)
+    need = max(res.betti)  # the budget F_0 .. F_5 need
+    assert res.one_point == dims
+    before = cache.stats()["groupcoh.resolutions"]
     with pytest.raises(BudgetError):
         gc.cohomology(g, point, 4, dim_budget=need - 1)
-    # refused before the lookup: nothing counted
-    assert cache.stats()["groupcoh.one_point_dims"] == before
+    with pytest.raises(BudgetError):
+        gc.cohomology(g, point, 5, dim_budget=need - 1)
+    # refused after the resolution's lookup and before its dims are read:
+    # one hit each, and the kept dims neither read nor replaced
+    assert cache.stats()["groupcoh.resolutions"] == dict(
+        before, hits=before["hits"] + 2)
+    assert res.one_point == dims
     assert gc.cohomology(g, point, 4, dim_budget=need) == dims
 
 
@@ -497,7 +514,7 @@ def _pushforward_cases():
 
 def _fiber_transitions(cases):
     return [[dict(ft) for ft in build(a, pi).fiber_transitions]
-            for a, pi in cases for build in (tower.relative_product, tower.relative_sum)]
+            for a, pi in cases for build in (relative_product, relative_sum)]
 
 
 def test_fiber_glue_warm_equals_cold_equals_uncached(monkeypatch):

@@ -321,6 +321,33 @@ def test_dense_map_over_z60_returns(tmp_path):
         "cokernel_factors": [20]}
 
 
+@pytest.mark.parametrize("command", ["rep", "lq"])
+def test_large_p_returns(inputs, tmp_path, command):
+    # hom enumeration takes x^p of every x: p is read mod |G|, not looped
+    env = dict(os.environ, PYTHONPATH=str(Path(proflq.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "proflq.cli", command, "--group", inputs["s4"],
+         "--p", "1000000007", "--rank", "1"],
+        cwd=tmp_path, capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "--tower", "gt.json", "--p", "4294967311"],
+    ["cohomology", "--group", "s4.json", "--p", "4294967311"],
+    ["cohomology", "--group", "s4.json", "--p", "3037000507"],
+])
+def test_p_beyond_the_int64_bound_is_exit_2(tmp_path, monkeypatch, capsys, argv):
+    # the smallest prime above 2^32, and the first above the bound
+    for name in ("gt.json", "s4.json"):
+        (tmp_path / name).write_text(json.dumps(GOLDEN_INPUTS[name]))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "p(p - 1) must be at most 2^63 - 1, so p <= 3037000493" in captured.err
+
+
 def test_internal_violation_is_exit_3(inputs, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise lq.LqError("forced mismatch", {"report": {}})

@@ -352,8 +352,8 @@ class TestPushPull:
         assert is_isomorphic(sections(e, e.base).module, product_finite(e).module)
 
     def test_non_surjective_rejected(self):
-        # the pushforward of a tower along pi is tower.relative_product,
-        # which needs pi onto at every level
+        # the pushforward of a tower along pi, the product side of
+        # tower.decomposition_check, needs pi onto at every level
         t = SpaceTower([("a", "b")], [])
         s = SpaceTower([("x", "y")], [])
         with pytest.raises(ValueError):
@@ -487,7 +487,7 @@ class TestAdjunction:
 
     @pytest.mark.parametrize("fi", range(len(CRITERION_4_FIBERS)))
     def test_reports_match_the_reference(self, fi):
-        # every single-point triple of criterion 4's fibers within max_side
+        # every single-point triple of criterion 4's fibers within MAX_SIDE
         point = lambda m: FiniteEtaleSpace((0,), {0: m})
         f = point(CRITERION_4_FIBERS[fi])
         compared = 0
@@ -504,11 +504,17 @@ class TestAdjunction:
         assert compared
 
     def test_oversized_fiber_is_a_budget_refusal(self):
-        # hom(Z/12 (x) Z/12, Z/12) has 12 elements
-        c = constant_space(("a",), cyclic(Z12, 12))
-        assert adjunction_check(c, c, c, max_side=12)["ok"]
-        with pytest.raises(BudgetError):
-            adjunction_check(c, c, c, max_side=11)
+        # hom(Z/4 (x) (Z/4)^2, (Z/4)^3) has 4^6 = 4096 elements, MAX_SIDE;
+        # hom((Z/4)^2 (x) (Z/4)^2, (Z/4)^2) has 16^4 = 65536
+        def point(*factors):
+            return constant_space(("a",), FiniteModule(Z12, factors))
+
+        assert etale.MAX_SIDE == 4096
+        report = adjunction_check(point(4), point(4, 4), point(4, 4, 4))
+        assert report["ok"] and report["fibers"]["a"]["lhs"] == 4096
+        square = point(4, 4)
+        with pytest.raises(BudgetError, match="exceeds size bound"):
+            adjunction_check(square, square, square)
 
     def test_entries_past_64_bits(self):
         ring = FiniteRing(2 ** 70)

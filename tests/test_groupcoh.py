@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from proflq import cache, catalog, cli, groupcoh as gc, linalg, lq
+from proflq import cache, catalog, cli, groupcoh as gc, jsonio, linalg, lq
 from proflq.errors import InvariantError
 from proflq.groups import (
     GroupHom,
@@ -24,6 +24,7 @@ from proflq.repv import ElementaryAbelian
 from .reference import (bar_cohomology, bar_inflation_ranks,
                         constant_group_tower, coset_action, dense,
                         direct_sum_module, regular_module)
+from .test_golden import INPUTS as GOLDEN_INPUTS
 
 
 class TestGModule:
@@ -287,6 +288,22 @@ class TestInflation:
         g = cyclic_group(3)
         q = GroupHom(g, trivial_group(), [0, 0, 0])
         assert gc.inflation_ranks(q, 3, 2, dim_budget=10 ** 5) == (1, 0, 0)
+
+    def test_largest_accepted_p_matches_p_5(self):
+        # 3037000493 is the largest prime linalg accepts; neither it nor 5
+        # divides 24, so both see the same dims and inflation ranks, on the
+        # golden tower C2 <- S3 and on S4 -> S4/V4 = S3
+        s4 = catalog.by_name("S4")
+        v4 = next(s for s in all_subgroups(s4) if len(s) == 4
+                  and len(s4.normalizer(s)) == s4.order)
+        s3, proj = quotient_group(s4, v4)
+        towers = [jsonio.load_group_tower(GOLDEN_INPUTS["gt.json"]),
+                  gc.GroupTower([s3, s4], [GroupHom(s4, s3, proj)])]
+        for t in towers:
+            small, large = (gc.continuous_cohomology(t, p, 4) for p in (5, 3037000493))
+            assert (large["dims"], large["inflation_ranks"]) \
+                == (small["dims"], small["inflation_ranks"])
+            assert small["inflation_ranks"] == [(1, 0, 0, 0, 0)]
 
 
 def _normal_quotients(max_order):

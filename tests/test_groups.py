@@ -56,8 +56,10 @@ class TestPermutationClosure:
         assert (g1.table == g2.table).all()
 
     def test_order_bound_enforced(self):
-        with pytest.raises(ValueError):
-            group_from_permutations([tuple(range(1, 7)) + (0,)], order_bound=5)
+        # a transposition and a 6-cycle generate S6, of order 720 > 360
+        with pytest.raises(ValueError, match="exceeds bound 360"):
+            group_from_permutations([(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)])
+        assert group_from_permutations([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]).order == 120
 
     def test_bad_permutation_rejected(self):
         with pytest.raises(ValueError):
@@ -151,6 +153,19 @@ class TestBasicOps:
         g = cyclic_group(6)
         assert g.power(1, 4) == 4
         assert g.power(1, -1) == 5
+
+    @pytest.mark.parametrize("name", ["S4", "Q8", "C2xC2xS3"])
+    def test_power_matches_repeated_products(self, name):
+        g = catalog.by_name(name)
+        n = g.order
+        for x in g.elements():
+            # up[k] = x^k and down[k] = (x^-1)^k by one product at a time
+            up, down = [0], [0]
+            for _ in range(2 * n):
+                up.append(g.mul(up[-1], x))
+                down.append(g.mul(down[-1], g.inv(x)))
+            for k in range(-2 * n, 2 * n):
+                assert g.power(x, k) == (up[k] if k >= 0 else down[-k])
 
     def test_closure(self):
         g = symmetric_group(4)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from proflq import catalog, groupcoh as gc, linalg
 
-from .reference import bytes_pack
+from .reference import bytes_pack, object_rref
 
 PRIMES = (2, 3, 5, 7)
 
@@ -270,9 +270,31 @@ def test_row_space_starts_empty():
 
 
 @pytest.mark.parametrize("p", [3, 101, 65537, 2 ** 31 - 1, 3037000493])
-def test_mulmod_is_exact_for_large_p(p):
+def test_rank_and_rref_are_exact_for_large_p(p):
+    # 3037000493 is the largest prime with p(p - 1) <= 2^63 - 1
     rng = np.random.default_rng(p)
-    a = rng.integers(0, p, (5, 40))
-    b = rng.integers(0, p, (40, 7))
-    ref = (a.astype(object) @ b.astype(object)) % p
-    assert (linalg._mulmod(a, b, p).astype(object) == ref).all()
+    a = rng.integers(0, p, (6, 9))
+    a[:, 4] = p - 1  # the largest residue, in every row
+    a[-1] = (a[0].astype(object) * (p - 1) + a[1]) % p  # a dependent row
+    r, pivots = object_rref(a, p)
+    assert linalg.rank(a, p) == len(pivots) == 5
+    got, got_pivots = linalg.rref(a, p)
+    assert got_pivots == pivots and (got.astype(object) == r).all()
+    space = linalg.RowSpace(p, a.shape[1])
+    space.add(a[:2])
+    assert contains(space, a[-1]) and not contains(space, a[2])
+    space.add(a[2:])
+    assert space.dim == len(pivots)
+
+
+@pytest.mark.parametrize("p", [3037000507, 4294967311])
+def test_p_beyond_the_int64_bound_is_refused(p):
+    # the primes just above the bound, and the smallest one above 2^32
+    a = np.eye(2, dtype=np.int64)
+    message = r"p\(p - 1\) must be at most 2\^63 - 1, so p <= 3037000493"
+    space = linalg.RowSpace(p, 2)
+    for call in (lambda: linalg.rank(a, p), lambda: linalg.rref(a, p),
+                 lambda: linalg.nullspace(a, p), lambda: space.add(a),
+                 lambda: next(space.outside(a))):
+        with pytest.raises(ValueError, match=message):
+            call()

@@ -35,6 +35,9 @@
 * Only `finring` imports `snf`: the Smith form sits behind the module
   layer, and map matrices are multiplied in `finring.sum_of_composites`
   alone.
+* No public function or method (one whose name has no leading `_`, or a
+  dunder such as `__init__`) has a parameter whose name starts with `_`:
+  a knob that only the library passes itself is a second path.
 """
 
 import ast
@@ -573,3 +576,62 @@ from numpy import snf as not_ours
 import snf
 """
     assert _snf_imports(ast.parse(source)) == [2, 3, 4, 5, 6, 8]
+
+
+# -- no private parameter on a public function ---------------------------------------
+
+
+def _private_parameters(tree):
+    """(definition, parameter) for each parameter named `_x` of a public
+    function or method: one at module level or in a module-level class,
+    whose name has no leading `_` or is a dunder."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defs = []
+    for node in tree.body:
+        if isinstance(node, functions):
+            defs.append((node.name, node))
+        elif isinstance(node, ast.ClassDef):
+            defs += [(f"{node.name}.{m.name}", m) for m in node.body
+                     if isinstance(m, functions)]
+    found = []
+    for qual, f in defs:
+        name = f.name
+        if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+            continue
+        a = f.args
+        found += [(qual, arg.arg)
+                  for arg in [*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg]
+                  if arg is not None and arg.arg.startswith("_")]
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_private_parameter_of_a_public_function(path):
+    assert _private_parameters(_tree(path)) == []
+
+
+def test_private_parameter_rule_sees_every_parameter_kind():
+    source = """
+def build(a, _b, *_rest, c=1, _d=None, **_extra):
+    def inner(_local):
+        return _local
+    return inner
+def _helper(_x):
+    return _x
+async def fetch(_url):
+    return _url
+class Tower:
+    def __init__(self, _secs=None):
+        self._secs = _secs
+    def product(self, /, _pos, *, kind):
+        return kind
+    def _glue(self, _k):
+        return _k
+class _Body:
+    def levels(self, _k):
+        return _k
+"""
+    assert _private_parameters(ast.parse(source)) == [
+        ("build", "_b"), ("build", "_rest"), ("build", "_d"), ("build", "_extra"),
+        ("fetch", "_url"), ("Tower.__init__", "_secs"), ("Tower.product", "_pos"),
+        ("_Body.levels", "_k")]

@@ -34,14 +34,12 @@ from proflq.tower import (
     free_sum,
     levelwise_isomorphic,
     product_ind,
-    relative_product,
-    relative_sum,
 )
 
 from proflq import tower
 
 from .reference import (add_maps, dense_compose, dense_sum_of_composites, point_tower,
-                        restrict_tower, zero_space)
+                        relative_product, relative_sum, restrict_tower, zero_space)
 from .test_finring import random_map, random_module
 
 F2 = FiniteRing(2)
