@@ -12,15 +12,10 @@ sweeps of `repv`, `lq` and `sep` read them, and `repv` turns them into
 one array to conjugate all of hom(V, G) at once.
 
 `closure` is a breadth-first search from the identity that multiplies
-only by the given generators.  `all_subgroups` computes the subgroup
-lattice once per group object, by cyclic extension with a
-coset-by-coset closure (table-based methods as in Holt, Eick and
-O'Brien, *Handbook of Computational Group Theory*, 2005, ch. 3) that
-reads the coset {h·x : h in S} from column x of the table.  It keeps
-the lattice on the object and hands every caller a fresh list;
-`generators_greedy` keeps its generator list the same way.  Per-element
-helpers are private, so that an outside tracer of the public methods
-does not time every lookup.
+only by the given generators.  `generators_greedy` is computed once per
+group object and handed out as a fresh list.  Per-element helpers are
+private, so that an outside tracer of the public methods does not time
+every lookup.
 
 Every constructor is an element list and a product rule handed to one
 builder, `_table_group`, which numbers the elements in the given order
@@ -29,20 +24,31 @@ deterministic order, residues, pairs for direct and semidirect products
 and for the dicyclic groups, the elements of a subgroup, and the cosets
 of a normal subgroup.  `left_cosets` numbers the left cosets of a
 subgroup by their first element; quotients and coset modules both read
-it.  `subgroup_classes` splits the lattice into conjugacy classes once
-per group object, in one orbit pass that also records the normalizer of
-each class representative and, for every subgroup, the least element
-conjugating its representative to it; the normalizer of any subgroup is
-then that conjugate of its representative's.  `subgroups_up_to_conjugacy`
-and `p_subgroups_up_to_conjugacy` read its representatives.  The
-normalizer method and the conjugacy test of two arbitrary element sets
-scan the group; everything stays at desk scale.
+it.
+
+`subgroup_classes` builds the subgroup lattice and its conjugacy classes
+together, once per group object, by cyclic extension up to conjugacy
+(table-based methods as in Holt, Eick and O'Brien, *Handbook of
+Computational Group Theory*, 2005, ch. 3): only class representatives
+are extended, each by one generator per cyclic subgroup, with a
+coset-by-coset closure that reads the coset {h·x : h in S} from column x
+of the table, and a subgroup whose class is known is dropped.  A new
+class is made at once: its normalizer is the elements that conjugate
+each generator into it, and one walk over the normalizer's left cosets
+gives its conjugates, each with its least conjugator, so the normalizer
+of any subgroup is that conjugate of its representative's.  The record
+keeps a generating tuple of each representative.  `all_subgroups` reads
+the lattice off its index, `subgroups_up_to_conjugacy` and
+`p_subgroups_up_to_conjugacy` its representatives.  The normalizer
+method and the conjugacy test of two arbitrary element sets scan the
+group; everything stays at desk scale.
 `GroupHom` checks f(ab) = f(a)f(b) on all pairs in one numpy comparison.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from itertools import compress
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -69,7 +75,6 @@ class FiniteGroup:
         self._inv = [row.index(0) for row in self._rows]
         # conj_rows[g][x] = g x g^{-1}, one gather (g x) then (g x) g^{-1}
         self.conj_rows = table[table, np.array(self._inv)[:, None]].tolist()
-        self._subgroups = None  # the lattice, filled by all_subgroups
         self._generators = None  # filled by generators_greedy
         self._classes = None  # filled by subgroup_classes
 
@@ -359,46 +364,12 @@ def subgroup_group(g: FiniteGroup, elements, name=None):
 
 
 def all_subgroups(g: FiniteGroup) -> list[frozenset[int]]:
-    """Every subgroup of g, as element sets, by size then elements.
-
-    The lattice is computed once per group object and kept on it; every
-    call returns a fresh list, so a caller may change its list freely.
+    """Every subgroup of g, as element sets, by size then elements: the
+    keys of the class index of `subgroup_classes`, kept in that order.
+    Every call returns a fresh list, so a caller may change its list
+    freely.
     """
-    if g._subgroups is None:
-        g._subgroups = tuple(_subgroup_lattice(g))
-    return list(g._subgroups)
-
-
-def _subgroup_lattice(g: FiniteGroup) -> list[frozenset[int]]:
-    """Cyclic extension: every subgroup arises from {1} by adjoining one
-    cyclic subgroup at a time, and <H, x> depends only on <x> and on the
-    coset Hx, so one generator per cyclic subgroup and coset is tried."""
-    rows, cols = g._rows, g.table.T.tolist()  # cols[x][h] = h x
-    cyclic: dict[frozenset[int], int] = {}
-    for x in range(1, g.order):
-        powers, y = [0], x
-        while y != 0:
-            powers.append(y)
-            y = rows[y][x]
-        cyclic.setdefault(frozenset(powers), x)
-    trivial = frozenset({0})
-    gens_of = {trivial: ()}   # subgroup -> a generating tuple
-    frontier = [trivial]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            gens = gens_of[s]
-            tried = set(s)
-            for x in cyclic.values():
-                if x in tried:
-                    continue
-                tried.update(map(cols[x].__getitem__, s))
-                t = _adjoin(rows, cols, s, gens + (x,))
-                if t not in gens_of:
-                    gens_of[t] = gens + (x,)
-                    nxt.append(t)
-        frontier = nxt
-    return sorted(gens_of, key=lambda s: (len(s), sorted(s)))
+    return list(subgroup_classes(g).index)
 
 
 def _adjoin(rows, cols, s: frozenset[int], gens: tuple[int, ...]) -> frozenset[int]:
@@ -421,50 +392,99 @@ def _adjoin(rows, cols, s: frozenset[int], gens: tuple[int, ...]) -> frozenset[i
 class SubgroupClasses(NamedTuple):
     """The conjugacy classes of subgroups of one group.
 
-    `index` maps every subgroup to the number of its class; `reps[k]` is
-    the first subgroup of class k in `all_subgroups` order, the classes
-    numbered in the order of their representatives; `normalizers[k]` is
-    N(reps[k]), the stabiliser of the class under conjugation, in
-    increasing order.  `conjugators` maps every subgroup t to the least
-    element c with c·reps[index[t]]·c⁻¹ = t, so N(t) = c·N(rep)·c⁻¹
-    without a scan of the group.
+    `index` maps every subgroup to the number of its class, its keys in
+    `all_subgroups` order; `reps[k]` is the first subgroup of class k in
+    that order, the classes numbered in the order of their
+    representatives; `normalizers[k]` is N(reps[k]), the stabiliser of
+    the class under conjugation, in increasing order.  `conjugators`
+    maps every subgroup t to the least element c with
+    c·reps[index[t]]·c⁻¹ = t, so N(t) = c·N(rep)·c⁻¹ without a scan of
+    the group.  `generators[k]` generates reps[k] with one element per
+    step of the cyclic extension that found the class; each step at
+    least doubles the order, so it has at most as many entries as
+    |reps[k]| has prime factors, counted with multiplicity.
     """
 
     index: Mapping[frozenset[int], int]
     reps: tuple[frozenset[int], ...]
     normalizers: tuple[tuple[int, ...], ...]
     conjugators: Mapping[frozenset[int], int]
+    generators: tuple[tuple[int, ...], ...]
 
 
 def subgroup_classes(g: FiniteGroup) -> SubgroupClasses:
     """The subgroup conjugacy classes of g, computed once per group object.
 
-    One pass conjugates each representative by every element of g, in
-    increasing order, through the conjugation rows: the images are its
-    class, the first element reaching an image is that image's conjugator,
-    and the elements that fix it are its normalizer.
+    Cyclic extension up to conjugacy: every subgroup other than 1 is
+    <K, x> for a maximal subgroup K and an x outside it, and
+    a·<K, x>·a⁻¹ = <aKa⁻¹, axa⁻¹>, so extending one representative of
+    each class by one generator of each cyclic subgroup meets every
+    class.  <K, x> depends only on the coset Kx, so one x per coset is
+    tried, and a subgroup already in the index of known conjugates is
+    skipped; a new one is made a class at once by `_new_class`.
     """
     if g._classes is None:
-        index: dict[frozenset[int], int] = {}
-        conjugators: dict[frozenset[int], int] = {}
-        reps, normalizers = [], []
-        for s in all_subgroups(g):
-            if s in index:
-                continue
-            stabiliser = []
-            for x, row in enumerate(g.conj_rows):
-                t = frozenset(map(row.__getitem__, s))
-                if t not in index:
-                    index[t] = len(reps)
-                    conjugators[t] = x
-                if t == s:
-                    stabiliser.append(x)
-            reps.append(s)
-            normalizers.append(tuple(stabiliser))
-        g._classes = SubgroupClasses(MappingProxyType(index), tuple(reps),
-                                     tuple(normalizers),
-                                     MappingProxyType(conjugators))
+        rows, cols = g._rows, g.table.T.tolist()  # cols[x][h] = h x
+        cyclic: dict[frozenset[int], int] = {}  # <x> -> its least generator x
+        for x in range(1, g.order):
+            powers = [x]
+            while powers[-1]:
+                powers.append(rows[powers[-1]][x])
+            cyclic.setdefault(frozenset(powers), x)
+        classes = [_new_class(g, cols, frozenset({0}), ())]
+        known = set(classes[0][3])  # every conjugate of every class found
+        for rep, gens, _, _ in classes:  # a queue: each class is extended once
+            tried = set(rep)
+            for x in cyclic.values():
+                if x not in tried:
+                    tried.update(map(cols[x].__getitem__, rep))
+                    t = _adjoin(rows, cols, rep, gens + (x,))
+                    if t not in known:
+                        classes.append(_new_class(g, cols, t, gens + (x,)))
+                        known.update(classes[-1][3])
+        classes.sort(key=lambda cls: (len(cls[0]), sorted(cls[0])))
+        reps, generators, normalizers, conjugates = zip(*classes)
+        conjugators = {t: c for d in conjugates for t, c in d.items()}
+        number = {t: k for k, d in enumerate(conjugates) for t in d}
+        index = {t: number[t] for t in sorted(number, key=lambda t: (len(t), sorted(t)))}
+        g._classes = SubgroupClasses(MappingProxyType(index), reps, normalizers,
+                                     MappingProxyType(conjugators), generators)
     return g._classes
+
+
+def _new_class(g: FiniteGroup, cols, t: frozenset[int], gens: tuple[int, ...]):
+    """(rep, its generators, N(rep), {conjugate: least conjugator}) for
+    the class of t = <gens>, rep its least conjugate in `all_subgroups`
+    order.
+
+    N(t) is the set of elements that conjugate each generator into t.
+    One walk over its left cosets aN(t), in increasing order, meets each
+    conjugate a·t·a⁻¹ once.  With c the first element of the coset giving
+    rep, b·rep·b⁻¹ is the conjugate of the coset that holds b·c, so one
+    pass over b in increasing order reads the least conjugator of each
+    conjugate and N(rep) off that column of the table.
+    """
+    rows, conj_rows = g._rows, g.conj_rows
+    normalizer = range(g.order)
+    for x in gens:
+        normalizer = [a for a in normalizer if conj_rows[a][x] in t]
+    if len(normalizer) == g.order:  # t is normal: its own class
+        return t, gens, tuple(normalizer), {t: 0}
+    coset_of, firsts, conjugates = [-1] * g.order, [], []
+    for a in range(g.order):
+        if coset_of[a] < 0:
+            for y in map(rows[a].__getitem__, normalizer):
+                coset_of[y] = len(firsts)
+            firsts.append(a)
+            conjugates.append(frozenset(map(conj_rows[a].__getitem__, t)))
+    k = min(range(len(conjugates)), key=lambda j: sorted(conjugates[j]))
+    c = firsts[k]
+    cosets = list(map(coset_of.__getitem__, cols[c]))  # cols[c][b] = b c
+    # coset -> least b in it: later pairs overwrite earlier
+    least = dict(zip(reversed(cosets), range(g.order - 1, -1, -1)))
+    rep_normalizer = tuple(compress(range(g.order), map(k.__eq__, cosets)))
+    return (conjugates[k], tuple(map(conj_rows[c].__getitem__, gens)),
+            rep_normalizer, {conjugates[j]: b for j, b in least.items()})
 
 
 def subgroups_up_to_conjugacy(g: FiniteGroup) -> list[frozenset[int]]:

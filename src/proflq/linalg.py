@@ -20,7 +20,8 @@ Two elimination designs, chosen from p:
 
 `RowSpace` is a row space that grows by `add` and names the rows
 `outside` it; the free-resolution builder uses it to pick generators.
-At p >= 5 it is an `rref`, re-eliminated with each `add`.
+At p >= 5 it is an `rref`, re-eliminated with each `add`, and a row is
+tested by clearing it against the pivots one at a time.
 
 Every int64 value of an elimination stays within p(p - 1) in absolute
 value, so `_eliminate` refuses, with a ValueError, any p above that
@@ -224,11 +225,15 @@ def _rank_packed(matrix, p: int) -> int:
 # p >= 5 (and the reference at p in {2, 3}): numpy int64
 
 
-def _eliminate(a: np.ndarray, p: int, reduce_above: bool) -> list[int]:
-    """Row-reduce `a` in place; with `reduce_above`, to reduced echelon form."""
+def _check_int64_bound(p: int) -> None:
     if p * (p - 1) > _INT64_MAX:
         raise ValueError(f"p = {p} is too large for int64 arithmetic over F_p: "
                          "p(p - 1) must be at most 2^63 - 1, so p <= 3037000493")
+
+
+def _eliminate(a: np.ndarray, p: int, reduce_above: bool) -> list[int]:
+    """Row-reduce `a` in place; with `reduce_above`, to reduced echelon form."""
+    _check_int64_bound(p)
     rows = a.shape[0]
     pivots: list[int] = []
     r = 0
@@ -303,14 +308,15 @@ class RowSpace:
     row with leading coefficient 1), grown by inserting the new rows; a
     row is in the space when it reduces to zero against it.  At p >= 5
     it is the nonzero rows of an `rref`, re-eliminated with the new rows
-    stacked below on each `add`; a row is in the space when stacking it
-    below keeps the rank.
+    stacked below on each `add`; a row is in the space when clearing its
+    entry at each pivot, one pivot at a time, leaves zero.
     """
 
     def __init__(self, p: int, ncols: int):
         self.p = p
         self._lead: dict = {}                                  # p <= 3
         self._rows = np.zeros((0, ncols), dtype=np.int64)      # p >= 5
+        self._pivots: list[int] = []                           # p >= 5
 
     @property
     def dim(self) -> int:
@@ -321,7 +327,7 @@ class RowSpace:
             _echelon(_pack(rows, self.p)[0], self._lead, self.p)
             return
         r, pivots = _rref_fp(np.vstack([self._rows, as_fp(rows, self.p)]), self.p)
-        self._rows = r[:len(pivots)]
+        self._rows, self._pivots = r[:len(pivots)], pivots
 
     def outside(self, rows):
         """Yield the index of each row that is not in the space when it is
@@ -337,6 +343,12 @@ class RowSpace:
                 if any(_reduce_f3(x1, x2, lead)):
                     yield i
         else:
+            _check_int64_bound(p)
             for i, row in enumerate(as_fp(rows, p)):
-                if _rank_fp(np.vstack([self._rows, row]), p) > self.dim:
+                # the other rows of an rref are 0 at a pivot, so clearing
+                # one pivot leaves the entries at the others as they were
+                for r, c in zip(self._rows, self._pivots):
+                    if row[c]:
+                        row = _mod(row - row[c] * r, p)
+                if row.any():
                     yield i

@@ -15,8 +15,9 @@ image: the normalizer of the image acting as automorphism matrices over
 F_p in an echelonized basis drawn from the representative's entries,
 computed the first time it is read, from the least element of each
 coset of the centralizer.  `repv` is the one module that computes these
-facts, and checks each centralizer where it is made (`_check_classes`):
-it is exactly C_G(rho(V)).  `class_map` pushes Rep(V, G) forward along
+facts, and checks the classes where they are made (`_check_classes`):
+the orbits partition hom(V, G), and each centralizer is exactly
+C_G(rho(V)).  `class_map` pushes Rep(V, G) forward along
 a homomorphism G -> L, which is both the separability map of `sep` and
 a transition of `rep_tower`.
 
@@ -228,18 +229,26 @@ def _classes(v: ElementaryAbelian, group: FiniteGroup, budget: int) -> tuple:
         homs = tuple(hom_enumerate(v, group, budget))
         action = _conjugation_action(v, group, homs)
         classes, orbit_map = _orbits(v, group, homs, action)
-        _check_classes(group, classes)
+        _check_classes(group, homs, classes, orbit_map)
         found = cache.store("repv.rep_classes", key,
                             (homs, classes, orbit_map, action))
     return found
 
 
-def _check_classes(group: FiniteGroup, classes) -> None:
+def _check_classes(group: FiniteGroup, homs, classes, orbit_map) -> None:
     """Require that each centralizer is C_G(rho(V)), the stabilizer of the
-    representative rho: orbit-stabilizer holds, and every element of the
-    centralizer fixes each entry of rho, which pins it exactly."""
+    representative rho, and that the orbits partition hom(V, G).
+
+    Orbit-stabilizer holds, and every element of the centralizer fixes
+    each entry of rho, which pins it exactly.  Each hom of an orbit is in
+    hom(V, G) and `orbit_map` names that orbit's class for it, so no hom
+    lies in two orbits; each representative is the least hom of its
+    orbit; and the orbit sizes sum to the number of homs, so every hom
+    lies in one.
+    """
     name, rows = group.name or f"order{group.order}", group.conj_rows
-    for c in classes:
+    class_of = dict(zip(homs, orbit_map))
+    for k, c in enumerate(classes):
         if len(c.centralizer) * c.orbit_size != group.order:
             raise InvariantError(
                 f"orbit-stabilizer fails for {c.representative}: "
@@ -251,6 +260,20 @@ def _check_classes(group: FiniteGroup, classes) -> None:
             raise InvariantError(f"the centralizer of {c.representative} moves it",
                                  {"group": name, "class": c.representative,
                                   "centralizer": c.centralizer})
+        named = list(map(class_of.get, c.orbit))  # None for a hom not in hom(V, G)
+        if named != [k] * len(named):
+            raise InvariantError(
+                f"the orbit of {c.representative} must be one class of hom(V, G)",
+                {"group": name, "class": k, "representative": c.representative,
+                 "classes_named": named})
+        if c.representative != min(c.orbit):
+            raise InvariantError(f"{c.representative} must be the least hom of its orbit",
+                                 {"group": name, "class": c.representative,
+                                  "least": min(c.orbit)})
+    if sum(c.orbit_size for c in classes) != len(homs):
+        raise InvariantError("the orbit sizes must sum to the number of homs",
+                             {"group": name, "homs": len(homs),
+                              "orbit_sizes": [c.orbit_size for c in classes]})
 
 
 def _orbits(v: ElementaryAbelian, group: FiniteGroup, homs,

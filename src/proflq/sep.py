@@ -10,9 +10,10 @@ basis along f; since conjugation by n and by f(n) give the same matrix,
 eta sits inside mu and the question is whether the inclusion is onto.
 `sp_functor_check` runs the analogous conditions over all finite
 p-subgroups, reading conjugacy from the subgroup class tables of both
-groups, and `conjugacy_distinguished` scans a quotient tower for
-the first level separating two conjugacy threads, of elements or of
-subgroups alike.
+groups and comparing normalizer automorphisms by where they send the
+generators the class table keeps for each representative.
+`conjugacy_distinguished` scans a quotient tower for the first level
+separating two conjugacy threads, of elements or of subgroups alike.
 
 Neither check builds N_L by a scan of L.  `fullness_check` reads mu and
 its least realizers from the one pass of `repv.weyl_image` over L, and
@@ -112,13 +113,12 @@ def _normalizer(group: FiniteGroup, t) -> list[int]:
     return sorted(map(group.conj_rows[c].__getitem__, classes.normalizers[k]))
 
 
-def _aut_perms(group: FiniteGroup, elems, normalizer) -> frozenset:
-    """Conjugation by each element of `normalizer` as a permutation of the
-    positions in `elems`."""
-    pos = {x: i for i, x in enumerate(elems)}.__getitem__
-    rows = group.conj_rows
-    return frozenset(tuple(map(pos, map(rows[n].__getitem__, elems)))
-                     for n in normalizer)
+def _aut_perms(group: FiniteGroup, gens, normalizer, elems) -> frozenset:
+    """Conjugation by each element of `normalizer`, recorded by where it
+    sends `gens`, as positions in `elems`: an automorphism of the
+    subgroup is fixed by the images of a generating set."""
+    rows, pos = group.conj_rows, {x: i for i, x in enumerate(elems)}.__getitem__
+    return frozenset(tuple(map(pos, map(rows[n].__getitem__, gens))) for n in normalizer)
 
 
 def sp_functor_check(f: GroupHom, p: int) -> dict:
@@ -132,7 +132,10 @@ def sp_functor_check(f: GroupHom, p: int) -> dict:
     Conjugacy in L is read from the class index of `subgroup_classes(L)`,
     and N_G of a class representative from that of G.  N_L of an image
     is the stored conjugate of its representative's normalizer, so no
-    condition scans L.
+    condition scans L.  In (b) an automorphism of s is recorded by the
+    images of the generators of s kept in the class table of G, and one
+    of f(s) by the images of f of the same generators; s is skipped when
+    f is not injective on it.
     """
     g, l = f.source, f.target
     classes_g, classes_l = subgroup_classes(g), subgroup_classes(l)
@@ -155,9 +158,11 @@ def sp_functor_check(f: GroupHom, p: int) -> dict:
             b_skipped.append(sorted(s))
             continue
         # transport: index elements of the image by f of the sorted source
-        elems = sorted(s)
-        eta = _aut_perms(g, elems, classes_g.normalizers[classes_g.index[s]])
-        mu = _aut_perms(l, [f(x) for x in elems], _normalizer(l, image))
+        elems, k = sorted(s), classes_g.index[s]
+        gens = classes_g.generators[k]
+        eta = _aut_perms(g, gens, classes_g.normalizers[k], elems)
+        mu = _aut_perms(l, [f(x) for x in gens], _normalizer(l, image),
+                        [f(x) for x in elems])
         if eta != mu:
             b_failures.append({"subgroup": elems,
                                "eta_order": len(eta), "mu_order": len(mu)})

@@ -7,14 +7,14 @@ hom enumeration, isomorphism search, the integer Smith normal form, the
 Smith form over Z/m with a full pivot scan, the dense matrix product
 and the composite and sum of composites built on it, the direct sum as
 it ran before it was memoized, rows packed from their bytes, subgroup
-conjugacy, centralizers, Weyl images and the S_p functor check by
-whole-group scans, the row-by-row homomorphism check, the conjugation
-action on hom(V, G) one tuple at a time and the coset action one
-element at a time, the rref in Python ints) and small builders of test
-inputs (regular and direct-sum modules, the dense matrices of a module,
-constant group towers, point towers) and of the relative product and sum
-along a tower map, which only `tower.decomposition_check` builds in the
-library.
+conjugacy and the subgroup class table, centralizers, Weyl images and
+the S_p functor check by whole-group scans, the row-by-row homomorphism
+check, the conjugation action on hom(V, G) one tuple at a time and the
+coset action one element at a time, the rref in Python ints) and small
+builders of test inputs (regular and direct-sum modules, the dense
+matrices of a module, constant group towers, point towers) and of the
+relative product and sum along a tower map, which only
+`tower.decomposition_check` builds in the library.
 """
 
 import itertools
@@ -173,6 +173,27 @@ def subgroups_up_to_conjugacy(g: FiniteGroup, subs=None) -> list[frozenset[int]]
             seen.update(g.conjugate_subgroup(x, s) for x in range(g.order))
             reps.append(s)
     return reps
+
+
+def subgroup_classes(g: FiniteGroup, subs) -> tuple:
+    """(index, reps, normalizers, conjugators) of `groups.SubgroupClasses`
+    for the lattice `subs`, given in `all_subgroups` order, by
+    conjugating the first subgroup of each class met by every element
+    of g in increasing order, products read from the table: the first
+    element reaching an image is its conjugator, and the elements fixing
+    the subgroup its normalizer."""
+    index, conjugators, reps, normalizers = {}, {}, [], []
+    for s in subs:
+        if s in index:
+            continue
+        for x in range(g.order):
+            t = frozenset(conj(g, x, y) for y in s)
+            if t not in index:
+                index[t], conjugators[t] = len(reps), x
+        reps.append(s)
+        normalizers.append(tuple(x for x in range(g.order)
+                                 if frozenset(conj(g, x, y) for y in s) == s))
+    return {t: index[t] for t in subs}, tuple(reps), tuple(normalizers), conjugators
 
 
 def p_subgroups_up_to_conjugacy(g: FiniteGroup, p: int) -> list[frozenset[int]]:

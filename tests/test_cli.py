@@ -403,6 +403,21 @@ repv._orbits = swapped
 sys.exit(cli.main(sys.argv[1:]))
 """
 
+# the orbit pass marks only each representative, so every other orbit
+# member becomes a class of its own; orbit-stabilizer and the fixed-point
+# check still hold for each of them
+DUPLICATE_CLASSES = """
+import inspect, sys
+from proflq import cli, repv
+source = inspect.getsource(repv._orbits)
+marked = source.replace("for j in orbit:\\n            orbit_map[j] = len(classes)",
+                        "orbit_map[i] = len(classes)")
+if marked == source:
+    sys.exit("the mutant does not apply")
+exec(marked, repv.__dict__)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
 EMPTY_THREADS = """
 import sys
 from proflq import cli, lq
@@ -439,6 +454,17 @@ def test_centralizer_is_checked_for_every_command_under_O(inputs, argv):
                          [inputs.get(arg, arg) for arg in argv])
     assert proc.returncode == 3, proc.stderr
     assert "moves it" in proc.stderr and proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["lq", "--group", "s4", "--p", "2", "--rank", "2"],
+    ["rep", "--group", "s4", "--p", "2", "--rank", "2"],
+    ["sep", "--hom", "a4_in_s4", "--p", "3"],
+], ids=["lq", "rep", "sep"])
+def test_duplicated_classes_are_refused_for_every_command_under_O(inputs, argv):
+    proc = run_optimized(DUPLICATE_CLASSES, [inputs.get(arg, arg) for arg in argv])
+    assert proc.returncode == 3, proc.stderr
+    assert "must be one class of hom(V, G)" in proc.stderr and proc.stdout == ""
 
 
 def test_selftest_criterion_is_checked_under_O():

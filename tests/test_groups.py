@@ -419,6 +419,17 @@ def reference_subgroups(g) -> list:
     return sorted(subs, key=lambda s: (len(s), sorted(s)))
 
 
+def prime_factor_count(n: int) -> int:
+    """The number of prime factors of n, counted with multiplicity."""
+    count, d = 0, 2
+    while n > 1:
+        while n % d == 0:
+            n //= d
+            count += 1
+        d += 1
+    return count
+
+
 def relabelled(g, rng):
     """The same group with element x renamed perm[x], the identity fixed."""
     perm = [0] + rng.sample(range(1, g.order), g.order - 1)
@@ -554,6 +565,31 @@ class TestSubgroupClassesAgainstScans:
                 assert classes.conjugators[s] == next(
                     x for x in g.elements()
                     if {t[t[x, y], inverse[x]] for y in rep} == s), (g.name, sorted(s))
+
+    def test_class_table_matches_the_scans_under_relabelling(self):
+        rng = random.Random(31)
+        for g in catalog.all_groups():
+            for h in (g, relabelled(g, rng)[0]):
+                subs = reference_subgroups(h)
+                index, reps, normalizers, conjugators = \
+                    reference.subgroup_classes(h, subs)
+                classes = subgroup_classes(h)
+                assert all_subgroups(h) == subs == list(classes.index), g.name
+                assert dict(classes.index) == index and classes.reps == reps, g.name
+                assert classes.normalizers == normalizers, g.name
+                assert dict(classes.conjugators) == conjugators, g.name
+
+    def test_generators_generate_each_representative(self):
+        # each cyclic extension step at least doubles the order
+        rng = random.Random(32)
+        for g in catalog.all_groups():
+            for h in (g, relabelled(g, rng)[0]):
+                classes = subgroup_classes(h)
+                table = h.table.tolist()
+                assert len(classes.generators) == len(classes.reps)
+                for gens, rep in zip(classes.generators, classes.reps):
+                    assert reference_closure(table, gens) == rep, (g.name, gens)
+                    assert len(gens) <= prime_factor_count(len(rep)), (g.name, gens)
 
     def test_p_subgroup_classes_match_the_scans(self):
         for g in catalog.all_groups():

@@ -298,3 +298,27 @@ def test_p_beyond_the_int64_bound_is_refused(p):
                  lambda: next(space.outside(a))):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+@pytest.mark.parametrize("p", [5, 7, 3037000493])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(0, 8),
+       cols=st.integers(1, 10), split=st.integers(0, 8))
+def test_outside_matches_the_rank_of_the_stacked_rows(p, seed, rows, cols, split):
+    # the pivot-by-pivot membership test against ranks in Python ints,
+    # with the largest residue and combinations of the stored rows probed
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, p, (rows, cols))
+    a[rng.random((rows, cols)) < 0.3] = p - 1
+    stored = a[:split]
+    space = linalg.RowSpace(p, cols)
+    space.add(stored)
+    probes = list(a[split:]) + [rng.integers(0, p, cols), np.full(cols, p - 1)]
+    if len(stored):
+        coefficients = rng.integers(0, p, len(stored)).astype(object)
+        probes.append((coefficients @ stored.astype(object)) % p)
+    probes = np.array(probes, dtype=np.int64)
+    base = len(object_rref(stored, p)[1])
+    expected = [i for i, v in enumerate(probes)
+                if len(object_rref(np.vstack([stored, v[None]]), p)[1]) > base]
+    assert list(space.outside(probes)) == expected

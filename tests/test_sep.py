@@ -226,6 +226,22 @@ class TestSpFunctor:
                 assert sep._normalizer(g, t) == g.normalizer(t), \
                     (g.name, sorted(t))
 
+    def test_automorphisms_on_generators_match_the_element_form(self):
+        # an automorphism recorded by its generator images, against the
+        # whole permutation of the sorted subgroup from the scans
+        for g in catalog.all_groups():
+            classes = subgroup_classes(g)
+            for p in (2, 3):
+                for s in p_subgroups_up_to_conjugacy(g, p):
+                    k = classes.index[s]
+                    gens = classes.generators[k]
+                    pos = {x: i for i, x in enumerate(sorted(s))}
+                    got = sep._aut_perms(g, gens, classes.normalizers[k], sorted(s))
+                    full = reference._aut_perms(g, s)
+                    assert got == {tuple(perm[pos[x]] for x in gens) for perm in full}, \
+                        (g.name, p, sorted(s))
+                    assert len(got) == len(full), (g.name, p, sorted(s))
+
 
 def pinned_homs():
     """(name, f) for the homs whose S_p reports are pinned: the trivial hom

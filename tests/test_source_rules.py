@@ -38,6 +38,10 @@
 * No public function or method (one whose name has no leading `_`, or a
   dunder such as `__init__`) has a parameter whose name starts with `_`:
   a knob that only the library passes itself is a second path.
+* Only `groups` reads a private attribute of a `FiniteGroup` (`_rows`,
+  `_inv`, `_classes`, ..., every `self._x` it sets and every `_x` method):
+  no other library module reads one, as `obj._x` on anything but `self`
+  or through `getattr`, so every other reads the public fields.
 """
 
 import ast
@@ -635,3 +639,61 @@ class _Body:
         ("build", "_b"), ("build", "_rest"), ("build", "_d"), ("build", "_extra"),
         ("fetch", "_url"), ("Tower.__init__", "_secs"), ("Tower.product", "_pos"),
         ("_Body.levels", "_k")]
+
+
+# -- the private attributes of a FiniteGroup stay in groups ---------------------------
+
+
+def _finite_group_privates():
+    """The private attributes of `FiniteGroup`: each `self._x` its methods
+    set and each method `_x`, dunders aside."""
+    tree = _tree(Path(proflq.__file__).parent / "groups.py")
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "FiniteGroup")
+    names = {node.name for node in cls.body
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    names |= {target.attr for node in ast.walk(cls) if isinstance(node, ast.Assign)
+              for target in node.targets if isinstance(target, ast.Attribute)
+              and isinstance(target.value, ast.Name) and target.value.id == "self"}
+    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
+def _finite_group_private_reads(tree, privates):
+    """(line, name) for each read of a name in `privates` other than on
+    `self`: `obj._x`, and `getattr(obj, "_x")` or `setattr` with a literal."""
+    found = [(node.lineno, node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in privates
+             and not (isinstance(node.value, ast.Name) and node.value.id == "self")]
+    found += [(node.lineno, node.args[1].value) for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("getattr", "setattr", "hasattr")
+              and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+              and node.args[1].value in privates]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_private_attribute_of_a_finite_group_outside_groups(path):
+    if path.name != "groups.py":
+        assert _finite_group_private_reads(_tree(path), _finite_group_privates()) == []
+
+
+def test_finite_group_private_rule_sees_every_read():
+    privates = _finite_group_privates()
+    assert {"_rows", "_inv", "_classes", "_generators", "_validate",
+            "_conjugate"} <= privates
+    source = """
+def f(group, res, space):
+    rows = group._rows
+    inverse = res.group._inv[3]
+    classes = getattr(group, "_classes", None)
+    group._validate()
+    return rows, inverse, classes, group.conj_rows, space._lead, group.__class__
+class Space:
+    def __init__(self, rows):
+        self._rows = rows
+    def dim(self):
+        return len(self._rows), getattr(self, "rows")
+"""
+    assert _finite_group_private_reads(ast.parse(source), privates) == [
+        (3, "_rows"), (4, "_inv"), (5, "_classes"), (6, "_validate")]
