@@ -43,14 +43,20 @@ from .groups import (
 from .repv import ElementaryAbelian
 
 
+# instances per randomized battery
+DUALITY_TRIALS = 500
+TOWER_MAP_TRIALS = 100
+ADJUNCTION_TRIALS = 100
+
+
 def _seed() -> int:
     return int(os.environ.get("PROFLQ_SEED", "0"))
 
 
 def _timed(fn):
-    def wrapper(*args, **kwargs):
+    def wrapper():
         t0 = time.monotonic()
-        report = fn(*args, **kwargs)
+        report = fn()
         report["elapsed"] = round(time.monotonic() - t0, 3)
         return report
     return wrapper
@@ -90,12 +96,12 @@ def _random_map(rng, src, dst):
 
 
 @_timed
-def criterion_1(trials: int = 500) -> dict:
+def criterion_1() -> dict:
     """Duality suite: double dual, exactness reversal, (sum)^dual = prod."""
     rng = random.Random(_seed() + 1)
     rings = [FiniteRing(m) for m in (4, 6, 8, 9, 12)]
     checked = 0
-    for _ in range(trials):
+    for _ in range(DUALITY_TRIALS):
         ring = rng.choice(rings)
         a = _random_module(rng, ring)
         b = _random_module(rng, ring)
@@ -225,13 +231,13 @@ def _random_tower_map(rng):
 
 
 @_timed
-def criterion_3(trials: int = 100) -> dict:
+def criterion_3() -> dict:
     """Free sum/product and the decomposition theorem on tower maps."""
     rng = random.Random(_seed() + 3)
     ring = FiniteRing(12)
     module = cyclic(ring, 4)
     done = 0
-    while done < trials:
+    while done < TOWER_MAP_TRIALS:
         tm = _random_tower_map(rng)
         if tm is None:
             continue
@@ -243,7 +249,7 @@ def criterion_3(trials: int = 100) -> dict:
 
 
 @_timed
-def criterion_4(trials: int = 100) -> dict:
+def criterion_4() -> dict:
     """Tensor-Hom adjunction by explicit bijection."""
     rng = random.Random(_seed() + 4)
     ring = FiniteRing(12)
@@ -256,7 +262,7 @@ def criterion_4(trials: int = 100) -> dict:
             range(n), {i: rng.choice(mods) for i in range(n)})
 
     done = 0
-    while done < trials:
+    while done < ADJUNCTION_TRIALS:
         n = rng.randrange(1, 4)
         f, g, l = space(n), space(n), space(n)
         if any(f.fiber(t).order > 16 or g.fiber(t).order > 16

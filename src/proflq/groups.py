@@ -39,9 +39,9 @@ gives its conjugates, each with its least conjugator, so the normalizer
 of any subgroup is that conjugate of its representative's.  The record
 keeps a generating tuple of each representative.  `all_subgroups` reads
 the lattice off its index, `subgroups_up_to_conjugacy` and
-`p_subgroups_up_to_conjugacy` its representatives.  The normalizer
-method and the conjugacy test of two arbitrary element sets scan the
-group; everything stays at desk scale.
+`p_subgroups_up_to_conjugacy` its representatives.  A quotient tests
+normality on the greedy generators only; the conjugacy test of two
+arbitrary element sets scans the group; everything stays at desk scale.
 `GroupHom` checks f(ab) = f(a)f(b) on all pairs in one numpy comparison.
 """
 
@@ -140,10 +140,6 @@ class FiniteGroup:
                     seen.add(c)
                     queue.append(c)
         return frozenset(seen)
-
-    def normalizer(self, subgroup_elements) -> list[int]:
-        s = frozenset(subgroup_elements)
-        return [g for g in range(self.order) if self._conjugate(g, s) == s]
 
     def generators_greedy(self) -> list[int]:
         """Generators picked by decreasing element order, computed once."""
@@ -337,10 +333,13 @@ def alternating_group(n: int) -> FiniteGroup:
 
 def quotient_group(g: FiniteGroup, normal_elements, name=None):
     """(Q, projection) for a normal subgroup given by its element set;
-    coset i of Q is the left coset of `left_cosets` numbered i."""
+    coset i of Q is the left coset of `left_cosets` numbered i.
+
+    N is normal when each generator conjugates it onto itself: the
+    elements that do form a subgroup, so it is then all of G."""
     n_set = frozenset(normal_elements)
     proj, reps = left_cosets(g, n_set)
-    if len(g.normalizer(n_set)) != g.order:
+    if any(g._conjugate(x, n_set) != n_set for x in g.generators_greedy()):
         raise ValueError("subgroup is not normal")
     return _table_group(range(len(reps)),
                         lambda i, j: proj[g.mul(reps[i], reps[j])], name), proj

@@ -6,7 +6,8 @@ library objects; `dumps` renders any report payload byte-identically
 plain JSON values).  `digest` hashes input files so every report can
 embed exactly what it was computed from.  Every integer a loader reads
 must be a JSON integer: a bool, float or string raises ValueError rather
-than being truncated.
+than being truncated.  Every object or list a loader reads must be one:
+a value of another type raises a ValueError that names what was expected.
 """
 
 from __future__ import annotations
@@ -88,21 +89,35 @@ def _integers(values) -> list[int]:
     return values
 
 
+def _object(value, what: str) -> dict:
+    """`value` if it is a JSON object, else a ValueError naming `what`."""
+    if not isinstance(value, dict):
+        raise ValueError(f"expected a JSON object for {what}, got {value!r}")
+    return value
+
+
+def _list(value, what: str) -> list:
+    """`value` if it is a JSON list, else a ValueError naming `what`."""
+    if not isinstance(value, list):
+        raise ValueError(f"expected a JSON list of {what}, got {value!r}")
+    return value
+
+
 def _integer_rows(rows) -> list[list[int]]:
     """`rows` if it is a JSON list of lists of integers, else a ValueError."""
-    if not isinstance(rows, list):
-        raise ValueError(f"expected a JSON list of rows, got {rows!r}")
-    return [_integers(row) for row in rows]
+    return [_integers(row) for row in _list(rows, "rows")]
 
 
 def load_module(data: dict) -> FiniteModule:
     """{"m": 12, "factors": [2, 6]}"""
+    data = _object(data, "a module")
     (m,) = _integers([data["m"]])
     return FiniteModule(FiniteRing(m), tuple(_integers(data["factors"])))
 
 
 def load_map(data: dict) -> ModuleMap:
     """{"source": <module>, "target": <module>, "matrix": [[...]]}"""
+    data = _object(data, "a module map")
     src = load_module(data["source"])
     dst = load_module(data["target"])
     return ModuleMap(src, dst, _integer_rows(data["matrix"]))
@@ -113,25 +128,30 @@ def load_map(data: dict) -> ModuleMap:
 
 def load_space(data: dict) -> FiniteEtaleSpace:
     """{"base": ["a", "b"], "fibers": {"a": <module>, ...}}"""
-    base = [str(t) for t in data["base"]]
-    fibers = {str(t): load_module(m) for t, m in data["fibers"].items()}
+    data = _object(data, "an etale space")
+    base = [str(t) for t in _list(data["base"], "points")]
+    fibers = {str(t): load_module(m)
+              for t, m in _object(data["fibers"], "the fibers").items()}
     return FiniteEtaleSpace(base, fibers)
 
 
 def load_space_tower(data: dict) -> SpaceTower:
     """{"levels": [["a"], ["a0","a1"]], "transitions": [{"a0":"a",...}]}"""
-    levels = [[str(t) for t in lv] for lv in data["levels"]]
-    transitions = [{str(s): str(t) for s, t in tr.items()}
-                   for tr in data["transitions"]]
+    data = _object(data, "a space tower")
+    levels = [[str(t) for t in _list(lv, "points")]
+              for lv in _list(data["levels"], "levels")]
+    transitions = [{str(s): str(t) for s, t in _object(tr, "a transition").items()}
+                   for tr in _list(data["transitions"], "transitions")]
     return SpaceTower(levels, transitions)
 
 
 def load_tower_map(data: dict) -> TowerMap:
     """{"source": <tower>, "target": <tower>, "level_maps": [{...}]}"""
+    data = _object(data, "a tower map")
     src = load_space_tower(data["source"])
     dst = load_space_tower(data["target"])
-    level_maps = [{str(s): str(t) for s, t in lm.items()}
-                  for lm in data["level_maps"]]
+    level_maps = [{str(s): str(t) for s, t in _object(lm, "a level map").items()}
+                  for lm in _list(data["level_maps"], "level maps")]
     return TowerMap(src, dst, level_maps)
 
 
@@ -141,6 +161,7 @@ def load_tower_map(data: dict) -> TowerMap:
 def load_group(data: dict) -> FiniteGroup:
     """Accepts {"perm_generators": [[2,1,3], ...]} (1-based one-line
     images), {"table": [[...]]} or {"catalog": "S4"}."""
+    data = _object(data, "a group")
     if "perm_generators" in data:
         gens = [tuple(i - 1 for i in g)
                 for g in _integer_rows(data["perm_generators"])]
@@ -155,6 +176,7 @@ def load_group(data: dict) -> FiniteGroup:
 
 def load_group_hom(data: dict) -> GroupHom:
     """{"source": <group>, "target": <group>, "images": [j0, j1, ...]}"""
+    data = _object(data, "a group homomorphism")
     src = load_group(data["source"])
     dst = load_group(data["target"])
     return GroupHom(src, dst, _integers(data["images"]))
@@ -165,7 +187,8 @@ def load_group_tower(data: dict) -> GroupTower:
 
     Transition k lists, per element of level k+1, its image in level k.
     """
-    levels = [load_group(g) for g in data["levels"]]
+    data = _object(data, "a group tower")
+    levels = [load_group(g) for g in _list(data["levels"], "groups")]
     transitions = [GroupHom(levels[k + 1], levels[k], images)
                    for k, images in enumerate(_integer_rows(data["transitions"]))]
     return GroupTower(levels, transitions)

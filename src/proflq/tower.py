@@ -2,13 +2,14 @@
 
 A space tower is a finite chain of finite sets with surjective
 transitions; its threads stand in for the points of the presented
-profinite space.  Module and etale towers carry surjective (pro) or
-injective (ind) transitions, and Pontryagin duality swaps the two kinds
-levelwise.  Each pro construction is the dual of an ind one and is
-written once with it, its kind a parameter: the free product A^T and
-the free sum A[[T]], the product and coproduct of an etale tower, and
-their relative versions along a tower map, are all levels of section
-modules glued up (ind) or down (pro) by one helper.  The relative
+profinite space.  A `ModuleTower` or `EtaleTower` carries its kind:
+surjective transitions pointing down (pro) or injective ones pointing up
+(ind), and Pontryagin duality swaps the two kinds levelwise.  Each pro
+construction is the dual of an ind one and is written once with it, its
+kind a parameter: the free product A^T and the free sum A[[T]], the
+product and coproduct of an etale tower, and their relative versions
+along a tower map, are all levels of section modules glued up (ind) or
+down (pro) by one helper.  The relative
 versions are the grouped sides of `decomposition_check`, which builds
 the fiber sections of each level once and pushes the constant tower
 forward over them.  Every map among them is one
@@ -82,38 +83,36 @@ def _check_transition(kind: str, f: ModuleMap, lower, upper, strict: bool,
                          f"{'surjective' if pro else 'injective'}")
 
 
-@dataclass
-class _ModuleTower:
-    """The body of ProModule and IndModule; the class's `kind` is the direction."""
+def _check_kind(kind: str):
+    if kind not in _DUAL_KIND:
+        raise ValueError(f"tower kind must be 'pro' or 'ind', not {kind!r}")
 
+
+@dataclass
+class ModuleTower:
+    """Chain of finite modules: a pro tower has surjective transitions
+    level+1 -> level, an ind tower injective ones level -> level+1."""
+
+    kind: str
     levels: list[FiniteModule]
     transitions: list[ModuleMap]
     section_levels: list[SectionModule] | None = None
     strict: bool = True
 
     def __post_init__(self):
+        _check_kind(self.kind)
         for k, f in enumerate(self.transitions):
             _check_transition(self.kind, f, self.levels[k], self.levels[k + 1],
                               self.strict, f"transition {k}")
 
 
-class ProModule(_ModuleTower):
-    """Chain of finite modules with surjective transitions level+1 -> level."""
+class EtaleTower:
+    """Etale spaces over the tower levels: fiberwise surjective downwards
+    (pro) or fiberwise injective upwards (ind)."""
 
-    kind = "pro"
-
-
-class IndModule(_ModuleTower):
-    """Chain of finite modules with injective transitions level -> level+1."""
-
-    kind = "ind"
-
-
-class _EtaleTower:
-    """The body of ProEtale and IndEtale; the class's `kind` is the direction."""
-
-    def __init__(self, space_tower: SpaceTower, levels, fiber_transitions,
-                 strict: bool = True):
+    def __init__(self, kind: str, space_tower: SpaceTower, levels,
+                 fiber_transitions, strict: bool = True):
+        _check_kind(kind)
         if len(levels) != len(space_tower.levels):
             raise ValueError("one etale space per tower level required")
         for k, e in enumerate(levels):
@@ -127,43 +126,28 @@ class _EtaleTower:
                 raise ValueError(
                     f"fiber transitions at level {k} must cover level {k + 1}")
             for s, f in ft.items():
-                _check_transition(self.kind, f, levels[k].fiber(tr[s]),
+                _check_transition(kind, f, levels[k].fiber(tr[s]),
                                   levels[k + 1].fiber(s), strict,
                                   f"fiber transition at {s}")
+        self.kind = kind
         self.space_tower = space_tower
         self.levels = list(levels)
         self.fiber_transitions = [dict(ft) for ft in fiber_transitions]
         self.strict = strict
 
 
-class ProEtale(_EtaleTower):
-    """Etale spaces over the tower levels, fiberwise surjective downwards."""
-
-    kind = "pro"
-
-
-class IndEtale(_EtaleTower):
-    """Etale spaces over the tower levels, fiberwise injective upwards."""
-
-    kind = "ind"
-
-
-_MODULE_TOWERS = {"pro": ProModule, "ind": IndModule}
-_ETALE_TOWERS = {"pro": ProEtale, "ind": IndEtale}
-
-
 def _constant_etale(kind: str, a: FiniteModule, t: SpaceTower):
     levels = [constant_space(lv, a) for lv in t.levels]
     identity = a.identity_map()
     fts = [dict.fromkeys(t.levels[k + 1], identity) for k in range(t.depth)]
-    return _ETALE_TOWERS[kind](t, levels, fts)
+    return EtaleTower(kind, t, levels, fts)
 
 
-def constant_ind_etale(a: FiniteModule, t: SpaceTower) -> IndEtale:
+def constant_ind_etale(a: FiniteModule, t: SpaceTower) -> EtaleTower:
     return _constant_etale("ind", a, t)
 
 
-def constant_pro_etale(a: FiniteModule, t: SpaceTower) -> ProEtale:
+def constant_pro_etale(a: FiniteModule, t: SpaceTower) -> EtaleTower:
     return _constant_etale("pro", a, t)
 
 
@@ -197,15 +181,9 @@ def _glue_chains(kind: str, lo: SectionModule, hi: SectionModule, down: dict,
     return hi.module, lo.module, tuple(chains)
 
 
-def _glue(kind: str, lo: SectionModule, hi: SectionModule, down: dict,
-          fiber_maps: dict | None = None) -> ModuleMap:
-    """The transition between the section modules of level k and k+1."""
-    return sum_of_composites(*_glue_chains(kind, lo, hi, down, fiber_maps))
-
-
 def _fiber_glue(kind: str, lo: SectionModule, hi: SectionModule,
                 down: dict) -> ModuleMap:
-    """`_glue` between two levels of a fiber of a pushforward, kept per
+    """The transition between two levels of a fiber of a pushforward, kept per
     (source, target, chains) in the `tower.fiber_glue` region of
     `proflq.cache`: the fibers are sections of one module over a few
     points, whose maps `finring.direct_sum` shares, so most recur."""
@@ -221,11 +199,12 @@ def _section_tower(kind: str, t: SpaceTower, spaces, fiber_transitions=None,
     """The module tower of sections of one etale space per level of t."""
     secs = [sections(e) for e in spaces]
     transitions = [
-        _glue(kind, secs[k], secs[k + 1], t.transitions[k],
-              None if fiber_transitions is None else fiber_transitions[k])
+        sum_of_composites(*_glue_chains(
+            kind, secs[k], secs[k + 1], t.transitions[k],
+            None if fiber_transitions is None else fiber_transitions[k]))
         for k in range(t.depth)]
-    return _MODULE_TOWERS[kind]([s.module for s in secs], transitions,
-                                section_levels=secs, strict=strict)
+    return ModuleTower(kind, [s.module for s in secs], transitions,
+                       section_levels=secs, strict=strict)
 
 
 def _constant_levels(a: FiniteModule, t: SpaceTower, bit_budget: int):
@@ -235,24 +214,24 @@ def _constant_levels(a: FiniteModule, t: SpaceTower, bit_budget: int):
 
 
 def free_product(a: FiniteModule, t: SpaceTower,
-                 bit_budget: int = DEFAULT_BIT_BUDGET) -> IndModule:
+                 bit_budget: int = DEFAULT_BIT_BUDGET) -> ModuleTower:
     """A^T levelwise: maps(T_k, A) with precomposition transitions."""
     return _section_tower("ind", t, _constant_levels(a, t, bit_budget))
 
 
 def free_sum(a: FiniteModule, t: SpaceTower,
-             bit_budget: int = DEFAULT_BIT_BUDGET) -> ProModule:
+             bit_budget: int = DEFAULT_BIT_BUDGET) -> ModuleTower:
     """A[[T]] levelwise: A[T_k] with fiberwise coordinate sums."""
     return _section_tower("pro", t, _constant_levels(a, t, bit_budget))
 
 
-def product_ind(e: IndEtale) -> IndModule:
+def product_ind(e: EtaleTower) -> ModuleTower:
     """The product over T of an ind-etale tower, as sections per level."""
     return _section_tower("ind", e.space_tower, e.levels,
                           e.fiber_transitions, e.strict)
 
 
-def coproduct_pro(e: ProEtale) -> ProModule:
+def coproduct_pro(e: EtaleTower) -> ModuleTower:
     """The coproduct over T of a pro-etale tower: fiberwise sums per level."""
     return _section_tower("pro", e.space_tower, e.levels,
                           e.fiber_transitions, e.strict)
@@ -260,13 +239,13 @@ def coproduct_pro(e: ProEtale) -> ProModule:
 
 def dual_tower(x):
     """Levelwise Pontryagin dual; pro and ind kinds swap."""
-    if isinstance(x, _ModuleTower):
-        return _MODULE_TOWERS[_DUAL_KIND[x.kind]](
-            [pontryagin_dual(m) for m in x.levels],
+    if isinstance(x, ModuleTower):
+        return ModuleTower(
+            _DUAL_KIND[x.kind], [pontryagin_dual(m) for m in x.levels],
             [dual_map(f) for f in x.transitions], strict=x.strict)
-    if isinstance(x, _EtaleTower):
-        return _ETALE_TOWERS[_DUAL_KIND[x.kind]](
-            x.space_tower, [dual_etale(e) for e in x.levels],
+    if isinstance(x, EtaleTower):
+        return EtaleTower(
+            _DUAL_KIND[x.kind], x.space_tower, [dual_etale(e) for e in x.levels],
             [{s: dual_map(f) for s, f in ft.items()}
              for ft in x.fiber_transitions], strict=x.strict)
     raise TypeError(f"cannot dualize {type(x).__name__}")
@@ -326,7 +305,7 @@ def _relative(kind: str, pi: TowerMap, secs: list):
                            t.transitions[k])
             for s in s_tower.levels[k + 1]}
            for k in range(s_tower.depth)]
-    return _ETALE_TOWERS[kind](s_tower, levels, fts, strict=False)
+    return EtaleTower(kind, s_tower, levels, fts, strict=False)
 
 
 def _regrouping_map(outer: SectionModule, inner_secs: dict,

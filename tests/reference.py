@@ -28,8 +28,7 @@ from proflq.etale import FiniteEtaleSpace
 from proflq.finring import FiniteModule, ModuleMap, from_cyclic, zero_map, zero_module
 from proflq.groups import (FiniteGroup, GroupHom, all_subgroups, identity_hom,
                            left_cosets, trivial_group)
-from proflq.tower import (DEFAULT_BIT_BUDGET, IndEtale, ProEtale, SpaceTower,
-                          TowerMap)
+from proflq.tower import DEFAULT_BIT_BUDGET, EtaleTower, SpaceTower, TowerMap
 
 # -- groups -------------------------------------------------------------------
 
@@ -44,6 +43,12 @@ def centralizer(g: FiniteGroup, subset) -> list[int]:
     subset = list(subset)
     return [h for h in range(g.order)
             if all(g.mul(h, x) == g.mul(x, h) for x in subset)]
+
+
+def normalizer(g: FiniteGroup, subgroup_elements) -> list[int]:
+    """N_g(subgroup) in increasing order, by a scan of g."""
+    s = frozenset(subgroup_elements)
+    return [h for h in range(g.order) if {conj(g, h, x) for x in s} == s]
 
 
 def conjugacy_classes(g: FiniteGroup) -> list[tuple[int, ...]]:
@@ -210,7 +215,7 @@ def _aut_perms(group: FiniteGroup, sub) -> frozenset:
     elems = sorted(sub)
     pos = {x: i for i, x in enumerate(elems)}
     return frozenset(tuple(pos[conj(group, n, x)] for x in elems)
-                     for n in group.normalizer(sub))
+                     for n in normalizer(group, sub))
 
 
 def sp_functor_check(f: GroupHom, p: int) -> dict:
@@ -235,7 +240,7 @@ def sp_functor_check(f: GroupHom, p: int) -> dict:
         elems = sorted(s)
         img_order = {f(x): i for i, x in enumerate(elems)}
         mu = {tuple(img_order[conj(l, n, f(x))] for x in elems)
-              for n in l.normalizer(image(s))}
+              for n in normalizer(l, image(s))}
         if eta != frozenset(mu):
             b_failures.append({"subgroup": elems,
                                "eta_order": len(eta), "mu_order": len(mu)})
@@ -260,7 +265,7 @@ def weyl_image(group: FiniteGroup, hom, p: int) -> dict:
     basis = repv.echelon_basis(group, hom)
     logs = repv._discrete_log_table(group, basis, p)
     realizers = {}
-    for n in group.normalizer(group.closure(hom)):
+    for n in normalizer(group, group.closure(hom)):
         realizers.setdefault(tuple(logs[conj(group, n, b)] for b in basis), n)
     return realizers
 
@@ -741,14 +746,14 @@ def restrict_tower(t: SpaceTower, top_block) -> SpaceTower:
 
 
 def relative_product(a: FiniteModule, pi: TowerMap,
-                     bit_budget: int = DEFAULT_BIT_BUDGET) -> IndEtale:
+                     bit_budget: int = DEFAULT_BIT_BUDGET) -> EtaleTower:
     """The pushforward of the constant tower along pi, fiber A^{pi^{-1}(s)}
     at s: the product side of `tower.decomposition_check`, built alone."""
     return tower._relative("ind", pi, tower._relative_sections(a, pi, bit_budget))
 
 
 def relative_sum(a: FiniteModule, pi: TowerMap,
-                 bit_budget: int = DEFAULT_BIT_BUDGET) -> ProEtale:
+                 bit_budget: int = DEFAULT_BIT_BUDGET) -> EtaleTower:
     """The dual pushforward, fiber A[[pi^{-1}(s)]] at s: the sum side of
     `tower.decomposition_check`, built alone."""
     return tower._relative("pro", pi, tower._relative_sections(a, pi, bit_budget))

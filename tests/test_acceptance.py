@@ -56,7 +56,7 @@ def test_criterion_4_skips_only_budget_refusals(monkeypatch):
 
     monkeypatch.setattr(etale, "adjunction_check", crash_once)
     with pytest.raises(ValueError, match="injected"):
-        acceptance.criterion_4(trials=5)
+        acceptance.criterion_4()
 
 
 def test_criterion_5_cohomology_oracle():

@@ -19,7 +19,8 @@ import pytest
 from proflq import cache, catalog, groupcoh as gc, lq, repv, tower
 from proflq.errors import BudgetError
 from proflq.finring import (FiniteModule, FiniteRing, ModuleMap, cokernel, cyclic,
-                            direct_sum, dual_map, image, kernel, zero_module)
+                            direct_sum, dual_map, image, kernel, sum_of_composites,
+                            zero_module)
 from proflq.groups import all_subgroups, dihedral_group, subgroup_group, symmetric_group
 from proflq.repv import ElementaryAbelian, RepClass
 
@@ -528,7 +529,8 @@ def test_fiber_glue_warm_equals_cold_equals_uncached(monkeypatch):
     warm = _fiber_transitions(cases)
     stats = cache.stats()["tower.fiber_glue"]
     with monkeypatch.context() as m:
-        m.setattr(tower, "_fiber_glue", tower._glue)
+        m.setattr(tower, "_fiber_glue",
+                  lambda *args: sum_of_composites(*tower._glue_chains(*args)))
         uncached = _fiber_transitions(cases)
     assert first == warm == cold == uncached
     assert all(w is f for ws, fs in zip(warm, first) for wk, fk in zip(ws, fs)

@@ -293,6 +293,46 @@ def test_empty_space_or_tower_level_is_exit_2(tmp_path, capsys, monkeypatch,
     assert captured.out == "" and captured.err.startswith("bad input")
 
 
+M4 = {"m": 4, "factors": [4]}
+ST = {"levels": [["a"], ["a0", "a1"]], "transitions": [{"a0": "a", "a1": "a"}]}
+
+
+@pytest.mark.parametrize("files, argv, expected", [
+    ({"space.json": {"base": ["a"], "fibers": [1]}},
+     ["etale", "--space", "space.json"], "a JSON object for the fibers"),
+    ({"tower.json": {**ST, "transitions": [["a0", "a"]]}, "m.json": M4},
+     ["tower", "product", "--tower", "tower.json", "--module", "m.json"],
+     "a JSON object for a transition"),
+    ({"pi.json": {"source": ST, "target": ST, "level_maps": [["a"], ["a0"]]},
+      "m.json": M4},
+     ["tower", "freedec", "--towermap", "pi.json", "--module", "m.json"],
+     "a JSON object for a level map"),
+    ({"m.json": [4, [4]]}, ["module", "--module", "m.json"],
+     "a JSON object for a module"),
+    ({"g.json": 6}, ["cohomology", "--group", "g.json", "--p", "2"],
+     "a JSON object for a group"),
+    ({"g.json": 6}, ["rep", "--group", "g.json", "--p", "2"],
+     "a JSON object for a group"),
+    ({"hom.json": 6}, ["sep", "--hom", "hom.json", "--p", "2"],
+     "a JSON object for a group homomorphism"),
+    ({"gt.json": {**TOWER, "levels": 3}},
+     ["cohomology", "--tower", "gt.json", "--p", "2"], "a JSON list of groups"),
+], ids=["etale-fibers-list", "tower-transitions-lists", "freedec-level-maps-lists",
+        "module-list", "cohomology-group-number", "rep-group-number",
+        "sep-hom-number", "cohomology-tower-levels-number"])
+def test_json_value_of_the_wrong_type_is_exit_2(tmp_path, capsys, monkeypatch,
+                                                files, argv, expected):
+    # exit 1 is a verified negative finding, so a malformed input must not
+    # crash its loader with a TypeError or AttributeError
+    for name, payload in files.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("bad input") and f"expected {expected}" in captured.err
+
+
 @pytest.mark.parametrize("subgroup", [["0", "7"], ["0", "1", "2"], []],
                          ids=["out-of-range", "not-closed", "empty"])
 def test_shapiro_subgroup_that_is_not_one_is_exit_2(inputs, capsys, subgroup):

@@ -29,7 +29,7 @@ from proflq.finring import (
     zero_module,
 )
 
-from proflq.tower import IndEtale, ProEtale, SpaceTower, TowerMap
+from proflq.tower import EtaleTower, SpaceTower, TowerMap
 
 from .reference import hom_maps, uncached_direct_sum, zero_space
 from .test_finring import random_module
@@ -295,17 +295,20 @@ class TestMorphism:
         z2, z4 = cyclic(Z12, 2), cyclic(Z12, 4)
         levels = [constant_space(("a",), z2), constant_space(("a",), z4)]
         surj, inj = ModuleMap(z4, z2, [[1]]), ModuleMap(z2, z4, [[2]])
-        assert ProEtale(t, levels, [{"a": surj}]).fiber_transitions == [{"a": surj}]
-        assert IndEtale(t, levels, [{"a": inj}]).fiber_transitions == [{"a": inj}]
-        for kind, f in ((ProEtale, inj), (IndEtale, surj)):
+        assert EtaleTower("pro", t, levels,
+                          [{"a": surj}]).fiber_transitions == [{"a": surj}]
+        assert EtaleTower("ind", t, levels,
+                          [{"a": inj}]).fiber_transitions == [{"a": inj}]
+        for kind, f in (("pro", inj), ("ind", surj)):
             with pytest.raises(ValueError):
-                kind(t, levels, [{"a": f}])
+                EtaleTower(kind, t, levels, [{"a": f}])
         flat = [constant_space(("a",), z4)] * 2
         double = ModuleMap(z4, z4, [[2]])
-        for kind in (ProEtale, IndEtale):
+        for kind in ("pro", "ind"):
             with pytest.raises(ValueError):
-                kind(t, flat, [{"a": double}])
-            assert kind(t, flat, [{"a": double}], strict=False).strict is False
+                EtaleTower(kind, t, flat, [{"a": double}])
+            assert EtaleTower(kind, t, flat, [{"a": double}],
+                              strict=False).strict is False
 
 
 class TestDuality:

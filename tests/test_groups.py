@@ -32,7 +32,8 @@ from proflq.groups import (
 
 from . import reference
 from .reference import (are_isomorphic, center, centralizer, conjugacy_classes,
-                        fingerprint, hom_from_generators, is_abelian, trivial_hom)
+                        fingerprint, hom_from_generators, is_abelian, normalizer,
+                        trivial_hom)
 
 
 class TestPermutationClosure:
@@ -147,7 +148,7 @@ class TestBasicOps:
     def test_normalizer_of_sylow(self):
         g = symmetric_group(3)
         x = next(a for a in g.elements() if g.element_order(a) == 2)
-        assert len(g.normalizer({0, x})) == 2
+        assert len(normalizer(g, {0, x})) == 2
 
     def test_power(self):
         g = cyclic_group(6)
@@ -245,7 +246,7 @@ class TestSubgroupsQuotients:
     def test_quotient_s4_mod_v4(self):
         g = symmetric_group(4)
         v4 = next(s for s in all_subgroups(g)
-                  if len(s) == 4 and g.normalizer(s) == list(range(24)))
+                  if len(s) == 4 and normalizer(g, s) == list(range(24)))
         q, proj = quotient_group(g, v4)
         assert are_isomorphic(q, symmetric_group(3))
         for a in range(24):
@@ -257,6 +258,18 @@ class TestSubgroupsQuotients:
         x = next(a for a in g.elements() if g.element_order(a) == 2)
         with pytest.raises(ValueError):
             quotient_group(g, {0, x})
+
+    def test_quotient_refuses_exactly_the_subgroups_the_scan_finds_not_normal(self):
+        # normality is tested on the greedy generators only
+        for g in catalog.all_groups(24):
+            for n in all_subgroups(g):
+                normal = len(normalizer(g, n)) == g.order
+                try:
+                    quotient_group(g, n)
+                except ValueError as e:
+                    assert not normal and "not normal" in str(e), (g.name, sorted(n))
+                else:
+                    assert normal, (g.name, sorted(n))
 
     @pytest.mark.parametrize("elements", [{0, 6}, {0, 2}, set()],
                              ids=["out-of-range", "not-closed", "empty"])
@@ -522,7 +535,7 @@ class TestHomCheckAgainstReference:
             pairs = [(h, self.image_lists(g, h, rng))
                      for h in [g, *rng.sample(groups, 3)]]
             for n in all_subgroups(g):
-                if len(g.normalizer(n)) == g.order:
+                if len(normalizer(g, n)) == g.order:
                     q, proj = quotient_group(g, n)
                     pairs.append((q, [proj, [-x for x in proj], proj[:-1] + [q.order]]))
             for h, lists in pairs:
@@ -553,7 +566,7 @@ class TestSubgroupClassesAgainstScans:
             assert [classes.index[s] for s in classes.reps] == \
                 list(range(len(classes.reps)))
             assert [list(n) for n in classes.normalizers] == \
-                [g.normalizer(s) for s in classes.reps], g.name
+                [normalizer(g, s) for s in classes.reps], g.name
 
     def test_conjugators_are_the_least_conjugating_elements(self):
         for g in catalog.all_groups():

@@ -18,10 +18,8 @@ from proflq.finring import (
 )
 from proflq.tower import (
     BudgetError,
-    IndEtale,
-    IndModule,
-    ProEtale,
-    ProModule,
+    EtaleTower,
+    ModuleTower,
     SpaceTower,
     TowerMap,
     canonical_components,
@@ -179,7 +177,7 @@ class TestFreeSum:
             lhs = dual_tower(free_product(a, t))
             rhs = free_sum(a, t)
             assert levelwise_isomorphic(lhs, rhs)
-            assert isinstance(lhs, ProModule)
+            assert lhs.kind == "pro"
 
     def test_transitions_surjective(self):
         fs = free_sum(cyclic(Z4, 4), binary_tower(2))
@@ -205,8 +203,8 @@ class TestProductInd:
 
     def test_zero_fibers(self):
         t = binary_tower(1)
-        e = IndEtale(
-            t,
+        e = EtaleTower(
+            "ind", t,
             [zero_space(lv, F2) for lv in t.levels],
             [{s: zero_map(zero_module(F2), zero_module(F2)) for s in t.levels[1]}],
         )
@@ -219,11 +217,11 @@ class TestProductInd:
         t = SpaceTower([("a", "b"), ("a", "b")], [{"a": "a", "b": "b"}])
         z, c = zero_module(Z4), cyclic(Z4, 4)
         levels = [FiniteEtaleSpace(("a", "b"), {"a": z, "b": c})] * 2
-        ind = product_ind(IndEtale(t, levels, [{"a": z.identity_map(),
-                                                "b": c.identity_map()}]))
+        ind = product_ind(EtaleTower("ind", t, levels, [{"a": z.identity_map(),
+                                                       "b": c.identity_map()}]))
         assert ind.transitions[0] == c.identity_map()
-        pro = coproduct_pro(ProEtale(t, levels, [{"a": z.identity_map(),
-                                                  "b": c.identity_map()}]))
+        pro = coproduct_pro(EtaleTower("pro", t, levels, [{"a": z.identity_map(),
+                                                         "b": c.identity_map()}]))
         assert pro.transitions[0] == c.identity_map()
 
 
@@ -267,14 +265,14 @@ class TestDualTower:
         t = chain_tower([1, 3])
         fs = free_sum(a, t)
         d = dual_tower(fs)
-        assert isinstance(d, IndModule)
+        assert d.kind == "ind"
         assert all(f.is_injective() for f in d.transitions)
 
     def test_dual_of_constant_pro_etale(self):
         a = cyclic(Z4, 4)
         t = binary_tower(1)
         d = dual_tower(constant_pro_etale(a, t))
-        assert isinstance(d, IndEtale)
+        assert d.kind == "ind"
 
 
 class TestTransitionChecks:
@@ -282,16 +280,30 @@ class TestTransitionChecks:
         # pro transitions run down and onto, ind transitions up and into
         z2, z4 = cyclic(Z4, 2), cyclic(Z4, 4)
         surj, inj = ModuleMap(z4, z2, [[1]]), ModuleMap(z2, z4, [[2]])
-        assert ProModule([z2, z4], [surj]).transitions == [surj]
-        assert IndModule([z2, z4], [inj]).transitions == [inj]
-        for kind, f in ((ProModule, inj), (IndModule, surj)):
+        assert ModuleTower("pro", [z2, z4], [surj]).transitions == [surj]
+        assert ModuleTower("ind", [z2, z4], [inj]).transitions == [inj]
+        for kind, f in (("pro", inj), ("ind", surj)):
             with pytest.raises(ValueError):
-                kind([z2, z4], [f])
+                ModuleTower(kind, [z2, z4], [f])
         double = ModuleMap(z4, z4, [[2]])
-        for kind in (ProModule, IndModule):
+        for kind in ("pro", "ind"):
             with pytest.raises(ValueError):
-                kind([z4, z4], [double])
-            assert not kind([z4, z4], [double], strict=False).strict
+                ModuleTower(kind, [z4, z4], [double])
+            assert not ModuleTower(kind, [z4, z4], [double], strict=False).strict
+
+    @pytest.mark.parametrize("kind", ["Pro", "both"])
+    def test_a_kind_other_than_pro_or_ind_is_refused(self, kind):
+        # the transition check reads every kind but "pro" as ind, so the
+        # kind itself must be checked, also on a tower without transitions
+        z4 = cyclic(Z4, 4)
+        t = SpaceTower([("a",), ("a",)], [{"a": "a"}])
+        levels = [constant_space(("a",), z4)] * 2
+        with pytest.raises(ValueError, match="kind"):
+            ModuleTower(kind, [z4, z4], [z4.identity_map()])
+        with pytest.raises(ValueError, match="kind"):
+            ModuleTower(kind, [z4], [])
+        with pytest.raises(ValueError, match="kind"):
+            EtaleTower(kind, t, levels, [{"a": z4.identity_map()}])
 
 
 class TestRelative:
@@ -604,8 +616,8 @@ class TestStalks:
 
     def test_zero_fiber_stalk(self):
         t = binary_tower(1)
-        e = ProEtale(
-            t,
+        e = EtaleTower(
+            "pro", t,
             [zero_space(lv, F2) for lv in t.levels],
             [{s: zero_map(zero_module(F2), zero_module(F2)) for s in t.levels[1]}],
         )
