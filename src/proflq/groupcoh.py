@@ -57,7 +57,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import cache, linalg
-from .errors import BudgetError, require
+from .errors import BudgetError, InvariantError, require
 from .groups import (FiniteGroup, GroupHom, cyclic_group, left_cosets, quotient_group,
                      subgroup_group)
 
@@ -200,7 +200,7 @@ def _p_prime_core(group: FiniteGroup, p: int) -> frozenset[int]:
     core, seen = set(), set()
     for x in range(group.order):
         if x not in seen:
-            conjugates = {row[x] for row in group.conj_rows}
+            conjugates = set(group.conj_cols[x])
             seen |= conjugates
             if len(group.closure(conjugates)) % p:
                 core |= conjugates
@@ -226,12 +226,15 @@ def _p_prime_quotient(group: FiniteGroup, p: int):
     if entry is None:
         core, entry = _p_prime_core(group, p), ()
         if len(core) > 1:
-            require(group.closure(core) == core and len(core) % p
-                    and all(row[x] in core for row in group.conj_rows for x in core),
-                    f"O_p'(G) is not a normal p'-subgroup: {sorted(core)} at p = {p}",
-                    {"group": group.name or f"order{group.order}", "p": p,
-                     "core": sorted(core)})
-            quotient, proj = quotient_group(group, core)
+            # quotient_group refuses a core that is not a normal subgroup
+            message = f"O_p'(G) is not a normal p'-subgroup: {sorted(core)} at p = {p}"
+            evidence = {"group": group.name or f"order{group.order}", "p": p,
+                        "core": sorted(core)}
+            require(len(core) % p, message, evidence)
+            try:
+                quotient, proj = quotient_group(group, core)
+            except ValueError as exc:
+                raise InvariantError(message, evidence) from exc
             entry = (quotient, np.unique(proj, return_index=True)[1],
                      np.array(sorted(core)), proj)
         cache.store("groupcoh.p_prime_quotients", key, entry)

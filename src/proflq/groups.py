@@ -5,11 +5,17 @@ of its table (`table`), serializes it once into `key`, the bytes every
 cache key of `groupcoh` and `repv` starts with, and keeps it as a list
 of Python rows, so that `mul` and `inv` are plain list indexing; the
 inverses are read off the rows once.  Beside them it keeps the
-conjugation rows `conj_rows[g][x] = g x g⁻¹`, built in one numpy
-gather, so that conjugating a set or a tuple by g is one `map` over a
-row: subgroup conjugation, the subgroup class pass and the conjugation
-sweeps of `repv`, `lq` and `sep` read them, and `repv` turns them into
-one array to conjugate all of hom(V, G) at once.
+conjugation table `conj[g, x] = g x g⁻¹`, built in one numpy gather and
+kept read-only in the narrowest unsigned dtype that holds |G| - 1, and
+reads it two ways as lists: the rows `conj_rows[g]`, so that conjugating
+a set or a tuple by g is one `map` over a row, and the columns
+`conj_cols[x]`, the conjugates g x g⁻¹ of x for every g in element order,
+built on first read, so that conjugating x by a whole set of elements is
+one `map` over a column.  Subgroup conjugation and the subgroup class
+pass read them, as do the conjugation sweeps of `repv`, `sep` and
+`groupcoh` (normalizer automorphisms, centralizer checks, conjugacy
+classes of elements), and `repv` conjugates all of hom(V, G) at once by
+gathering from `conj`.  No other module builds an array from the rows.
 
 `closure` is a breadth-first search from the identity that multiplies
 only by the given generators.  `generators_greedy` is computed once per
@@ -73,8 +79,12 @@ class FiniteGroup:
         self.key = table.tobytes()
         self._rows = table.tolist()
         self._inv = [row.index(0) for row in self._rows]
-        # conj_rows[g][x] = g x g^{-1}, one gather (g x) then (g x) g^{-1}
-        self.conj_rows = table[table, np.array(self._inv)[:, None]].tolist()
+        # conj[g, x] = g x g^{-1}, one gather (g x) then (g x) g^{-1}
+        conj = table[table, np.array(self._inv)[:, None]].astype(np.min_scalar_type(n - 1))
+        conj.flags.writeable = False
+        self.conj = conj
+        self.conj_rows = conj.tolist()
+        self._conj_cols = None  # filled by conj_cols
         self._generators = None  # filled by generators_greedy
         self._classes = None  # filled by subgroup_classes
 
@@ -92,6 +102,14 @@ class FiniteGroup:
             # n^3 triples at a time, so memory stays n^2
             if not (t[t[a]] == t[a][t]).all():
                 raise ValueError("table is not associative")
+
+    @property
+    def conj_cols(self) -> list[list[int]]:
+        """conj_cols[x][g] = g x g⁻¹: column x of `conj` lists the conjugates
+        of x in element order, built on first read."""
+        if self._conj_cols is None:
+            self._conj_cols = self.conj.T.tolist()
+        return self._conj_cols
 
     def mul(self, a: int, b: int) -> int:
         return self._rows[a][b]
@@ -463,10 +481,11 @@ def _new_class(g: FiniteGroup, cols, t: frozenset[int], gens: tuple[int, ...]):
     pass over b in increasing order reads the least conjugator of each
     conjugate and N(rep) off that column of the table.
     """
-    rows, conj_rows = g._rows, g.conj_rows
+    rows, conj_rows, conj_cols = g._rows, g.conj_rows, g.conj_cols
     normalizer = range(g.order)
-    for x in gens:
-        normalizer = [a for a in normalizer if conj_rows[a][x] in t]
+    for x in gens:  # keep the a whose a·x·a⁻¹, read from column x, lies in t
+        normalizer = list(compress(normalizer, map(
+            t.__contains__, map(conj_cols[x].__getitem__, normalizer))))
     if len(normalizer) == g.order:  # t is normal: its own class
         return t, gens, tuple(normalizer), {t: 0}
     coset_of, firsts, conjugates = [-1] * g.order, [], []

@@ -93,11 +93,11 @@ def _conjugation_action(v: ElementaryAbelian, group: FiniteGroup,
     """action[g, i] = j where g·homs[i]·g⁻¹ = homs[j], read-only.
 
     The codes of the image tuples are gathered through the conjugation
-    rows, whose row 0 (the identity) codes the homs themselves; each is
-    found by `searchsorted` among those sorted codes, and must be found
-    there, since a conjugate of a hom is a hom.
+    array `group.conj`, whose row 0 (the identity) codes the homs
+    themselves; each is found by `searchsorted` among those sorted codes,
+    and must be found there, since a conjugate of a hom is a hom.
     """
-    images = _codes(np.asarray(group.conj_rows),
+    images = _codes(group.conj,
                     np.array(homs, dtype=np.int64).reshape(len(homs), v.r))
     action = np.searchsorted(images[0], images)
     require(not (images[0].take(action, mode="clip") != images).any(),
@@ -158,13 +158,13 @@ def _realizers(group: FiniteGroup, basis: tuple[int, ...], p: int,
     normalize rho(V), `basis` its echelon basis: n does exactly when it
     conjugates every basis element into the image, that is into the keys
     of the discrete-log table."""
-    logs = _discrete_log_table(group, basis, p)
-    rows = group.conj_rows
+    logs, cols = _discrete_log_table(group, basis, p), group.conj_cols
     realizers = {}
-    for n in elements:
-        cols = [logs.get(rows[n][b]) for b in basis]
-        if None not in cols:
-            realizers.setdefault(tuple(cols), n)
+    # n with the conjugates of the basis under n, one column per basis element
+    for n, *images in zip(elements, *(map(cols[b].__getitem__, elements) for b in basis)):
+        matrix = tuple(map(logs.get, images))
+        if None not in matrix:
+            realizers.setdefault(matrix, n)
     return realizers
 
 
@@ -174,7 +174,7 @@ def weyl_image(group: FiniteGroup, hom: tuple[int, ...],
 
     Matrices are i x i over F_p and act on exponent vectors in the
     echelonized basis, column j the image of basis vector j.  One pass
-    over the conjugation rows in increasing order.
+    over the conjugation columns of the basis, in increasing order of n.
     """
     return _realizers(group, echelon_basis(group, hom), p, range(group.order))
 
@@ -246,7 +246,7 @@ def _check_classes(group: FiniteGroup, homs, classes, orbit_map) -> None:
     orbit; and the orbit sizes sum to the number of homs, so every hom
     lies in one.
     """
-    name, rows = group.name or f"order{group.order}", group.conj_rows
+    name, cols = group.name or f"order{group.order}", group.conj_cols
     class_of = dict(zip(homs, orbit_map))
     for k, c in enumerate(classes):
         if len(c.centralizer) * c.orbit_size != group.order:
@@ -256,7 +256,8 @@ def _check_classes(group: FiniteGroup, homs, classes, orbit_map) -> None:
                 f"|G| = {group.order}",
                 {"group": name, "class": c.representative,
                  "stabilizer": c.centralizer, "orbit_size": c.orbit_size})
-        if any(rows[g][x] != x for g in c.centralizer for x in c.representative):
+        if any(set(map(cols[x].__getitem__, c.centralizer)) - {x}
+               for x in c.representative):
             raise InvariantError(f"the centralizer of {c.representative} moves it",
                                  {"group": name, "class": c.representative,
                                   "centralizer": c.centralizer})

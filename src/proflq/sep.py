@@ -11,7 +11,9 @@ eta sits inside mu and the question is whether the inclusion is onto.
 `sp_functor_check` runs the analogous conditions over all finite
 p-subgroups, reading conjugacy from the subgroup class tables of both
 groups and comparing normalizer automorphisms by where they send the
-generators the class table keeps for each representative.
+generators the class table keeps for each representative: one read of
+each generator's conjugation column over the whole normalizer, one tuple
+per automorphism kept.
 `conjugacy_distinguished` scans a quotient tower for the first level
 separating two conjugacy threads, of elements or of subgroups alike.
 
@@ -116,9 +118,15 @@ def _normalizer(group: FiniteGroup, t) -> list[int]:
 def _aut_perms(group: FiniteGroup, gens, normalizer, elems) -> frozenset:
     """Conjugation by each element of `normalizer`, recorded by where it
     sends `gens`, as positions in `elems`: an automorphism of the
-    subgroup is fixed by the images of a generating set."""
-    rows, pos = group.conj_rows, {x: i for i, x in enumerate(elems)}.__getitem__
-    return frozenset(tuple(map(pos, map(rows[n].__getitem__, gens))) for n in normalizer)
+    subgroup is fixed by the images of a generating set.
+
+    The images of each generator under the whole normalizer are one read
+    of its conjugation column; their distinct tuples, one per coset of
+    the centralizer, are the automorphisms, and only those are mapped to
+    positions.  No generator (the trivial subgroup) gives the identity."""
+    cols, pos = group.conj_cols, {x: i for i, x in enumerate(elems)}.__getitem__
+    images = set(zip(*(map(cols[x].__getitem__, normalizer) for x in gens))) or {()}
+    return frozenset(tuple(map(pos, image)) for image in images)
 
 
 def sp_functor_check(f: GroupHom, p: int) -> dict:
@@ -140,16 +148,20 @@ def sp_functor_check(f: GroupHom, p: int) -> dict:
     g, l = f.source, f.target
     classes_g, classes_l = subgroup_classes(g), subgroup_classes(l)
     subs_g = p_subgroups_up_to_conjugacy(g, p)
-    images = [frozenset(f(x) for x in s) for s in subs_g]
+    f_of = f.images.__getitem__
+    images = [frozenset(map(f_of, s)) for s in subs_g]
     image_class = [classes_l.index.get(image) for image in images]
     require(None not in image_class, "the image of a subgroup must be a subgroup",
             {"images": [sorted(image) for image, k in zip(images, image_class)
                         if k is None]})
 
-    # representatives of distinct classes are never conjugate
+    # representatives of distinct classes are never conjugate: every pair
+    # i < j whose images share a class fails, read off the class members
+    members: dict[int, list[int]] = {}
+    for i, k in enumerate(image_class):
+        members.setdefault(k, []).append(i)
     a_failures = [(sorted(subs_g[i]), sorted(subs_g[j]))
-                  for i in range(len(subs_g)) for j in range(i + 1, len(subs_g))
-                  if image_class[i] == image_class[j]]
+                  for i, k in enumerate(image_class) for j in members[k] if j > i]
 
     b_failures = []
     b_skipped = []
@@ -161,8 +173,8 @@ def sp_functor_check(f: GroupHom, p: int) -> dict:
         elems, k = sorted(s), classes_g.index[s]
         gens = classes_g.generators[k]
         eta = _aut_perms(g, gens, classes_g.normalizers[k], elems)
-        mu = _aut_perms(l, [f(x) for x in gens], _normalizer(l, image),
-                        [f(x) for x in elems])
+        mu = _aut_perms(l, list(map(f_of, gens)), _normalizer(l, image),
+                        list(map(f_of, elems)))
         if eta != mu:
             b_failures.append({"subgroup": elems,
                                "eta_order": len(eta), "mu_order": len(mu)})

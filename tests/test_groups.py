@@ -119,6 +119,31 @@ class TestReadOnlyTables:
             assert not g.table.flags.writeable
             assert g.key == g.table.tobytes()
 
+    @pytest.mark.parametrize("order, dtype", [(1, np.uint8), (256, np.uint8),
+                                              (257, np.uint16)])
+    def test_conj_is_a_read_only_table_in_the_narrowest_dtype(self, order, dtype):
+        g = cyclic_group(order)
+        assert g.conj.dtype == dtype and g.conj.shape == (order, order)
+        with pytest.raises(ValueError, match="read-only"):
+            g.conj[0, 0] = 1
+
+    def test_conj_and_its_rows_and_columns_are_the_conjugation_table(self):
+        # conj[g, x] = (g x) g^{-1} = conj_rows[g][x] = conj_cols[x][g], on
+        # every catalog group and a relabelled copy of each
+        rng = random.Random(35)
+        for g in catalog.all_groups():
+            for h in (g, relabelled(g, rng)[0]):
+                t = h.table
+                inverse = (t == 0).argmax(axis=1)
+                assert h.conj.dtype == np.min_scalar_type(h.order - 1), g.name
+                assert not h.conj.flags.writeable, g.name
+                assert (h.conj == t[t, inverse[:, None]]).all(), g.name
+                cols, rows = h.conj_cols, h.conj_rows
+                assert rows == h.conj.tolist() and len(cols) == h.order, g.name
+                assert all(cols[x][a] == rows[a][x]
+                           for x in h.elements() for a in h.elements()), g.name
+                assert h.conj_cols is cols, g.name  # built once per group
+
 
 class TestBasicOps:
     def test_element_orders_in_s3(self):

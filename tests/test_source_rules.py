@@ -29,6 +29,10 @@
 * Only `groups` serializes a group table: no other library module calls
   `.tobytes()` on an expression that reads a `.table` attribute; a cache
   key reads `group.key`, the bytes taken once when the group is built.
+* Only `groups` builds an array from conjugation rows: no other library
+  module calls `np.asarray(...)` or `np.array(...)` on an expression that
+  reads a `.conj_rows` attribute; the conjugation table is `group.conj`,
+  built once when the group is.
 * Only `repv` enumerates hom(V, G): no other library module names
   `hom_enumerate`, so every other reads the homs, the classes and the
   action from the one checked Rep(V, G) record that `repv` keeps.
@@ -510,6 +514,44 @@ def f(g, res, packed):
     return a, b, c, packed.tobytes(), g.key, g.table.tolist(), g.tobytes()
 """
     assert _table_bytes_calls(ast.parse(source)) == [4, 5, 7]
+
+
+# -- the conjugation table is built once, in groups ---------------------------------
+
+
+def _conj_row_arrays(tree):
+    """Lines that call `np.asarray` or `np.array` (by any module name, or
+    the bare names) on an expression reading `.conj_rows`."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and (isinstance(node.func, ast.Attribute)
+                       and node.func.attr in ("asarray", "array")
+                       or isinstance(node.func, ast.Name)
+                       and node.func.id in ("asarray", "array"))
+                  and any(isinstance(n, ast.Attribute) and n.attr == "conj_rows"
+                          for arg in [*node.args, *(k.value for k in node.keywords)]
+                          for n in ast.walk(arg)))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_conjugation_array_only_in_groups(path):
+    if path.name != "groups.py":
+        assert _conj_row_arrays(_tree(path)) == []
+
+
+def test_conjugation_array_rule_sees_every_call():
+    source = """
+import numpy as np
+from numpy import asarray
+def f(g, res, rows):
+    a = np.asarray(g.conj_rows)
+    b = np.array(res.group
+                 .conj_rows[1:], dtype=np.int64)
+    c = asarray(object=g.conj_rows)
+    d = np.array([row[0] for row in g.conj_rows])
+    return a, b, c, d, np.asarray(rows), g.conj, g.conj_rows, list(g.conj_cols)
+"""
+    assert _conj_row_arrays(ast.parse(source)) == [5, 6, 8, 9]
 
 
 # -- hom(V, G) is enumerated in repv alone -------------------------------------------
