@@ -24,11 +24,11 @@ from .finring import (
     cokernel,
     cyclic,
     dual_map,
-    is_isomorphic,
     kernel,
     image,
     lazy_direct_sum,
     pontryagin_dual,
+    sum_of_composites,
     zero_module,
 )
 from .groups import (
@@ -119,10 +119,13 @@ def criterion_1() -> dict:
         mid_img = image(proj_d)
         require(mid_ker.order == mid_img.order, "dual sequence inexact")
         require(image(inc_d.compose(proj_d)).order == 1, "dual comp not zero")
-        # (A + B)^dual isomorphic to A^dual + B^dual
-        lhs = pontryagin_dual(lazy_direct_sum([a, b]).total)
-        rhs = lazy_direct_sum([pontryagin_dual(a), pontryagin_dual(b)]).total
-        require(is_isomorphic(lhs, rhs), "duality does not swap sum/product")
+        # (A + B)^dual -> A^dual + B^dual, xi -> (xi . inj_A, xi . inj_B),
+        # is an isomorphism
+        s = lazy_direct_sum([a, b])
+        duals = lazy_direct_sum([pontryagin_dual(a), pontryagin_dual(b)])
+        psi = sum_of_composites(pontryagin_dual(s.total), duals.total, [
+            (duals.injection(i), dual_map(s.injection(i))) for i in (0, 1)])
+        require(psi.is_isomorphism(), "duality does not swap sum/product")
         checked += 1
     return {"name": "duality suite", "passed": True,
             "detail": {"instances": checked}}

@@ -7,15 +7,14 @@ of Python rows, so that `mul` and `inv` are plain list indexing; the
 inverses are read off the rows once.  Beside them it keeps the
 conjugation table `conj[g, x] = g x g⁻¹`, built in one numpy gather and
 kept read-only in the narrowest unsigned dtype that holds |G| - 1, and
-reads it two ways as lists: the rows `conj_rows[g]`, so that conjugating
-a set or a tuple by g is one `map` over a row, and the columns
-`conj_cols[x]`, the conjugates g x g⁻¹ of x for every g in element order,
-built on first read, so that conjugating x by a whole set of elements is
-one `map` over a column.  Subgroup conjugation and the subgroup class
-pass read them, as do the conjugation sweeps of `repv`, `sep` and
-`groupcoh` (normalizer automorphisms, centralizer checks, conjugacy
-classes of elements), and `repv` conjugates all of hom(V, G) at once by
-gathering from `conj`.  No other module builds an array from the rows.
+its columns as lists, `conj_cols[x]`, the conjugates g x g⁻¹ of x for
+every g in element order: conjugating x by a set of elements is one
+`map` over column x, and conjugating a set by one g reads entry g of
+each member's column.  Subgroup conjugation, the subgroup class pass and
+the conjugation sweeps of `repv`, `sep` and `groupcoh` (normalizers and
+their automorphisms, centralizer checks, conjugacy classes of elements)
+read the columns, and `repv` conjugates all of hom(V, G) at once by
+gathering from `conj`.  No other module builds an array from the columns.
 
 `closure` is a breadth-first search from the identity that multiplies
 only by the given generators.  `generators_greedy` is computed once per
@@ -83,8 +82,7 @@ class FiniteGroup:
         conj = table[table, np.array(self._inv)[:, None]].astype(np.min_scalar_type(n - 1))
         conj.flags.writeable = False
         self.conj = conj
-        self.conj_rows = conj.tolist()
-        self._conj_cols = None  # filled by conj_cols
+        self.conj_cols = conj.T.tolist()  # conj_cols[x][g] = g x g^{-1}
         self._generators = None  # filled by generators_greedy
         self._classes = None  # filled by subgroup_classes
 
@@ -103,14 +101,6 @@ class FiniteGroup:
             if not (t[t[a]] == t[a][t]).all():
                 raise ValueError("table is not associative")
 
-    @property
-    def conj_cols(self) -> list[list[int]]:
-        """conj_cols[x][g] = g x g⁻¹: column x of `conj` lists the conjugates
-        of x in element order, built on first read."""
-        if self._conj_cols is None:
-            self._conj_cols = self.conj.T.tolist()
-        return self._conj_cols
-
     def mul(self, a: int, b: int) -> int:
         return self._rows[a][b]
 
@@ -119,7 +109,8 @@ class FiniteGroup:
 
     def _conjugate(self, g: int, elements) -> frozenset[int]:
         """g S g^{-1} as a set; private, so per-element work is not traced."""
-        return frozenset(map(self.conj_rows[g].__getitem__, elements))
+        cols = self.conj_cols
+        return frozenset([cols[x][g] for x in elements])
 
     def element_order(self, a: int) -> int:
         rows = self._rows
@@ -481,7 +472,7 @@ def _new_class(g: FiniteGroup, cols, t: frozenset[int], gens: tuple[int, ...]):
     pass over b in increasing order reads the least conjugator of each
     conjugate and N(rep) off that column of the table.
     """
-    rows, conj_rows, conj_cols = g._rows, g.conj_rows, g.conj_cols
+    rows, conj_cols = g._rows, g.conj_cols
     normalizer = range(g.order)
     for x in gens:  # keep the a whose a·x·a⁻¹, read from column x, lies in t
         normalizer = list(compress(normalizer, map(
@@ -494,14 +485,14 @@ def _new_class(g: FiniteGroup, cols, t: frozenset[int], gens: tuple[int, ...]):
             for y in map(rows[a].__getitem__, normalizer):
                 coset_of[y] = len(firsts)
             firsts.append(a)
-            conjugates.append(frozenset(map(conj_rows[a].__getitem__, t)))
+            conjugates.append(frozenset([conj_cols[x][a] for x in t]))
     k = min(range(len(conjugates)), key=lambda j: sorted(conjugates[j]))
     c = firsts[k]
     cosets = list(map(coset_of.__getitem__, cols[c]))  # cols[c][b] = b c
     # coset -> least b in it: later pairs overwrite earlier
     least = dict(zip(reversed(cosets), range(g.order - 1, -1, -1)))
     rep_normalizer = tuple(compress(range(g.order), map(k.__eq__, cosets)))
-    return (conjugates[k], tuple(map(conj_rows[c].__getitem__, gens)),
+    return (conjugates[k], tuple([conj_cols[x][c] for x in gens]),
             rep_normalizer, {conjugates[j]: b for j, b in least.items()})
 
 

@@ -112,7 +112,7 @@ def _normalizer(group: FiniteGroup, t) -> list[int]:
     require(group.conjugate_subgroup(c, classes.reps[k]) == t,
             "the stored conjugator must carry the class representative to t",
             {"subgroup": sorted(t), "conjugator": c, "rep": sorted(classes.reps[k])})
-    return sorted(map(group.conj_rows[c].__getitem__, classes.normalizers[k]))
+    return sorted([group.conj_cols[n][c] for n in classes.normalizers[k]])
 
 
 def _aut_perms(group: FiniteGroup, gens, normalizer, elems) -> frozenset:

@@ -422,11 +422,12 @@ def symonds_action(v, group: FiniteGroup,
                    budget: int = repv.DEFAULT_HOM_BUDGET) -> list[list[int]]:
     """action[g][i]: the index of g·rho·g⁻¹ for rho the i-th hom, looked up
     one tuple at a time, as `lq.symonds_module` built it before `repv`
-    kept the action as one array."""
+    kept the action as one array; the conjugation rows are rebuilt from
+    the multiplication table, not read from `group.conj`."""
     homs = repv.hom_enumerate(v, group, budget)
     pos = {h: i for i, h in enumerate(homs)}
-    return [[pos[tuple(map(row.__getitem__, h))] for h in homs]
-            for row in group.conj_rows]
+    rows = [[conj(group, g, x) for x in range(group.order)] for g in range(group.order)]
+    return [[pos[tuple(map(row.__getitem__, h))] for h in homs] for row in rows]
 
 
 def coset_action(group: FiniteGroup, subgroup_elements) -> list[list[int]]:

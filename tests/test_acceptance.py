@@ -2,7 +2,7 @@
 
 import pytest
 
-from proflq import acceptance, etale, tower
+from proflq import acceptance, etale, finring, tower
 from proflq.errors import InvariantError
 
 from .test_tower import twist_a_projection
@@ -19,6 +19,19 @@ def _run(criterion, seconds):
 def test_criterion_1_duality():
     report = _run(acceptance.criterion_1, 30)
     assert report["detail"]["instances"] >= 500
+
+
+def test_criterion_1_refuses_an_injection_that_reuses_summand_0(monkeypatch):
+    # for A + A, injecting summand 1 as summand 0 makes the map
+    # (A + A)^dual -> A^dual + A^dual twice one composite, not an isomorphism
+    inject = finring.DirectSum.injection
+
+    def reuse(self, i):
+        return inject(self, 0 if self.summands[i] == self.summands[0] else i)
+
+    monkeypatch.setattr(finring.DirectSum, "injection", reuse)
+    with pytest.raises(InvariantError, match="sum/product"):
+        acceptance.criterion_1()
 
 
 def test_criterion_2_products_coproducts():

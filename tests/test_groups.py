@@ -127,9 +127,9 @@ class TestReadOnlyTables:
         with pytest.raises(ValueError, match="read-only"):
             g.conj[0, 0] = 1
 
-    def test_conj_and_its_rows_and_columns_are_the_conjugation_table(self):
-        # conj[g, x] = (g x) g^{-1} = conj_rows[g][x] = conj_cols[x][g], on
-        # every catalog group and a relabelled copy of each
+    def test_conj_and_its_columns_are_the_conjugation_table(self):
+        # conj[g, x] = (g x) g^{-1} = conj_cols[x][g], on every catalog group
+        # and a relabelled copy of each
         rng = random.Random(35)
         for g in catalog.all_groups():
             for h in (g, relabelled(g, rng)[0]):
@@ -138,11 +138,10 @@ class TestReadOnlyTables:
                 assert h.conj.dtype == np.min_scalar_type(h.order - 1), g.name
                 assert not h.conj.flags.writeable, g.name
                 assert (h.conj == t[t, inverse[:, None]]).all(), g.name
-                cols, rows = h.conj_cols, h.conj_rows
-                assert rows == h.conj.tolist() and len(cols) == h.order, g.name
-                assert all(cols[x][a] == rows[a][x]
+                cols = h.conj_cols
+                assert cols == h.conj.T.tolist() and len(cols) == h.order, g.name
+                assert all(cols[x][a] == reference.conj(h, a, x)
                            for x in h.elements() for a in h.elements()), g.name
-                assert h.conj_cols is cols, g.name  # built once per group
 
 
 class TestBasicOps:
@@ -489,7 +488,7 @@ class TestKernelAgainstReference:
                 assert g.inv(a) == inverse[a] and t[a, inverse[a]] == 0
                 for b in g.elements():
                     assert g.mul(a, b) == t[a, b]
-                    assert g.conj_rows[a][b] == t[t[a, b], inverse[a]]
+                    assert g.conj_cols[b][a] == t[t[a, b], inverse[a]]
 
     def test_closure_matches_reference(self):
         rng = random.Random(11)
@@ -528,6 +527,50 @@ def accepts(source, target, images) -> bool:
     return True
 
 
+class TestSetConjugationAgainstScans:
+    """Conjugating a set by one element against `reference.conj` scans of
+    the table, on every non-abelian catalog group and a relabelled copy
+    of each: in an abelian group every conjugation is trivial, so a
+    transposed read of the conjugation columns would not show there."""
+
+    @staticmethod
+    def groups():
+        rng = random.Random(36)
+        for g in catalog.all_groups():
+            if not is_abelian(g):
+                yield g
+                yield relabelled(g, rng)[0]
+
+    def test_conjugate_subgroup(self):
+        for g in self.groups():
+            for s in all_subgroups(g):
+                for a in g.elements():
+                    assert g.conjugate_subgroup(a, s) == \
+                        {reference.conj(g, a, x) for x in s}, (g.name, a, sorted(s))
+
+    def test_are_conjugate_subgroups(self):
+        for g in self.groups():
+            subs = all_subgroups(g)
+            for s in subs:
+                orbit = {frozenset(reference.conj(g, a, x) for x in s)
+                         for a in g.elements()}
+                for t in subs:
+                    assert g.are_conjugate_subgroups(s, t) == (t in orbit), \
+                        (g.name, sorted(s), sorted(t))
+
+    def test_quotient_refuses_exactly_the_subgroups_that_are_not_normal(self):
+        for g in self.groups():
+            for n in all_subgroups(g):
+                normal = all(reference.conj(g, a, x) in n
+                             for a in g.elements() for x in n)
+                try:
+                    quotient_group(g, n)
+                except ValueError as e:
+                    assert not normal and "not normal" in str(e), (g.name, sorted(n))
+                else:
+                    assert normal, (g.name, sorted(n))
+
+
 class TestHomCheckAgainstReference:
     """The one numpy comparison of `GroupHom` against the row-by-row loop
     of `tests/reference.py`, on image lists for catalog groups of order
@@ -538,7 +581,7 @@ class TestHomCheckAgainstReference:
     def image_lists(self, g, h, rng):
         valid = [[0] * g.order]
         if h is g:
-            valid += g.conj_rows[:4]  # inner automorphisms
+            valid += g.conj[:4].tolist()  # inner automorphisms
         lists = list(valid)
         for images in valid:
             changed = list(images)

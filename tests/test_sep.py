@@ -24,7 +24,7 @@ from proflq.groups import (
 from proflq.repv import ElementaryAbelian
 
 from . import reference
-from .reference import constant_group_tower, normalizer, trivial_hom
+from .reference import conj, constant_group_tower, normalizer, trivial_hom
 
 V2 = ElementaryAbelian(2, 1)
 V3 = ElementaryAbelian(3, 1)
@@ -120,9 +120,9 @@ class TestFullness:
         a4, s4, f = a4_in_s4()
         sylow = p_subgroups_up_to_conjugacy(a4, 3)[-1]
         conjugators = subgroup_classes(s4).conjugators
-        x = next(x for x, row in enumerate(s4.conj_rows)
-                 if conjugators[frozenset(row[f(y)] for y in sylow)] != 0)
-        twisted = GroupHom(a4, s4, [s4.conj_rows[x][y] for y in f.images])
+        x = next(x for x in s4.elements()
+                 if conjugators[frozenset(conj(s4, x, f(y)) for y in sylow)] != 0)
+        twisted = GroupHom(a4, s4, [conj(s4, x, y) for y in f.images])
         zero_conjugators(monkeypatch)
         with pytest.raises(InvariantError, match="stored conjugator"):
             sep.sp_functor_check(twisted, 3)

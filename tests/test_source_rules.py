@@ -29,10 +29,11 @@
 * Only `groups` serializes a group table: no other library module calls
   `.tobytes()` on an expression that reads a `.table` attribute; a cache
   key reads `group.key`, the bytes taken once when the group is built.
-* Only `groups` builds an array from conjugation rows: no other library
-  module calls `np.asarray(...)` or `np.array(...)` on an expression that
-  reads a `.conj_rows` attribute; the conjugation table is `group.conj`,
-  built once when the group is.
+* Only `groups` builds an array from conjugation columns: no other
+  library module calls `np.asarray(...)` or `np.array(...)` on an
+  expression that reads a `.conj_cols` attribute; the conjugation table
+  is `group.conj`, built once when the group is, and `repv` gathers from
+  it.
 * Only `repv` enumerates hom(V, G): no other library module names
   `hom_enumerate`, so every other reads the homs, the classes and the
   action from the one checked Rep(V, G) record that `repv` keeps.
@@ -519,39 +520,43 @@ def f(g, res, packed):
 # -- the conjugation table is built once, in groups ---------------------------------
 
 
-def _conj_row_arrays(tree):
+def _conj_col_arrays(tree):
     """Lines that call `np.asarray` or `np.array` (by any module name, or
-    the bare names) on an expression reading `.conj_rows`."""
+    the bare names) on an expression reading `.conj_cols`."""
     return sorted(node.lineno for node in ast.walk(tree)
                   if isinstance(node, ast.Call)
                   and (isinstance(node.func, ast.Attribute)
                        and node.func.attr in ("asarray", "array")
                        or isinstance(node.func, ast.Name)
                        and node.func.id in ("asarray", "array"))
-                  and any(isinstance(n, ast.Attribute) and n.attr == "conj_rows"
+                  and any(isinstance(n, ast.Attribute) and n.attr == "conj_cols"
                           for arg in [*node.args, *(k.value for k in node.keywords)]
                           for n in ast.walk(arg)))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_conjugation_array_only_in_groups(path):
+    tree = _tree(path)
     if path.name != "groups.py":
-        assert _conj_row_arrays(_tree(path)) == []
+        assert _conj_col_arrays(tree) == []
+    if path.name == "repv.py":  # hom(V, G) is conjugated by a gather from `conj`
+        assert any(isinstance(n, ast.Attribute) and n.attr == "conj"
+                   for n in ast.walk(tree))
 
 
 def test_conjugation_array_rule_sees_every_call():
     source = """
 import numpy as np
 from numpy import asarray
-def f(g, res, rows):
-    a = np.asarray(g.conj_rows)
+def f(g, res, cols):
+    a = np.asarray(g.conj_cols)
     b = np.array(res.group
-                 .conj_rows[1:], dtype=np.int64)
-    c = asarray(object=g.conj_rows)
-    d = np.array([row[0] for row in g.conj_rows])
-    return a, b, c, d, np.asarray(rows), g.conj, g.conj_rows, list(g.conj_cols)
+                 .conj_cols[1:], dtype=np.int64)
+    c = asarray(object=g.conj_cols)
+    d = np.array([col[0] for col in g.conj_cols])
+    return a, b, c, d, np.asarray(cols), np.asarray(g.conj), list(g.conj_cols)
 """
-    assert _conj_row_arrays(ast.parse(source)) == [5, 6, 8, 9]
+    assert _conj_col_arrays(ast.parse(source)) == [5, 6, 8, 9]
 
 
 # -- hom(V, G) is enumerated in repv alone -------------------------------------------
@@ -730,7 +735,7 @@ def f(group, res, space):
     inverse = res.group._inv[3]
     classes = getattr(group, "_classes", None)
     group._validate()
-    return rows, inverse, classes, group.conj_rows, space._lead, group.__class__
+    return rows, inverse, classes, group.conj_cols, space._lead, group.__class__
 class Space:
     def __init__(self, rows):
         self._rows = rows
