@@ -2,11 +2,13 @@
 
 A module is a direct sum Z/d_1 + ... + Z/d_k with d_1 | d_2 | ... | d_k,
 all d_i > 1 dividing the ambient modulus m.  Maps are integer matrices
-read modulo the target factors.  All arithmetic is over Z/m: a cokernel,
-and the normal form of a direct sum, is one Smith form over Z/m
-(`snf.smith_normal_form`); a kernel is the dual of the cokernel of the
-dual map, since Pontryagin duality (Hom into Z/m, standing in for Q/Z at
-exponent m) is exact; an image is the cokernel of the kernel inclusion.
+read modulo the target factors.  All arithmetic is over Z/m: a cokernel
+is one Smith form over Z/m (`snf.smith_normal_form`), and the normal
+form of a direct sum is the Smith form of its diagonal of orders, read
+off the diagonal with no n x n matrix (`snf.diagonal_smith_form`); a
+kernel is the dual of the cokernel of the dual map, since Pontryagin
+duality (Hom into Z/m, standing in for Q/Z at exponent m) is exact; an
+image is the cokernel of the kernel inclusion.
 Composites, and sums of them, are one `sum_of_composites` each, and
 `composites_agree` compares two such sums without building either.
 
@@ -104,22 +106,27 @@ class ModuleMap:
     Entry (i, j) is read modulo the i-th target factor; well-definedness
     (source factor annihilates its column) is validated eagerly, once:
     the map is immutable after `__init__`, which also hashes it once.
+    The source factors are a divisibility chain, so a row is tested only
+    up to its first column whose factor the target factor divides.
     """
 
     __slots__ = ("source", "target", "matrix", "_hash")
 
     def __init__(self, source: FiniteModule, target: FiniteModule, matrix):
-        if source.ring != target.ring:
+        if source.ring is not target.ring and source.ring != target.ring:
             raise ValueError("source and target live over different rings")
         t_factors, s_factors = target.factors, source.factors
         rows, cols = len(t_factors), len(s_factors)
-        if len(matrix) != rows or any(len(r) != cols for r in matrix):
+        if len(matrix) != rows or any(map(cols.__ne__, map(len, matrix))):
             raise ValueError(f"matrix must be {rows}x{cols}")
         reduced = []
-        for i, (row, d) in enumerate(zip(matrix, t_factors)):
+        for row, d in zip(matrix, t_factors):
             row = tuple([int(x) % d for x in row])
             for x, c in zip(row, s_factors):
+                if c % d == 0:
+                    break  # c, and each later factor, a multiple of c, kills Z/d
                 if x * c % d:
+                    i = len(reduced)
                     j = next(j for j, (x, c) in enumerate(zip(row, s_factors))
                              if x * c % d)
                     raise ValueError(f"entry ({i},{j}) does not define a homomorphism")
@@ -267,9 +274,10 @@ def _cokernel(f: ModuleMap) -> list:
     entry = cache.lookup("finring.cokernel", f)
     if entry is None:
         tgt = f.target
-        n = tgt.rank
-        aug = [list(f.matrix[i]) + [tgt.factors[i] if j == i else 0 for j in range(n)]
-               for i in range(n)]
+        n, k = tgt.rank, f.source.rank
+        aug = [list(row) + [0] * n for row in f.matrix]
+        for i, c in enumerate(tgt.factors):
+            aug[i][k + i] = c
         left, d, _ = snf.smith_normal_form(aug, tgt.ring.modulus, inverse=False)
         kept = [i for i, di in enumerate(d) if di > 1]
         q = FiniteModule(tgt.ring, tuple(d[i] for i in kept))
@@ -312,20 +320,19 @@ def from_cyclic(ring: FiniteRing, orders: list[int]):
 
     Returns (M, to_normal, from_normal) where M is the invariant-factor
     module and the matrices are mutually inverse isomorphisms between the
-    raw coordinate presentation and M.  Order-1 summands are allowed and
-    vanish.
+    raw coordinate presentation and M, from the Smith form of diag(orders)
+    that `snf.diagonal_smith_form` reads off the orders.  Order-1 summands
+    are allowed and vanish.
     """
-    n = len(orders)
-    diag = snf.zeros(n, n)
-    for i, c in enumerate(orders):
-        if c < 1 or ring.modulus % c:
-            raise ValueError(f"cyclic order {c} invalid for modulus {ring.modulus}")
-        diag[i][i] = c
-    left, d, left_inv = snf.smith_normal_form(diag, ring.modulus)
+    m = ring.modulus
+    for c in orders:
+        if c < 1 or m % c:
+            raise ValueError(f"cyclic order {c} invalid for modulus {m}")
+    left, d, left_inv = snf.diagonal_smith_form(orders, m)
     kept = [i for i, di in enumerate(d) if di > 1]
     mod = FiniteModule(ring, tuple(d[i] for i in kept))
     to_normal = [left[i] for i in kept]
-    from_normal = [[left_inv[r][i] for i in kept] for r in range(n)]
+    from_normal = [[row[i] for i in kept] for row in left_inv]
     return mod, to_normal, from_normal
 
 
@@ -379,8 +386,9 @@ def lazy_direct_sum(modules: list[FiniteModule]) -> DirectSum:
     if not modules:
         raise ValueError("direct_sum of an empty list needs a ring; use zero_module")
     ring = modules[0].ring
-    if any(m.ring != ring for m in modules):
-        raise ValueError("ring mismatch in direct_sum")
+    for m in modules:  # the summands mostly share one ring object
+        if m.ring is not ring and m.ring != ring:
+            raise ValueError("ring mismatch in direct_sum")
     key = tuple(modules)
     entry = cache.lookup("finring.direct_sum", key)
     if entry is None:
@@ -424,10 +432,8 @@ def dual_map(f: ModuleMap) -> ModuleMap:
     dual = cache.lookup("finring.dual_map", f)
     if dual is None:
         src, tgt = f.source, f.target
-        matrix = [
-            [f.matrix[i][j] * src.factors[j] // tgt.factors[i] for i in range(tgt.rank)]
-            for j in range(src.rank)
-        ]
+        matrix = [[row[j] * c // d for row, d in zip(f.matrix, tgt.factors)]
+                  for j, c in enumerate(src.factors)]
         dual = cache.store("finring.dual_map", f, ModuleMap(
             pontryagin_dual(tgt), pontryagin_dual(src), matrix))
     return dual

@@ -59,6 +59,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import require
+
 DEFAULT_ORDER_BOUND = 360
 
 
@@ -485,7 +487,11 @@ def _new_class(g: FiniteGroup, cols, t: frozenset[int], gens: tuple[int, ...]):
             for y in map(rows[a].__getitem__, normalizer):
                 coset_of[y] = len(firsts)
             firsts.append(a)
-            conjugates.append(frozenset([conj_cols[x][a] for x in t]))
+            conjugate = frozenset([conj_cols[x][a] for x in t])
+            # a wrong table must fail here: the lattice built on it runs away
+            require(len(conjugate) == len(t) and 0 in conjugate,
+                    "a conjugate of a subgroup is not a subgroup of its order")
+            conjugates.append(conjugate)
     k = min(range(len(conjugates)), key=lambda j: sorted(conjugates[j]))
     c = firsts[k]
     cosets = list(map(coset_of.__getitem__, cols[c]))  # cols[c][b] = b c

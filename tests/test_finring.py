@@ -426,11 +426,25 @@ class TestModuleMapRefusals:
         ([[1, 0], [0, 1]], "(0,0)"),
         ([[0, 0], [6, 1]], "(1,1)"),     # only the last row is bad
         ([[2, 4], [1, 0]], "(1,0)"),
+        ([[2, 2], [6, 1]], "(1,1)"),     # row 0 is good mod 4, though not mod 12
     ])
     def test_the_first_bad_entry_is_named(self, matrix, entry):
         with pytest.raises(ValueError) as refusal:
             ModuleMap(self.SOURCE, self.TARGET, matrix)
         assert str(refusal.value) == f"entry {entry} does not define a homomorphism"
+
+    def test_the_accept_set_of_one_entry_maps(self):
+        # Z/c -> Z/d, 1 |-> x, is a map exactly when x·c ≡ 0 (mod d)
+        divisors = [2, 3, 4, 6, 12]
+        for c in divisors:
+            for d in divisors:
+                for x in range(d):
+                    if x * c % d == 0:
+                        assert ModuleMap(cyclic(Z12, c), cyclic(Z12, d), [[x]]).matrix \
+                            == ((x,),)
+                    else:
+                        with pytest.raises(ValueError, match=r"entry \(0,0\)"):
+                            ModuleMap(cyclic(Z12, c), cyclic(Z12, d), [[x]])
 
     def test_an_unscaled_dual_is_refused(self):
         # the dual of Z/4 -> Z/2 (entry 1) has entry 2; entry 1 is no map Z/2 -> Z/4

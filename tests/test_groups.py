@@ -3,11 +3,16 @@
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import proflq
 from proflq import catalog
 from proflq.groups import (
     FiniteGroup,
@@ -699,3 +704,48 @@ class TestSubgroupClassesAgainstScans:
         with pytest.raises(TypeError):
             classes.index[frozenset({0})] = 1
         assert subgroup_classes(g) is classes
+
+
+# Builds every catalog group with its conjugation columns replaced by the
+# rows, the transposed read, and prints the names of the groups whose
+# class pass does not raise InvariantError, with whether their class table
+# is still the true one.
+TRANSPOSED_COLUMNS = """
+import json
+import resource
+
+# a lattice built on a wrong table grew past 700 MB before the check
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+from proflq import catalog
+from proflq.errors import InvariantError
+from proflq.groups import FiniteGroup, subgroup_classes
+
+passed = []
+for g in catalog.all_groups():
+    h = FiniteGroup(g.table)
+    h.conj_cols = h.conj.tolist()
+    try:
+        classes = subgroup_classes(h)
+    except InvariantError:
+        continue
+    passed.append([g.name, classes == subgroup_classes(g)])
+print(json.dumps(passed))
+"""
+
+
+def test_transposed_conjugation_columns_are_an_invariant_error():
+    """Each conjugate `_new_class` builds must be a set of |t| elements
+    holding the identity; with the columns read transposed the class pass
+    raises at once instead of running away (in a child process, under a
+    timeout and a memory limit).  Only the trivial group and the groups of
+    prime order, where the transposed read changes nothing the lattice
+    uses, pass, with their true class tables."""
+    env = dict(os.environ, PYTHONPATH=str(Path(proflq.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", TRANSPOSED_COLUMNS],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    unrefused = [g.name for g in catalog.all_groups()
+                 if g.order == 1 or all(g.order % d for d in range(2, g.order))]
+    assert json.loads(proc.stdout) == [[name, True] for name in unrefused]

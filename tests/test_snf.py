@@ -1,11 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proflq import snf
+from proflq import finring, snf
+from proflq.finring import FiniteRing
 
 from .reference import full_scan_smith_normal_form, integer_smith_normal_form, mat_mul
 
@@ -197,17 +199,40 @@ def test_mod_snf_matches_the_integer_reference(rows, cols, seed, m):
 SCAN_MODULI = [2, 3, 4, 6, 8, 9, 12, 36, 256]
 
 
+def divisors(m: int) -> list[int]:
+    return [d for d in range(1, m + 1) if m % d == 0]
+
+
+def diagonal_matrix(entries: list[int]) -> list[list[int]]:
+    return [[x if i == j else 0 for j in range(len(entries))]
+            for i, x in enumerate(entries)]
+
+
 @st.composite
 def scan_cases(draw):
     """A matrix over Z/m, m in SCAN_MODULI, with entries in [-m, m]: any
     entries, or zeros and non-units with one unit at a drawn place (so
-    the first unit may come early or late), or no unit at all."""
+    the first unit may come early or late), or no unit at all; or a
+    diagonal matrix, or a cokernel's [F | diag(c)]."""
     m = draw(st.sampled_from(SCAN_MODULI))
     rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 7))
     values = range(-m, m + 1)
     units = [x for x in values if gcd(x, m) == 1]
     others = [x for x in values if gcd(x, m) > 1]
-    kind = draw(st.sampled_from(["any", "one unit", "no unit"]))
+    kind = draw(st.sampled_from(["any", "one unit", "no unit", "diagonal", "cokernel"]))
+    if kind == "diagonal":
+        # the sums of `from_cyclic` have divisors of m on the diagonal
+        entries = [draw(st.one_of(st.sampled_from(divisors(m)), st.sampled_from(values)))
+                   for _ in range(rows)]
+        return diagonal_matrix(entries), m
+    if kind == "cokernel":
+        # the [F | diag(c)] of `finring.cokernel`: c a divisor chain of m
+        factors, c = [], 1
+        for _ in range(rows):
+            c = lcm(c, draw(st.sampled_from(divisors(m))))
+            factors.append(c)
+        f = [[draw(st.sampled_from(values)) for _ in range(cols)] for _ in range(rows)]
+        return [row + diag for row, diag in zip(f, diagonal_matrix(factors))], m
     pool = values if kind == "any" else [0, 0, 0] + others
     matrix = [[draw(st.sampled_from(pool)) for _ in range(cols)] for _ in range(rows)]
     if kind == "one unit" and rows and cols:
@@ -241,3 +266,70 @@ def test_mod_snf_equals_the_full_scan_at_the_edges(matrix, m):
     assert snf.smith_normal_form(matrix, m) == (left, d, left_inv)
     assert snf.smith_normal_form(matrix, m, inverse=False) == (left, d, None)
 
+
+# -- the diagonal form against the whole loop ----------------------------------------
+
+def is_permutation(matrix: list[list[int]]) -> bool:
+    return all(sorted(row) == [0] * (len(row) - 1) + [1] for row in matrix) \
+        and all(sorted(col) == [0] * (len(col) - 1) + [1] for col in zip(*matrix))
+
+
+def swaps_suffice(entries: list[int], m: int) -> bool:
+    """Whether the loop's divisibility fixes never fire on diag(entries):
+    the gcds with m, in increasing order, form a divisibility chain."""
+    gs = sorted(gcd(x, m) for x in entries)
+    return all(b % a == 0 for a, b in zip(gs, gs[1:]))
+
+
+def check_diagonal(entries: list[int], m: int) -> bool:
+    """diagonal_smith_form(entries, m) is the Smith form of the matrix; its
+    L is a permutation exactly when swaps suffice."""
+    form = snf.diagonal_smith_form(entries, m)
+    assert form == snf.smith_normal_form(diagonal_matrix(entries), m), (entries, m)
+    swap_only = swaps_suffice(entries, m)
+    assert is_permutation(form[0]) == swap_only, (entries, m)
+    if swap_only:
+        assert form[2] == [list(col) for col in zip(*form[0])], (entries, m)
+    return swap_only
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 8, 9, 12, 36, 60])
+def test_diagonal_form_on_every_short_diagonal_of_divisors(m):
+    outcomes = set()
+    for n in range(5):
+        for entries in itertools.product(divisors(m), repeat=n):
+            outcomes.add(check_diagonal(list(entries), m))
+    # a prime power modulus never needs a fix; the others reach both cases
+    assert outcomes == ({True} if m in (2, 4, 8, 9) else {True, False})
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_diagonal_form_on_random_long_diagonals(seed):
+    rng = random.Random(seed)
+    outcomes = set()
+    for _ in range(300):
+        m = rng.choice([6, 12, 30, 36, 60, 72, 210, 360])
+        entries = [rng.choice(divisors(m)) if rng.random() < 0.8
+                   else rng.randint(-2 * m, 2 * m) for _ in range(rng.randint(5, 9))]
+        outcomes.add(check_diagonal(entries, m))
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("orders", [(4, 4, 4), (2, 4, 12), (4, 2), (4, 3), (2, 3, 4, 12)])
+def test_from_cyclic_runs_no_smith_loop(monkeypatch, orders):
+    # every sum, with or without a divisibility fix, is read off its diagonal
+    calls, smith_normal_form = [], snf.smith_normal_form
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return smith_normal_form(*args, **kwargs)
+
+    monkeypatch.setattr(snf, "smith_normal_form", counted)
+    module, to_normal, from_normal = finring.from_cyclic(FiniteRing(12), list(orders))
+    assert calls == []
+    assert module.order == prod(orders)
+    # mutually inverse, each product read modulo the factors of its target
+    for first, then, factors in ((to_normal, from_normal, orders),
+                                 (from_normal, to_normal, module.factors)):
+        assert [[x % c for x in row] for row, c in zip(mat_mul(then, first), factors)] \
+            == snf.identity(len(factors))
