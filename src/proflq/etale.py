@@ -5,13 +5,14 @@ Sections over subsets, stalkwise duality, skyscraper families, the
 finite case of the product/coproduct functors and the tensor-Hom
 adjunction.  Over a finite base the product and the coproduct both
 coincide with the module of global sections; `is_product` checks that
-from the universal maps alone.
+from the universal maps alone.  A section module reads its per-point maps
+from the `finring.DirectSum` of its fibers, so each map is built on its
+first read, once, and shared by every section module over the same fibers.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import gcd, prod
 
 import numpy as np
@@ -20,6 +21,7 @@ from .errors import BudgetError
 from .finring import (
     FiniteModule,
     FiniteRing,
+    ModuleMap,
     hom_module,
     lazy_direct_sum,
     pontryagin_dual,
@@ -67,34 +69,29 @@ def constant_space(base, module: FiniteModule) -> FiniteEtaleSpace:
     return FiniteEtaleSpace(base, {t: module for t in base})
 
 
-class _PointMaps(dict):
-    """point -> map, the map at points[i] built by `build(i)` the first
-    time it is read and kept from then on.  Only the maps read or assigned
-    so far are entries; the points are the section module's `points`."""
-
-    def __init__(self, build, points):
-        super().__init__()
-        self._build = build
-        self._index = {t: i for i, t in enumerate(points)}
-
-    def __missing__(self, t):
-        self[t] = built = self._build(self._index[t])
-        return built
-
-
-@dataclass
 class SectionModule:
     """Sections over a subset, with the canonical per-point maps.
 
-    projections[t] is the evaluation map at t ("omicron"), injections[t]
-    the inclusion of the fiber at t ("omega"); `sections` builds each the
-    first time it is read.
+    projection(t) is the evaluation map at t ("omicron"), injection(t) the
+    inclusion of the fiber at t ("omega"): the maps of the summand at t of
+    the direct sum of the fibers, which `finring.DirectSum` builds the
+    first time each is read and keeps.  A point outside `points` is a
+    KeyError.
     """
 
-    module: FiniteModule
-    points: tuple
-    injections: dict = field(default_factory=dict)
-    projections: dict = field(default_factory=dict)
+    __slots__ = ("module", "points", "_summed", "_index")
+
+    def __init__(self, module: FiniteModule, points: tuple, summed=None):
+        self.module = module
+        self.points = points
+        self._summed = summed
+        self._index = {t: i for i, t in enumerate(points)}
+
+    def injection(self, t) -> ModuleMap:
+        return self._summed.injection(self._index[t])
+
+    def projection(self, t) -> ModuleMap:
+        return self._summed.projection(self._index[t])
 
 
 def sections(e: FiniteEtaleSpace, subset=None) -> SectionModule:
@@ -110,9 +107,7 @@ def sections(e: FiniteEtaleSpace, subset=None) -> SectionModule:
     if not pts:
         return SectionModule(zero_module(e.ring), ())
     summed = lazy_direct_sum([e.fiber(t) for t in pts])
-    return SectionModule(summed.total, pts,
-                         injections=_PointMaps(summed.injection, pts),
-                         projections=_PointMaps(summed.projection, pts))
+    return SectionModule(summed.total, pts, summed)
 
 
 def product_finite(e: FiniteEtaleSpace) -> SectionModule:
@@ -135,7 +130,7 @@ def is_product(e: FiniteEtaleSpace, sec: SectionModule) -> bool:
     """
     if sec.module.order != prod(e.fiber(t).order for t in e.base):
         return False
-    return all(sec.projections[s].compose(sec.injections[t])
+    return all(sec.projection(s).compose(sec.injection(t))
                == (e.fiber(t).identity_map() if s == t
                    else zero_map(e.fiber(t), e.fiber(s)))
                for s in e.base for t in e.base)
@@ -165,7 +160,7 @@ class SkyscraperFamily:
             if not modules:
                 raise ValueError("an empty family must name its ring")
             ring = next(iter(modules.values())).ring
-        if any(m.ring != ring for m in modules.values()):
+        if any(m.ring is not ring and m.ring != ring for m in modules.values()):
             raise ValueError("every module of the family must live over its ring")
         self.base = base
         self.support = support

@@ -3,12 +3,12 @@
 A module is a direct sum Z/d_1 + ... + Z/d_k with d_1 | d_2 | ... | d_k,
 all d_i > 1 dividing the ambient modulus m.  Maps are integer matrices
 read modulo the target factors.  All arithmetic is over Z/m: a cokernel
-is one Smith form over Z/m (`snf.smith_normal_form`), and the normal
-form of a direct sum is the Smith form of its diagonal of orders, read
-off the diagonal with no n x n matrix (`snf.diagonal_smith_form`); a
-kernel is the dual of the cokernel of the dual map, since Pontryagin
-duality (Hom into Z/m, standing in for Q/Z at exponent m) is exact; an
-image is the cokernel of the kernel inclusion.
+reads L and d of one Smith form over Z/m (`snf.smith_normal_form`), and
+the normal form of a direct sum, with L^-1, is the Smith form of its
+diagonal of orders, read off the diagonal with no n x n matrix
+(`snf.diagonal_smith_form`); a kernel is the dual of the cokernel of the
+dual map, since Pontryagin duality (Hom into Z/m, standing in for Q/Z at
+exponent m) is exact; an image is the cokernel of the kernel inclusion.
 Composites, and sums of them, are one `sum_of_composites` each, and
 `composites_agree` compares two such sums without building either.
 
@@ -278,7 +278,7 @@ def _cokernel(f: ModuleMap) -> list:
         aug = [list(row) + [0] * n for row in f.matrix]
         for i, c in enumerate(tgt.factors):
             aug[i][k + i] = c
-        left, d, _ = snf.smith_normal_form(aug, tgt.ring.modulus, inverse=False)
+        left, d = snf.smith_normal_form(aug, tgt.ring.modulus)
         kept = [i for i, di in enumerate(d) if di > 1]
         q = FiniteModule(tgt.ring, tuple(d[i] for i in kept))
         entry = cache.store("finring.cokernel", f, [q, [left[i] for i in kept], None])

@@ -3,20 +3,23 @@
 Every lattice the library reduces contains m·Z^n, so its normal forms are
 computed in (Z/m)^n with every entry kept in range(m) (Storjohann and
 Mulders, "Fast algorithms for linear algebra modulo N", ESA 1998).  The
-entries never grow, so every call terminates quickly.  Matrices are lists
-of lists of plain ints.  Only `finring` imports this module.
+entries never grow, and a loop past its step bound raises InvariantError.
+Matrices are lists of lists of plain ints.  Only `finring` imports this
+module.
 
 `smith_normal_form` is one loop with its steps written inline; the 2x2
 step that zeroes an entry against the pivot is the one rule `_step`.
-`diagonal_smith_form` gives the loop's output on a diagonal matrix from
-the diagonal alone, for the direct sums of `finring.from_cyclic`: there
-the loop only swaps, except where a divisibility fix mixes two rows, and
-then its steps touch one 2x2 block, which is cleared by the same steps.
+`diagonal_smith_form` gives the loop's (L, d) on a diagonal matrix from
+the diagonal alone, and L^-1, for the direct sums of `finring.from_cyclic`:
+there the loop only swaps, except where a divisibility fix mixes two rows,
+and then its steps touch one 2x2 block, which is cleared by the same steps.
 """
 
 from __future__ import annotations
 
 from math import gcd
+
+from .errors import InvariantError
 
 
 def zeros(rows: int, cols: int) -> list[list[int]]:
@@ -54,8 +57,8 @@ def _step(p: int, e: int) -> tuple[int, int, int, int]:
 
 def diagonal_smith_form(diagonal: list[int], m: int) -> tuple[
         list[list[int]], list[int], list[list[int]]]:
-    """`smith_normal_form` of the matrix diag(diagonal), with the same
-    (L, d, L^-1), read off the diagonal alone.
+    """The (L, d) that `smith_normal_form` gives on the matrix
+    diag(diagonal), and L^-1, read off the diagonal alone.
 
     The loop's pivot is the first diagonal entry left of least gcd with m,
     and swapping its row and column together keeps the matrix diagonal,
@@ -64,13 +67,16 @@ def diagonal_smith_form(diagonal: list[int], m: int) -> tuple[
     divisibility fix adds a later row b to row t, and the loop then clears
     the 2x2 block of rows and columns t, b, which no other entry shares;
     the block is cleared here by the same steps, and the matrix is
-    diagonal again after it.
+    diagonal again after it.  Every round of the block but the last two
+    makes the pivot fall to a proper divisor, so past 2·bits(m) rounds
+    the block raises InvariantError.
     """
     n = len(diagonal)
     a = [x % m for x in diagonal]
     gs = [gcd(x, m) for x in a]  # m for a zero, which never wins
     left, left_inv = identity(n), identity(n)
     d = [m] * n
+    bits = m.bit_length()
     for t in range(n):
         g = min(gs[t:])
         if g == m:
@@ -92,7 +98,7 @@ def diagonal_smith_form(diagonal: list[int], m: int) -> tuple[
             for r in left_inv:
                 r[b] = (r[b] - r[t]) % m
             x, y, z = a[b], 0, a[b]
-            while True:
+            for _ in range(2 * bits):
                 if y:  # a step on rows t and b
                     s, u, v, w = _step(p, y)
                     p, x, y, z = ((s * p + u * y) % m, (s * x + u * z) % m,
@@ -107,30 +113,35 @@ def diagonal_smith_form(diagonal: list[int], m: int) -> tuple[
                 s, u, v, w = _step(p, x)  # a step on columns t and b
                 p, x, y, z = ((s * p + u * x) % m, (v * p + w * x) % m,
                               (s * y + u * z) % m, (v * y + w * z) % m)
+            else:
+                raise InvariantError("2x2 Smith block past its step bound",
+                                     {"diagonal": diagonal, "m": m, "pivot": t})
             a[b], gs[b] = z, gcd(z, m)
             g = gcd(p, m)
     return left, d, left_inv
 
 
-def smith_normal_form(matrix: list[list[int]], m: int, inverse: bool = True) -> tuple[
-        list[list[int]], list[int], list[list[int]] | None]:
-    """Return (L, d, L^-1): L·matrix·R ≡ diag(d) (mod m) for some R.
+def smith_normal_form(matrix: list[list[int]], m: int) -> tuple[
+        list[list[int]], list[int]]:
+    """Return (L, d): L·matrix·R ≡ diag(d) (mod m) for some R.
 
     L and R are invertible mod m and d has min(rows, cols) entries, each a
     divisor of m, with d_1 | d_2 | ...; d_i = m marks a zero diagonal entry.
     Diagonal entries are fixed only up to units, which R absorbs, so row i
-    of L·matrix is ≡ 0 mod d_i.  Every row operation on L is matched by the
-    inverse column operation on L^-1, so the two stay inverse throughout.
-    With `inverse` false, L^-1 is not tracked and None stands in for it;
-    L and d are the same.
+    of L·matrix is ≡ 0 mod d_i.
+
+    A Bézout step leaves a pivot that is a proper divisor of the old one,
+    a fix is followed by such a fall, and an entry of row t zeroed by a
+    divisible step stays zero until the next fall or fix; so pivot t takes
+    fewer than 2·bits(m)·(cols - t) column steps and fixes, and past that
+    the loop raises InvariantError.
     """
     rows = len(matrix)
     cols = len(matrix[0]) if matrix else 0
     a = [[x % m for x in r] for r in matrix]
     left = identity(rows)
-    # untracked, L^-1 has no rows, and the column operations on it do nothing
-    left_inv = identity(rows) if inverse else []
     d = [m] * min(rows, cols)
+    bits = m.bit_length()
     for t in range(len(d)):
         # the first entry of least gcd with m in row-major order; a zero
         # (gcd m) never wins, and a unit is least, so the first ends it
@@ -151,12 +162,10 @@ def smith_normal_form(matrix: list[list[int]], m: int, inverse: bool = True) -> 
         if pi != t:
             a[t], a[pi] = a[pi], a[t]
             left[t], left[pi] = left[pi], left[t]
-            for r in left_inv:
-                r[t], r[pi] = r[pi], r[t]
         if pj != t:
             for r in a:
                 r[t], r[pj] = r[pj], r[t]
-        while True:
+        for _ in range(2 * bits * (cols - t)):
             # clear column t; a step on rows t and i leaves the rows between
             # them zero in column t, so the scan goes on below i
             for i in range(t + 1, rows):
@@ -169,8 +178,6 @@ def smith_normal_form(matrix: list[list[int]], m: int, inverse: bool = True) -> 
                     # else row t stays: row i += v·row t
                     a[i] = [(v * x + w * y) % m for x, y in zip(at, ai)]
                     left[i] = [(v * x + w * y) % m for x, y in zip(lt, li)]
-                    for r in left_inv:
-                        r[t], r[i] = (w * r[t] - v * r[i]) % m, (s * r[i] - u * r[t]) % m
             # then row t, one column step at a time; a column step can
             # refill column t, so the column is cleared again after it
             at = a[t]
@@ -191,9 +198,9 @@ def smith_normal_form(matrix: list[list[int]], m: int, inverse: bool = True) -> 
                 (i for i in range(t + 1, rows) if any(x % g for x in a[i][t + 1:])), 0)
             if not bad:
                 break
-            # row t += row bad, and column bad -= column t on L^-1
             a[t] = [(x + y) % m for x, y in zip(at, a[bad])]
             left[t] = [(x + y) % m for x, y in zip(left[t], left[bad])]
-            for r in left_inv:
-                r[bad] = (r[bad] - r[t]) % m
-    return left, d, left_inv if inverse else None
+        else:
+            raise InvariantError("Smith loop past its step bound",
+                                 {"matrix": matrix, "m": m, "pivot": t})
+    return left, d

@@ -13,7 +13,9 @@ down (pro) by one helper.  The relative
 versions are the grouped sides of `decomposition_check`, which builds
 the fiber sections of each level once and pushes the constant tower
 forward over them.  Every map among them is one
-`finring.sum_of_composites`.
+`finring.sum_of_composites`.  `canonical_components` reports its checks
+level by level and holds no map: the evaluation maps and inclusions are
+read from the tower's section levels.
 """
 
 from __future__ import annotations
@@ -173,9 +175,9 @@ def _glue_chains(kind: str, lo: SectionModule, hi: SectionModule, down: dict,
     for u in hi.points:
         mid = () if fiber_maps is None else (fiber_maps[u],)
         if kind == "ind":
-            chains.append((hi.injections[u], *mid, lo.projections[down[u]]))
+            chains.append((hi.injection(u), *mid, lo.projection(down[u])))
         else:
-            chains.append((lo.injections[down[u]], *mid, hi.projections[u]))
+            chains.append((lo.injection(down[u]), *mid, hi.projection(u)))
     if kind == "ind":
         return lo.module, hi.module, tuple(chains)
     return hi.module, lo.module, tuple(chains)
@@ -313,7 +315,7 @@ def _regrouping_map(outer: SectionModule, inner_secs: dict,
     """⊕_s (⊕_{t in fiber(s)} A)  ->  ⊕_t A, forgetting the grouping."""
     return sum_of_composites(
         outer.module, flat.module,
-        [(flat.injections[t], inner_secs[s].projections[t], outer.projections[s])
+        [(flat.injection(t), inner_secs[s].projection(t), outer.projection(s))
          for s in outer.points for t in inner_secs[s].points])
 
 
@@ -377,11 +379,13 @@ def _joint_projection(level: FiniteModule, projections) -> ModuleMap:
 
 
 def canonical_components(x, threads) -> dict:
-    """Evaluation maps at threads (ind) or inclusions (pro), with checks.
+    """Checks of the evaluation maps at threads (ind) or the inclusions
+    (pro), level by level.
 
     For a product tower, checks joint surjectivity onto the finite
     sub-product and joint-kernel triviality at every truncation; for a
-    coproduct tower, checks levelwise density (the inclusions span).
+    coproduct tower, checks levelwise density (the inclusions span).  The
+    threads must be distinct, each through every level.
     """
     if x.section_levels is None:
         raise ValueError("tower carries no per-point section structure")
@@ -390,16 +394,9 @@ def canonical_components(x, threads) -> dict:
     for th in threads:
         if len(th) != tower_len:
             raise ValueError("thread length must match the tower depth")
-    report = {"threads": threads, "levels": [], "ok": True,
-              "indistinguishable_pairs": []}
-    for i, a in enumerate(threads):
-        for b in threads[i + 1:]:
-            if a == b:
-                report["indistinguishable_pairs"].append((a, b))
-    if report["indistinguishable_pairs"]:
-        report["ok"] = False
-        return report
-
+    if len(set(threads)) != len(threads):
+        raise ValueError("threads must be distinct")
+    report = {"levels": [], "ok": True}
     ind = x.kind == "ind"
     for k in range(tower_len):
         sec = x.section_levels[k]
@@ -407,17 +404,17 @@ def canonical_components(x, threads) -> dict:
         if ind:
             surj = None
             if len(set(pts)) == len(pts):
-                joint = _joint_projection(x.levels[k], [sec.projections[p] for p in pts])
+                joint = _joint_projection(x.levels[k], [sec.projection(p) for p in pts])
                 surj = joint.is_surjective()
             stalks = _joint_projection(x.levels[k],
-                                       [sec.projections[p] for p in sec.points])
+                                       [sec.projection(p) for p in sec.points])
             trivial_kernel = kernel(stalks)[0].is_zero
             entry = {"level": k, "joint_surjective": surj,
                      "joint_kernel_trivial": trivial_kernel}
             if surj is False or not trivial_kernel:
                 report["ok"] = False
         else:
-            comps = [sec.injections[p] for p in pts]
+            comps = [sec.injection(p) for p in pts]
             summed = lazy_direct_sum([c.source for c in comps])
             joint = sum_of_composites(summed.total, x.levels[k],
                                       [(c, summed.projection(i)) for i, c in enumerate(comps)])
@@ -427,12 +424,6 @@ def canonical_components(x, threads) -> dict:
             if entry["covers_level"] and not dense:
                 report["ok"] = False
         report["levels"].append(entry)
-    report["components"] = {
-        th: [x.section_levels[k].projections[th[k]] if ind
-             else x.section_levels[k].injections[th[k]]
-             for k in range(tower_len)]
-        for th in threads
-    }
     return report
 
 

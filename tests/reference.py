@@ -12,7 +12,8 @@ the S_p functor check by whole-group scans, the row-by-row homomorphism
 check, the conjugation action on hom(V, G) one tuple at a time and the
 coset action one element at a time, the rref in Python ints) and small
 builders of test inputs (regular and direct-sum modules, the dense
-matrices of a module, constant group towers, point towers) and of the
+matrices of a module, constant group towers, point towers, section
+modules with relabeled maps) and of the
 relative product and sum along a tower map, which only
 `tower.decomposition_check` builds in the library.
 """
@@ -728,6 +729,22 @@ def full_scan_smith_normal_form(matrix: list[list[int]], m: int) -> tuple[
 
 def zero_space(base, ring) -> FiniteEtaleSpace:
     return FiniteEtaleSpace(base, {t: zero_module(ring) for t in base})
+
+
+class Relabeled:
+    """A section module whose map at a point is read at another: `injection`
+    and `projection` send a point to the point whose map stands in for its
+    own, and every other point reads its own maps."""
+
+    def __init__(self, sec, injection=(), projection=()):
+        self.module, self.points = sec.module, sec.points
+        self._sec, self._injection, self._projection = sec, dict(injection), dict(projection)
+
+    def injection(self, t) -> ModuleMap:
+        return self._sec.injection(self._injection.get(t, t))
+
+    def projection(self, t) -> ModuleMap:
+        return self._sec.projection(self._projection.get(t, t))
 
 
 def point_tower(depth: int) -> SpaceTower:

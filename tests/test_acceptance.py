@@ -1,8 +1,12 @@
 """The eight acceptance criteria, each with its runtime bound."""
 
+import importlib
+import pkgutil
+
 import pytest
 
-from proflq import acceptance, etale, finring, tower
+import proflq
+from proflq import acceptance, errors, etale, finring, jsonio, tower
 from proflq.errors import InvariantError
 
 from .test_tower import twist_a_projection
@@ -88,3 +92,25 @@ def test_criterion_7_profinite_run():
 def test_criterion_8_separability():
     report = _run(acceptance.criterion_8, 60)
     assert report["detail"]["a4_witnesses"]
+
+
+def test_every_invariant_dump_renders(monkeypatch):
+    """Each `require` of the eight criteria gets a dump the CLI can print:
+    `require` is wrapped, in every module that imports it by name, to
+    render its dump whether or not the invariant holds."""
+    rendered, require = [], errors.require
+
+    def rendering(cond, message, dump=None):
+        rendered.append(jsonio.dumps(dump))
+        require(cond, message, dump)
+
+    users = []
+    for info in pkgutil.iter_modules(proflq.__path__):
+        module = importlib.import_module(f"proflq.{info.name}")
+        if module is not errors and vars(module).get("require") is require:
+            monkeypatch.setattr(module, "require", rendering)
+            users.append(info.name)
+    assert {"acceptance", "groups", "lq", "sep"} <= set(users)
+    for criterion in acceptance.ALL_CRITERIA:
+        assert criterion()["passed"]
+    assert len(rendered) > 5000

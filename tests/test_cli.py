@@ -10,9 +10,9 @@ from types import SimpleNamespace
 import pytest
 
 import proflq
-from proflq import cli, etale, lq
+from proflq import cli, etale, lq, tower
 from proflq.errors import InvariantError
-from proflq.finring import zero_map
+from proflq.finring import lazy_direct_sum, zero_map
 from proflq.groups import all_subgroups, subgroup_group, symmetric_group
 from proflq.groupcoh import cyclic_p_tower
 
@@ -114,6 +114,21 @@ def test_product_check_sees_a_dropped_fiber(inputs, capsys, monkeypatch):
     code, report = run(["etale", "--space", inputs["space"]], capsys)
     assert (code, report["verdicts"]) == (1, {"product_equals_sections": False})
     assert cli.main(["selftest", "--criterion", "2"]) == cli.EXIT_INTERNAL
+
+
+def test_selftest_prints_the_dump_of_a_joint_kernel(capsys, monkeypatch):
+    # with the joint projections zero, every product level has a joint
+    # kernel: criterion 2 fails its invariant, exits 3 and prints its report
+    monkeypatch.setattr(
+        tower, "_joint_projection",
+        lambda level, projections: zero_map(
+            level, lazy_direct_sum([c.target for c in projections]).total))
+    assert cli.main(["selftest", "--criterion", "2"]) == cli.EXIT_INTERNAL
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "internal invariant violation: components have a joint kernel"
+    dump = json.loads(err[1])
+    assert set(dump) == {"levels", "ok"} and not dump["ok"]
+    assert not all(lv["joint_kernel_trivial"] for lv in dump["levels"])
 
 
 def test_tower_product_and_dual(inputs, capsys):

@@ -31,7 +31,7 @@ from proflq.finring import (
 
 from proflq.tower import EtaleTower, SpaceTower, TowerMap
 
-from .reference import hom_maps, uncached_direct_sum, zero_space
+from .reference import Relabeled, hom_maps, uncached_direct_sum, zero_space
 from .test_finring import random_module
 
 Z12 = FiniteRing(12)
@@ -155,10 +155,10 @@ class TestSections:
             e = random_space(rng, Z12)
             s = sections(e)
             for t in e.base:
-                assert s.projections[t].compose(s.injections[t]) == e.fiber(t).identity_map()
+                assert s.projection(t).compose(s.injection(t)) == e.fiber(t).identity_map()
                 for u in e.base:
                     if u != t:
-                        assert s.projections[u].compose(s.injections[t]).is_zero
+                        assert s.projection(u).compose(s.injection(t)).is_zero
 
 
 def test_section_maps_are_built_on_first_read_and_kept(monkeypatch):
@@ -179,17 +179,17 @@ def test_section_maps_are_built_on_first_read_and_kept(monkeypatch):
         cache.clear()
         _, injections, projections = uncached_direct_sum([e.fiber(t) for t in e.base])
         sec = sections(e)
-        for name, expected in (("injections", injections), ("projections", projections)):
-            maps = getattr(sec, name)
+        for name, expected in (("injection", injections), ("projection", projections)):
+            read = getattr(sec, name)
             for t, want in zip(e.base, expected):
                 built.clear()
-                assert t not in maps
-                got = maps[t]
+                got = read(t)
                 assert got == want and built == [got]
-                assert maps[t] is got and getattr(sections(e), name)[t] is got
+                assert read(t) is got and getattr(sections(e), name)(t) is got
                 assert built == [got]
-        with pytest.raises(KeyError):
-            sec.injections["not a point"]
+        for read in (sec.injection, sec.projection):
+            with pytest.raises(KeyError):
+                read("not a point")
 
 
 class TestProductCoproduct:
@@ -202,7 +202,7 @@ class TestProductCoproduct:
         e = FiniteEtaleSpace(("pt",), {"pt": m})
         s = product_finite(e)
         assert is_isomorphic(s.module, m)
-        assert s.projections["pt"].compose(s.injections["pt"]) == m.identity_map()
+        assert s.projection("pt").compose(s.injection("pt")) == m.identity_map()
 
     @pytest.mark.parametrize("seed", range(100))
     def test_dual_of_coproduct_is_product_of_duals(self, seed):
@@ -221,8 +221,7 @@ class TestProductCoproduct:
         # two equal fibers with their injections swapped: the order is right,
         # but projection_a . injection_a is zero
         e = constant_space(("a", "b"), cyclic(Z12, 4))
-        s = product_finite(e)
-        s.injections["a"], s.injections["b"] = s.injections["b"], s.injections["a"]
+        s = Relabeled(product_finite(e), injection={"a": "b", "b": "a"})
         assert not is_product(e, s)
 
     def test_partition_splitting(self):
@@ -402,6 +401,22 @@ class TestSkyscraper:
             SkyscraperFamily(("a", "b"), ("a",), {"a": z4}, ring=Z12)
         with pytest.raises(ValueError, match="ring"):
             SkyscraperFamily(("a", "b"), ("a", "b"), {"a": cyclic(Z12, 4), "b": z4})
+
+    def test_a_shared_ring_is_not_compared(self, monkeypatch):
+        # modules on the family's own ring object pass by identity; an equal
+        # ring built apart is still compared, and accepted
+        compared = []
+        eq = FiniteRing.__eq__
+
+        def counting(self, other):
+            compared.append(other)
+            return eq(self, other)
+
+        monkeypatch.setattr(FiniteRing, "__eq__", counting)
+        SkyscraperFamily(("a", "b"), ("a", "b"), {"a": cyclic(Z12, 4), "b": cyclic(Z12, 3)})
+        assert compared == []
+        SkyscraperFamily(("a",), ("a",), {"a": cyclic(FiniteRing(12), 4)}, ring=Z12)
+        assert compared == [Z12]
 
 
 class TestCountDistinct:

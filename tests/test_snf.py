@@ -1,11 +1,16 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd, lcm, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import proflq
 from proflq import finring, snf
 from proflq.finring import FiniteRing
 
@@ -131,9 +136,11 @@ MODULI = [2, 4, 6, 8, 9, 12, 30, 36, 60, 64, 210, 360]
 
 
 def check_mod_snf(matrix, m):
-    """The defining properties of snf.smith_normal_form(matrix, m)."""
+    """The defining properties of snf.smith_normal_form(matrix, m); L is
+    inverted by the L^-1 that the full-scan reference tracks."""
     rows = len(matrix)
-    left, d, left_inv = snf.smith_normal_form(matrix, m)
+    left, d = snf.smith_normal_form(matrix, m)
+    left_inv = full_scan_smith_normal_form(matrix, m)[2]
     assert len(d) == min(rows, len(matrix[0]) if matrix else 0)
     eye = snf.identity(rows)
     assert [[x % m for x in r] for r in mat_mul(left, left_inv)] == eye
@@ -149,7 +156,7 @@ def check_mod_snf(matrix, m):
 def test_mod_snf_of_units_and_zero():
     assert check_mod_snf([[7, 0], [0, 0]], 12) == [1, 12]
     assert check_mod_snf([[0, 0, 0]], 6) == [6]
-    assert snf.smith_normal_form([], 5) == ([], [], [])
+    assert snf.smith_normal_form([], 5) == ([], [])
 
 
 def test_mod_snf_coprime_diagonal():
@@ -245,10 +252,8 @@ def scan_cases(draw):
 @given(scan_cases())
 def test_mod_snf_equals_the_full_scan(case):
     matrix, m = case
-    left, d, left_inv = full_scan_smith_normal_form(matrix, m)
-    assert snf.smith_normal_form(matrix, m) == (left, d, left_inv)
-    # untracked, L^-1 is None, and L and d are the same
-    assert snf.smith_normal_form(matrix, m, inverse=False) == (left, d, None)
+    left, d, _ = full_scan_smith_normal_form(matrix, m)
+    assert snf.smith_normal_form(matrix, m) == (left, d)
 
 
 @pytest.mark.parametrize("matrix, m", [
@@ -262,9 +267,8 @@ def test_mod_snf_equals_the_full_scan(case):
     ([[0, 5, 7], [11, 0, 1]], 256),            # several units, not the first
 ])
 def test_mod_snf_equals_the_full_scan_at_the_edges(matrix, m):
-    left, d, left_inv = full_scan_smith_normal_form(matrix, m)
-    assert snf.smith_normal_form(matrix, m) == (left, d, left_inv)
-    assert snf.smith_normal_form(matrix, m, inverse=False) == (left, d, None)
+    left, d, _ = full_scan_smith_normal_form(matrix, m)
+    assert snf.smith_normal_form(matrix, m) == (left, d)
 
 
 # -- the diagonal form against the whole loop ----------------------------------------
@@ -282,10 +286,14 @@ def swaps_suffice(entries: list[int], m: int) -> bool:
 
 
 def check_diagonal(entries: list[int], m: int) -> bool:
-    """diagonal_smith_form(entries, m) is the Smith form of the matrix; its
-    L is a permutation exactly when swaps suffice."""
+    """diagonal_smith_form(entries, m) is the Smith form of the matrix, and
+    its L^-1 is the inverse of L with entries in range(m), which is unique;
+    its L is a permutation exactly when swaps suffice."""
     form = snf.diagonal_smith_form(entries, m)
-    assert form == snf.smith_normal_form(diagonal_matrix(entries), m), (entries, m)
+    assert form[:2] == snf.smith_normal_form(diagonal_matrix(entries), m), (entries, m)
+    assert [[x % m for x in r] for r in mat_mul(form[0], form[2])] \
+        == snf.identity(len(entries)), (entries, m)
+    assert all(0 <= x < m for r in form[2] for x in r), (entries, m)
     swap_only = swaps_suffice(entries, m)
     assert is_permutation(form[0]) == swap_only, (entries, m)
     if swap_only:
@@ -333,3 +341,40 @@ def test_from_cyclic_runs_no_smith_loop(monkeypatch, orders):
                                  (from_normal, to_normal, module.factors)):
         assert [[x % c for x in row] for row, c in zip(mat_mul(then, first), factors)] \
             == snf.identity(len(factors))
+
+
+# -- the step bounds ---------------------------------------------------------------
+
+STEP_MUTANT = """
+import sys
+
+from proflq import snf
+from proflq.errors import InvariantError
+
+old, new, call = sys.argv[1:]
+with open(snf.__file__) as fh:
+    source = fh.read()
+assert source.count(old) == 1, old
+exec(compile(source.replace(old, new), snf.__file__, "exec"), vars(snf))
+try:
+    eval(call, vars(snf))
+except InvariantError as e:
+    print(e)
+"""
+
+
+@pytest.mark.parametrize("old, new, call", [
+    # a divisible column step that leaves the column as it was
+    ("r[j] = (v * r[t] + r[j]) % m", "r[j] = r[j] % m",
+     "smith_normal_form([[2, 4]], 12)"),
+    # a column step of the 2x2 block that leaves its entry as it was
+    ("(v * p + w * x) % m,", "x,", "diagonal_smith_form([4, 3], 12)"),
+])
+def test_a_step_that_clears_nothing_hits_the_bound(old, new, call):
+    """Each mutant repeats one step forever; the bound stops it with an
+    InvariantError (in a child process, under a timeout)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(proflq.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", STEP_MUTANT, old, new, call],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert "past its step bound" in proc.stdout

@@ -36,8 +36,9 @@ from proflq.tower import (
 
 from proflq import tower
 
-from .reference import (add_maps, dense_compose, dense_sum_of_composites, point_tower,
-                        relative_product, relative_sum, restrict_tower, zero_space)
+from .reference import (Relabeled, add_maps, dense_compose, dense_sum_of_composites,
+                        point_tower, relative_product, relative_sum, restrict_tower,
+                        zero_space)
 from .test_finring import random_map, random_module
 
 F2 = FiniteRing(2)
@@ -417,8 +418,8 @@ class TestDecomposition:
             chains = []
             for s in outer.points:
                 pts = inner_secs[s].points
-                chains += [(flat.injections[pts[(i + 1) % len(pts)]],
-                            inner_secs[s].projections[u], outer.projections[s])
+                chains += [(flat.injection(pts[(i + 1) % len(pts)]),
+                            inner_secs[s].projection(u), outer.projection(s))
                            for i, u in enumerate(pts)]
             return sum_of_composites(outer.module, flat.module, chains)
 
@@ -553,11 +554,11 @@ class TestSumOfComposites:
             tr = t.transitions[k]
             lo, hi = fp.section_levels[k], fp.section_levels[k + 1]
             assert fp.transitions[k] == chain_sum(lo.module, hi.module, [
-                (hi.injections[u], a.identity_map(), lo.projections[tr[u]])
+                (hi.injection(u), a.identity_map(), lo.projection(tr[u]))
                 for u in t.levels[k + 1]])
             lo, hi = fs.section_levels[k], fs.section_levels[k + 1]
             assert fs.transitions[k] == chain_sum(hi.module, lo.module, [
-                (lo.injections[tr[u]], a.identity_map(), hi.projections[u])
+                (lo.injection(tr[u]), a.identity_map(), hi.projection(u))
                 for u in t.levels[k + 1]])
             lower, upper = fiber_sections(a, pi, k), fiber_sections(a, pi, k + 1)
             for s in pi.target.levels[k + 1]:
@@ -565,11 +566,11 @@ class TestSumOfComposites:
                 hi = upper[s]
                 assert rel.fiber_transitions[k][s] == chain_sum(
                     lo.module, hi.module,
-                    [(hi.injections[u], a.identity_map(), lo.projections[tr[u]])
+                    [(hi.injection(u), a.identity_map(), lo.projection(tr[u]))
                      for u in hi.points])
                 assert rel_sum.fiber_transitions[k][s] == chain_sum(
                     hi.module, lo.module,
-                    [(lo.injections[tr[u]], a.identity_map(), hi.projections[u])
+                    [(lo.injection(tr[u]), a.identity_map(), hi.projection(u))
                      for u in hi.points])
         for k in range(len(t.levels)):
             grouped = sections(rel.levels[k])
@@ -577,7 +578,7 @@ class TestSumOfComposites:
             flat = fp.section_levels[k]
             assert tower._regrouping_map(grouped, inner, flat) == chain_sum(
                 grouped.module, flat.module,
-                [(flat.injections[u], inner[s].projections[u], grouped.projections[s])
+                [(flat.injection(u), inner[s].projection(u), grouped.projection(s))
                  for s in grouped.points for u in inner[s].points])
 
     @pytest.mark.parametrize("seed", range(10))
@@ -592,11 +593,11 @@ class TestSumOfComposites:
             tr = t.transitions[k]
             lo, hi = ind.section_levels[k], ind.section_levels[k + 1]
             assert ind.transitions[k] == chain_sum(lo.module, hi.module, [
-                (hi.injections[u], e_ind.fiber_transitions[k][u], lo.projections[tr[u]])
+                (hi.injection(u), e_ind.fiber_transitions[k][u], lo.projection(tr[u]))
                 for u in t.levels[k + 1]])
             lo, hi = pro.section_levels[k], pro.section_levels[k + 1]
             assert pro.transitions[k] == chain_sum(hi.module, lo.module, [
-                (lo.injections[tr[u]], e_pro.fiber_transitions[k][u], hi.projections[u])
+                (lo.injection(tr[u]), e_pro.fiber_transitions[k][u], hi.projection(u))
                 for u in t.levels[k + 1]])
 
 
@@ -628,10 +629,10 @@ class TestStalks:
 def twist_a_projection(x):
     """x with one projection replaced: at the first level with two points,
     the first point's projection reads the second point's component."""
-    for sec in x.section_levels:
+    for k, sec in enumerate(x.section_levels):
         if len(sec.points) >= 2:
             a, b = sec.points[:2]
-            sec.projections[a] = sec.projections[b]
+            x.section_levels[k] = Relabeled(sec, projection={a: b})
             break
     return x
 
@@ -659,9 +660,9 @@ class TestCanonicalComponents:
         a = cyclic(Z4, 4)
         p = product_ind(constant_ind_etale(a, point_tower(0)))
         report = canonical_components(p, [("pt",)])
-        assert report["ok"]
-        comp = report["components"][("pt",)][0]
-        assert comp == a.identity_map()
+        assert report == {"levels": [{"level": 0, "joint_surjective": True,
+                                      "joint_kernel_trivial": True}], "ok": True}
+        assert p.section_levels[0].projection("pt") == a.identity_map()
 
     def test_density_of_inclusions(self):
         a = cyclic(F2, 2)
@@ -675,9 +676,8 @@ class TestCanonicalComponents:
     def test_duplicate_threads_reported(self):
         a = cyclic(F2, 2)
         p = product_ind(constant_ind_etale(a, point_tower(1)))
-        report = canonical_components(p, [("pt", "pt"), ("pt", "pt")])
-        assert not report["ok"]
-        assert report["indistinguishable_pairs"]
+        with pytest.raises(ValueError, match="threads must be distinct"):
+            canonical_components(p, [("pt", "pt"), ("pt", "pt")])
 
 
 class TestClopenSplitting:
@@ -726,10 +726,10 @@ class TestExactness:
                 lift_i = zero_map(si.module, sa.module)
                 lift_p = zero_map(sa.module, sq.module)
                 for ptt in pts:
-                    lift_i = add_maps(lift_i, sa.injections[ptt].compose(incl)
-                                      .compose(si.projections[ptt]))
-                    lift_p = add_maps(lift_p, sq.injections[ptt].compose(proj)
-                                      .compose(sa.projections[ptt]))
+                    lift_i = add_maps(lift_i, sa.injection(ptt).compose(incl)
+                                      .compose(si.projection(ptt)))
+                    lift_p = add_maps(lift_p, sq.injection(ptt).compose(proj)
+                                      .compose(sa.projection(ptt)))
                 assert lift_i.is_injective()
                 assert lift_p.is_surjective()
                 assert lift_p.compose(lift_i).is_zero

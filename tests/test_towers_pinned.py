@@ -6,8 +6,9 @@ At seeds 1-3 the test recomputes, from the instances that
 
 * `cokernel`, `kernel` and `image` of every duality map, as invariant
   factors and matrices;
-* the full reports of `canonical_components` on the product and the
-  coproduct tower of every truncation instance;
+* the reports of `canonical_components` on the product and the
+  coproduct tower of every truncation instance, with the threads and
+  the per-thread maps read from the towers' section levels;
 * the full reports of `decomposition_check` and `adjunction_check`.
 
 Each kind is reduced to the SHA-256 of its canonical JSON and compared
@@ -82,6 +83,20 @@ def _digest(values) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _full_report(x, threads) -> dict:
+    """`canonical_components` of x as it was pinned, with the fields the
+    report has since dropped rebuilt in their old order: the threads, no
+    indistinguishable pairs and each thread's evaluation maps (ind) or
+    inclusions (pro), read from the section levels."""
+    report = tower.canonical_components(x, threads)
+    read = "projection" if x.kind == "ind" else "injection"
+    return {"threads": threads, "levels": report["levels"], "ok": report["ok"],
+            "indistinguishable_pairs": [],
+            "components": {th: [getattr(sec, read)(t)
+                                for sec, t in zip(x.section_levels, th)]
+                           for th in threads}}
+
+
 def _answers(seed: int) -> dict:
     by_kind: dict = {}
     for kind, x in workloads.towers_inputs(seed):
@@ -92,8 +107,7 @@ def _answers(seed: int) -> dict:
         threads = space_tower.threads()
         ind = tower.product_ind(tower.constant_ind_etale(cyclic(ring, 3), space_tower))
         pro = tower.coproduct_pro(tower.constant_pro_etale(cyclic(ring, 4), space_tower))
-        components.append([tower.canonical_components(ind, threads),
-                           tower.canonical_components(pro, threads)])
+        components.append([_full_report(ind, threads), _full_report(pro, threads)])
     maps = by_kind["duality"]
     return {
         "cokernel": _digest([cokernel(f) for f in maps]),
