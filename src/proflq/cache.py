@@ -26,9 +26,10 @@ The module regions are keyed on the modules and maps themselves, which
 are frozen and hashable, not on table bytes:
 
 * `finring.direct_sum` — the normalized sum per tuple of summands, as a
-  `finring.DirectSum`: the total and the normalizing matrices, with each
-  injection and projection built the first time a caller reads it and
-  kept from then on;
+  `finring.DirectSum`: the total and the steps of its normal form,
+  replayed into the normalizing matrices on the first read of a map,
+  with each injection and projection built the first time a caller
+  reads it and kept from then on;
 * `finring.cokernel` — per `ModuleMap` (its source, target and reduced
   matrix), the cokernel Q with the rows of the Smith transform that
   give pi, and the pair (Q, pi) of `finring.cokernel` once it has built

@@ -7,7 +7,10 @@ adjunction.  Over a finite base the product and the coproduct both
 coincide with the module of global sections; `is_product` checks that
 from the universal maps alone.  A section module reads its per-point maps
 from the `finring.DirectSum` of its fibers, so each map is built on its
-first read, once, and shared by every section module over the same fibers.
+first read, once, and shared by every section module over the same fibers;
+a section module whose maps are never read, such as one that only gives
+its module's order, builds neither its point index nor the normalizing
+matrices of the sum.
 """
 
 from __future__ import annotations
@@ -75,8 +78,8 @@ class SectionModule:
     projection(t) is the evaluation map at t ("omicron"), injection(t) the
     inclusion of the fiber at t ("omega"): the maps of the summand at t of
     the direct sum of the fibers, which `finring.DirectSum` builds the
-    first time each is read and keeps.  A point outside `points` is a
-    KeyError.
+    first time each is read and keeps.  The point index is built on the
+    first read too.  A point outside `points` is a KeyError.
     """
 
     __slots__ = ("module", "points", "_summed", "_index")
@@ -85,13 +88,18 @@ class SectionModule:
         self.module = module
         self.points = points
         self._summed = summed
-        self._index = {t: i for i, t in enumerate(points)}
+        self._index = None
+
+    def _summand(self, t) -> int:
+        if self._index is None:
+            self._index = {t: i for i, t in enumerate(self.points)}
+        return self._index[t]
 
     def injection(self, t) -> ModuleMap:
-        return self._summed.injection(self._index[t])
+        return self._summed.injection(self._summand(t))
 
     def projection(self, t) -> ModuleMap:
-        return self._summed.projection(self._index[t])
+        return self._summed.projection(self._summand(t))
 
 
 def sections(e: FiniteEtaleSpace, subset=None) -> SectionModule:

@@ -4,11 +4,12 @@ A module is a direct sum Z/d_1 + ... + Z/d_k with d_1 | d_2 | ... | d_k,
 all d_i > 1 dividing the ambient modulus m.  Maps are integer matrices
 read modulo the target factors.  All arithmetic is over Z/m: a cokernel
 reads L and d of one Smith form over Z/m (`snf.smith_normal_form`), and
-the normal form of a direct sum, with L^-1, is the Smith form of its
-diagonal of orders, read off the diagonal with no n x n matrix
-(`snf.diagonal_smith_form`); a kernel is the dual of the cokernel of the
-dual map, since Pontryagin duality (Hom into Z/m, standing in for Q/Z at
-exponent m) is exact; an image is the cokernel of the kernel inclusion.
+the invariant factors of a direct sum are the Smith form of its diagonal
+of orders, read off the diagonal with no matrix, with the row steps that
+`snf.replay` turns into L and L^-1 (`snf.diagonal_smith_form`); a
+kernel is the dual of the cokernel of the dual map, since Pontryagin
+duality (Hom into Z/m, standing in for Q/Z at exponent m) is exact; an
+image is the cokernel of the kernel inclusion.
 Composites, and sums of them, are one `sum_of_composites` each, and
 `composites_agree` compares two such sums without building either.
 
@@ -17,9 +18,11 @@ and a dual are computed once per map, and a direct sum normalized once
 per tuple of summands, and all are kept in `proflq.cache`, so their maps
 are shared: a `ModuleMap` cannot be changed after it is built.  The
 projection onto a cokernel, and the injection and projection of a
-summand of a `DirectSum`, are built the first time one is read.  Modules
-and maps are hashed once, when built, so the cache lookups rehash
-nothing.
+summand of a `DirectSum`, are built the first time one is read; a
+`DirectSum` replays its steps into L and L^-1 on the first read of any
+of its maps, once, and `hom_module`, which reads the factors alone,
+replays none.  Modules and maps are hashed once, when built, so the
+cache lookups rehash nothing.
 """
 
 from __future__ import annotations
@@ -318,22 +321,18 @@ def image(f: ModuleMap) -> FiniteModule:
 def from_cyclic(ring: FiniteRing, orders: list[int]):
     """Normalize a direct sum of cyclic groups Z/orders[l].
 
-    Returns (M, to_normal, from_normal) where M is the invariant-factor
-    module and the matrices are mutually inverse isomorphisms between the
-    raw coordinate presentation and M, from the Smith form of diag(orders)
-    that `snf.diagonal_smith_form` reads off the orders.  Order-1 summands
-    are allowed and vanish.
+    Returns (M, steps): M is the invariant-factor module, read off the
+    Smith form of diag(orders) by `snf.diagonal_smith_form`, and `steps`
+    the row steps that `snf.replay` turns into the normalizing matrices L
+    and L^-1 between the raw coordinate presentation and M.  No matrix is
+    built here.  Order-1 summands are allowed and vanish.
     """
     m = ring.modulus
     for c in orders:
         if c < 1 or m % c:
             raise ValueError(f"cyclic order {c} invalid for modulus {m}")
-    left, d, left_inv = snf.diagonal_smith_form(orders, m)
-    kept = [i for i, di in enumerate(d) if di > 1]
-    mod = FiniteModule(ring, tuple(d[i] for i in kept))
-    to_normal = [left[i] for i in kept]
-    from_normal = [[row[i] for i in kept] for row in left_inv]
-    return mod, to_normal, from_normal
+    d, steps = snf.diagonal_smith_form(orders, m)
+    return FiniteModule(ring, tuple(x for x in d if x > 1)), steps
 
 
 class DirectSum:
@@ -341,38 +340,53 @@ class DirectSum:
     projections, the maps of summand i built the first time each is read
     and then kept.
 
-    The total and the matrices between the raw coordinates and it come
-    from one `from_cyclic`; summand i owns the coordinates in `_blocks[i]`.
+    The total and the steps of its normal form come from one
+    `from_cyclic`.  The first read of any map replays the steps into L
+    and L^-1, once; summand i owns the coordinates in block i, and its
+    injection reads those columns of the rows of L that the total keeps,
+    its projection those rows of L^-1, cut to the columns it keeps.
     """
 
-    __slots__ = ("summands", "total", "_to_normal", "_from_normal", "_blocks",
-                 "_injections", "_projections")
+    __slots__ = ("summands", "total", "_steps", "_normal", "_injections",
+                 "_projections")
 
     def __init__(self, summands: tuple[FiniteModule, ...]):
         orders = [d for m in summands for d in m.factors]
         self.summands = summands
-        self.total, self._to_normal, self._from_normal = from_cyclic(
-            summands[0].ring, orders)
-        ends = list(itertools.accumulate(m.rank for m in summands))
-        self._blocks = [slice(a, b) for a, b in zip([0, *ends], ends)]
+        self.total, self._steps = from_cyclic(summands[0].ring, orders)
+        self._normal = None
         self._injections = [None] * len(summands)
         self._projections = [None] * len(summands)
+
+    def _normal_form(self) -> tuple:
+        """(the rows of L the total keeps, L^-1, the blocks), from one replay."""
+        if self._normal is None:
+            ends = list(itertools.accumulate(m.rank for m in self.summands))
+            n = ends[-1]
+            left, left_inv = snf.replay(self._steps, n, self.total.ring.modulus)
+            # the factors > 1 end the diagonal
+            self._normal = (left[n - self.total.rank:], left_inv,
+                            [slice(a, b) for a, b in zip([0, *ends], ends)])
+        return self._normal
 
     def injection(self, i: int) -> ModuleMap:
         """The inclusion of summand i into the total."""
         inj = self._injections[i]
         if inj is None:
-            block = self._blocks[i]
+            to_normal, _, blocks = self._normal_form()
+            block = blocks[i]
             inj = self._injections[i] = ModuleMap(
-                self.summands[i], self.total, [row[block] for row in self._to_normal])
+                self.summands[i], self.total, [row[block] for row in to_normal])
         return inj
 
     def projection(self, i: int) -> ModuleMap:
         """The projection of the total onto summand i."""
         proj = self._projections[i]
         if proj is None:
+            _, left_inv, blocks = self._normal_form()
+            kept = len(left_inv) - self.total.rank
             proj = self._projections[i] = ModuleMap(
-                self.total, self.summands[i], self._from_normal[self._blocks[i]])
+                self.total, self.summands[i], [row[kept:] for row in left_inv[blocks[i]]])
         return proj
 
 

@@ -9,10 +9,13 @@ module.
 
 `smith_normal_form` is one loop with its steps written inline; the 2x2
 step that zeroes an entry against the pivot is the one rule `_step`.
-`diagonal_smith_form` gives the loop's (L, d) on a diagonal matrix from
-the diagonal alone, and L^-1, for the direct sums of `finring.from_cyclic`:
-there the loop only swaps, except where a divisibility fix mixes two rows,
-and then its steps touch one 2x2 block, which is cleared by the same steps.
+`diagonal_smith_form` gives the loop's d on a diagonal matrix from the
+diagonal alone, for the direct sums of `finring.from_cyclic`: there the
+loop only swaps, except where a divisibility fix mixes two rows, and then
+its steps touch one 2x2 block, which is cleared by the same steps.  It
+builds no matrix and returns the row steps it took; `replay`, the one
+builder of a sum's L and L^-1, applies them to the identity when a caller
+first reads a map of the sum.
 """
 
 from __future__ import annotations
@@ -55,26 +58,27 @@ def _step(p: int, e: int) -> tuple[int, int, int, int]:
     return s, u, -(e // g), p // g
 
 
-def diagonal_smith_form(diagonal: list[int], m: int) -> tuple[
-        list[list[int]], list[int], list[list[int]]]:
-    """The (L, d) that `smith_normal_form` gives on the matrix
-    diag(diagonal), and L^-1, read off the diagonal alone.
+def diagonal_smith_form(diagonal: list[int], m: int) -> tuple[list[int], list[tuple]]:
+    """The d that `smith_normal_form` gives on the matrix diag(diagonal),
+    read off the diagonal alone, with the row steps of its L, which
+    `replay` turns into (L, L^-1).
 
     The loop's pivot is the first diagonal entry left of least gcd with m,
     and swapping its row and column together keeps the matrix diagonal,
     so nothing is eliminated: where the pivot's gcd divides every later
-    entry, L is the permutation of the swaps and L^-1 its transpose.  A
-    divisibility fix adds a later row b to row t, and the loop then clears
-    the 2x2 block of rows and columns t, b, which no other entry shares;
-    the block is cleared here by the same steps, and the matrix is
-    diagonal again after it.  Every round of the block but the last two
-    makes the pivot fall to a proper divisor, so past 2·bits(m) rounds
-    the block raises InvariantError.
+    entry, the steps are the swaps (t, i).  A divisibility fix adds a
+    later row b to row t, the step (t, b, 1, 1, 0, 1), and the loop then
+    clears the 2x2 block of rows and columns t, b, which no other entry
+    shares; the block is cleared here by the same steps, its row steps
+    recorded as (t, b, s, u, v, w), and the matrix is diagonal again after
+    it.  Every round of the block but the last two makes the pivot fall to
+    a proper divisor, so past 2·bits(m) rounds the block raises
+    InvariantError.
     """
     n = len(diagonal)
     a = [x % m for x in diagonal]
     gs = [gcd(x, m) for x in a]  # m for a zero, which never wins
-    left, left_inv = identity(n), identity(n)
+    steps = []
     d = [m] * n
     bits = m.bit_length()
     for t in range(n):
@@ -84,9 +88,7 @@ def diagonal_smith_form(diagonal: list[int], m: int) -> tuple[
         i = gs.index(g, t)
         if i != t:
             a[t], a[i], gs[t], gs[i] = a[i], a[t], g, gs[t]
-            left[t], left[i] = left[i], left[t]
-            for r in left_inv:
-                r[t], r[i] = r[i], r[t]
+            steps.append((t, i))
         p = a[t]
         while True:
             d[t] = g
@@ -94,20 +96,14 @@ def diagonal_smith_form(diagonal: list[int], m: int) -> tuple[
             if not b:
                 break
             # row t += row b: the block [[p, x], [y, z]] is [[p, z], [0, z]]
-            left[t] = [(x + y) % m for x, y in zip(left[t], left[b])]
-            for r in left_inv:
-                r[b] = (r[b] - r[t]) % m
+            steps.append((t, b, 1, 1, 0, 1))
             x, y, z = a[b], 0, a[b]
             for _ in range(2 * bits):
                 if y:  # a step on rows t and b
                     s, u, v, w = _step(p, y)
                     p, x, y, z = ((s * p + u * y) % m, (s * x + u * z) % m,
                                   (v * p + w * y) % m, (v * x + w * z) % m)
-                    lt, lb = left[t], left[b]
-                    left[t] = [(s * e + u * f) % m for e, f in zip(lt, lb)]
-                    left[b] = [(v * e + w * f) % m for e, f in zip(lt, lb)]
-                    for r in left_inv:
-                        r[t], r[b] = (w * r[t] - v * r[b]) % m, (s * r[b] - u * r[t]) % m
+                    steps.append((t, b, s, u, v, w))
                 if not x:
                     break
                 s, u, v, w = _step(p, x)  # a step on columns t and b
@@ -118,7 +114,34 @@ def diagonal_smith_form(diagonal: list[int], m: int) -> tuple[
                                      {"diagonal": diagonal, "m": m, "pivot": t})
             a[b], gs[b] = z, gcd(z, m)
             g = gcd(p, m)
-    return left, d, left_inv
+    return d, steps
+
+
+def replay(steps: list[tuple], n: int, m: int) -> tuple[
+        list[list[int]], list[list[int]]]:
+    """(L, L^-1): the row steps of `diagonal_smith_form` applied, in order,
+    to the n x n identity, with every entry in range(m).
+
+    A swap (t, i) swaps rows t and i of L and columns t and i of L^-1; a
+    step (t, b, s, u, v, w) sends rows t, b of L to s·t + u·b, v·t + w·b
+    and columns t, b of L^-1 to w·t - v·b, s·b - u·t, its inverse, since
+    s·w - u·v = 1.
+    """
+    left, left_inv = identity(n), identity(n)
+    for step in steps:
+        if len(step) == 2:
+            t, i = step
+            left[t], left[i] = left[i], left[t]
+            for r in left_inv:
+                r[t], r[i] = r[i], r[t]
+        else:
+            t, b, s, u, v, w = step
+            lt, lb = left[t], left[b]
+            left[t] = [(s * e + u * f) % m for e, f in zip(lt, lb)]
+            left[b] = [(v * e + w * f) % m for e, f in zip(lt, lb)]
+            for r in left_inv:
+                r[t], r[b] = (w * r[t] - v * r[b]) % m, (s * r[b] - u * r[t]) % m
+    return left, left_inv
 
 
 def smith_normal_form(matrix: list[list[int]], m: int) -> tuple[

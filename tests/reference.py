@@ -5,8 +5,9 @@ oracles (bar cochains over any permutation module, inflation as the
 pullback of bar cocycles, the Symonds module fed to `cohomology` whole,
 hom enumeration, isomorphism search, the integer Smith normal form, the
 Smith form over Z/m with a full pivot scan, the dense matrix product
-and the composite and sum of composites built on it, the direct sum as
-it ran before it was memoized, rows packed from their bytes, subgroup
+and the composite and sum of composites built on it, the diagonal Smith
+form with L and L^-1 built inline, the direct sum as it ran before it was
+memoized, rows packed from their bytes, subgroup
 conjugacy and the subgroup class table, centralizers, Weyl images and
 the S_p functor check by whole-group scans, the row-by-row homomorphism
 check, the conjugation action on hom(V, G) one tuple at a time and the
@@ -26,7 +27,7 @@ import numpy as np
 from proflq import groupcoh as gc, linalg, lq, repv, snf, tower
 from proflq.errors import BudgetError
 from proflq.etale import FiniteEtaleSpace
-from proflq.finring import FiniteModule, ModuleMap, from_cyclic, zero_map, zero_module
+from proflq.finring import FiniteModule, ModuleMap, zero_map, zero_module
 from proflq.groups import (FiniteGroup, GroupHom, all_subgroups, identity_hom,
                            left_cosets, trivial_group)
 from proflq.tower import DEFAULT_BIT_BUDGET, EtaleTower, SpaceTower, TowerMap
@@ -512,16 +513,76 @@ def add_maps(f: ModuleMap, g: ModuleMap) -> ModuleMap:
                       for r1, r2 in zip(f.matrix, g.matrix)])
 
 
+def eager_diagonal_smith_form(diagonal: list[int], m: int) -> tuple[
+        list[list[int]], list[int], list[list[int]]]:
+    """`snf.diagonal_smith_form` as it ran before it recorded its row steps
+    for `snf.replay`: (L, d, L^-1), with L and L^-1 built inline as the
+    loop goes, swaps and the 2x2 block's row steps alike."""
+    n = len(diagonal)
+    a = [x % m for x in diagonal]
+    gs = [gcd(x, m) for x in a]  # m for a zero, which never wins
+    left, left_inv = snf.identity(n), snf.identity(n)
+    d = [m] * n
+    bits = m.bit_length()
+    for t in range(n):
+        g = min(gs[t:])
+        if g == m:
+            break
+        i = gs.index(g, t)
+        if i != t:
+            a[t], a[i], gs[t], gs[i] = a[i], a[t], g, gs[t]
+            left[t], left[i] = left[i], left[t]
+            for r in left_inv:
+                r[t], r[i] = r[i], r[t]
+        p = a[t]
+        while True:
+            d[t] = g
+            b = 0 if g == 1 else next((i for i in range(t + 1, n) if gs[i] % g), 0)
+            if not b:
+                break
+            # row t += row b: the block [[p, x], [y, z]] is [[p, z], [0, z]]
+            left[t] = [(x + y) % m for x, y in zip(left[t], left[b])]
+            for r in left_inv:
+                r[b] = (r[b] - r[t]) % m
+            x, y, z = a[b], 0, a[b]
+            for _ in range(2 * bits):
+                if y:  # a step on rows t and b
+                    s, u, v, w = snf._step(p, y)
+                    p, x, y, z = ((s * p + u * y) % m, (s * x + u * z) % m,
+                                  (v * p + w * y) % m, (v * x + w * z) % m)
+                    lt, lb = left[t], left[b]
+                    left[t] = [(s * e + u * f) % m for e, f in zip(lt, lb)]
+                    left[b] = [(v * e + w * f) % m for e, f in zip(lt, lb)]
+                    for r in left_inv:
+                        r[t], r[b] = (w * r[t] - v * r[b]) % m, (s * r[b] - u * r[t]) % m
+                if not x:
+                    break
+                s, u, v, w = snf._step(p, x)  # a step on columns t and b
+                p, x, y, z = ((s * p + u * x) % m, (v * p + w * x) % m,
+                              (s * y + u * z) % m, (v * y + w * z) % m)
+            else:
+                raise AssertionError(f"2x2 block past its step bound: {diagonal}, {m}")
+            a[b], gs[b] = z, gcd(z, m)
+            g = gcd(p, m)
+    return left, d, left_inv
+
+
 def uncached_direct_sum(modules: list[FiniteModule]):
     """`finring.direct_sum` as it ran before `proflq.cache` kept its
-    results: every call normalizes the sum and builds fresh maps."""
+    results and before its normal form was replayed: every call
+    normalizes the sum by `eager_diagonal_smith_form` and builds fresh
+    maps."""
     if not modules:
         raise ValueError("direct_sum of an empty list needs a ring; use zero_module")
     ring = modules[0].ring
     if any(m.ring != ring for m in modules):
         raise ValueError("ring mismatch in direct_sum")
     orders = [d for m in modules for d in m.factors]
-    total, to_normal, from_normal = from_cyclic(ring, orders)
+    left, d, left_inv = eager_diagonal_smith_form(orders, ring.modulus)
+    kept = [i for i, di in enumerate(d) if di > 1]
+    total = FiniteModule(ring, tuple(d[i] for i in kept))
+    to_normal = [left[i] for i in kept]
+    from_normal = [[row[i] for i in kept] for row in left_inv]
     injections, projections = [], []
     off = 0
     for m in modules:

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from proflq import cache, etale
+from proflq import cache, etale, snf
 from proflq.errors import BudgetError
 from proflq.etale import (
     FiniteEtaleSpace,
@@ -161,10 +161,26 @@ class TestSections:
                         assert s.projection(u).compose(s.injection(t)).is_zero
 
 
-def test_section_maps_are_built_on_first_read_and_kept(monkeypatch):
+@pytest.fixture
+def replays(monkeypatch):
+    """The arguments of every `snf.replay`, the one builder of a sum's
+    normalizing matrices, in call order."""
+    calls, replay = [], snf.replay
+
+    def counted(*args):
+        calls.append(args)
+        return replay(*args)
+
+    monkeypatch.setattr(snf, "replay", counted)
+    return calls
+
+
+def test_section_maps_are_built_on_first_read_and_kept(monkeypatch, replays):
     """Each map of `sections` equals that of `reference.uncached_direct_sum`
     and is built the first time it is read, once: a second read, and a read
-    through another section module over the same fibers, build nothing."""
+    through another section module over the same fibers, build nothing.
+    The sum's normal form is replayed on the first read of any of its maps,
+    once, and never before."""
     rng = random.Random(29)
     spaces = [random_space(rng, Z12, max_points=5) for _ in range(12)]
     built = []
@@ -179,6 +195,7 @@ def test_section_maps_are_built_on_first_read_and_kept(monkeypatch):
         cache.clear()
         _, injections, projections = uncached_direct_sum([e.fiber(t) for t in e.base])
         sec = sections(e)
+        assert replays == []
         for name, expected in (("injection", injections), ("projection", projections)):
             read = getattr(sec, name)
             for t, want in zip(e.base, expected):
@@ -187,9 +204,28 @@ def test_section_maps_are_built_on_first_read_and_kept(monkeypatch):
                 assert got == want and built == [got]
                 assert read(t) is got and getattr(sections(e), name)(t) is got
                 assert built == [got]
+                assert len(replays) == 1
         for read in (sec.injection, sec.projection):
             with pytest.raises(KeyError):
                 read("not a point")
+        assert len(replays) == 1
+        replays.clear()
+
+
+def test_modules_and_orders_replay_nothing(replays):
+    """The module of sections, a skyscraper product and a Hom module are
+    read off the invariant factors; no sum's normal form is replayed."""
+    rng = random.Random(31)
+    cache.clear()
+    for _ in range(40):
+        e = random_space(rng, Z12, max_points=5)
+        some = e.base[:rng.randint(1, len(e.base))]
+        assert sections(e).module == uncached_direct_sum(list(e.fibers.values()))[0]
+        sections(e, some)
+        skyscraper_product(SkyscraperFamily(e.base, some, {t: e.fiber(t) for t in some}))
+        for s, t in itertools.product(e.base, repeat=2):
+            hom_module(e.fiber(s), e.fiber(t))
+    assert replays == []
 
 
 class TestProductCoproduct:
@@ -489,7 +525,7 @@ class TestAdjunction:
     def test_repeated_element_is_a_collision(self, monkeypatch):
         # a hom listed twice curries to the same table: the injectivity
         # check must report it, not a count mismatch
-        from proflq import cache, etale
+        from proflq import cache, etale, snf
 
         elements = etale._annihilated_elements
 

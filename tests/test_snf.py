@@ -14,7 +14,8 @@ import proflq
 from proflq import finring, snf
 from proflq.finring import FiniteRing
 
-from .reference import full_scan_smith_normal_form, integer_smith_normal_form, mat_mul
+from .reference import (eager_diagonal_smith_form, full_scan_smith_normal_form,
+                        integer_smith_normal_form, mat_mul)
 
 
 def invert_unimodular(u: list[list[int]]) -> list[list[int]]:
@@ -286,18 +287,21 @@ def swaps_suffice(entries: list[int], m: int) -> bool:
 
 
 def check_diagonal(entries: list[int], m: int) -> bool:
-    """diagonal_smith_form(entries, m) is the Smith form of the matrix, and
-    its L^-1 is the inverse of L with entries in range(m), which is unique;
-    its L is a permutation exactly when swaps suffice."""
-    form = snf.diagonal_smith_form(entries, m)
-    assert form[:2] == snf.smith_normal_form(diagonal_matrix(entries), m), (entries, m)
-    assert [[x % m for x in r] for r in mat_mul(form[0], form[2])] \
+    """diagonal_smith_form(entries, m), replayed, is the Smith form of the
+    matrix, and its L^-1 is that of `reference.eager_diagonal_smith_form`:
+    the inverse of L with entries in range(m), which is unique; its L is a
+    permutation exactly when swaps suffice."""
+    d, steps = snf.diagonal_smith_form(entries, m)
+    left, left_inv = snf.replay(steps, len(entries), m)
+    assert (left, d) == snf.smith_normal_form(diagonal_matrix(entries), m), (entries, m)
+    assert left_inv == eager_diagonal_smith_form(entries, m)[2], (entries, m)
+    assert [[x % m for x in r] for r in mat_mul(left, left_inv)] \
         == snf.identity(len(entries)), (entries, m)
-    assert all(0 <= x < m for r in form[2] for x in r), (entries, m)
+    assert all(0 <= x < m for r in left_inv for x in r), (entries, m)
     swap_only = swaps_suffice(entries, m)
-    assert is_permutation(form[0]) == swap_only, (entries, m)
+    assert is_permutation(left) == swap_only, (entries, m)
     if swap_only:
-        assert form[2] == [list(col) for col in zip(*form[0])], (entries, m)
+        assert left_inv == [list(col) for col in zip(*left)], (entries, m)
     return swap_only
 
 
@@ -333,14 +337,43 @@ def test_from_cyclic_runs_no_smith_loop(monkeypatch, orders):
         return smith_normal_form(*args, **kwargs)
 
     monkeypatch.setattr(snf, "smith_normal_form", counted)
-    module, to_normal, from_normal = finring.from_cyclic(FiniteRing(12), list(orders))
+    module, steps = finring.from_cyclic(FiniteRing(12), list(orders))
+    left, left_inv = snf.replay(steps, len(orders), 12)
     assert calls == []
     assert module.order == prod(orders)
-    # mutually inverse, each product read modulo the factors of its target
+    # the kept rows of L and columns of L^-1 are mutually inverse, each
+    # product read modulo the factors of its target
+    kept = len(orders) - module.rank
+    to_normal, from_normal = left[kept:], [row[kept:] for row in left_inv]
     for first, then, factors in ((to_normal, from_normal, orders),
                                  (from_normal, to_normal, module.factors)):
         assert [[x % c for x in row] for row, c in zip(mat_mul(then, first), factors)] \
             == snf.identity(len(factors))
+
+
+# -- the replay against mutants ----------------------------------------------------
+
+@pytest.mark.parametrize("old, new", [
+    # a divisibility fix whose row addition is not recorded, so not replayed
+    ("steps.append((t, b, 1, 1, 0, 1))", "pass"),
+    # a swap of the rows of L that leaves the columns of L^-1 as they were
+    ("r[t], r[i] = r[i], r[t]", "pass"),
+])
+@pytest.mark.parametrize("m", [6, 12])
+def test_a_replay_mutant_fails_the_short_diagonals(monkeypatch, old, new, m):
+    """Each mutant of snf, loaded beside the real module, gives a wrong
+    L or L^-1 on some short diagonal of divisors of m."""
+    with open(snf.__file__) as fh:
+        source = fh.read()
+    assert source.count(old) == 1, old
+    mutant = vars(snf).copy()
+    exec(compile(source.replace(old, new), snf.__file__, "exec"), mutant)
+    for name in ("diagonal_smith_form", "replay"):
+        monkeypatch.setattr(snf, name, mutant[name])
+    with pytest.raises(AssertionError):
+        for n in range(5):
+            for entries in itertools.product(divisors(m), repeat=n):
+                check_diagonal(list(entries), m)
 
 
 # -- the step bounds ---------------------------------------------------------------
